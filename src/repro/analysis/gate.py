@@ -48,8 +48,8 @@ from repro.rules.registry import RuleRegistry
 
 #: Calibrated dynamic-check configuration -- the smallest setup at which
 #: the kill-matrix campaign detects all four handwritten faults (the
-#: same calibration ``tools/bench_smoke.py`` tracks): TPC-H seed 1,
-#: three generation seeds unioned, a pool of 8 queries.
+#: calibration EXPERIMENTS.md records under "Mutation campaign"): TPC-H
+#: seed 1, three generation seeds unioned, a pool of 8 queries.
 DYNAMIC_SEEDS = (11, 23, 37)
 DYNAMIC_POOL = 8
 DYNAMIC_K = 2

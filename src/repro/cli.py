@@ -437,12 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--out", help="write the trace to this file instead of stdout"
     )
-    trace.add_argument(
-        "--executor", choices=["columnar", "iterator"], default=None,
-        help="executor for the post-optimization execution of --sql/"
-        "--rule traces (default: process default, i.e. columnar unless "
-        "REPRO_EXECUTOR=iterator)",
-    )
 
     cache = commands.add_parser(
         "cache", help="inspect or clear the persistent plan cache"
@@ -1236,16 +1230,9 @@ def _run_trace(args, database, registry) -> int:
         # Execute the optimized plan under the same tracer/metrics so the
         # archive carries per-operator exec spans (rows in/out, batch
         # counts) and the exec.* counters next to the optimizer series.
-        from repro.engine import ExecutionConfig
-
-        execution = (
-            ExecutionConfig(executor=args.executor)
-            if getattr(args, "executor", None)
-            else None
-        )
         execute_plan(
             result.plan, database, result.output_columns,
-            config=execution, tracer=tracer, metrics=metrics,
+            tracer=tracer, metrics=metrics,
         )
 
     if args.format == "json":
@@ -1304,9 +1291,7 @@ def _trace_text(subject, tracer, metrics, top: int) -> str:
         f"{metrics.counter_value('service.requests')} "
         f"({metrics.counter_value('service.memory_hits')} memory hits)"
     )
-    executions = metrics.counter_value(
-        "exec.executions", executor="columnar"
-    ) + metrics.counter_value("exec.executions", executor="iterator")
+    executions = metrics.counter_value("exec.executions", executor="columnar")
     if executions:
         lines.append(
             f"executions: {executions}, result rows: "

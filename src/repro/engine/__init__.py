@@ -1,13 +1,6 @@
 """Plan execution and result comparison."""
 
 from repro.engine.batch import BatchItem, execute_many
-from repro.engine.config import (
-    COLUMNAR,
-    ITERATOR,
-    DEFAULT_EXECUTION,
-    ExecutionConfig,
-    default_execution_config,
-)
 from repro.engine.digest import BagDigest, digest_rows
 from repro.engine.executor import (
     ExecutionError,
@@ -26,15 +19,10 @@ from repro.engine.results import (
 __all__ = [
     "BagDigest",
     "BatchItem",
-    "COLUMNAR",
-    "DEFAULT_EXECUTION",
-    "ExecutionConfig",
     "ExecutionError",
-    "ITERATOR",
     "QueryResult",
     "canonical_row",
     "canonical_value",
-    "default_execution_config",
     "diff_summary",
     "digest_rows",
     "execute_many",

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.config import ExecutionConfig, default_execution_config
 from repro.engine.executor import ExecutionError, execute_plan
 from repro.engine.results import QueryResult
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -49,7 +48,6 @@ def execute_many(
     requests: Sequence[ExecRequest],
     database: Database,
     *,
-    config: Optional[ExecutionConfig] = None,
     tracer: Tracer = NULL_TRACER,
     metrics=None,
 ) -> List[BatchItem]:
@@ -61,8 +59,6 @@ def execute_many(
     abort the batch (mirroring how campaign runners handle per-query
     errors).
     """
-    if config is None:
-        config = default_execution_config()
     items: List[Optional[BatchItem]] = [None] * len(requests)
 
     # Group identical (plan, projection) requests; physical operators are
@@ -83,12 +79,7 @@ def execute_many(
         indices = groups[key]
         try:
             result = execute_plan(
-                plan,
-                database,
-                outputs,
-                config=config,
-                tracer=tracer,
-                metrics=metrics,
+                plan, database, outputs, tracer=tracer, metrics=metrics
             )
             error = None
         except ExecutionError as exc:

@@ -1,18 +1,18 @@
-"""Plan execution: executor dispatch plus the iterator-model interpreter.
+"""Plan execution: the columnar hot path plus the reference interpreter.
 
 ``execute_plan`` materializes the result of a physical operator tree
-against a :class:`~repro.storage.database.Database`.  Two executors
-implement identical semantics:
+against a :class:`~repro.storage.database.Database` on the columnar
+executor (:mod:`repro.engine.columnar`) — the only production path.
 
-* the **columnar** executor (:mod:`repro.engine.columnar`) — the default
-  hot path, batch-oriented over per-column lists;
-* the **iterator** interpreter in this module — the reference oracle,
-  selected with ``ExecutionConfig(executor="iterator")`` or the
-  ``REPRO_EXECUTOR=iterator`` environment escape hatch.
-
-``ExecutionConfig.self_check`` runs both and raises if their canonical
-result bags ever disagree (a deterministic plan-signature sample keeps
-the cost tunable).
+The row-at-a-time **iterator** interpreter in this module
+(:func:`execute_plan_iterator`) is the reference the columnar executor
+is tested against: same rows, same order.  It is not selectable as an
+execution path; it runs only from the differential tests and from the
+self-check, which ``REPRO_EXEC_SELF_CHECK=1`` turns on: every
+``execute_plan`` call then also runs the interpreter and raises if the
+two canonical result bags disagree.  The interpreter evaluates
+expressions with :func:`repro.expr.eval.evaluate`, so it shares no
+expression compiler with the executor it checks.
 
 Layouts are computed dynamically from each operator's *actual* children
 (two equivalent plans may order join outputs differently; parents compile
@@ -26,12 +26,12 @@ as equal; aggregates skip NULLs (except COUNT(*)).
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, List, Optional, Tuple
+import os
+from typing import Callable, Dict, List, Tuple
 
-from repro.engine.config import ITERATOR, ExecutionConfig, default_execution_config
 from repro.expr.aggregates import Accumulator
-from repro.expr.eval import compile_expr, compile_predicate, layout_of
-from repro.expr.expressions import Column, TRUE
+from repro.expr.eval import Layout, evaluate, layout_of
+from repro.expr.expressions import Column, Expr, TRUE
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.physical.operators import (
     ComputeScalar,
@@ -66,36 +66,41 @@ class ExecutionError(Exception):
 Rows = List[Tuple]
 Columns = Tuple[Column, ...]
 
+#: Value of the ``executor`` span arg and ``exec.executions`` label.
+_EXECUTOR = "columnar"
+
+_SELF_CHECK_ENV = "REPRO_EXEC_SELF_CHECK"
+_SELF_CHECK_ON = ("1", "true", "yes", "on")
+_SELF_CHECK_OFF = ("", "0", "false", "no", "off")
+
+
+def _self_check_enabled() -> bool:
+    raw = os.environ.get(_SELF_CHECK_ENV, "").strip().lower()
+    if raw in _SELF_CHECK_OFF:
+        return False
+    if raw in _SELF_CHECK_ON:
+        return True
+    raise ValueError(
+        f"{_SELF_CHECK_ENV}={raw!r} is not recognised; "
+        f"use one of {_SELF_CHECK_ON} or {_SELF_CHECK_OFF}"
+    )
+
 
 def execute_plan(
     plan: PhysicalOp,
     database: Database,
     output_columns: Columns = None,
     *,
-    config: Optional[ExecutionConfig] = None,
     tracer: Tracer = NULL_TRACER,
     metrics=None,
 ) -> QueryResult:
-    """Execute ``plan``; optionally project to ``output_columns`` order.
-
-    ``config`` selects the executor (columnar by default; see
-    :mod:`repro.engine.config` for the environment overrides).
-    """
+    """Execute ``plan``; optionally project to ``output_columns`` order."""
     from repro.engine.columnar import execute_columnar
 
-    if config is None:
-        config = default_execution_config()
-    if config.self_check and _sampled_for_self_check(plan, config):
-        return _self_checked_execute(
-            plan, database, output_columns, config, tracer, metrics
-        )
     if not tracer.enabled:
-        if config.executor == ITERATOR:
-            result = execute_plan_iterator(plan, database, output_columns)
-        else:
-            result = execute_columnar(
-                plan, database, output_columns, tracer=tracer, metrics=metrics
-            )
+        result = execute_columnar(
+            plan, database, output_columns, tracer=tracer, metrics=metrics
+        )
     else:
         # Note: no plan signature in the span args — signatures embed
         # column ids, which differ across re-parses of the same SQL, and
@@ -103,54 +108,32 @@ def execute_plan(
         with tracer.span(
             "exec.plan",
             cat="exec",
-            executor=config.executor,
+            executor=_EXECUTOR,
             operators=sum(1 for _ in plan.walk()),
         ) as span:
-            if config.executor == ITERATOR:
-                result = execute_plan_iterator(plan, database, output_columns)
-            else:
-                result = execute_columnar(
-                    plan,
-                    database,
-                    output_columns,
-                    tracer=tracer,
-                    metrics=metrics,
-                )
+            result = execute_columnar(
+                plan, database, output_columns, tracer=tracer, metrics=metrics
+            )
             span.annotate(rows_out=result.row_count)
     if metrics is not None:
-        metrics.counter("exec.executions", executor=config.executor).inc()
+        metrics.counter("exec.executions", executor=_EXECUTOR).inc()
         metrics.counter("exec.rows").inc(result.row_count)
+    if _self_check_enabled():
+        _self_check(plan, database, output_columns, result, metrics)
     return result
 
 
-def _sampled_for_self_check(plan: PhysicalOp, config: ExecutionConfig) -> bool:
-    if config.self_check_rate >= 1.0:
-        return True
-    # Deterministic by plan structure: the same plan is always either
-    # checked or not, independent of execution order.
-    bucket = int(plan_signature(plan), 16) % 10_000
-    return bucket < int(config.self_check_rate * 10_000)
-
-
-def _self_checked_execute(
+def _self_check(
     plan: PhysicalOp,
     database: Database,
     output_columns,
-    config: ExecutionConfig,
-    tracer: Tracer,
+    columnar: QueryResult,
     metrics,
-) -> QueryResult:
-    """Run both executors; raise loudly if their result bags disagree."""
-    from repro.engine.columnar import execute_columnar
-
-    columnar = execute_columnar(
-        plan, database, output_columns, tracer=tracer, metrics=metrics
-    )
+) -> None:
+    """Re-run ``plan`` on the interpreter; raise if the bags disagree."""
     iterator = execute_plan_iterator(plan, database, output_columns)
     if metrics is not None:
         metrics.counter("exec.self_checks").inc()
-        metrics.counter("exec.executions", executor=config.executor).inc()
-        metrics.counter("exec.rows").inc(columnar.row_count)
     if len(columnar.columns) != len(iterator.columns) or not columnar.same_rows(
         iterator
     ):
@@ -161,7 +144,6 @@ def _self_checked_execute(
             f"on plan {plan_signature(plan)}: "
             f"{diff_summary(columnar, iterator)}"
         )
-    return columnar if config.executor != ITERATOR else iterator
 
 
 def execute_plan_iterator(
@@ -175,6 +157,13 @@ def execute_plan_iterator(
     if output_columns is not None:
         result = result.projected(tuple(output_columns))
     return result
+
+
+def _row_predicate(expr: Expr, layout: Layout) -> Callable[[Tuple], bool]:
+    """Row filter over the interpreter: UNKNOWN counts as False."""
+    if expr == TRUE:
+        return lambda row: True
+    return lambda row: evaluate(expr, row, layout) is True
 
 
 def _tuple_getter(positions: List[int]) -> Callable[[Tuple], Tuple]:
@@ -212,15 +201,17 @@ def _exec_table_scan(op: TableScan, database: Database):
 
 def _exec_filter(op: Filter, database: Database):
     rows, columns = _execute(op.child, database)
-    predicate = compile_predicate(op.predicate, layout_of(columns))
+    predicate = _row_predicate(op.predicate, layout_of(columns))
     return [row for row in rows if predicate(row)], columns
 
 
 def _exec_compute_scalar(op: ComputeScalar, database: Database):
     rows, columns = _execute(op.child, database)
     layout = layout_of(columns)
-    compiled = [compile_expr(expr, layout) for _, expr in op.outputs]
-    out_rows = [tuple(fn(row) for fn in compiled) for row in rows]
+    out_rows = [
+        tuple(evaluate(expr, row, layout) for _, expr in op.outputs)
+        for row in rows
+    ]
     return out_rows, op.output_columns
 
 
@@ -268,12 +259,7 @@ def _exec_nested_loops(op: NestedLoopsJoin, database: Database):
     right_rows, right_columns = _execute(op.right, database)
     kind = op.join_kind
     combined_columns = left_columns + right_columns
-    layout = layout_of(combined_columns)
-    predicate = (
-        (lambda row: True)
-        if op.predicate == TRUE
-        else compile_predicate(op.predicate, layout)
-    )
+    predicate = _row_predicate(op.predicate, layout_of(combined_columns))
 
     out: Rows = []
     if kind in (JoinKind.INNER, JoinKind.CROSS):
@@ -310,11 +296,8 @@ def _exec_nested_loops(op: NestedLoopsJoin, database: Database):
 def _exec_nested_apply(op: NestedApply, database: Database):
     left_rows, left_columns = _execute(op.left, database)
     right_rows, right_columns = _execute(op.right, database)
-    layout = layout_of(left_columns + right_columns)
-    predicate = (
-        (lambda row: True)
-        if op.predicate == TRUE
-        else compile_predicate(op.predicate, layout)
+    predicate = _row_predicate(
+        op.predicate, layout_of(left_columns + right_columns)
     )
     want_match = op.apply_kind is JoinKind.SEMI
     out: Rows = []
@@ -336,11 +319,7 @@ def _exec_hash_join(op: HashJoin, database: Database):
     left_key = _tuple_getter([left_layout[c.cid] for c in op.left_keys])
     right_key = _tuple_getter([right_layout[c.cid] for c in op.right_keys])
 
-    residual = (
-        (lambda row: True)
-        if op.residual == TRUE
-        else compile_predicate(op.residual, layout_of(combined_columns))
-    )
+    residual = _row_predicate(op.residual, layout_of(combined_columns))
 
     # Build side: rows with a NULL key can never satisfy an equality join.
     table: Dict[Tuple, List[Tuple]] = {}
@@ -399,11 +378,7 @@ def _exec_merge_join(op: MergeJoin, database: Database):
     right_layout = layout_of(right_columns)
     left_key = _tuple_getter([left_layout[c.cid] for c in op.left_keys])
     right_key = _tuple_getter([right_layout[c.cid] for c in op.right_keys])
-    residual = (
-        (lambda row: True)
-        if op.residual == TRUE
-        else compile_predicate(op.residual, layout_of(combined_columns))
-    )
+    residual = _row_predicate(op.residual, layout_of(combined_columns))
 
     # Rows with NULL keys cannot match an equality; drop them up front.
     # Keys are extracted once per row here rather than re-derived inside
@@ -455,13 +430,17 @@ def _exec_merge_join(op: MergeJoin, database: Database):
 def _make_agg_inputs(
     aggregates, layout
 ) -> List[Callable[[Tuple], object]]:
-    """Compile one input-extraction function per aggregate."""
+    """One input-extraction function per aggregate."""
     extractors = []
     for _, call in aggregates:
         if call.argument is None:  # COUNT(*)
             extractors.append(lambda row: 1)
         else:
-            extractors.append(compile_expr(call.argument, layout))
+            extractors.append(
+                lambda row, argument=call.argument: evaluate(
+                    argument, row, layout
+                )
+            )
     return extractors
 
 

@@ -1,12 +1,10 @@
 """Expression evaluation with SQL three-valued logic.
 
-Two entry points:
-
-* :func:`evaluate` -- interpret an expression against a row given a column
-  layout (column id -> tuple position).  Simple and used in tests.
-* :func:`compile_expr` -- compile an expression into a Python closure for the
-  hot path inside physical operators.  Both implement identical semantics;
-  a property-based test asserts they agree.
+:func:`evaluate` interprets an expression against one row given a column
+layout (column id -> tuple position).  It is the reference semantics: the
+iterator interpreter (:mod:`repro.engine.executor`) evaluates with it, and
+property-based tests pin the column-wise compiler of the columnar hot path
+(:mod:`repro.expr.vector`) to it value for value.
 
 NULL semantics: any arithmetic or comparison with a NULL operand yields NULL
 (UNKNOWN for booleans); AND/OR follow Kleene logic; ``IS NULL`` is always
@@ -17,7 +15,7 @@ generated queries executable.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.expr.expressions import (
     Arithmetic,
@@ -109,83 +107,3 @@ def evaluate(expr: Expr, row: Tuple, layout: Layout):
         right = evaluate(expr.right, row, layout)
         return _arith(expr.op, left, right)
     raise TypeError(f"unknown expression node {type(expr).__name__}")
-
-
-Compiled = Callable[[Tuple], object]
-
-
-def compile_expr(expr: Expr, layout: Layout) -> Compiled:
-    """Compile ``expr`` to a closure ``row -> value`` over ``layout``."""
-    if isinstance(expr, ColumnRef):
-        index = layout[expr.column.cid]
-        return lambda row: row[index]
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, Comparison):
-        left = compile_expr(expr.left, layout)
-        right = compile_expr(expr.right, layout)
-        compare = _COMPARATORS[expr.op]
-
-        def _compare(row):
-            a = left(row)
-            if a is None:
-                return None
-            b = right(row)
-            if b is None:
-                return None
-            return compare(a, b)
-
-        return _compare
-    if isinstance(expr, BoolExpr):
-        parts = [compile_expr(arg, layout) for arg in expr.args]
-        if expr.op is BoolConnective.AND:
-
-            def _and(row):
-                saw_null = False
-                for part in parts:
-                    value = part(row)
-                    if value is False:
-                        return False
-                    if value is None:
-                        saw_null = True
-                return None if saw_null else True
-
-            return _and
-
-        def _or(row):
-            saw_null = False
-            for part in parts:
-                value = part(row)
-                if value is True:
-                    return True
-                if value is None:
-                    saw_null = True
-            return None if saw_null else False
-
-        return _or
-    if isinstance(expr, Not):
-        arg = compile_expr(expr.arg, layout)
-
-        def _not(row):
-            value = arg(row)
-            if value is None:
-                return None
-            return not value
-
-        return _not
-    if isinstance(expr, IsNull):
-        arg = compile_expr(expr.arg, layout)
-        return lambda row: arg(row) is None
-    if isinstance(expr, Arithmetic):
-        left = compile_expr(expr.left, layout)
-        right = compile_expr(expr.right, layout)
-        op = expr.op
-        return lambda row: _arith(op, left(row), right(row))
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
-
-
-def compile_predicate(expr: Expr, layout: Layout) -> Callable[[Tuple], bool]:
-    """Compile a boolean expression into a filter: UNKNOWN counts as False."""
-    compiled = compile_expr(expr, layout)
-    return lambda row: compiled(row) is True

@@ -1,13 +1,14 @@
 """Column-wise expression evaluation for the columnar executor.
 
-:func:`compile_expr_vector` mirrors :func:`repro.expr.eval.compile_expr`
-but operates on whole columns at once: a compiled expression is a closure
+:func:`compile_expr_vector` compiles an expression to operate on whole
+columns at once: a compiled expression is a closure
 ``(columns, n) -> column`` where ``columns`` is the operator input as a
 struct-of-arrays (one Python list per column, all of length ``n``) and the
 result is a list of ``n`` values.  Semantics are identical to the row
-interpreter — SQL three-valued logic, NULL-propagating comparisons and
-arithmetic, division by zero yielding NULL — and the executor differential
-suite asserts the two agree on every generated plan.
+interpreter :func:`repro.expr.eval.evaluate` — SQL three-valued logic,
+NULL-propagating comparisons and arithmetic, division by zero yielding
+NULL — and property-based tests plus the executor differential suite
+assert the two agree.
 
 Evaluator outputs are read-only by convention: a ``ColumnRef`` returns the
 *input column list itself* (no copy), so callers must never mutate a
@@ -131,7 +132,7 @@ def compile_selection_vector(
     """Compile a predicate into a selection builder.
 
     Returns the indices of rows where the predicate is TRUE (UNKNOWN
-    counts as False, matching :func:`repro.expr.eval.compile_predicate`).
+    counts as False).
     """
     compiled = compile_expr_vector(expr, layout)
 

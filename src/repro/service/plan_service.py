@@ -448,7 +448,6 @@ class PlanService:
         requests: Sequence[Tuple[object, Optional[Tuple]]],
         *,
         database: Optional[Database] = None,
-        execution=None,
     ) -> List["BatchItem"]:
         """Execute physical plans batched, with a cross-batch result cache.
 
@@ -463,7 +462,6 @@ class PlanService:
         the moment any table is mutated.
         """
         from repro.engine.batch import BatchItem, execute_many
-        from repro.engine.config import default_execution_config
         from repro.physical.operators import plan_signature
 
         database = database or self.database
@@ -472,8 +470,6 @@ class PlanService:
                 "PlanService.execute_many needs a database "
                 "(pass one here or at construction)"
             )
-        if execution is None:
-            execution = default_execution_config()
         db_token = database.data_fingerprint()
 
         items: List[Optional[BatchItem]] = [None] * len(requests)
@@ -503,7 +499,6 @@ class PlanService:
             executed = execute_many(
                 miss_requests,
                 database,
-                config=execution,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.engine.config import ExecutionConfig
-from repro.engine.executor import ExecutionError, execute_plan
 from repro.engine.results import QueryResult, diff_summary, results_identical
 from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.optimizer.result import OptimizationError
@@ -85,8 +83,6 @@ class CorrectnessRunner:
         config: Optional[OptimizerConfig] = None,
         monotonicity_guard=None,
         service: Optional[PlanService] = None,
-        execution: Optional[ExecutionConfig] = None,
-        batched: bool = True,
     ) -> None:
         self.database = database
         self.registry = registry
@@ -98,15 +94,6 @@ class CorrectnessRunner:
         #: set, every baseline/disabled cost pair is asserted against the
         #: ``Cost(q) <= Cost(q, not R)`` invariant.
         self.monotonicity_guard = monotonicity_guard
-        #: Executor selection; ``None`` resolves the process default
-        #: (columnar unless ``REPRO_EXECUTOR=iterator``) per execution.
-        self.execution = execution
-        #: Batched mode routes all plan executions through
-        #: ``PlanService.execute_many`` (scan sharing, coalescing, the
-        #: cross-batch result cache).  Verdicts and record order are
-        #: identical to the serial path, which is kept for A/B
-        #: benchmarking and as a fallback oracle.
-        self.batched = batched
 
     def _optimize(self, query: SuiteQuery, rules_off: RuleNode = ()):
         return self.service.optimize(
@@ -124,7 +111,7 @@ class CorrectnessRunner:
     def _prewarm(self, plan: CompressionPlan, suite: TestSuite) -> None:
         """Batch every Plan(q) / Plan(q, ¬R) the run will need through
         ``optimize_many`` so distinct plans compute in parallel (when the
-        service has workers) and the serial loop below is all cache hits."""
+        service has workers) and the passes in ``_run`` are all cache hits."""
         requests = [
             (suite.query(query_id).tree, self.config.with_disabled(()))
             for query_id in sorted(plan.selected_query_ids)
@@ -138,15 +125,10 @@ class CorrectnessRunner:
         self.service.optimize_many(requests, return_errors=True)
 
     def _run(self, plan: CompressionPlan, suite: TestSuite) -> CorrectnessReport:
-        if self.batched:
-            return self._run_batched(plan, suite)
-        return self._run_serial(plan, suite)
-
-    def _run_batched(
-        self, plan: CompressionPlan, suite: TestSuite
-    ) -> CorrectnessReport:
-        """Batched flow: optimize/classify first, execute in bulk, then
-        emit records in the serial path's exact iteration order."""
+        """Optimize and classify first, execute in bulk through
+        ``PlanService.execute_many`` (scan sharing, coalescing, the
+        cross-batch result cache), then emit records in iteration order:
+        baselines by query id, then edges in assignment order."""
         tracer = self.service.tracer
         report = CorrectnessReport()
         baseline_results: Dict[int, QueryResult] = {}
@@ -172,7 +154,6 @@ class CorrectnessRunner:
                 for q in pending
             ],
             database=self.database,
-            execution=self.execution,
         )
         exec_items = dict(zip(pending, executed))
 
@@ -231,12 +212,10 @@ class CorrectnessRunner:
                 entries.append((node, query_id, "execute", disabled))
                 requests.append((disabled.plan, disabled.output_columns))
         disabled_items = iter(
-            self.service.execute_many(
-                requests, database=self.database, execution=self.execution
-            )
+            self.service.execute_many(requests, database=self.database)
         )
 
-        # Disabled pass B: compare and emit in the serial iteration order.
+        # Disabled pass B: compare and emit in assignment order.
         for node, query_id, kind, payload in entries:
             if kind == "opt_error":
                 report.errors.append(f"query {query_id} ¬{node}: {payload}")
@@ -284,106 +263,4 @@ class CorrectnessRunner:
                 report.records.append(
                     ComparisonRecord(node, query_id, "equal")
                 )
-        return report
-
-    def _run_serial(
-        self, plan: CompressionPlan, suite: TestSuite
-    ) -> CorrectnessReport:
-        tracer = self.service.tracer
-        report = CorrectnessReport()
-        baseline_results: Dict[int, QueryResult] = {}
-        baseline_plans: Dict[int, object] = {}
-        baseline_costs: Dict[int, float] = {}
-
-        self._prewarm(plan, suite)
-        for query_id in sorted(plan.selected_query_ids):
-            query = suite.query(query_id)
-            try:
-                result = self._optimize(query)
-                baseline_plans[query_id] = result.plan
-                baseline_costs[query_id] = result.cost
-                baseline_results[query_id] = execute_plan(
-                    result.plan, self.database, result.output_columns,
-                    config=self.execution,
-                )
-                report.queries_executed += 1
-            except (OptimizationError, ExecutionError) as exc:
-                report.errors.append(f"query {query_id}: {exc}")
-                report.records.append(
-                    ComparisonRecord((), query_id, "error", str(exc))
-                )
-
-        for node, query_ids in plan.assignments.items():
-            for query_id in query_ids:
-                if query_id not in baseline_results:
-                    continue
-                query = suite.query(query_id)
-                try:
-                    disabled = self._optimize(query, node)
-                except OptimizationError as exc:
-                    report.errors.append(
-                        f"query {query_id} ¬{node}: {exc}"
-                    )
-                    report.records.append(
-                        ComparisonRecord(node, query_id, "error", str(exc))
-                    )
-                    continue
-                if self.monotonicity_guard is not None:
-                    self.monotonicity_guard.observe(
-                        f"query {query_id}",
-                        baseline_costs[query_id],
-                        disabled.cost,
-                        node,
-                    )
-                if disabled.plan == baseline_plans[query_id]:
-                    # Identical plans guarantee identical results (paper,
-                    # footnote 1): skip execution.
-                    report.skipped_identical_plans += 1
-                    report.records.append(
-                        ComparisonRecord(node, query_id, "identical")
-                    )
-                    if tracer.enabled:
-                        tracer.event(
-                            "correctness.identical_plan", cat="testing",
-                            query=query_id, rules=",".join(node),
-                        )
-                    continue
-                try:
-                    alternative = execute_plan(
-                        disabled.plan, self.database, disabled.output_columns,
-                        config=self.execution,
-                    )
-                except ExecutionError as exc:
-                    report.errors.append(
-                        f"query {query_id} ¬{node}: {exc}"
-                    )
-                    report.records.append(
-                        ComparisonRecord(node, query_id, "error", str(exc))
-                    )
-                    continue
-                report.disabled_plans_executed += 1
-                report.comparisons += 1
-                if tracer.enabled:
-                    tracer.event(
-                        "correctness.comparison", cat="testing",
-                        query=query_id, rules=",".join(node),
-                    )
-                expected = baseline_results[query_id]
-                if not results_identical(expected, alternative):
-                    detail = diff_summary(expected, alternative)
-                    report.issues.append(
-                        CorrectnessIssue(
-                            rule_node=node,
-                            query_id=query_id,
-                            sql=query.sql,
-                            detail=detail,
-                        )
-                    )
-                    report.records.append(
-                        ComparisonRecord(node, query_id, "mismatch", detail)
-                    )
-                else:
-                    report.records.append(
-                        ComparisonRecord(node, query_id, "equal")
-                    )
         return report

@@ -1,11 +1,10 @@
 """Unit tests for the columnar execution layer (docs/EXECUTION.md).
 
 Covers the pieces the differential suites exercise only indirectly: the
-NULLS-FIRST ordering contract, ``ExecutionConfig`` and its environment
-overrides, bag digests, the table column-snapshot cache, batched
-execution with coalescing, the ``PlanService`` cross-batch result cache,
-``EngineBackend.run_many``, batched-vs-serial ``CorrectnessRunner``
-record identity, and the self-check mode.
+NULLS-FIRST ordering contract, bag digests, the table column-snapshot
+cache, batched execution with coalescing, the ``PlanService`` cross-batch
+result cache, ``EngineBackend.run_many``, and the
+``REPRO_EXEC_SELF_CHECK`` self-check mode.
 """
 
 from __future__ import annotations
@@ -14,15 +13,12 @@ import pytest
 
 from repro.catalog.schema import Catalog, ColumnDef, DataType, TableDef
 from repro.engine import (
-    COLUMNAR,
-    ITERATOR,
     BagDigest,
-    ExecutionConfig,
     ExecutionError,
-    default_execution_config,
     digest_rows,
     execute_many,
     execute_plan,
+    execute_plan_iterator,
 )
 from repro.engine.digest import EMPTY_DIGEST, digest_canonical_rows
 from repro.obs import MetricsRegistry
@@ -31,8 +27,7 @@ from repro.rules.registry import default_registry
 from repro.sql.binder import sql_to_tree
 from repro.storage.database import Database
 
-COLUMNAR_CONFIG = ExecutionConfig(executor=COLUMNAR)
-ITERATOR_CONFIG = ExecutionConfig(executor=ITERATOR)
+EXECUTORS = [execute_plan, execute_plan_iterator]
 
 
 @pytest.fixture()
@@ -66,59 +61,23 @@ class TestNullOrdering:
     """NULL sorts as the smallest value: first ascending, last
     descending — on both executors, pinned exactly."""
 
-    @pytest.mark.parametrize("config", [COLUMNAR_CONFIG, ITERATOR_CONFIG])
-    def test_nulls_first_ascending(self, sort_db, config):
+    @pytest.mark.parametrize("execute", EXECUTORS)
+    def test_nulls_first_ascending(self, sort_db, execute):
         plan, outputs = _plan_for("SELECT a, b FROM t ORDER BY b, a", sort_db)
-        result = execute_plan(plan, sort_db, outputs, config=config)
+        result = execute(plan, sort_db, outputs)
         assert result.rows == [
             (2, None), (4, None), (3, 1), (5, 2), (1, 3),
         ]
 
-    @pytest.mark.parametrize("config", [COLUMNAR_CONFIG, ITERATOR_CONFIG])
-    def test_nulls_last_descending(self, sort_db, config):
+    @pytest.mark.parametrize("execute", EXECUTORS)
+    def test_nulls_last_descending(self, sort_db, execute):
         plan, outputs = _plan_for(
             "SELECT a, b FROM t ORDER BY b DESC, a", sort_db
         )
-        result = execute_plan(plan, sort_db, outputs, config=config)
+        result = execute(plan, sort_db, outputs)
         assert result.rows == [
             (1, 3), (5, 2), (3, 1), (2, None), (4, None),
         ]
-
-
-# ------------------------------------------------------- ExecutionConfig
-
-
-class TestExecutionConfig:
-    def test_defaults(self):
-        config = ExecutionConfig()
-        assert config.executor == COLUMNAR
-        assert not config.self_check
-
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            ExecutionConfig(executor="gpu")
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError, match="self_check_rate"):
-            ExecutionConfig(self_check_rate=2.0)
-
-    def test_env_executor_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "iterator")
-        assert default_execution_config().executor == ITERATOR
-        monkeypatch.setenv("REPRO_EXECUTOR", "nonsense")
-        assert default_execution_config().executor == COLUMNAR
-
-    def test_env_self_check(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SELF_CHECK", "1")
-        config = default_execution_config()
-        assert config.self_check and config.self_check_rate == 1.0
-        monkeypatch.setenv("REPRO_EXEC_SELF_CHECK", "0.25")
-        config = default_execution_config()
-        assert config.self_check and config.self_check_rate == 0.25
-        monkeypatch.setenv("REPRO_EXEC_SELF_CHECK", "on")
-        assert default_execution_config().self_check
-        monkeypatch.setenv("REPRO_EXEC_SELF_CHECK", "0")
-        assert not default_execution_config().self_check
 
 
 # ------------------------------------------------------------ bag digest
@@ -183,10 +142,8 @@ class TestTableSnapshots:
     def test_scan_cache_metric(self, sort_db):
         plan, outputs = _plan_for("SELECT a FROM t", sort_db)
         metrics = MetricsRegistry()
-        execute_plan(plan, sort_db, outputs, config=COLUMNAR_CONFIG,
-                     metrics=metrics)
-        execute_plan(plan, sort_db, outputs, config=COLUMNAR_CONFIG,
-                     metrics=metrics)
+        execute_plan(plan, sort_db, outputs, metrics=metrics)
+        execute_plan(plan, sort_db, outputs, metrics=metrics)
         assert metrics.counter_value("exec.scan_cache_hits") >= 1
 
 
@@ -269,7 +226,7 @@ class TestPlanServiceExecuteMany:
             service.execute_many([])
 
 
-# -------------------------------------------------- backend / correctness
+# -------------------------------------------------------------- backend
 
 
 class TestBatchedRunners:
@@ -291,68 +248,19 @@ class TestBatchedRunners:
                 b.error, b.bag, b.row_count, b.plan
             )
 
-    def test_batched_correctness_matches_serial(self, tpch_db, registry):
-        from repro.testing.compression import CompressionPlan
-        from repro.testing.correctness import CorrectnessRunner
-        from repro.testing.suite import TestSuiteBuilder, singleton_nodes
-
-        suite = TestSuiteBuilder(
-            tpch_db, registry, seed=3, extra_operators=1
-        ).build(
-            singleton_nodes(registry.exploration_rule_names[:5]), k=1
-        )
-        assignments = {}
-        for query in suite.queries:
-            assignments.setdefault(query.generated_for, []).append(
-                query.query_id
-            )
-        plan = CompressionPlan(
-            method="FULL",
-            assignments=assignments,
-            node_costs={q.query_id: q.cost for q in suite.queries},
-            edge_costs={
-                (node, query_id): 0.0
-                for node, ids in assignments.items()
-                for query_id in ids
-            },
-        )
-        serial = CorrectnessRunner(
-            tpch_db, registry, batched=False,
-            execution=ExecutionConfig(executor=ITERATOR),
-        ).run(plan, suite)
-        batched = CorrectnessRunner(tpch_db, registry).run(plan, suite)
-        assert serial.records == batched.records
-        assert serial.errors == batched.errors
-        assert [str(i) for i in serial.issues] == [
-            str(i) for i in batched.issues
-        ]
-        assert serial.comparisons == batched.comparisons
-        assert (
-            serial.skipped_identical_plans == batched.skipped_identical_plans
-        )
-
 
 # ------------------------------------------------------------ self-check
 
 
 class TestSelfCheck:
-    def test_self_check_passes_and_counts(self, sort_db):
+    def test_self_check_passes_and_counts(self, sort_db, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC_SELF_CHECK", "1")
         plan, outputs = _plan_for("SELECT a, b FROM t WHERE b > 1", sort_db)
         metrics = MetricsRegistry()
-        config = ExecutionConfig(self_check=True)
-        result = execute_plan(
-            plan, sort_db, outputs, config=config, metrics=metrics
-        )
+        result = execute_plan(plan, sort_db, outputs, metrics=metrics)
         assert result.rows == [(1, 3), (5, 2)]
         assert metrics.counter_value("exec.self_checks") == 1
         assert metrics.counter_value("exec.self_check_mismatches") == 0
-
-    def test_self_check_rate_zero_skips(self, sort_db):
-        plan, outputs = _plan_for("SELECT a FROM t", sort_db)
-        metrics = MetricsRegistry()
-        config = ExecutionConfig(self_check=True, self_check_rate=0.0)
-        execute_plan(plan, sort_db, outputs, config=config, metrics=metrics)
-        assert metrics.counter_value("exec.self_checks") == 0
 
     def test_self_check_mismatch_raises(self, sort_db, monkeypatch):
         import repro.engine.executor as executor_module
@@ -368,10 +276,35 @@ class TestSelfCheck:
         monkeypatch.setattr(
             executor_module, "execute_plan_iterator", broken
         )
+        monkeypatch.setenv("REPRO_EXEC_SELF_CHECK", "1")
         metrics = MetricsRegistry()
-        config = ExecutionConfig(self_check=True)
         with pytest.raises(ExecutionError, match="self-check failed"):
-            execute_plan(
-                plan, sort_db, outputs, config=config, metrics=metrics
-            )
+            execute_plan(plan, sort_db, outputs, metrics=metrics)
+        assert metrics.counter_value("exec.self_checks") == 1
         assert metrics.counter_value("exec.self_check_mismatches") == 1
+
+    @pytest.mark.parametrize(
+        "value, checks",
+        [
+            ("1", 1), ("true", 1), ("Yes", 1), (" ON ", 1),
+            ("0", 0), ("false", 0), ("no", 0), ("off", 0), ("", 0),
+            (None, 0),  # unset
+        ],
+    )
+    def test_env_values(self, sort_db, monkeypatch, value, checks):
+        if value is None:
+            monkeypatch.delenv("REPRO_EXEC_SELF_CHECK", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_EXEC_SELF_CHECK", value)
+        plan, outputs = _plan_for("SELECT a FROM t", sort_db)
+        metrics = MetricsRegistry()
+        execute_plan(plan, sort_db, outputs, metrics=metrics)
+        assert metrics.counter_value("exec.self_checks") == checks
+
+    @pytest.mark.parametrize("value", ["maybe", "ture", "0.25", "2"])
+    def test_unrecognised_env_value_raises(self, sort_db, monkeypatch, value):
+        """A typo must not silently switch the fault detector off."""
+        monkeypatch.setenv("REPRO_EXEC_SELF_CHECK", value)
+        plan, outputs = _plan_for("SELECT a FROM t", sort_db)
+        with pytest.raises(ValueError, match="REPRO_EXEC_SELF_CHECK"):
+            execute_plan(plan, sort_db, outputs)

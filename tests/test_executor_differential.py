@@ -1,8 +1,8 @@
 """Columnar-vs-iterator executor differential coverage.
 
 The columnar executor (docs/EXECUTION.md) must be observationally
-identical to the row-at-a-time iterator interpreter it replaced as the
-default: same rows, same order, for every plan the optimizer can emit.
+identical to the row-at-a-time iterator interpreter kept as its
+reference: same rows, same order, for every plan the optimizer can emit.
 This module drives the pair across three fronts:
 
 * **Generated suites**: pattern-generated queries for every exploration
@@ -25,10 +25,8 @@ import pytest
 
 from repro.catalog.schema import Catalog, ColumnDef, DataType, TableDef
 from repro.engine import (
-    COLUMNAR,
-    ITERATOR,
-    ExecutionConfig,
     execute_plan,
+    execute_plan_iterator,
     results_identical,
 )
 from repro.engine.results import canonical_row
@@ -36,9 +34,6 @@ from repro.optimizer.engine import Optimizer
 from repro.sql.binder import sql_to_tree
 from repro.storage.database import Database
 from repro.testing.suite import TestSuiteBuilder, singleton_nodes
-
-COLUMNAR_CONFIG = ExecutionConfig(executor=COLUMNAR)
-ITERATOR_CONFIG = ExecutionConfig(executor=ITERATOR)
 
 
 def assert_executors_agree(plan, database, output_columns=None):
@@ -48,12 +43,8 @@ def assert_executors_agree(plan, database, output_columns=None):
     order observable, so the columnar operators reproduce the iterator's
     emission order exactly.
     """
-    columnar = execute_plan(
-        plan, database, output_columns, config=COLUMNAR_CONFIG
-    )
-    iterator = execute_plan(
-        plan, database, output_columns, config=ITERATOR_CONFIG
-    )
+    columnar = execute_plan(plan, database, output_columns)
+    iterator = execute_plan_iterator(plan, database, output_columns)
     assert [c.cid for c in columnar.columns] == [
         c.cid for c in iterator.columns
     ]

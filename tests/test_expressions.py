@@ -3,7 +3,7 @@
 import pytest
 
 from repro.catalog.schema import DataType
-from repro.expr.eval import compile_expr, compile_predicate, evaluate, layout_of
+from repro.expr.eval import evaluate, layout_of
 from repro.expr.expressions import (
     FALSE,
     TRUE,
@@ -26,6 +26,7 @@ from repro.expr.expressions import (
     referenced_columns,
     substitute_columns,
 )
+from repro.expr.vector import compile_expr_vector, compile_selection_vector
 
 
 @pytest.fixture()
@@ -148,10 +149,26 @@ class TestEvaluation:
         assert _eval(div, (6, 3, "x"), cols) == 2.0
 
 
-class TestCompiledEvaluation:
-    def test_compile_matches_interpret(self, cols):
-        a, b, s = cols
+def _columns(rows):
+    """Transpose row tuples into the struct-of-arrays the vector
+    compiler consumes."""
+    return [list(column) for column in zip(*rows)]
+
+
+class TestVectorEvaluation:
+    """The columnar hot path's compiler must match ``evaluate`` value
+    for value (``is``: True/False/None are never conflated)."""
+
+    def _assert_matches(self, expr, rows, cols):
         layout = layout_of(cols)
+        column = compile_expr_vector(expr, layout)(_columns(rows), len(rows))
+        assert len(column) == len(rows)
+        for value, row in zip(column, rows):
+            expected = evaluate(expr, row, layout)
+            assert (type(value), value) == (type(expected), expected)
+
+    def test_three_valued_logic_matches_interpret(self, cols):
+        a, b, s = cols
         expr = BoolExpr(
             BoolConnective.OR,
             (
@@ -161,19 +178,32 @@ class TestCompiledEvaluation:
                                Literal("x", DataType.STRING))),
             ),
         )
-        compiled = compile_expr(expr, layout)
-        for row in [(1, 2, "x"), (3, 2, "x"), (None, 2, "y"), (1, None, "x")]:
-            assert compiled(row) is evaluate(expr, row, layout)
+        rows = [(1, 2, "x"), (3, 2, "x"), (None, 2, "y"), (1, None, "x")]
+        self._assert_matches(expr, rows, cols)
+        conj = BoolExpr(BoolConnective.AND, expr.args)
+        self._assert_matches(conj, rows, cols)
 
-    def test_compile_predicate_treats_unknown_as_false(self, cols):
+    @pytest.mark.parametrize("op", list(ArithmeticOp))
+    def test_null_arithmetic_and_division_by_zero(self, cols, op):
         a, b, _ = cols
-        layout = layout_of(cols)
-        predicate = compile_predicate(
-            Comparison(ComparisonOp.EQ, ColumnRef(a), ColumnRef(b)), layout
+        expr = Arithmetic(op, ColumnRef(a), ColumnRef(b))
+        rows = [(6, 3, "x"), (1, 0, "x"), (None, 3, "x"), (2, None, "x")]
+        self._assert_matches(expr, rows, cols)
+        column = compile_expr_vector(expr, layout_of(cols))(
+            _columns(rows), len(rows)
         )
-        assert predicate((1, 1, "x")) is True
-        assert predicate((1, 2, "x")) is False
-        assert predicate((None, 2, "x")) is False
+        assert column[2] is None and column[3] is None
+        if op is ArithmeticOp.DIV:
+            assert column[:2] == [2.0, None]
+
+    def test_selection_treats_unknown_as_false(self, cols):
+        a, b, _ = cols
+        select = compile_selection_vector(
+            Comparison(ComparisonOp.EQ, ColumnRef(a), ColumnRef(b)),
+            layout_of(cols),
+        )
+        rows = [(1, 1, "x"), (1, 2, "x"), (None, 2, "x"), (3, 3, "y")]
+        assert select(_columns(rows), len(rows)) == [0, 3]
 
 
 class TestHelpers:

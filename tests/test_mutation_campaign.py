@@ -221,7 +221,15 @@ _KILL_SEEDS = (11, 23, 37, 1)
 @pytest.mark.parametrize("rule_name", sorted(ALL_FAULTS))
 def test_handwritten_fault_is_killed(tpch_db, registry, rule_name):
     """Satellite check: every fault in ``rules/faults.py`` must be caught
-    by the FULL regenerated suite via the CorrectnessRunner oracle."""
+    by the FULL regenerated suite via the CorrectnessRunner oracle, and
+    the detection-aware selection at the campaign's own k=2 budget must
+    keep the kill (docs/COMPRESSION.md)."""
+    from repro.testing.detection import (
+        KillMatrix,
+        detection_plan,
+        score_selection,
+    )
+
     campaign = MutationCampaign(
         tpch_db, registry, pool=8, k=2, seeds=_KILL_SEEDS,
         extra_operators=2,
@@ -233,6 +241,9 @@ def test_handwritten_fault_is_killed(tpch_db, registry, rule_name):
     assert outcome.status("FULL") == KILLED, (
         f"{rule_name} fault not killed: {outcome.variants['FULL']}"
     )
+    matrix = KillMatrix.from_report(report)
+    selection = detection_plan(matrix, base_k=2, adaptive=True)
+    assert score_selection(matrix, selection.selected).survivors == ()
 
 
 # ------------------------------------------------------- full-size scoring

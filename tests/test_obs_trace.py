@@ -134,6 +134,45 @@ class TestDeterminism:
             assert result.rules_exercised == expected.rules_exercised
             assert result.plan.describe() == expected.plan.describe()
 
+    def test_tracing_moves_no_monotonicity_counter(self, tpch_db, registry):
+        """Figure 14's numbers -- logical ``Cost(q, ¬R)`` invocations with
+        and without the monotonicity pruning, and the solution cost --
+        are the same on a traced, metered service as on a plain one."""
+        from repro.obs import MetricsRegistry
+        from repro.testing.compression import top_k_independent_plan
+        from repro.testing.suite import (
+            CostOracle,
+            TestSuiteBuilder,
+            pair_nodes,
+        )
+
+        def fig14(service):
+            suite = TestSuiteBuilder(
+                tpch_db, registry, seed=7, extra_operators=0, service=service
+            ).build(pair_nodes(registry.exploration_rule_names[:3]), k=2)
+            plain = CostOracle(tpch_db, registry, service=service)
+            mono = CostOracle(tpch_db, registry, service=service)
+            plain_plan = top_k_independent_plan(suite, plain)
+            mono_plan = top_k_independent_plan(
+                suite, mono, use_monotonicity=True
+            )
+            return (
+                plain.invocations, mono.invocations,
+                plain_plan.total_cost, mono_plan.total_cost,
+            )
+
+        untraced = fig14(PlanService(tpch_db, registry=registry))
+        tracer = RecordingTracer(capacity=1 << 16, detail="summary")
+        traced = fig14(
+            PlanService(
+                tpch_db, registry=registry,
+                tracer=tracer, metrics=MetricsRegistry(),
+            )
+        )
+        assert traced == untraced
+        assert untraced[1] < untraced[0]  # the pruning did prune
+        assert tracer.events
+
 
 class TestDetailLevels:
     def test_full_records_per_attempt_events(self, tpch_db, registry):

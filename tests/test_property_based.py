@@ -23,7 +23,7 @@ from repro.engine import (
     execute_plan,
     results_identical,
 )
-from repro.expr.eval import compile_expr, evaluate, layout_of
+from repro.expr.eval import evaluate, layout_of
 from repro.expr.expressions import (
     Arithmetic,
     ArithmeticOp,
@@ -38,6 +38,7 @@ from repro.expr.expressions import (
     Not,
 )
 from repro.expr.simplify import fold_constants
+from repro.expr.vector import compile_expr_vector, compile_selection_vector
 from repro.logical.validate import validate_tree
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.engine import Optimizer
@@ -71,6 +72,17 @@ _float_values = st.one_of(
     st.none(), st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 )
 _rows = st.tuples(_int_values, _int_values, _float_values)
+_row_batches = st.lists(_rows, min_size=0, max_size=6)
+
+
+def _as_columns(rows):
+    """Row tuples as the struct-of-arrays the vector compiler consumes."""
+    return [[row[i] for row in rows] for i in range(len(_COLUMNS))]
+
+
+def _typed(values):
+    """Values paired with their types, so True never passes for 1."""
+    return [(type(value), value) for value in values]
 
 
 def _scalar_exprs(depth):
@@ -122,11 +134,20 @@ def _bool_exprs(depth):
 
 
 class TestExpressionProperties:
-    @given(expr=_bool_exprs(2), row=_rows)
+    @given(expr=_bool_exprs(2), rows=_row_batches)
     @settings(max_examples=300, deadline=None)
-    def test_compiled_equals_interpreted(self, expr, row):
+    def test_vector_compiled_equals_interpreted(self, expr, rows):
+        """3VL: the columnar compiler matches ``evaluate`` row by row,
+        and a selection keeps exactly the rows that evaluate to TRUE."""
         layout = layout_of(_COLUMNS)
-        assert compile_expr(expr, layout)(row) == evaluate(expr, row, layout)
+        columns = _as_columns(rows)
+        expected = [evaluate(expr, row, layout) for row in rows]
+        column = compile_expr_vector(expr, layout)(columns, len(rows))
+        assert _typed(column) == _typed(expected)
+        selected = compile_selection_vector(expr, layout)(columns, len(rows))
+        assert selected == [
+            i for i, value in enumerate(expected) if value is True
+        ]
 
     @given(expr=_bool_exprs(2), row=_rows)
     @settings(max_examples=300, deadline=None)
@@ -135,11 +156,16 @@ class TestExpressionProperties:
         folded = fold_constants(expr)
         assert evaluate(folded, row, layout) == evaluate(expr, row, layout)
 
-    @given(expr=_scalar_exprs(2), row=_rows)
+    @given(expr=_scalar_exprs(2), rows=_row_batches)
     @settings(max_examples=300, deadline=None)
-    def test_scalar_compile_agreement(self, expr, row):
+    def test_scalar_vector_compile_agreement(self, expr, rows):
+        """NULL arithmetic and divide-by-zero -> NULL, column-wise."""
         layout = layout_of(_COLUMNS)
-        assert compile_expr(expr, layout)(row) == evaluate(expr, row, layout)
+        columns = _as_columns(rows)
+        column = compile_expr_vector(expr, layout)(columns, len(rows))
+        assert _typed(column) == _typed(
+            evaluate(expr, row, layout) for row in rows
+        )
 
 
 # --------------------------------------------------- grand rule correctness
