@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import List, Optional
 
 from repro.engine import execute_plan, explain_analyze
@@ -764,6 +765,33 @@ def _selected_rules(args, registry):
     return list(requested)
 
 
+def _by_format(report):
+    """``fmt -> str`` over a report's ``to_json`` / ``to_markdown`` /
+    ``to_text``."""
+    def render(fmt: str) -> str:
+        if fmt == "json":
+            return report.to_json()
+        if fmt == "markdown":
+            return report.to_markdown()
+        return report.to_text()
+    return render
+
+
+def _emit_report(args, render, echo_text: bool) -> None:
+    """Print ``render(args.format)``, or write it to ``--output``; with
+    ``echo_text`` a json/markdown file still leaves the text form on
+    stdout."""
+    output = render(args.format)
+    if not args.output:
+        print(output)
+        return
+    with open(args.output, "w") as handle:
+        handle.write(output + "\n")
+    print(f"report written to {args.output}")
+    if echo_text and args.format != "text":
+        print(render("text"))
+
+
 def _run_diff(args, database, registry) -> int:
     """The ``repro diff`` subcommand: run the differential backend fleet.
 
@@ -824,20 +852,7 @@ def _run_diff(args, database, registry) -> int:
         },
     )
 
-    if args.format == "json":
-        output = report.to_json()
-    elif args.format == "markdown":
-        output = report.to_markdown()
-    else:
-        output = report.to_text()
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(output + "\n")
-        print(f"report written to {args.output}")
-        if args.format != "text":
-            print(report.to_text())
-    else:
-        print(output)
+    _emit_report(args, _by_format(report), echo_text=True)
     if args.collect_out:
         with open(args.collect_out, "w") as handle:
             handle.write(report.to_json() + "\n")
@@ -880,20 +895,7 @@ def _run_mutate(args, database, registry) -> int:
         names, operators=args.operators, sample=args.sample
     )
 
-    if args.format == "json":
-        output = report.to_json()
-    elif args.format == "markdown":
-        output = report.to_markdown()
-    else:
-        output = report.to_text()
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(output + "\n")
-        print(f"report written to {args.output}")
-        if args.format != "text":
-            print(report.to_text())
-    else:
-        print(output)
+    _emit_report(args, _by_format(report), echo_text=True)
 
     score = report.detection_score("FULL")
     if args.fail_under is not None:
@@ -925,6 +927,8 @@ def _run_compress(args, database, registry) -> int:
         cross_validated_scores,
         detection_plan,
         pareto_report,
+        render_coverage,
+        render_detection,
         score_selection,
     )
 
@@ -1005,7 +1009,7 @@ def _run_compress(args, database, registry) -> int:
 
     if args.objective == "pareto":
         gate_rate = _pareto_gate_rate(pareto, args.base_k)
-        output = _render_pareto(pareto, args.format)
+        render = _by_format(pareto)
     elif args.objective == "detection":
         plan = detection_plan(
             matrix, base_k=args.base_k, adaptive=adaptive,
@@ -1019,21 +1023,14 @@ def _run_compress(args, database, registry) -> int:
                 max_k=args.max_k,
             )
         gate_rate = score.rate
-        output = _render_detection(
-            matrix, plan, score, cross, args.format
-        )
+        render = partial(render_detection, matrix, plan, score, cross)
     else:  # coverage: the campaign's own k-coverage variants, rescored
         summary = payload.get("summary", {})
         smc = summary.get("SMC", {})
         gate_rate = smc.get("detection_score")
-        output = _render_coverage(matrix, payload, args.format)
+        render = partial(render_coverage, matrix, payload)
 
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(output + "\n")
-        print(f"report written to {args.output}")
-    else:
-        print(output)
+    _emit_report(args, render, echo_text=False)
 
     if args.fail_under is not None:
         if gate_rate is None or gate_rate < args.fail_under:
@@ -1051,131 +1048,6 @@ def _pareto_gate_rate(pareto, base_k: int):
     detection point (the suite the objective recommends)."""
     point = pareto.point(f"detection-adaptive-k{base_k}")
     return None if point is None else point.detection_rate
-
-
-def _render_pareto(pareto, fmt: str) -> str:
-    if fmt == "json":
-        return pareto.to_json()
-    if fmt == "markdown":
-        return pareto.to_markdown()
-    lines = ["cost vs. detection sweep (* = Pareto frontier):"]
-    for point in pareto.points:
-        rate = (
-            " n/a" if point.detection_rate is None
-            else f"{point.detection_rate:>4.0%}"
-        )
-        marker = "*" if point.frontier else " "
-        lines.append(
-            f"  {marker} {point.label:<24} {point.queries:>3} queries  "
-            f"cost {point.cost:>9.1f}  detection {rate}"
-        )
-    cross = pareto.cross_validated
-    if cross is not None:
-        shown = "n/a" if cross.rate is None else f"{cross.rate:.0%}"
-        lines.append(
-            f"  leave-one-out detection of the adaptive plan: {shown} "
-            f"({cross.detected}/{cross.expected})"
-        )
-    return "\n".join(lines)
-
-
-def _render_detection(matrix, plan, score, cross, fmt: str) -> str:
-    import json as json_module
-
-    if fmt == "json":
-        return json_module.dumps(
-            {
-                "config": dict(sorted(matrix.config.items())),
-                "plan": plan.to_json_dict(matrix),
-                "score": score.to_json_dict(),
-                "cross_validated": (
-                    None if cross is None else cross.to_json_dict()
-                ),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    rate = "n/a" if score.rate is None else f"{score.rate:.0%}"
-    mode = "adaptive" if plan.adaptive else "fixed"
-    lines = [
-        f"detection objective (base_k={plan.base_k}, {mode}): "
-        f"{plan.total_queries} queries, cost {plan.cost(matrix):.1f}, "
-        f"detection {rate} ({score.detected}/{score.expected})",
-    ]
-    if plan.raises:
-        raised = ", ".join(
-            f"{rule}+{count}" for rule, count in sorted(plan.raises.items())
-        )
-        lines.append(f"adaptive budget raises: {raised}")
-    for mutant_id in score.survivors:
-        lines.append(f"SURVIVOR: {mutant_id}")
-    if cross is not None:
-        shown = "n/a" if cross.rate is None else f"{cross.rate:.0%}"
-        lines.append(
-            f"leave-one-out detection: {shown} "
-            f"({cross.detected}/{cross.expected})"
-        )
-    if fmt == "markdown":
-        header = [
-            "# Detection-objective compression", "",
-            "| rule | budget | selected slots |", "|---|---:|---|",
-        ]
-        for rule in matrix.rules:
-            slots = ", ".join(
-                str(slot) for slot in plan.selected.get(rule, ())
-            )
-            header.append(
-                f"| {rule} | {plan.budgets.get(rule, 0)} | {slots} |"
-            )
-        header.append("")
-        return "\n".join(header + lines)
-    return "\n".join(lines)
-
-
-def _render_coverage(matrix, payload, fmt: str) -> str:
-    import json as json_module
-
-    from repro.testing.detection import _coverage_points
-
-    points = _coverage_points(matrix, payload)
-    if fmt == "json":
-        return json_module.dumps(
-            {
-                "config": dict(sorted(matrix.config.items())),
-                "points": [point.to_json_dict() for point in points],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    lines = ["coverage-objective variants of the campaign, rescored:"]
-    for point in points:
-        rate = (
-            "n/a" if point.detection_rate is None
-            else f"{point.detection_rate:.0%}"
-        )
-        lines.append(
-            f"  {point.label:<24} {point.queries:>3} queries  "
-            f"cost {point.cost:>9.1f}  detection {rate}"
-        )
-        for mutant_id in point.survivors:
-            lines.append(f"    SURVIVOR: {mutant_id}")
-    if fmt == "markdown":
-        header = [
-            "# Coverage-objective scores", "",
-            "| point | queries | cost | detection |", "|---|---:|---:|---:|",
-        ]
-        for point in points:
-            rate = (
-                "n/a" if point.detection_rate is None
-                else f"{point.detection_rate:.0%}"
-            )
-            header.append(
-                f"| {point.label} | {point.queries} | {point.cost:.1f} "
-                f"| {rate} |"
-            )
-        header.append("")
-        return "\n".join(header)
-    return "\n".join(lines)
 
 
 def _run_trace(args, database, registry) -> int:

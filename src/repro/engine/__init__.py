@@ -1,6 +1,6 @@
 """Plan execution and result comparison."""
 
-from repro.engine.batch import BatchItem, execute_many
+from repro.engine.batch import BatchItem, execute_item
 from repro.engine.digest import BagDigest, digest_rows
 from repro.engine.executor import (
     ExecutionError,
@@ -25,7 +25,7 @@ __all__ = [
     "canonical_value",
     "diff_summary",
     "digest_rows",
-    "execute_many",
+    "execute_item",
     "execute_plan",
     "execute_plan_iterator",
     "explain",

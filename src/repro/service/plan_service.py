@@ -17,6 +17,13 @@ each layer hand-rolling its own :class:`Optimizer`, a single
   ``ProcessPoolExecutor`` (``workers > 1``) with deterministic result
   ordering, deduplicating identical requests within the batch first.
 
+Every request, scalar or batched, climbs the same ladder: a memory entry,
+then (when no plan object is needed) a cost record from disk, then the
+optimizer -- singly or through the pool.  :meth:`PlanService._cached` is
+the one place that counts requests and hits and emits ``service.cache``;
+:meth:`PlanService._computed` the one place that counts, stores and evicts
+a computed outcome.
+
 Construction of :class:`Optimizer` instances is an implementation detail of
 this module; no other package should instantiate one directly.
 """
@@ -26,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -47,6 +54,13 @@ from repro.storage.database import Database
 PlanRequest = Union[LogicalOp, Tuple[LogicalOp, Optional[OptimizerConfig]]]
 
 _CacheKey = Tuple[str, OptimizerConfig]
+_Task = Tuple[LogicalOp, OptimizerConfig]
+
+#: FIFO bounds on the two in-process stores (plan/cost entries, execution
+#: results): one-shot trees and plans from generation campaigns age out
+#: first, long before the reusable suite traffic.
+MEMORY_LIMIT = 20_000
+EXEC_CACHE_LIMIT = 10_000
 
 
 @dataclass
@@ -85,23 +99,20 @@ class ServiceStats:
 
 @dataclass
 class _Entry:
-    """One memoized outcome: a full result or a remembered failure."""
+    """One memoized outcome: a full result, a remembered failure, or a
+    cost-only answer read back from disk (neither ``result`` nor ``error``),
+    which answers ``cost`` but not ``optimize``."""
 
     result: Optional[OptimizeResult] = None
     error: Optional[str] = None
+    cost: float = float("inf")
 
     @property
-    def cost(self) -> float:
-        return self.result.cost if self.result is not None else float("inf")
+    def has_plan_answer(self) -> bool:
+        return self.result is not None or self.error is not None
 
-
-@dataclass
-class _Pending:
-    """Bookkeeping for one deduplicated computation inside a batch."""
-
-    tree: LogicalOp
-    config: OptimizerConfig
-    indices: List[int] = field(default_factory=list)
+    def failure(self) -> OptimizationError:
+        return OptimizationError(self.error or "optimization failed")
 
 
 class PlanService:
@@ -118,7 +129,6 @@ class PlanService:
         workers: int = 1,
         cache_dir: Optional[Path] = None,
         memory_cache: bool = True,
-        memory_limit: Optional[int] = 20_000,
         tracer: Tracer = NULL_TRACER,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -151,16 +161,13 @@ class PlanService:
         #: each ``service.*`` series name once (see ``_bump``).
         self._metric_counters: Dict[str, object] = {}
         self._memory_cache_enabled = memory_cache
-        #: FIFO bound on in-process entries; one-shot trees from generation
-        #: campaigns age out first, long before the reusable suite traffic.
-        self.memory_limit = memory_limit
+        #: Plan/cost answers, FIFO-bounded by ``MEMORY_LIMIT``.
         self._entries: Dict[_CacheKey, _Entry] = {}
-        self._cost_records: Dict[_CacheKey, Dict] = {}
         self._optimizers: Dict[OptimizerConfig, Optimizer] = {}
-        #: Cross-batch execution results, keyed by (plan signature,
-        #: projection cids, database fingerprint); see execute_many.
-        self._exec_cache: Dict[Tuple, object] = {}
-        self._exec_cache_limit = 10_000
+        #: Execution results, keyed by (plan signature, projection cids,
+        #: database fingerprint) and FIFO-bounded by ``EXEC_CACHE_LIMIT``;
+        #: see execute_many.
+        self._exec_cache: Dict[Tuple, "BatchItem"] = {}
         if cache_dir is not None:
             env = environment_fingerprint(catalog, stats, self.registry)
             self._disk: Optional[PlanDiskCache] = PlanDiskCache(
@@ -227,25 +234,119 @@ class PlanService:
             )
         return record
 
-    def _store(self, key: _CacheKey, entry: _Entry) -> None:
-        if self._memory_cache_enabled:
-            if (
-                self.memory_limit is not None
-                and len(self._entries) >= self.memory_limit
-            ):
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = entry
-        if self._disk is not None:
-            self._disk.put(self._disk_key(key), self._record_for(key, entry))
+    # ----------------------------------------------------- the request ladder
 
-    def _compute(self, tree: LogicalOp, config: OptimizerConfig) -> _Entry:
-        self._bump("computed")
+    def _cached(
+        self, key: _CacheKey, need_plan: bool, request: str
+    ) -> Optional[_Entry]:
+        """The cached rungs, climbed by every request of every entry point:
+        the memory entry, then -- plans are never persisted, so only when
+        no plan object is needed -- the cost record on disk.  ``None`` is a
+        miss; the caller computes, singly or as part of a batch."""
+        self._bump("requests")
+        entry = self._entries.get(key)
+        if entry is not None and (not need_plan or entry.has_plan_answer):
+            outcome = "memory_hit"
+            self._bump("memory_hits")
+        elif not need_plan and (entry := self._read_disk(key)) is not None:
+            outcome = "disk_hit"
+            self._bump("disk_hits")
+            self._remember(key, entry)
+        else:
+            entry, outcome = None, "miss"
+        if self.tracer.enabled:
+            self.tracer.event(
+                "service.cache", cat="service",
+                outcome=outcome, request=request,
+            )
+        return entry
+
+    def _read_disk(self, key: _CacheKey) -> Optional[_Entry]:
+        if self._disk is None:
+            return None
+        record = self._disk.get(self._disk_key(key))
+        if record is None:
+            return None
+        error = record.get("error")
+        if error is not None:
+            return _Entry(error=error)
+        return _Entry(cost=float(record["cost"]))
+
+    def _remember(self, key: _CacheKey, entry: _Entry) -> None:
+        if not self._memory_cache_enabled:
+            return
+        if len(self._entries) >= MEMORY_LIMIT:
+            self._entries.pop(next(iter(self._entries)))
+        self._entries[key] = entry
+
+    def _compute(
+        self, key: _CacheKey, tree: LogicalOp, config: OptimizerConfig
+    ) -> _Entry:
+        """The last rung, in this process: run the optimizer."""
         with self.tracer.span("service.compute", cat="service"):
             try:
-                return _Entry(result=self._optimizer(config).optimize(tree))
+                result, error = self._optimizer(config).optimize(tree), None
             except OptimizationError as exc:
-                self._bump("errors")
-                return _Entry(error=str(exc))
+                result, error = None, str(exc)
+        return self._computed(key, result, error)
+
+    def _computed(
+        self,
+        key: _CacheKey,
+        result: Optional[OptimizeResult],
+        error: Optional[str],
+    ) -> _Entry:
+        """Count and store one optimizer outcome, computed here or by a
+        pool worker; failures are remembered too, so repeated requests do
+        not re-search."""
+        self._bump("computed")
+        if error is not None:
+            self._bump("errors")
+            entry = _Entry(error=error)
+        else:
+            entry = _Entry(result=result, cost=result.cost)
+        self._remember(key, entry)
+        if self._disk is not None:
+            self._disk.put(self._disk_key(key), self._record_for(key, entry))
+        return entry
+
+    def _serve(
+        self, requests: Sequence[PlanRequest], need_plan: bool, request: str
+    ) -> List[_Entry]:
+        """The ladder over a batch: one entry per request, in order.
+
+        Identical ``(fingerprint, config)`` misses are computed once; with
+        ``workers > 1`` the distinct computations fan out over a process
+        pool."""
+        entries: List[Optional[_Entry]] = [None] * len(requests)
+        pending: Dict[_CacheKey, _Task] = {}  # distinct misses
+        waiting: Dict[_CacheKey, List[int]] = {}  # the requests behind each
+        for index, item in enumerate(requests):
+            tree, config = (
+                (item, None) if isinstance(item, LogicalOp) else item
+            )
+            config = self._resolve_config(config)
+            key = self._key(tree, config)
+            entry = self._cached(key, need_plan, request)
+            if entry is None:
+                pending[key] = (tree, config)
+                waiting.setdefault(key, []).append(index)
+            entries[index] = entry
+
+        if pending:
+            self._bump("batches")
+            if self.tracer.enabled:
+                self.tracer.event(
+                    "service.batch", cat="service",
+                    requests=len(requests), distinct=len(pending),
+                    hits=len(requests) - sum(map(len, waiting.values())),
+                )
+            with self.tracer.span("service.batch_compute", cat="service"):
+                computed = self._compute_batch(pending)
+            for key, entry in computed.items():
+                for index in waiting[key]:
+                    entries[index] = entry
+        return entries  # every slot is filled above
 
     # ------------------------------------------------------------- requests
 
@@ -259,25 +360,11 @@ class PlanService:
         """
         config = self._resolve_config(config)
         key = self._key(tree, config)
-        self._bump("requests")
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._bump("memory_hits")
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "service.cache", cat="service",
-                    outcome="memory_hit", request="optimize",
-                )
-        else:
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "service.cache", cat="service",
-                    outcome="miss", request="optimize",
-                )
-            entry = self._compute(tree, config)
-            self._store(key, entry)
+        entry = self._cached(key, True, "optimize") or self._compute(
+            key, tree, config
+        )
         if entry.result is None:
-            raise OptimizationError(entry.error or "optimization failed")
+            raise entry.failure()
         return entry.result
 
     def cost(
@@ -290,156 +377,35 @@ class PlanService:
         """
         config = self._resolve_config(config)
         key = self._key(tree, config)
-        self._bump("requests")
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._bump("memory_hits")
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "service.cache", cat="service",
-                    outcome="memory_hit", request="cost",
-                )
-            return entry.cost
-        record = self._lookup_record(key)
-        if record is not None:
-            self._bump("disk_hits")
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "service.cache", cat="service",
-                    outcome="disk_hit", request="cost",
-                )
-            return self._record_cost(record)
-        if self.tracer.enabled:
-            self.tracer.event(
-                "service.cache", cat="service",
-                outcome="miss", request="cost",
-            )
-        entry = self._compute(tree, config)
-        self._store(key, entry)
+        entry = self._cached(key, False, "cost") or self._compute(
+            key, tree, config
+        )
         return entry.cost
-
-    def _lookup_record(self, key: _CacheKey) -> Optional[Dict]:
-        record = self._cost_records.get(key)
-        if record is not None:
-            return record
-        if self._disk is None:
-            return None
-        record = self._disk.get(self._disk_key(key))
-        if record is not None and self._memory_cache_enabled:
-            self._cost_records[key] = record
-        return record
-
-    @staticmethod
-    def _record_cost(record: Dict) -> float:
-        if record.get("error") is not None:
-            return float("inf")
-        return float(record["cost"])
-
-    # -------------------------------------------------------------- batches
 
     def optimize_many(
         self,
         requests: Sequence[PlanRequest],
         return_errors: bool = False,
     ) -> List[Union[OptimizeResult, OptimizationError]]:
-        """Optimize a batch with deterministic result ordering.
+        """Batch form of :meth:`optimize`, results in request order.
 
-        Identical ``(fingerprint, config)`` requests within the batch are
-        computed once; with ``workers > 1`` the distinct computations fan
-        out over a process pool.  With ``return_errors`` failed requests
-        yield their :class:`OptimizationError` in place; otherwise the
-        first failure raises after the batch completes.
+        With ``return_errors`` failed requests yield their
+        :class:`OptimizationError` in place; otherwise the first failure
+        raises after the batch completes.
         """
-        normalized: List[Tuple[LogicalOp, OptimizerConfig]] = []
-        for request in requests:
-            if isinstance(request, LogicalOp):
-                normalized.append((request, self.config))
-            else:
-                tree, config = request
-                normalized.append((tree, self._resolve_config(config)))
-
-        outcomes: List[Optional[_Entry]] = [None] * len(normalized)
-        pending: Dict[_CacheKey, _Pending] = {}
-        for index, (tree, config) in enumerate(normalized):
-            key = self._key(tree, config)
-            self._bump("requests")
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._bump("memory_hits")
-                outcomes[index] = entry
-                continue
-            slot = pending.get(key)
-            if slot is None:
-                slot = _Pending(tree=tree, config=config)
-                pending[key] = slot
-            slot.indices.append(index)
-
-        if pending:
-            self._bump("batches")
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "service.batch", cat="service",
-                    requests=len(normalized), distinct=len(pending),
-                    hits=len(normalized) - sum(
-                        len(slot.indices) for slot in pending.values()
-                    ),
-                )
-            with self.tracer.span("service.batch_compute", cat="service"):
-                computed = self._compute_batch(pending)
-            for key, entry in computed.items():
-                self._store(key, entry)
-                for index in pending[key].indices:
-                    outcomes[index] = entry
-
         results: List[Union[OptimizeResult, OptimizationError]] = []
-        for entry in outcomes:
-            assert entry is not None
+        for entry in self._serve(requests, True, "optimize"):
             if entry.result is not None:
                 results.append(entry.result)
+            elif return_errors:
+                results.append(entry.failure())
             else:
-                error = OptimizationError(entry.error or "optimization failed")
-                if not return_errors:
-                    raise error
-                results.append(error)
+                raise entry.failure()
         return results
 
     def cost_many(self, requests: Sequence[PlanRequest]) -> List[float]:
         """Batch form of :meth:`cost` (disk-cache aware, ``inf`` on failure)."""
-        normalized: List[Tuple[LogicalOp, Optional[OptimizerConfig]]] = []
-        for request in requests:
-            if isinstance(request, LogicalOp):
-                normalized.append((request, None))
-            else:
-                normalized.append(request)
-
-        costs: List[Optional[float]] = [None] * len(normalized)
-        missing: List[int] = []
-        for index, (tree, config) in enumerate(normalized):
-            resolved = self._resolve_config(config)
-            key = self._key(tree, resolved)
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._bump("requests")
-                self._bump("memory_hits")
-                costs[index] = entry.cost
-                continue
-            record = self._lookup_record(key)
-            if record is not None:
-                self._bump("requests")
-                self._bump("disk_hits")
-                costs[index] = self._record_cost(record)
-                continue
-            missing.append(index)
-
-        if missing:
-            batch = [normalized[index] for index in missing]
-            outcomes = self.optimize_many(batch, return_errors=True)
-            for index, outcome in zip(missing, outcomes):
-                if isinstance(outcome, OptimizationError):
-                    costs[index] = float("inf")
-                else:
-                    costs[index] = outcome.cost
-        return [float(cost) for cost in costs]  # every slot is filled above
+        return [entry.cost for entry in self._serve(requests, False, "cost")]
 
     # ------------------------------------------------------- plan execution
 
@@ -449,19 +415,21 @@ class PlanService:
         *,
         database: Optional[Database] = None,
     ) -> List["BatchItem"]:
-        """Execute physical plans batched, with a cross-batch result cache.
+        """Execute physical plans, each distinct one once.
 
         ``requests`` is a sequence of ``(physical plan, output columns)``
         pairs; returns one :class:`repro.engine.batch.BatchItem` per
-        request, in order.  On top of the within-batch coalescing done by
-        :func:`repro.engine.batch.execute_many`, results are cached
-        across calls keyed by ``(plan signature, projection, database
-        fingerprint)``, so campaign loops that re-execute the same
-        baseline plan per mutant pay for it once (``exec.cache_hits``).
-        The database fingerprint in the key invalidates stale entries
-        the moment any table is mutated.
+        request, in order.  Results are cached under ``(plan signature,
+        projection, database fingerprint)``: a key first seen in this call
+        executes, every later occurrence is served the same
+        :class:`~repro.engine.results.QueryResult` (and its cached bag
+        digest) -- counted as ``exec.coalesced`` within the call and as
+        ``exec.cache_hits`` in a later one, so campaign loops that
+        re-execute the same baseline plan per mutant pay for it once.  The
+        database fingerprint in the key invalidates stale entries the
+        moment any table is mutated.
         """
-        from repro.engine.batch import BatchItem, execute_many
+        from repro.engine.batch import BatchItem, execute_item
         from repro.physical.operators import plan_signature
 
         database = database or self.database
@@ -472,65 +440,57 @@ class PlanService:
             )
         db_token = database.data_fingerprint()
 
-        items: List[Optional[BatchItem]] = [None] * len(requests)
-        misses: List[int] = []
-        miss_requests: List[Tuple[object, Optional[Tuple]]] = []
-        miss_keys: List[Tuple] = []
-        hits = 0
-        for index, (plan, outputs) in enumerate(requests):
+        items: List[BatchItem] = []
+        executed_here = set()
+        for plan, outputs in requests:
             out_key = (
                 tuple(c.cid for c in outputs) if outputs is not None else None
             )
             key = (plan_signature(plan), out_key, db_token)
             cached = self._exec_cache.get(key)
             if cached is not None:
-                items[index] = BatchItem(
+                items.append(BatchItem(
                     result=cached.result, error=cached.error, coalesced=True
+                ))
+                self._count_exec(
+                    "exec.coalesced" if key in executed_here
+                    else "exec.cache_hits"
                 )
-                hits += 1
-            else:
-                misses.append(index)
-                miss_requests.append((plan, outputs))
-                miss_keys.append(key)
-        if hits and self.metrics is not None:
-            self.metrics.counter("exec.cache_hits").inc(hits)
-
-        if misses:
-            executed = execute_many(
-                miss_requests,
-                database,
-                tracer=self.tracer,
-                metrics=self.metrics,
+                continue
+            item = execute_item(
+                plan, database, outputs,
+                tracer=self.tracer, metrics=self.metrics,
             )
-            for index, key, item in zip(misses, miss_keys, executed):
-                items[index] = item
-                if key not in self._exec_cache:
-                    self._exec_cache[key] = item
-            # FIFO bound: one-shot plans age out first.
-            limit = self._exec_cache_limit
-            while len(self._exec_cache) > limit:
+            if len(self._exec_cache) >= EXEC_CACHE_LIMIT:
                 self._exec_cache.pop(next(iter(self._exec_cache)))
+            self._exec_cache[key] = item
+            executed_here.add(key)
+            items.append(item)
+            self._count_exec("exec.batches")
         return items
+
+    def _count_exec(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.counter(name).inc()
 
     # ------------------------------------------------------- pool execution
 
     def _compute_batch(
-        self, pending: Dict[_CacheKey, _Pending]
+        self, pending: Dict[_CacheKey, _Task]
     ) -> Dict[_CacheKey, _Entry]:
-        tasks = list(pending.items())
-        if self.workers > 1 and len(tasks) > 1:
-            parallel = self._compute_parallel(tasks)
+        if self.workers > 1 and len(pending) > 1:
+            parallel = self._compute_parallel(pending)
             if parallel is not None:
                 return parallel
-        computed: Dict[_CacheKey, _Entry] = {}
-        for key, slot in tasks:
-            computed[key] = self._compute(slot.tree, slot.config)
-        return computed
+        return {
+            key: self._compute(key, tree, config)
+            for key, (tree, config) in pending.items()
+        }
 
     def _compute_parallel(
-        self, tasks: List[Tuple[_CacheKey, _Pending]]
+        self, pending: Dict[_CacheKey, _Task]
     ) -> Optional[Dict[_CacheKey, _Entry]]:
-        """Fan ``tasks`` over a process pool; ``None`` falls back to serial
+        """Fan ``pending`` over a process pool; ``None`` falls back to serial
         (e.g. unpicklable environment or a sandbox without subprocesses)."""
         from concurrent.futures import ProcessPoolExecutor
 
@@ -542,31 +502,24 @@ class PlanService:
             return None
         try:
             with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(tasks)),
+                max_workers=min(self.workers, len(pending)),
                 initializer=_worker.init_worker,
                 initargs=(payload, self.metrics is not None),
             ) as pool:
-                indexed = [
-                    (position, slot.tree, slot.config)
-                    for position, (_, slot) in enumerate(tasks)
-                ]
+                outcomes = pool.map(  # in task order
+                    _worker.optimize_task, list(pending.values())
+                )
                 computed: Dict[_CacheKey, _Entry] = {}
-                for position, result, error, metric_delta in pool.map(
-                    _worker.optimize_task, indexed
+                for key, (result, error, metric_delta) in zip(
+                    pending, outcomes
                 ):
-                    key = tasks[position][0]
-                    self._bump("computed")
                     self._bump("parallel_tasks")
                     if metric_delta is not None and self.metrics is not None:
                         # Fold this task's optimizer counters (measured in
                         # the worker process) into the parent registry.
                         self.metrics.merge(metric_delta)
                         self.metrics.counter("service.worker_merges").inc()
-                    if error is not None:
-                        self._bump("errors")
-                        computed[key] = _Entry(error=error)
-                    else:
-                        computed[key] = _Entry(result=result)
+                    computed[key] = self._computed(key, result, error)
                 return computed
         except Exception as exc:  # pragma: no cover - defensive
             warnings.warn(

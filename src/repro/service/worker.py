@@ -53,27 +53,23 @@ def _optimizer_for(config: OptimizerConfig) -> Optimizer:
 
 
 def optimize_task(
-    task: Tuple[int, LogicalOp, OptimizerConfig],
-) -> Tuple[int, Optional[OptimizeResult], Optional[str], MetricDelta]:
+    task: Tuple[LogicalOp, OptimizerConfig],
+) -> Tuple[Optional[OptimizeResult], Optional[str], MetricDelta]:
     """Optimize one request; failures come back as messages, not raises,
     so one bad tree cannot poison a whole batch."""
-    index, tree, config = task
+    tree, config = task
     optimizer = _optimizer_for(config)
-    delta: MetricDelta = None
+    metrics = None
     if _WANT_METRICS:
         # A fresh registry per task: the snapshot shipped back is exactly
         # this task's contribution, so the parent-side merge never double
         # counts however the pool schedules work.
-        metrics = MetricsRegistry()
-        optimizer.metrics = metrics
+        metrics = optimizer.metrics = MetricsRegistry()
     try:
-        result = optimizer.optimize(tree)
+        result, error = optimizer.optimize(tree), None
     except OptimizationError as exc:
-        if _WANT_METRICS:
-            delta = metrics.snapshot()
-            optimizer.metrics = None
-        return index, None, str(exc), delta
-    if _WANT_METRICS:
-        delta = metrics.snapshot()
-        optimizer.metrics = None
-    return index, result, None, delta
+        result, error = None, str(exc)
+    if metrics is None:
+        return result, error, None
+    optimizer.metrics = None
+    return result, error, metrics.snapshot()

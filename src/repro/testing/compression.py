@@ -94,11 +94,7 @@ def _batched_edge_costs(
     oracle: CostOracle, pairs: List[Tuple[SuiteQuery, RuleNode]]
 ) -> Dict[Tuple[RuleNode, int], float]:
     """Compute every ``Cost(q, ¬R)`` edge of ``pairs`` in one service batch."""
-    batch = getattr(oracle, "cost_without_many", None)
-    if batch is None:  # plain per-edge oracle (e.g. a test double)
-        costs = [oracle.cost_without(query, node) for query, node in pairs]
-    else:
-        costs = batch(pairs)
+    costs = oracle.cost_without_many(pairs)
     return {
         (node, query.query_id): cost
         for (query, node), cost in zip(pairs, costs)

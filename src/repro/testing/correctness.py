@@ -21,7 +21,7 @@ from repro.rules.registry import RuleRegistry
 from repro.service import PlanService
 from repro.storage.database import Database
 from repro.testing.compression import CompressionPlan
-from repro.testing.suite import RuleNode, SuiteQuery, TestSuite
+from repro.testing.suite import RuleNode, TestSuite
 
 
 @dataclass
@@ -95,11 +95,6 @@ class CorrectnessRunner:
         #: ``Cost(q) <= Cost(q, not R)`` invariant.
         self.monotonicity_guard = monotonicity_guard
 
-    def _optimize(self, query: SuiteQuery, rules_off: RuleNode = ()):
-        return self.service.optimize(
-            query.tree, self.config.with_disabled(rules_off)
-        )
-
     def run(self, plan: CompressionPlan, suite: TestSuite) -> CorrectnessReport:
         """Execute the test suite described by ``plan``."""
         with self.service.tracer.span(
@@ -108,46 +103,42 @@ class CorrectnessRunner:
         ):
             return self._run(plan, suite)
 
-    def _prewarm(self, plan: CompressionPlan, suite: TestSuite) -> None:
-        """Batch every Plan(q) / Plan(q, ¬R) the run will need through
-        ``optimize_many`` so distinct plans compute in parallel (when the
-        service has workers) and the passes in ``_run`` are all cache hits."""
-        requests = [
-            (suite.query(query_id).tree, self.config.with_disabled(()))
-            for query_id in sorted(plan.selected_query_ids)
-        ]
-        for node, query_ids in plan.assignments.items():
-            config = self.config.with_disabled(node)
-            requests.extend(
-                (suite.query(query_id).tree, config)
-                for query_id in query_ids
-            )
-        self.service.optimize_many(requests, return_errors=True)
-
     def _run(self, plan: CompressionPlan, suite: TestSuite) -> CorrectnessReport:
-        """Optimize and classify first, execute in bulk through
-        ``PlanService.execute_many`` (scan sharing, coalescing, the
-        cross-batch result cache), then emit records in iteration order:
-        baselines by query id, then edges in assignment order."""
+        """Ask for every Plan(q) / Plan(q, ¬R) the run needs in one
+        ``optimize_many`` batch (distinct plans compute in parallel when
+        the service has workers), classify, execute in bulk through
+        ``PlanService.execute_many`` (scan sharing, coalescing, the result
+        cache), then emit records in iteration order: baselines by query
+        id, then edges in assignment order."""
         tracer = self.service.tracer
         report = CorrectnessReport()
         baseline_results: Dict[int, QueryResult] = {}
         baseline_plans: Dict[int, object] = {}
         baseline_costs: Dict[int, float] = {}
 
-        self._prewarm(plan, suite)
-
-        # Baseline pass A: optimize every selected query in order.
         baseline_ids = sorted(plan.selected_query_ids)
-        baseline_opt: Dict[int, object] = {}
-        opt_errors: Dict[int, str] = {}
-        pending: List[int] = []
-        for query_id in baseline_ids:
-            try:
-                baseline_opt[query_id] = self._optimize(suite.query(query_id))
-                pending.append(query_id)
-            except OptimizationError as exc:
-                opt_errors[query_id] = str(exc)
+        edges = [
+            (node, query_id)
+            for node, query_ids in plan.assignments.items()
+            for query_id in query_ids
+        ]
+        base_config = self.config.with_disabled(())
+        optimized = self.service.optimize_many(
+            [(suite.query(q).tree, base_config) for q in baseline_ids]
+            + [
+                (suite.query(q).tree, self.config.with_disabled(node))
+                for node, q in edges
+            ],
+            return_errors=True,
+        )
+        baseline_opt = dict(zip(baseline_ids, optimized))
+        disabled_opt = optimized[len(baseline_ids):]
+
+        # Baseline pass A: execute every selected query that has a plan.
+        pending = [
+            q for q in baseline_ids
+            if not isinstance(baseline_opt[q], OptimizationError)
+        ]
         executed = self.service.execute_many(
             [
                 (baseline_opt[q].plan, baseline_opt[q].output_columns)
@@ -159,79 +150,66 @@ class CorrectnessRunner:
 
         # Baseline pass B: emit errors/results in sorted-query order.
         for query_id in baseline_ids:
-            if query_id in opt_errors:
-                message = opt_errors[query_id]
-                report.errors.append(f"query {query_id}: {message}")
-                report.records.append(
-                    ComparisonRecord((), query_id, "error", message)
-                )
-                continue
-            item = exec_items[query_id]
-            if item.error is not None:
-                message = str(item.error)
-                report.errors.append(f"query {query_id}: {message}")
-                report.records.append(
-                    ComparisonRecord((), query_id, "error", message)
-                )
-                continue
             result = baseline_opt[query_id]
+            item = exec_items.get(query_id)
+            failure = result if item is None else item.error
+            if failure is not None:
+                message = str(failure)
+                report.errors.append(f"query {query_id}: {message}")
+                report.records.append(
+                    ComparisonRecord((), query_id, "error", message)
+                )
+                continue
             baseline_plans[query_id] = result.plan
             baseline_costs[query_id] = result.cost
             baseline_results[query_id] = item.result
             report.queries_executed += 1
 
-        # Disabled pass A: optimize and classify every (node, query) edge.
-        entries: List[tuple] = []  # (node, query_id, kind, payload)
+        # Disabled pass A: classify every (node, query) edge.
+        entries: List[tuple] = []  # (node, query_id, kind, error message)
         requests: List[tuple] = []
-        for node, query_ids in plan.assignments.items():
-            for query_id in query_ids:
-                if query_id not in baseline_results:
-                    continue
-                try:
-                    disabled = self._optimize(suite.query(query_id), node)
-                except OptimizationError as exc:
-                    entries.append((node, query_id, "opt_error", str(exc)))
-                    continue
-                if self.monotonicity_guard is not None:
-                    self.monotonicity_guard.observe(
-                        f"query {query_id}",
-                        baseline_costs[query_id],
-                        disabled.cost,
-                        node,
+        for (node, query_id), disabled in zip(edges, disabled_opt):
+            if query_id not in baseline_results:
+                continue
+            if isinstance(disabled, OptimizationError):
+                entries.append((node, query_id, "opt_error", str(disabled)))
+                continue
+            if self.monotonicity_guard is not None:
+                self.monotonicity_guard.observe(
+                    f"query {query_id}",
+                    baseline_costs[query_id],
+                    disabled.cost,
+                    node,
+                )
+            if disabled.plan == baseline_plans[query_id]:
+                # Identical plans guarantee identical results (paper,
+                # footnote 1): skip execution.
+                entries.append((node, query_id, "identical", None))
+                if tracer.enabled:
+                    tracer.event(
+                        "correctness.identical_plan", cat="testing",
+                        query=query_id, rules=",".join(node),
                     )
-                if disabled.plan == baseline_plans[query_id]:
-                    # Identical plans guarantee identical results (paper,
-                    # footnote 1): skip execution.
-                    entries.append((node, query_id, "identical", None))
-                    if tracer.enabled:
-                        tracer.event(
-                            "correctness.identical_plan", cat="testing",
-                            query=query_id, rules=",".join(node),
-                        )
-                    continue
-                entries.append((node, query_id, "execute", disabled))
-                requests.append((disabled.plan, disabled.output_columns))
+                continue
+            entries.append((node, query_id, "execute", None))
+            requests.append((disabled.plan, disabled.output_columns))
         disabled_items = iter(
             self.service.execute_many(requests, database=self.database)
         )
 
         # Disabled pass B: compare and emit in assignment order.
-        for node, query_id, kind, payload in entries:
-            if kind == "opt_error":
-                report.errors.append(f"query {query_id} ¬{node}: {payload}")
-                report.records.append(
-                    ComparisonRecord(node, query_id, "error", payload)
-                )
-                continue
+        for node, query_id, kind, message in entries:
             if kind == "identical":
                 report.skipped_identical_plans += 1
                 report.records.append(
                     ComparisonRecord(node, query_id, "identical")
                 )
                 continue
-            item = next(disabled_items)
-            if item.error is not None:
-                message = str(item.error)
+            if kind == "execute":
+                item = next(disabled_items)
+                if item.error is not None:
+                    message = str(item.error)
+            if message is not None:  # optimization or execution failed
                 report.errors.append(f"query {query_id} ¬{node}: {message}")
                 report.records.append(
                     ComparisonRecord(node, query_id, "error", message)

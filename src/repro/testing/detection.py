@@ -577,6 +577,27 @@ class ParetoReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
+    def to_text(self) -> str:
+        lines = ["cost vs. detection sweep (* = Pareto frontier):"]
+        for point in self.points:
+            rate = (
+                " n/a" if point.detection_rate is None
+                else f"{point.detection_rate:>4.0%}"
+            )
+            marker = "*" if point.frontier else " "
+            lines.append(
+                f"  {marker} {point.label:<24} {point.queries:>3} queries  "
+                f"cost {point.cost:>9.1f}  detection {rate}"
+            )
+        cross = self.cross_validated
+        if cross is not None:
+            shown = "n/a" if cross.rate is None else f"{cross.rate:.0%}"
+            lines.append(
+                f"  leave-one-out detection of the adaptive plan: {shown} "
+                f"({cross.detected}/{cross.expected})"
+            )
+        return "\n".join(lines)
+
     def to_markdown(self) -> str:
         lines = [
             "# Cost vs. detection Pareto report",
@@ -787,3 +808,100 @@ def pareto_report(
         cross_validated=cross,
         config=dict(matrix.config),
     )
+
+
+def render_detection(matrix, plan, score, cross, fmt: str) -> str:
+    """The detection objective's plan and scores as ``json``, ``markdown``
+    or (anything else) text."""
+    if fmt == "json":
+        return json.dumps(
+            {
+                "config": dict(sorted(matrix.config.items())),
+                "plan": plan.to_json_dict(matrix),
+                "score": score.to_json_dict(),
+                "cross_validated": (
+                    None if cross is None else cross.to_json_dict()
+                ),
+            },
+            indent=2,
+            sort_keys=True,
+        )
+    rate = "n/a" if score.rate is None else f"{score.rate:.0%}"
+    mode = "adaptive" if plan.adaptive else "fixed"
+    lines = [
+        f"detection objective (base_k={plan.base_k}, {mode}): "
+        f"{plan.total_queries} queries, cost {plan.cost(matrix):.1f}, "
+        f"detection {rate} ({score.detected}/{score.expected})",
+    ]
+    if plan.raises:
+        raised = ", ".join(
+            f"{rule}+{count}" for rule, count in sorted(plan.raises.items())
+        )
+        lines.append(f"adaptive budget raises: {raised}")
+    for mutant_id in score.survivors:
+        lines.append(f"SURVIVOR: {mutant_id}")
+    if cross is not None:
+        shown = "n/a" if cross.rate is None else f"{cross.rate:.0%}"
+        lines.append(
+            f"leave-one-out detection: {shown} "
+            f"({cross.detected}/{cross.expected})"
+        )
+    if fmt == "markdown":
+        header = [
+            "# Detection-objective compression", "",
+            "| rule | budget | selected slots |", "|---|---:|---|",
+        ]
+        for rule in matrix.rules:
+            slots = ", ".join(
+                str(slot) for slot in plan.selected.get(rule, ())
+            )
+            header.append(
+                f"| {rule} | {plan.budgets.get(rule, 0)} | {slots} |"
+            )
+        header.append("")
+        return "\n".join(header + lines)
+    return "\n".join(lines)
+
+
+def render_coverage(matrix, payload, fmt: str) -> str:
+    """The campaign's own SMC/TOPK variants, rescored, as ``json``,
+    ``markdown`` or (anything else) text."""
+    points = _coverage_points(matrix, payload)
+    if fmt == "json":
+        return json.dumps(
+            {
+                "config": dict(sorted(matrix.config.items())),
+                "points": [point.to_json_dict() for point in points],
+            },
+            indent=2,
+            sort_keys=True,
+        )
+    lines = ["coverage-objective variants of the campaign, rescored:"]
+    for point in points:
+        rate = (
+            "n/a" if point.detection_rate is None
+            else f"{point.detection_rate:.0%}"
+        )
+        lines.append(
+            f"  {point.label:<24} {point.queries:>3} queries  "
+            f"cost {point.cost:>9.1f}  detection {rate}"
+        )
+        for mutant_id in point.survivors:
+            lines.append(f"    SURVIVOR: {mutant_id}")
+    if fmt == "markdown":
+        header = [
+            "# Coverage-objective scores", "",
+            "| point | queries | cost | detection |", "|---|---:|---:|---:|",
+        ]
+        for point in points:
+            rate = (
+                "n/a" if point.detection_rate is None
+                else f"{point.detection_rate:.0%}"
+            )
+            header.append(
+                f"| {point.label} | {point.queries} | {point.cost:.1f} "
+                f"| {rate} |"
+            )
+        header.append("")
+        return "\n".join(header)
+    return "\n".join(lines)

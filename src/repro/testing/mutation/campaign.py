@@ -15,8 +15,8 @@ would test it:
    *choose* the buggy alternative is strongly seed-dependent;
 3. compress that pool with SMC and TOPK (each selects ``k`` of the
    ``pool`` generated queries, using the mutated build's own costs);
-4. run the :class:`CorrectnessRunner` once over the whole pool -- plan
-   traffic prewarmed through ``optimize_many`` -- and derive the verdict
+4. run the :class:`CorrectnessRunner` once over the whole pool -- its
+   plans asked for in one ``optimize_many`` batch -- and derive the verdict
    of every suite variant (FULL / SMC / TOPK) from the per-edge
    :class:`ComparisonRecord` list, so compressed variants never pay a
    second execution pass.
@@ -508,59 +508,34 @@ class MutationCampaign:
         return selections, details
 
     def _verdicts(self, suite, node, registry, service):
-        """Per-query verdict for the whole pool, in one execution pass.
+        """Per-query verdict for the whole pool, in one runner pass.
 
-        Plan traffic is prewarmed in one ``optimize_many`` batch; queries
-        whose optimization *crashes* (a non-``OptimizationError`` raised
-        by the buggy substitute) are probed out first so the runner's
-        serial pass only sees well-behaved requests.
+        The runner asks for the pool's plans once.  Only when that raises
+        -- a buggy substitute crashing the optimizer with something other
+        than ``OptimizationError`` -- are the queries probed one by one to
+        attribute the crash, and the runner re-run over the healthy rest.
         """
-        base_config = self.config.with_disabled(())
-        off_config = self.config.with_disabled(node)
         verdicts: Dict[int, Tuple[str, str]] = {}
-        healthy: List[int] = []
-        requests = []
-        for query in suite.queries:
-            requests.append((query.tree, base_config))
-            requests.append((query.tree, off_config))
-        try:
-            service.optimize_many(requests, return_errors=True)
-            healthy = [query.query_id for query in suite.queries]
-        except Exception:
-            for query in suite.queries:
-                crash = None
-                for config in (base_config, off_config):
-                    try:
-                        service.optimize(query.tree, config)
-                    except OptimizationError:
-                        pass  # the runner records these as error verdicts
-                    except Exception as exc:
-                        crash = _describe(exc)
-                        break
-                if crash is None:
-                    healthy.append(query.query_id)
-                else:
-                    verdicts[query.query_id] = ("error", crash)
-        plan = CompressionPlan(
-            method="MUTATION",
-            assignments={node: healthy},
-            node_costs={
-                query.query_id: query.cost for query in suite.queries
-            },
-            edge_costs={(node, query_id): 0.0 for query_id in healthy},
-        )
+        healthy = [query.query_id for query in suite.queries]
         runner = CorrectnessRunner(
             self.database, registry, config=self.config, service=service
         )
         try:
-            report = runner.run(plan, suite)
-        except Exception as exc:
-            # An unattributable crash inside execution: blame every
-            # query we could not clear individually.
-            detail = _describe(exc)
-            for query_id in healthy:
-                verdicts.setdefault(query_id, ("error", detail))
-            return verdicts
+            report = runner.run(self._pool_plan(suite, node, healthy), suite)
+        except Exception:
+            verdicts = self._probe_crashes(suite, node, service)
+            healthy = [q for q in healthy if q not in verdicts]
+            try:
+                report = runner.run(
+                    self._pool_plan(suite, node, healthy), suite
+                )
+            except Exception as exc:
+                # An unattributable crash inside execution: blame every
+                # query we could not clear individually.
+                detail = _describe(exc)
+                for query_id in healthy:
+                    verdicts[query_id] = ("error", detail)
+                return verdicts
         for record in report.records:
             current = verdicts.get(record.query_id)
             if (
@@ -570,6 +545,34 @@ class MutationCampaign:
             ):
                 verdicts[record.query_id] = (record.outcome, record.detail)
         return verdicts
+
+    @staticmethod
+    def _pool_plan(suite, node, query_ids) -> CompressionPlan:
+        return CompressionPlan(
+            method="MUTATION",
+            assignments={node: query_ids},
+            node_costs={
+                query.query_id: query.cost for query in suite.queries
+            },
+            edge_costs={(node, query_id): 0.0 for query_id in query_ids},
+        )
+
+    def _probe_crashes(self, suite, node, service):
+        """``error`` verdicts for the queries whose ``Plan(q)`` or
+        ``Plan(q, ¬R)`` crashes the optimizer of the mutated build."""
+        crashed: Dict[int, Tuple[str, str]] = {}
+        for query in suite.queries:
+            for rules_off in ((), node):
+                try:
+                    service.optimize(
+                        query.tree, self.config.with_disabled(rules_off)
+                    )
+                except OptimizationError:
+                    pass  # the runner records these as error verdicts
+                except Exception as exc:
+                    crashed[query.query_id] = ("error", _describe(exc))
+                    break
+        return crashed
 
     def _uniform(
         self, mutant: Mutant, status: str, detail: str, pool_size: int

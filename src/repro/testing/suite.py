@@ -78,45 +78,24 @@ class CostOracle:
         self.cache_hits = 0
         self._cache: Dict[Tuple[int, RuleNode], float] = {}
 
-    def _oracle_key(
-        self, query: SuiteQuery, rules_off: RuleNode
-    ) -> Tuple[int, RuleNode]:
-        return (query.query_id, tuple(sorted(rules_off)))
-
     def cost_without(self, query: SuiteQuery, rules_off: RuleNode) -> float:
         """``Cost(q, ¬R)`` -- one logical invocation per distinct request."""
-        key = self._oracle_key(query, rules_off)
-        if key in self._cache:
-            self.cache_hits += 1
-            return self._cache[key]
-        self.invocations += 1
-        tracer = self.service.tracer
-        if tracer.enabled:
-            tracer.event(
-                "oracle.cost_without", cat="testing",
-                query=query.query_id, rules=",".join(sorted(rules_off)),
-            )
-        cost = self.service.cost(
-            query.tree, self.config.with_disabled(rules_off)
-        )
-        self._cache[key] = cost
-        return cost
+        return self.cost_without_many([(query, rules_off)])[0]
 
     def cost_without_many(
         self, pairs: Sequence[Tuple[SuiteQuery, RuleNode]]
     ) -> List[float]:
-        """Batch edge-cost construction through ``optimize_many``.
+        """Edge costs for ``pairs``, in order, through one ``cost_many``.
 
-        Distinct unseen requests fan out over the service's worker pool in
-        one batch; counters behave exactly as if :meth:`cost_without` had
-        been called per pair (repeats hit the oracle cache).
+        One logical invocation per distinct unseen request -- those fan
+        out over the service's worker pool in one batch; repeats, within
+        the call or across calls, hit the oracle cache.
         """
         costs: List[Optional[float]] = [None] * len(pairs)
-        order: List[Tuple[int, RuleNode]] = []
         requests = []
         request_indices: Dict[Tuple[int, RuleNode], List[int]] = {}
         for index, (query, rules_off) in enumerate(pairs):
-            key = self._oracle_key(query, rules_off)
+            key = (query.query_id, tuple(sorted(rules_off)))
             if key in self._cache:
                 self.cache_hits += 1
                 costs[index] = self._cache[key]
@@ -125,7 +104,6 @@ class CostOracle:
             if slots is None:
                 self.invocations += 1
                 request_indices[key] = [index]
-                order.append(key)
                 requests.append(
                     (query.tree, self.config.with_disabled(rules_off))
                 )
@@ -138,17 +116,11 @@ class CostOracle:
                 requests=len(pairs), distinct=len(requests),
             ):
                 resolved = self.service.cost_many(requests)
-            for key, cost in zip(order, resolved):
+            for (key, slots), cost in zip(request_indices.items(), resolved):
                 self._cache[key] = cost
-                for index in request_indices[key]:
+                for index in slots:
                     costs[index] = cost
         return [float(cost) for cost in costs]
-
-    def plan_without(self, query: SuiteQuery, rules_off: RuleNode):
-        """``Plan(q, ¬R)`` (used by the correctness runner)."""
-        return self.service.optimize(
-            query.tree, self.config.with_disabled(rules_off)
-        )
 
 
 @dataclass

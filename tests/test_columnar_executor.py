@@ -2,8 +2,8 @@
 
 Covers the pieces the differential suites exercise only indirectly: the
 NULLS-FIRST ordering contract, bag digests, the table column-snapshot
-cache, batched execution with coalescing, the ``PlanService`` cross-batch
-result cache, ``EngineBackend.run_many``, and the
+cache, ``PlanService.execute_many`` (coalescing, result cache, per-item
+error capture), ``EngineBackend.run_many``, and the
 ``REPRO_EXEC_SELF_CHECK`` self-check mode.
 """
 
@@ -16,7 +16,6 @@ from repro.engine import (
     BagDigest,
     ExecutionError,
     digest_rows,
-    execute_many,
     execute_plan,
     execute_plan_iterator,
 )
@@ -150,18 +149,24 @@ class TestTableSnapshots:
 # ------------------------------------------------- batched execution
 
 
-class TestExecuteMany:
+class TestPlanServiceExecuteMany:
+    def _service(self, sort_db):
+        from repro.service import PlanService
+
+        return PlanService(
+            sort_db, registry=default_registry(), metrics=MetricsRegistry()
+        )
+
     def test_coalesces_identical_requests(self, sort_db):
         plan, outputs = _plan_for("SELECT a, b FROM t WHERE b > 1", sort_db)
-        metrics = MetricsRegistry()
-        items = execute_many(
-            [(plan, outputs)] * 3, sort_db, metrics=metrics
-        )
+        service = self._service(sort_db)
+        items = service.execute_many([(plan, outputs)] * 3)
         assert [item.coalesced for item in items] == [False, True, True]
         # Coalesced requests share one QueryResult (and its digest).
         assert items[0].result is items[1].result is items[2].result
-        assert metrics.counter_value("exec.batches") == 1
-        assert metrics.counter_value("exec.coalesced") == 2
+        assert service.metrics.counter_value("exec.batches") == 1
+        assert service.metrics.counter_value("exec.coalesced") == 2
+        assert service.metrics.counter_value("exec.cache_hits") == 0
 
     def test_error_does_not_abort_batch(self, sort_db, monkeypatch):
         plan, outputs = _plan_for("SELECT a FROM t", sort_db)
@@ -176,36 +181,29 @@ class TestExecuteMany:
             return real(target, *args, **kwargs)
 
         monkeypatch.setattr(batch_module, "execute_plan", flaky)
-        items = execute_many(
-            [(plan, outputs), (bad_plan, bad_outputs), (plan, outputs)],
-            sort_db,
+        items = self._service(sort_db).execute_many(
+            [(plan, outputs), (bad_plan, bad_outputs), (plan, outputs)]
         )
         assert items[0].ok and items[2].ok
         assert not items[1].ok
         assert "injected" in str(items[1].error)
 
-
-class TestPlanServiceExecuteMany:
-    def test_cross_batch_result_cache(self, sort_db):
-        from repro.service import PlanService
-
-        registry = default_registry()
-        service = PlanService(
-            sort_db, registry=registry, metrics=MetricsRegistry()
-        )
+    def test_cross_call_result_cache(self, sort_db):
+        service = self._service(sort_db)
         plan, outputs = _plan_for("SELECT a, b FROM t WHERE b > 1", sort_db)
         first = service.execute_many([(plan, outputs)])
-        second = service.execute_many([(plan, outputs)])
+        second = service.execute_many([(plan, outputs)] * 2)
         assert not first[0].coalesced
-        assert second[0].coalesced
-        assert second[0].result is first[0].result
-        assert service.metrics.counter_value("exec.cache_hits") == 1
+        assert second[0].coalesced and second[1].coalesced
+        assert second[0].result is second[1].result is first[0].result
+        # A key cached by an earlier call is a cache hit at every later
+        # occurrence; only a key first executed in this call coalesces.
+        assert service.metrics.counter_value("exec.cache_hits") == 2
+        assert service.metrics.counter_value("exec.coalesced") == 0
+        assert service.metrics.counter_value("exec.batches") == 1
 
     def test_mutation_invalidates_cache(self, sort_db):
-        from repro.service import PlanService
-
-        registry = default_registry()
-        service = PlanService(sort_db, registry=registry)
+        service = self._service(sort_db)
         plan, outputs = _plan_for("SELECT a FROM t", sort_db)
         first = service.execute_many([(plan, outputs)])
         sort_db.insert("t", [(7, 1)])

@@ -155,6 +155,38 @@ class TestRunnerAccounting:
         total = report.disabled_plans_executed + report.skipped_identical_plans
         assert total == 1
 
+    def test_each_plan_is_asked_for_once(self, tpch_db, registry):
+        """One service request per Plan(q) and per Plan(q, ¬R) edge of the
+        plan -- no pre-warm pass, no re-ask -- and none recomputed on a
+        service that priced the edges already."""
+        from repro.service import PlanService
+        from repro.testing.compression import (
+            baseline_plan,
+            set_multicover_plan,
+        )
+        from repro.testing.suite import TestSuiteBuilder
+
+        service = PlanService(tpch_db, registry=registry)
+        names = registry.exploration_rule_names[:4]
+        suite = TestSuiteBuilder(
+            tpch_db, registry, seed=3, extra_operators=2, service=service
+        ).build(singleton_nodes(names), k=2)
+        oracle = CostOracle(tpch_db, registry, service=service)
+        runner = CorrectnessRunner(tpch_db, registry, service=service)
+        for maker in (
+            baseline_plan, set_multicover_plan, top_k_independent_plan
+        ):
+            plan = maker(suite, oracle)
+            before = service.counters.as_dict()
+            report = runner.run(plan, suite)
+            after = service.counters.as_dict()
+            assert report.passed
+            assert after["requests"] - before["requests"] == (
+                len(plan.selected_query_ids)
+                + sum(len(ids) for ids in plan.assignments.values())
+            ), plan.method
+            assert after["computed"] == before["computed"], plan.method
+
     def test_issue_rendering(self):
         from repro.testing.correctness import CorrectnessIssue
 

@@ -307,8 +307,8 @@ class TestSelectionPlanBridge:
         suite = TestSuite(rule_nodes=[r1, r2], queries=[q0, q1], k=1)
 
         class Oracle:
-            def cost_without(self, query, rules_off):
-                return query.cost + 10.0
+            def cost_without_many(self, pairs):
+                return [query.cost + 10.0 for query, _ in pairs]
 
         return suite, Oracle(), r1, r2
 

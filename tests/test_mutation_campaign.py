@@ -98,6 +98,22 @@ class TestCampaignSmoke:
         assert report.service_stats
         assert report.service_stats.get("requests", 0) > 0
 
+    def test_pool_plans_are_asked_for_once(self, tpch_db, registry):
+        """The optimizer work of a fixed 3-mutant sample is what it was
+        when the campaign and the runner each pre-warmed the pool (766
+        optimizations, 48 re-asks at commit 774e9d5); the re-asks are now
+        just the runner's own 2 x pool requests per scored pool."""
+        campaign = MutationCampaign(
+            tpch_db, registry, pool=4, k=1, seeds=(3,), extra_operators=2,
+        )
+        report = campaign.run(
+            rule_names=registry.exploration_rule_names[:6], sample=3
+        )
+        stats = report.service_stats
+        assert stats["computed"] == 766
+        pools = sum(outcome.pool_size for outcome in report.outcomes)
+        assert stats["requests"] - stats["computed"] == 2 * pools < 48
+
     def test_outcomes_carry_the_kill_matrix_row(self, smoke_report):
         """Every pool query's verdict and cost are recorded: the
         detection objective (repro.testing.detection) needs them."""

@@ -174,6 +174,45 @@ class TestDeterminism:
         assert tracer.events
 
 
+class TestServiceCacheEvents:
+    def test_every_request_emits_one_cache_event(
+        self, tpch_db, registry, tmp_path
+    ):
+        """Scalar or batched, plan or cost: one ``service.cache`` event per
+        request, and the outcomes add up to the service's own counters."""
+        trees = [
+            sql_to_tree(sql, tpch_db.catalog)
+            for sql in (
+                SQL,
+                "SELECT o_orderkey FROM orders WHERE o_totalprice > 100",
+                "SELECT o_custkey, COUNT(*) FROM orders GROUP BY o_custkey",
+            )
+        ]
+        PlanService(
+            tpch_db, registry=registry, cache_dir=tmp_path
+        ).cost(trees[2])  # one record on disk before the traced run
+
+        tracer = RecordingTracer(detail="summary")
+        service = PlanService(
+            tpch_db, registry=registry, cache_dir=tmp_path, tracer=tracer
+        )
+        service.optimize(trees[0])                        # miss
+        service.optimize_many([trees[0], trees[1], trees[1]])  # hit, 2 misses
+        service.cost_many(trees)                          # 2 hits, disk hit
+        service.cost(trees[2])                            # hit
+        service.optimize(trees[2])                        # plan needed: miss
+
+        events = [e for e in tracer.events if e.name == "service.cache"]
+        counters = service.counters
+        assert len(events) == counters.requests == 9
+        outcomes = [e.arg("outcome") for e in events]
+        assert outcomes.count("memory_hit") == counters.memory_hits == 4
+        assert outcomes.count("disk_hit") == counters.disk_hits == 1
+        # The in-batch duplicate is a miss that shares a computation.
+        assert outcomes.count("miss") == 4 == counters.computed + 1
+        assert {e.arg("request") for e in events} == {"optimize", "cost"}
+
+
 class TestDetailLevels:
     def test_full_records_per_attempt_events(self, tpch_db, registry):
         tracer, _ = _traced_optimize(tpch_db, registry, detail="full")

@@ -367,24 +367,3 @@ class TestMemoFreshTracking:
             "JoinLojAssociativity",
             "JoinCommutativity",
         ) in result.rule_interactions
-
-
-class TestCostOraclePlanWithout:
-    def test_plan_without_returns_disabled_result(self, tiny_db, registry):
-        from repro.testing.suite import CostOracle, SuiteQuery
-
-        emp = make_get(tiny_db.catalog.table("emp"))
-        dept = make_get(tiny_db.catalog.table("dept"))
-        tree = Join(
-            JoinKind.INNER, emp, dept,
-            Comparison(ComparisonOp.EQ, ColumnRef(emp.columns[1]),
-                       ColumnRef(dept.columns[0])),
-        )
-        query = SuiteQuery(
-            query_id=0, tree=tree, sql="q", cost=1.0,
-            ruleset=frozenset({"JoinToHashJoin"}),
-            generated_for=("JoinToHashJoin",),
-        )
-        oracle = CostOracle(tiny_db, registry)
-        result = oracle.plan_without(query, ("JoinToHashJoin",))
-        assert "JoinToHashJoin" not in result.rules_exercised

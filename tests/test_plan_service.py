@@ -9,6 +9,7 @@ from repro.service import (
     cache_stats,
     clear_cache,
     environment_fingerprint,
+    plan_service,
 )
 from repro.sql.binder import sql_to_tree
 from repro.testing.suite import CostOracle, SuiteQuery
@@ -31,6 +32,77 @@ def _tree(db, sql):
     return sql_to_tree(sql, db.catalog)
 
 
+#: Without GetToTableScan no physical plan can exist.
+NO_PLAN = DEFAULT_CONFIG.with_disabled(["GetToTableScan"])
+INF = float("inf")
+
+
+def _ask(service, entry_point, tree, config=None):
+    """One request through one of the four shapes: the cost it answers."""
+    if entry_point == "optimize":
+        try:
+            return service.optimize(tree, config).cost
+        except OptimizationError:
+            return INF
+    if entry_point == "cost":
+        return service.cost(tree, config)
+    if entry_point == "optimize_many":
+        (outcome,) = service.optimize_many(
+            [(tree, config)], return_errors=True
+        )
+        return INF if isinstance(outcome, OptimizationError) else outcome.cost
+    (cost,) = service.cost_many([(tree, config)])
+    return cost
+
+
+@pytest.mark.parametrize(
+    "entry_point", ["optimize", "cost", "optimize_many", "cost_many"]
+)
+def test_every_entry_point_climbs_the_same_ladder(
+    tpch_db, registry, tmp_path, entry_point
+):
+    """Miss, memory hit, disk record, remembered failure: the four shapes
+    give the same answers and move the same counters by the same amounts.
+    The one difference is the one the ladder documents -- plans are never
+    persisted, so a disk record answers the cost shapes and is a miss
+    (recomputed, failures included) for the plan shapes."""
+    earlier = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+    on_disk = earlier.cost(_tree(tpch_db, SQL_SIMPLE))
+    assert earlier.cost(_tree(tpch_db, SQL_AGG), NO_PLAN) == INF
+    not_on_disk = PlanService(tpch_db, registry=registry).cost(
+        _tree(tpch_db, SQL_JOIN)
+    )
+
+    service = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+    if entry_point.startswith("cost"):
+        from_disk = failure_from_disk = {"disk_hits": 1}
+    else:
+        from_disk = {"computed": 1}
+        failure_from_disk = {"computed": 1, "errors": 1}
+    steps = [
+        # (request, answer, counters that move besides ``requests``)
+        ((SQL_JOIN, None), not_on_disk, {"computed": 1}),
+        ((SQL_JOIN, None), not_on_disk, {"memory_hits": 1}),
+        ((SQL_SIMPLE, None), on_disk, from_disk),
+        ((SQL_SIMPLE, None), on_disk, {"memory_hits": 1}),
+        ((SQL_AGG, NO_PLAN), INF, failure_from_disk),
+        ((SQL_AGG, NO_PLAN), INF, {"memory_hits": 1}),  # no re-search
+    ]
+    for (sql, config), answer, moved in steps:
+        before = service.counters.as_dict()
+        got = _ask(service, entry_point, _tree(tpch_db, sql), config)
+        after = service.counters.as_dict()
+        assert got == answer, (sql, config)
+        delta = {
+            name: after[name] - before[name]
+            for name in (
+                "requests", "memory_hits", "disk_hits", "computed", "errors"
+            )
+            if after[name] != before[name]
+        }
+        assert delta == {"requests": 1, **moved}, (sql, config)
+
+
 class TestMemoization:
     def test_second_request_hits_memory(self, tpch_db, service):
         first = service.optimize(_tree(tpch_db, SQL_SIMPLE))
@@ -51,13 +123,32 @@ class TestMemoization:
         assert service.cost(tree) == service.optimize(tree).cost
         assert service.counters.computed == 1
 
-    def test_memory_limit_evicts_fifo(self, tpch_db, registry):
-        service = PlanService(tpch_db, registry=registry, memory_limit=1)
+    def test_memory_limit_evicts_fifo(self, tpch_db, service, monkeypatch):
+        monkeypatch.setattr(plan_service, "MEMORY_LIMIT", 1)
         service.optimize(_tree(tpch_db, SQL_SIMPLE))
         service.optimize(_tree(tpch_db, SQL_JOIN))  # evicts the first
         service.optimize(_tree(tpch_db, SQL_SIMPLE))
         assert service.counters.computed == 3
         assert service.counters.memory_hits == 0
+
+    def test_disk_replay_is_bounded_like_everything_else(
+        self, tpch_db, registry, tmp_path, monkeypatch
+    ):
+        """Cost-only answers read back from disk live in the same bounded
+        store as computed entries (they used to pile up beside it)."""
+        sqls = [SQL_SIMPLE, SQL_JOIN, SQL_AGG]
+        earlier = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        earlier.cost_many([_tree(tpch_db, sql) for sql in sqls])
+
+        monkeypatch.setattr(plan_service, "MEMORY_LIMIT", 2)
+        replay = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        for _ in range(2):
+            for sql in sqls:
+                replay.cost(_tree(tpch_db, sql))
+        assert replay.counters.computed == 0
+        assert len(replay._entries) == 2
+        # three keys cycling through two FIFO slots never hit memory
+        assert replay.counters.disk_hits == 6
 
     def test_no_memory_cache(self, tpch_db, registry):
         service = PlanService(tpch_db, registry=registry, memory_cache=False)
@@ -81,14 +172,6 @@ class TestBatches:
         assert service.counters.computed == 2  # duplicate computed once
         assert service.counters.batches == 1
 
-    def test_cost_many_matches_serial_costs(self, tpch_db, registry):
-        serial = PlanService(tpch_db, registry=registry)
-        batched = PlanService(tpch_db, registry=registry)
-        sqls = [SQL_SIMPLE, SQL_JOIN, SQL_AGG]
-        expected = [serial.cost(_tree(tpch_db, sql)) for sql in sqls]
-        actual = batched.cost_many([_tree(tpch_db, sql) for sql in sqls])
-        assert actual == expected
-
     def test_parallel_equals_serial(self, tpch_db, registry):
         serial = PlanService(tpch_db, registry=registry, workers=1)
         parallel = PlanService(tpch_db, registry=registry, workers=2)
@@ -109,25 +192,6 @@ class TestBatches:
 
 
 class TestDiskCache:
-    def test_cost_survives_across_instances(self, tpch_db, registry, tmp_path):
-        first = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
-        cost = first.cost(_tree(tpch_db, SQL_JOIN))
-
-        second = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
-        assert second.cost(_tree(tpch_db, SQL_JOIN)) == cost
-        assert second.counters.disk_hits == 1
-        assert second.counters.computed == 0
-
-    def test_optimize_never_serves_plans_from_disk(
-        self, tpch_db, registry, tmp_path
-    ):
-        first = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
-        first.optimize(_tree(tpch_db, SQL_SIMPLE))
-
-        second = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
-        second.optimize(_tree(tpch_db, SQL_SIMPLE))
-        assert second.counters.computed == 1  # plans are recomputed per run
-
     def test_registry_change_invalidates(self, tpch_db, registry):
         from repro.rules.faults import ALL_FAULTS
 
@@ -156,21 +220,6 @@ class TestDiskCache:
         assert rules_at != -1
         # keys are emitted sorted, so "config" precedes "rules_exercised"
         assert text.find('"config"') < rules_at
-
-
-class TestErrorHandling:
-    def test_failure_is_memoized(self, tpch_db, registry):
-        service = PlanService(tpch_db, registry=registry)
-        tree = _tree(tpch_db, SQL_SIMPLE)
-        # Without GetToTableScan no physical plan can exist.
-        config = DEFAULT_CONFIG.with_disabled(["GetToTableScan"])
-        with pytest.raises(OptimizationError):
-            service.optimize(tree, config)
-        computed = service.counters.computed
-        with pytest.raises(OptimizationError):
-            service.optimize(tree, config)
-        assert service.counters.computed == computed  # no re-search
-        assert service.cost(tree, config) == float("inf")
 
 
 class TestCostOracleCounters:

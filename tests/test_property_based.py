@@ -351,6 +351,9 @@ class _TableOracle:
         self.invocations += 1
         return self._edges[(query.query_id, tuple(sorted(rules_off)))]
 
+    def cost_without_many(self, pairs):
+        return [self.cost_without(query, node) for query, node in pairs]
+
 
 def _brute_force_optimum(suite, edges):
     """Exhaustive minimum over all valid k=1 assignments."""

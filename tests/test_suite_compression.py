@@ -42,6 +42,9 @@ class FakeOracle:
             self.invocations += 1
         return self._edges[(query.query_id, tuple(sorted(rules_off)))]
 
+    def cost_without_many(self, pairs):
+        return [self.cost_without(query, node) for query, node in pairs]
+
 
 def _query(query_id, cost, ruleset, generated_for):
     return SuiteQuery(
