@@ -1,6 +1,9 @@
 """Static analysis of the rule registry and optimizer plans.
 
-Six passes over a shared diagnostic model (see ``docs/ANALYSIS.md``):
+Six passes over a shared diagnostic model (see ``docs/ANALYSIS.md``); the
+four that read the registry (1, 2, 4, 5) follow one protocol,
+:class:`AnalysisPass`, and are listed once, in report order, in
+:data:`STATIC_PASSES` (:mod:`repro.analysis.passes`):
 
 1. registry lint (:mod:`repro.analysis.lint`) -- pattern well-formedness,
    duplicate/subsumed patterns, dead rules, documentation drift;
@@ -22,7 +25,12 @@ Six passes over a shared diagnostic model (see ``docs/ANALYSIS.md``):
 from repro.analysis.astlint import AstLinter
 from repro.analysis.bounds import BoundsDeriver, RowBounds
 from repro.analysis.context import TreeContext
-from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
+from repro.analysis.diagnostics import (
+    AnalysisPass,
+    AnalysisReport,
+    Diagnostic,
+    Severity,
+)
 from repro.analysis.gate import GateVerdict, RuleGate
 from repro.analysis.interact import (
     InteractionAnalyzer,
@@ -35,14 +43,17 @@ from repro.analysis.lint import (
     pattern_subsumes,
     synthesize_bindings,
 )
+from repro.analysis.passes import STATIC_PASSES, StaticPass
 from repro.analysis.sanitize import (
     MonotonicityGuard,
     PlanSanitizer,
     PlanSanityError,
+    sanitized_plan_smoke,
 )
 from repro.analysis.verify import SubstitutionVerifier, default_workloads
 
 __all__ = [
+    "AnalysisPass",
     "AnalysisReport",
     "AstLinter",
     "BoundsDeriver",
@@ -57,11 +68,14 @@ __all__ = [
     "RegistryLinter",
     "RowBounds",
     "RuleGate",
+    "STATIC_PASSES",
     "Severity",
+    "StaticPass",
     "SubstitutionVerifier",
     "TreeContext",
     "default_workloads",
     "interaction_markdown",
     "pattern_subsumes",
+    "sanitized_plan_smoke",
     "synthesize_bindings",
 ]

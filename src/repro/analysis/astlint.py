@@ -45,10 +45,14 @@ import textwrap
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
+from repro.analysis.diagnostics import (
+    AnalysisPass,
+    AnalysisReport,
+    Diagnostic,
+    Severity,
+)
 from repro.logical.operators import OpKind
 from repro.rules.framework import PatternNode, Rule
-from repro.rules.registry import RuleRegistry
 
 #: Attributes defined by every LogicalOp regardless of kind -- safe to
 #: access on generic (unbound) pattern positions.
@@ -130,29 +134,19 @@ _HINTS = {
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 
 
-class AstLinter:
+class AstLinter(AnalysisPass):
     """AST lint over the implementations of a registry's rules."""
 
-    def __init__(self, registry: RuleRegistry) -> None:
-        self.registry = registry
+    RULE_COUNTER = "rules_ast_linted"
 
-    def run(self) -> AnalysisReport:
-        report = AnalysisReport()
-        for rule in self.registry.all_rules:
-            report.extend(self.lint_rule(rule))
-            report.count("rules_ast_linted")
-        return report
-
-    # ------------------------------------------------------------- per rule
-
-    def lint_rule(self, rule: Rule) -> List[Diagnostic]:
+    def check_rule(self, rule: Rule) -> AnalysisReport:
         """Lint one rule instance (also the admission gate's entry point)."""
-        findings: List[Diagnostic] = []
+        findings = AnalysisReport()
         seen: Set[Tuple[str, Optional[str], str]] = set()
         for name, func in _rule_functions(rule):
             parsed = _parse_function(func)
             if parsed is None:
-                findings.append(
+                findings.add(
                     Diagnostic(
                         "AL500",
                         Severity.INFO,
@@ -173,7 +167,7 @@ class AstLinter:
                 )
                 if key not in seen:
                     seen.add(key)
-                    findings.append(diagnostic)
+                    findings.add(diagnostic)
         return findings
 
 

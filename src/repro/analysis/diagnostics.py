@@ -24,7 +24,11 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.rules.framework import Rule
+    from repro.rules.registry import RuleRegistry
 
 
 class Severity(enum.Enum):
@@ -171,3 +175,53 @@ class AnalysisReport:
             },
         }
         return json.dumps(payload, indent=2, sort_keys=False)
+
+
+class AnalysisPass:
+    """The protocol of a static pass over a rule registry.
+
+    Every pass is constructed with the same keywords, reports on the
+    whole registry through :meth:`run` and on one rule (the admission
+    gate's entry point) through :meth:`check_rule`; both return an
+    :class:`AnalysisReport`.  ``repro.analysis.STATIC_PASSES`` lists the
+    passes in report order.  A pass that needs no synthesized bindings
+    (the AST lint) accepts and ignores the sampling keywords.
+    """
+
+    #: Bindings synthesized per rule per workload when the caller does
+    #: not say.
+    DEFAULT_SAMPLES = 6
+    #: Work counter the default :meth:`run` bumps once per rule.
+    RULE_COUNTER: str
+
+    def __init__(
+        self,
+        registry: "RuleRegistry",
+        workloads: Optional[Sequence] = None,
+        samples_per_workload: Optional[int] = None,
+        seed: int = 0,
+    ) -> None:
+        from repro.analysis.verify import default_workloads
+
+        self.registry = registry
+        self.workloads = list(
+            workloads if workloads is not None else default_workloads()
+        )
+        self.samples = (
+            self.DEFAULT_SAMPLES
+            if samples_per_workload is None
+            else samples_per_workload
+        )
+        self.seed = seed
+
+    def run(self) -> AnalysisReport:
+        """Check every rule of the registry."""
+        report = AnalysisReport()
+        for rule in self.registry.all_rules:
+            report.merge(self.check_rule(rule))
+            report.count(self.RULE_COUNTER)
+        return report
+
+    def check_rule(self, rule: "Rule") -> AnalysisReport:
+        """Check one rule in the context of the registry."""
+        raise NotImplementedError

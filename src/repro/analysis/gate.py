@@ -2,19 +2,21 @@
 
 The door through which a candidate rule -- handwritten or discovered by
 the ROADMAP's automated rule-discovery pipeline -- enters the registry.
-:class:`RuleGate` composes the per-rule entry points of the existing
-passes into a single pass/fail verdict with machine-readable reasons:
+:class:`RuleGate` composes the per-rule entry point
+(:meth:`AnalysisPass.check_rule`) of every row of
+:data:`repro.analysis.passes.STATIC_PASSES` into a single pass/fail
+verdict with machine-readable reasons:
 
-1. **RL** -- :meth:`RegistryLinter.lint_rule`: pattern arity, XML
-   round-trip, naming, liveness;
-2. **SV** -- :meth:`SubstitutionVerifier.verify_rule`: the semantic
-   property checks over synthesized bindings (schema preservation,
-   derived-property loss, provably empty rewrites, ...);
-3. **AL** -- :meth:`AstLinter.lint_rule`: implementation drift between
-   declared pattern and Python source;
-4. **IG** -- :meth:`InteractionAnalyzer.rule_report`: the candidate's
-   producer edges, self-loop termination hazard, and composition
-   redundancy against the registry it would join;
+1. **RL** -- :class:`RegistryLinter`: pattern arity, XML round-trip,
+   naming, liveness;
+2. **SV** -- :class:`SubstitutionVerifier`: the semantic property checks
+   over synthesized bindings (schema preservation, derived-property
+   loss, provably empty rewrites, ...);
+3. **AL** -- :class:`AstLinter`: implementation drift between declared
+   pattern and Python source;
+4. **IG** -- :class:`InteractionAnalyzer`: the candidate's producer
+   edges, self-loop termination hazard, and composition redundancy
+   against the registry it would join;
 5. **dynamic** (unless ``static_only``) -- a sampled mutation-style
    differential check via :meth:`MutationCampaign.evaluate_rule`: the
    candidate build must survive the paper's ``Plan(q)`` vs
@@ -38,11 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.analysis.astlint import AstLinter
-from repro.analysis.diagnostics import AnalysisReport, Severity
-from repro.analysis.interact import InteractionAnalyzer
-from repro.analysis.lint import RegistryLinter
-from repro.analysis.verify import SubstitutionVerifier, default_workloads
+from repro.analysis.diagnostics import AnalysisReport
+from repro.analysis.passes import STATIC_PASSES
+from repro.analysis.verify import default_workloads
 from repro.rules.framework import Rule
 from repro.rules.registry import RuleRegistry
 
@@ -73,6 +73,13 @@ class GateVerdict:
     dynamic_status: Optional[str] = None
     dynamic_detail: str = ""
     counters: Dict[str, int] = field(default_factory=dict)
+
+    def to_text(self) -> str:
+        line = f"gate {self.rule_name}: "
+        line += "ADMITTED" if self.admitted else "REJECTED"
+        if self.dynamic_status:
+            line += f" (dynamic: {self.dynamic_status})"
+        return "\n".join([line, *(f"  - {reason}" for reason in self.reasons)])
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -124,32 +131,14 @@ class RuleGate:
             rule = self.registry.rule(rule)
         candidate_registry = self._registry_with(rule)
         report = AnalysisReport()
-
-        linter = RegistryLinter(
-            candidate_registry,
-            workloads=self.workloads,
-            samples_per_workload=self.samples,
-            seed=self.seed,
-        )
-        report.merge(linter.lint_rule(rule))
-
-        verifier = SubstitutionVerifier(
-            candidate_registry,
-            workloads=self.workloads,
-            samples_per_workload=self.samples,
-            seed=self.seed,
-        )
-        report.merge(verifier.verify_rule(rule))
-
-        report.extend(AstLinter(candidate_registry).lint_rule(rule))
-
-        analyzer = InteractionAnalyzer(
-            candidate_registry,
-            workloads=self.workloads,
-            samples_per_workload=self.samples,
-            seed=self.seed,
-        )
-        report.merge(analyzer.rule_report(rule))
+        for static in STATIC_PASSES:
+            analyzer = static.build(
+                candidate_registry,
+                self.workloads,
+                samples_per_workload=self.samples,
+                seed=self.seed,
+            )
+            report.merge(analyzer.check_rule(rule))
 
         reasons = [
             f"static:{d.code}: {d.message}" for d in report.errors

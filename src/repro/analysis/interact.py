@@ -56,12 +56,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.context import TreeContext
-from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
+from repro.analysis.diagnostics import (
+    AnalysisPass,
+    AnalysisReport,
+    Diagnostic,
+    Severity,
+)
 from repro.analysis.lint import synthesize_bindings
 from repro.logical.operators import LogicalOp
 from repro.logical.validate import ValidationError, validate_tree
 from repro.rules.framework import Rule, match_structure
-from repro.rules.registry import RuleRegistry
 from repro.testing.builders import GenerationFailure
 from repro.testing.composition import compose_patterns
 from repro.testing.pattern_gen import PatternInstantiator, merge_hints
@@ -197,25 +201,16 @@ class InteractionGraph:
         return "\n".join(lines) + "\n"
 
 
-class InteractionAnalyzer:
+class InteractionAnalyzer(AnalysisPass):
     """Builds the interaction graph and derives the IG4xx diagnostics."""
 
-    def __init__(
-        self,
-        registry: RuleRegistry,
-        workloads: Optional[Sequence] = None,
-        samples_per_workload: int = 4,
-        seed: int = 0,
-    ) -> None:
-        from repro.analysis.verify import default_workloads
+    #: The graph is a committed artifact (docs/INTERACTIONS.md), generated
+    #: at this sample count.
+    DEFAULT_SAMPLES = 4
 
-        self.registry = registry
-        self.workloads = list(
-            workloads if workloads is not None else default_workloads()
-        )
-        self.samples = samples_per_workload
-        self.seed = seed
-        self.rules: List[Rule] = list(registry.exploration_rules)
+    def __init__(self, *args, **settings) -> None:
+        super().__init__(*args, **settings)
+        self.rules: List[Rule] = list(self.registry.exploration_rules)
         self._by_name = {rule.name: rule for rule in self.rules}
         #: rule name -> list of (workload, ctx, binding, input_fps, outputs)
         self._products: Dict[str, List[tuple]] = {}
@@ -231,15 +226,7 @@ class InteractionAnalyzer:
         report.count("interaction_edges", len(graph.edges))
         report.count("interaction_edges_confirmed", len(graph.confirmed_edges))
         for rule in self.rules:
-            if not self._rule_products(rule):
-                self._emit(
-                    report,
-                    "IG400",
-                    Severity.INFO,
-                    "no binding could be synthesized from the pattern; the "
-                    "rule's interaction-graph row is incomplete",
-                    rule=rule.name,
-                )
+            self._has_products(report, rule)
             report.count("interaction_rules_analyzed")
         self._report_cycles(report, graph)
         self._report_commuting(report, graph)
@@ -247,7 +234,7 @@ class InteractionAnalyzer:
         self._report_blind_spots(report, graph)
         return report
 
-    def rule_report(self, rule: Rule) -> AnalysisReport:
+    def check_rule(self, rule: Rule) -> AnalysisReport:
         """Scoped IG findings for one rule (the admission gate's entry
         point): the rule's producer edges, self-loop termination hazard,
         and composition redundancy.  Consumer-side analyses (commuting
@@ -255,15 +242,7 @@ class InteractionAnalyzer:
         to :meth:`run`.  ``rule`` must be one of the analyzer's rules.
         """
         report = AnalysisReport()
-        if not self._rule_products(rule):
-            self._emit(
-                report,
-                "IG400",
-                Severity.INFO,
-                "no binding could be synthesized from the pattern; the "
-                "rule's interaction-graph row is incomplete",
-                rule=rule.name,
-            )
+        if not self._has_products(report, rule):
             return report
         edges = self.producer_edges(rule)
         report.count("gate_interaction_edges", len(edges))
@@ -291,6 +270,21 @@ class InteractionAnalyzer:
                 rule=rule.name,
             )
         return report
+
+    def _has_products(self, report: AnalysisReport, rule: Rule) -> bool:
+        """Whether bindings could be synthesized for ``rule``; reports
+        IG400 when not."""
+        if self._rule_products(rule):
+            return True
+        self._emit(
+            report,
+            "IG400",
+            Severity.INFO,
+            "no binding could be synthesized from the pattern; the "
+            "rule's interaction-graph row is incomplete",
+            rule=rule.name,
+        )
+        return False
 
     def build_graph(self) -> InteractionGraph:
         if self._graph is not None:
@@ -399,20 +393,12 @@ class InteractionAnalyzer:
         if cached is not None:
             return cached
         products: List[tuple] = []
-        for workload_name, catalog, stats in self.workloads:
-            bindings = synthesize_bindings(
-                rule,
-                [(workload_name, catalog, stats)],
-                self.samples,
-                self.seed,
-                salt="interact",
-            )
-            for ctx, tree in bindings:
-                outputs = self._safe_substitutions(rule, tree, ctx)
-                input_fps = {node.fingerprint() for node in tree.walk()}
-                products.append(
-                    (workload_name, ctx, tree, input_fps, outputs)
-                )
+        for workload_name, ctx, tree in synthesize_bindings(
+            rule, self.workloads, self.samples, f"interact:{self.seed}"
+        ):
+            outputs = self._safe_substitutions(rule, tree, ctx)
+            input_fps = {node.fingerprint() for node in tree.walk()}
+            products.append((workload_name, ctx, tree, input_fps, outputs))
         self._products[rule.name] = products
         return products
 

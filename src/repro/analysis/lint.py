@@ -31,7 +31,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.context import TreeContext
-from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
+from repro.analysis.diagnostics import (
+    AnalysisPass,
+    AnalysisReport,
+    Diagnostic,
+    Severity,
+)
 from repro.logical.operators import LogicalOp, OpKind
 from repro.logical.validate import ValidationError, validate_tree
 from repro.rules.framework import (
@@ -42,7 +47,6 @@ from repro.rules.framework import (
     pattern_to_xml,
     walk_pattern,
 )
-from repro.rules.registry import RuleRegistry
 from repro.testing.builders import GenerationFailure
 from repro.testing.pattern_gen import PatternInstantiator, merge_hints
 
@@ -68,25 +72,25 @@ OP_ARITY = {
 def synthesize_bindings(
     rule: Rule,
     workloads: Sequence,
-    samples: int = 6,
-    seed: int = 0,
-    salt: str = "lint",
-) -> List[Tuple[TreeContext, LogicalOp]]:
+    samples: int,
+    stream: str,
+) -> List[Tuple[str, TreeContext, LogicalOp]]:
     """Synthesize validated sample bindings for ``rule`` from its pattern.
 
-    The shared binding-synthesis used by the registry lint's liveness check
-    and the interaction-graph pass: for every bundled workload, instantiate
-    the rule's pattern ``samples`` times with per-index seeded RNGs, keep
-    only trees that structurally match the pattern and validate against the
-    catalog.  Deterministic for a fixed ``(salt, seed)``.
+    The one binding sampler of the static passes: for every bundled
+    workload, instantiate the rule's pattern ``samples`` times with
+    per-index seeded RNGs, keep only trees that structurally match the
+    pattern and validate against the catalog.  Returns ``(workload name,
+    context, tree)`` triples; deterministic for a fixed ``stream`` (each
+    pass draws from its own, so passes do not share samples).
     """
     hints = merge_hints([rule])
-    bindings: List[Tuple[TreeContext, LogicalOp]] = []
+    bindings: List[Tuple[str, TreeContext, LogicalOp]] = []
     for workload_name, catalog, stats in workloads:
         context = TreeContext(catalog, stats)
         for index in range(samples):
             rng = random.Random(
-                f"{salt}:{seed}:{rule.name}:{workload_name}:{index}"
+                f"{stream}:{rule.name}:{workload_name}:{index}"
             )
             instantiator = PatternInstantiator(catalog, rng, stats)
             try:
@@ -101,7 +105,7 @@ def synthesize_bindings(
                 validate_tree(tree, catalog)
             except ValidationError:
                 continue
-            bindings.append((context, tree))
+            bindings.append((workload_name, context, tree))
     return bindings
 
 
@@ -129,25 +133,13 @@ def pattern_subsumes(wider: PatternNode, narrower: PatternNode) -> bool:
     )
 
 
-class RegistryLinter:
+class RegistryLinter(AnalysisPass):
     """Structural lint over a rule registry."""
 
     def __init__(
-        self,
-        registry: RuleRegistry,
-        workloads: Optional[Sequence] = None,
-        samples_per_workload: int = 6,
-        seed: int = 0,
-        docs_path: Optional[Path] = None,
+        self, *args, docs_path: Optional[Path] = None, **settings
     ) -> None:
-        from repro.analysis.verify import default_workloads
-
-        self.registry = registry
-        self.workloads = list(
-            workloads if workloads is not None else default_workloads()
-        )
-        self.samples = samples_per_workload
-        self.seed = seed
+        super().__init__(*args, **settings)
         self.docs_path = docs_path
 
     # ------------------------------------------------------------------ run
@@ -165,7 +157,7 @@ class RegistryLinter:
             self._lint_docs(report)
         return report
 
-    def lint_rule(self, rule: Rule) -> AnalysisReport:
+    def check_rule(self, rule: Rule) -> AnalysisReport:
         """Scoped lint of one rule (the admission gate's entry point).
 
         Runs the structural and liveness checks; the registry-wide
@@ -290,7 +282,9 @@ class RegistryLinter:
     # ------------------------------------------------------------- liveness
 
     def _lint_rule_liveness(self, report: AnalysisReport, rule: Rule) -> None:
-        bindings = self._sample_bindings(rule)
+        bindings = synthesize_bindings(
+            rule, self.workloads, self.samples, f"lint:{self.seed}"
+        )
         if not bindings:
             report.add(
                 Diagnostic(
@@ -304,7 +298,7 @@ class RegistryLinter:
             )
             return
         passed = 0
-        for context, tree in bindings:
+        for _, context, tree in bindings:
             try:
                 if rule.precondition(tree, context):
                     passed += 1
@@ -320,13 +314,6 @@ class RegistryLinter:
                     rule=rule.name,
                 )
             )
-
-    def _sample_bindings(
-        self, rule: Rule
-    ) -> List[Tuple[TreeContext, LogicalOp]]:
-        return synthesize_bindings(
-            rule, self.workloads, self.samples, self.seed, salt="lint"
-        )
 
     # ----------------------------------------------------------------- docs
 

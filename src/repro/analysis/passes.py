@@ -1,0 +1,53 @@
+"""The one ordered table of static passes.
+
+``repro analyze`` runs the rows over the whole registry
+(:meth:`AnalysisPass.run`) and :class:`repro.analysis.gate.RuleGate`
+runs them over one candidate (:meth:`AnalysisPass.check_rule`); both
+iterate :data:`STATIC_PASSES`, so the report order, the ``--skip-*``
+selection and the gate's static stage are one sequence.  The plan
+sanitizer is not a row: it runs inside the optimizer, not over the
+registry.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+from repro.analysis.astlint import AstLinter
+from repro.analysis.diagnostics import AnalysisPass
+from repro.analysis.interact import InteractionAnalyzer
+from repro.analysis.lint import RegistryLinter
+from repro.analysis.verify import SubstitutionVerifier
+
+
+class StaticPass(NamedTuple):
+    """One row: ``build(registry, workloads, samples_per_workload=,
+    seed=)`` constructs the pass."""
+
+    #: Selector: ``repro analyze --skip-<name>``, or ``--<name>`` for an
+    #: opt-in row.
+    name: str
+    build: Callable[..., AnalysisPass]
+    #: Left out of a plain ``repro analyze`` (the gate runs every row).
+    opt_in: bool = False
+
+
+def _registry_linter(registry, workloads, **settings) -> RegistryLinter:
+    """The lint pass, checking the generated rule catalog for drift when
+    run from a source checkout that has one."""
+    docs = Path(__file__).resolve().parents[3] / "docs" / "RULES.md"
+    return RegistryLinter(
+        registry,
+        workloads,
+        docs_path=docs if docs.exists() else None,
+        **settings,
+    )
+
+
+STATIC_PASSES = (
+    StaticPass("lint", _registry_linter),
+    StaticPass("verify", SubstitutionVerifier),
+    StaticPass("astlint", AstLinter),
+    StaticPass("interactions", InteractionAnalyzer, opt_in=True),
+)

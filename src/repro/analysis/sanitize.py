@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.catalog.schema import Catalog
 from repro.expr.expressions import Column, referenced_columns
 from repro.logical.operators import (
@@ -49,6 +49,7 @@ from repro.logical.operators import (
     is_set_op,
 )
 from repro.logical.properties import PropertyDeriver
+from repro.optimizer.config import DEFAULT_CONFIG
 from repro.optimizer.result import OptimizationError
 from repro.physical.operators import (
     ComputeScalar,
@@ -365,3 +366,66 @@ class MonotonicityGuard:
                 f"{len(self.violations)} monotonicity violation(s); "
                 f"first: {self.violations[0].message}",
             )
+
+
+def sanitized_plan_smoke(database, registry, count: int, seed: int) -> AnalysisReport:
+    """Optimize ``count`` random queries with the plan sanitizer on, and
+    assert cost monotonicity against single-rule-disabled
+    re-optimizations (``repro analyze --plans N``)."""
+    from repro.service import PlanService
+    from repro.testing.builders import GenerationFailure
+    from repro.testing.random_gen import RandomQueryGenerator
+
+    service = PlanService(database, registry=registry)
+    generator = RandomQueryGenerator(
+        database.catalog, seed=seed, stats=service.stats
+    )
+    config = DEFAULT_CONFIG.replaced(sanitize_plans=True)
+    exploration = {rule.name for rule in registry.exploration_rules}
+    guard = MonotonicityGuard()
+    report = AnalysisReport()
+    produced = 0
+    attempts = 0
+    while produced < count and attempts < count * 4:
+        attempts += 1
+        try:
+            tree = generator.random_tree()
+        except GenerationFailure:
+            continue
+        try:
+            base = service.optimize(tree, config)
+        except PlanSanityError as exc:
+            report.add(
+                Diagnostic(
+                    code=exc.code,
+                    severity=Severity.ERROR,
+                    message=str(exc),
+                    location=f"plan {produced}",
+                )
+            )
+            produced += 1
+            continue
+        except OptimizationError:
+            continue
+        produced += 1
+        report.count("plans_sanitized")
+        for rule_name in sorted(base.rules_exercised & exploration)[:3]:
+            try:
+                restricted = service.optimize(
+                    tree, config.with_disabled([rule_name])
+                )
+            except OptimizationError:
+                continue
+            if (
+                base.stats.budget_exhausted
+                or restricted.stats.budget_exhausted
+            ):
+                # A truncated search space is not a superset of the
+                # restricted one, so the invariant does not apply.
+                continue
+            guard.observe(
+                f"query {produced}", base.cost, restricted.cost, (rule_name,)
+            )
+            report.count("monotonicity_checks")
+    report.extend(guard.violations)
+    return report

@@ -29,12 +29,17 @@ non-negative finite local cost.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.analysis.bounds import BoundsDeriver
 from repro.analysis.context import TreeContext
-from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
+from repro.analysis.diagnostics import (
+    AnalysisPass,
+    AnalysisReport,
+    Diagnostic,
+    Severity,
+)
+from repro.analysis.lint import synthesize_bindings
 from repro.catalog.schema import Catalog
 from repro.catalog.stats import StatsRepository
 from repro.expr.expressions import (
@@ -57,9 +62,6 @@ from repro.logical.validate import ValidationError, validate_tree
 from repro.physical.cost import local_cost
 from repro.physical.operators import PhysicalOp
 from repro.rules.framework import PatternNode, Rule, match_structure
-from repro.rules.registry import RuleRegistry
-from repro.testing.builders import GenerationFailure
-from repro.testing.pattern_gen import PatternInstantiator, merge_hints
 
 #: One bundled analysis workload: (name, catalog, statistics).
 Workload = Tuple[str, Catalog, StatsRepository]
@@ -97,37 +99,12 @@ def default_workloads(seed: int = 1) -> List[Workload]:
     ]
 
 
-class SubstitutionVerifier:
+class SubstitutionVerifier(AnalysisPass):
     """Verifies every registry rule's substitution symbolically."""
 
-    def __init__(
-        self,
-        registry: RuleRegistry,
-        workloads: Optional[Sequence[Workload]] = None,
-        samples_per_workload: int = 6,
-        seed: int = 0,
-    ) -> None:
-        self.registry = registry
-        self.workloads = list(
-            workloads if workloads is not None else default_workloads()
-        )
-        self.samples = samples_per_workload
-        self.seed = seed
-        self._contexts: Dict[str, TreeContext] = {
-            name: TreeContext(catalog, stats)
-            for name, catalog, stats in self.workloads
-        }
+    RULE_COUNTER = "rules_verified"
 
-    # ------------------------------------------------------------------ run
-
-    def run(self) -> AnalysisReport:
-        report = AnalysisReport()
-        for rule in self.registry.all_rules:
-            report.merge(self.verify_rule(rule))
-            report.count("rules_verified")
-        return report
-
-    def verify_rule(self, rule: Rule) -> AnalysisReport:
+    def check_rule(self, rule: Rule) -> AnalysisReport:
         report = AnalysisReport()
         seen_codes = set()
 
@@ -147,8 +124,7 @@ class SubstitutionVerifier:
 
         bindings = self._synthesize_bindings(rule)
         checked = 0
-        for workload_name, tree in bindings:
-            ctx = self._contexts[workload_name]
+        for workload_name, ctx, tree in bindings:
             try:
                 accepted = rule.precondition(tree, ctx)
             except Exception as exc:  # noqa: BLE001 - any crash is a finding
@@ -344,32 +320,13 @@ class SubstitutionVerifier:
 
     def _synthesize_bindings(
         self, rule: Rule
-    ) -> List[Tuple[str, LogicalOp]]:
-        hints = merge_hints([rule])
-        sampled: List[Tuple[str, LogicalOp]] = []
-        for workload_name, catalog, stats in self.workloads:
-            for index in range(self.samples):
-                rng = random.Random(
-                    f"{self.seed}:{rule.name}:{workload_name}:{index}"
-                )
-                instantiator = PatternInstantiator(catalog, rng, stats)
-                try:
-                    tree = instantiator.instantiate(rule.pattern, hints)
-                except GenerationFailure:
-                    continue
-                except Exception:  # noqa: BLE001 - malformed patterns crash
-                    continue       # the generator; the lint reports them
-                if not match_structure(tree, rule.pattern):
-                    continue
-                try:
-                    validate_tree(tree, catalog)
-                except ValidationError:
-                    continue
-                sampled.append((workload_name, tree))
-
+    ) -> List[Tuple[str, TreeContext, LogicalOp]]:
+        """The sampled bindings plus their adversarial variants."""
+        sampled = synthesize_bindings(
+            rule, self.workloads, self.samples, str(self.seed)
+        )
         bindings = list(sampled)
-        for workload_name, tree in sampled:
-            ctx = self._contexts[workload_name]
+        for workload_name, ctx, tree in sampled:
             for variant in self._adversarial_variants(tree, rule.pattern, ctx):
                 if not match_structure(variant, rule.pattern):
                     continue
@@ -377,7 +334,7 @@ class SubstitutionVerifier:
                     validate_tree(variant, ctx.catalog)
                 except ValidationError:
                     continue
-                bindings.append((workload_name, variant))
+                bindings.append((workload_name, ctx, variant))
         return bindings
 
     # ------------------------------------------------- adversarial variants

@@ -1,29 +1,31 @@
-"""Command-line interface for the testing framework.
-
-Mirrors how a test engineer would drive the paper's framework day to day::
-
-    python -m repro rules --patterns          # list rules + pattern XML
-    python -m repro ddl                       # show the test schema
-    python -m repro generate --rule GbAggPullAboveJoin
-    python -m repro generate --rule A --pair B --method random
-    python -m repro optimize --sql "SELECT ... "
-    python -m repro correctness --rules 8 --k 3
-    python -m repro diff --backends engine,sqlite
-    python -m repro coverage --rules 12 --method pattern
-    python -m repro interaction --producer X --consumer Y
+"""Command-line interface for the testing framework: ``python -m repro
+<command>`` (README.md, "Command line", walks through the commands).
 
 Every command is seeded and deterministic; the exit code is non-zero when a
 campaign fails or a correctness bug is found (so the CLI can gate CI).
+
+The module is a shell over the library.  Every option is declared once
+(:class:`_Option`; the ones several commands take are module constants a
+command re-attaches with its own default and help), every subcommand
+registers ``(options, handler)`` in :data:`COMMANDS` through
+:func:`command`, and :func:`main` parses and dispatches.  A handler takes
+what it needs from the lazy :class:`_Session` -- database, registry, a
+plan service -- calls the library, and emits.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from functools import partial
-from typing import List, Optional
+from functools import cached_property, partial
+from pathlib import Path
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro import analysis
+from repro.backends import create_backends
 from repro.engine import execute_plan, explain_analyze
+from repro.obs import MetricsRegistry, RecordingTracer
 from repro.optimizer.config import DEFAULT_CONFIG
 from repro.rules.faults import ALL_FAULTS
 from repro.rules.registry import default_registry
@@ -34,812 +36,425 @@ from repro.service import (
     default_cache_dir,
 )
 from repro.sql.binder import sql_to_tree
-from repro.testing.compression import (
-    baseline_plan,
-    set_multicover_plan,
-    top_k_independent_plan,
-)
+from repro.testing import detection
+from repro.testing.compression import COMPRESSION_METHODS
 from repro.testing.correctness import CorrectnessRunner
 from repro.testing.coverage import CoverageCampaign
+from repro.testing.differential import DifferentialRunner
 from repro.testing.generator import QueryGenerator
-from repro.testing.suite import CostOracle, TestSuiteBuilder, singleton_nodes
-from repro.workloads import tpch_database
+from repro.testing.mutation import DEFAULT_OPERATORS, MutationCampaign
+from repro.testing.report import run_campaign
+from repro.testing.suite import CostOracle, rule_suite, select_rules
+from repro.workloads import star_database, tpch_database
+
+# ------------------------------------------------------------------ options
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="A framework for testing query transformation rules "
-        "(SIGMOD 2009 reproduction).",
-    )
-    parser.add_argument(
+class _Option:
+    """One ``add_argument`` call, declared once.
+
+    Calling an option returns the same option with a command's own
+    keywords (default, help, ``required``) laid over the shared ones.
+    """
+
+    def __init__(self, *flags: str, **spec) -> None:
+        self.flags = flags
+        self.spec = spec
+
+    def __call__(self, **spec) -> "_Option":
+        return _Option(*self.flags, **{**self.spec, **spec})
+
+
+class _OneOf:
+    """A required, mutually exclusive group of options."""
+
+    def __init__(self, *options: _Option) -> None:
+        self.options = options
+
+
+def _add_options(parser, options) -> None:
+    for option in options:
+        if isinstance(option, _OneOf):
+            _add_options(
+                parser.add_mutually_exclusive_group(required=True),
+                option.options,
+            )
+        else:
+            parser.add_argument(*option.flags, **option.spec)
+
+
+GLOBAL_OPTIONS = (
+    _Option(
         "--seed", type=int, default=0, help="seed for database and generators"
-    )
-    parser.add_argument(
-        "--database",
-        choices=["tpch", "star"],
-        default="tpch",
+    ),
+    _Option(
+        "--database", choices=["tpch", "star"], default="tpch",
         help="which built-in test database to run against",
-    )
-    parser.add_argument(
+    ),
+    _Option(
         "--workers", type=int, default=1,
         help="worker processes for batched plan/cost requests (default 1)",
-    )
-    parser.add_argument(
+    ),
+    _Option(
         "--no-cache", action="store_true",
         help="disable the plan service's in-memory and on-disk caches",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+    ),
+)
 
-    commands.add_parser("ddl", help="print the test database schema")
+# Options more than one command takes; each command attaches them with its
+# own default and help.
+# -- rule selection
+RULES = _Option("--rules", type=int)
+RULE_NAMES = _Option("--rule-names", nargs="+", default=None, metavar="RULE")
+K = _Option("--k", type=int)
+EXTRA_OPERATORS = _Option(
+    "--extra-operators", type=int,
+    help="extra random operators wrapped around generated queries",
+)
+# -- the mutant population of a fresh mutation campaign
+POOL = _Option("--pool", type=int, default=8)
+SAMPLE = _Option("--sample", type=int, default=None, metavar="N")
+POOL_SEEDS = _Option(
+    "--pool-seeds", type=int, nargs="+", default=None, metavar="SEED"
+)
+# -- report rendering
+FORMAT = _Option(
+    "--format", choices=["text", "json", "markdown"], default="text"
+)
+OUTPUT = _Option(
+    "--output", help="write the report to this file instead of stdout"
+)
+# -- the rest
+SQL = _Option("--sql")
+RULE = _Option("--rule")
+GENERATION_METHOD = _Option(
+    "--method", choices=["pattern", "random"], default="pattern"
+)
+FAULT = _Option("--fault", choices=sorted(ALL_FAULTS))
+FAIL_UNDER = _Option(
+    "--fail-under", type=float, default=None, metavar="FRACTION"
+)
+DISABLE = _Option(
+    "--disable", action="append", default=[],
+    help="rule name to disable (repeatable)",
+)
 
-    rules = commands.add_parser("rules", help="list transformation rules")
-    rules.add_argument(
-        "--patterns", action="store_true", help="include pattern XML"
-    )
-
-    generate = commands.add_parser(
-        "generate", help="generate a query exercising a rule (or pair)"
-    )
-    generate.add_argument("--rule", required=True)
-    generate.add_argument("--pair", help="second rule for pair generation")
-    generate.add_argument(
-        "--method", choices=["pattern", "random"], default="pattern"
-    )
-    generate.add_argument("--max-trials", type=int, default=None)
-    generate.add_argument(
-        "--extra-operators", type=int, default=0,
-        help="wrap the result in N extra random operators",
-    )
-
-    optimize = commands.add_parser(
-        "optimize", help="optimize a SQL query and show plan + RuleSet"
-    )
-    optimize.add_argument("--sql", required=True)
-    optimize.add_argument(
-        "--disable", action="append", default=[],
-        help="rule name to disable (repeatable)",
-    )
-    optimize.add_argument(
-        "--execute", action="store_true", help="also execute and show rows"
-    )
-
-    correctness = commands.add_parser(
-        "correctness", help="run a compressed correctness test suite"
-    )
-    correctness.add_argument("--rules", type=int, default=8)
-    correctness.add_argument("--k", type=int, default=3)
-    correctness.add_argument(
-        "--method", choices=["baseline", "smc", "topk"], default="topk"
-    )
-
-    diff = commands.add_parser(
-        "diff",
-        help="differential campaign: fan a generated suite across a "
-        "fleet of execution backends (see docs/BACKENDS.md)",
-    )
-    diff.add_argument(
-        "--backends", default="engine,sqlite",
-        help="comma-separated fleet; the first member is the reference "
-        "(default engine,sqlite; duckdb joins when installed)",
-    )
-    diff.add_argument(
-        "--rules", type=int, default=6,
-        help="exploration rules the suite is generated for (default 6)",
-    )
-    diff.add_argument(
-        "--rule-names", nargs="+", default=None, metavar="RULE",
-        help="generate the suite for exactly these exploration rules "
-        "(overrides --rules; e.g. the subquery-unnesting family)",
-    )
-    diff.add_argument(
-        "--k", type=int, default=2, help="queries per rule (default 2)"
-    )
-    diff.add_argument(
-        "--extra-operators", type=int, default=2,
-        help="extra random operators wrapped around generated queries",
-    )
-    diff.add_argument(
-        "--fault", choices=sorted(ALL_FAULTS),
-        help="replace a rule with its seeded buggy variant first (the "
-        "fleet should then disagree -- a self-test of the oracle)",
-    )
-    diff.add_argument(
-        "--format", choices=["text", "json", "markdown"], default="text",
-    )
-    diff.add_argument(
-        "--output", help="write the report to this file instead of stdout"
-    )
-    diff.add_argument(
-        "--collect-out", metavar="PATH",
-        help="also write the deterministic JSON collect artifact to PATH",
-    )
-
-    coverage = commands.add_parser(
-        "coverage", help="rule-coverage campaign over the rule library"
-    )
-    coverage.add_argument("--rules", type=int, default=10)
-    coverage.add_argument(
-        "--method", choices=["pattern", "random"], default="pattern"
-    )
-    coverage.add_argument("--pairs", action="store_true")
-
-    interaction = commands.add_parser(
-        "interaction",
-        help="generate a query with a derived rule interaction (Section 7)",
-    )
-    interaction.add_argument("--producer", required=True)
-    interaction.add_argument("--consumer", required=True)
-
-    campaign = commands.add_parser(
-        "campaign",
-        help="full pipeline (coverage + compression + correctness) as a "
-        "markdown report",
-    )
-    campaign.add_argument("--rules", type=int, default=10)
-    campaign.add_argument("--k", type=int, default=3)
-    campaign.add_argument(
-        "--output", help="write the markdown report to this file"
-    )
-    campaign.add_argument(
-        "--mutants", type=int, default=0, metavar="N",
-        help="additionally run a mutation campaign sampled to at most N "
-        "mutants and append its kill matrix to the report",
-    )
-
-    mutate = commands.add_parser(
-        "mutate",
-        help="mutation campaign: auto-generated rule faults scored "
-        "against full vs compressed suites (see docs/TESTING.md)",
-    )
-    mutate.add_argument(
-        "--rules", type=int, default=10,
-        help="number of exploration rules to mutate (default 10)",
-    )
-    mutate.add_argument(
-        "--rule-names", nargs="+", default=None, metavar="RULE",
-        help="mutate exactly these exploration rules (overrides --rules)",
-    )
-    mutate.add_argument(
-        "--operators", action="append", default=None,
-        metavar="NAME",
-        help="mutation operator to apply, repeatable (default: all; see "
-        "`repro mutate --list-operators`)",
-    )
-    mutate.add_argument(
-        "--list-operators", action="store_true",
-        help="list available mutation operators and exit",
-    )
-    mutate.add_argument(
-        "--pool", type=int, default=8,
-        help="queries regenerated per mutant -- the FULL suite (default 8)",
-    )
-    mutate.add_argument(
-        "--k", type=int, default=2,
-        help="queries the compressed suites (SMC/TOPK) select (default 2)",
-    )
-    mutate.add_argument(
-        "--sample", type=int, default=None, metavar="N",
-        help="stride-sample the mutant set down to at most N mutants "
-        "(CI smoke mode)",
-    )
-    mutate.add_argument(
-        "--extra-operators", type=int, default=4,
-        help="extra random operators wrapped around generated queries",
-    )
-    mutate.add_argument(
-        "--pool-seeds", type=int, nargs="+", default=None, metavar="SEED",
-        help="generation seeds whose per-mutant pools are unioned "
-        "(default: the global --seed; more seeds = more detection power)",
-    )
-    mutate.add_argument(
-        "--format", choices=["text", "json", "markdown"], default="text",
-    )
-    mutate.add_argument(
-        "--output", help="write the report to this file instead of stdout"
-    )
-    mutate.add_argument(
-        "--fail-under", type=float, default=None, metavar="FRACTION",
-        help="exit non-zero when the FULL suite's detection score over "
-        "expected-detectable mutants is below this fraction (e.g. 0.9)",
-    )
-
-    compress = commands.add_parser(
-        "compress",
-        help="detection-aware suite compression over a mutation kill "
-        "matrix (see docs/COMPRESSION.md)",
-    )
-    compress.add_argument(
-        "--matrix", metavar="PATH",
-        help="reuse a `repro mutate --format json` artifact instead of "
-        "running a fresh campaign",
-    )
-    compress.add_argument(
-        "--objective", choices=["coverage", "detection", "pareto"],
-        default="detection",
-        help="coverage: score the campaign's k-coverage variants; "
-        "detection: greedy kill-per-cost selection; pareto: sweep "
-        "budgets into a cost-vs-detection frontier (default detection)",
-    )
-    compress.add_argument(
-        "--base-k", type=int, default=2, metavar="K",
-        help="per-rule budget of the detection objective (default 2; "
-        "matches the campaign's k for a like-for-like comparison)",
-    )
-    compress.add_argument(
-        "--ks", type=int, nargs="+", default=None, metavar="K",
-        help="budgets swept by --objective pareto (default 1 2 3 4 6)",
-    )
-    compress.add_argument(
-        "--no-adaptive", action="store_true",
-        help="disable the adaptive per-rule budget raises",
-    )
-    compress.add_argument(
-        "--max-k", type=int, default=None, metavar="K",
-        help="cap for adaptive budget raises (default: the pool size)",
-    )
-    compress.add_argument(
-        "--no-cross-validate", action="store_true",
-        help="skip the leave-one-out generalization score (faster on "
-        "large matrices)",
-    )
-    compress.add_argument(
-        "--rules", type=int, default=10,
-        help="exploration rules mutated when no --matrix is given",
-    )
-    compress.add_argument(
-        "--pool", type=int, default=8,
-        help="queries regenerated per mutant for a fresh campaign",
-    )
-    compress.add_argument(
-        "--k", type=int, default=2,
-        help="k of the campaign's coverage variants (fresh campaign)",
-    )
-    compress.add_argument(
-        "--sample", type=int, default=None, metavar="N",
-        help="stride-sample the fresh campaign's mutants (CI smoke mode)",
-    )
-    compress.add_argument(
-        "--extra-operators", type=int, default=4,
-        help="extra random operators wrapped around generated queries",
-    )
-    compress.add_argument(
-        "--pool-seeds", type=int, nargs="+", default=None, metavar="SEED",
-        help="generation seeds whose per-mutant pools are unioned",
-    )
-    compress.add_argument(
-        "--differential", metavar="BACKENDS", default=None,
-        help="comma-separated backend fleet folded in as a second kill "
-        "oracle during the fresh campaign (first must be 'engine', "
-        "e.g. engine,sqlite)",
-    )
-    compress.add_argument(
-        "--format", choices=["text", "json", "markdown"], default="text",
-    )
-    compress.add_argument(
-        "--output", help="write the report to this file instead of stdout"
-    )
-    compress.add_argument(
-        "--pareto-out", metavar="PATH",
-        help="also write the deterministic Pareto JSON artifact to PATH "
-        "(implies computing the pareto sweep)",
-    )
-    compress.add_argument(
-        "--matrix-out", metavar="PATH",
-        help="also write the distilled kill matrix as JSON to PATH",
-    )
-    compress.add_argument(
-        "--fail-under", type=float, default=None, metavar="FRACTION",
-        help="exit non-zero when the selected objective's detection rate "
-        "over expected-detectable mutants is below this fraction",
-    )
-
-    analyze = commands.add_parser(
-        "analyze",
-        help="static analysis: lint the registry and verify substitutions "
-        "symbolically (see docs/ANALYSIS.md)",
-    )
-    analyze.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    analyze.add_argument(
-        "--seeds", type=int, default=6,
-        help="bindings synthesized per rule per workload",
-    )
-    analyze.add_argument(
-        "--skip-lint", action="store_true", help="skip the registry lint"
-    )
-    analyze.add_argument(
-        "--skip-verify", action="store_true",
-        help="skip symbolic substitution verification",
-    )
-    analyze.add_argument(
-        "--skip-astlint", action="store_true",
-        help="skip the implementation AST lint",
-    )
-    analyze.add_argument(
-        "--interactions", action="store_true",
-        help="compute the rule-interaction graph (IG4xx) and include it "
-        "in the report (JSON mode adds an 'interaction_graph' key)",
-    )
-    analyze.add_argument(
-        "--interactions-dot", metavar="PATH",
-        help="with --interactions: write the confirmed-edge subgraph as "
-        "Graphviz DOT to PATH",
-    )
-    analyze.add_argument(
-        "--gate", metavar="RULE",
-        help="run the admission gate on one rule of the (possibly "
-        "fault-injected) registry; a rejection exits non-zero",
-    )
-    analyze.add_argument(
-        "--gate-all", action="store_true",
-        help="run the admission gate on every exploration rule",
-    )
-    analyze.add_argument(
-        "--gate-static-only", action="store_true",
-        help="skip the gate's dynamic differential check (the gate always "
-        "uses its own calibrated TPC-H build, not --database/--seed)",
-    )
-    analyze.add_argument(
-        "--plans", type=int, default=0, metavar="N",
-        help="additionally optimize N random queries with the plan "
-        "sanitizer enabled and assert cost monotonicity",
-    )
-    analyze.add_argument(
-        "--fault", choices=sorted(ALL_FAULTS),
-        help="replace a rule with its seeded buggy variant before analyzing",
-    )
-    analyze.add_argument(
-        "--fail-on", choices=["error", "warning"], default="error",
-        help="lowest severity that makes the exit code non-zero",
-    )
-
-    trace = commands.add_parser(
-        "trace",
-        help="optimize with tracing enabled and show rule firing counts "
-        "(see docs/OBSERVABILITY.md)",
-    )
-    trace_target = trace.add_mutually_exclusive_group(required=True)
-    trace_target.add_argument(
-        "--sql", help="trace the optimization of this SQL query"
-    )
-    trace_target.add_argument(
-        "--rule",
-        help="generate a query exercising this rule, then trace it",
-    )
-    trace_target.add_argument(
-        "--campaign", action="store_true",
-        help="trace a full testing campaign",
-    )
-    trace.add_argument(
-        "--format", choices=["text", "json", "chrome"], default="text",
-        help="text: rule table; json: deterministic event dump; chrome: "
-        "chrome://tracing / Perfetto trace-event JSON",
-    )
-    trace.add_argument(
-        "--top", type=int, default=10, metavar="N",
-        help="rows in the hot-rule table (text format, default 10)",
-    )
-    trace.add_argument(
-        "--rules", type=int, default=6,
-        help="rules under test for --campaign (default 6)",
-    )
-    trace.add_argument("--k", type=int, default=2, help="queries per rule")
-    trace.add_argument(
-        "--disable", action="append", default=[],
-        help="rule name to disable (repeatable)",
-    )
-    trace.add_argument(
-        "--detail", choices=["full", "summary"], default="full",
-        help="full: every rule attempt / memo insert / costing as an "
-        "event; summary: low-volume events only (counts stay exact)",
-    )
-    trace.add_argument(
-        "--out", help="write the trace to this file instead of stdout"
-    )
-
-    cache = commands.add_parser(
-        "cache", help="inspect or clear the persistent plan cache"
-    )
-    cache_action = cache.add_mutually_exclusive_group(required=True)
-    cache_action.add_argument(
-        "--stats", action="store_true", help="show cache statistics"
-    )
-    cache_action.add_argument(
-        "--clear", action="store_true", help="remove all cached records"
-    )
-
-    return parser
+# ----------------------------------------------------------------- commands
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+class Command(NamedTuple):
+    help: str
+    options: Tuple
+    handler: Callable[[argparse.Namespace, "_Session"], int]
 
-    if args.command == "cache":
-        root = default_cache_dir()
-        if args.clear:
-            removed = clear_cache(root)
-            print(f"removed {removed} cached records from {root}")
-            return 0
-        stats = cache_stats(root)
-        print(f"cache directory: {root}")
-        print(f"environments: {len(stats['environments'])}")
-        for name, env in stats["environments"].items():
-            print(f"  {name}: {env['entries']} records, {env['bytes']} bytes")
-        print(f"total: {stats['entries']} records, {stats['bytes']} bytes")
-        return 0
 
-    if args.database == "star":
-        from repro.workloads import star_database
+#: Every subcommand, in ``--help`` order; filled in by :func:`command`.
+COMMANDS: Dict[str, Command] = {}
 
-        database = star_database(seed=args.seed)
-    else:
-        database = tpch_database(seed=args.seed)
-    registry = default_registry()
-    service = PlanService(
-        database,
-        registry=registry,
-        workers=args.workers,
-        cache_dir=None if args.no_cache else default_cache_dir(),
-        memory_cache=not args.no_cache,
-    )
 
-    if args.command == "ddl":
-        print(database.catalog.ddl())
-        print()
-        print(database.describe())
-        return 0
+def command(name: str, help: str, *options):
+    """Register the decorated handler as subcommand ``name``."""
 
-    if args.command == "rules":
-        for rule in registry.exploration_rules:
-            kind = "exploration"
-            print(f"{rule.name:<28} {kind}")
-            if args.patterns:
-                print(f"    {registry.pattern_xml(rule.name)}")
-        for rule in registry.implementation_rules:
-            print(f"{rule.name:<28} implementation")
-            if args.patterns:
-                print(f"    {registry.pattern_xml(rule.name)}")
-        return 0
+    def register(handler):
+        COMMANDS[name] = Command(help, options, handler)
+        return handler
 
-    if args.command == "generate":
-        generator = QueryGenerator(
-            database, registry, seed=args.seed, service=service
+    return register
+
+
+class _Session:
+    """What a handler may ask for; each resource is built on first use, so
+    a command pays only for what it touches."""
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+
+    @cached_property
+    def database(self):
+        build = star_database if self.args.database == "star" else tpch_database
+        return build(seed=self.args.seed)
+
+    @cached_property
+    def registry(self):
+        """The default registry -- with ``--fault``'s seeded buggy variant
+        swapped in, for the commands that take that option."""
+        registry = default_registry()
+        fault = getattr(self.args, "fault", None)
+        if fault:
+            registry = registry.with_replaced_rule(ALL_FAULTS[fault]())
+        return registry
+
+    @cached_property
+    def service(self) -> PlanService:
+        """The persistent service: cached on disk under
+        ``$REPRO_CACHE_DIR`` and in memory unless ``--no-cache``."""
+        return PlanService(
+            self.database,
+            registry=self.registry,
+            workers=self.args.workers,
+            cache_dir=None if self.args.no_cache else default_cache_dir(),
+            memory_cache=not self.args.no_cache,
         )
-        if args.pair:
-            if args.method == "pattern":
-                outcome = generator.pattern_query_for_pair(
-                    args.rule, args.pair,
-                    max_trials=args.max_trials or 60,
-                )
-            else:
-                outcome = generator.random_query_for_pair(
-                    args.rule, args.pair,
-                    max_trials=args.max_trials or 2000,
-                )
-        elif args.method == "pattern":
-            outcome = generator.pattern_query_for_rule(
-                args.rule,
-                max_trials=args.max_trials or 25,
-                extra_operators=args.extra_operators,
+
+    def memory_service(self, **hooks) -> PlanService:
+        """A fresh memory-only service, for runs whose registry may be
+        mutated (it must never share the name-keyed disk cache) or whose
+        event sequence must not depend on what an earlier run cached."""
+        return PlanService(
+            self.database, registry=self.registry,
+            workers=self.args.workers, cache_dir=None, **hooks,
+        )
+
+    def rule_names(self) -> List[str]:
+        """``--rule-names`` when the command has it and it was given, else
+        the first ``--rules`` exploration rules."""
+        try:
+            return select_rules(
+                self.registry, self.args.rules,
+                getattr(self.args, "rule_names", None),
             )
-        else:
-            outcome = generator.random_query_for_rule(
-                args.rule, max_trials=args.max_trials or 500
-            )
-        target = " + ".join(outcome.target_rules)
-        if not outcome.succeeded:
-            print(
-                f"FAILED to generate a query exercising {target} in "
-                f"{outcome.trials} trials"
-            )
-            return 1
-        print(f"target rule(s): {target}")
-        print(f"trials: {outcome.trials}")
-        print(f"operators: {outcome.operator_count}")
-        print(f"sql: {outcome.sql}")
-        return 0
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
 
-    if args.command == "optimize":
-        tree = sql_to_tree(args.sql, database.catalog)
-        result = service.optimize(
-            tree, DEFAULT_CONFIG.with_disabled(args.disable)
-        )
-        print(f"cost: {result.cost:.3f}")
-        exploration = {r.name for r in registry.exploration_rules}
-        print("RuleSet(q):", ", ".join(sorted(result.rules_exercised & exploration)))
-        if args.execute:
-            print(explain_analyze(result.plan, database))
-            output = execute_plan(result.plan, database, result.output_columns)
-            print(output.to_text())
-        else:
-            print(result.plan.pretty())
-        return 0
-
-    if args.command == "correctness":
-        names = registry.exploration_rule_names[: args.rules]
-        builder = TestSuiteBuilder(
-            database, registry, seed=args.seed, extra_operators=2,
-            service=service,
-        )
-        suite = builder.build(singleton_nodes(names), k=args.k)
-        oracle = CostOracle(database, registry, service=service)
-        maker = {
-            "baseline": baseline_plan,
-            "smc": set_multicover_plan,
-            "topk": top_k_independent_plan,
-        }[args.method]
-        plan = maker(suite, oracle)
-        print(
-            f"{plan.method}: estimated execution cost "
-            f"{plan.total_cost:.1f}, {len(plan.selected_query_ids)} queries"
-        )
-        report = CorrectnessRunner(
-            database, registry, service=service
-        ).run(plan, suite)
-        print(
-            f"executed {report.queries_executed} queries, "
-            f"{report.disabled_plans_executed} disabled plans "
-            f"({report.skipped_identical_plans} identical plans skipped)"
-        )
-        for issue in report.issues:
-            print(f"BUG: {issue}")
-        for error in report.errors:
-            print(f"ERROR: {error}")
-        print("PASSED" if report.passed else "FAILED")
-        return 0 if report.passed else 1
-
-    if args.command == "coverage":
-        generator = QueryGenerator(
-            database, registry, seed=args.seed, service=service
-        )
-        campaign = CoverageCampaign(generator)
-        names = registry.exploration_rule_names[: args.rules]
-        if args.pairs:
-            report = campaign.pairs(names, method=args.method)
-        else:
-            report = campaign.singletons(names, method=args.method)
-        print(report.summary())
-        return 0 if not report.uncovered else 1
-
-    if args.command == "interaction":
-        generator = QueryGenerator(
-            database, registry, seed=args.seed, service=service
-        )
-        outcome = generator.derived_interaction_query(
-            args.producer, args.consumer
-        )
-        if not outcome.succeeded:
-            print(
-                f"no query found where {args.consumer} fires on "
-                f"{args.producer}'s output ({outcome.trials} trials)"
-            )
-            return 1
-        print(
-            f"{args.consumer} exercised on an expression produced by "
-            f"{args.producer} ({outcome.trials} trials):"
-        )
-        print(outcome.sql)
-        return 0
-
-    if args.command == "diff":
-        return _run_diff(args, database, registry)
-
-    if args.command == "mutate":
-        return _run_mutate(args, database, registry)
-
-    if args.command == "compress":
-        return _run_compress(args, database, registry)
-
-    if args.command == "campaign":
-        from repro.testing.report import run_campaign
-
-        names = registry.exploration_rule_names[: args.rules]
-        result = run_campaign(
-            database, registry, rule_names=names, k=args.k, seed=args.seed,
-            service=service, mutation_sample=args.mutants,
-        )
-        text = result.to_markdown()
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text)
-            print(f"report written to {args.output}")
-        else:
-            print(text)
-        return 0 if result.passed else 1
-
-    if args.command == "trace":
-        return _run_trace(args, database, registry)
-
-    if args.command == "analyze":
-        import json as json_module
-        from pathlib import Path
-
-        from repro.analysis import (
-            AnalysisReport,
-            AstLinter,
-            InteractionAnalyzer,
-            RegistryLinter,
-            RuleGate,
-            Severity,
-            SubstitutionVerifier,
-            default_workloads,
+    def generator(self) -> QueryGenerator:
+        return QueryGenerator(
+            self.database, self.registry, seed=self.args.seed,
+            service=self.service,
         )
 
-        analysis_registry = registry
-        if args.fault:
-            analysis_registry = registry.with_replaced_rule(
-                ALL_FAULTS[args.fault]()
-            )
-        workloads = default_workloads(seed=args.seed or 1)
-        docs_path = Path(__file__).resolve().parents[2] / "docs" / "RULES.md"
-        report = AnalysisReport()
-        if not args.skip_lint:
-            linter = RegistryLinter(
-                analysis_registry,
-                workloads,
-                samples_per_workload=args.seeds,
-                seed=args.seed,
-                docs_path=docs_path if docs_path.exists() else None,
-            )
-            report.merge(linter.run())
-        if not args.skip_verify:
-            verifier = SubstitutionVerifier(
-                analysis_registry,
-                workloads,
-                samples_per_workload=args.seeds,
-                seed=args.seed,
-            )
-            report.merge(verifier.run())
-        if not args.skip_astlint:
-            report.merge(AstLinter(analysis_registry).run())
-        graph = None
-        if args.interactions:
-            analyzer = InteractionAnalyzer(
-                analysis_registry, workloads, seed=args.seed
-            )
-            report.merge(analyzer.run())
-            graph = analyzer.build_graph()
-            if args.interactions_dot:
-                Path(args.interactions_dot).write_text(graph.to_dot())
-        verdicts = []
-        if args.gate or args.gate_all:
-            gate = RuleGate(analysis_registry, workloads=workloads)
-            if args.gate:
-                verdicts.append(
-                    gate.check(args.gate, static_only=args.gate_static_only)
-                )
-            else:
-                verdicts = gate.check_all(
-                    static_only=args.gate_static_only
-                )
-        rejected = [v for v in verdicts if not v.admitted]
-        if args.plans:
-            report.merge(
-                _sanitized_plan_smoke(
-                    database, analysis_registry, args.plans, args.seed
-                )
-            )
-        if args.json:
-            payload = json_module.loads(report.to_json())
-            if graph is not None:
-                payload["interaction_graph"] = graph.to_json_dict()
-            if verdicts:
-                payload["gate"] = [v.to_dict() for v in verdicts]
-                payload["gate_rejected"] = [v.rule_name for v in rejected]
-            print(json_module.dumps(payload, indent=2, sort_keys=False))
-        else:
-            print(report.to_text())
-            for verdict in verdicts:
-                status = "ADMITTED" if verdict.admitted else "REJECTED"
-                line = f"gate {verdict.rule_name}: {status}"
-                if verdict.dynamic_status:
-                    line += f" (dynamic: {verdict.dynamic_status})"
-                print(line)
-                for reason in verdict.reasons:
-                    print(f"  - {reason}")
-        threshold = (
-            Severity.ERROR if args.fail_on == "error" else Severity.WARNING
-        )
-        if rejected:
-            return 1
-        return 1 if report.at_or_above(threshold) else 0
 
-    raise AssertionError(f"unhandled command {args.command}")
-
-
-def _selected_rules(args, registry):
-    """Rule names a campaign subcommand targets: the explicit
-    ``--rule-names`` list (validated against the registry) when given,
-    else the first ``--rules`` registered exploration rules."""
-    requested = getattr(args, "rule_names", None)
-    if not requested:
-        return registry.exploration_rule_names[: args.rules]
-    known = set(registry.exploration_rule_names)
-    unknown = sorted(set(requested) - known)
-    if unknown:
-        raise SystemExit(
-            "unknown exploration rules: " + ", ".join(unknown)
-        )
-    return list(requested)
-
-
-def _by_format(report):
-    """``fmt -> str`` over a report's ``to_json`` / ``to_markdown`` /
-    ``to_text``."""
-    def render(fmt: str) -> str:
-        if fmt == "json":
-            return report.to_json()
-        if fmt == "markdown":
-            return report.to_markdown()
-        return report.to_text()
-    return render
+def _emit(text: str, path: Optional[str] = None, label: str = "report",
+          end: str = "\n") -> None:
+    """Print ``text``, or write it (plus ``end``) to ``path`` and say so."""
+    if not path:
+        print(text)
+        return
+    with open(path, "w") as handle:
+        handle.write(text + end)
+    print(f"{label} written to {path}")
 
 
 def _emit_report(args, render, echo_text: bool) -> None:
-    """Print ``render(args.format)``, or write it to ``--output``; with
+    """``render(args.format)`` to stdout or ``--output``; with
     ``echo_text`` a json/markdown file still leaves the text form on
     stdout."""
-    output = render(args.format)
-    if not args.output:
-        print(output)
-        return
-    with open(args.output, "w") as handle:
-        handle.write(output + "\n")
-    print(f"report written to {args.output}")
-    if echo_text and args.format != "text":
+    _emit(render(args.format), args.output)
+    if args.output and echo_text and args.format != "text":
         print(render("text"))
 
 
-def _run_diff(args, database, registry) -> int:
-    """The ``repro diff`` subcommand: run the differential backend fleet.
+def _by_format(report) -> Callable[[str], str]:
+    """``fmt -> str`` over a report's ``to_json`` / ``to_markdown`` /
+    ``to_text``."""
+    renderers = {"json": report.to_json, "markdown": report.to_markdown}
+    return lambda fmt: renderers.get(fmt, report.to_text)()
 
-    Uses its own memory-only plan service: with ``--fault`` the registry
-    is mutated, and mutated registries must never share the name-keyed
-    persistent cache (a clean build's plans would be served back).
-    """
-    from repro.backends import create_backends
-    from repro.obs import MetricsRegistry
-    from repro.testing.differential import DifferentialRunner
 
-    if args.fault:
-        registry = registry.with_replaced_rule(ALL_FAULTS[args.fault]())
-    service = PlanService(
-        database, registry=registry, workers=args.workers, cache_dir=None
+def _fails_under(args, rate: Optional[float], what: str) -> int:
+    """Exit code of the ``--fail-under`` gate over a detection ``rate``."""
+    if args.fail_under is None or (
+        rate is not None and rate >= args.fail_under
+    ):
+        return 0
+    shown = "n/a" if rate is None else f"{rate:.0%}"
+    print(f"FAILED: {what} {shown} below --fail-under {args.fail_under:.0%}")
+    return 1
+
+
+def _mutation_campaign(args, env, metrics, backends=None) -> MutationCampaign:
+    """The fresh campaign ``mutate`` and ``compress`` run.  Per-mutant plan
+    services are memory-only, so ``--no-cache`` is irrelevant here;
+    ``--workers`` is honoured per mutant."""
+    return MutationCampaign(
+        env.database,
+        env.registry,
+        pool=args.pool,
+        k=args.k,
+        seeds=args.pool_seeds or (args.seed,),
+        extra_operators=args.extra_operators,
+        workers=args.workers,
+        metrics=metrics,
+        differential_backends=backends,
     )
 
-    names = _selected_rules(args, registry)
-    builder = TestSuiteBuilder(
-        database, registry, seed=args.seed,
+
+def _generation_failed(outcome) -> int:
+    target = " + ".join(outcome.target_rules)
+    print(
+        f"FAILED to generate a query exercising {target} in "
+        f"{outcome.trials} trials"
+    )
+    return 1
+
+
+def _names(text: str) -> List[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+@command("ddl", "print the test database schema")
+def _ddl(args, env) -> int:
+    print(env.database.catalog.ddl())
+    print()
+    print(env.database.describe())
+    return 0
+
+
+@command(
+    "rules", "list transformation rules",
+    _Option("--patterns", action="store_true", help="include pattern XML"),
+)
+def _rules(args, env) -> int:
+    registry = env.registry
+    for kind, rules in (
+        ("exploration", registry.exploration_rules),
+        ("implementation", registry.implementation_rules),
+    ):
+        for rule in rules:
+            print(f"{rule.name:<28} {kind}")
+            if args.patterns:
+                print(f"    {registry.pattern_xml(rule.name)}")
+    return 0
+
+
+@command(
+    "generate", "generate a query exercising a rule (or pair)",
+    RULE(required=True),
+    _Option("--pair", help="second rule for pair generation"),
+    GENERATION_METHOD,
+    _Option("--max-trials", type=int, default=None),
+    EXTRA_OPERATORS(
+        default=0, help="wrap the result in N extra random operators"
+    ),
+)
+def _generate(args, env) -> int:
+    node = (args.rule, args.pair) if args.pair else (args.rule,)
+    max_trials = args.max_trials
+    if max_trials is None and args.pair and args.method == "pattern":
+        max_trials = 60  # this command's allowance; the library's is 50
+    outcome = env.generator().query_for_node(
+        node, args.method, max_trials, args.extra_operators
+    )
+    if not outcome.succeeded:
+        return _generation_failed(outcome)
+    print(f"target rule(s): {' + '.join(outcome.target_rules)}")
+    print(f"trials: {outcome.trials}")
+    print(f"operators: {outcome.operator_count}")
+    print(f"sql: {outcome.sql}")
+    return 0
+
+
+@command(
+    "optimize", "optimize a SQL query and show plan + RuleSet",
+    SQL(required=True),
+    DISABLE,
+    _Option(
+        "--execute", action="store_true", help="also execute and show rows"
+    ),
+)
+def _optimize(args, env) -> int:
+    database = env.database
+    tree = sql_to_tree(args.sql, database.catalog)
+    result = env.service.optimize(
+        tree, DEFAULT_CONFIG.with_disabled(args.disable)
+    )
+    print(f"cost: {result.cost:.3f}")
+    exploration = set(env.registry.exploration_rule_names)
+    print("RuleSet(q):", ", ".join(sorted(result.rules_exercised & exploration)))
+    if args.execute:
+        print(explain_analyze(result.plan, database))
+        output = execute_plan(result.plan, database, result.output_columns)
+        print(output.to_text())
+    else:
+        print(result.plan.pretty())
+    return 0
+
+
+@command(
+    "correctness", "run a compressed correctness test suite",
+    RULES(default=8),
+    K(default=3),
+    _Option("--method", choices=["baseline", "smc", "topk"], default="topk"),
+)
+def _correctness(args, env) -> int:
+    database, registry, service = env.database, env.registry, env.service
+    suite = rule_suite(
+        database, registry, env.rule_names(), args.k, seed=args.seed,
+        service=service,
+    )
+    oracle = CostOracle(database, registry, service=service)
+    plan = COMPRESSION_METHODS[args.method.upper()](suite, oracle)
+    print(
+        f"{plan.method}: estimated execution cost "
+        f"{plan.total_cost:.1f}, {len(plan.selected_query_ids)} queries"
+    )
+    report = CorrectnessRunner(database, registry, service=service).run(
+        plan, suite
+    )
+    print(
+        f"executed {report.queries_executed} queries, "
+        f"{report.disabled_plans_executed} disabled plans "
+        f"({report.skipped_identical_plans} identical plans skipped)"
+    )
+    for issue in report.issues:
+        print(f"BUG: {issue}")
+    for error in report.errors:
+        print(f"ERROR: {error}")
+    print("PASSED" if report.passed else "FAILED")
+    return 0 if report.passed else 1
+
+
+@command(
+    "diff",
+    "differential campaign: fan a generated suite across a "
+    "fleet of execution backends (see docs/BACKENDS.md)",
+    _Option(
+        "--backends", default="engine,sqlite",
+        help="comma-separated fleet; the first member is the reference "
+        "(default engine,sqlite; duckdb joins when installed)",
+    ),
+    RULES(
+        default=6,
+        help="exploration rules the suite is generated for (default 6)",
+    ),
+    RULE_NAMES(
+        help="generate the suite for exactly these exploration rules "
+        "(overrides --rules; e.g. the subquery-unnesting family)",
+    ),
+    K(default=2, help="queries per rule (default 2)"),
+    EXTRA_OPERATORS(default=2),
+    FAULT(
+        help="replace a rule with its seeded buggy variant first (the "
+        "fleet should then disagree -- a self-test of the oracle)",
+    ),
+    FORMAT,
+    OUTPUT,
+    _Option(
+        "--collect-out", metavar="PATH",
+        help="also write the deterministic JSON collect artifact to PATH",
+    ),
+)
+def _diff(args, env) -> int:
+    database, registry = env.database, env.registry
+    service = env.memory_service()
+    names = env.rule_names()
+    suite = rule_suite(
+        database, registry, names, args.k, seed=args.seed,
         extra_operators=args.extra_operators, service=service,
     )
-    suite = builder.build(singleton_nodes(names), k=args.k)
-
-    requested = [
-        name.strip() for name in args.backends.split(",") if name.strip()
-    ]
     try:
         backends, skipped = create_backends(
-            requested, database, registry=registry, service=service
+            _names(args.backends), database, registry=registry,
+            service=service,
         )
-    except ValueError as exc:
+        for name, reason in sorted(skipped.items()):
+            print(f"skipping backend {name}: {reason}", file=sys.stderr)
+        runner = DifferentialRunner(
+            database, backends,
+            skipped_backends=skipped, metrics=MetricsRegistry(),
+        )
+    except ValueError as exc:  # unknown name, or a fleet of fewer than two
         print(str(exc), file=sys.stderr)
         return 2
-    for name, reason in sorted(skipped.items()):
-        print(f"skipping backend {name}: {reason}", file=sys.stderr)
-    if len(backends) < 2:
-        print(
-            "differential testing needs at least two available backends "
-            f"(got {[backend.name for backend in backends]})",
-            file=sys.stderr,
-        )
-        return 2
-
-    runner = DifferentialRunner(
-        database, backends,
-        skipped_backends=skipped, metrics=MetricsRegistry(),
-    )
     report = runner.run(
         suite,
         suite_info={
@@ -851,100 +466,211 @@ def _run_diff(args, database, registry) -> int:
             "fault": args.fault,
         },
     )
-
     _emit_report(args, _by_format(report), echo_text=True)
     if args.collect_out:
-        with open(args.collect_out, "w") as handle:
-            handle.write(report.to_json() + "\n")
-        print(f"collect artifact written to {args.collect_out}")
+        _emit(report.to_json(), args.collect_out, "collect artifact")
     return 0 if report.passed else 1
 
 
-def _run_mutate(args, database, registry) -> int:
-    """The ``repro mutate`` subcommand: run the mutation campaign.
+@command(
+    "coverage", "rule-coverage campaign over the rule library",
+    RULES(default=10),
+    GENERATION_METHOD,
+    _Option("--pairs", action="store_true"),
+)
+def _coverage(args, env) -> int:
+    campaign = CoverageCampaign(env.generator())
+    run = campaign.pairs if args.pairs else campaign.singletons
+    report = run(env.rule_names(), method=args.method)
+    print(report.summary())
+    return 0 if not report.uncovered else 1
 
-    Per-mutant plan services are memory-only (mutated registries must not
-    share the name-keyed persistent cache), so the global ``--no-cache``
-    flag is irrelevant here; ``--workers`` is honoured per mutant.
-    """
-    from repro.obs import MetricsRegistry
-    from repro.testing.mutation import (
-        DEFAULT_OPERATORS,
-        MutationCampaign,
+
+@command(
+    "interaction",
+    "generate a query with a derived rule interaction (Section 7)",
+    _Option("--producer", required=True),
+    _Option("--consumer", required=True),
+)
+def _interaction(args, env) -> int:
+    outcome = env.generator().derived_interaction_query(
+        args.producer, args.consumer
     )
+    if not outcome.succeeded:
+        print(
+            f"no query found where {args.consumer} fires on "
+            f"{args.producer}'s output ({outcome.trials} trials)"
+        )
+        return 1
+    print(
+        f"{args.consumer} exercised on an expression produced by "
+        f"{args.producer} ({outcome.trials} trials):"
+    )
+    print(outcome.sql)
+    return 0
 
+
+@command(
+    "campaign",
+    "full pipeline (coverage + compression + correctness) as a "
+    "markdown report",
+    RULES(default=10),
+    K(default=3),
+    OUTPUT(help="write the markdown report to this file"),
+    _Option(
+        "--mutants", type=int, default=0, metavar="N",
+        help="additionally run a mutation campaign sampled to at most N "
+        "mutants and append its kill matrix to the report",
+    ),
+)
+def _campaign(args, env) -> int:
+    result = run_campaign(
+        env.database, env.registry, rule_names=env.rule_names(), k=args.k,
+        seed=args.seed, service=env.service, mutation_sample=args.mutants,
+    )
+    _emit(result.to_markdown(), args.output, end="")
+    return 0 if result.passed else 1
+
+
+@command(
+    "mutate",
+    "mutation campaign: auto-generated rule faults scored "
+    "against full vs compressed suites (see docs/TESTING.md)",
+    RULES(
+        default=10, help="number of exploration rules to mutate (default 10)"
+    ),
+    RULE_NAMES(
+        help="mutate exactly these exploration rules (overrides --rules)"
+    ),
+    _Option(
+        "--operators", action="append", default=None, metavar="NAME",
+        help="mutation operator to apply, repeatable (default: all; see "
+        "`repro mutate --list-operators`)",
+    ),
+    _Option(
+        "--list-operators", action="store_true",
+        help="list available mutation operators and exit",
+    ),
+    POOL(
+        help="queries regenerated per mutant -- the FULL suite (default 8)"
+    ),
+    K(
+        default=2,
+        help="queries the compressed suites (SMC/TOPK) select (default 2)",
+    ),
+    SAMPLE(
+        help="stride-sample the mutant set down to at most N mutants "
+        "(CI smoke mode)",
+    ),
+    EXTRA_OPERATORS(default=4),
+    POOL_SEEDS(
+        help="generation seeds whose per-mutant pools are unioned "
+        "(default: the global --seed; more seeds = more detection power)",
+    ),
+    FORMAT,
+    OUTPUT,
+    FAIL_UNDER(
+        help="exit non-zero when the FULL suite's detection score over "
+        "expected-detectable mutants is below this fraction (e.g. 0.9)",
+    ),
+)
+def _mutate(args, env) -> int:
     if args.list_operators:
         for operator in DEFAULT_OPERATORS:
             print(f"{operator.name:<20} {operator.description}")
         return 0
-
-    metrics = MetricsRegistry()
-    campaign = MutationCampaign(
-        database,
-        registry,
-        pool=args.pool,
-        k=args.k,
-        seed=args.seed,
-        seeds=args.pool_seeds,
-        extra_operators=args.extra_operators,
-        workers=args.workers,
-        metrics=metrics,
-    )
-    names = _selected_rules(args, registry)
+    campaign = _mutation_campaign(args, env, MetricsRegistry())
     report = campaign.run(
-        names, operators=args.operators, sample=args.sample
+        env.rule_names(), operators=args.operators, sample=args.sample
     )
-
     _emit_report(args, _by_format(report), echo_text=True)
-
-    score = report.detection_score("FULL")
-    if args.fail_under is not None:
-        if score is None or score < args.fail_under:
-            shown = "n/a" if score is None else f"{score:.0%}"
-            print(
-                f"FAILED: FULL detection score {shown} below "
-                f"--fail-under {args.fail_under:.0%}"
-            )
-            return 1
-    return 0
-
-
-def _run_compress(args, database, registry) -> int:
-    """The ``repro compress`` subcommand: detection-aware compression.
-
-    Consumes a kill matrix -- either a saved ``repro mutate --format
-    json`` artifact (``--matrix``) or a fresh campaign run here -- and
-    optimizes the compressed suite for mutant *detection* instead of
-    bare rule coverage.  All outputs are deterministic functions of the
-    matrix (see docs/COMPRESSION.md).
-    """
-    import json as json_module
-
-    from repro.obs import MetricsRegistry
-    from repro.testing.detection import (
-        DetectionError,
-        KillMatrix,
-        cross_validated_scores,
-        detection_plan,
-        pareto_report,
-        render_coverage,
-        render_detection,
-        score_selection,
+    return _fails_under(
+        args, report.detection_score("FULL"), "FULL detection score"
     )
 
+
+@command(
+    "compress",
+    "detection-aware suite compression over a mutation kill "
+    "matrix (see docs/COMPRESSION.md)",
+    _Option(
+        "--matrix", metavar="PATH",
+        help="reuse a `repro mutate --format json` artifact instead of "
+        "running a fresh campaign",
+    ),
+    _Option(
+        "--objective", choices=["coverage", "detection", "pareto"],
+        default="detection",
+        help="coverage: score the campaign's k-coverage variants; "
+        "detection: greedy kill-per-cost selection; pareto: sweep "
+        "budgets into a cost-vs-detection frontier (default detection)",
+    ),
+    _Option(
+        "--base-k", type=int, default=2, metavar="K",
+        help="per-rule budget of the detection objective (default 2; "
+        "matches the campaign's k for a like-for-like comparison)",
+    ),
+    _Option(
+        "--ks", type=int, nargs="+", default=None, metavar="K",
+        help="budgets swept by --objective pareto (default 1 2 3 4 6)",
+    ),
+    _Option(
+        "--no-adaptive", action="store_true",
+        help="disable the adaptive per-rule budget raises",
+    ),
+    _Option(
+        "--max-k", type=int, default=None, metavar="K",
+        help="cap for adaptive budget raises (default: the pool size)",
+    ),
+    _Option(
+        "--no-cross-validate", action="store_true",
+        help="skip the leave-one-out generalization score (faster on "
+        "large matrices)",
+    ),
+    RULES(
+        default=10, help="exploration rules mutated when no --matrix is given"
+    ),
+    POOL(help="queries regenerated per mutant for a fresh campaign"),
+    K(
+        default=2,
+        help="k of the campaign's coverage variants (fresh campaign)",
+    ),
+    SAMPLE(
+        help="stride-sample the fresh campaign's mutants (CI smoke mode)"
+    ),
+    EXTRA_OPERATORS(default=4),
+    POOL_SEEDS(help="generation seeds whose per-mutant pools are unioned"),
+    _Option(
+        "--differential", metavar="BACKENDS", default=None,
+        help="comma-separated backend fleet folded in as a second kill "
+        "oracle during the fresh campaign (first must be 'engine', "
+        "e.g. engine,sqlite)",
+    ),
+    FORMAT,
+    OUTPUT,
+    _Option(
+        "--pareto-out", metavar="PATH",
+        help="also write the deterministic Pareto JSON artifact to PATH "
+        "(implies computing the pareto sweep)",
+    ),
+    _Option(
+        "--matrix-out", metavar="PATH",
+        help="also write the distilled kill matrix as JSON to PATH",
+    ),
+    FAIL_UNDER(
+        help="exit non-zero when the selected objective's detection rate "
+        "over expected-detectable mutants is below this fraction",
+    ),
+)
+def _compress(args, env) -> int:
+    """Consumes a kill matrix -- a saved ``repro mutate --format json``
+    artifact (``--matrix``) or a fresh campaign run here; all outputs are
+    deterministic functions of the matrix (see docs/COMPRESSION.md)."""
     metrics = MetricsRegistry()
     if args.matrix:
         try:
-            with open(args.matrix) as handle:
-                payload = json_module.load(handle)
-            if isinstance(payload, dict) and "slot_costs" in payload:
-                # the distilled form written by --matrix-out; it carries
-                # no campaign summary, so coverage contrast is unavailable
-                matrix = KillMatrix.from_json_dict(payload)
-                payload = None
-            else:
-                matrix = KillMatrix.from_report_dict(payload)
-        except (OSError, ValueError, KeyError, DetectionError) as exc:
+            matrix, payload = detection.load_kill_matrix(args.matrix)
+        except (OSError, ValueError, KeyError, detection.DetectionError) as exc:
             print(f"cannot load kill matrix: {exc}", file=sys.stderr)
             return 2
         if args.objective == "coverage" and payload is None:
@@ -957,43 +683,24 @@ def _run_compress(args, database, registry) -> int:
             )
             return 2
     else:
-        from repro.testing.mutation import MutationCampaign
-
-        backends = None
-        if args.differential:
-            backends = [
-                name.strip()
-                for name in args.differential.split(",") if name.strip()
-            ]
-        campaign = MutationCampaign(
-            database,
-            registry,
-            pool=args.pool,
-            k=args.k,
-            seed=args.seed,
-            seeds=args.pool_seeds,
-            extra_operators=args.extra_operators,
-            workers=args.workers,
-            metrics=metrics,
-            differential_backends=backends,
+        campaign = _mutation_campaign(
+            args, env, metrics,
+            _names(args.differential) if args.differential else None,
         )
-        names = registry.exploration_rule_names[: args.rules]
-        report = campaign.run(names, sample=args.sample)
+        report = campaign.run(env.rule_names(), sample=args.sample)
         payload = report.to_dict()
-        matrix = KillMatrix.from_report_dict(payload)
+        matrix = detection.KillMatrix.from_report_dict(payload)
 
     if args.matrix_out:
-        with open(args.matrix_out, "w") as handle:
-            handle.write(json_module.dumps(
-                matrix.to_json_dict(), indent=2, sort_keys=True
-            ) + "\n")
-        print(f"kill matrix written to {args.matrix_out}")
+        _emit(
+            json.dumps(matrix.to_json_dict(), indent=2, sort_keys=True),
+            args.matrix_out, "kill matrix",
+        )
 
     adaptive = not args.no_adaptive
-    want_pareto = args.objective == "pareto" or bool(args.pareto_out)
     pareto = None
-    if want_pareto:
-        pareto = pareto_report(
+    if args.objective == "pareto" or args.pareto_out:
+        pareto = detection.pareto_report(
             matrix,
             report=payload,
             ks=tuple(args.ks) if args.ks else (1, 2, 3, 4, 6),
@@ -1003,77 +710,185 @@ def _run_compress(args, database, registry) -> int:
             metrics=metrics,
         )
         if args.pareto_out:
-            with open(args.pareto_out, "w") as handle:
-                handle.write(pareto.to_json() + "\n")
-            print(f"pareto artifact written to {args.pareto_out}")
+            _emit(pareto.to_json(), args.pareto_out, "pareto artifact")
 
     if args.objective == "pareto":
-        gate_rate = _pareto_gate_rate(pareto, args.base_k)
+        # --fail-under gates the adaptive detection point: the suite the
+        # objective recommends
+        point = pareto.point(f"detection-adaptive-k{args.base_k}")
+        gate_rate = None if point is None else point.detection_rate
         render = _by_format(pareto)
     elif args.objective == "detection":
-        plan = detection_plan(
+        plan = detection.detection_plan(
             matrix, base_k=args.base_k, adaptive=adaptive,
             max_k=args.max_k, metrics=metrics,
         )
-        score = score_selection(matrix, plan.selected, metrics=metrics)
+        score = detection.score_selection(matrix, plan.selected, metrics=metrics)
         cross = None
         if not args.no_cross_validate:
-            cross = cross_validated_scores(
+            cross = detection.cross_validated_scores(
                 matrix, base_k=args.base_k, adaptive=adaptive,
                 max_k=args.max_k,
             )
         gate_rate = score.rate
-        render = partial(render_detection, matrix, plan, score, cross)
+        render = partial(detection.render_detection, matrix, plan, score, cross)
     else:  # coverage: the campaign's own k-coverage variants, rescored
-        summary = payload.get("summary", {})
-        smc = summary.get("SMC", {})
+        smc = payload.get("summary", {}).get("SMC", {})
         gate_rate = smc.get("detection_score")
-        render = partial(render_coverage, matrix, payload)
+        render = partial(detection.render_coverage, matrix, payload)
 
     _emit_report(args, render, echo_text=False)
-
-    if args.fail_under is not None:
-        if gate_rate is None or gate_rate < args.fail_under:
-            shown = "n/a" if gate_rate is None else f"{gate_rate:.0%}"
-            print(
-                f"FAILED: {args.objective} objective detection rate "
-                f"{shown} below --fail-under {args.fail_under:.0%}"
-            )
-            return 1
-    return 0
+    return _fails_under(
+        args, gate_rate, f"{args.objective} objective detection rate"
+    )
 
 
-def _pareto_gate_rate(pareto, base_k: int):
-    """The rate ``--fail-under`` gates in pareto mode: the adaptive
-    detection point (the suite the objective recommends)."""
-    point = pareto.point(f"detection-adaptive-k{base_k}")
-    return None if point is None else point.detection_rate
+@command(
+    "analyze",
+    "static analysis: lint the registry and verify substitutions "
+    "symbolically (see docs/ANALYSIS.md)",
+    _Option("--json", action="store_true", help="emit the report as JSON"),
+    _Option(
+        "--seeds", type=int, default=6,
+        help="bindings synthesized per rule per workload",
+    ),
+    _Option(
+        "--skip-lint", action="store_true", help="skip the registry lint"
+    ),
+    _Option(
+        "--skip-verify", action="store_true",
+        help="skip symbolic substitution verification",
+    ),
+    _Option(
+        "--skip-astlint", action="store_true",
+        help="skip the implementation AST lint",
+    ),
+    _Option(
+        "--interactions", action="store_true",
+        help="compute the rule-interaction graph (IG4xx) and include it "
+        "in the report (JSON mode adds an 'interaction_graph' key)",
+    ),
+    _Option(
+        "--interactions-dot", metavar="PATH",
+        help="with --interactions: write the confirmed-edge subgraph as "
+        "Graphviz DOT to PATH",
+    ),
+    _Option(
+        "--gate", metavar="RULE",
+        help="run the admission gate on one rule of the (possibly "
+        "fault-injected) registry; a rejection exits non-zero",
+    ),
+    _Option(
+        "--gate-all", action="store_true",
+        help="run the admission gate on every exploration rule",
+    ),
+    _Option(
+        "--gate-static-only", action="store_true",
+        help="skip the gate's dynamic differential check (the gate always "
+        "uses its own calibrated TPC-H build, not --database/--seed)",
+    ),
+    _Option(
+        "--plans", type=int, default=0, metavar="N",
+        help="additionally optimize N random queries with the plan "
+        "sanitizer enabled and assert cost monotonicity",
+    ),
+    FAULT(
+        help="replace a rule with its seeded buggy variant before analyzing"
+    ),
+    _Option(
+        "--fail-on", choices=["error", "warning"], default="error",
+        help="lowest severity that makes the exit code non-zero",
+    ),
+)
+def _analyze(args, env) -> int:
+    registry = env.registry
+    workloads = analysis.default_workloads(seed=args.seed or 1)
+    report = analysis.AnalysisReport()
+    graph = None
+    for static in analysis.STATIC_PASSES:
+        selected = (
+            getattr(args, static.name) if static.opt_in
+            else not getattr(args, f"skip_{static.name}")
+        )
+        if not selected:
+            continue
+        # --seeds sizes the passes of a plain run; an opt-in pass keeps
+        # the sample count its committed artifact was generated at
+        analyzer = static.build(
+            registry, workloads, seed=args.seed,
+            samples_per_workload=None if static.opt_in else args.seeds,
+        )
+        report.merge(analyzer.run())
+        if static.name == "interactions":
+            graph = analyzer.build_graph()
+    if graph is not None and args.interactions_dot:
+        Path(args.interactions_dot).write_text(graph.to_dot())
+    verdicts = []
+    if args.gate or args.gate_all:
+        gate = analysis.RuleGate(registry, workloads=workloads)
+        if args.gate:
+            verdicts = [gate.check(args.gate, static_only=args.gate_static_only)]
+        else:
+            verdicts = gate.check_all(static_only=args.gate_static_only)
+    rejected = [v for v in verdicts if not v.admitted]
+    if args.plans:
+        report.merge(
+            analysis.sanitized_plan_smoke(env.database, registry, args.plans, args.seed)
+        )
+    if args.json:
+        payload = json.loads(report.to_json())
+        if graph is not None:
+            payload["interaction_graph"] = graph.to_json_dict()
+        if verdicts:
+            payload["gate"] = [v.to_dict() for v in verdicts]
+            payload["gate_rejected"] = [v.rule_name for v in rejected]
+        print(json.dumps(payload, indent=2, sort_keys=False))
+    else:
+        print(report.to_text())
+        for verdict in verdicts:
+            print(verdict.to_text())
+    threshold = analysis.Severity(args.fail_on)
+    return 1 if rejected or report.at_or_above(threshold) else 0
 
 
-def _run_trace(args, database, registry) -> int:
-    """The ``repro trace`` subcommand: optimize with a recording tracer.
-
-    Runs against a fresh in-memory-only service (no disk cache) so the
-    event sequence depends only on the seed and the query -- the JSON
-    export is byte-identical across runs.
-    """
-    import json
-
-    from repro.obs import MetricsRegistry, RecordingTracer
-    from repro.testing.generator import QueryGenerator
-
+@command(
+    "trace",
+    "optimize with tracing enabled and show rule firing counts "
+    "(see docs/OBSERVABILITY.md)",
+    _OneOf(
+        SQL(help="trace the optimization of this SQL query"),
+        RULE(help="generate a query exercising this rule, then trace it"),
+        _Option(
+            "--campaign", action="store_true",
+            help="trace a full testing campaign",
+        ),
+    ),
+    _Option(
+        "--format", choices=["text", "json", "chrome"], default="text",
+        help="text: rule table; json: deterministic event dump; chrome: "
+        "chrome://tracing / Perfetto trace-event JSON",
+    ),
+    _Option(
+        "--top", type=int, default=10, metavar="N",
+        help="rows in the hot-rule table (text format, default 10)",
+    ),
+    RULES(default=6, help="rules under test for --campaign (default 6)"),
+    K(default=2, help="queries per rule"),
+    DISABLE,
+    _Option(
+        "--detail", choices=["full", "summary"], default="full",
+        help="full: every rule attempt / memo insert / costing as an "
+        "event; summary: low-volume events only (counts stay exact)",
+    ),
+    _Option("--out", help="write the trace to this file instead of stdout"),
+)
+def _trace(args, env) -> int:
+    database, registry = env.database, env.registry
     tracer = RecordingTracer(detail=args.detail)
     metrics = MetricsRegistry()
-    service = PlanService(
-        database, registry=registry, workers=args.workers,
-        cache_dir=None, tracer=tracer, metrics=metrics,
-    )
-    config = DEFAULT_CONFIG.with_disabled(args.disable)
-
+    service = env.memory_service(tracer=tracer, metrics=metrics)
     if args.campaign:
-        from repro.testing.report import run_campaign
-
-        names = registry.exploration_rule_names[: args.rules]
+        names = env.rule_names()
         run_campaign(
             database, registry, rule_names=names, k=args.k,
             seed=args.seed, service=service,
@@ -1085,20 +900,18 @@ def _run_trace(args, database, registry) -> int:
             # optimization of the final query, not every trial.
             generator = QueryGenerator(
                 database, registry, seed=args.seed,
-                service=PlanService(database, registry=registry, cache_dir=None),
+                service=env.memory_service(),
             )
             outcome = generator.pattern_query_for_rule(args.rule)
             if not outcome.succeeded:
-                print(
-                    f"FAILED to generate a query exercising {args.rule} "
-                    f"in {outcome.trials} trials"
-                )
-                return 1
+                return _generation_failed(outcome)
             tree, subject = outcome.tree, f"rule {args.rule}: {outcome.sql}"
         else:
             tree = sql_to_tree(args.sql, database.catalog)
             subject = args.sql
-        result = service.optimize(tree, config)
+        result = service.optimize(
+            tree, DEFAULT_CONFIG.with_disabled(args.disable)
+        )
         # Execute the optimized plan under the same tracer/metrics so the
         # archive carries per-operator exec spans (rows in/out, batch
         # counts) and the exec.* counters next to the optimizer series.
@@ -1106,18 +919,10 @@ def _run_trace(args, database, registry) -> int:
             result.plan, database, result.output_columns,
             tracer=tracer, metrics=metrics,
         )
-
     if args.format == "json":
         output = json.dumps(
             {
-                "trace": {
-                    "capacity": tracer.capacity,
-                    "dropped": tracer.dropped,
-                    "events": [
-                        event.deterministic_dict()
-                        for event in tracer.events
-                    ],
-                },
+                "trace": json.loads(tracer.to_json()),
                 "metrics": metrics.snapshot(),
             },
             indent=2,
@@ -1126,119 +931,57 @@ def _run_trace(args, database, registry) -> int:
     elif args.format == "chrome":
         output = tracer.to_chrome_json()
     else:
-        output = _trace_text(subject, tracer, metrics, args.top)
-
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(output + "\n")
-        print(f"trace written to {args.out}")
-    else:
-        print(output)
+        output = tracer.to_text(subject, metrics, args.top)
+    _emit(output, args.out, "trace")
     return 0
 
 
-def _trace_text(subject, tracer, metrics, top: int) -> str:
-    lines: List[str] = []
-    lines.append(f"traced: {subject}")
-    lines.append(
-        f"events: {len(tracer.events)} recorded, {tracer.dropped} dropped"
-    )
-    counts = tracer.counts_by_name()
-    summary = ", ".join(
-        f"{name}={count}" for name, count in sorted(counts.items())
-    )
-    lines.append(f"by name: {summary}")
-    lines.append("")
-    rows = metrics.rule_table()
-    lines.append(f"hot rules (top {min(top, len(rows))} of {len(rows)}):")
-    lines.append(f"{'rule':<32} {'considered':>10} {'fired':>6} {'rejected':>8}")
-    for rule, considered, fired, rejected in rows[:top]:
-        lines.append(f"{rule:<32} {considered:>10} {fired:>6} {rejected:>8}")
-    lines.append("")
-    optimizations = metrics.counter_value("optimizer.optimizations")
-    costings = metrics.counter_value("optimizer.costings")
-    lines.append(
-        f"optimizations: {optimizations}, costings: {costings}, "
-        f"service requests: "
-        f"{metrics.counter_value('service.requests')} "
-        f"({metrics.counter_value('service.memory_hits')} memory hits)"
-    )
-    executions = metrics.counter_value("exec.executions", executor="columnar")
-    if executions:
-        lines.append(
-            f"executions: {executions}, result rows: "
-            f"{metrics.counter_value('exec.rows')}"
+@command(
+    "cache", "inspect or clear the persistent plan cache",
+    _OneOf(
+        _Option("--stats", action="store_true", help="show cache statistics"),
+        _Option(
+            "--clear", action="store_true", help="remove all cached records"
+        ),
+    ),
+)
+def _cache(args, env) -> int:
+    root = default_cache_dir()
+    if args.clear:
+        removed = clear_cache(root)
+        print(f"removed {removed} cached records from {root}")
+        return 0
+    stats = cache_stats(root)
+    print(f"cache directory: {root}")
+    print(f"environments: {len(stats['environments'])}")
+    for name, env_stats in stats["environments"].items():
+        print(
+            f"  {name}: {env_stats['entries']} records, "
+            f"{env_stats['bytes']} bytes"
         )
-    return "\n".join(lines)
+    print(f"total: {stats['entries']} records, {stats['bytes']} bytes")
+    return 0
 
 
-def _sanitized_plan_smoke(database, registry, count: int, seed: int):
-    """Optimize random queries with the plan sanitizer on, and assert cost
-    monotonicity against single-rule-disabled re-optimizations."""
-    from repro.analysis import (
-        AnalysisReport,
-        Diagnostic,
-        MonotonicityGuard,
-        PlanSanityError,
-        Severity,
+# --------------------------------------------------------------------- main
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="A framework for testing query transformation rules "
+        "(SIGMOD 2009 reproduction).",
     )
-    from repro.optimizer.result import OptimizationError
-    from repro.testing.builders import GenerationFailure
-    from repro.testing.random_gen import RandomQueryGenerator
+    _add_options(parser, GLOBAL_OPTIONS)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, spec in COMMANDS.items():
+        _add_options(subparsers.add_parser(name, help=spec.help), spec.options)
+    return parser
 
-    service = PlanService(database, registry=registry)
-    generator = RandomQueryGenerator(
-        database.catalog, seed=seed, stats=service.stats
-    )
-    config = DEFAULT_CONFIG.replaced(sanitize_plans=True)
-    exploration = {rule.name for rule in registry.exploration_rules}
-    guard = MonotonicityGuard()
-    report = AnalysisReport()
-    produced = 0
-    attempts = 0
-    while produced < count and attempts < count * 4:
-        attempts += 1
-        try:
-            tree = generator.random_tree()
-        except GenerationFailure:
-            continue
-        try:
-            base = service.optimize(tree, config)
-        except PlanSanityError as exc:
-            report.add(
-                Diagnostic(
-                    code=exc.code,
-                    severity=Severity.ERROR,
-                    message=str(exc),
-                    location=f"plan {produced}",
-                )
-            )
-            produced += 1
-            continue
-        except OptimizationError:
-            continue
-        produced += 1
-        report.count("plans_sanitized")
-        for rule_name in sorted(base.rules_exercised & exploration)[:3]:
-            try:
-                restricted = service.optimize(
-                    tree, config.with_disabled([rule_name])
-                )
-            except OptimizationError:
-                continue
-            if (
-                base.stats.budget_exhausted
-                or restricted.stats.budget_exhausted
-            ):
-                # A truncated search space is not a superset of the
-                # restricted one, so the invariant does not apply.
-                continue
-            guard.observe(
-                f"query {produced}", base.cost, restricted.cost, (rule_name,)
-            )
-            report.count("monotonicity_checks")
-    report.extend(guard.violations)
-    return report
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return COMMANDS[args.command].handler(args, _Session(args))
 
 
 if __name__ == "__main__":

@@ -273,6 +273,42 @@ class RecordingTracer(Tracer):
             counts[e.name] = counts.get(e.name, 0) + 1
         return counts
 
+    def to_text(self, subject: str, metrics, top: int = 10) -> str:
+        """The ``repro trace`` text report: event totals plus the ``top``
+        hottest rows of ``metrics``' per-rule firing table (``metrics`` is
+        the :class:`~repro.obs.metrics.MetricsRegistry` that observed the
+        same run)."""
+        summary = ", ".join(
+            f"{name}={count}"
+            for name, count in sorted(self.counts_by_name().items())
+        )
+        rows = metrics.rule_table()
+        lines = [
+            f"traced: {subject}",
+            f"events: {len(self._events)} recorded, {self._dropped} dropped",
+            f"by name: {summary}",
+            "",
+            f"hot rules (top {min(top, len(rows))} of {len(rows)}):",
+            f"{'rule':<32} {'considered':>10} {'fired':>6} {'rejected':>8}",
+        ]
+        for rule, considered, fired, rejected in rows[:top]:
+            lines.append(f"{rule:<32} {considered:>10} {fired:>6} {rejected:>8}")
+        lines.append("")
+        lines.append(
+            f"optimizations: {metrics.counter_value('optimizer.optimizations')}, "
+            f"costings: {metrics.counter_value('optimizer.costings')}, "
+            f"service requests: "
+            f"{metrics.counter_value('service.requests')} "
+            f"({metrics.counter_value('service.memory_hits')} memory hits)"
+        )
+        executions = metrics.counter_value("exec.executions", executor="columnar")
+        if executions:
+            lines.append(
+                f"executions: {executions}, result rows: "
+                f"{metrics.counter_value('exec.rows')}"
+            )
+        return "\n".join(lines)
+
 
 def merge_chrome_traces(payloads: Iterable[str]) -> str:
     """Concatenate several chrome-trace JSON strings into one document,

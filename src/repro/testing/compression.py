@@ -292,6 +292,15 @@ def top_k_independent_plan(
     ))
 
 
+#: The paper's three ways to cover every rule ``k`` times, by report name;
+#: each is ``maker(suite, oracle) -> CompressionPlan``.
+COMPRESSION_METHODS = {
+    "BASELINE": baseline_plan,
+    "SMC": set_multicover_plan,
+    "TOPK": top_k_independent_plan,
+}
+
+
 def _top_k_with_monotonicity(
     node: RuleNode,
     candidates: List[SuiteQuery],

@@ -75,18 +75,7 @@ class CoverageCampaign:
         method: str = "pattern",
         max_trials: Optional[int] = None,
     ) -> CoverageReport:
-        report = CoverageReport(method=method)
-        for (name,) in singleton_nodes(rule_names):
-            if method == "pattern":
-                outcome = self.generator.pattern_query_for_rule(
-                    name, max_trials=max_trials or 25
-                )
-            else:
-                outcome = self.generator.random_query_for_rule(
-                    name, max_trials=max_trials or 500
-                )
-            report.outcomes[(name,)] = outcome
-        return report
+        return self._cover(singleton_nodes(rule_names), method, max_trials)
 
     def pairs(
         self,
@@ -94,15 +83,12 @@ class CoverageCampaign:
         method: str = "pattern",
         max_trials: Optional[int] = None,
     ) -> CoverageReport:
+        return self._cover(pair_nodes(rule_names), method, max_trials)
+
+    def _cover(self, nodes, method, max_trials) -> CoverageReport:
         report = CoverageReport(method=method)
-        for node in pair_nodes(rule_names):
-            if method == "pattern":
-                outcome = self.generator.pattern_query_for_pair(
-                    node[0], node[1], max_trials=max_trials or 50
-                )
-            else:
-                outcome = self.generator.random_query_for_pair(
-                    node[0], node[1], max_trials=max_trials or 2000
-                )
-            report.outcomes[node] = outcome
+        for node in nodes:
+            report.outcomes[node] = self.generator.query_for_node(
+                node, method, max_trials
+            )
         return report

@@ -810,6 +810,21 @@ def pareto_report(
     )
 
 
+def load_kill_matrix(path) -> Tuple[KillMatrix, Optional[dict]]:
+    """Read a ``repro compress --matrix`` artifact, in either form.
+
+    The raw ``repro mutate --format json`` campaign report comes back
+    alongside its matrix (the coverage objective and the Pareto contrast
+    points rescore its SMC/TOPK variants); the distilled ``--matrix-out``
+    form carries no campaign summary, so its report is ``None``.
+    """
+    with open(path) as handle:
+        payload = json.load(handle)
+    if isinstance(payload, dict) and "slot_costs" in payload:
+        return KillMatrix.from_json_dict(payload), None
+    return KillMatrix.from_report_dict(payload), payload
+
+
 def render_detection(matrix, plan, score, cross, fmt: str) -> str:
     """The detection objective's plan and scores as ``json``, ``markdown``
     or (anything else) text."""

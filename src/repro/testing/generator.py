@@ -106,8 +106,10 @@ class QueryGenerator:
         targets: Sequence[str],
         make_tree,
         max_trials: int,
+        accept=None,
     ) -> GenerationOutcome:
-        """Run trials of ``make_tree`` until all ``targets`` are exercised."""
+        """Run trials of ``make_tree`` until all ``targets`` are exercised
+        (and ``accept(tree, result)``, when given, agrees)."""
         start = time.perf_counter()
         optimizer_calls = 0
         for trial in range(1, max_trials + 1):
@@ -119,7 +121,9 @@ class QueryGenerator:
                 continue
             optimizer_calls += 1
             result = self._try_query(tree, targets)
-            if result is not None:
+            if result is not None and (
+                accept is None or accept(tree, result)
+            ):
                 return GenerationOutcome(
                     target_rules=tuple(targets),
                     succeeded=True,
@@ -137,6 +141,28 @@ class QueryGenerator:
             optimizer_calls=optimizer_calls,
             elapsed_seconds=time.perf_counter() - start,
         )
+
+    def query_for_node(
+        self,
+        node: Sequence[str],
+        method: str = "pattern",
+        max_trials: Optional[int] = None,
+        extra_operators: int = 0,
+    ) -> GenerationOutcome:
+        """One entry point over the four strategies below: ``node`` is a
+        singleton or a rule pair, ``method`` is ``"pattern"`` or
+        ``"random"``; ``max_trials=None`` keeps the strategy's own default
+        and ``extra_operators`` applies to singleton pattern queries."""
+        limit = {} if max_trials is None else {"max_trials": max_trials}
+        if len(node) == 2:
+            if method == "pattern":
+                return self.pattern_query_for_pair(*node, **limit)
+            return self.random_query_for_pair(*node, **limit)
+        if method == "pattern":
+            return self.pattern_query_for_rule(
+                node[0], extra_operators=extra_operators, **limit
+            )
+        return self.random_query_for_rule(node[0], **limit)
 
     # -------------------------------------------------------- singleton rules
 
@@ -230,35 +256,16 @@ class QueryGenerator:
         rule_b = self.registry.rule(consumer)
         composites = compose_patterns(rule_a.pattern, rule_b.pattern)
         hints = merge_hints([rule_a, rule_b])
-        start = time.perf_counter()
-        optimizer_calls = 0
-        for trial in range(1, max_trials + 1):
+
+        def make_tree(trial: int) -> LogicalOp:
             composite = composites[(trial - 1) % len(composites)]
-            try:
-                tree = self._instantiator.instantiate(composite, hints)
-            except GenerationFailure:
-                continue
-            optimizer_calls += 1
-            result = self._try_query(tree, [producer, consumer])
-            if result is None:
-                continue
-            if (producer, consumer) in result.rule_interactions:
-                return GenerationOutcome(
-                    target_rules=(producer, consumer),
-                    succeeded=True,
-                    trials=trial,
-                    optimizer_calls=optimizer_calls,
-                    elapsed_seconds=time.perf_counter() - start,
-                    tree=tree,
-                    sql=to_sql(tree),
-                    optimize_result=result,
-                )
-        return GenerationOutcome(
-            target_rules=(producer, consumer),
-            succeeded=False,
-            trials=max_trials,
-            optimizer_calls=optimizer_calls,
-            elapsed_seconds=time.perf_counter() - start,
+            return self._instantiator.instantiate(composite, hints)
+
+        def derived(_tree: LogicalOp, result: OptimizeResult) -> bool:
+            return (producer, consumer) in result.rule_interactions
+
+        return self._campaign(
+            [producer, consumer], make_tree, max_trials, accept=derived
         )
 
     def relevant_query_for_rule(
@@ -268,38 +275,23 @@ class QueryGenerator:
         the rule off changes the optimizer's chosen plan (Section 7)."""
         rule = self.registry.rule(rule_name)
         hints = merge_hints([rule])
-        start = time.perf_counter()
-        optimizer_calls = 0
         disabled_config = self.config.with_disabled([rule_name])
-        for trial in range(1, max_trials + 1):
-            try:
-                tree = self._instantiator.instantiate(rule.pattern, hints)
-            except GenerationFailure:
-                continue
-            optimizer_calls += 1
-            result = self._try_query(tree, [rule_name])
-            if result is None:
-                continue
-            optimizer_calls += 1
+        reoptimized = 0
+
+        def make_tree(_trial: int) -> LogicalOp:
+            return self._instantiator.instantiate(rule.pattern, hints)
+
+        def changes_plan(tree: LogicalOp, result: OptimizeResult) -> bool:
+            nonlocal reoptimized
+            reoptimized += 1
             try:
                 without = self.service.optimize(tree, disabled_config)
             except OptimizationError:
-                continue
-            if without.plan != result.plan:
-                return GenerationOutcome(
-                    target_rules=(rule_name,),
-                    succeeded=True,
-                    trials=trial,
-                    optimizer_calls=optimizer_calls,
-                    elapsed_seconds=time.perf_counter() - start,
-                    tree=tree,
-                    sql=to_sql(tree),
-                    optimize_result=result,
-                )
-        return GenerationOutcome(
-            target_rules=(rule_name,),
-            succeeded=False,
-            trials=max_trials,
-            optimizer_calls=optimizer_calls,
-            elapsed_seconds=time.perf_counter() - start,
+                return False
+            return without.plan != result.plan
+
+        outcome = self._campaign(
+            [rule_name], make_tree, max_trials, accept=changes_plan
         )
+        outcome.optimizer_calls += reoptimized
+        return outcome

@@ -233,8 +233,7 @@ class MutationCampaign:
         *,
         pool: int = 6,
         k: int = 2,
-        seed: int = 0,
-        seeds: Optional[Sequence[int]] = None,
+        seeds: Sequence[int] = (0,),
         extra_operators: int = 2,
         max_trials: int = 30,
         workers: int = 1,
@@ -252,8 +251,7 @@ class MutationCampaign:
         self.k = k
         #: Generation seeds; each contributes a ``pool``-query suite and
         #: the union is scored (detection power is seed-dependent).
-        self.seeds = tuple(seeds) if seeds else (seed,)
-        self.seed = self.seeds[0]
+        self.seeds = tuple(seeds)
         self.extra_operators = extra_operators
         self.max_trials = max_trials
         self.workers = workers
@@ -302,7 +300,7 @@ class MutationCampaign:
             operators=sorted({mutant.operator for mutant in mutants}),
             pool=self.pool,
             k=self.k,
-            seed=self.seed,
+            seed=self.seeds[0],
             extra_operators=self.extra_operators,
             seeds=self.seeds,
             differential_backends=self.differential_backends,

@@ -18,16 +18,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.rules.registry import RuleRegistry
 from repro.service import PlanService
 from repro.storage.database import Database
-from repro.testing.compression import (
-    CompressionPlan,
-    baseline_plan,
-    set_multicover_plan,
-    top_k_independent_plan,
-)
+from repro.testing.compression import COMPRESSION_METHODS, CompressionPlan
 from repro.testing.correctness import CorrectnessReport, CorrectnessRunner
 from repro.testing.coverage import CoverageCampaign, CoverageReport
 from repro.testing.generator import QueryGenerator
-from repro.testing.suite import CostOracle, TestSuite, TestSuiteBuilder, singleton_nodes
+from repro.testing.suite import CostOracle, TestSuite, rule_suite
 
 
 @dataclass
@@ -183,16 +178,14 @@ def run_campaign(
         rule_names, method="pattern"
     )
 
-    builder = TestSuiteBuilder(
-        database, registry, seed=seed, extra_operators=extra_operators,
-        service=service,
+    suite = rule_suite(
+        database, registry, rule_names, k, seed=seed,
+        extra_operators=extra_operators, service=service,
     )
-    suite = builder.build(singleton_nodes(rule_names), k=k)
     oracle = CostOracle(database, registry, service=service)
     plans = {
-        "BASELINE": baseline_plan(suite, oracle),
-        "SMC": set_multicover_plan(suite, oracle),
-        "TOPK": top_k_independent_plan(suite, oracle),
+        name: maker(suite, oracle)
+        for name, maker in COMPRESSION_METHODS.items()
     }
     cheapest = min(plans.values(), key=lambda plan: plan.total_cost)
     correctness = CorrectnessRunner(
@@ -205,7 +198,7 @@ def run_campaign(
 
         mutation = MutationCampaign(
             database, registry, pool=max(k, 2), k=max(k - 1, 1),
-            seed=seed, extra_operators=extra_operators,
+            seeds=(seed,), extra_operators=extra_operators,
             metrics=service.metrics,
         ).run(rule_names, sample=mutation_sample)
 

@@ -239,3 +239,37 @@ class TestSuiteBuilder:
                 node[0], node[1], max_trials=50
             )
         return outcome if outcome.succeeded else None
+
+
+def select_rules(
+    registry: RuleRegistry,
+    count: int,
+    names: Optional[Sequence[str]] = None,
+) -> List[str]:
+    """The exploration rules a campaign targets: exactly ``names`` when
+    given (each must be registered), else the first ``count`` registered
+    rules."""
+    if not names:
+        return registry.exploration_rule_names[:count]
+    unknown = sorted(set(names) - set(registry.exploration_rule_names))
+    if unknown:
+        raise ValueError("unknown exploration rules: " + ", ".join(unknown))
+    return list(names)
+
+
+def rule_suite(
+    database: Database,
+    registry: RuleRegistry,
+    rule_names: Sequence[str],
+    k: int,
+    seed: int = 0,
+    extra_operators: int = 2,
+    service: Optional[PlanService] = None,
+) -> TestSuite:
+    """The suite a campaign over ``rule_names`` starts from: ``k``
+    distinct pattern-generated queries per singleton rule node."""
+    builder = TestSuiteBuilder(
+        database, registry, seed=seed, extra_operators=extra_operators,
+        service=service,
+    )
+    return builder.build(singleton_nodes(rule_names), k=k)

@@ -11,6 +11,22 @@ from repro.storage.database import Database
 from repro.workloads import tpch_database
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _isolated_plan_cache(tmp_path_factory):
+    """Point ``REPRO_CACHE_DIR`` at a per-session temp directory.
+
+    Every ``repro.cli.main([...])`` call that optimizes goes through the
+    persistent plan cache; without this the suite would write the user's
+    ``~/.cache/repro`` and -- the cache is keyed by rule *name* -- read
+    back costs an earlier run, possibly of an edited rule, left there.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(
+            "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("plan-cache"))
+        )
+        yield
+
+
 @pytest.fixture(scope="session")
 def tpch_db():
     """The miniature TPC-H database (session-scoped: it is read-only)."""

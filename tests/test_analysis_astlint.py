@@ -15,7 +15,7 @@ from repro.rules.registry import RuleRegistry, default_registry
 
 
 def _lint(rule):
-    return AstLinter(RuleRegistry([rule], [])).lint_rule(rule)
+    return AstLinter(RuleRegistry([rule], [])).check_rule(rule).diagnostics
 
 
 def _codes(diagnostics):

@@ -5,7 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.cli import main
+from repro.analysis import STATIC_PASSES
+from repro.cli import build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,6 +56,17 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "rules_verified" not in out
         assert "rules_linted=56" in out
+
+    def test_every_pass_table_row_has_its_selector_flag(self):
+        # `repro analyze` selects rows by flag name, so a row without its
+        # --skip-<name> (or --<name>, when opt-in) flag could never be
+        # (de)selected.
+        args = build_parser().parse_args(["analyze"])
+        for static in STATIC_PASSES:
+            if static.opt_in:
+                assert getattr(args, static.name) is False
+            else:
+                assert getattr(args, f"skip_{static.name}") is False
 
 
 class TestDocsCheckMode:

@@ -24,7 +24,7 @@ def _verify_fault(name, workloads):
     verifier = SubstitutionVerifier(
         registry, workloads, samples_per_workload=4
     )
-    return verifier.verify_rule(registry.rule(name))
+    return verifier.check_rule(registry.rule(name))
 
 
 # (fault name, expected diagnostic) for every *statically* detectable fault.

@@ -104,7 +104,7 @@ def _verify_single(rule, workloads):
     verifier = SubstitutionVerifier(
         registry, workloads, samples_per_workload=3
     )
-    return verifier.verify_rule(registry.rule(rule.name))
+    return verifier.check_rule(registry.rule(rule.name))
 
 
 class TestDefectDetection:
@@ -189,7 +189,7 @@ class TestTreeContext:
         bindings = verifier._synthesize_bindings(rule)
         kinds = {
             tree.child.join_kind
-            for _, tree in bindings
+            for _, _, tree in bindings
             if isinstance(tree, Select)
         }
         assert JoinKind.LEFT_OUTER in kinds

@@ -293,13 +293,19 @@ class TestDiff:
         assert "| `sqlite` |" in target.read_text()
 
     def test_fault_injection_fails_the_fleet(self, capsys):
+        # Two queries drawn from the faulted rule's own pattern; at this
+        # seed the second makes sqlite disagree (5 rows vs 51).
         assert main(
-            ["--seed", "37", "diff", "--rules", "3", "--k", "4",
-             "--fault", "LojToJoinOnNullReject"]
+            ["--seed", "2", "diff", "--rule-names", "LojToJoinOnNullReject",
+             "--k", "2", "--fault", "LojToJoinOnNullReject"]
         ) == 1
         out = capsys.readouterr().out
         assert "DISAGREE" in out
         assert "FAILED" in out
+
+    def test_unknown_rule_name_exits_with_a_message(self):
+        with pytest.raises(SystemExit, match="unknown exploration rules: Nope"):
+            main(["diff", "--rule-names", "JoinCommutativity", "Nope"])
 
     def test_unknown_backend_exits_two(self, capsys):
         assert main(["diff", "--backends", "engine,postgres"]) == 2

@@ -87,7 +87,13 @@ class TestSubqueryMutantCorpus:
         assert "ApplyDecorrelateSelect:drop-conjunct" in mutants
 
 
+@pytest.mark.mutation
 class TestSubqueryKillMatrix:
+    """Not tier-1: the 5-rule x 2-seed campaign behind ``campaign_report``
+    takes ~50 s, and CI's ``mutation-smoke`` job runs it anyway (via
+    ``pytest -m "slow or mutation"`` and as its Apply-family ``repro
+    mutate`` step)."""
+
     def test_expected_mutants_are_detected_on_full(self, campaign_report):
         """Every expected-detectable Apply mutant is caught by the FULL
         differential suite -- the acceptance bar for the new rule surface."""
