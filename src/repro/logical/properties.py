@@ -18,6 +18,7 @@ reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Tuple
 
 from repro.catalog.schema import Catalog
@@ -54,8 +55,9 @@ class LogicalProps:
     keys: FrozenSet[Key] = frozenset()
     non_null: FrozenSet[Column] = field(default_factory=frozenset)
 
-    @property
+    @cached_property
     def column_ids(self) -> FrozenSet[int]:
+        # Cached: preconditions ask for it far more often than groups exist.
         return frozenset(column.cid for column in self.columns)
 
     def has_key(self, column_ids: FrozenSet[int]) -> bool:

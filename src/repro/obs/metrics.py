@@ -34,8 +34,9 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     ),
     "optimizer.rule.considered": (
         "counter", ("rule",),
-        "Times the rule was attempted on a memo expression "
-        "(exploration and implementation phases).",
+        "Times the rule was attempted on a memo expression whose operator "
+        "kind its pattern root matches -- the pairs the binding iterator "
+        "runs for (exploration and implementation phases).",
     ),
     "optimizer.rule.fired": (
         "counter", ("rule",),
@@ -44,8 +45,9 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     ),
     "optimizer.rule.rejected": (
         "counter", ("rule",),
-        "Attempts that produced nothing: the pattern found no binding or "
-        "every binding failed the precondition.",
+        "Attempts that produced nothing: below a matching root kind the "
+        "pattern found no binding, or every binding failed the "
+        "precondition.",
     ),
     "optimizer.rule.precondition_failures": (
         "counter", ("rule",),

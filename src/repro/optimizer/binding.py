@@ -5,6 +5,11 @@ pattern, enumerate every way the pattern can bind to the memo: generic
 pattern leaves stay as group references; non-generic pattern children are
 expanded against each logical expression in the corresponding child group.
 This is the Cascades "binding iterator".
+
+Two shortcuts keep it from building what it would not change: a structured
+child position recurses only into child-group expressions of the
+sub-pattern's own kind, and a pattern whose children are all generic binds
+to the memo expression itself, not to an equal copy of it.
 """
 
 from __future__ import annotations
@@ -27,25 +32,34 @@ def bindings(
     """
     if not pattern.matches_op(op):
         return
-    if pattern.is_generic:
+    if pattern.kind is None:
         yield op
         return
-    if len(pattern.children) != len(op.children):
+    children = op.children
+    if len(pattern.children) != len(children):
         return
 
-    options: List[List[object]] = []
-    for child, sub_pattern in zip(op.children, pattern.children):
-        if sub_pattern.is_generic:
-            options.append([child])
+    options: List[object] = []
+    structured = False
+    for child, sub_pattern in zip(children, pattern.children):
+        kind = sub_pattern.kind
+        if kind is None:
+            options.append((child,))
             continue
+        structured = True
         assert isinstance(child, GroupRef), "memo expressions have GroupRef children"
-        group = memo.group(child.group_id)
-        child_bindings: List[object] = []
-        for child_expr in list(group.logical_exprs):
-            child_bindings.extend(bindings(child_expr.op, sub_pattern, memo))
+        child_bindings = [
+            binding
+            for child_expr in memo.group(child.group_id).logical_exprs
+            if child_expr.op.kind is kind
+            for binding in bindings(child_expr.op, sub_pattern, memo)
+        ]
         if not child_bindings:
             return
         options.append(child_bindings)
 
+    if not structured:
+        yield op
+        return
     for combination in itertools.product(*options):
-        yield op.with_children(tuple(combination))
+        yield op.with_children(combination)

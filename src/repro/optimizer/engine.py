@@ -2,10 +2,11 @@
 
 Optimization proceeds in the classic two phases:
 
-1. **Exploration**: every (group expression, exploration rule) pair is tried
-   at most once; successful substitutions add equivalent expressions to the
-   memo, which are themselves explored, until a fixpoint (or a budget cap)
-   is reached.  The engine records which rules were exercised -- the paper's
+1. **Exploration**: every (group expression, exploration rule) pair whose
+   pattern root can match the expression's operator kind is tried exactly
+   once; successful substitutions add equivalent expressions to the memo,
+   which are themselves explored, until a fixpoint (or a budget cap) is
+   reached.  The engine records which rules were exercised -- the paper's
    ``RuleSet(q)`` tracking extension.
 2. **Implementation**: top-down dynamic programming over (group, required
    ordering).  Implementation rules produce physical alternatives; a Sort
@@ -15,18 +16,24 @@ Optimization proceeds in the classic two phases:
 Rules listed in ``config.disabled_rules`` are skipped entirely, yielding
 ``Plan(q, ¬R)`` / ``Cost(q, ¬R)`` exactly as the paper's optimizer
 extensions do.
+
+Both phases find the rules to try through a :class:`_RuleIndex` built once
+per :class:`Optimizer`: the active rules bucketed by the kind of their
+pattern root, registry order kept inside a bucket, so the pairs that can
+bind are visited in the order a scan over all rules would visit them and
+the pairs that cannot are never formed.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.catalog.schema import Catalog
 from repro.catalog.stats import StatsRepository
 from repro.logical.cardinality import CardinalityEstimator, RelEstimate
-from repro.logical.operators import GroupRef, LogicalOp, SortKey
+from repro.logical.operators import GroupRef, LogicalOp, OpKind, SortKey
 from repro.logical.properties import LogicalProps, PropertyDeriver
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -88,34 +95,54 @@ class Winner:
     provided: Ordering
 
 
-class _RuleTally:
-    """Per-rule attempt outcomes for one optimization run.
+#: One rule's attempt outcomes for one optimization run, as an indexed list
+#: so hot-loop updates stay cheap:
+#: ``[considered, fired, rejected, precondition_failures]``.
+_TallyRow = List[int]
 
-    Indexed lists keep the hot-loop updates cheap:
-    ``[considered, fired, rejected, precondition_failures]``.
+#: The ``(rule, tally slot)`` pairs to try on operators of one kind.
+_Bucket = Tuple[Tuple[Rule, int], ...]
+
+
+class _RuleIndex:
+    """The active rules of both phases, bucketed by pattern-root kind.
+
+    ``exploration[kind]`` / ``implementation[kind]`` hold, in registry
+    order, the rules whose pattern root can match an operator of ``kind``:
+    a rule with a concrete root is in that kind's bucket only, a rule with
+    a generic root in every bucket, a disabled rule in none.  (Join-kind
+    restrictions stay with ``PatternNode.matches_op``.)  Each rule is
+    paired with its slot in :attr:`names`, which is also its row in the
+    per-run tally :meth:`new_tally` returns.
     """
 
-    __slots__ = ("counts",)
-
-    def __init__(self) -> None:
-        self.counts: Dict[str, List[int]] = {}
-
-    def for_rule(self, name: str) -> List[int]:
-        counts = self.counts.get(name)
-        if counts is None:
-            counts = self.counts[name] = [0, 0, 0, 0]
-        return counts
-
-    def as_rule_counters(self) -> Tuple[RuleCounters, ...]:
-        return tuple(
-            RuleCounters(
-                name=name,
-                considered=counts[0],
-                fired=counts[1],
-                rejected=counts[2],
-            )
-            for name, counts in sorted(self.counts.items())
+    def __init__(self, registry: RuleRegistry, config: OptimizerConfig) -> None:
+        self.names: List[str] = []
+        self.exploration = self._bucket(registry.exploration_rules, config)
+        self.implementation = self._bucket(
+            registry.implementation_rules, config
         )
+
+    def _bucket(
+        self, rules: Iterable[Rule], config: OptimizerConfig
+    ) -> Dict[OpKind, _Bucket]:
+        buckets: Dict[OpKind, List[Tuple[Rule, int]]] = {
+            kind: [] for kind in OpKind
+        }
+        for rule in rules:
+            if config.is_disabled(rule.name):
+                continue
+            entry = (rule, len(self.names))
+            self.names.append(rule.name)
+            root = rule.pattern.kind
+            for kind in OpKind if root is None else (root,):
+                buckets[kind].append(entry)
+        return {kind: tuple(bucket) for kind, bucket in buckets.items()}
+
+    def new_tally(self) -> List[_TallyRow]:
+        """One all-zero row per active rule, so every result reports the
+        same rules whether or not an expression of their kind turned up."""
+        return [[0, 0, 0, 0] for _ in self.names]
 
 
 class Optimizer:
@@ -141,6 +168,8 @@ class Optimizer:
         self.metrics = metrics
         self._deriver = PropertyDeriver(catalog)
         self._estimator = CardinalityEstimator(catalog, stats)
+        #: Registry and config are fixed for this optimizer's lifetime.
+        self._index = _RuleIndex(self.registry, config)
         if config.sanitize_plans:
             from repro.analysis.sanitize import PlanSanitizer
 
@@ -172,9 +201,9 @@ class Optimizer:
         ctx = OptimizerContext(memo, self._deriver, self._estimator, self.catalog)
         exercised: Set[str] = set()
         interactions: Set[tuple] = set()
-        tally = _RuleTally()
+        index = self._index
+        tally = index.new_tally()
         budget_exhausted = False
-        applications = 0
 
         try:
             root_id = memo.intern_tree(tree)
@@ -188,38 +217,28 @@ class Optimizer:
         if self._sanitizer is not None:
             for expr in queue:
                 self._sanitizer.check_group_expr(expr, memo)
-        active_rules = [
-            rule
-            for rule in self.registry.exploration_rules
-            if not self.config.is_disabled(rule.name)
-        ]
         with tracer.span("optimize.explore", cat="optimizer"):
             try:
                 self._explore(
-                    queue, active_rules, memo, ctx, exercised, interactions,
-                    tally, tracer,
+                    queue, index.exploration, memo, ctx, exercised,
+                    interactions, tally, tracer,
                 )
             except MemoBudgetExceeded:
                 budget_exhausted = True
                 if tracer.enabled:
                     tracer.event("optimize.budget_exhausted", cat="optimizer")
-        applications = sum(
-            counts[1] for counts in tally.counts.values()
-        )
+        # Implementation rows are still zero here: exploration firings only.
+        applications = sum(counts[1] for counts in tally)
 
         # -------------------------------------------------------- implement
         implementer = _Implementer(
             memo,
             ctx,
-            [
-                rule
-                for rule in self.registry.implementation_rules
-                if not self.config.is_disabled(rule.name)
-            ],
+            index.implementation,
+            tally,
             exercised,
             sanitizer=self._sanitizer,
             tracer=tracer,
-            tally=tally,
         )
         with tracer.span("optimize.implement", cat="optimizer"):
             winner = implementer.best_plan(root_id, ())
@@ -248,6 +267,15 @@ class Optimizer:
                 costings=implementer.costings,
                 fired=",".join(sorted(exercised)),
             )
+        rule_counters = tuple(
+            RuleCounters(
+                name=name,
+                considered=counts[0],
+                fired=counts[1],
+                rejected=counts[2],
+            )
+            for name, counts in sorted(zip(index.names, tally))
+        )
         self._record_metrics(tally, stats, implementer)
         return OptimizeResult(
             plan=plan,
@@ -257,18 +285,21 @@ class Optimizer:
             logical_tree=tree,
             stats=stats,
             rule_interactions=frozenset(interactions),
-            rule_counters=tally.as_rule_counters(),
+            rule_counters=rule_counters,
         )
 
     def _record_metrics(
-        self, tally: _RuleTally, stats: MemoStats, implementer: "_Implementer"
+        self,
+        tally: List[_TallyRow],
+        stats: MemoStats,
+        implementer: "_Implementer",
     ) -> None:
         metrics = self.metrics
         if metrics is None:
             return
         handles = metrics.optimizer_handles()
         handles["optimizations"].inc()
-        for name, counts in tally.counts.items():
+        for name, counts in zip(self._index.names, tally):
             considered, fired, rejected, precondition = metrics.rule_counters(
                 name
             )
@@ -290,27 +321,30 @@ class Optimizer:
     def _explore(
         self,
         queue,
-        active_rules: List[Rule],
+        buckets: Dict[OpKind, _Bucket],
         memo: Memo,
         ctx: OptimizerContext,
         exercised: Set[str],
         interactions: Set[tuple],
-        tally: _RuleTally,
+        tally: List[_TallyRow],
         tracer: Tracer,
     ) -> None:
-        """Drive exploration to fixpoint, recording per-rule outcomes."""
+        """Drive exploration to fixpoint, recording per-rule outcomes.
+
+        Every expression enters ``queue`` once (see :class:`Memo`), so each
+        root-matching (expression, rule) pair is tried exactly once.
+        """
+        cap = self.config.max_rule_applications
+        detailed = tracer.detailed
         applications = 0
         while queue:
             expr = queue.popleft()
-            for rule in active_rules:
-                if applications >= self.config.max_rule_applications:
+            for rule, slot in buckets[expr.op.kind]:
+                if applications >= cap:
                     raise MemoBudgetExceeded("rule application cap")
-                if rule.name in expr.applied_rules:
-                    continue
-                expr.applied_rules.add(rule.name)
-                counts = tally.for_rule(rule.name)
+                counts = tally[slot]
                 counts[0] += 1
-                if tracer.detailed:
+                if detailed:
                     tracer.event(
                         "rule.considered",
                         rule=rule.name,
@@ -323,7 +357,7 @@ class Optimizer:
                 )
                 if new_exprs is None:
                     counts[2] += 1
-                    if tracer.detailed:
+                    if detailed:
                         tracer.event(
                             "rule.rejected",
                             rule=rule.name,
@@ -333,7 +367,7 @@ class Optimizer:
                     continue
                 counts[1] += 1
                 applications += 1
-                if tracer.detailed:
+                if detailed:
                     tracer.event(
                         "rule.fired",
                         rule=rule.name,
@@ -351,14 +385,13 @@ class Optimizer:
         ctx: OptimizerContext,
         exercised: Set[str],
         interactions: Set[tuple],
-        counts: Optional[List[int]] = None,
+        counts: _TallyRow,
     ) -> Optional[List[GroupExpr]]:
         """Try ``rule`` on ``expr``; returns new exprs or None if no match."""
         produced_any = False
         for binding in bindings(expr.op, rule.pattern, memo):
             if not rule.precondition(binding, ctx):
-                if counts is not None:
-                    counts[3] += 1
+                counts[3] += 1
                 if self.tracer.detailed:
                     self.tracer.event(
                         "rule.precondition_failed",
@@ -373,6 +406,8 @@ class Optimizer:
                     memo.absorb_group(expr.group_id, substitute.group_id)
                 else:
                     memo.add_to_group(expr.group_id, substitute)
+        if not produced_any:
+            return None  # nothing was added to the memo: nothing is fresh
         # Everything the substitutions created -- including expressions of
         # newly interned child groups -- must itself be explored.
         new_exprs = memo.drain_fresh()
@@ -381,8 +416,6 @@ class Optimizer:
                 new_expr.created_by = rule.name
             if self._sanitizer is not None:
                 self._sanitizer.check_group_expr(new_expr, memo, rule.name)
-        if not produced_any:
-            return None
         exercised.add(rule.name)
         if expr.created_by is not None and expr.created_by != rule.name:
             # Section 7's derived interaction: this rule fired on an
@@ -398,19 +431,20 @@ class _Implementer:
         self,
         memo: Memo,
         ctx: OptimizerContext,
-        rules: List[Rule],
+        buckets: Dict[OpKind, _Bucket],
+        tally: List[_TallyRow],
         exercised: Set[str],
         sanitizer=None,
         tracer: Tracer = NULL_TRACER,
-        tally: Optional[_RuleTally] = None,
     ) -> None:
         self._memo = memo
         self._ctx = ctx
-        self._rules = rules
+        self._buckets = buckets
+        self._tally = tally
         self._exercised = exercised
         self._sanitizer = sanitizer
         self._tracer = tracer
-        self._tally = tally if tally is not None else _RuleTally()
+        self._detailed = tracer.detailed
         #: Physical alternatives costed / Sort enforcers considered.
         self.costings = 0
         self.enforcers = 0
@@ -436,19 +470,23 @@ class _Implementer:
     def _compute_best(
         self, group_id: int, required: Ordering
     ) -> Optional[Winner]:
-        group = self._memo.group(group_id)
+        memo = self._memo
+        ctx = self._ctx
+        tally = self._tally
+        group = memo.group(group_id)
         best: Optional[Winner] = None
 
-        for expr in list(group.logical_exprs):
-            for rule in self._rules:
-                counts = self._tally.for_rule(rule.name)
+        for expr in group.logical_exprs:
+            op = expr.op
+            for rule, slot in self._buckets[op.kind]:
+                counts = tally[slot]
                 counts[0] += 1
                 produced_any = False
-                for binding in bindings(expr.op, rule.pattern, self._memo):
-                    if not rule.precondition(binding, self._ctx):
+                for binding in bindings(op, rule.pattern, memo):
+                    if not rule.precondition(binding, ctx):
                         counts[3] += 1
                         continue
-                    for phys in rule.substitute(binding, self._ctx):
+                    for phys in rule.substitute(binding, ctx):
                         produced_any = True
                         self._exercised.add(rule.name)
                         candidate = self._cost_physical(
@@ -460,7 +498,7 @@ class _Implementer:
                             best = candidate
                 if produced_any:
                     counts[1] += 1
-                    if self._tracer.detailed:
+                    if self._detailed:
                         self._tracer.event(
                             "rule.fired",
                             rule=rule.name,
@@ -506,7 +544,7 @@ class _Implementer:
             return None
         self.costings += 1
         cost = local_cost(phys, tuple(child_rows), group.estimate.rows)
-        if self._tracer.detailed:
+        if self._detailed:
             self._tracer.event(
                 "costing",
                 cat="cost",

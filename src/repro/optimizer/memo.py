@@ -10,8 +10,8 @@ finite for rules that do not manufacture fresh columns; explicit budget caps
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 from repro.logical.cardinality import CardinalityEstimator, RelEstimate
 from repro.logical.operators import GroupRef, LogicalOp
@@ -25,9 +25,6 @@ class GroupExpr:
 
     op: LogicalOp
     group_id: int
-    #: Names of exploration rules already attempted on this expression
-    #: (the Cascades per-expression rule mask).
-    applied_rules: Set[str] = field(default_factory=set)
     #: Name of the rule whose substitution created this expression, or None
     #: for expressions of the initial query tree.  Drives the derived-
     #: interaction tracking of Section 7 ("rule r2 is exercised on an
@@ -46,8 +43,6 @@ class Group:
         self.estimate = estimate
         self.logical_exprs: List[GroupExpr] = []
         self._logical_set: Set[LogicalOp] = set()
-        #: Winners per required ordering, filled in by implementation.
-        self.winners: Dict[Tuple, object] = {}
 
     def contains(self, op: LogicalOp) -> bool:
         return op in self._logical_set
@@ -70,7 +65,14 @@ class MemoBudgetExceeded(Exception):
 
 
 class Memo:
-    """All groups of one optimization run."""
+    """All groups of one optimization run.
+
+    Invariant: every :class:`GroupExpr` leaves :meth:`drain_fresh` exactly
+    once -- each creation path appends the new expression to the fresh list
+    once, and draining clears it.  The engine explores what it drains, so
+    each (expression, rule) pair is tried once without a per-expression
+    mask of rules already applied.
+    """
 
     def __init__(
         self,

@@ -25,7 +25,10 @@ class MemoStats:
 
     group_count: int
     expr_count: int
+    #: Exploration-rule firings (what ``max_rule_applications`` caps).
     rule_applications: int
+    #: Exploration stopped early: a memo cap was hit, or the application
+    #: cap left a root-matching (expression, rule) pair untried.
     budget_exhausted: bool
 
 
@@ -33,11 +36,15 @@ class MemoStats:
 class RuleCounters:
     """Per-rule attempt outcomes for one optimization.
 
-    ``considered`` counts (expression, rule) attempts; ``fired`` the
-    attempts whose substitution produced at least one alternative (the
-    paper's *exercised* predicate); ``rejected`` the rest (no pattern
-    binding, or every binding failed the precondition).  Always
-    ``considered == fired + rejected``.
+    ``considered`` counts (expression, rule) attempts: the pairs whose
+    pattern root matches the expression's operator kind, i.e. those the
+    binding iterator ran for -- the engine's rule index never forms the
+    rest.  ``fired`` counts the attempts whose substitution produced at
+    least one alternative (the paper's *exercised* predicate); ``rejected``
+    the rest (a join-kind or child-pattern mismatch left no binding, or
+    every binding failed the precondition).  Always
+    ``considered == fired + rejected``.  Every active rule has a row, all
+    zero when no expression of its kind turned up.
     """
 
     name: str

@@ -11,9 +11,18 @@ which turns logical rules on and off.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from functools import lru_cache
+from typing import FrozenSet, Iterable, List, Tuple
 
-from repro.expr.expressions import Column, conjunction
+from repro.expr.expressions import (
+    Column,
+    ColumnRef,
+    Comparison,
+    ComparisonOp,
+    Expr,
+    conjunction,
+    conjuncts,
+)
 from repro.logical.operators import (
     Apply,
     Distinct,
@@ -113,21 +122,23 @@ class ApplyToNestedApply(ImplementationRule):
 
 def _split_equi_predicate(
     binding: Join, ctx: RuleContext
-) -> Tuple[Tuple[Column, ...], Tuple[Column, ...], object]:
+) -> Tuple[Tuple[Column, ...], Tuple[Column, ...], Expr]:
     """Orient equi-join pairs as (left keys, right keys) and collect the
     residual (non-equi) conjuncts."""
-    from repro.expr.expressions import (
-        ColumnRef,
-        Comparison,
-        ComparisonOp,
-        conjuncts,
-    )
+    return _split_equi(binding.predicate, ctx.column_ids(binding.left))
 
-    left_ids = ctx.column_ids(binding.left)
+
+@lru_cache(maxsize=1024)
+def _split_equi(
+    predicate: Expr, left_ids: FrozenSet[int]
+) -> Tuple[Tuple[Column, ...], Tuple[Column, ...], Expr]:
+    """Pure in its (hashable, immutable) arguments, and asked the same
+    question by two rules' precondition and substitution for every required
+    ordering of a group and every ``Plan(q, ¬R)`` of one query."""
     left_keys: List[Column] = []
     right_keys: List[Column] = []
     residual = []
-    for part in conjuncts(binding.predicate):
+    for part in conjuncts(predicate):
         is_equi = (
             isinstance(part, Comparison)
             and part.op is ComparisonOp.EQ

@@ -15,7 +15,7 @@ from repro.logical.operators import (
 from repro.logical.properties import PropertyDeriver
 from repro.optimizer.binding import bindings
 from repro.optimizer.memo import Memo
-from repro.rules.framework import ANY, P
+from repro.rules.framework import ANY, P, PatternNode
 
 
 @pytest.fixture()
@@ -103,3 +103,60 @@ class TestBindingEnumeration:
         expr = _root_expr(memo, emp)
         # GET is a leaf; a unary pattern over GET cannot match.
         assert list(bindings(expr.op, P(OpKind.GET, ANY), memo)) == []
+
+
+class _CountingPattern(PatternNode):
+    """A pattern node that counts how often it is asked to match."""
+
+    calls = 0
+
+    def matches_op(self, op):
+        type(self).calls += 1
+        return super().matches_op(op)
+
+
+class TestBindingShortcuts:
+    def test_all_generic_pattern_yields_the_memo_expression_itself(
+        self, memo, tiny_db
+    ):
+        emp = make_get(tiny_db.catalog.table("emp"))
+        dept = make_get(tiny_db.catalog.table("dept"))
+        expr = _root_expr(memo, Join(JoinKind.INNER, emp, dept, TRUE))
+        (found,) = bindings(expr.op, P(OpKind.JOIN, ANY, ANY), memo)
+        assert found is expr.op
+        leaf = memo.groups[expr.op.left.group_id].logical_exprs[0]
+        (found,) = bindings(leaf.op, P(OpKind.GET), memo)
+        assert found is leaf.op
+
+    def test_structured_pattern_still_builds_a_bound_copy(self, memo, tiny_db):
+        emp = make_get(tiny_db.catalog.table("emp"))
+        expr = _root_expr(memo, Select(Select(emp, TRUE), TRUE))
+        (found,) = bindings(
+            expr.op, P(OpKind.SELECT, P(OpKind.SELECT, ANY)), memo
+        )
+        assert found is not expr.op
+        assert found.child is memo.groups[expr.op.child.group_id].logical_exprs[0].op
+
+    def test_structured_position_skips_other_kinds_without_recursing(
+        self, memo, tiny_db
+    ):
+        emp = make_get(tiny_db.catalog.table("emp"))
+        dept = make_get(tiny_db.catalog.table("dept"))
+        join = Join(JoinKind.INNER, emp, dept, TRUE)
+        expr = _root_expr(memo, Select(join, TRUE))
+        # The child group holds two joins and one select.
+        child_group = expr.op.child.group_id
+        memo.add_to_group(
+            child_group, Join(JoinKind.INNER, GroupRef(1), GroupRef(0), TRUE)
+        )
+        memo.add_to_group(child_group, Select(GroupRef(child_group), TRUE))
+        assert len(memo.groups[child_group].logical_exprs) == 3
+
+        _CountingPattern.calls = 0
+        sub_pattern = _CountingPattern(OpKind.JOIN, (ANY, ANY))
+        found = list(
+            bindings(expr.op, P(OpKind.SELECT, sub_pattern), memo)
+        )
+        assert len(found) == 2
+        # Asked about the two joins only; the select was never offered.
+        assert _CountingPattern.calls == 2

@@ -10,7 +10,7 @@ import pytest
 from repro.engine import execute_plan, results_identical
 from repro.expr.expressions import ColumnRef, Comparison, ComparisonOp
 from repro.logical.operators import Join, JoinKind, Select, make_get
-from repro.optimizer.config import OptimizerConfig
+from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.optimizer.engine import Optimizer
 
 
@@ -86,3 +86,79 @@ class TestBudgets:
         ).optimize(tree)
         assert result.stats.budget_exhausted
         assert result.cost > 0
+
+
+#: cap -> (groups, expressions, cost) of the five-table chain at the commit
+#: before the rule index (``fb80cc4``): the cap counts firings, which the
+#: index does not change, so exploration stops at the same memo.
+MEMO_AT_EXHAUSTION = {
+    1: (9, 10, 84.65),
+    5: (12, 17, 75.85),
+    25: (24, 47, 58.25),
+    200: (90, 255, 51.32),
+}
+
+
+class TestApplicationCap:
+    @pytest.mark.parametrize("cap", sorted(MEMO_AT_EXHAUSTION))
+    def test_memo_at_exhaustion_is_unchanged(self, tpch_db, cap):
+        tree = _chain_join_query(tpch_db, TABLES)
+        result = Optimizer(
+            tpch_db.catalog,
+            tpch_db.stats_repository(),
+            config=OptimizerConfig(max_rule_applications=cap),
+        ).optimize(tree)
+        stats = result.stats
+        assert stats.budget_exhausted and stats.rule_applications == cap
+        groups, exprs, cost = MEMO_AT_EXHAUSTION[cap]
+        assert (stats.group_count, stats.expr_count) == (groups, exprs)
+        assert result.cost == pytest.approx(cost, abs=1e-6)
+
+    def _optimize(self, tpch_db, registry, cap=None):
+        """customer JOIN nation, capped at ``cap`` firings (None: default)."""
+        tree = _chain_join_query(tpch_db, ["customer", "nation"])
+        config = DEFAULT_CONFIG
+        if cap is not None:
+            config = config.replaced(max_rule_applications=cap)
+        return Optimizer(
+            tpch_db.catalog, tpch_db.stats_repository(), registry, config
+        ).optimize(tree)
+
+    def test_flag_means_a_root_matching_pair_was_left_untried(
+        self, tpch_db, registry
+    ):
+        # JoinCommutativity fires on the join and again on its mirror
+        # image, and that second firing is the last pair whose root
+        # matches: SelectMerge follows it in the registry but is rooted at
+        # SELECT.  A scan over all rules would stop at (mirror image,
+        # SelectMerge) and report exhaustion with nothing left to find.
+        two_rules = registry.with_exploration_subset(
+            ["JoinCommutativity", "SelectMerge"]
+        )
+        full = self._optimize(tpch_db, two_rules)
+        firings = full.stats.rule_applications
+        assert firings == 2 and not full.stats.budget_exhausted
+
+        exact = self._optimize(tpch_db, two_rules, cap=firings)
+        assert not exact.stats.budget_exhausted
+        assert exact.stats == full.stats and exact.cost == full.cost
+
+        one_less = self._optimize(tpch_db, two_rules, cap=firings - 1)
+        assert one_less.stats.budget_exhausted
+        assert one_less.stats.rule_applications == firings - 1
+
+    def test_exact_cap_with_root_matching_pairs_left_still_reports(
+        self, tpch_db, registry
+    ):
+        """With the full registry other JOIN-rooted rules follow the last
+        firing, untried: same memo and cost as uncapped, flag set."""
+        full = self._optimize(tpch_db, registry)
+        assert not full.stats.budget_exhausted
+        exact = self._optimize(
+            tpch_db, registry, cap=full.stats.rule_applications
+        )
+        assert exact.stats.budget_exhausted
+        assert exact.cost == full.cost
+        assert (exact.stats.group_count, exact.stats.expr_count) == (
+            full.stats.group_count, full.stats.expr_count
+        )
