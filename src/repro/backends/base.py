@@ -15,14 +15,17 @@ The protocol is deliberately small:
 * :meth:`Backend.execute` -- run one tree, return raw rows;
 * :meth:`Backend.explain` -- optional: a normalized :class:`PlanShape`;
 * :meth:`Backend.run` -- the template method the runner calls: renders
-  SQL, executes, normalizes the result bag, captures the plan shape, and
+  SQL, executes, digests the result bag, captures the plan shape, and
   converts any failure into an error-carrying :class:`BackendRun` (one
   backend crashing must not abort the fleet).
 
 Result comparison is *bag* comparison over canonicalized rows: floats are
 quantized (:func:`repro.engine.results.canonical_row`) and booleans map to
 integers, because SQLite has no boolean type and DuckDB returns genuine
-``bool`` -- both are correct renderings of the same relation.
+``bool`` -- both are correct renderings of the same relation.  The
+equality test is the :class:`~repro.engine.digest.BagDigest` every run
+carries; the exact bag (:func:`normalized_bag`) is built only to explain
+a difference or to fingerprint a collect artifact.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ from __future__ import annotations
 import abc
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.engine.digest import BagDigest, digest_rows
 from repro.engine.results import canonical_row
 from repro.logical.operators import LogicalOp
 from repro.sql.dialect import Dialect
@@ -137,7 +142,10 @@ class BackendRun:
     backend: str
     query_id: int
     sql: str
-    bag: Optional[ResultBag] = None
+    #: The backend's raw rows; ``None`` when the run errored.
+    rows: Optional[Sequence[Tuple]] = field(default=None, repr=False)
+    #: What the runner compares (process-local, never written out).
+    digest: Optional[BagDigest] = None
     row_count: int = 0
     column_count: int = 0
     plan: Optional[PlanShape] = None
@@ -146,6 +154,22 @@ class BackendRun:
     @property
     def succeeded(self) -> bool:
         return self.error is None
+
+    def record(
+        self, rows: Sequence[Tuple], digest: Optional[BagDigest] = None
+    ) -> None:
+        """Attach a successful execution's rows (and digest, if the
+        caller already has one for exactly these rows)."""
+        self.rows = rows
+        self.digest = digest if digest is not None else digest_rows(rows)
+        self.row_count = len(rows)
+        self.column_count = len(rows[0]) if rows else 0
+
+    @cached_property
+    def bag(self) -> Optional[ResultBag]:
+        """The exact bag, built on first read: explains a disagreement,
+        fingerprints a collect artifact -- never decides a verdict."""
+        return None if self.rows is None else normalized_bag(self.rows)
 
     def to_json_dict(self) -> dict:
         payload = {
@@ -214,7 +238,7 @@ class Backend(abc.ABC):
             self._ready = True
 
     def run(self, query_id: int, tree: LogicalOp) -> BackendRun:
-        """Render, execute and normalize one query; never raises."""
+        """Render, execute and digest one query; never raises."""
         try:
             sql = self.sql_for(tree)
         except Exception as exc:  # rendering bug: attribute, don't abort
@@ -228,9 +252,7 @@ class Backend(abc.ABC):
         except BackendError as exc:
             run.error = str(exc)
             return run
-        run.bag = normalized_bag(rows)
-        run.row_count = len(rows)
-        run.column_count = len(rows[0]) if rows else 0
+        run.record(rows)
         if self.plan_language is not None:
             try:
                 run.plan = self.explain(tree, sql)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.backends.base import Backend, BackendError, PlanShape
+from repro.backends.base import Backend, BackendError, BackendRun, PlanShape
 from repro.engine.executor import ExecutionError, execute_plan
 from repro.logical.operators import LogicalOp
 from repro.optimizer.config import OptimizerConfig
@@ -50,7 +50,7 @@ def physical_plan_shape(plan: PhysicalOp) -> PlanShape:
 
 
 class EngineBackend(Backend):
-    """The repro optimizer + iterator executor as one fleet member."""
+    """The repro optimizer + columnar executor as one fleet member."""
 
     dialect = ENGINE_DIALECT
     plan_language = ENGINE_PLAN_LANGUAGE
@@ -120,8 +120,6 @@ class EngineBackend(Backend):
         the serial path byte-for-byte, so campaign artifacts are
         unchanged.
         """
-        from repro.backends.base import BackendRun, normalized_bag
-
         runs = []
         optimized = []  # OptimizeResult per run slot, None on early error
         exec_slots = []
@@ -160,9 +158,8 @@ class EngineBackend(Backend):
             if item.error is not None:
                 run.error = f"execution failed: {item.error}"
                 continue
-            rows = item.result.rows
-            run.bag = normalized_bag(rows)
-            run.row_count = len(rows)
-            run.column_count = len(rows[0]) if rows else 0
+            # The result comes out of the service's execution cache, so
+            # its digest is shared with whoever compared this plan before.
+            run.record(item.result.rows, item.result.bag_digest())
             run.plan = physical_plan_shape(optimized[slot].plan)
         return runs

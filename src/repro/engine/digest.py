@@ -23,6 +23,9 @@ Tokens come from Python's built-in ``hash`` of the canonical row tuple.
 digests are **process-local**: they must never be written into
 byte-deterministic artifacts (kill matrices, diff collects).  Within a
 process they are stable, which is all the comparison path needs.
+CPython's ``hash(-1) == hash(-2)`` is the one collision a wrong rule
+could hit systematically, so a row holding a cell equal to -1 folds the
+positions of those cells into its token.
 """
 
 from __future__ import annotations
@@ -61,6 +64,18 @@ class BagDigest:
 EMPTY_DIGEST = BagDigest(0, 0, 0)
 
 
+def _minus_one_token(row: Sequence[object]) -> int:
+    """Token of a canonical row that holds a cell equal to -1.
+
+    ``hash(-1) == hash(-2)``, so ``hash((-1, "a")) == hash((-2, "a"))``;
+    the positions of the -1 cells tell the two rows apart.  ``==`` keeps
+    ``-1`` and ``-1.0`` in one token, as the exact bag does.
+    """
+    return hash(
+        (row, tuple(i for i, value in enumerate(row) if value == -1))
+    )
+
+
 def digest_rows(rows: Iterable[Sequence[object]]) -> BagDigest:
     """Fold an iterable of raw rows into a :class:`BagDigest`.
 
@@ -89,7 +104,9 @@ def digest_rows(rows: Iterable[Sequence[object]]) -> BagDigest:
                 else value
                 for value in row
             )
-        token = hash(row) & _MASK
+        token = (
+            _minus_one_token(row) if -1 in row else hash(row)
+        ) & _MASK
         count += 1
         acc1 += token
         acc2 += (token * token + _SALT) & _MASK
@@ -102,7 +119,9 @@ def digest_canonical_rows(rows: Iterable[Tuple]) -> BagDigest:
     acc1 = 0
     acc2 = 0
     for row in rows:
-        token = hash(row) & _MASK
+        token = (
+            _minus_one_token(row) if -1 in row else hash(row)
+        ) & _MASK
         count += 1
         acc1 += token
         acc2 += (token * token + _SALT) & _MASK

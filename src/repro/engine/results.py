@@ -65,7 +65,7 @@ class QueryResult:
 
     def same_rows(self, other: "QueryResult") -> bool:
         """Bag equality of the two results (column layouts must align)."""
-        return self.multiset() == other.multiset()
+        return self.bag_digest() == other.bag_digest()
 
     def projected(self, columns: Tuple[Column, ...]) -> "QueryResult":
         """Reorder/restrict to ``columns`` (all must be present here)."""
@@ -104,7 +104,7 @@ def results_identical(a: QueryResult, b: QueryResult) -> bool:
     """
     if len(a.columns) != len(b.columns):
         return False
-    return a.bag_digest() == b.bag_digest()
+    return a.same_rows(b)
 
 
 def diff_summary(a: QueryResult, b: QueryResult) -> str:

@@ -181,6 +181,11 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "Plan-shape comparisons whose normalized shapes differed "
         "(informational; never a verdict by itself).",
     ),
+    "diff.exact_bags": (
+        "counter", (),
+        "Exact result bags materialized to explain a disagreement "
+        "(verdicts compare digests; an all-agree run leaves this at 0).",
+    ),
     # ------------------------------------------------------------ execution
     "exec.executions": (
         "counter", ("executor",),

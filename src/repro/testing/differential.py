@@ -8,7 +8,7 @@ result bags across implementations.  The first backend is the *reference*
 (by convention the in-process engine -- the system under test); each
 other backend's bag is diffed against it:
 
-* ``agree``    -- bags identical (bag comparison, floats quantized);
+* ``agree``    -- bags identical (bag digests equal, floats quantized);
 * ``disagree`` -- bags differ: a correctness bug in (at least) one
   implementation.  With a fault-injected registry this is the kill
   signal: the engine executed a wrongly-transformed plan while the
@@ -435,8 +435,7 @@ class DifferentialRunner:
                         query=outcome.query_id, backend=backend.name,
                     )
 
-    @staticmethod
-    def _judge(ref_run: BackendRun, run: BackendRun) -> DiffOutcome:
+    def _judge(self, ref_run: BackendRun, run: BackendRun) -> DiffOutcome:
         query_id = run.query_id
         if not ref_run.succeeded:
             return DiffOutcome(
@@ -453,7 +452,12 @@ class DifferentialRunner:
                 f"column count differs: {ref_run.column_count} vs "
                 f"{run.column_count}",
             )
-        if ref_run.bag != run.bag:
+        if ref_run.digest != run.digest:
+            # Only a disagreement pays for exact bags, to explain itself.
+            self._count(
+                "diff.exact_bags",
+                sum("bag" not in vars(r) for r in (ref_run, run)),
+            )
             return DiffOutcome(
                 query_id, run.backend, DISAGREE,
                 bag_diff_summary(ref_run.bag, run.bag),

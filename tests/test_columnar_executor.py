@@ -115,6 +115,23 @@ class TestBagDigest:
         assert digest_canonical_rows(rows) == digest_rows(rows)
         assert isinstance(digest_rows(rows), BagDigest)
 
+    @pytest.mark.parametrize("digest", [digest_rows, digest_canonical_rows])
+    def test_minus_one_is_not_minus_two(self, digest):
+        # CPython: hash(-1) == hash(-2), so the row hashes collide.
+        assert hash((-1, "a")) == hash((-2, "a"))
+        assert digest([(-1, "a")]) != digest([(-2, "a")])
+        assert digest([(-1, -2)]) != digest([(-2, -1)])
+        assert digest([(-1.0, "a")]) != digest([(-2.0, "a")])
+        # ... while numerically equal cells still share one token.
+        assert digest([(-1,)]) == digest([(-1.0,)])
+        assert digest([(3, -1, None)]) == digest([(3.0, -1.0, None)])
+
+    def test_minus_one_fold_applies_after_rounding(self):
+        assert digest_rows([(-0.9999999, "a")]) == digest_rows([(-1, "a")])
+        assert digest_rows([(-0.9999999, "a")]) != digest_rows([(-2, "a")])
+        rows = [(-1, "x"), (2, -1.0), (-2, "x")]
+        assert digest_canonical_rows(rows) == digest_rows(rows)
+
 
 # ----------------------------------------- table snapshots / fingerprints
 
@@ -242,8 +259,8 @@ class TestBatchedRunners:
         batched = backend.run_many(list(enumerate(trees)))
         assert len(serial) == len(batched)
         for a, b in zip(serial, batched):
-            assert (a.error, a.bag, a.row_count, a.plan) == (
-                b.error, b.bag, b.row_count, b.plan
+            assert (a.error, a.digest, a.bag, a.row_count, a.plan) == (
+                b.error, b.digest, b.bag, b.row_count, b.plan
             )
 
 

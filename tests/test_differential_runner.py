@@ -9,9 +9,12 @@ rule faults must surface as a backend disagreement.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
+
+import repro.backends.base as backends_base
 
 from repro.backends import (
     Backend,
@@ -23,6 +26,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.optimizer.config import DEFAULT_CONFIG
 from repro.rules.faults import ALL_FAULTS
 from repro.rules.registry import default_registry
+from repro.service import PlanService
 from repro.sql.binder import sql_to_tree
 from repro.sql.dialect import ENGINE_DIALECT
 from repro.testing.differential import (
@@ -34,7 +38,8 @@ from repro.testing.differential import (
     DiffOutcome,
 )
 from repro.testing.suite import SuiteQuery, TestSuite, singleton_nodes
-from repro.testing.suite import TestSuiteBuilder
+from repro.testing.suite import TestSuiteBuilder, rule_suite, select_rules
+from repro.workloads import tpch_database
 
 
 class _StubBackend(Backend):
@@ -204,6 +209,150 @@ class TestSeedFleet:
         assert engine_run["plan"]["language"] == "repro"
         assert report.to_text().endswith("PASSED")
         assert "| `sqlite` |" in report.to_markdown()
+
+
+# What `repro --seed 2 diff ... --collect-out` wrote at d6887f1, when a
+# verdict was an exact ``Counter`` comparison: per run (query, backend,
+# bag_fingerprint, rows, columns, plan), and the sha256 of the artifact
+# without its ``sql`` strings (their column aliases carry ids drawn from a
+# process-wide counter, so only a fresh process reproduces those bytes).
+CLEAN_COLLECT_SHA256 = (
+    "8be2a60ea32c453f0d2384fa20bd7d95c95297cf71f94308aad5729605e633ef"
+)
+CLEAN_COLLECT_RUNS = [
+    (0, "engine", "4e138e4568e5aaee", 750, 10, "846eea1cdd884e1d"),
+    (0, "sqlite", "4e138e4568e5aaee", 750, 10, "8fa7cb782155b38f"),
+    (1, "engine", "b89b7643d835d4e7", 1800, 17, "b5800a297fb9d0f1"),
+    (1, "sqlite", "b89b7643d835d4e7", 1800, 17, "2aa030267079ced1"),
+    (2, "engine", "4f53cda18c2baa0c", 0, 0, "5c78de8336d3f99c"),
+    (2, "sqlite", "4f53cda18c2baa0c", 0, 0, "885762693f9d62c0"),
+    (3, "engine", "675a8ff08903710b", 5, 6, "5c78de8336d3f99c"),
+    (3, "sqlite", "675a8ff08903710b", 5, 6, "48b0899e115ce519"),
+    (4, "engine", "4f53cda18c2baa0c", 0, 0, "699c2cc72077968e"),
+    (4, "sqlite", "4f53cda18c2baa0c", 0, 0, "50d56405a0436a33"),
+    (5, "engine", "54f49471bed9e212", 600, 9, "2844bbe94e880d33"),
+    (5, "sqlite", "54f49471bed9e212", 600, 9, "3f37f65fc053d6ec"),
+    (6, "engine", "4f53cda18c2baa0c", 0, 0, "e909bfa2918b7977"),
+    (6, "sqlite", "4f53cda18c2baa0c", 0, 0, "282f0552f0ded8bd"),
+    (7, "engine", "4f53cda18c2baa0c", 0, 0, "270eae9bc02f5184"),
+    (7, "sqlite", "4f53cda18c2baa0c", 0, 0, "43e2df279eae419c"),
+]
+FAULT_COLLECT_SHA256 = (
+    "feff8b3cc4f952884c4679c4fd76b12ed9e74574c135fad0dc53d5a1c8eef67c"
+)
+FAULT_COLLECT_RUNS = [
+    (0, "engine", "2c4e6d63ad8ada4b", 8, 10, "0b73a772dba96873"),
+    (0, "sqlite", "2c4e6d63ad8ada4b", 8, 10, "65be67f836d6976b"),
+    (1, "engine", "2e907319957f9fef", 5, 12, "93d43d6bdfbfd313"),
+    (1, "sqlite", "3ed65a400455103b", 51, 12, "e2df155094ba82d4"),
+]
+FAULT_DISAGREE_DETAIL = (
+    "rows: 5 vs 51; 46 rows only here, e.g. "
+    "(1, 0, 35, 13, 95, 601.71, 54.05, 730662, 'xqylzsll', None, None, None)"
+)
+
+
+class TestDigestDecides:
+    """A verdict is one digest comparison; the exact bag is built only to
+    explain a disagreement or to fingerprint the collect artifact."""
+
+    @pytest.fixture(scope="class")
+    def seed2_db(self):
+        return tpch_database(seed=2)
+
+    @staticmethod
+    def _cli_diff(database, monkeypatch, rule_names=None, fault=None):
+        """`repro --seed 2 diff --k 2 [--rules 4 | --rule-names ...]`."""
+        registry = default_registry()
+        if fault:
+            registry = registry.with_replaced_rule(ALL_FAULTS[fault]())
+        names = select_rules(registry, 4, rule_names)
+        service = PlanService(database, registry=registry, cache_dir=None)
+        suite = rule_suite(
+            database, registry, names, 2, seed=2, extra_operators=2,
+            service=service,
+        )
+        backends, skipped = create_backends(
+            ["engine", "sqlite"], database, registry=registry,
+            service=service,
+        )
+        exact_bag = backends_base.normalized_bag
+        bags_built = []
+
+        def spy(rows):
+            bags_built.append(len(rows))
+            return exact_bag(rows)
+
+        monkeypatch.setattr(backends_base, "normalized_bag", spy)
+        metrics = MetricsRegistry()
+        report = DifferentialRunner(
+            database, backends, skipped_backends=skipped, metrics=metrics,
+        ).run(suite, suite_info={
+            "seed": 2, "database": "tpch", "rules": list(names), "k": 2,
+            "extra_operators": 2, "fault": fault,
+        })
+        return report, metrics, bags_built
+
+    @staticmethod
+    def _collected(report):
+        """The collect artifact's sha256 (``sql`` strings aside) and its
+        per-run summary; writing it reads every run's exact bag."""
+        payload = json.loads(report.to_json())
+        runs = []
+        for query in payload["queries"]:
+            for name, run in sorted(query["runs"].items()):
+                del run["sql"]
+                runs.append((
+                    query["id"], name, run["bag_fingerprint"], run["rows"],
+                    run["columns"], run["plan"]["fingerprint"],
+                ))
+        artifact = json.dumps(payload, indent=2, sort_keys=True)
+        return hashlib.sha256(artifact.encode("utf-8")).hexdigest(), runs
+
+    def test_agreeing_fleet_builds_no_exact_bag(self, seed2_db, monkeypatch):
+        report, metrics, bags_built = self._cli_diff(seed2_db, monkeypatch)
+        assert report.passed and len(report.queries) == 8
+        assert metrics.counter_value("diff.exact_bags") == 0
+        assert bags_built == []
+        assert all(
+            run.digest is not None and "bag" not in vars(run)
+            for runs in report.runs.values() for run in runs.values()
+        )
+        sha, runs = self._collected(report)
+        assert runs == CLEAN_COLLECT_RUNS
+        assert sha == CLEAN_COLLECT_SHA256
+        # Only the artifact paid for exact bags: one per run.
+        assert len(bags_built) == 2 * len(report.queries)
+
+    def test_disagreement_is_explained_by_exact_bags(
+        self, seed2_db, monkeypatch
+    ):
+        fault = "LojToJoinOnNullReject"
+        report, metrics, bags_built = self._cli_diff(
+            seed2_db, monkeypatch, rule_names=[fault], fault=fault
+        )
+        (outcome,) = report.disagreements
+        assert outcome.detail == FAULT_DISAGREE_DETAIL
+        # Two runs disagreed, so two bags -- the agreeing query built none.
+        assert metrics.counter_value("diff.exact_bags") == 2
+        assert sorted(bags_built) == [5, 51]
+        sha, runs = self._collected(report)
+        assert runs == FAULT_COLLECT_RUNS
+        assert sha == FAULT_COLLECT_SHA256
+
+    def test_shared_reference_bag_is_counted_once(self, tpch_db):
+        metrics = MetricsRegistry()
+        DifferentialRunner(
+            tpch_db,
+            [
+                _StubBackend("ref"),
+                _StubBackend("wrong", rows=[(1,), (3,)]),
+                _StubBackend("also-wrong", rows=[(-2,), (2,)]),
+                _StubBackend("same", rows=[(2,), (1.0,)]),
+            ],
+            metrics=metrics,
+        ).run(_tiny_suite(tpch_db))
+        assert metrics.counter_value("diff.exact_bags") == 3
 
 
 class TestFaultKills:

@@ -285,3 +285,142 @@ def test_full_campaign_meets_detection_bar(tpch_db, registry):
     # curation honesty: the oracle should not catch mutants we declared
     # undetectable -- those notes would be stale.
     assert report.unexpected_detections("FULL") == []
+
+
+# ------------------------------------------- the fleet, folded into verdicts
+
+#: ``(status, query_ids, detail)`` per variant, ``query_verdicts`` and
+#: ``query_costs`` of two ``mutation_sample`` mutants, RECORDED AT d6887f1
+#: (when the fleet's verdict was an exact ``Counter`` comparison) by running
+#: the body of ``test_fleet_outcomes_match_the_recorded_ones`` there.
+RECORDED_FLEET_OUTCOMES = {
+    "JoinRightAssociativity:drop-conjunct": {
+        "pool_size": 4,
+        "variants": {
+            "FULL": ("EQUIVALENT", (0, 1, 2, 3), ""),
+            "SMC": ("EQUIVALENT", (2, 3), ""),
+            "TOPK": ("EQUIVALENT", (2, 3), ""),
+        },
+        "query_verdicts": (
+            (0, "identical"), (1, "identical"), (2, "identical"),
+            (3, "identical"),
+        ),
+        "query_costs": (
+            (0, 690.178616), (1, 12.090593), (2, 4.391111), (3, 6.243687),
+        ),
+    },
+    "JoinCommutativity:widen-join-kind:j0+left-outer": {
+        "pool_size": 4,
+        "variants": {
+            "FULL": (
+                "KILLED", (0, 1, 2, 3),
+                "query 3: rows: 88 vs 38; 57 rows only in first, e.g. "
+                "(None, None, None, None, 1, 'yrgnbpls', 'sloivrtx', "
+                "'fczrzibv', None, 102, 720.05); 7 rows only in second, "
+                "e.g. (1, 'bxjegbjc', 3, None, None, None, None, None, "
+                "None, None, None)",
+            ),
+            "SMC": ("SURVIVED", (1, 2), ""),
+            "TOPK": ("SURVIVED", (1, 2), ""),
+        },
+        "query_verdicts": (
+            (0, "equal"), (1, "equal"), (2, "identical"), (3, "mismatch"),
+        ),
+        "query_costs": (
+            (0, 1646.7), (1, 3.85), (2, 2.698289), (3, 5.190556),
+        ),
+    },
+}
+
+
+def _sample_campaign(tpch_db, registry, **options):
+    """One ``bench/workloads/mutation_sample.py`` campaign."""
+    return MutationCampaign(
+        tpch_db, registry, pool=4, k=2, seeds=(11,), extra_operators=2,
+        differential_backends=("engine", "sqlite"), **options,
+    )
+
+
+@pytest.mark.parametrize(
+    "rule_name, operator",
+    [
+        ("JoinRightAssociativity", "drop-conjunct"),
+        ("JoinCommutativity", "widen-join-kind"),
+    ],
+)
+def test_fleet_outcomes_match_the_recorded_ones(
+    tpch_db, registry, rule_name, operator
+):
+    report = _sample_campaign(tpch_db, registry).run(
+        rule_names=[rule_name], operators=[operator]
+    )
+    (outcome,) = report.outcomes
+    assert {
+        "pool_size": outcome.pool_size,
+        "variants": {
+            name: (cell.status, cell.query_ids, cell.detail)
+            for name, cell in outcome.variants.items()
+        },
+        "query_verdicts": outcome.query_verdicts,
+        "query_costs": outcome.query_costs,
+    } == RECORDED_FLEET_OUTCOMES[outcome.mutant_id]
+
+
+def test_fleet_reuses_the_digest_the_correctness_runner_computed(
+    tpch_db, registry, monkeypatch
+):
+    """A pool query whose ``Plan(q)`` the correctness runner executed and
+    compared reaches the fleet's engine member out of the execution cache,
+    digest included: the fleet digests only sqlite's rows for it."""
+    import repro.backends.base as backends_base
+    import repro.engine.digest as engine_digest
+    from repro.testing.differential import DifferentialRunner
+
+    digest_rows, fleet_run = engine_digest.digest_rows, DifferentialRunner.run
+    digested = []  # (inside the fleet?, rows) per digest_rows call
+    in_fleet = []
+    fleet_reports = []
+
+    def spy(rows):
+        digested.append((bool(in_fleet), rows))
+        return digest_rows(rows)
+
+    def run(self, suite, suite_info=None):
+        in_fleet.append(True)
+        try:
+            fleet_reports.append(fleet_run(self, suite, suite_info))
+        finally:
+            in_fleet.pop()
+        return fleet_reports[-1]
+
+    # QueryResult.bag_digest looks the function up in its module at call
+    # time; BackendRun.record uses the name base.py imported.
+    monkeypatch.setattr(engine_digest, "digest_rows", spy)
+    monkeypatch.setattr(backends_base, "digest_rows", spy)
+    monkeypatch.setattr(DifferentialRunner, "run", run)
+
+    metrics = MetricsRegistry()
+    report = _sample_campaign(tpch_db, registry, metrics=metrics).run(
+        rule_names=["JoinCommutativity"], operators=["widen-join-kind"]
+    )
+    (outcome,) = report.outcomes
+    (fleet_report,) = fleet_reports
+    compared = [
+        query_id for query_id, verdict in outcome.query_verdicts
+        if verdict == "equal"
+    ]
+    assert compared == [0, 1]
+    assert metrics.counter_value("exec.cache_hits") >= len(compared)
+
+    def digests_of(rows, in_fleet):
+        return sum(
+            1 for inside, seen in digested
+            if seen is rows and inside == in_fleet
+        )
+
+    for query_id in compared:
+        runs = fleet_report.runs[query_id]
+        assert digests_of(runs["engine"].rows, in_fleet=False) == 1
+        assert digests_of(runs["engine"].rows, in_fleet=True) == 0
+        assert digests_of(runs["sqlite"].rows, in_fleet=True) == 1
+        assert runs["engine"].digest == runs["sqlite"].digest

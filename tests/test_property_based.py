@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.backends.base import BackendRun, normalized_bag
 from repro.catalog.schema import DataType
 from collections import Counter
 
@@ -293,6 +294,87 @@ class TestBagDigestProperty:
             )
         for perturbed in perturbations:
             assert agree(perturbed)
+
+
+#: Cells of a numeric result column: the types the two canonical forms
+#: treat differently, and the floats that sit on their seams.
+_NUMBERS = st.one_of(
+    st.integers(-2, 2),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([-0.0, 0.0, 0.1 + 0.2, 0.3, -1.0, -2.0, 1.0, 2.5]),
+    # Within 1e-6 of a boundary of the 5-digit comparison rounding.
+    st.builds(
+        lambda step, offset: step * 1e-5 + 5e-6 + offset,
+        st.integers(-300_000, 300_000),
+        st.floats(-1e-6, 1e-6),
+    ),
+)
+#: Cells of a text column.  A result column has one SQL type on both
+#: sides of a comparison, which is why ``hash("") == hash(0)`` -- equal
+#: hashes of unequal cells of *different* types -- is out of scope here.
+_TEXTS = st.one_of(st.text("ab", max_size=2), st.none())
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _one_less(value):
+    """The off-by-one a wrong rule makes; ``-1 -> -2`` keeps the hash."""
+    return value - 1 if _is_number(value) else value
+
+
+def _same_number_other_type(value):
+    """``3 -> 3.0`` / ``3.0 -> 3``: equal cells of a different type."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else value
+    return float(value) if _is_number(value) else value
+
+
+class TestDigestIsTheExactBagTest:
+    """The differential fleet's verdict is a digest comparison; the exact
+    ``normalized_bag`` only explains it.  The two must never disagree."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_digest_equality_is_normalized_bag_equality(self, data):
+        columns = data.draw(
+            st.lists(st.sampled_from([_NUMBERS, _TEXTS]), min_size=1, max_size=4)
+        )
+        first = data.draw(st.lists(st.tuples(*columns), max_size=6))
+        second = list(data.draw(st.permutations(first)))
+        edit = data.draw(
+            st.sampled_from(
+                ["none", "cell", "one-less", "number-type", "duplicate"]
+            )
+        )
+        if second and edit != "none":
+            index = data.draw(st.integers(0, len(second) - 1))
+            row = second[index]
+            if edit == "duplicate":
+                second.append(row)
+            else:
+                column = data.draw(st.integers(0, len(columns) - 1))
+                cell = (
+                    data.draw(columns[column]) if edit == "cell"
+                    else _one_less(row[column]) if edit == "one-less"
+                    else _same_number_other_type(row[column])
+                )
+                second[index] = row[:column] + (cell,) + row[column + 1:]
+        assert (digest_rows(first) == digest_rows(second)) == (
+            normalized_bag(first) == normalized_bag(second)
+        ), (first, second)
+
+    def test_backend_run_bag_is_lazy_and_cached(self):
+        errored = BackendRun(backend="b", query_id=0, sql="", error="boom")
+        assert errored.bag is None and errored.digest is None
+        run = BackendRun(backend="b", query_id=0, sql="")
+        run.record([(True, 0.1 + 0.2), (1, 0.3)])
+        assert run.digest == digest_rows([(1, 0.3), (1, 0.3)])
+        assert "bag" not in vars(run)
+        assert run.bag == Counter({(1, 0.3): 2})
+        assert run.bag is run.bag
 
 
 # -------------------------------------------------- compression properties

@@ -1,4 +1,4 @@
-"""Deterministic regression pin for ROADMAP item 5's non-monotonicity.
+"""Deterministic regression pin for ROADMAP item 2's non-monotonicity.
 
 Hypothesis (``tests/test_property_based.py::TestRuleCorrectnessProperty::
 test_disabling_rules_never_changes_results``) found a real counterexample
@@ -12,7 +12,7 @@ fixpoint the full search misses.
 Hypothesis only rediscovers this when it happens to draw seed 1448; this
 file pins the exact reproduction so the failure is deterministic, and
 marks the monotonicity half ``xfail(strict=True)`` so the root-cause fix
-(likely memo exploration order/dedup, see ROADMAP item 5) is detected
+(likely memo exploration order/dedup, see ROADMAP item 2) is detected
 the moment it lands: the xfail will XPASS and fail the suite, telling
 the fixer to delete the marker and promote the assertion.
 """
@@ -64,7 +64,7 @@ class TestSeed1448Counterexample:
     @pytest.mark.xfail(
         strict=True,
         reason=(
-            "known optimizer non-monotonicity (ROADMAP item 5): the "
+            "known optimizer non-monotonicity (ROADMAP item 2): the "
             "restricted search reaches a cheaper fixpoint (10.319279 < "
             "10.343600); remove this marker when the root cause is fixed"
         ),
@@ -77,7 +77,7 @@ class TestSeed1448Counterexample:
 
     def test_counterexample_magnitude_is_stable(self, optimized_pair):
         """Pin the exact costs: if either side moves, the search behavior
-        changed and ROADMAP item 5 needs re-triage (the xfail above would
+        changed and ROADMAP item 2 needs re-triage (the xfail above would
         go stale silently otherwise)."""
         baseline, restricted = optimized_pair
         assert baseline.cost == pytest.approx(10.343600, abs=1e-6)
