@@ -26,7 +26,18 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     # ------------------------------------------------------------ optimizer
     "optimizer.optimizations": (
         "counter", (),
-        "Completed `Optimizer.optimize()` runs (failed runs excluded).",
+        "Optimizer runs that did not raise: every one, whether it "
+        "produced a plan or stopped after exploration "
+        "(`optimizer.unexercised` counts the latter), so ratios per "
+        "optimization keep one optimizer invocation as their base.",
+    ),
+    "optimizer.unexercised": (
+        "counter", (),
+        "Generation trials (`Optimizer.optimize_exercising()`) that "
+        "stopped after exploration because a target rule was not "
+        "exercised: no implementation, no plan.  Each is counted in "
+        "`optimizer.optimizations` too, and records its per-rule counters "
+        "and memo sizes like any other run.",
     ),
     "optimizer.optimization_errors": (
         "counter", (),
@@ -413,6 +424,7 @@ class MetricsRegistry:
         if handles is None:
             handles = self._optimizer_handles = {
                 "optimizations": self.counter("optimizer.optimizations"),
+                "unexercised": self.counter("optimizer.unexercised"),
                 "applications": self.counter("optimizer.rule_applications"),
                 "costings": self.counter("optimizer.costings"),
                 "enforcers": self.counter("optimizer.enforcers"),

@@ -7,7 +7,9 @@ Optimization proceeds in the classic two phases:
    once; successful substitutions add equivalent expressions to the memo,
    which are themselves explored, until a fixpoint (or a budget cap) is
    reached.  The engine records which rules were exercised -- the paper's
-   ``RuleSet(q)`` tracking extension.
+   ``RuleSet(q)`` tracking extension.  A generation trial
+   (:meth:`Optimizer.optimize_exercising`) ends here when exploration
+   already shows one of its target rules is not in ``RuleSet(q)``.
 2. **Implementation**: top-down dynamic programming over (group, required
    ordering).  Implementation rules produce physical alternatives; a Sort
    enforcer satisfies ordering requirements nothing provides natively; the
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.schema import Catalog
 from repro.catalog.stats import StatsRepository
@@ -119,9 +121,13 @@ class _RuleIndex:
     def __init__(self, registry: RuleRegistry, config: OptimizerConfig) -> None:
         self.names: List[str] = []
         self.exploration = self._bucket(registry.exploration_rules, config)
+        explored = len(self.names)
         self.implementation = self._bucket(
             registry.implementation_rules, config
         )
+        #: The only rules that can still join ``RuleSet(q)`` once
+        #: exploration is over.
+        self.implementation_names = frozenset(self.names[explored:])
 
     def _bucket(
         self, rules: Iterable[Rule], config: OptimizerConfig
@@ -181,16 +187,30 @@ class Optimizer:
 
     def optimize(self, tree: LogicalOp) -> OptimizeResult:
         """Optimize a logical query tree into a physical plan."""
+        return self.optimize_exercising(tree, ())
+
+    def optimize_exercising(
+        self, tree: LogicalOp, targets: Sequence[str]
+    ) -> Optional[OptimizeResult]:
+        """One generation trial: the result of :meth:`optimize` when every
+        rule in ``targets`` is in ``RuleSet(tree)``, else ``None``.
+
+        The search is the one :meth:`optimize` runs.  When exploration
+        ends without a target that only exploration could have exercised,
+        the answer is already *no* and the run stops there: no
+        implementation, no plan.
+        """
         try:
-            return self._optimize(tree)
+            return self._optimize(tree, targets)
         except OptimizationError:
             if self.metrics is not None:
                 self.metrics.counter("optimizer.optimization_errors").inc()
             raise
 
-    def _optimize(self, tree: LogicalOp) -> OptimizeResult:
+    def _optimize(
+        self, tree: LogicalOp, targets: Sequence[str]
+    ) -> Optional[OptimizeResult]:
         tracer = self.tracer
-        output_columns = self._deriver.derive_tree(tree).columns
         memo = Memo(
             self._deriver,
             self._estimator,
@@ -229,8 +249,33 @@ class Optimizer:
                     tracer.event("optimize.budget_exhausted", cat="optimizer")
         # Implementation rows are still zero here: exploration firings only.
         applications = sum(counts[1] for counts in tally)
+        stats = MemoStats(
+            group_count=len(memo.groups),
+            expr_count=memo.total_exprs,
+            rule_applications=applications,
+            budget_exhausted=budget_exhausted,
+        )
+        unexercised = [
+            name
+            for name in targets
+            if name not in exercised
+            and name not in index.implementation_names
+        ]
+        if unexercised:
+            if tracer.enabled:
+                tracer.event(
+                    "optimize.unexercised",
+                    cat="optimizer",
+                    missing=",".join(unexercised),
+                    groups=stats.group_count,
+                    exprs=stats.expr_count,
+                    applications=applications,
+                )
+            self._record_metrics(tally, stats, None)
+            return None
 
         # -------------------------------------------------------- implement
+        output_columns = self._deriver.derive_tree(tree).columns
         implementer = _Implementer(
             memo,
             ctx,
@@ -251,12 +296,6 @@ class Optimizer:
         if self._sanitizer is not None:
             self._sanitizer.check_plan(plan, output_columns)
 
-        stats = MemoStats(
-            group_count=len(memo.groups),
-            expr_count=memo.total_exprs,
-            rule_applications=applications,
-            budget_exhausted=budget_exhausted,
-        )
         if tracer.enabled:
             tracer.event(
                 "optimize.done",
@@ -277,6 +316,8 @@ class Optimizer:
             for name, counts in sorted(zip(index.names, tally))
         )
         self._record_metrics(tally, stats, implementer)
+        if not exercised.issuperset(targets):
+            return None  # an implementation-rule target did not fire
         return OptimizeResult(
             plan=plan,
             cost=winner.cost,
@@ -292,8 +333,10 @@ class Optimizer:
         self,
         tally: List[_TallyRow],
         stats: MemoStats,
-        implementer: "_Implementer",
+        implementer: Optional["_Implementer"],
     ) -> None:
+        """Fold one run into the registry; ``implementer`` is ``None`` for
+        a run that stopped after exploration."""
         metrics = self.metrics
         if metrics is None:
             return
@@ -309,8 +352,11 @@ class Optimizer:
             if counts[3]:
                 precondition.inc(counts[3])
         handles["applications"].inc(stats.rule_applications)
-        handles["costings"].inc(implementer.costings)
-        handles["enforcers"].inc(implementer.enforcers)
+        if implementer is None:
+            handles["unexercised"].inc()
+        else:
+            handles["costings"].inc(implementer.costings)
+            handles["enforcers"].inc(implementer.enforcers)
         if stats.budget_exhausted:
             handles["budget"].inc()
         handles["groups"].observe(stats.group_count)

@@ -49,11 +49,13 @@ class Group:
 
     def add(self, op: LogicalOp) -> Optional[GroupExpr]:
         """Add ``op`` to this group; returns the new expr or None if dup."""
-        if op in self._logical_set:
+        seen = self._logical_set
+        size = len(seen)
+        seen.add(op)  # the one probe: a duplicate leaves the size alone
+        if len(seen) == size:
             return None
         expr = GroupExpr(op=op, group_id=self.group_id)
         self.logical_exprs.append(expr)
-        self._logical_set.add(op)
         return expr
 
     def __repr__(self) -> str:
@@ -114,14 +116,16 @@ class Memo:
         return self._new_group_for(memo_form)
 
     def _to_memo_form(self, op: LogicalOp) -> LogicalOp:
-        """Rewrite ``op``'s operator children into group references."""
+        """Rewrite ``op``'s operator children into group references;
+        ``op`` itself when it has none left to rewrite."""
         children = []
+        rewritten = False
         for child in op.children:
-            if isinstance(child, GroupRef):
-                children.append(child)
-            else:
-                children.append(GroupRef(self.intern_tree(child)))
-        return op.with_children(tuple(children))
+            if not isinstance(child, GroupRef):
+                child = GroupRef(self.intern_tree(child))
+                rewritten = True
+            children.append(child)
+        return op.with_children(tuple(children)) if rewritten else op
 
     def _new_group_for(self, memo_form: LogicalOp) -> int:
         if len(self.groups) >= self._max_groups:
@@ -176,8 +180,7 @@ class Memo:
         expr = group.add(memo_form)
         if expr is not None:
             self._fresh.append(expr)
-            if memo_form not in self._interned:
-                self._interned[memo_form] = group_id
+            self._interned.setdefault(memo_form, group_id)
             if self._tracer.detailed:
                 self._tracer.event(
                     "memo.expr",

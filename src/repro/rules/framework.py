@@ -14,7 +14,8 @@ Following the paper (Section 3.1), every rule is a triple
 
 A rule is *exercised* for a query exactly when, during that query's
 optimization, its pattern matched, its precondition passed, and its
-substitution produced at least one expression that was new to the memo.
+substitution yielded at least one expression -- whether or not the memo
+already held it.
 
 The same pattern objects are exported through :func:`pattern_to_xml` -- the
 paper's "API through which [the server] returns the rule pattern tree for a

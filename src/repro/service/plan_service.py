@@ -19,10 +19,12 @@ each layer hand-rolling its own :class:`Optimizer`, a single
 
 Every request, scalar or batched, climbs the same ladder: a memory entry,
 then (when no plan object is needed) a cost record from disk, then the
-optimizer -- singly or through the pool.  :meth:`PlanService._cached` is
-the one place that counts requests and hits and emits ``service.cache``;
-:meth:`PlanService._computed` the one place that counts, stores and evicts
-a computed outcome.
+optimizer -- singly or through the pool.  A generation trial
+(:meth:`PlanService.optimize_exercising`) climbs it too, and lets the
+optimizer stop after exploration when the answer is already *no*.
+:meth:`PlanService._cached` is the one place that counts requests and hits
+and emits ``service.cache``; :meth:`PlanService._computed` the one place
+that counts, stores and evicts a computed outcome.
 
 Construction of :class:`Optimizer` instances is an implementation detail of
 this module; no other package should instantiate one directly.
@@ -35,7 +37,7 @@ import pickle
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.catalog.schema import Catalog
 from repro.catalog.stats import StatsRepository
@@ -99,17 +101,31 @@ class ServiceStats:
 
 @dataclass
 class _Entry:
-    """One memoized outcome: a full result, a remembered failure, or a
+    """One memoized outcome: a full result, a remembered failure, a
     cost-only answer read back from disk (neither ``result`` nor ``error``),
-    which answers ``cost`` but not ``optimize``."""
+    which answers ``cost`` but not ``optimize``, or a RuleSet-only answer
+    (``unexercised``) left by a generation trial that produced no plan,
+    which answers neither."""
 
     result: Optional[OptimizeResult] = None
     error: Optional[str] = None
     cost: float = float("inf")
+    #: Rules a trial asked for and ``RuleSet(q)`` does not all contain.
+    unexercised: Optional[FrozenSet[str]] = None
 
-    @property
-    def has_plan_answer(self) -> bool:
-        return self.result is not None or self.error is not None
+    def answers(self, need_plan: bool, targets: FrozenSet[str]) -> bool:
+        """Whether this entry settles a request: one for a plan or just a
+        cost, or (non-empty ``targets``) a trial asking whether all of
+        ``targets`` are exercised."""
+        if self.unexercised is not None:
+            # Still a *no* for any trial that asks for at least these rules
+            # (never empty, so a plan or cost request is not answered).
+            return self.unexercised <= targets
+        return (
+            not need_plan
+            or self.result is not None
+            or self.error is not None
+        )
 
     def failure(self) -> OptimizationError:
         return OptimizationError(self.error or "optimization failed")
@@ -237,7 +253,11 @@ class PlanService:
     # ----------------------------------------------------- the request ladder
 
     def _cached(
-        self, key: _CacheKey, need_plan: bool, request: str
+        self,
+        key: _CacheKey,
+        need_plan: bool,
+        request: str,
+        targets: FrozenSet[str] = frozenset(),
     ) -> Optional[_Entry]:
         """The cached rungs, climbed by every request of every entry point:
         the memory entry, then -- plans are never persisted, so only when
@@ -245,7 +265,7 @@ class PlanService:
         miss; the caller computes, singly or as part of a batch."""
         self._bump("requests")
         entry = self._entries.get(key)
-        if entry is not None and (not need_plan or entry.has_plan_answer):
+        if entry is not None and entry.answers(need_plan, targets):
             outcome = "memory_hit"
             self._bump("memory_hits")
         elif not need_plan and (entry := self._read_disk(key)) is not None:
@@ -280,33 +300,45 @@ class PlanService:
         self._entries[key] = entry
 
     def _compute(
-        self, key: _CacheKey, tree: LogicalOp, config: OptimizerConfig
+        self,
+        key: _CacheKey,
+        tree: LogicalOp,
+        config: OptimizerConfig,
+        targets: FrozenSet[str] = frozenset(),
     ) -> _Entry:
         """The last rung, in this process: run the optimizer."""
         with self.tracer.span("service.compute", cat="service"):
             try:
-                result, error = self._optimizer(config).optimize(tree), None
+                result = self._optimizer(config).optimize_exercising(
+                    tree, targets
+                )
+                error = None
             except OptimizationError as exc:
                 result, error = None, str(exc)
-        return self._computed(key, result, error)
+        return self._computed(key, result, error, targets)
 
     def _computed(
         self,
         key: _CacheKey,
         result: Optional[OptimizeResult],
         error: Optional[str],
+        targets: FrozenSet[str] = frozenset(),
     ) -> _Entry:
         """Count and store one optimizer outcome, computed here or by a
         pool worker; failures are remembered too, so repeated requests do
-        not re-search."""
+        not re-search.  A trial that ended without a plan (neither result
+        nor error) is one optimizer invocation like any other, remembered
+        in memory only: there is no cost to persist."""
         self._bump("computed")
         if error is not None:
             self._bump("errors")
             entry = _Entry(error=error)
+        elif result is None:
+            entry = _Entry(unexercised=targets)
         else:
             entry = _Entry(result=result, cost=result.cost)
         self._remember(key, entry)
-        if self._disk is not None:
+        if self._disk is not None and entry.unexercised is None:
             self._disk.put(self._disk_key(key), self._record_for(key, entry))
         return entry
 
@@ -366,6 +398,34 @@ class PlanService:
         if entry.result is None:
             raise entry.failure()
         return entry.result
+
+    def optimize_exercising(
+        self,
+        tree: LogicalOp,
+        targets: Sequence[str],
+        config: Optional[OptimizerConfig] = None,
+    ) -> Optional[OptimizeResult]:
+        """One generation trial: :meth:`optimize`'s result when every rule
+        in ``targets`` is in ``RuleSet(q)``, else ``None``.
+
+        A *no* costs an exploration, not an optimization: the optimizer
+        stops before implementation once a target is known unexercised.
+        That answer is remembered for repeated trials of the same tree but
+        holds no plan or cost, so a later :meth:`optimize` or :meth:`cost`
+        of the tree computes in full.
+        """
+        config = self._resolve_config(config)
+        key = self._key(tree, config)
+        wanted = frozenset(targets)
+        entry = self._cached(key, True, "optimize_exercising", wanted)
+        if entry is None:
+            entry = self._compute(key, tree, config, wanted)
+        if entry.error is not None:
+            raise entry.failure()
+        result = entry.result
+        if result is not None and result.exercised_all(wanted):
+            return result
+        return None
 
     def cost(
         self, tree: LogicalOp, config: Optional[OptimizerConfig] = None

@@ -88,18 +88,14 @@ class QueryGenerator:
     def _try_query(
         self, tree: LogicalOp, targets: Sequence[str]
     ) -> Optional[OptimizeResult]:
-        """Optimize ``tree``; return the result if all targets exercised."""
+        """One trial's question to the optimizer: is every target in
+        ``RuleSet(tree)``?  The result if so, else ``None``."""
         try:
-            validate_tree(tree, self.database.catalog)
-        except ValidationError:
-            return None
-        try:
-            result = self.service.optimize(tree, self.config)
+            return self.service.optimize_exercising(
+                tree, targets, self.config
+            )
         except OptimizationError:
             return None
-        if all(name in result.rules_exercised for name in targets):
-            return result
-        return None
 
     def _campaign(
         self,
@@ -119,6 +115,10 @@ class QueryGenerator:
                 continue
             if tree is None:
                 continue
+            try:
+                validate_tree(tree, self.database.catalog)
+            except ValidationError:
+                continue  # never reaches the optimizer
             optimizer_calls += 1
             result = self._try_query(tree, targets)
             if result is not None and (

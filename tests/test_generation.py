@@ -1,12 +1,23 @@
 """Tests for query generation: RANDOM, PATTERN, pairs, and extensions."""
 
+import hashlib
 import random
 
 import pytest
 
-from repro.logical.validate import validate_tree
+from repro.catalog.schema import DataType
+from repro.expr.expressions import (
+    ColumnRef,
+    Comparison,
+    ComparisonOp,
+    Literal,
+)
+from repro.logical.operators import Select, make_get
+from repro.logical.validate import ValidationError, validate_tree
 from repro.rules.framework import match_structure, tree_contains_pattern
 from repro.rules.registry import default_registry
+from repro.service import PlanService
+from repro.testing import TestSuiteBuilder, pair_nodes, singleton_nodes
 from repro.testing.builders import TreeBuilder, column_origins
 from repro.testing.generator import QueryGenerator
 from repro.testing.pattern_gen import (
@@ -138,6 +149,80 @@ class TestSingletonGeneration:
         if not outcome.succeeded:
             assert outcome.tree is None
             assert outcome.trials == 1
+
+
+    def test_optimizer_calls_counts_trials_that_reached_the_service(
+        self, tpch_db
+    ):
+        """Figures 8-10 price generation in trials and in optimizer calls:
+        a tree ``validate_tree`` rejects costs a trial, not a call."""
+        generator = QueryGenerator(tpch_db, seed=1)
+        nation = make_get(tpch_db.catalog.table("nation"))
+        region = make_get(tpch_db.catalog.table("region"))
+        invalid = Select(
+            nation,
+            Comparison(
+                ComparisonOp.EQ,
+                ColumnRef(region.columns[0]),  # not visible under nation
+                Literal(1, DataType.INT),
+            ),
+        )
+        with pytest.raises(ValidationError):
+            validate_tree(invalid, tpch_db.catalog)
+        trees = {1: invalid, 2: nation, 3: region}
+        outcome = generator._campaign(
+            ["JoinCommutativity"], trees.__getitem__, max_trials=3
+        )
+        assert not outcome.succeeded
+        assert outcome.trials == 3
+        assert outcome.optimizer_calls == 2
+        assert generator.service.counters.requests == 2
+        assert generator.service.counters.computed == 2
+
+
+#: SHA-256 of the suite rows per generation seed, recorded at ``f5f77a9``.
+SUITE_ROWS_AT_PARENT = {
+    0: "fa81f3e472eae066632644c2e8129dcb13616dcd8058b3deebf3914f3adcf75c",
+    7: "2a56c5b80e525f7f29edc2272a3a53c3443e39f87a3d3474df2615604a8ae1a3",
+    11: "b6bd8a792d5204d07e708ac9084be6f8bc6d779a9c47bb5770255eab43bf0d57",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_ROWS_AT_PARENT))
+def test_suites_are_the_ones_full_optimizations_built(
+    tpch_db, registry, seed
+):
+    """Asking trials a yes/no question moves no generated query.
+
+    ``SUITE_ROWS_AT_PARENT`` was recorded by running this body at
+    ``f5f77a9``, where every trial was a full ``PlanService.optimize``: the
+    bench's 20 singleton nodes (every 2nd exploration rule, 4 extra
+    operators) and 10 pair nodes (the first 5 rules, none), k = 2, built
+    through one service.  ``sql`` is left out: its column ids come from a
+    process-wide counter.
+    """
+    names = registry.exploration_rule_names
+    service = PlanService(tpch_db, registry=registry)
+    rows = []
+    for nodes, extra_operators in (
+        (singleton_nodes(names[::2]), 4),
+        (pair_nodes(names[:5]), 0),
+    ):
+        suite = TestSuiteBuilder(
+            tpch_db, registry, seed=seed,
+            extra_operators=extra_operators, service=service,
+        ).build(nodes, 2)
+        rows.extend(
+            (
+                query.tree.fingerprint(), f"{query.cost:.6f}",
+                sorted(query.ruleset), query.rule_firing,
+                query.generated_for,
+            )
+            for query in suite.queries
+        )
+    assert len(rows) == 60
+    digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+    assert digest == SUITE_ROWS_AT_PARENT[seed]
 
 
 class TestPairGeneration:

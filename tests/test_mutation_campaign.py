@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.obs import MetricsRegistry
+from repro.optimizer.config import DEFAULT_CONFIG
 from repro.rules.faults import ALL_FAULTS
 from repro.testing.mutation import MutationCampaign
 from repro.testing.mutation.campaign import (
@@ -424,3 +425,67 @@ def test_fleet_reuses_the_digest_the_correctness_runner_computed(
         assert digests_of(runs["engine"].rows, in_fleet=True) == 0
         assert digests_of(runs["sqlite"].rows, in_fleet=True) == 1
         assert runs["engine"].digest == runs["sqlite"].digest
+
+
+def test_failed_trials_stop_after_exploration(tpch_db, registry):
+    """The bench's NO_FIRE mutant: 750 trials, none exercising the mutated
+    rule.  Outcome, service counts and exploration tallies are the ones
+    recorded at ``f5f77a9``, where each trial was a full optimization
+    (14,704 costings); now each stops after exploration."""
+    metrics = MetricsRegistry()
+    report = _sample_campaign(tpch_db, registry, metrics=metrics).run(
+        rule_names=["AvgToSumDivCount"], operators=["skip-substitute"]
+    )
+    (outcome,) = report.outcomes
+    detail = (
+        "could not generate 4 distinct queries for ('AvgToSumDivCount',) "
+        "within 30 attempts"
+    )
+    assert outcome.mutant_id == "AvgToSumDivCount:skip-substitute"
+    assert outcome.pool_size == 0
+    assert {
+        name: (cell.status, cell.query_ids, cell.detail)
+        for name, cell in outcome.variants.items()
+    } == {name: (NO_FIRE, (), detail) for name in VARIANTS}
+    assert (outcome.query_verdicts, outcome.query_costs) == ((), ())
+    assert report.service_stats == {
+        "requests": 750, "memory_hits": 0, "disk_hits": 0, "hits": 0,
+        "computed": 750, "errors": 0, "batches": 0, "parallel_tasks": 0,
+    }
+    value = metrics.counter_value
+    assert value("optimizer.unexercised") == 750
+    assert value("optimizer.optimizations") == 750
+    assert value("optimizer.rule_applications") == 9802
+    assert value("optimizer.costings") == 0
+
+
+def test_stopped_trials_are_still_sanitized(tpch_db, registry, monkeypatch):
+    """The sanitizer checks what substitutions insert into the memo, and a
+    trial that stops after exploration has inserted all of it."""
+    from repro.analysis.sanitize import PlanSanitizer
+    from repro.testing.generator import QueryGenerator
+    from repro.testing.mutation import generate_mutants
+
+    checked = []
+    check_group_expr = PlanSanitizer.check_group_expr
+
+    def spy(self, expr, memo, rule_name=None):
+        checked.append(rule_name)
+        return check_group_expr(self, expr, memo, rule_name)
+
+    monkeypatch.setattr(PlanSanitizer, "check_group_expr", spy)
+    (mutant,) = generate_mutants(
+        registry, ["AvgToSumDivCount"], ["skip-substitute"]
+    )
+    generator = QueryGenerator(
+        tpch_db, registry.with_replaced_rule(mutant.build()), seed=11,
+        config=DEFAULT_CONFIG.replaced(sanitize_plans=True),
+    )
+    outcome = generator.pattern_query_for_rule(
+        "AvgToSumDivCount", max_trials=5, extra_operators=2
+    )
+    assert not outcome.succeeded
+    assert generator.service.counters.computed == outcome.optimizer_calls == 5
+    # Initial expressions (no rule) and substitutes alike.
+    assert checked.count(None) >= 5
+    assert any(name is not None for name in checked)

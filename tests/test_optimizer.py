@@ -1,5 +1,8 @@
 """Unit tests for the memo and the optimizer engine."""
 
+import random
+import re
+
 import pytest
 
 from repro.catalog.schema import DataType
@@ -30,12 +33,17 @@ from repro.logical.operators import (
     make_get,
 )
 from repro.logical.properties import PropertyDeriver
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import RecordingTracer
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.memo import Memo, MemoBudgetExceeded
 from repro.optimizer.result import OptimizationError
 from repro.physical.operators import PhysOpKind
 from repro.rules.registry import default_registry
+from repro.testing.builders import GenerationFailure
+from repro.testing.pattern_gen import PatternInstantiator, merge_hints
+from repro.testing.random_gen import RandomQueryGenerator
 
 
 @pytest.fixture()
@@ -437,3 +445,198 @@ class TestExplorationWork:
         assert fired == 718
         assert considered <= 11_544 // 4
         assert fired / considered >= 0.25
+
+
+# ------------------------------------------------------- generation trials
+
+#: The fields a trial's result shares with ``optimize``'s (``logical_tree``
+#: is the caller's own tree).
+RESULT_FIELDS = (
+    "plan", "cost", "rules_exercised", "rule_interactions", "stats",
+    "rule_counters", "output_columns",
+)
+
+
+def trial_trees(database, stats, registry):
+    """44 pinned trees: 24 RANDOM ones and one PATTERN instantiation for
+    each of the first 20 exploration rules."""
+    trees = [
+        RandomQueryGenerator(
+            database.catalog, seed=seed, stats=stats
+        ).random_tree()
+        for seed in range(24)
+    ]
+    instantiator = PatternInstantiator(
+        database.catalog, random.Random(3), stats
+    )
+    for rule in registry.exploration_rules[:20]:
+        for _ in range(25):
+            try:
+                trees.append(
+                    instantiator.instantiate(rule.pattern, merge_hints([rule]))
+                )
+            except GenerationFailure:
+                continue
+            break
+        else:
+            pytest.fail(f"could not instantiate pattern of {rule.name}")
+    return trees
+
+
+def trial_targets(full, registry):
+    """Singleton and pair targets on both sides of ``RuleSet(q)``."""
+    exploration = registry.exploration_rule_names
+    inside = sorted(full.rules_exercised.intersection(exploration))
+    outside = [name for name in exploration if name not in inside]
+    targets = [(outside[0],), (outside[-1], outside[0])]
+    if inside:
+        targets += [(inside[0],), (inside[0], outside[0])]
+    if len(inside) > 1:
+        targets.append((inside[0], inside[-1]))
+    return targets
+
+
+def _renumbered(plan) -> str:
+    """``repr(plan)`` with column ids numbered by first appearance: rules
+    mint output columns from a process-wide counter, so two runs over one
+    tree agree on everything but those ids."""
+    ids = {}
+    return re.sub(
+        r"#\d+",
+        lambda match: f"#c{ids.setdefault(match.group(), len(ids))}",
+        repr(plan),
+    )
+
+
+def assert_same_answer(trial, full, targets):
+    if not full.exercised_all(targets):
+        assert trial is None, targets
+        return
+    for name in RESULT_FIELDS:
+        ours, theirs = getattr(trial, name), getattr(full, name)
+        if name == "plan":
+            ours, theirs = _renumbered(ours), _renumbered(theirs)
+        assert ours == theirs, (name, targets)
+
+
+class TestOptimizeExercising:
+    """``optimize_exercising`` is ``optimize`` that may stop early with the
+    same answer to "is every target in ``RuleSet(q)``?"."""
+
+    def test_same_answer_as_optimize(self, tpch_db, tpch_stats, registry):
+        optimizer = Optimizer(tpch_db.catalog, tpch_stats, registry)
+        trees = trial_trees(tpch_db, tpch_stats, registry)
+        assert len(trees) >= 40
+        stopped = 0
+        for tree in trees:
+            full = optimizer.optimize(tree)
+            for targets in trial_targets(full, registry):
+                trial = optimizer.optimize_exercising(tree, targets)
+                assert_same_answer(trial, full, targets)
+                stopped += trial is None
+        assert stopped >= 2 * len(trees)
+
+    def test_budget_capped_tree_gives_the_same_answer(
+        self, tpch_db, tpch_stats, registry
+    ):
+        tree = _customer_orders_lineitem(tpch_db)
+        capped = Optimizer(
+            tpch_db.catalog, tpch_stats, registry,
+            OptimizerConfig(max_rule_applications=5),
+        )
+        full = capped.optimize(tree)
+        assert full.stats.budget_exhausted
+        uncapped = Optimizer(tpch_db.catalog, tpch_stats, registry)
+        cut_off = sorted(
+            uncapped.optimize(tree).rules_exercised - full.rules_exercised
+        )
+        assert cut_off  # rules the cap kept from firing: a *no* here
+        for targets in [(cut_off[0],)] + trial_targets(full, registry):
+            assert_same_answer(
+                capped.optimize_exercising(tree, targets), full, targets
+            )
+
+    def test_implementation_rule_target_is_judged_after_implementation(
+        self, tpch_db, tpch_stats, registry
+    ):
+        metrics = MetricsRegistry()
+        optimizer = Optimizer(
+            tpch_db.catalog, tpch_stats, registry, metrics=metrics
+        )
+        tree = make_get(tpch_db.catalog.table("nation"))
+        full = optimizer.optimize(tree)
+        assert "GetToTableScan" in full.rules_exercised
+        assert "JoinToHashJoin" not in full.rules_exercised
+        assert_same_answer(
+            optimizer.optimize_exercising(tree, ["GetToTableScan"]),
+            full, ["GetToTableScan"],
+        )
+        # Not exercised, but only implementation could tell: a full run.
+        assert optimizer.optimize_exercising(tree, ["JoinToHashJoin"]) is None
+        assert metrics.counter_value("optimizer.unexercised") == 0
+        assert metrics.counter_value("optimizer.optimizations") == 3
+
+    def test_unknown_or_disabled_target_stops_after_exploration(
+        self, tpch_db, tpch_stats, registry
+    ):
+        metrics = MetricsRegistry()
+        optimizer = Optimizer(
+            tpch_db.catalog, tpch_stats, registry,
+            OptimizerConfig(disabled_rules=frozenset(["GetToTableScan"])),
+            metrics=metrics,
+        )
+        tree = make_get(tpch_db.catalog.table("nation"))
+        assert optimizer.optimize_exercising(tree, ["NoSuchRule"]) is None
+        # Disabled, so it cannot fire -- and without it no plan exists, yet
+        # the trial's answer is *no*, not an error.
+        assert optimizer.optimize_exercising(tree, ["GetToTableScan"]) is None
+        assert metrics.counter_value("optimizer.unexercised") == 2
+        assert metrics.counter_value("optimizer.optimization_errors") == 0
+
+    def test_stopped_run_records_its_exploration(
+        self, tpch_db, tpch_stats, registry
+    ):
+        tree = _customer_orders_lineitem(tpch_db)
+        full_metrics, trial_metrics = MetricsRegistry(), MetricsRegistry()
+        full = Optimizer(
+            tpch_db.catalog, tpch_stats, registry, metrics=full_metrics
+        ).optimize(tree)
+        tracer = RecordingTracer(detail="summary")
+        trial = Optimizer(
+            tpch_db.catalog, tpch_stats, registry,
+            tracer=tracer, metrics=trial_metrics,
+        )
+        missing = ("GbAggPullAboveJoin", "UnionAllCommutativity")
+        assert trial.optimize_exercising(tree, missing) is None
+
+        events = {event.name: dict(event.args) for event in tracer.events}
+        assert events["optimize.unexercised"] == {
+            "missing": ",".join(missing),
+            "groups": full.stats.group_count,
+            "exprs": full.stats.expr_count,
+            "applications": full.stats.rule_applications,
+        }
+        assert "optimize.implement" not in events
+        assert "optimize.done" not in events
+
+        value = trial_metrics.counter_value
+        assert value("optimizer.optimizations") == 1
+        assert value("optimizer.unexercised") == 1
+        assert value("optimizer.costings") == 0
+        assert value("optimizer.rule_applications") == (
+            full.stats.rule_applications
+        )
+        for name in registry.exploration_rule_names:
+            for series in (
+                "optimizer.rule.considered", "optimizer.rule.fired",
+                "optimizer.rule.rejected",
+                "optimizer.rule.precondition_failures",
+            ):
+                assert value(series, rule=name) == full_metrics.counter_value(
+                    series, rule=name
+                ), (series, name)
+        for series in ("optimizer.memo.groups", "optimizer.memo.exprs"):
+            assert (
+                trial_metrics.snapshot()["histograms"][series]
+                == full_metrics.snapshot()["histograms"][series]
+            )

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.optimizer.config import DEFAULT_CONFIG
 from repro.optimizer.result import OptimizationError
 from repro.service import (
     PlanService,
+    ServiceStats,
     cache_stats,
     clear_cache,
     environment_fingerprint,
@@ -13,6 +15,11 @@ from repro.service import (
 )
 from repro.sql.binder import sql_to_tree
 from repro.testing.suite import CostOracle, SuiteQuery
+from tests.test_optimizer import (
+    assert_same_answer,
+    trial_targets,
+    trial_trees,
+)
 
 SQL_SIMPLE = "SELECT o_orderkey FROM orders WHERE o_totalprice > 100"
 SQL_JOIN = (
@@ -156,6 +163,107 @@ class TestMemoization:
         service.optimize(_tree(tpch_db, SQL_SIMPLE))
         assert service.counters.computed == 2
         assert service.counters.memory_hits == 0
+
+
+class TestGenerationTrials:
+    """``optimize_exercising``: the ladder, asked a yes/no question."""
+
+    #: In ``RuleSet(SQL_JOIN)`` / not in it.
+    FIRES, DOES_NOT = "JoinCommutativity", "GbAggPullAboveJoin"
+
+    def test_same_answer_as_optimize_on_a_fresh_service(
+        self, tpch_db, tpch_stats, registry
+    ):
+        trees = trial_trees(tpch_db, tpch_stats, registry)
+        reference = PlanService(tpch_db, registry=registry)
+        trials = 0
+        for tree in trees:
+            full = reference.optimize(tree)
+            for targets in trial_targets(full, registry):
+                fresh = PlanService(tpch_db, registry=registry)
+                assert_same_answer(
+                    fresh.optimize_exercising(tree, targets), full, targets
+                )
+                assert fresh.counters == ServiceStats(requests=1, computed=1)
+                # ... and from the memory entry that holds a result.
+                assert_same_answer(
+                    reference.optimize_exercising(tree, targets),
+                    full, targets,
+                )
+                trials += 1
+        assert reference.counters.computed == len(trees)
+        assert reference.counters.memory_hits == trials
+
+    def test_ruleset_only_entry(self, tpch_db, registry, tmp_path):
+        metrics = MetricsRegistry()
+        service = PlanService(
+            tpch_db, registry=registry, cache_dir=tmp_path, metrics=metrics
+        )
+        tree = _tree(tpch_db, SQL_JOIN)
+        value = metrics.counter_value
+
+        assert service.optimize_exercising(tree, [self.DOES_NOT]) is None
+        assert value("optimizer.unexercised") == 1
+        # Repeated, alone or among more targets: still *no*, from memory.
+        assert service.optimize_exercising(tree, [self.DOES_NOT]) is None
+        assert (
+            service.optimize_exercising(tree, [self.FIRES, self.DOES_NOT])
+            is None
+        )
+        assert value("optimizer.optimizations") == 1
+        assert service.counters == ServiceStats(
+            requests=3, memory_hits=2, computed=1
+        )
+        assert cache_stats(tmp_path)["entries"] == 0  # no cost to record
+
+        # It holds no plan and no cost: those requests compute in full ...
+        full = service.optimize(tree)
+        assert service.counters.computed == 2
+        assert value("optimizer.unexercised") == 1
+        assert cache_stats(tmp_path)["entries"] == 1
+        # ... and what they leave behind answers everything.
+        assert service.cost(tree) == full.cost
+        assert service.optimize_exercising(tree, [self.FIRES]) is full
+        assert service.optimize_exercising(tree, [self.DOES_NOT]) is None
+        assert service.counters.computed == 2
+        assert service.counters.errors == 0
+
+    def test_ruleset_only_entry_does_not_answer_other_targets(
+        self, tpch_db, service
+    ):
+        tree = _tree(tpch_db, SQL_JOIN)
+        assert service.optimize_exercising(tree, [self.DOES_NOT]) is None
+        result = service.optimize_exercising(tree, [self.FIRES])
+        assert result is not None and result.exercised(self.FIRES)
+        assert service.counters.computed == 2
+        assert service.cost(tree) == result.cost  # now a memory hit
+        assert service.counters.computed == 2
+
+    def test_cost_after_a_failed_trial_computes_and_persists(
+        self, tpch_db, registry, tmp_path
+    ):
+        service = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        tree = _tree(tpch_db, SQL_JOIN)
+        assert service.optimize_exercising(tree, [self.DOES_NOT]) is None
+        cost = service.cost(tree)
+        assert service.counters.computed == 2
+        assert service.counters.disk_hits == 0
+        assert PlanService(
+            tpch_db, registry=registry, cache_dir=tmp_path
+        ).cost(tree) == cost
+
+    def test_failures_are_errors_and_remembered(self, tpch_db, service):
+        tree = _tree(tpch_db, SQL_AGG)
+        # Exploration cannot rule the target out, implementation finds no
+        # plan: a real OptimizationError, counted and memoized as one.
+        for _ in range(2):
+            with pytest.raises(OptimizationError):
+                service.optimize_exercising(
+                    tree, ["GbAggToHashAggregate"], NO_PLAN
+                )
+        assert service.counters.computed == 1
+        assert service.counters.errors == 1
+        assert service.counters.memory_hits == 1
 
 
 class TestBatches:
