@@ -95,7 +95,7 @@ class QueryResult:
 def results_identical(a: QueryResult, b: QueryResult) -> bool:
     """Multiset comparison used by the correctness harness.
 
-    Compares cached incremental bag digests instead of building a
+    Compares cached bag digests instead of building a
     ``Counter`` per side per call: equal bags always compare equal, and
     the digest's two independent 64-bit accumulators plus the exact row
     count make a false "identical" on unequal bags vanishingly unlikely.

@@ -143,6 +143,12 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "Pattern-based queries generated into mutant evaluation pools "
         "(regenerated against each mutated registry).",
     ),
+    "mutation.fleet_errors": (
+        "counter", (),
+        "Mutants whose differential fleet raised instead of reporting: "
+        "nothing folds into their verdicts, so a non-zero count means "
+        "the second oracle did not judge those pools.",
+    ),
     # ------------------------------------------------------------- compress
     "compress.selections": (
         "counter", ("objective",),

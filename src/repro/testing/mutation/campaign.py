@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs import NULL_TRACER, Tracer
 from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.optimizer.result import OptimizationError
 from repro.rules.registry import RuleRegistry
@@ -239,6 +240,7 @@ class MutationCampaign:
         workers: int = 1,
         config: OptimizerConfig = DEFAULT_CONFIG,
         metrics=None,
+        tracer: Tracer = NULL_TRACER,
         differential_backends: Optional[Sequence[str]] = None,
     ) -> None:
         if k > pool:
@@ -257,6 +259,9 @@ class MutationCampaign:
         self.workers = workers
         self.config = config
         self.metrics = metrics
+        #: Receives the campaign's own events only; the per-mutant
+        #: services stay untraced (the fleet drives them from threads).
+        self.tracer = tracer
         #: Optional second scoring oracle: fan each mutant's pool across
         #: this backend fleet (first member is the reference and must be
         #: the engine so the mutated build is on one side) and count a
@@ -418,7 +423,10 @@ class MutationCampaign:
         kill even when ``Plan(q)`` vs ``Plan(q, ¬R)`` agreed -- e.g. when
         both plans contain the same wrong transformation).  Backend
         errors and skips are deliberately NOT folded: an unavailable
-        driver or an environment failure must never fake a detection.
+        driver or an environment failure must never fake a detection;
+        a fleet that *raised* folds nothing either, but is counted
+        (``mutation.fleet_errors``) and traced, so it cannot read as
+        "no backend disagreed".
         """
         from repro.backends import create_backends
         from repro.testing.differential import DISAGREE, DifferentialRunner
@@ -434,7 +442,13 @@ class MutationCampaign:
                 self.database, backends, skipped_backends=skipped,
             )
             diff_report = runner.run(suite)
-        except Exception:  # the second oracle is best-effort by design
+        except Exception as exc:  # the second oracle is best-effort by design
+            if self.metrics is not None:
+                self.metrics.counter("mutation.fleet_errors").inc()
+            self.tracer.event(
+                "mutation.fleet_error", cat="testing",
+                error=type(exc).__name__,
+            )
             return
         for outcome in diff_report.outcomes:
             if outcome.outcome != DISAGREE:

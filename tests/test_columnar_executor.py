@@ -19,7 +19,7 @@ from repro.engine import (
     execute_plan,
     execute_plan_iterator,
 )
-from repro.engine.digest import EMPTY_DIGEST, digest_canonical_rows
+from repro.engine import digest as digest_module
 from repro.obs import MetricsRegistry
 from repro.optimizer.engine import Optimizer
 from repro.rules.registry import default_registry
@@ -84,8 +84,7 @@ class TestNullOrdering:
 
 class TestBagDigest:
     def test_empty(self):
-        assert digest_rows([]) == EMPTY_DIGEST
-        assert EMPTY_DIGEST.count == 0
+        assert digest_rows([]) == digest_rows(iter(())) == BagDigest(0, 0, 0)
 
     def test_order_insensitive(self):
         a = [(1, "x"), (2, "y"), (2, "y")]
@@ -104,33 +103,49 @@ class TestBagDigest:
         assert digest_rows([(1,)]) == digest_rows([(1.0,)])
         assert digest_rows([(0.123456789,)]) != digest_rows([(0.1234,)])
 
-    def test_combine_is_bag_union(self):
-        left, right = [(1, None), (2, "a")], [(2, "a"), (3, 0.5)]
-        assert digest_rows(left).combine(digest_rows(right)) == digest_rows(
-            left + right
-        )
-
-    def test_canonical_rows_shortcut_matches(self):
+    def test_float_free_rows_digest_as_they_are(self):
         rows = [(1, "x", None), (2, "y", 3)]
-        assert digest_canonical_rows(rows) == digest_rows(rows)
+        assert digest_rows(rows) == digest_rows([(1.0, "x", None), (2, "y", 3.0)])
         assert isinstance(digest_rows(rows), BagDigest)
 
-    @pytest.mark.parametrize("digest", [digest_rows, digest_canonical_rows])
-    def test_minus_one_is_not_minus_two(self, digest):
+    def test_minus_one_is_not_minus_two(self):
         # CPython: hash(-1) == hash(-2), so the row hashes collide.
         assert hash((-1, "a")) == hash((-2, "a"))
-        assert digest([(-1, "a")]) != digest([(-2, "a")])
-        assert digest([(-1, -2)]) != digest([(-2, -1)])
-        assert digest([(-1.0, "a")]) != digest([(-2.0, "a")])
+        assert digest_rows([(-1, "a")]) != digest_rows([(-2, "a")])
+        assert digest_rows([(-1, -2)]) != digest_rows([(-2, -1)])
+        assert digest_rows([(-1.0, "a")]) != digest_rows([(-2.0, "a")])
         # ... while numerically equal cells still share one token.
-        assert digest([(-1,)]) == digest([(-1.0,)])
-        assert digest([(3, -1, None)]) == digest([(3.0, -1.0, None)])
+        assert digest_rows([(-1,)]) == digest_rows([(-1.0,)])
+        assert digest_rows([(3, -1, None)]) == digest_rows([(3.0, -1.0, None)])
 
     def test_minus_one_fold_applies_after_rounding(self):
         assert digest_rows([(-0.9999999, "a")]) == digest_rows([(-1, "a")])
         assert digest_rows([(-0.9999999, "a")]) != digest_rows([(-2, "a")])
         rows = [(-1, "x"), (2, -1.0), (-2, "x")]
-        assert digest_canonical_rows(rows) == digest_rows(rows)
+        assert digest_rows(rows) == digest_rows([(-1.0, "x"), (2, -1), (-2.0, "x")])
+        assert digest_rows(rows) != digest_rows([(-2, "x"), (2, -1.0), (-2, "x")])
+
+    def test_each_distinct_float_of_a_chunk_is_rounded_once(self, monkeypatch):
+        """The kernel's cost model: a column whose floats repeat pays one
+        ``canonical_value`` per distinct value per chunk, an all-distinct
+        column one per cell (no map), a float-free column none."""
+        canonical_value, calls = digest_module.canonical_value, []
+
+        def spy(value):
+            calls.append(value)
+            return canonical_value(value)
+
+        monkeypatch.setattr(digest_module, "canonical_value", spy)
+        rows, distinct = 10_000, 50
+        chunks = -(-rows // digest_module._CHUNK)
+        digest_rows([(i % distinct + 0.25, i) for i in range(rows)])
+        assert distinct <= len(calls) <= distinct * chunks
+        del calls[:]
+        digest_rows([(i + 0.25, "x") for i in range(rows)])
+        assert sorted(calls) == [i + 0.25 for i in range(rows)]
+        del calls[:]
+        digest_rows([(i, "x", None) for i in range(rows)])
+        assert calls == []
 
 
 # ----------------------------------------- table snapshots / fingerprints

@@ -15,6 +15,7 @@ import json
 import pytest
 
 import repro.backends.base as backends_base
+import repro.engine.digest as engine_digest
 
 from repro.backends import (
     Backend,
@@ -353,6 +354,31 @@ class TestDigestDecides:
             metrics=metrics,
         ).run(_tiny_suite(tpch_db))
         assert metrics.counter_value("diff.exact_bags") == 3
+
+    @pytest.mark.parametrize("chunk", [2, 4096])
+    def test_verdicts_do_not_depend_on_where_a_chunk_ends(
+        self, tpch_db, monkeypatch, chunk
+    ):
+        """The fleet's runs are digested by column, a chunk at a time; a
+        verdict must not move with the seams (strings included: their
+        hashes differ per process, the verdicts must not)."""
+        monkeypatch.setattr(engine_digest, "_CHUNK", chunk)
+        rows = [(i % 3 - 1, "s%d" % (i % 2), (i % 4) / 8, None) for i in range(9)]
+        retyped = [
+            (float(a), b, c + 1e-9, d) for a, b, c, d in reversed(rows)
+        ]
+        report = DifferentialRunner(
+            tpch_db,
+            [
+                _StubBackend("ref", rows=rows),
+                _StubBackend("same", rows=retyped),
+                _StubBackend("minus-two", rows=[(-2,) + rows[0][1:]] + rows[1:]),
+                _StubBackend("widened", rows=rows[:-1] + [rows[-1] + (0,)]),
+            ],
+        ).run(_tiny_suite(tpch_db))
+        assert {o.backend: o.outcome for o in report.outcomes} == {
+            "same": AGREE, "minus-two": DISAGREE, "widened": DISAGREE,
+        }
 
 
 class TestFaultKills:

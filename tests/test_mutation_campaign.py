@@ -290,26 +290,18 @@ def test_full_campaign_meets_detection_bar(tpch_db, registry):
 
 # ------------------------------------------- the fleet, folded into verdicts
 
+_NO_FIRE_DETAIL = (
+    "could not generate 4 distinct queries for ('AvgToSumDivCount',) "
+    "within 30 attempts"
+)
 #: ``(status, query_ids, detail)`` per variant, ``query_verdicts`` and
-#: ``query_costs`` of two ``mutation_sample`` mutants, RECORDED AT d6887f1
-#: (when the fleet's verdict was an exact ``Counter`` comparison) by running
-#: the body of ``test_fleet_outcomes_match_the_recorded_ones`` there.
+#: ``query_costs`` of the four ``bench/workloads/mutation_sample.py``
+#: mutants, in its order.  The EQUIVALENT and KILLED rows were RECORDED AT
+#: d6887f1 (when the fleet's verdict was an exact ``Counter`` comparison),
+#: the other two and ``RECORDED_SAMPLE_STATS`` AT 9f02f63 (the last commit
+#: whose ``digest_rows`` hashed row by row), where all four read the same:
+#: each time by running the body of the ``sample`` fixture there.
 RECORDED_FLEET_OUTCOMES = {
-    "JoinRightAssociativity:drop-conjunct": {
-        "pool_size": 4,
-        "variants": {
-            "FULL": ("EQUIVALENT", (0, 1, 2, 3), ""),
-            "SMC": ("EQUIVALENT", (2, 3), ""),
-            "TOPK": ("EQUIVALENT", (2, 3), ""),
-        },
-        "query_verdicts": (
-            (0, "identical"), (1, "identical"), (2, "identical"),
-            (3, "identical"),
-        ),
-        "query_costs": (
-            (0, 690.178616), (1, 12.090593), (2, 4.391111), (3, 6.243687),
-        ),
-    },
     "JoinCommutativity:widen-join-kind:j0+left-outer": {
         "pool_size": 4,
         "variants": {
@@ -331,6 +323,48 @@ RECORDED_FLEET_OUTCOMES = {
             (0, 1646.7), (1, 3.85), (2, 2.698289), (3, 5.190556),
         ),
     },
+    "AvgToSumDivCount:skip-substitute": {
+        "pool_size": 0,
+        "variants": {
+            name: ("NO_FIRE", (), _NO_FIRE_DETAIL) for name in VARIANTS
+        },
+        "query_verdicts": (),
+        "query_costs": (),
+    },
+    "JoinRightAssociativity:drop-conjunct": {
+        "pool_size": 4,
+        "variants": {
+            "FULL": ("EQUIVALENT", (0, 1, 2, 3), ""),
+            "SMC": ("EQUIVALENT", (2, 3), ""),
+            "TOPK": ("EQUIVALENT", (2, 3), ""),
+        },
+        "query_verdicts": (
+            (0, "identical"), (1, "identical"), (2, "identical"),
+            (3, "identical"),
+        ),
+        "query_costs": (
+            (0, 690.178616), (1, 12.090593), (2, 4.391111), (3, 6.243687),
+        ),
+    },
+    "LojPushSelectLeft:drop-precondition": {
+        "pool_size": 4,
+        "variants": {
+            "FULL": ("SURVIVED", (0, 1, 2, 3), ""),
+            "SMC": ("SURVIVED", (1, 3), ""),
+            "TOPK": ("SURVIVED", (1, 3), ""),
+        },
+        "query_verdicts": (
+            (0, "equal"), (1, "identical"), (2, "equal"), (3, "equal"),
+        ),
+        "query_costs": (
+            (0, 72.051), (1, 25.517801), (2, 587.344), (3, 15.2355),
+        ),
+    },
+}
+#: The campaign's cumulative service counters after the four mutants.
+RECORDED_SAMPLE_STATS = {
+    "requests": 810, "memory_hits": 36, "disk_hits": 0, "hits": 36,
+    "computed": 774, "errors": 0, "batches": 6, "parallel_tasks": 0,
 }
 
 
@@ -342,21 +376,10 @@ def _sample_campaign(tpch_db, registry, **options):
     )
 
 
-@pytest.mark.parametrize(
-    "rule_name, operator",
-    [
-        ("JoinRightAssociativity", "drop-conjunct"),
-        ("JoinCommutativity", "widen-join-kind"),
-    ],
-)
-def test_fleet_outcomes_match_the_recorded_ones(
-    tpch_db, registry, rule_name, operator
-):
-    report = _sample_campaign(tpch_db, registry).run(
-        rule_names=[rule_name], operators=[operator]
-    )
+def _outcome_row(report):
+    """The one outcome of ``report`` in ``RECORDED_FLEET_OUTCOMES`` form."""
     (outcome,) = report.outcomes
-    assert {
+    return outcome.mutant_id, {
         "pool_size": outcome.pool_size,
         "variants": {
             name: (cell.status, cell.query_ids, cell.detail)
@@ -364,7 +387,61 @@ def test_fleet_outcomes_match_the_recorded_ones(
         },
         "query_verdicts": outcome.query_verdicts,
         "query_costs": outcome.query_costs,
-    } == RECORDED_FLEET_OUTCOMES[outcome.mutant_id]
+    }
+
+
+@pytest.fixture(scope="module")
+def sample(tpch_db, registry):
+    """The four-mutant sample on one campaign, one ``run`` per mutant as
+    the bench drives it: ``(outcome rows by mutant id, service_stats)``."""
+    campaign = _sample_campaign(tpch_db, registry)
+    rows = {}
+    for mutant_id in RECORDED_FLEET_OUTCOMES:
+        rule_name, operator = mutant_id.split(":")[:2]
+        report = campaign.run(rule_names=[rule_name], operators=[operator])
+        found, row = _outcome_row(report)
+        rows[found] = row
+    return rows, report.service_stats
+
+
+@pytest.mark.parametrize("mutant_id", sorted(RECORDED_FLEET_OUTCOMES))
+def test_fleet_outcomes_match_the_recorded_ones(sample, mutant_id):
+    rows, _ = sample
+    assert rows[mutant_id] == RECORDED_FLEET_OUTCOMES[mutant_id]
+
+
+def test_sample_asks_the_service_what_it_asked_at_the_recording(sample):
+    rows, service_stats = sample
+    assert list(rows) == list(RECORDED_FLEET_OUTCOMES)
+    assert service_stats == RECORDED_SAMPLE_STATS
+
+
+def test_a_fleet_that_raised_is_counted_not_folded(
+    tpch_db, registry, monkeypatch
+):
+    """A fleet member that raises (not a ``BackendError`` its ``run``
+    would record) takes the whole second oracle down: the verdicts are
+    the correctness runner's alone -- here the recorded ones, the fleet
+    adds nothing to this mutant -- and the failure is visible."""
+    from repro.backends.sqlite_backend import SqliteBackend
+    from repro.obs import RecordingTracer
+
+    def run_many(self, requests):
+        raise TypeError("unhashable type: 'list'")
+
+    monkeypatch.setattr(SqliteBackend, "run_many", run_many)
+    metrics, tracer = MetricsRegistry(), RecordingTracer()
+    report = _sample_campaign(
+        tpch_db, registry, metrics=metrics, tracer=tracer
+    ).run(rule_names=["JoinCommutativity"], operators=["widen-join-kind"])
+    mutant_id, row = _outcome_row(report)
+    assert row == RECORDED_FLEET_OUTCOMES[mutant_id]
+    assert metrics.counter_value("mutation.fleet_errors") == 1
+    (event,) = [
+        event for event in tracer.events
+        if event.name == "mutation.fleet_error"
+    ]
+    assert event.args == (("error", "TypeError"),)
 
 
 def test_fleet_reuses_the_digest_the_correctness_runner_computed(
@@ -437,16 +514,12 @@ def test_failed_trials_stop_after_exploration(tpch_db, registry):
         rule_names=["AvgToSumDivCount"], operators=["skip-substitute"]
     )
     (outcome,) = report.outcomes
-    detail = (
-        "could not generate 4 distinct queries for ('AvgToSumDivCount',) "
-        "within 30 attempts"
-    )
     assert outcome.mutant_id == "AvgToSumDivCount:skip-substitute"
     assert outcome.pool_size == 0
     assert {
         name: (cell.status, cell.query_ids, cell.detail)
         for name, cell in outcome.variants.items()
-    } == {name: (NO_FIRE, (), detail) for name in VARIANTS}
+    } == {name: (NO_FIRE, (), _NO_FIRE_DETAIL) for name in VARIANTS}
     assert (outcome.query_verdicts, outcome.query_costs) == ((), ())
     assert report.service_stats == {
         "requests": 750, "memory_hits": 0, "disk_hits": 0, "hits": 0,

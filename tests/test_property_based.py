@@ -18,7 +18,9 @@ from repro.backends.base import BackendRun, normalized_bag
 from repro.catalog.schema import DataType
 from collections import Counter
 
+from repro.engine import digest as digest_module
 from repro.engine import (
+    BagDigest,
     canonical_row,
     digest_rows,
     execute_plan,
@@ -330,6 +332,54 @@ def _same_number_other_type(value):
     if isinstance(value, float):
         return int(value) if value.is_integer() else value
     return float(value) if _is_number(value) else value
+
+
+#: Columns whose cells *repeat*, which is what the column kernel keys on:
+#: few distinct floats, numerically equal cells of three types, the three
+#: zeros, and floats that round onto -1 (the ``hash(-1)`` rule) and onto 0.
+_REPEATING = [
+    st.sampled_from([0.1 + 0.2, 0.3, 2.5, 1.000004, 1.000006]),
+    st.sampled_from([1, 1.0, True]),
+    st.sampled_from([0, -0.0, 0.0, False]),
+    st.sampled_from([-1, -1.0, -0.9999999, -1.0000001, -2, -2.0, None]),
+    st.sampled_from([4e-6, -4e-6, 0.0, 6e-6, None]),
+]
+
+
+def _reference_digest(rows):
+    """``digest_rows`` one row at a time, as it was written before it
+    worked by column: the oracle the kernel must equal field by field."""
+    mask, salt = (1 << 64) - 1, 0x9E3779B97F4A7C15
+    count = acc1 = acc2 = 0
+    for row in rows:
+        row = canonical_row(row)
+        minus_ones = tuple(i for i, cell in enumerate(row) if cell == -1)
+        token = hash((row, minus_ones) if minus_ones else row) & mask
+        count, acc1 = count + 1, acc1 + token
+        acc2 += token * token + salt
+    return BagDigest(count, acc1 & mask, acc2 & mask)
+
+
+class TestDigestEqualsTheRowAtATimeReference:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_by_column_over_chunk_seams(self, data):
+        columns = data.draw(st.lists(
+            st.sampled_from([_NUMBERS, _TEXTS] + _REPEATING), max_size=5,
+        ))
+        rows = data.draw(st.lists(st.tuples(*columns), max_size=13))
+        if rows and data.draw(st.booleans()):
+            # One widened row: a chunk is folded one width at a time.
+            index = data.draw(st.integers(0, len(rows) - 1))
+            rows[index] += ("sentinel",)
+        expected = _reference_digest(rows)
+        with pytest.MonkeyPatch.context() as patch:
+            # 13 rows straddle up to three seams of a 4-row chunk.
+            chunk = data.draw(st.sampled_from([4, 4096]))
+            patch.setattr(digest_module, "_CHUNK", chunk)
+            assert digest_rows(rows) == expected
+            assert digest_rows(tuple(rows)) == expected
+            assert digest_rows(row for row in rows) == expected
 
 
 class TestDigestIsTheExactBagTest:
