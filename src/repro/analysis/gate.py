@@ -1,7 +1,8 @@
 """Pass 6: the rule admission gate.
 
-The door through which a candidate rule -- handwritten or discovered by
-the ROADMAP's automated rule-discovery pipeline -- enters the registry.
+The door through which a candidate rule -- handwritten or found by
+automated rule discovery (a parked ROADMAP direction) -- enters the
+registry.
 :class:`RuleGate` composes the per-rule entry point
 (:meth:`AnalysisPass.check_rule`) of every row of
 :data:`repro.analysis.passes.STATIC_PASSES` into a single pass/fail

@@ -149,6 +149,13 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "nothing folds into their verdicts, so a non-zero count means "
         "the second oracle did not judge those pools.",
     ),
+    "mutation.no_fire_witnessed": (
+        "counter", ("rule",),
+        "Generation seeds stopped with a NO_FIRE verdict against the "
+        "clean build, per rule: one attempt's trials all failed on the "
+        "mutated build while the clean rule fired on `pool` of the same "
+        "trees.",
+    ),
     # ------------------------------------------------------------- compress
     "compress.selections": (
         "counter", ("objective",),

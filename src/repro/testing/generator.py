@@ -51,6 +51,9 @@ class GenerationOutcome:
     tree: Optional[LogicalOp] = None
     sql: Optional[str] = None
     optimize_result: Optional[OptimizeResult] = None
+    #: Of a failed campaign: the trees that reached the optimizer, in trial
+    #: order -- none of them exercised every target.
+    tried: Tuple[LogicalOp, ...] = ()
 
     @property
     def operator_count(self) -> int:
@@ -107,7 +110,7 @@ class QueryGenerator:
         """Run trials of ``make_tree`` until all ``targets`` are exercised
         (and ``accept(tree, result)``, when given, agrees)."""
         start = time.perf_counter()
-        optimizer_calls = 0
+        tried = []
         for trial in range(1, max_trials + 1):
             try:
                 tree = make_tree(trial)
@@ -119,7 +122,7 @@ class QueryGenerator:
                 validate_tree(tree, self.database.catalog)
             except ValidationError:
                 continue  # never reaches the optimizer
-            optimizer_calls += 1
+            tried.append(tree)
             result = self._try_query(tree, targets)
             if result is not None and (
                 accept is None or accept(tree, result)
@@ -128,7 +131,7 @@ class QueryGenerator:
                     target_rules=tuple(targets),
                     succeeded=True,
                     trials=trial,
-                    optimizer_calls=optimizer_calls,
+                    optimizer_calls=len(tried),
                     elapsed_seconds=time.perf_counter() - start,
                     tree=tree,
                     sql=to_sql(tree),
@@ -138,8 +141,9 @@ class QueryGenerator:
             target_rules=tuple(targets),
             succeeded=False,
             trials=max_trials,
-            optimizer_calls=optimizer_calls,
+            optimizer_calls=len(tried),
             elapsed_seconds=time.perf_counter() - start,
+            tried=tuple(tried),
         )
 
     def query_for_node(

@@ -12,7 +12,9 @@ would test it:
    ``RuleSet``, which is what makes dropped preconditions and widened
    patterns reachable at all; with several ``seeds`` the per-seed pools
    are unioned, because whether one generated query makes the optimizer
-   *choose* the buggy alternative is strongly seed-dependent;
+   *choose* the buggy alternative is strongly seed-dependent; an attempt
+   whose trials all fail before the seed produced anything is offered to
+   the clean build (:meth:`MutationCampaign._clean_witnesses`);
 3. compress that pool with SMC and TOPK (each selects ``k`` of the
    ``pool`` generated queries, using the mutated build's own costs);
 4. run the :class:`CorrectnessRunner` once over the whole pool -- its
@@ -26,8 +28,13 @@ Per mutant and variant the kill matrix records one status:
 ============  ==============================================================
 ``KILLED``    a ``Plan(q)`` vs ``Plan(q, ¬R)`` bag mismatch (detected)
 ``CRASHED``   the mutant made optimization or execution fail (detected)
-``NO_FIRE``   generation could not exercise the mutated rule at all --
-              flagged by the generation module, not the oracle (detected)
+``NO_FIRE``   under every seed the mutated rule is out of ``RuleSet(q)``
+              where the generation module expects it: either one attempt's
+              trials all failed on trees of which the clean build's rule
+              fires on ``pool`` (the witnesses are named in the detail),
+              or -- the clean rule not firing there either --
+              ``max_trials`` attempts produced no pool.  Flagged by the
+              generation module, not the oracle (detected)
 ``EQUIVALENT``  every disabled plan was structurally identical; the mutant
               never changed a chosen plan
 ``SURVIVED``  plans differed, results matched everywhere (not detected)
@@ -38,6 +45,7 @@ Per mutant and variant the kill matrix records one status:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import NULL_TRACER, Tracer
@@ -278,6 +286,9 @@ class MutationCampaign:
             )
         #: Aggregated counters over every per-mutant service.
         self._stats: Dict[str, int] = {}
+        #: The clean build (``self.registry``), asked where a mutated
+        #: build's trials all failed; shared by every mutant and seed.
+        self._clean: Optional[PlanService] = None
 
     # --------------------------------------------------------------- public
 
@@ -314,7 +325,7 @@ class MutationCampaign:
             outcome = self._evaluate(mutant)
             report.outcomes.append(outcome)
             self._count_outcome(outcome)
-        report.service_stats = dict(self._stats) or None
+        report.service_stats = self._service_stats()
         return report
 
     def evaluate_rule(self, rule) -> MutantOutcome:
@@ -353,6 +364,15 @@ class MutationCampaign:
             cache_dir=None,
             metrics=self.metrics,
         )
+
+    def _service_stats(self) -> Optional[Dict[str, int]]:
+        """Every optimizer request the campaign has made so far: the
+        per-mutant services' counters plus the clean build's probes."""
+        stats = dict(self._stats)
+        if self._clean is not None:
+            for key, value in self._clean.counters.as_dict().items():
+                stats[key] = stats.get(key, 0) + value
+        return stats or None
 
     def _evaluate(self, mutant: Mutant) -> MutantOutcome:
         node: RuleNode = (mutant.rule_name,)
@@ -431,6 +451,7 @@ class MutationCampaign:
         from repro.backends import create_backends
         from repro.testing.differential import DISAGREE, DifferentialRunner
 
+        backends = []
         try:
             backends, skipped = create_backends(
                 self.differential_backends, self.database,
@@ -450,6 +471,11 @@ class MutationCampaign:
                 error=type(exc).__name__,
             )
             return
+        finally:
+            # One fleet per mutant (a sqlite member is a full in-memory
+            # mirror of the database): release it with the mutant.
+            for backend in backends:
+                backend.close()
         for outcome in diff_report.outcomes:
             if outcome.outcome != DISAGREE:
                 continue
@@ -468,7 +494,8 @@ class MutationCampaign:
         """Union the per-seed pools into one renumbered query list.
 
         Returns ``(queries, no_fire_detail, crash_detail)``: generation
-        failing under *every* seed is a NO_FIRE verdict, any non-RuntimeError
+        failing under *every* seed -- stopped by :meth:`_clean_witnesses`
+        or out of attempts -- is a NO_FIRE verdict, any non-RuntimeError
         during a build is a crash attributable to the mutant.
         """
         queries = []
@@ -481,6 +508,7 @@ class MutationCampaign:
                 extra_operators=self.extra_operators,
                 max_trials=self.max_trials,
                 service=service,
+                witness_check=partial(self._clean_witnesses, seed),
             )
             try:
                 generated = builder.build([node], k=self.pool)
@@ -497,6 +525,46 @@ class MutationCampaign:
                 for position, query in enumerate(generated.queries)
             )
         return queries, no_fire, None
+
+    def _clean_witnesses(self, seed, node, trees) -> Optional[str]:
+        """The NO_FIRE verdict against the clean build, or ``None``.
+
+        ``trees`` are one attempt's trials, none of which exercised
+        ``node`` on the mutated build.  Once ``pool`` of them exercise it
+        on the clean build, the clean build would have filled this seed's
+        pool from trees on which the mutated one fired zero times: a rule
+        that stopped firing, with the trees to replay.  Fewer witnesses
+        say nothing -- the pattern may just be hard to instantiate, for
+        both builds -- and generation persists.
+        """
+        if self._clean is None:
+            self._clean = self._service(self.registry)
+        witnesses: List[str] = []
+        for tree in trees:
+            try:
+                fired = self._clean.optimize_exercising(tree, node)
+            except OptimizationError:
+                continue
+            if fired is not None:
+                witnesses.append(tree.fingerprint()[:12])
+                if len(witnesses) == self.pool:
+                    break
+        else:
+            return None
+        if self.metrics is not None:
+            self.metrics.counter(
+                "mutation.no_fire_witnessed", rule=node[0]
+            ).inc()
+        self.tracer.event(
+            "mutation.no_fire", cat="testing", seed=seed, trials=len(trees),
+            witnesses=len(witnesses), fingerprints=",".join(witnesses),
+        )
+        return (
+            f"{' + '.join(node)} fired on none of the {len(trees)} trees "
+            f"of a generation attempt (seed {seed}); the clean build's "
+            f"rule fires on {len(witnesses)} of them: "
+            + ", ".join(witnesses)
+        )
 
     def _select(self, suite, node, registry, service):
         """FULL plus the SMC/TOPK selections within the mutant's pool."""

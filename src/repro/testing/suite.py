@@ -17,17 +17,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.logical.operators import LogicalOp
 from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.rules.registry import RuleRegistry
 from repro.service import PlanService
 from repro.storage.database import Database
-from repro.testing.generator import QueryGenerator
+from repro.testing.generator import GenerationOutcome, QueryGenerator
 
 #: A rule node: one rule name (singleton testing) or two (pair testing).
 RuleNode = Tuple[str, ...]
+
+#: Judges a wholly failed generation attempt: given the rule node and the
+#: trees the attempt tried, the reason to stop generating for that node
+#: (a build under test that fires on none of them where a reference build
+#: does), or ``None`` to keep trying.
+WitnessCheck = Callable[[RuleNode, Sequence[LogicalOp]], Optional[str]]
 
 
 @dataclass
@@ -182,6 +188,7 @@ class TestSuiteBuilder:
         extra_operators: int = 4,
         max_trials: int = 40,
         service: Optional[PlanService] = None,
+        witness_check: Optional[WitnessCheck] = None,
     ) -> None:
         self.database = database
         self.registry = registry
@@ -190,6 +197,7 @@ class TestSuiteBuilder:
         )
         self.extra_operators = extra_operators
         self.max_trials = max_trials
+        self.witness_check = witness_check
         self._exploration_names = frozenset(
             rule.name for rule in registry.exploration_rules
         )
@@ -197,7 +205,14 @@ class TestSuiteBuilder:
     def build(
         self, rule_nodes: Sequence[RuleNode], k: int
     ) -> TestSuite:
-        """Generate the overall suite: k distinct queries per rule node."""
+        """Generate the overall suite: k distinct queries per rule node.
+
+        Raises ``RuntimeError`` when a node cannot be given its ``k``
+        queries: after ``max_trials`` attempts, or -- with a
+        ``witness_check`` -- as soon as the check gives a reason to stop
+        after an attempt whose trials all failed with nothing yet produced
+        for the node.
+        """
         queries: List[SuiteQuery] = []
         seen_sql: Dict[str, SuiteQuery] = {}
         for node in rule_nodes:
@@ -206,7 +221,13 @@ class TestSuiteBuilder:
             while produced < k and attempts < self.max_trials:
                 attempts += 1
                 outcome = self._generate(node)
-                if outcome is None or outcome.sql in seen_sql:
+                if not outcome.succeeded:
+                    if produced == 0 and self.witness_check is not None:
+                        verdict = self.witness_check(node, outcome.tried)
+                        if verdict is not None:
+                            raise RuntimeError(verdict)
+                    continue
+                if outcome.sql in seen_sql:
                     continue
                 result = outcome.optimize_result
                 query = SuiteQuery(
@@ -228,17 +249,15 @@ class TestSuiteBuilder:
                 )
         return TestSuite(rule_nodes=list(rule_nodes), queries=queries, k=k)
 
-    def _generate(self, node: RuleNode):
+    def _generate(self, node: RuleNode) -> GenerationOutcome:
         extra = self.generator.rng.randint(0, self.extra_operators)
         if len(node) == 1:
-            outcome = self.generator.pattern_query_for_rule(
+            return self.generator.pattern_query_for_rule(
                 node[0], max_trials=25, extra_operators=extra
             )
-        else:
-            outcome = self.generator.pattern_query_for_pair(
-                node[0], node[1], max_trials=50
-            )
-        return outcome if outcome.succeeded else None
+        return self.generator.pattern_query_for_pair(
+            node[0], node[1], max_trials=50
+        )
 
 
 def select_rules(

@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, RecordingTracer
 from repro.optimizer.config import DEFAULT_CONFIG
 from repro.rules.faults import ALL_FAULTS
-from repro.testing.mutation import MutationCampaign
+from repro.service import PlanService
+from repro.testing.mutation import MutationCampaign, generate_mutants
 from repro.testing.mutation.campaign import (
     CRASHED,
     EQUIVALENT,
@@ -101,9 +102,12 @@ class TestCampaignSmoke:
 
     def test_pool_plans_are_asked_for_once(self, tpch_db, registry):
         """The optimizer work of a fixed 3-mutant sample is what it was
-        when the campaign and the runner each pre-warmed the pool (766
-        optimizations, 48 re-asks at commit 774e9d5); the re-asks are now
-        just the runner's own 2 x pool requests per scored pool."""
+        when the campaign and the runner each pre-warmed the pool (16
+        optimizations beside a NO_FIRE mutant's trials, 48 re-asks at
+        commit 774e9d5); the re-asks are now just the runner's own 2 x
+        pool requests per scored pool.  The NO_FIRE mutant is one failed
+        attempt and the four clean probes that witness it (750 trials up
+        to 22b1908)."""
         campaign = MutationCampaign(
             tpch_db, registry, pool=4, k=1, seeds=(3,), extra_operators=2,
         )
@@ -111,7 +115,7 @@ class TestCampaignSmoke:
             rule_names=registry.exploration_rule_names[:6], sample=3
         )
         stats = report.service_stats
-        assert stats["computed"] == 766
+        assert stats["computed"] == 16 + 25 + 4
         pools = sum(outcome.pool_size for outcome in report.outcomes)
         assert stats["requests"] - stats["computed"] == 2 * pools < 48
 
@@ -290,17 +294,28 @@ def test_full_campaign_meets_detection_bar(tpch_db, registry):
 
 # ------------------------------------------- the fleet, folded into verdicts
 
+#: The clean rule fires on four of the first five trees of seed 11's first
+#: attempt, on which the mutated build fired on none of 25.
+_NO_FIRE_WITNESSES = (
+    "96581b3946ea", "da462c101895", "467ea0721b09", "c4708f9f7cf4",
+)
+_NO_FIRE_PROBES = 5
 _NO_FIRE_DETAIL = (
-    "could not generate 4 distinct queries for ('AvgToSumDivCount',) "
-    "within 30 attempts"
+    "AvgToSumDivCount fired on none of the 25 trees of a generation "
+    "attempt (seed 11); the clean build's rule fires on 4 of them: "
+    + ", ".join(_NO_FIRE_WITNESSES)
 )
 #: ``(status, query_ids, detail)`` per variant, ``query_verdicts`` and
 #: ``query_costs`` of the four ``bench/workloads/mutation_sample.py``
 #: mutants, in its order.  The EQUIVALENT and KILLED rows were RECORDED AT
 #: d6887f1 (when the fleet's verdict was an exact ``Counter`` comparison),
-#: the other two and ``RECORDED_SAMPLE_STATS`` AT 9f02f63 (the last commit
-#: whose ``digest_rows`` hashed row by row), where all four read the same:
-#: each time by running the body of the ``sample`` fixture there.
+#: the SURVIVED one AT 9f02f63 (the last commit whose ``digest_rows``
+#: hashed row by row), where all three read the same; ``_NO_FIRE_DETAIL``
+#: and ``RECORDED_SAMPLE_STATS`` with the NO_FIRE verdict against the clean
+#: build (at 22b1908 the detail was "could not generate 4 distinct queries
+#: for ('AvgToSumDivCount',) within 30 attempts" and the counts 810
+#: requests / 774 computed): each time by running the body of the
+#: ``sample`` fixture there.
 RECORDED_FLEET_OUTCOMES = {
     "JoinCommutativity:widen-join-kind:j0+left-outer": {
         "pool_size": 4,
@@ -361,10 +376,12 @@ RECORDED_FLEET_OUTCOMES = {
         ),
     },
 }
-#: The campaign's cumulative service counters after the four mutants.
+#: The campaign's cumulative service counters after the four mutants: the
+#: per-mutant services' plus the clean build's probes (25 failed trials and
+#: ``_NO_FIRE_PROBES`` probes are the NO_FIRE mutant's share).
 RECORDED_SAMPLE_STATS = {
-    "requests": 810, "memory_hits": 36, "disk_hits": 0, "hits": 36,
-    "computed": 774, "errors": 0, "batches": 6, "parallel_tasks": 0,
+    "requests": 90, "memory_hits": 36, "disk_hits": 0, "hits": 36,
+    "computed": 54, "errors": 0, "batches": 6, "parallel_tasks": 0,
 }
 
 
@@ -424,7 +441,6 @@ def test_a_fleet_that_raised_is_counted_not_folded(
     the correctness runner's alone -- here the recorded ones, the fleet
     adds nothing to this mutant -- and the failure is visible."""
     from repro.backends.sqlite_backend import SqliteBackend
-    from repro.obs import RecordingTracer
 
     def run_many(self, requests):
         raise TypeError("unhashable type: 'list'")
@@ -504,13 +520,23 @@ def test_fleet_reuses_the_digest_the_correctness_runner_computed(
         assert runs["engine"].digest == runs["sqlite"].digest
 
 
+def _mutated_registry(registry, rule_name, operator):
+    (mutant,) = generate_mutants(registry, [rule_name], [operator])
+    return registry.with_replaced_rule(mutant.build())
+
+
 def test_failed_trials_stop_after_exploration(tpch_db, registry):
-    """The bench's NO_FIRE mutant: 750 trials, none exercising the mutated
-    rule.  Outcome, service counts and exploration tallies are the ones
-    recorded at ``f5f77a9``, where each trial was a full optimization
-    (14,704 costings); now each stops after exploration."""
-    metrics = MetricsRegistry()
-    report = _sample_campaign(tpch_db, registry, metrics=metrics).run(
+    """The bench's NO_FIRE mutant: one attempt of 25 trials, none
+    exercising the mutated rule (750 of them at ``22b1908``, before the
+    verdict against the clean build), each stopped after exploration --
+    at ``f5f77a9`` each was a full optimization.  Only the clean build's
+    witnesses are costed; it counts into its own registry here."""
+    metrics, clean_metrics = MetricsRegistry(), MetricsRegistry()
+    campaign = _sample_campaign(tpch_db, registry, metrics=metrics)
+    campaign._clean = PlanService(
+        tpch_db, registry=registry, cache_dir=None, metrics=clean_metrics
+    )
+    report = campaign.run(
         rule_names=["AvgToSumDivCount"], operators=["skip-substitute"]
     )
     (outcome,) = report.outcomes
@@ -521,15 +547,205 @@ def test_failed_trials_stop_after_exploration(tpch_db, registry):
         for name, cell in outcome.variants.items()
     } == {name: (NO_FIRE, (), _NO_FIRE_DETAIL) for name in VARIANTS}
     assert (outcome.query_verdicts, outcome.query_costs) == ((), ())
+    asked = 25 + _NO_FIRE_PROBES
     assert report.service_stats == {
-        "requests": 750, "memory_hits": 0, "disk_hits": 0, "hits": 0,
-        "computed": 750, "errors": 0, "batches": 0, "parallel_tasks": 0,
+        "requests": asked, "memory_hits": 0, "disk_hits": 0, "hits": 0,
+        "computed": asked, "errors": 0, "batches": 0, "parallel_tasks": 0,
     }
     value = metrics.counter_value
-    assert value("optimizer.unexercised") == 750
-    assert value("optimizer.optimizations") == 750
-    assert value("optimizer.rule_applications") == 9802
+    assert value("optimizer.unexercised") == 25
+    assert value("optimizer.optimizations") == 25
+    assert value("optimizer.rule_applications") == 412
     assert value("optimizer.costings") == 0
+    clean = clean_metrics.counter_value
+    assert clean("optimizer.optimizations") == _NO_FIRE_PROBES
+    assert clean("optimizer.unexercised") == (
+        _NO_FIRE_PROBES - len(_NO_FIRE_WITNESSES)
+    )
+    assert clean("optimizer.costings") > 0
+
+
+# ------------------------------------- NO_FIRE, against the clean build
+
+def test_no_fire_names_witnesses_that_replay_on_both_builds(
+    tpch_db, registry, monkeypatch
+):
+    """The detail names how many trees witnessed the verdict and which;
+    each, replayed on fresh services, has the rule in ``RuleSet(q)`` of
+    the clean build and not of the mutated one.  Counted and traced."""
+    asked = {}  # fingerprint prefix -> tree, over every trial and probe
+    optimize_exercising = PlanService.optimize_exercising
+
+    def spy(self, tree, targets, config=None):
+        asked[tree.fingerprint()[:12]] = tree
+        return optimize_exercising(self, tree, targets, config)
+
+    metrics, tracer = MetricsRegistry(), RecordingTracer()
+    with monkeypatch.context() as patch:
+        patch.setattr(PlanService, "optimize_exercising", spy)
+        report = _sample_campaign(
+            tpch_db, registry, metrics=metrics, tracer=tracer
+        ).run(rule_names=["AvgToSumDivCount"], operators=["skip-substitute"])
+    detail = report.outcomes[0].variants["FULL"].detail
+    assert detail == _NO_FIRE_DETAIL
+    assert metrics.counter_value(
+        "mutation.no_fire_witnessed", rule="AvgToSumDivCount"
+    ) == 1
+    (event,) = [e for e in tracer.events if e.name == "mutation.no_fire"]
+    assert dict(event.args) == {
+        "seed": 11, "trials": 25, "witnesses": 4,
+        "fingerprints": ",".join(_NO_FIRE_WITNESSES),
+    }
+
+    node = ("AvgToSumDivCount",)
+    clean = PlanService(tpch_db, registry=registry, cache_dir=None)
+    mutated = PlanService(
+        tpch_db, cache_dir=None,
+        registry=_mutated_registry(registry, *node, "skip-substitute"),
+    )
+    for fingerprint in _NO_FIRE_WITNESSES:
+        tree = asked[fingerprint]
+        assert node[0] in clean.optimize_exercising(tree, node).rules_exercised
+        assert mutated.optimize_exercising(tree, node) is None
+        assert node[0] not in mutated.optimize(tree).rules_exercised
+
+
+def test_clean_rule_not_firing_either_keeps_full_persistence(
+    tpch_db, registry
+):
+    """The admission gate's shape: the candidate *is* the registry's rule,
+    so where it does not fire the clean build yields no witness, every
+    attempt is made and the detail is the exhaustion one."""
+    never_fires = _mutated_registry(
+        registry, "AvgToSumDivCount", "skip-substitute"
+    )
+    metrics, tracer = MetricsRegistry(), RecordingTracer()
+    campaign = MutationCampaign(
+        tpch_db, never_fires, pool=4, k=2, seeds=(11,), extra_operators=2,
+        max_trials=3, metrics=metrics, tracer=tracer,
+    )
+    outcome = campaign.evaluate_rule(never_fires.rule("AvgToSumDivCount"))
+    assert {
+        (cell.status, cell.detail) for cell in outcome.variants.values()
+    } == {(
+        NO_FIRE,
+        "could not generate 4 distinct queries for ('AvgToSumDivCount',) "
+        "within 3 attempts",
+    )}
+    # 3 attempts x 25 trials, and the same trees once more on the clean
+    # service, each a *no*.
+    assert metrics.counter_value("optimizer.unexercised") == 2 * 3 * 25
+    assert campaign._clean.counters.computed == 3 * 25
+    assert metrics.counter_value(
+        "mutation.no_fire_witnessed", rule="AvgToSumDivCount"
+    ) == 0
+    assert not tracer.events
+
+
+def test_a_mutant_that_fires_less_is_not_flagged(tpch_db, registry):
+    """A rule with a second alternative on some bindings: its
+    ``skip-substitute`` mutant fires on fewer trees than the clean rule
+    (21 of its 25 trials fail) but fills its pool, so no attempt fails
+    wholly and the clean build is never asked.  Row RECORDED AT 22b1908 by
+    running this body there."""
+    from repro.expr.expressions import conjuncts
+
+    class RepeatOnConjunction(type(registry.rule("JoinCommutativity"))):
+        def substitute(self, binding, ctx):
+            for alternative in super().substitute(binding, ctx):
+                yield alternative
+                if len(conjuncts(binding.predicate)) >= 2:
+                    yield alternative
+
+    metrics = MetricsRegistry()
+    campaign = MutationCampaign(
+        tpch_db, registry.with_replaced_rule(RepeatOnConjunction()),
+        pool=4, k=2, seeds=(11,), extra_operators=2, metrics=metrics,
+    )
+    report = campaign.run(
+        rule_names=["JoinCommutativity"], operators=["skip-substitute"]
+    )
+    assert _outcome_row(report) == (
+        "JoinCommutativity:skip-substitute", {
+            "pool_size": 4,
+            "variants": {
+                "FULL": ("SURVIVED", (0, 1, 2, 3), ""),
+                "SMC": ("EQUIVALENT", (0, 3), ""),
+                "TOPK": ("EQUIVALENT", (0, 3), ""),
+            },
+            "query_verdicts": (
+                (0, "identical"), (1, "identical"), (2, "equal"),
+                (3, "identical"),
+            ),
+            "query_costs": (
+                (0, 16.194879), (1, 33.762), (2, 52.607383), (3, 4.2746),
+            ),
+        },
+    )
+    assert metrics.counter_value("optimizer.unexercised") == 21
+    assert campaign._clean is None
+    assert report.service_stats["computed"] == 29
+
+
+def test_repeated_probes_hit_the_shared_clean_service(tpch_db, registry):
+    """One clean service per campaign: the same NO_FIRE mutant evaluated
+    again draws the same trees, and the clean build answers from memory."""
+    campaign = _sample_campaign(tpch_db, registry)
+    names = {"rule_names": ["AvgToSumDivCount"],
+             "operators": ["skip-substitute"]}
+    campaign.run(**names)
+    first = campaign._clean.counters.as_dict()
+    assert (first["computed"], first["memory_hits"]) == (_NO_FIRE_PROBES, 0)
+    report = campaign.run(**names)
+    second = campaign._clean.counters.as_dict()
+    assert second["computed"] == _NO_FIRE_PROBES
+    assert second["memory_hits"] == _NO_FIRE_PROBES
+    assert report.outcomes[0].variants["FULL"].detail == _NO_FIRE_DETAIL
+    # Cumulative: two mutated services' 25 trials each, the probes once.
+    assert report.service_stats["computed"] == 2 * 25 + _NO_FIRE_PROBES
+    assert report.service_stats["memory_hits"] == _NO_FIRE_PROBES
+
+
+@pytest.mark.parametrize("fleet_raises", [False, True])
+def test_every_fleet_backend_is_closed_with_its_mutant(
+    tpch_db, registry, monkeypatch, fleet_raises
+):
+    """One fleet per mutant, a sqlite member being a full in-memory
+    mirror: each backend is closed exactly once, also when the run
+    raises."""
+    from repro.backends.engine import EngineBackend
+    from repro.backends.sqlite_backend import SqliteBackend
+    from repro.testing.differential import DifferentialRunner
+
+    closed = []  # the backends themselves: ids stay unique
+    for backend_cls in (EngineBackend, SqliteBackend):
+        close = backend_cls.close
+
+        def spy(self, close=close):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(backend_cls, "close", spy)
+    if fleet_raises:
+        def run(self, suite, suite_info=None):
+            raise TypeError("unhashable type: 'list'")
+
+        monkeypatch.setattr(DifferentialRunner, "run", run)
+    metrics = MetricsRegistry()
+    campaign = _sample_campaign(tpch_db, registry, metrics=metrics)
+    for rule_name, operator in (
+        ("JoinCommutativity", "widen-join-kind"),
+        ("LojPushSelectLeft", "drop-precondition"),
+    ):
+        campaign.run(rule_names=[rule_name], operators=[operator])
+    assert [type(backend) for backend in closed] == [
+        EngineBackend, SqliteBackend
+    ] * 2
+    assert len(set(map(id, closed))) == 4
+    assert all(backend._conn is None for backend in closed[1::2])
+    assert metrics.counter_value("mutation.fleet_errors") == (
+        2 if fleet_raises else 0
+    )
 
 
 def test_stopped_trials_are_still_sanitized(tpch_db, registry, monkeypatch):
@@ -537,7 +753,6 @@ def test_stopped_trials_are_still_sanitized(tpch_db, registry, monkeypatch):
     trial that stops after exploration has inserted all of it."""
     from repro.analysis.sanitize import PlanSanitizer
     from repro.testing.generator import QueryGenerator
-    from repro.testing.mutation import generate_mutants
 
     checked = []
     check_group_expr = PlanSanitizer.check_group_expr
@@ -547,11 +762,10 @@ def test_stopped_trials_are_still_sanitized(tpch_db, registry, monkeypatch):
         return check_group_expr(self, expr, memo, rule_name)
 
     monkeypatch.setattr(PlanSanitizer, "check_group_expr", spy)
-    (mutant,) = generate_mutants(
-        registry, ["AvgToSumDivCount"], ["skip-substitute"]
-    )
     generator = QueryGenerator(
-        tpch_db, registry.with_replaced_rule(mutant.build()), seed=11,
+        tpch_db,
+        _mutated_registry(registry, "AvgToSumDivCount", "skip-substitute"),
+        seed=11,
         config=DEFAULT_CONFIG.replaced(sanitize_plans=True),
     )
     outcome = generator.pattern_query_for_rule(
