@@ -127,6 +127,15 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "counter", (),
         "Worker metric snapshots merged back into this registry.",
     ),
+    # ----------------------------------------------------------- generation
+    "generation.oversized": (
+        "counter", (),
+        "Generation draws skipped because the tree's estimated result "
+        "(root rows x output columns) exceeded "
+        "`repro.testing.generator.MAX_RESULT_CELLS`: each spent a trial, "
+        "none reached the optimizer, and the campaign drew again.  One "
+        "`generation.oversized` trace event each names the tree.",
+    ),
     # ------------------------------------------------------------- mutation
     "mutation.mutants": (
         "counter", ("operator",),

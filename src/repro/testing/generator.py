@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from repro.logical.cardinality import CardinalityEstimator
 from repro.logical.operators import LogicalOp
 from repro.logical.validate import ValidationError, validate_tree
 from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
@@ -38,6 +39,12 @@ from repro.testing.pattern_gen import (
 )
 from repro.testing.random_gen import RandomQueryGenerator
 
+#: The largest *estimated* result -- root rows x output columns -- a drawn
+#: tree may have and still be tried; read only by ``QueryGenerator._campaign``.
+#: Every query a campaign keeps is executed and digested by each oracle, so a
+#: tree estimated past this is redrawn instead of being fetched and hashed.
+MAX_RESULT_CELLS = 1_000_000
+
 
 @dataclass
 class GenerationOutcome:
@@ -54,6 +61,10 @@ class GenerationOutcome:
     #: Of a failed campaign: the trees that reached the optimizer, in trial
     #: order -- none of them exercised every target.
     tried: Tuple[LogicalOp, ...] = ()
+    #: Draws skipped because their estimated result exceeded
+    #: ``MAX_RESULT_CELLS``: each used up a trial and none reached the
+    #: optimizer (counted whether or not the campaign succeeded).
+    oversized: int = 0
 
     @property
     def operator_count(self) -> int:
@@ -73,11 +84,14 @@ class QueryGenerator:
     ) -> None:
         self.database = database
         self.registry = registry or default_registry()
-        self.config = config or DEFAULT_CONFIG
         self.service = service or PlanService(
-            database, registry=self.registry, config=self.config
+            database, registry=self.registry, config=config or DEFAULT_CONFIG
         )
+        #: A given service's own config unless told otherwise, so that what
+        #: its owner set (e.g. ``sanitize_plans``) holds for trials too.
+        self.config = config or self.service.config
         self.stats = self.service.stats
+        self._estimator = CardinalityEstimator(database.catalog, self.stats)
         self.rng = random.Random(seed)
         self._random_gen = RandomQueryGenerator(
             database.catalog, seed=self.rng.randrange(2**31), stats=self.stats
@@ -100,6 +114,19 @@ class QueryGenerator:
         except OptimizationError:
             return None
 
+    def _note_oversized(
+        self, tree: LogicalOp, targets: Sequence[str], rows: float,
+        columns: int,
+    ) -> None:
+        """Make one redraw visible: a counter and a trace event."""
+        if self.service.metrics is not None:
+            self.service.metrics.counter("generation.oversized").inc()
+        self.service.tracer.event(
+            "generation.oversized", cat="testing",
+            targets=",".join(targets), rows=round(rows),
+            columns=columns, fingerprint=tree.fingerprint()[:12],
+        )
+
     def _campaign(
         self,
         targets: Sequence[str],
@@ -108,9 +135,12 @@ class QueryGenerator:
         accept=None,
     ) -> GenerationOutcome:
         """Run trials of ``make_tree`` until all ``targets`` are exercised
-        (and ``accept(tree, result)``, when given, agrees)."""
+        (and ``accept(tree, result)``, when given, agrees).  A draw that is
+        invalid, or estimated over ``MAX_RESULT_CELLS``, is a spent trial:
+        it never reaches the service and is not in ``tried``."""
         start = time.perf_counter()
         tried = []
+        oversized = 0
         for trial in range(1, max_trials + 1):
             try:
                 tree = make_tree(trial)
@@ -119,9 +149,16 @@ class QueryGenerator:
             if tree is None:
                 continue
             try:
-                validate_tree(tree, self.database.catalog)
+                columns = len(validate_tree(tree, self.database.catalog))
             except ValidationError:
                 continue  # never reaches the optimizer
+            rows = self._estimator.estimate_tree(tree).rows
+            if rows * columns > MAX_RESULT_CELLS:
+                # Nor does a result too dear to fetch and hash: the trial
+                # is spent and the loop draws again.
+                oversized += 1
+                self._note_oversized(tree, targets, rows, columns)
+                continue
             tried.append(tree)
             result = self._try_query(tree, targets)
             if result is not None and (
@@ -136,6 +173,7 @@ class QueryGenerator:
                     tree=tree,
                     sql=to_sql(tree),
                     optimize_result=result,
+                    oversized=oversized,
                 )
         return GenerationOutcome(
             target_rules=tuple(targets),
@@ -144,6 +182,7 @@ class QueryGenerator:
             optimizer_calls=len(tried),
             elapsed_seconds=time.perf_counter() - start,
             tried=tuple(tried),
+            oversized=oversized,
         )
 
     def query_for_node(

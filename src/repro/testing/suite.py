@@ -211,7 +211,8 @@ class TestSuiteBuilder:
         queries: after ``max_trials`` attempts, or -- with a
         ``witness_check`` -- as soon as the check gives a reason to stop
         after an attempt whose trials all failed with nothing yet produced
-        for the node.
+        for the node (an attempt none of whose draws reached the optimizer
+        has no tree to show the check and does not ask it).
         """
         queries: List[SuiteQuery] = []
         seen_sql: Dict[str, SuiteQuery] = {}
@@ -222,7 +223,11 @@ class TestSuiteBuilder:
                 attempts += 1
                 outcome = self._generate(node)
                 if not outcome.succeeded:
-                    if produced == 0 and self.witness_check is not None:
+                    if (
+                        produced == 0
+                        and outcome.tried  # invalid / oversized draws aside
+                        and self.witness_check is not None
+                    ):
                         verdict = self.witness_check(node, outcome.tried)
                         if verdict is not None:
                             raise RuntimeError(verdict)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.catalog.schema import Catalog, ColumnDef, DataType, ForeignKey, TableDef
+from repro.logical.cardinality import CardinalityEstimator
+from repro.logical.properties import PropertyDeriver
 from repro.optimizer.engine import Optimizer
 from repro.rules.registry import default_registry
 from repro.storage.database import Database
@@ -36,6 +38,21 @@ def tpch_db():
 @pytest.fixture(scope="session")
 def tpch_stats(tpch_db):
     return tpch_db.stats_repository()
+
+
+@pytest.fixture(scope="session")
+def estimated_cells(tpch_db, tpch_stats):
+    """``tree -> estimated root rows x output columns`` over ``tpch_db``:
+    what the generator's ``MAX_RESULT_CELLS`` bounds, computed apart."""
+    estimator = CardinalityEstimator(tpch_db.catalog, tpch_stats)
+    deriver = PropertyDeriver(tpch_db.catalog)
+
+    def cells(tree) -> float:
+        return estimator.estimate_tree(tree).rows * len(
+            deriver.derive_tree(tree).columns
+        )
+
+    return cells
 
 
 @pytest.fixture(scope="session")

@@ -12,14 +12,17 @@ from repro.expr.expressions import (
     ComparisonOp,
     Literal,
 )
-from repro.logical.operators import Select, make_get
+from repro.logical.operators import Join, JoinKind, Select, make_get
 from repro.logical.validate import ValidationError, validate_tree
 from repro.rules.framework import match_structure, tree_contains_pattern
+from repro.obs import MetricsRegistry, RecordingTracer
+from repro.optimizer.config import DEFAULT_CONFIG
 from repro.rules.registry import default_registry
 from repro.service import PlanService
 from repro.testing import TestSuiteBuilder, pair_nodes, singleton_nodes
 from repro.testing.builders import TreeBuilder, column_origins
-from repro.testing.generator import QueryGenerator
+from repro.testing import generator as generator_module
+from repro.testing.generator import MAX_RESULT_CELLS, QueryGenerator
 from repro.testing.pattern_gen import (
     PatternInstantiator,
     add_random_operators,
@@ -179,18 +182,134 @@ class TestSingletonGeneration:
         assert generator.service.counters.requests == 2
         assert generator.service.counters.computed == 2
 
+    def test_a_given_service_brings_its_own_config(self, tpch_db, registry):
+        """``QueryGenerator(service=...)`` without ``config`` asks its
+        trials under the service's config, not ``DEFAULT_CONFIG`` -- so a
+        campaign's ``sanitize_plans`` reaches pool generation."""
+        config = DEFAULT_CONFIG.replaced(sanitize_plans=True)
+        service = PlanService(
+            tpch_db, registry=registry, config=config, cache_dir=None
+        )
+        assert QueryGenerator(tpch_db, registry, service=service).config is config
+        builder = TestSuiteBuilder(tpch_db, registry, service=service)
+        assert builder.generator.config is config
+        # An explicit config still wins; no service, no change.
+        assert QueryGenerator(
+            tpch_db, registry, service=service, config=DEFAULT_CONFIG
+        ).config is DEFAULT_CONFIG
+        assert QueryGenerator(tpch_db, registry).config is DEFAULT_CONFIG
 
-#: SHA-256 of the suite rows per generation seed, recorded at ``f5f77a9``.
+
+class TestResultBound:
+    """A draw whose estimated result is over ``MAX_RESULT_CELLS`` is a
+    spent trial that never reaches the optimizer."""
+
+    @pytest.fixture
+    def joins(self, tpch_db):
+        """``nation x region`` (125 rows x 7 columns) and the FK join."""
+        nation = make_get(tpch_db.catalog.table("nation"))
+        region = make_get(tpch_db.catalog.table("region"))
+        column = {c.name: c for c in nation.columns + region.columns}
+        on_key = Comparison(
+            ComparisonOp.EQ,
+            ColumnRef(column["n_regionkey"]),
+            ColumnRef(column["r_regionkey"]),
+        )
+        return (
+            Join(JoinKind.CROSS, nation, region),
+            Join(JoinKind.INNER, nation, region, on_key),
+        )
+
+    def test_oversized_draw_is_a_spent_trial_and_a_redraw(
+        self, tpch_db, registry, joins, estimated_cells, monkeypatch
+    ):
+        cross, inner = joins
+        assert estimated_cells(cross) == 125 * 7
+        assert estimated_cells(inner) <= 500
+        metrics, tracer = MetricsRegistry(), RecordingTracer()
+        service = PlanService(
+            tpch_db, registry=registry, cache_dir=None,
+            metrics=metrics, tracer=tracer,
+        )
+        generator = QueryGenerator(tpch_db, registry, service=service)
+        requests_at_draw = []
+
+        def make_tree(trial):
+            requests_at_draw.append(service.counters.requests)
+            return {1: cross, 2: inner}[trial]
+
+        monkeypatch.setattr(generator_module, "MAX_RESULT_CELLS", 500)
+        outcome = generator._campaign(
+            ["JoinCommutativity"], make_tree, max_trials=5
+        )
+        assert outcome.succeeded and outcome.tree is inner
+        assert (outcome.trials, outcome.optimizer_calls) == (2, 1)
+        assert outcome.oversized == 1
+        assert requests_at_draw == [0, 0]  # the cross join asked nothing
+        assert service.counters.requests == 1
+        assert metrics.counter_value("generation.oversized") == 1
+        (event,) = [
+            e for e in tracer.events if e.name == "generation.oversized"
+        ]
+        assert dict(event.args) == {
+            "targets": "JoinCommutativity", "rows": 125, "columns": 7,
+            "fingerprint": cross.fingerprint()[:12],
+        }
+        # A failed campaign keeps the count and leaves the tree out of
+        # ``tried``; under the real bound the same tree is tried.
+        failed = generator._campaign(
+            ["SelectMerge"], {1: cross, 2: inner}.__getitem__, max_trials=2
+        )
+        assert not failed.succeeded
+        assert (failed.trials, failed.oversized) == (2, 1)
+        assert failed.tried == (inner,)
+        monkeypatch.undo()
+        tried = generator._campaign(
+            ["SelectMerge"], {1: cross}.__getitem__, max_trials=1
+        )
+        assert tried.tried == (cross,) and tried.oversized == 0
+
+    def test_every_draw_oversized_fails_without_asking_anyone(
+        self, tpch_db, registry, monkeypatch
+    ):
+        """Such a node is "could not generate": no optimizer call, and no
+        tree to show a witness check, which is not consulted."""
+        monkeypatch.setattr(generator_module, "MAX_RESULT_CELLS", 0)
+        service = PlanService(tpch_db, registry=registry, cache_dir=None)
+        consulted = []
+        builder = TestSuiteBuilder(
+            tpch_db, registry, seed=11, max_trials=3, service=service,
+            witness_check=lambda node, trees: consulted.append(node),
+        )
+        outcome = builder.generator.pattern_query_for_rule(
+            "JoinCommutativity", extra_operators=2
+        )
+        assert not outcome.succeeded
+        assert (outcome.trials, outcome.optimizer_calls) == (25, 0)
+        assert (outcome.oversized, outcome.tried) == (25, ())
+        with pytest.raises(RuntimeError) as raised:
+            builder.build(singleton_nodes(["JoinCommutativity"]), 2)
+        assert str(raised.value) == (
+            "could not generate 2 distinct queries for "
+            "('JoinCommutativity',) within 3 attempts"
+        )
+        assert consulted == []
+        assert service.counters.requests == 0
+
+
+#: SHA-256 of the suite rows per generation seed, recorded at ``f5f77a9``;
+#: seed 7 re-recorded with ``MAX_RESULT_CELLS`` (it drew trees over the
+#: bound; ``2a56c5b8...`` at ``4c48e70``), seeds 0 and 11 draw none.
 SUITE_ROWS_AT_PARENT = {
     0: "fa81f3e472eae066632644c2e8129dcb13616dcd8058b3deebf3914f3adcf75c",
-    7: "2a56c5b80e525f7f29edc2272a3a53c3443e39f87a3d3474df2615604a8ae1a3",
+    7: "cbdf9964b111c3daee394a502e3f3ea9baebc225b82fb5167590dc656b513262",
     11: "b6bd8a792d5204d07e708ac9084be6f8bc6d779a9c47bb5770255eab43bf0d57",
 }
 
 
 @pytest.mark.parametrize("seed", sorted(SUITE_ROWS_AT_PARENT))
 def test_suites_are_the_ones_full_optimizations_built(
-    tpch_db, registry, seed
+    tpch_db, registry, estimated_cells, seed
 ):
     """Asking trials a yes/no question moves no generated query.
 
@@ -212,6 +331,10 @@ def test_suites_are_the_ones_full_optimizations_built(
             tpch_db, registry, seed=seed,
             extra_operators=extra_operators, service=service,
         ).build(nodes, 2)
+        assert all(
+            estimated_cells(query.tree) <= MAX_RESULT_CELLS
+            for query in suite.queries
+        )
         rows.extend(
             (
                 query.tree.fingerprint(), f"{query.cost:.6f}",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.obs import MetricsRegistry, RecordingTracer
 from repro.optimizer.config import DEFAULT_CONFIG
 from repro.rules.faults import ALL_FAULTS
 from repro.service import PlanService
+from repro.testing.generator import MAX_RESULT_CELLS
 from repro.testing.mutation import MutationCampaign, generate_mutants
 from repro.testing.mutation.campaign import (
     CRASHED,
@@ -269,16 +271,34 @@ def test_handwritten_fault_is_killed(tpch_db, registry, rule_name):
 
 # ------------------------------------------------------- full-size scoring
 
+#: The 111 FULL statuses of the full campaign, by mutant id: RECORDED by
+#: running ``test_full_campaign_meets_detection_bar`` and copying the file
+#: it writes (``--basetemp=DIR`` puts it at ``DIR/full_campaign/``) here.
+FULL_CAMPAIGN_STATUSES = (
+    Path(__file__).parent / "data" / "full_campaign_statuses.json"
+)
+
+
 @pytest.mark.mutation
-def test_full_campaign_meets_detection_bar(tpch_db, registry):
+def test_full_campaign_meets_detection_bar(
+    tpch_db, registry, tmp_path_factory
+):
     """The acceptance bar: the FULL suite detects >= 90% of the
     expected-detectable mutants, and the compressed suites' scores are
-    reported relative to it (long-running; CI mutation job)."""
+    reported relative to it (long-running; CI mutation job).  Every
+    mutant's FULL status is the recorded one: a change that moves some
+    names them, and says so in EXPERIMENTS.md when it re-records."""
     campaign = MutationCampaign(
         tpch_db, registry, pool=8, k=2, seeds=_KILL_SEEDS,
         extra_operators=2,
     )
     report = campaign.run()
+    found = {o.mutant_id: o.status("FULL") for o in report.outcomes}
+    found_path = (
+        tmp_path_factory.mktemp("full_campaign", numbered=False)
+        / FULL_CAMPAIGN_STATUSES.name
+    )
+    found_path.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
     score = report.detection_score("FULL")
     survivors = report.surviving_ids("FULL")
     assert score is not None and score >= 0.9, (
@@ -290,6 +310,16 @@ def test_full_campaign_meets_detection_bar(tpch_db, registry):
     # curation honesty: the oracle should not catch mutants we declared
     # undetectable -- those notes would be stale.
     assert report.unexpected_detections("FULL") == []
+    recorded = json.loads(FULL_CAMPAIGN_STATUSES.read_text())
+    moved = {
+        mutant_id: (recorded.get(mutant_id), found.get(mutant_id))
+        for mutant_id in sorted(set(recorded) | set(found))
+        if recorded.get(mutant_id) != found.get(mutant_id)
+    }
+    assert not moved, (
+        f"FULL statuses moved, (recorded, found): {moved}; "
+        f"the found ones are in {found_path}"
+    )
 
 
 # ------------------------------------------- the fleet, folded into verdicts
@@ -307,10 +337,13 @@ _NO_FIRE_DETAIL = (
 )
 #: ``(status, query_ids, detail)`` per variant, ``query_verdicts`` and
 #: ``query_costs`` of the four ``bench/workloads/mutation_sample.py``
-#: mutants, in its order.  The EQUIVALENT and KILLED rows were RECORDED AT
-#: d6887f1 (when the fleet's verdict was an exact ``Counter`` comparison),
-#: the SURVIVED one AT 9f02f63 (the last commit whose ``digest_rows``
-#: hashed row by row), where all three read the same; ``_NO_FIRE_DETAIL``
+#: mutants, in its order.  The KILLED row was RECORDED AT d6887f1 (when the
+#: fleet's verdict was an exact ``Counter`` comparison), the SURVIVED one AT
+#: 9f02f63 (the last commit whose ``digest_rows`` hashed row by row), where
+#: both read the same; the EQUIVALENT row with the generator's bound on a
+#: drawn tree's estimated result (``MAX_RESULT_CELLS``: at 4c48e70 its first
+#: draw was a 46,713 x 31-cell self-join, costs 690.178616 / 12.090593 /
+#: 4.391111 / 6.243687 and SMC = TOPK = (2, 3)); ``_NO_FIRE_DETAIL``
 #: and ``RECORDED_SAMPLE_STATS`` with the NO_FIRE verdict against the clean
 #: build (at 22b1908 the detail was "could not generate 4 distinct queries
 #: for ('AvgToSumDivCount',) within 30 attempts" and the counts 810
@@ -350,15 +383,15 @@ RECORDED_FLEET_OUTCOMES = {
         "pool_size": 4,
         "variants": {
             "FULL": ("EQUIVALENT", (0, 1, 2, 3), ""),
-            "SMC": ("EQUIVALENT", (2, 3), ""),
-            "TOPK": ("EQUIVALENT", (2, 3), ""),
+            "SMC": ("EQUIVALENT", (1, 2), ""),
+            "TOPK": ("EQUIVALENT", (1, 2), ""),
         },
         "query_verdicts": (
             (0, "identical"), (1, "identical"), (2, "identical"),
             (3, "identical"),
         ),
         "query_costs": (
-            (0, 690.178616), (1, 12.090593), (2, 4.391111), (3, 6.243687),
+            (0, 28.862233), (1, 9.21), (2, 4.3265), (3, 41.150559),
         ),
     },
     "LojPushSelectLeft:drop-precondition": {
@@ -410,27 +443,45 @@ def _outcome_row(report):
 @pytest.fixture(scope="module")
 def sample(tpch_db, registry):
     """The four-mutant sample on one campaign, one ``run`` per mutant as
-    the bench drives it: ``(outcome rows by mutant id, service_stats)``."""
+    the bench drives it: ``(outcome rows by mutant id, service_stats, the
+    pools' trees)``."""
     campaign = _sample_campaign(tpch_db, registry)
+    build_pool = campaign._build_pool
+    pool_trees = []
+
+    def keep_trees(node, registry, service):
+        built = build_pool(node, registry, service)
+        pool_trees.extend(query.tree for query in built[0])
+        return built
+
+    campaign._build_pool = keep_trees
     rows = {}
     for mutant_id in RECORDED_FLEET_OUTCOMES:
         rule_name, operator = mutant_id.split(":")[:2]
         report = campaign.run(rule_names=[rule_name], operators=[operator])
         found, row = _outcome_row(report)
         rows[found] = row
-    return rows, report.service_stats
+    return rows, report.service_stats, pool_trees
 
 
 @pytest.mark.parametrize("mutant_id", sorted(RECORDED_FLEET_OUTCOMES))
 def test_fleet_outcomes_match_the_recorded_ones(sample, mutant_id):
-    rows, _ = sample
+    rows, _, _ = sample
     assert rows[mutant_id] == RECORDED_FLEET_OUTCOMES[mutant_id]
 
 
 def test_sample_asks_the_service_what_it_asked_at_the_recording(sample):
-    rows, service_stats = sample
+    rows, service_stats, _ = sample
     assert list(rows) == list(RECORDED_FLEET_OUTCOMES)
     assert service_stats == RECORDED_SAMPLE_STATS
+
+
+def test_sample_pools_are_within_the_result_bound(sample, estimated_cells):
+    """No oracle is handed a query estimated over ``MAX_RESULT_CELLS``: the
+    three mutants that have a pool have four queries each."""
+    _, _, pool_trees = sample
+    assert len(pool_trees) == 12
+    assert max(map(estimated_cells, pool_trees)) <= MAX_RESULT_CELLS
 
 
 def test_a_fleet_that_raised_is_counted_not_folded(
@@ -645,9 +696,10 @@ def test_clean_rule_not_firing_either_keeps_full_persistence(
 def test_a_mutant_that_fires_less_is_not_flagged(tpch_db, registry):
     """A rule with a second alternative on some bindings: its
     ``skip-substitute`` mutant fires on fewer trees than the clean rule
-    (21 of its 25 trials fail) but fills its pool, so no attempt fails
-    wholly and the clean build is never asked.  Row RECORDED AT 22b1908 by
-    running this body there."""
+    (19 of the 23 trials that reach the optimizer fail -- two more draws
+    are over ``MAX_RESULT_CELLS`` and never get there, 21 of 25 at 4c48e70)
+    but fills its pool, so no attempt fails wholly and the clean build is
+    never asked.  Row RECORDED AT 22b1908 by running this body there."""
     from repro.expr.expressions import conjuncts
 
     class RepeatOnConjunction(type(registry.rule("JoinCommutativity"))):
@@ -682,9 +734,10 @@ def test_a_mutant_that_fires_less_is_not_flagged(tpch_db, registry):
             ),
         },
     )
-    assert metrics.counter_value("optimizer.unexercised") == 21
+    assert metrics.counter_value("optimizer.unexercised") == 19
+    assert metrics.counter_value("generation.oversized") == 2
     assert campaign._clean is None
-    assert report.service_stats["computed"] == 29
+    assert report.service_stats["computed"] == 27  # the two fewer trials
 
 
 def test_repeated_probes_hit_the_shared_clean_service(tpch_db, registry):
@@ -750,9 +803,12 @@ def test_every_fleet_backend_is_closed_with_its_mutant(
 
 def test_stopped_trials_are_still_sanitized(tpch_db, registry, monkeypatch):
     """The sanitizer checks what substitutions insert into the memo, and a
-    trial that stops after exploration has inserted all of it."""
+    trial that stops after exploration has inserted all of it.  Asked for
+    through ``MutationCampaign(config=...)``: the pool's generator takes the
+    per-mutant service's config (at ``4c48e70`` it sent ``DEFAULT_CONFIG``
+    with every trial and nothing was checked).  The clean build gets a
+    service that does not sanitize, so every check is a stopped trial's."""
     from repro.analysis.sanitize import PlanSanitizer
-    from repro.testing.generator import QueryGenerator
 
     checked = []
     check_group_expr = PlanSanitizer.check_group_expr
@@ -762,17 +818,16 @@ def test_stopped_trials_are_still_sanitized(tpch_db, registry, monkeypatch):
         return check_group_expr(self, expr, memo, rule_name)
 
     monkeypatch.setattr(PlanSanitizer, "check_group_expr", spy)
-    generator = QueryGenerator(
-        tpch_db,
-        _mutated_registry(registry, "AvgToSumDivCount", "skip-substitute"),
-        seed=11,
+    campaign = _sample_campaign(
+        tpch_db, registry,
         config=DEFAULT_CONFIG.replaced(sanitize_plans=True),
     )
-    outcome = generator.pattern_query_for_rule(
-        "AvgToSumDivCount", max_trials=5, extra_operators=2
+    campaign._clean = PlanService(tpch_db, registry=registry, cache_dir=None)
+    report = campaign.run(
+        rule_names=["AvgToSumDivCount"], operators=["skip-substitute"]
     )
-    assert not outcome.succeeded
-    assert generator.service.counters.computed == outcome.optimizer_calls == 5
+    assert report.outcomes[0].variants["FULL"].detail == _NO_FIRE_DETAIL
+    assert report.service_stats["computed"] == 25 + _NO_FIRE_PROBES
     # Initial expressions (no rule) and substitutes alike.
-    assert checked.count(None) >= 5
+    assert checked.count(None) >= 25
     assert any(name is not None for name in checked)
