@@ -17,16 +17,26 @@ columnar path a drop-in replacement everywhere, byte-for-byte.
 Table scans read :meth:`StoredTable.column_data`, a per-table columnar
 snapshot cached until the next insert — so every plan executed against a
 database shares one scan materialization per table.
+
+Materialisation is late.  An operator that keeps, reorders or pairs rows
+(filter, sort, distinct, top, every join, the set operations, aggregate
+group keys) computes an index list and hands it to :meth:`Batch.take`,
+which copies nothing: a column of the result is gathered the first time
+an operator indexes it, and kept for later reads.  A join that outputs
+three of its inputs' twenty-two columns gathers three.  A gather of a
+gather reads, and so builds, the inner column it needs; index lists are
+not composed.  Nothing lazy leaves :func:`execute_columnar`: a
+:class:`QueryResult` holds plain row tuples.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.results import QueryResult
 from repro.expr.aggregates import Accumulator, AggregateFunction
 from repro.expr.eval import layout_of
-from repro.expr.expressions import TRUE, Column
+from repro.expr.expressions import TRUE, Column, referenced_columns
 from repro.expr.vector import compile_expr_vector, compile_selection_vector
 from repro.logical.operators import JoinKind
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -58,17 +68,41 @@ Columns = Tuple[Column, ...]
 class Batch:
     """A struct-of-arrays result chunk: one Python list per column.
 
+    ``data[p]`` is column ``p``, a list of ``length`` values, and indexing
+    (or iterating, which indexes each position in turn) is the only way to
+    read ``data``.  It is a plain list of columns (a scan, computed
+    columns) or the lazy sequence behind :meth:`take` / :meth:`beside`,
+    which builds a column the first time it is indexed and keeps it: a
+    column nobody reads is never gathered.
+
     Column lists are shared freely between operators (a ``Filter`` that
-    keeps everything passes its input columns through untouched), so they
-    are immutable by convention — handlers build new lists, never mutate.
+    keeps everything passes its input through untouched), so they are
+    immutable by convention — handlers build new lists, never mutate.
     """
 
     __slots__ = ("columns", "data", "length")
 
-    def __init__(self, columns: Columns, data: List[list], length: int):
+    def __init__(self, columns: Columns, data: Sequence[list], length: int):
         self.columns = columns
         self.data = data
         self.length = length
+
+    def take(self, indices: Sequence[int], padded: bool = False) -> "Batch":
+        """The rows at ``indices``, in that order, gathered when read.
+
+        With ``padded``, index -1 stands for a NULL-extended row.
+        """
+        return Batch(
+            self.columns, _Gather(self.data, indices, padded), len(indices)
+        )
+
+    def beside(self, right: "Batch") -> "Batch":
+        """This batch's columns followed by ``right``'s (equal lengths)."""
+        return Batch(
+            self.columns + right.columns,
+            _Beside(self.data, right.data),
+            self.length,
+        )
 
     def row_views(self) -> List[Tuple]:
         """Materialize row tuples (used by hash-based row operators)."""
@@ -77,13 +111,78 @@ class Batch:
         return list(zip(*self.data))
 
 
+def _take(column: list, indices: Sequence[int]) -> list:
+    return [column[i] for i in indices]
+
+
+def _take_padded(column: list, indices: Sequence[int]) -> list:
+    """Gather where index -1 means a NULL-extended (padded) slot."""
+    return [None if i < 0 else column[i] for i in indices]
+
+
+class _Gather:
+    """``source``'s columns at ``indices``, each built on its first read."""
+
+    __slots__ = ("source", "indices", "padded", "built")
+
+    def __init__(self, source: Sequence[list], indices, padded: bool):
+        self.source = source
+        self.indices = indices
+        self.padded = padded
+        self.built: List[Optional[list]] = [None] * len(source)
+
+    def __len__(self) -> int:
+        return len(self.built)
+
+    def __getitem__(self, position: int) -> list:
+        column = self.built[position]
+        if column is None:
+            kernel = _take_padded if self.padded else _take
+            column = kernel(self.source[position], self.indices)
+            self.built[position] = column
+        return column
+
+
+class _Beside:
+    """Two column sequences read as one, ``left``'s positions first."""
+
+    __slots__ = ("left", "right", "split")
+
+    def __init__(self, left: Sequence[list], right: Sequence[list]):
+        self.left = left
+        self.right = right
+        self.split = len(left)
+
+    def __len__(self) -> int:
+        return self.split + len(self.right)
+
+    def __getitem__(self, position: int) -> list:
+        if position < self.split:
+            return self.left[position]
+        return self.right[position - self.split]
+
+
 class _Context:
-    __slots__ = ("database", "tracer", "metrics")
+    __slots__ = ("database", "tracer", "metrics", "gathers")
 
     def __init__(self, database: Database, tracer: Tracer, metrics):
         self.database = database
         self.tracer = tracer
         self.metrics = metrics
+        #: Every gather of this execution, for the ``exec.columns_*``
+        #: counters; not kept when there is no registry to fold them into.
+        self.gathers: Optional[List[_Gather]] = (
+            None if metrics is None else []
+        )
+
+    def take(
+        self, batch: Batch, indices: Sequence[int], padded: bool = False
+    ) -> Batch:
+        """:meth:`Batch.take`, remembered for the column counters."""
+        taken = batch.take(indices, padded)
+        if self.gathers is not None:
+            self.gathers.append(taken.data)
+        return taken
 
 
 def execute_columnar(
@@ -110,7 +209,18 @@ def execute_columnar(
             [batch.data[p] for p in positions],
             batch.length,
         )
-    return QueryResult(columns=batch.columns, rows=batch.row_views())
+    # Plain row tuples: nothing lazy leaves this function, so the counters
+    # are final once the rows exist.
+    rows = batch.row_views()
+    if ctx.gathers:
+        built = sum(
+            len(gather.built) - gather.built.count(None)
+            for gather in ctx.gathers
+        )
+        total = sum(len(gather.built) for gather in ctx.gathers)
+        metrics.counter("exec.columns_gathered").inc(built)
+        metrics.counter("exec.columns_skipped").inc(total - built)
+    return QueryResult(columns=batch.columns, rows=rows)
 
 
 def _execute_batch(op: PhysicalOp, ctx: _Context) -> Batch:
@@ -135,15 +245,6 @@ def _execute_batch(op: PhysicalOp, ctx: _Context) -> Batch:
     return batch
 
 
-def _take(column: list, indices: List[int]) -> list:
-    return [column[i] for i in indices]
-
-
-def _take_padded(column: list, indices: List[int]) -> list:
-    """Gather where index -1 means a NULL-extended (padded) slot."""
-    return [None if i < 0 else column[i] for i in indices]
-
-
 # ------------------------------------------------------------------- leaves
 
 
@@ -163,7 +264,7 @@ def _exec_filter(op: Filter, inputs, ctx) -> Batch:
     sel = select(child.data, child.length)
     if len(sel) == child.length:
         return child
-    return Batch(child.columns, [_take(c, sel) for c in child.data], len(sel))
+    return ctx.take(child, sel)
 
 
 def _exec_compute_scalar(op: ComputeScalar, inputs, ctx) -> Batch:
@@ -189,33 +290,31 @@ def _exec_sort(op: Sort, inputs, ctx) -> Batch:
         column = child.data[layout[key.column.cid]]
         ranks = [(0, 0) if v is None else (1, v) for v in column]
         order.sort(key=ranks.__getitem__, reverse=not key.ascending)
-    return Batch(
-        child.columns, [_take(c, order) for c in child.data], child.length
-    )
+    return ctx.take(child, order)
 
 
 def _exec_hash_distinct(op: HashDistinct, inputs, ctx) -> Batch:
     (child,) = inputs
+    return _distinct(child, ctx)
+
+
+def _distinct(batch: Batch, ctx) -> Batch:
     seen = set()
     keep: List[int] = []
-    for i, row in enumerate(child.row_views()):
+    for i, row in enumerate(batch.row_views()):
         if row not in seen:
             seen.add(row)
             keep.append(i)
-    if len(keep) == child.length:
-        return child
-    return Batch(
-        child.columns, [_take(c, keep) for c in child.data], len(keep)
-    )
+    if len(keep) == batch.length:
+        return batch
+    return ctx.take(batch, keep)
 
 
 def _exec_top(op: Top, inputs, ctx) -> Batch:
     (child,) = inputs
     if child.length <= op.count:
         return child
-    return Batch(
-        child.columns, [c[: op.count] for c in child.data], op.count
-    )
+    return ctx.take(child, range(op.count))
 
 
 # ------------------------------------------------------------------- joins
@@ -239,42 +338,82 @@ def _join_keys(batch: Batch, key_columns) -> list:
     ]
 
 
-def _combined_candidates(
-    left: Batch, right: Batch, pairs_l: List[int], pairs_r: List[int]
-) -> List[list]:
-    return [_take(c, pairs_l) for c in left.data] + [
-        _take(c, pairs_r) for c in right.data
-    ]
-
-
 def _gather_join(
-    op, left: Batch, right: Batch, pairs_l: List[int], pairs_r: List[int]
+    ctx,
+    left: Batch,
+    right: Batch,
+    pairs_l: List[int],
+    pairs_r: List[int],
+    padded: bool = False,
 ) -> Batch:
-    """Build the combined output batch; -1 in ``pairs_r`` NULL-pads."""
-    data = [_take(c, pairs_l) for c in left.data] + [
-        _take_padded(c, pairs_r) for c in right.data
+    """Left rows ``pairs_l`` beside right rows ``pairs_r``.
+
+    The combined batch of a join: its output, and before that the candidate
+    pairs its residual is evaluated on.  With ``padded``, -1 in ``pairs_r``
+    NULL-pads the right side.
+    """
+    return ctx.take(left, pairs_l).beside(ctx.take(right, pairs_r, padded))
+
+
+def _passing_pairs(
+    ctx,
+    residual,
+    left: Batch,
+    right: Batch,
+    pairs_l: List[int],
+    pairs_r: List[int],
+) -> Tuple[List[int], List[int]]:
+    """The candidate pairs on which ``residual`` is TRUE, in their order.
+
+    It is evaluated on the pairs' combined batch, which gathers the
+    columns it names and no others.
+    """
+    candidates = _gather_join(ctx, left, right, pairs_l, pairs_r)
+    select = compile_selection_vector(
+        residual, layout_of(candidates.columns)
+    )
+    sel = select(candidates.data, candidates.length)
+    return _take(pairs_l, sel), _take(pairs_r, sel)
+
+
+def _row_matcher(predicate, left: Batch, right: Batch):
+    """``matches(i)``: indices of the right rows joining with left row ``i``.
+
+    The predicate sees left row ``i`` repeated beside the whole right side.
+    Only the columns it references exist in that view; the other positions
+    share a ``None`` placeholder.
+    """
+    nright = right.length
+    if predicate == TRUE:
+        all_indices = list(range(nright))
+        return lambda i: all_indices
+
+    combined = left.columns + right.columns
+    select = compile_selection_vector(predicate, layout_of(combined))
+    read = referenced_columns(predicate)
+    cols: List[Optional[list]] = [None] * len(combined)
+    nleft = len(left.columns)
+    for p, column in enumerate(right.columns):
+        if column in read:
+            cols[nleft + p] = right.data[p]
+    left_read = [
+        (p, left.data[p])
+        for p, column in enumerate(left.columns)
+        if column in read
     ]
-    return Batch(left.columns + right.columns, data, len(pairs_l))
+
+    def matches(i: int) -> List[int]:
+        for p, column in left_read:
+            cols[p] = [column[i]] * nright
+        return select(cols, nright)
+
+    return matches
 
 
 def _exec_nested_loops(op: NestedLoopsJoin, inputs, ctx) -> Batch:
     left, right = inputs
     kind = op.join_kind
-    nright = right.length
-    combined_columns = left.columns + right.columns
-
-    if op.predicate == TRUE:
-        match_indices = _all_indices_fn(nright)
-    else:
-        select = compile_selection_vector(
-            op.predicate, layout_of(combined_columns)
-        )
-
-        def match_indices(i: int) -> List[int]:
-            cols = [
-                [column[i]] * nright for column in left.data
-            ] + right.data
-            return select(cols, nright)
+    match_indices = _row_matcher(op.predicate, left, right)
 
     pairs_l: List[int] = []
     pairs_r: List[int] = []
@@ -283,7 +422,7 @@ def _exec_nested_loops(op: NestedLoopsJoin, inputs, ctx) -> Batch:
             matches = match_indices(i)
             pairs_l.extend([i] * len(matches))
             pairs_r.extend(matches)
-        return _gather_join(op, left, right, pairs_l, pairs_r)
+        return _gather_join(ctx, left, right, pairs_l, pairs_r)
     if kind is JoinKind.LEFT_OUTER:
         for i in range(left.length):
             matches = match_indices(i)
@@ -293,7 +432,7 @@ def _exec_nested_loops(op: NestedLoopsJoin, inputs, ctx) -> Batch:
             else:
                 pairs_l.append(i)
                 pairs_r.append(-1)
-        return _gather_join(op, left, right, pairs_l, pairs_r)
+        return _gather_join(ctx, left, right, pairs_l, pairs_r, padded=True)
     if kind in (JoinKind.SEMI, JoinKind.ANTI):
         want_match = kind is JoinKind.SEMI
         keep = [
@@ -301,140 +440,102 @@ def _exec_nested_loops(op: NestedLoopsJoin, inputs, ctx) -> Batch:
             for i in range(left.length)
             if bool(match_indices(i)) == want_match
         ]
-        return Batch(
-            left.columns, [_take(c, keep) for c in left.data], len(keep)
-        )
+        return ctx.take(left, keep)
     from repro.engine.executor import ExecutionError
 
     raise ExecutionError(f"unsupported join kind {kind}")
 
 
-def _all_indices_fn(nright: int):
-    all_indices = list(range(nright))
-    return lambda i: all_indices
-
-
 def _exec_nested_apply(op: NestedApply, inputs, ctx) -> Batch:
     left, right = inputs
-    nright = right.length
-    if op.predicate == TRUE:
-        matched_any = nright > 0
-        matches_fn = lambda i: matched_any  # noqa: E731
-    else:
-        select = compile_selection_vector(
-            op.predicate, layout_of(left.columns + right.columns)
-        )
-
-        def matches_fn(i: int) -> bool:
-            cols = [
-                [column[i]] * nright for column in left.data
-            ] + right.data
-            return bool(select(cols, nright))
-
+    match_indices = _row_matcher(op.predicate, left, right)
     want_match = op.apply_kind is JoinKind.SEMI
     keep = [
-        i for i in range(left.length) if matches_fn(i) == want_match
+        i
+        for i in range(left.length)
+        if bool(match_indices(i)) == want_match
     ]
-    return Batch(
-        left.columns, [_take(c, keep) for c in left.data], len(keep)
+    return ctx.take(left, keep)
+
+
+def _probe(left_keys: list, right_keys: list) -> Tuple[List[int], List[int]]:
+    """The equal-key pairs ``(left rows, right rows)`` of a hash join.
+
+    Pair order: probe-side (left) major, build-insertion order within a
+    key.  A ``None`` key (a NULL key part) is never in the table, so NULLs
+    match nothing on either side.
+    """
+    # One entry per key, its last row: the whole table when every build
+    # key is unique, and then no Python loop has run.
+    last = dict(zip(right_keys, range(len(right_keys))))
+    nulls = right_keys.count(None) if None in last else 0
+    last.pop(None, None)
+    if len(last) == len(right_keys) - nulls:
+        found = list(map(last.get, left_keys))
+        return (
+            [i for i, j in enumerate(found) if j is not None],
+            [j for j in found if j is not None],
+        )
+    table: Dict[object, List[int]] = {}
+    for j, key in enumerate(right_keys):
+        if key is not None:
+            table.setdefault(key, []).append(j)
+    found = list(map(table.get, left_keys))
+    return (
+        [i for i, matches in enumerate(found) if matches for _ in matches],
+        [j for matches in found if matches for j in matches],
     )
 
 
 def _exec_hash_join(op: HashJoin, inputs, ctx) -> Batch:
     left, right = inputs
     kind = op.join_kind
-    combined_columns = left.columns + right.columns
+    if kind not in (
+        JoinKind.INNER, JoinKind.LEFT_OUTER, JoinKind.SEMI, JoinKind.ANTI
+    ):
+        from repro.engine.executor import ExecutionError
+
+        raise ExecutionError(f"hash join does not support {kind}")
 
     left_keys = _join_keys(left, op.left_keys)
     right_keys = _join_keys(right, op.right_keys)
+    want_match = kind is JoinKind.SEMI
+    if op.residual == TRUE and kind in (JoinKind.SEMI, JoinKind.ANTI):
+        # Only whether a key occurs on the build side matters.
+        build = set(right_keys)
+        build.discard(None)
+        keep = [
+            i
+            for i, key in enumerate(left_keys)
+            if (key in build) == want_match
+        ]
+        return ctx.take(left, keep)
 
-    # Build side: rows with a NULL key can never satisfy an equality join.
-    table: Dict[object, List[int]] = {}
-    for j, key in enumerate(right_keys):
-        if key is None:
-            continue
-        table.setdefault(key, []).append(j)
-
-    has_residual = op.residual != TRUE
-    pairs_l: List[int] = []
-    pairs_r: List[int] = []
-
+    pairs_l, pairs_r = _probe(left_keys, right_keys)
+    if op.residual != TRUE:
+        pairs_l, pairs_r = _passing_pairs(
+            ctx, op.residual, left, right, pairs_l, pairs_r
+        )
     if kind is JoinKind.INNER:
-        for i, key in enumerate(left_keys):
-            if key is None:
-                continue
-            matches = table.get(key)
-            if matches:
-                pairs_l.extend([i] * len(matches))
-                pairs_r.extend(matches)
-        if has_residual:
-            select = compile_selection_vector(
-                op.residual, layout_of(combined_columns)
-            )
-            cand = _combined_candidates(left, right, pairs_l, pairs_r)
-            sel = select(cand, len(pairs_l))
-            pairs_l = _take(pairs_l, sel)
-            pairs_r = _take(pairs_r, sel)
-        return _gather_join(op, left, right, pairs_l, pairs_r)
+        return _gather_join(ctx, left, right, pairs_l, pairs_r)
 
-    # LEFT_OUTER / SEMI / ANTI need per-left-row match information.
-    counts: List[int] = []
-    for i, key in enumerate(left_keys):
-        matches = table.get(key) if key is not None else None
-        if matches:
-            pairs_l.extend([i] * len(matches))
-            pairs_r.extend(matches)
-            counts.append(len(matches))
-        else:
-            counts.append(0)
-
-    if has_residual:
-        select = compile_selection_vector(
-            op.residual, layout_of(combined_columns)
-        )
-        cand = _combined_candidates(left, right, pairs_l, pairs_r)
-        passed = set(select(cand, len(pairs_l)))
-    else:
-        passed = None  # every candidate passes
-
+    # The other kinds ask of each left row whether any pair survived.
+    matched = set(pairs_l)
     if kind is JoinKind.LEFT_OUTER:
-        out_l: List[int] = []
-        out_r: List[int] = []
-        pos = 0
-        for i, count in enumerate(counts):
-            matched = False
-            for t in range(pos, pos + count):
-                if passed is None or t in passed:
-                    out_l.append(i)
-                    out_r.append(pairs_r[t])
-                    matched = True
-            pos += count
-            if not matched:
-                out_l.append(i)
-                out_r.append(-1)
-        return _gather_join(op, left, right, out_l, out_r)
+        unmatched = [i for i in range(left.length) if i not in matched]
+        if unmatched:
+            # Each unmatched row joins the padded slot, in its place among
+            # the pairs: both lists ascend in the left row and the sort is
+            # stable, so this is a merge that keeps the pair order.
+            pairs_l = pairs_l + unmatched
+            pairs_r = pairs_r + [-1] * len(unmatched)
+            order = sorted(range(len(pairs_l)), key=pairs_l.__getitem__)
+            pairs_l = _take(pairs_l, order)
+            pairs_r = _take(pairs_r, order)
+        return _gather_join(ctx, left, right, pairs_l, pairs_r, padded=True)
 
-    if kind in (JoinKind.SEMI, JoinKind.ANTI):
-        want_match = kind is JoinKind.SEMI
-        keep: List[int] = []
-        pos = 0
-        for i, count in enumerate(counts):
-            if passed is None:
-                matched = count > 0
-            else:
-                matched = any(
-                    t in passed for t in range(pos, pos + count)
-                )
-            pos += count
-            if matched == want_match:
-                keep.append(i)
-        return Batch(
-            left.columns, [_take(c, keep) for c in left.data], len(keep)
-        )
-
-    from repro.engine.executor import ExecutionError
-
-    raise ExecutionError(f"hash join does not support {kind}")
+    keep = [i for i in range(left.length) if (i in matched) == want_match]
+    return ctx.take(left, keep)
 
 
 def _merge_keys(batch: Batch, key_columns) -> List[Tuple]:
@@ -449,7 +550,6 @@ def _merge_keys(batch: Batch, key_columns) -> List[Tuple]:
 
 def _exec_merge_join(op: MergeJoin, inputs, ctx) -> Batch:
     left, right = inputs
-    combined_columns = left.columns + right.columns
 
     left_keys = _merge_keys(left, op.left_keys)
     right_keys = _merge_keys(right, op.right_keys)
@@ -487,14 +587,10 @@ def _exec_merge_join(op: MergeJoin, inputs, ctx) -> Batch:
             i, j = i_end, j_end
 
     if op.residual != TRUE:
-        select = compile_selection_vector(
-            op.residual, layout_of(combined_columns)
+        pairs_l, pairs_r = _passing_pairs(
+            ctx, op.residual, left, right, pairs_l, pairs_r
         )
-        cand = _combined_candidates(left, right, pairs_l, pairs_r)
-        sel = select(cand, len(pairs_l))
-        pairs_l = _take(pairs_l, sel)
-        pairs_r = _take(pairs_r, sel)
-    return _gather_join(op, left, right, pairs_l, pairs_r)
+    return _gather_join(ctx, left, right, pairs_l, pairs_r)
 
 
 # -------------------------------------------------------------- aggregation
@@ -594,9 +690,8 @@ def _exec_hash_aggregate(op: HashAggregate, inputs, ctx) -> Batch:
     if not op.group_by and not n_groups:
         return _empty_scalar_aggregate(op)
 
-    group_data = [
-        _take(child.data[p], first_rows) for p in group_positions
-    ]
+    firsts = ctx.take(child, first_rows)
+    group_data = [firsts.data[p] for p in group_positions]
     agg_data = _aggregate_outputs(op, child, group_ids, n_groups)
     return Batch(op.output_columns, group_data + agg_data, n_groups)
 
@@ -630,9 +725,8 @@ def _exec_stream_aggregate(op: StreamAggregate, inputs, ctx) -> Batch:
     if not n_groups and not op.group_by:
         return _empty_scalar_aggregate(op)
 
-    group_data = [
-        _take(child.data[p], first_rows) for p in declared_positions
-    ]
+    firsts = ctx.take(child, first_rows)
+    group_data = [firsts.data[p] for p in declared_positions]
     agg_data = _aggregate_outputs(op, child, group_ids, n_groups)
     return Batch(op.output_columns, group_data + agg_data, n_groups)
 
@@ -651,28 +745,6 @@ def _aligned_data(op, side: str, batch: Batch) -> List[list]:
     return [batch.data[layout[c.cid]] for c in branch_columns]
 
 
-def _distinct_concat(op, left_data, right_data, n_left, n_right) -> Batch:
-    data = [
-        lcol + rcol for lcol, rcol in zip(left_data, right_data)
-    ]
-    merged = Batch(op.output_columns, data, n_left + n_right)
-    return _exec_hash_distinct_batch(merged)
-
-
-def _exec_hash_distinct_batch(batch: Batch) -> Batch:
-    seen = set()
-    keep: List[int] = []
-    for i, row in enumerate(batch.row_views()):
-        if row not in seen:
-            seen.add(row)
-            keep.append(i)
-    if len(keep) == batch.length:
-        return batch
-    return Batch(
-        batch.columns, [_take(c, keep) for c in batch.data], len(keep)
-    )
-
-
 def _exec_concat(op: Concat, inputs, ctx) -> Batch:
     left, right = inputs
     left_data = _aligned_data(op, "left", left)
@@ -682,14 +754,7 @@ def _exec_concat(op: Concat, inputs, ctx) -> Batch:
 
 
 def _exec_hash_union(op: HashUnion, inputs, ctx) -> Batch:
-    left, right = inputs
-    return _distinct_concat(
-        op,
-        _aligned_data(op, "left", left),
-        _aligned_data(op, "right", right),
-        left.length,
-        right.length,
-    )
+    return _distinct(_exec_concat(op, inputs, ctx), ctx)
 
 
 def _exec_hash_intersect(op: HashIntersect, inputs, ctx) -> Batch:
@@ -709,11 +774,7 @@ def _exec_hash_intersect(op: HashIntersect, inputs, ctx) -> Batch:
         if row in right_rows and row not in seen:
             seen.add(row)
             keep.append(i)
-    return Batch(
-        op.output_columns,
-        [_take(c, keep) for c in left_data],
-        len(keep),
-    )
+    return ctx.take(aligned_left, keep)
 
 
 def _exec_hash_except(op: HashExcept, inputs, ctx) -> Batch:
@@ -733,11 +794,7 @@ def _exec_hash_except(op: HashExcept, inputs, ctx) -> Batch:
         if row not in right_rows and row not in seen:
             seen.add(row)
             keep.append(i)
-    return Batch(
-        op.output_columns,
-        [_take(c, keep) for c in left_data],
-        len(keep),
-    )
+    return ctx.take(aligned_left, keep)
 
 
 _HANDLERS = {

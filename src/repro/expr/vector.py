@@ -27,6 +27,7 @@ from repro.expr.expressions import (
     BoolExpr,
     ColumnRef,
     Comparison,
+    ComparisonOp,
     Expr,
     IsNull,
     Literal,
@@ -46,6 +47,17 @@ def compile_expr_vector(expr: Expr, layout: Layout) -> VectorCompiled:
         value = expr.value
         return lambda cols, n: [value] * n
     if isinstance(expr, Comparison):
+        # Against a non-NULL literal (the common filter) one comprehension
+        # per operator: no literal column, no comparator call per row.
+        # ``v op e`` is ``e flipped(op) v``.
+        for operand, literal, op in (
+            (expr.left, expr.right, expr.op),
+            (expr.right, expr.left, expr.op.flipped()),
+        ):
+            if isinstance(literal, Literal) and literal.value is not None:
+                return _compare_with_literal(
+                    op, compile_expr_vector(operand, layout), literal.value
+                )
         left = compile_expr_vector(expr.left, layout)
         right = compile_expr_vector(expr.right, layout)
         compare = _COMPARATORS[expr.op]
@@ -124,6 +136,35 @@ def compile_expr_vector(expr: Expr, layout: Layout) -> VectorCompiled:
 
         return _arith
     raise TypeError(f"unknown expression node {type(expr).__name__}")
+
+
+def _compare_with_literal(
+    op: ComparisonOp, operand: VectorCompiled, v
+) -> VectorCompiled:
+    """``operand op v`` for a literal ``v`` that is not NULL."""
+    if op is ComparisonOp.EQ:
+        return lambda cols, n: [
+            None if a is None else a == v for a in operand(cols, n)
+        ]
+    if op is ComparisonOp.NE:
+        return lambda cols, n: [
+            None if a is None else a != v for a in operand(cols, n)
+        ]
+    if op is ComparisonOp.LT:
+        return lambda cols, n: [
+            None if a is None else a < v for a in operand(cols, n)
+        ]
+    if op is ComparisonOp.LE:
+        return lambda cols, n: [
+            None if a is None else a <= v for a in operand(cols, n)
+        ]
+    if op is ComparisonOp.GT:
+        return lambda cols, n: [
+            None if a is None else a > v for a in operand(cols, n)
+        ]
+    return lambda cols, n: [
+        None if a is None else a >= v for a in operand(cols, n)
+    ]
 
 
 def compile_selection_vector(

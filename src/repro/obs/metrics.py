@@ -250,6 +250,17 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "Columnar table scans served from the per-table column "
         "snapshot cache (shared scans).",
     ),
+    "exec.columns_gathered": (
+        "counter", (),
+        "Columns the columnar executor's gathers built: a gather (a "
+        "filter's survivors, a join's pairs, a sort's permutation) builds "
+        "a column the first time an operator reads it.",
+    ),
+    "exec.columns_skipped": (
+        "counter", (),
+        "Columns of those gathers that no operator read, so they were "
+        "never built.",
+    ),
     "exec.self_checks": (
         "counter", (),
         "Executions differentially verified by running both the "

@@ -20,8 +20,19 @@ from repro.engine import (
     execute_plan_iterator,
 )
 from repro.engine import digest as digest_module
+from repro.engine.columnar import Batch
+from repro.expr.expressions import (
+    TRUE,
+    Column,
+    ColumnRef,
+    Comparison,
+    ComparisonOp,
+    Literal,
+)
+from repro.logical.operators import JoinKind, make_get
 from repro.obs import MetricsRegistry
 from repro.optimizer.engine import Optimizer
+from repro.physical.operators import ComputeScalar, HashJoin, TableScan
 from repro.rules.registry import default_registry
 from repro.sql.binder import sql_to_tree
 from repro.storage.database import Database
@@ -176,6 +187,147 @@ class TestTableSnapshots:
         execute_plan(plan, sort_db, outputs, metrics=metrics)
         execute_plan(plan, sort_db, outputs, metrics=metrics)
         assert metrics.counter_value("exec.scan_cache_hits") >= 1
+
+
+# ------------------------------------------------- late materialisation
+
+
+def _join_tables(left_rows, right_rows):
+    """``l(lk, la, lb, lc)`` and ``r(rk, ra, rb)`` behind table scans."""
+    left_def = TableDef(
+        name="l",
+        columns=[ColumnDef(name, DataType.INT)
+                 for name in ("lk", "la", "lb", "lc")],
+    )
+    right_def = TableDef(
+        name="r",
+        columns=[ColumnDef(name, DataType.INT) for name in ("rk", "ra", "rb")],
+    )
+    database = Database(Catalog([left_def, right_def]))
+    database.insert("l", left_rows)
+    database.insert("r", right_rows)
+    left = TableScan("l", make_get(left_def).columns, "l")
+    right = TableScan("r", make_get(right_def).columns, "r")
+    return database, left, right
+
+
+class TestLateMaterialisation:
+    def test_join_builds_exactly_the_columns_read(self):
+        database, left, right = _join_tables(
+            [(k, k, 10 * k, 100 * k) for k in range(6)],
+            [(k % 3, k, -k) for k in range(6)],
+        )
+        lk, la, lb, lc = left.columns
+        rk, ra, rb = right.columns
+        join = HashJoin(
+            JoinKind.INNER, left, right, (lk,), (rk,),
+            residual=Comparison(ComparisonOp.LT, ColumnRef(la), ColumnRef(ra)),
+        )
+        outputs = tuple(
+            (Column(name, DataType.INT), ColumnRef(column))
+            for name, column in (("x", lb), ("y", lc), ("z", rb))
+        )
+        plan = ComputeScalar(join, outputs)
+        metrics = MetricsRegistry()
+        result = execute_plan(plan, database, metrics=metrics)
+        assert result.rows == execute_plan_iterator(plan, database).rows
+        assert result.row_count == 3
+        # Four gathers of 4 + 3 columns: both sides of the candidate
+        # pairs, where the residual reads la and ra, and both sides of
+        # the output, where the projection reads lb, lc and rb.  The join
+        # keys are read off the scans.
+        assert metrics.counter_value("exec.columns_gathered") == 2 + 3
+        assert metrics.counter_value("exec.columns_skipped") == 14 - 5
+
+    def test_counters_need_a_registry_and_a_gather(self, sort_db):
+        plan, outputs = _plan_for("SELECT a, b FROM t", sort_db)
+        metrics = MetricsRegistry()
+        execute_plan(plan, sort_db, outputs, metrics=metrics)
+        assert metrics.counter_value("exec.columns_gathered") == 0
+        assert metrics.counter_value("exec.columns_skipped") == 0
+        plan, outputs = _plan_for("SELECT a FROM t WHERE b > 1", sort_db)
+        execute_plan(plan, sort_db, outputs, metrics=metrics)
+        assert metrics.counter_value("exec.columns_gathered") == 1
+        assert metrics.counter_value("exec.columns_skipped") == 1
+
+    def test_zero_column_batch_keeps_its_rows(self):
+        empty = Batch((), [], 3)
+        assert empty.row_views() == [(), (), ()]
+        assert empty.take([2, 0]).row_views() == [(), ()]
+        assert empty.beside(empty).take([1, -1], padded=True).row_views() == [
+            (), (),
+        ]
+
+
+class TestHashJoinPairOrder:
+    """Probe-side major, build-insertion order within a key; a NULL key
+    matches nothing on either side.  Duplicate build keys take the grouped
+    table, unique ones the one-entry-per-key table."""
+
+    LEFT = [(1, 0), (None, 1), (2, 2), (1, 3), (3, 4), (None, 5)]
+    DUPLICATES = [(2, 10), (1, 11), (None, 12), (1, 13), (2, 14), (None, 15)]
+    UNIQUE = [(2, 10), (None, 12), (1, 13), (None, 15)]
+
+    def _rows(self, kind, right_rows, ra_above=None):
+        database, left, right = _join_tables(
+            [(k, a, 0, 0) for k, a in self.LEFT],
+            [(k, a, 0) for k, a in right_rows],
+        )
+        residual = TRUE if ra_above is None else Comparison(
+            ComparisonOp.GT,
+            ColumnRef(right.columns[1]),
+            Literal(ra_above, DataType.INT),
+        )
+        join = HashJoin(
+            kind, left, right, (left.columns[0],), (right.columns[0],),
+            residual=residual,
+        )
+        shown = (left.columns[1],) + (
+            () if kind in (JoinKind.SEMI, JoinKind.ANTI)
+            else (right.columns[1],)
+        )
+        rows = execute_plan(join, database, shown).rows
+        assert rows == execute_plan_iterator(join, database, shown).rows
+        return rows
+
+    def test_inner(self):
+        assert self._rows(JoinKind.INNER, self.DUPLICATES) == [
+            (0, 11), (0, 13), (2, 10), (2, 14), (3, 11), (3, 13),
+        ]
+        assert self._rows(JoinKind.INNER, self.UNIQUE) == [
+            (0, 13), (2, 10), (3, 13),
+        ]
+
+    def test_left_outer(self):
+        assert self._rows(JoinKind.LEFT_OUTER, self.DUPLICATES) == [
+            (0, 11), (0, 13), (1, None), (2, 10), (2, 14), (3, 11), (3, 13),
+            (4, None), (5, None),
+        ]
+        assert self._rows(JoinKind.LEFT_OUTER, self.UNIQUE) == [
+            (0, 13), (1, None), (2, 10), (3, 13), (4, None), (5, None),
+        ]
+
+    def test_semi_and_anti(self):
+        for right_rows in (self.DUPLICATES, self.UNIQUE):
+            assert self._rows(JoinKind.SEMI, right_rows) == [(0,), (2,), (3,)]
+            assert self._rows(JoinKind.ANTI, right_rows) == [(1,), (4,), (5,)]
+
+    def test_residual_decides_after_the_keys(self):
+        # Of the build rows 10..15 the residual keeps 13 and 14.
+        rows = self._rows
+        assert rows(JoinKind.INNER, self.DUPLICATES, 12) == [
+            (0, 13), (2, 14), (3, 13),
+        ]
+        assert rows(JoinKind.LEFT_OUTER, self.DUPLICATES, 12) == [
+            (0, 13), (1, None), (2, 14), (3, 13), (4, None), (5, None),
+        ]
+        assert rows(JoinKind.LEFT_OUTER, self.UNIQUE, 12) == [
+            (0, 13), (1, None), (2, None), (3, 13), (4, None), (5, None),
+        ]
+        assert rows(JoinKind.SEMI, self.DUPLICATES, 13) == [(2,)]
+        assert rows(JoinKind.ANTI, self.DUPLICATES, 13) == [
+            (0,), (1,), (3,), (4,), (5,),
+        ]
 
 
 # ------------------------------------------------- batched execution

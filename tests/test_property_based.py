@@ -108,12 +108,38 @@ def _scalar_exprs(depth):
     )
 
 
+def _literal_comparisons():
+    """The two shapes ``repro.expr.vector`` has literal kernels for, a
+    literal on the right and one on the left, over every column type; a
+    NULL literal takes the general path and must read the same."""
+    operands = st.one_of(
+        st.sampled_from([ColumnRef(c) for c in _COLUMNS]), _scalar_exprs(1)
+    )
+    literals = st.one_of(
+        st.builds(Literal, st.integers(-20, 20), st.just(DataType.INT)),
+        st.builds(
+            Literal,
+            st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+            st.just(DataType.FLOAT),
+        ),
+        st.just(Literal(None, DataType.INT)),
+    )
+    ops = st.sampled_from(list(ComparisonOp))
+    return st.one_of(
+        st.builds(Comparison, ops, operands, literals),
+        st.builds(Comparison, ops, literals, operands),
+    )
+
+
 def _bool_exprs(depth):
-    comparisons = st.builds(
-        Comparison,
-        st.sampled_from(list(ComparisonOp)),
-        _scalar_exprs(1),
-        _scalar_exprs(1),
+    comparisons = st.one_of(
+        st.builds(
+            Comparison,
+            st.sampled_from(list(ComparisonOp)),
+            _scalar_exprs(1),
+            _scalar_exprs(1),
+        ),
+        _literal_comparisons(),
     )
     leaves = st.one_of(
         comparisons,

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.schema import Catalog, ColumnDef, DataType, TableDef
+from repro.engine.columnar import Batch
 from repro.engine.executor import execute_plan
 from repro.expr.aggregates import AggregateCall, AggregateFunction
 from repro.expr.expressions import Column, ColumnRef
@@ -146,3 +147,95 @@ class TestAggregationAgreement:
         result = execute_plan(plan, database)
         assert result.row_count == 1
         assert result.rows[0][0] == len(rows)
+
+
+# ------------------------------------------------------- late materialisation
+
+_cells = st.one_of(st.none(), st.integers(-3, 3))
+
+
+@st.composite
+def _batches(draw, max_rows=6):
+    """A plain batch: 0-3 columns of 0-``max_rows`` cells, NULLs included."""
+    length = draw(st.integers(0, max_rows))
+    width = draw(st.integers(0, 3))
+    data = [
+        draw(st.lists(_cells, min_size=length, max_size=length))
+        for _ in range(width)
+    ]
+    columns = tuple(Column(f"c{p}", DataType.INT) for p in range(width))
+    return Batch(columns, data, length)
+
+
+def _indices(draw, length, padded, max_size=8):
+    """Row numbers with repeats, and -1 where a gather may pad."""
+    if length == 0 and not padded:
+        return []
+    return draw(st.lists(
+        st.integers(-1 if padded else 0, length - 1), max_size=max_size
+    ))
+
+
+def _eager_take(rows, indices, width):
+    """The reference gather, by row: -1 is a NULL-extended row."""
+    return [(None,) * width if i < 0 else rows[i] for i in indices]
+
+
+class TestLateMaterialisation:
+    """A batch gathered lazily reads as the rows an eager gather copies."""
+
+    @given(data=st.data(), batch=_batches(), padded=st.booleans(),
+           again_padded=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_take_and_take_again(self, data, batch, padded, again_padded):
+        width = len(batch.columns)
+        indices = _indices(data.draw, batch.length, padded)
+        taken = batch.take(indices, padded)
+        expected = _eager_take(batch.row_views(), indices, width)
+        assert taken.length == len(indices)
+        assert taken.row_views() == expected
+        # A second read finds the columns the first one built.
+        assert taken.row_views() == expected
+
+        again = _indices(data.draw, taken.length, again_padded)
+        retaken = taken.take(again, again_padded)
+        assert retaken.row_views() == _eager_take(expected, again, width)
+
+    @given(data=st.data(), left=_batches(), right=_batches(),
+           reread=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_beside_then_take(self, data, left, right, reread):
+        """A join's shape: two gathers of one length side by side, then a
+        gather of the pair (a filter above the join)."""
+        pairs = data.draw(st.integers(0, 8))
+        pairs_l = data.draw(st.lists(
+            st.integers(0, max(left.length - 1, 0)),
+            min_size=pairs if left.length else 0,
+            max_size=pairs if left.length else 0,
+        ))
+        pairs_r = data.draw(st.lists(
+            st.integers(-1, right.length - 1),
+            min_size=len(pairs_l), max_size=len(pairs_l),
+        ))
+        joined = left.take(pairs_l).beside(right.take(pairs_r, padded=True))
+        expected = [
+            l_row + r_row
+            for l_row, r_row in zip(
+                _eager_take(left.row_views(), pairs_l, len(left.columns)),
+                _eager_take(right.row_views(), pairs_r, len(right.columns)),
+            )
+        ]
+        assert joined.columns == left.columns + right.columns
+        assert joined.length == len(pairs_l)
+        if reread:
+            # Reading one column first must not change what the rest read.
+            for position in range(len(joined.columns)):
+                assert joined.data[position] == [
+                    row[position] for row in expected
+                ]
+        assert joined.row_views() == expected
+
+        keep = _indices(data.draw, joined.length, False)
+        assert joined.take(keep).row_views() == _eager_take(
+            expected, keep, len(joined.columns)
+        )
