@@ -107,10 +107,23 @@ class LogicalOp:
 
         See :mod:`repro.logical.fingerprint`; equal trees hash equal across
         processes, which makes the fingerprint usable as a cache key.
+
+        Computed on first use and kept on the node: operators are frozen,
+        the hash is a pure function of the tree, and it does not depend on
+        the process, so the stored value stays right under ``pickle`` and
+        ``copy``.  It is no dataclass field: ``==``, ``hash``, ``repr``,
+        ``replace`` and ``with_children`` never see it.  A memo-form node
+        raises before anything is stored.
         """
+        try:
+            return self._fingerprint
+        except AttributeError:
+            pass  # not in the handler: a FingerprintError is raised bare
         from repro.logical.fingerprint import fingerprint
 
-        return fingerprint(self)
+        value = fingerprint(self)
+        object.__setattr__(self, "_fingerprint", value)
+        return value
 
     def pretty(self, indent: int = 0) -> str:
         """Indented multi-line rendering of the tree."""

@@ -488,8 +488,18 @@ def plan_signature(op: PhysicalOp) -> str:
 
     Physical operators are frozen dataclasses whose ``repr`` is fully
     structural (children, predicates, keys), so hashing the repr gives a
-    stable within- and across-process identity.  Used to key execution
-    result caches, coalesce identical executions inside a batch, and
-    annotate executor trace spans.
+    stable identity within one process (the repr embeds column ``cid``
+    values, which are process-local).  Used to key execution result
+    caches, coalesce identical executions inside a batch, and annotate
+    executor trace spans.
+
+    Computed on first use and kept on the plan's root, which is frozen and
+    therefore cannot change under the stored value; it is no dataclass
+    field, so ``==``, ``hash`` and ``repr`` never see it.
     """
-    return hashlib.sha256(repr(op).encode("utf-8")).hexdigest()[:16]
+    try:
+        return op._signature
+    except AttributeError:
+        digest = hashlib.sha256(repr(op).encode("utf-8")).hexdigest()[:16]
+        object.__setattr__(op, "_signature", digest)
+        return digest

@@ -66,14 +66,19 @@ class PlanDiskCache:
     def __init__(self, root: Path, environment: str) -> None:
         self.root = Path(root)
         self.directory = self.root / environment
+        self._prefix = os.path.join(self.directory, "")
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def get(self, key: str) -> Optional[Dict]:
-        path = self._path(key)
+    def get(self, key: str) -> Optional[object]:
+        """The parsed record, whatever JSON value it is, or ``None`` when
+        there is no readable JSON file under ``key``.  On the path of every
+        disk hit, hence one ``open``, one ``read``, one ``json.loads`` and
+        no ``Path`` object."""
         try:
-            return json.loads(path.read_text())
+            with open(f"{self._prefix}{key}.json", "rb") as handle:
+                return json.loads(handle.read())
         except (OSError, ValueError):
             return None
 

@@ -8,7 +8,9 @@ each layer hand-rolling its own :class:`Optimizer`, a single
 
 * **Memoization.**  Results are cached in-process under
   ``(tree.fingerprint(), config)``; structurally equal trees share one
-  optimization even when their column bindings differ.
+  optimization even when their column bindings differ.  The service keeps
+  results under the fingerprint; the fingerprint itself is kept on the
+  tree (:meth:`LogicalOp.fingerprint`), so a hit hashes nothing twice.
 * **Persistence.**  With a ``cache_dir``, cost/metadata records survive
   across runs, keyed by an environment fingerprint over the rule registry,
   catalog DDL and table statistics (see :mod:`repro.service.cache`).  Plans
@@ -285,12 +287,17 @@ class PlanService:
         if self._disk is None:
             return None
         record = self._disk.get(self._disk_key(key))
-        if record is None:
+        # Any other JSON value is a garbled record: a miss, so the request
+        # is recomputed and the record overwritten.
+        if not isinstance(record, dict):
             return None
         error = record.get("error")
-        if error is not None:
+        if isinstance(error, str):
             return _Entry(error=error)
-        return _Entry(cost=float(record["cost"]))
+        cost = record.get("cost")
+        if isinstance(cost, (int, float)) and not isinstance(cost, bool):
+            return _Entry(cost=float(cost))
+        return None
 
     def _remember(self, key: _CacheKey, entry: _Entry) -> None:
         if not self._memory_cache_enabled:

@@ -1,5 +1,9 @@
 """Tests for the PlanService: caching, batching, parallelism, accounting."""
 
+import dataclasses
+import importlib
+import types
+
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
@@ -14,7 +18,15 @@ from repro.service import (
     plan_service,
 )
 from repro.sql.binder import sql_to_tree
-from repro.testing.suite import CostOracle, SuiteQuery
+from repro.testing.compression import baseline_plan
+from repro.testing.correctness import CorrectnessRunner
+from repro.testing.suite import (
+    CostOracle,
+    SuiteQuery,
+    TestSuite,
+    TestSuiteBuilder,
+    singleton_nodes,
+)
 from tests.test_optimizer import (
     assert_same_answer,
     trial_targets,
@@ -328,6 +340,138 @@ class TestDiskCache:
         assert rules_at != -1
         # keys are emitted sorted, so "config" precedes "rules_exercised"
         assert text.find('"config"') < rules_at
+
+    @pytest.mark.parametrize(
+        "garbled",
+        [
+            "{}",
+            "[1, 2]",
+            "null",
+            "17.5",
+            '"cost"',
+            '{"cost": "17.5"}',
+            '{"cost": true}',
+            '{"cost": null, "error": null}',
+            '{"error": 3}',
+        ],
+    )
+    def test_wrong_shaped_record_is_a_miss(
+        self, tpch_db, registry, tmp_path, garbled
+    ):
+        """Well-formed JSON that is no record must read as a miss --
+        recomputed and overwritten -- exactly as truncated JSON does."""
+        tree = _tree(tpch_db, SQL_JOIN)
+        cost = PlanService(
+            tpch_db, registry=registry, cache_dir=tmp_path
+        ).cost(tree)
+        (record_path,) = list(tmp_path.glob("*/*.json"))
+        record_path.write_text(garbled)
+
+        service = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        assert service.cost(tree) == cost
+        assert service.counters.computed == 1
+        assert service.counters.disk_hits == 0
+
+        healed = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        assert healed.cost(tree) == cost
+        assert healed.counters.computed == 0
+        assert healed.counters.disk_hits == 1
+
+
+class TestContentHashesComputedOnce:
+    """The hashes the caches are keyed by live on the values they describe:
+    a request for a tree or plan seen before hashes nothing again."""
+
+    def test_one_fingerprint_per_tree_whoever_asks(
+        self, tpch_db, registry, tmp_path, monkeypatch
+    ):
+        # The module, not the function the package re-exports under the
+        # same name: the method looks ``fingerprint`` up there on a miss.
+        fingerprint_module = importlib.import_module(
+            "repro.logical.fingerprint"
+        )
+        service = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        built = TestSuiteBuilder(
+            tpch_db, registry, seed=3, extra_operators=2, service=service
+        ).build(singleton_nodes(registry.exploration_rule_names[:4]), k=2)
+        oracle = CostOracle(tpch_db, registry, service=service)
+        plan = baseline_plan(built, oracle)
+        # Every edge of the rule-query graph, priced: memory and disk full.
+        edges = [
+            (query.query_id, node, oracle.cost_without(query, node))
+            for node in built.rule_nodes
+            for query in built.queries_for(node)
+        ]
+        assert len(edges) > built.size
+        # The same suite over rebuilt roots: equal trees, never hashed.
+        suite = TestSuite(
+            rule_nodes=built.rule_nodes,
+            queries=[
+                dataclasses.replace(query, tree=dataclasses.replace(query.tree))
+                for query in built.queries
+            ],
+            k=built.k,
+        )
+
+        calls = []
+        real = fingerprint_module.fingerprint
+
+        def spy(tree):
+            calls.append(tree)
+            return real(tree)
+
+        monkeypatch.setattr(fingerprint_module, "fingerprint", spy)
+        fresh = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        for asked in (fresh, service):
+            for query_id, node, cost in edges:
+                assert asked.cost(
+                    suite.query(query_id).tree,
+                    DEFAULT_CONFIG.with_disabled(node),
+                ) == cost
+        report = CorrectnessRunner(tpch_db, registry, service=service).run(
+            plan, suite
+        )
+
+        assert report.passed
+        assert fresh.counters.computed == 0
+        assert fresh.counters.disk_hits == len(edges)
+        assert len(calls) == suite.size
+        assert {id(tree) for tree in calls} == {
+            id(query.tree) for query in suite.queries
+        }
+
+    def test_one_signature_per_plan_across_batches(
+        self, tpch_db, registry, monkeypatch
+    ):
+        import hashlib
+
+        import repro.physical.operators as physical
+
+        service = PlanService(
+            tpch_db, registry=registry, metrics=MetricsRegistry()
+        )
+        requests = []
+        for sql in (SQL_SIMPLE, SQL_JOIN, SQL_AGG):
+            result = service.optimize(_tree(tpch_db, sql))
+            requests.append((result.plan, result.output_columns))
+
+        hashed = []
+
+        def sha256(payload):
+            hashed.append(payload)
+            return hashlib.sha256(payload)
+
+        monkeypatch.setattr(
+            physical, "hashlib", types.SimpleNamespace(sha256=sha256)
+        )
+        first = service.execute_many(requests)
+        second = service.execute_many(requests)
+
+        assert [item.result for item in second] == [
+            item.result for item in first
+        ]
+        assert service.metrics.counter_value("exec.cache_hits") == 3
+        assert len(hashed) == 3
 
 
 class TestCostOracleCounters:
