@@ -103,6 +103,11 @@ class BoolConnective(enum.Enum):
     OR = "OR"
 
 
+#: Attributes an expression keeps about itself on first use (see
+#: :func:`_hash_kept`, :func:`referenced_columns`); none is a field.
+_KEPT = ("_hash", "_columns")
+
+
 class Expr:
     """Base class for all scalar expressions."""
 
@@ -117,7 +122,41 @@ class Expr:
         for child in self.children():
             yield from child.walk()
 
+    def __getstate__(self) -> dict:
+        """The fields only: ``pickle`` and ``copy`` never carry a kept
+        value, and the hash is only right in the process that took it
+        (it depends on ``PYTHONHASHSEED``)."""
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in _KEPT
+        }
 
+
+def _hash_kept(cls):
+    """Keep the dataclass-generated ``__hash__`` of ``cls`` on the instance.
+
+    Expressions are frozen, so the hash is computed on first use and
+    stored as ``_hash``: no field, so ``==``, ``repr``, ``fields`` and
+    ``replace`` never see it, and :meth:`Expr.__getstate__` drops it.
+    An expression is hashed each time an operator holding it is, and a
+    memo hashes every operator it interns or probes.
+    """
+    generated = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = generated(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_kept
 @dataclass(frozen=True)
 class ColumnRef(Expr):
     """A reference to a bound column."""
@@ -128,6 +167,7 @@ class ColumnRef(Expr):
         return self.column.qualified_name
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class Literal(Expr):
     """A typed constant; ``value is None`` represents SQL NULL."""
@@ -151,6 +191,7 @@ FALSE = Literal(False, DataType.BOOL)
 NULL_BOOL = Literal(None, DataType.BOOL)
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class Comparison(Expr):
     """Binary comparison with SQL NULL semantics (NULL operand -> UNKNOWN)."""
@@ -166,6 +207,7 @@ class Comparison(Expr):
         return f"{self.left} {self.op.value} {self.right}"
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class BoolExpr(Expr):
     """N-ary AND / OR with Kleene three-valued semantics."""
@@ -185,6 +227,7 @@ class BoolExpr(Expr):
         return "(" + sep.join(str(arg) for arg in self.args) + ")"
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class Not(Expr):
     arg: Expr
@@ -196,6 +239,7 @@ class Not(Expr):
         return f"NOT ({self.arg})"
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class IsNull(Expr):
     """``arg IS NULL`` -- always two-valued (never UNKNOWN)."""
@@ -209,6 +253,7 @@ class IsNull(Expr):
         return f"{self.arg} IS NULL"
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class Arithmetic(Expr):
     op: ArithmeticOp
@@ -253,10 +298,21 @@ def conjuncts(expr: Expr) -> Tuple[Expr, ...]:
 
 
 def referenced_columns(expr: Expr) -> frozenset:
-    """The set of :class:`Column` objects referenced anywhere in ``expr``."""
-    return frozenset(
+    """The set of :class:`Column` objects referenced anywhere in ``expr``.
+
+    Kept on ``expr`` as ``_columns`` on first use, like its hash (see
+    :func:`_hash_kept`): rule preconditions and property derivation ask
+    for the same predicates' columns on every attempt.
+    """
+    try:
+        return expr._columns
+    except AttributeError:
+        pass
+    value = frozenset(
         node.column for node in expr.walk() if isinstance(node, ColumnRef)
     )
+    object.__setattr__(expr, "_columns", value)
+    return value
 
 
 def substitute_columns(expr: Expr, mapping) -> Expr:

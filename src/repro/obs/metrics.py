@@ -46,8 +46,8 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     "optimizer.rule.considered": (
         "counter", ("rule",),
         "Times the rule was attempted on a memo expression whose operator "
-        "kind its pattern root matches -- the pairs the binding iterator "
-        "runs for (exploration and implementation phases).",
+        "kind its pattern root matches -- the pairs its compiled matcher "
+        "is called for (exploration and implementation phases).",
     ),
     "optimizer.rule.fired": (
         "counter", ("rule",),

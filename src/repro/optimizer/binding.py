@@ -1,65 +1,102 @@
-"""Pattern-to-memo binding enumeration.
+"""Pattern-to-memo binding, compiled once per pattern.
 
 Given a memo expression (operator with group-reference children) and a rule
-pattern, enumerate every way the pattern can bind to the memo: generic
+pattern, a *binding* is one way the pattern can bind to the memo: generic
 pattern leaves stay as group references; non-generic pattern children are
 expanded against each logical expression in the corresponding child group.
-This is the Cascades "binding iterator".
+This is the Cascades "binding iterator", specialised per pattern:
+:func:`compile_pattern` turns a pattern into a matcher
+``match(op, memo) -> sequence of bindings`` once per process, and the
+engine's rule index keeps one matcher per active rule, so an attempt asks
+no question about the pattern's shape that was already answered when it
+was compiled.
 
-Two shortcuts keep it from building what it would not change: a structured
-child position recurses only into child-group expressions of the
-sub-pattern's own kind, and a pattern whose children are all generic binds
-to the memo expression itself, not to an equal copy of it.
+A matcher checks kind, join kind and arity itself; at a structured child
+position it scans the child group only for expressions of the
+sub-pattern's kind; a pattern whose children are all generic binds to the
+memo expression itself, not to an equal copy of it.  Every binding is
+built before the first is returned, in child-expression order and
+``itertools.product`` order, from memo state read at call time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterator, List
+from typing import Callable, Sequence
 
-from repro.logical.operators import GroupRef, LogicalOp
+from repro.logical.operators import LogicalOp, OpKind
 from repro.rules.framework import PatternNode
 
+#: ``match(op, memo)``: every binding of one compiled pattern rooted at
+#: memo expression ``op``, empty when there is none.
+Matcher = Callable[[LogicalOp, object], Sequence[LogicalOp]]
 
-def bindings(
-    op: LogicalOp, pattern: PatternNode, memo
-) -> Iterator[LogicalOp]:
-    """Yield all bindings of ``pattern`` rooted at memo expression ``op``.
+#: The operator attribute a ``join_kinds`` restriction reads, per root kind.
+_KIND_ATTRIBUTE = {OpKind.JOIN: "join_kind", OpKind.APPLY: "apply_kind"}
 
-    Yielded trees are operators whose children are either GroupRefs (at
-    generic pattern positions) or deeper bound operators (at structured
-    pattern positions).
+
+def _bind_any(op: LogicalOp, memo) -> Sequence[LogicalOp]:
+    return (op,)
+
+
+@functools.lru_cache(maxsize=None)
+def compile_pattern(pattern: PatternNode) -> Matcher:
+    """The matcher of ``pattern``, compiled once per process.
+
+    A pattern is a frozen value and its matcher a pure function of it, so
+    every optimizer shares one matcher per distinct pattern: a plan service
+    builds an optimizer per config, and each would otherwise allocate its
+    own.  Sub-patterns are compiled through this same module-level name.
     """
-    if not pattern.matches_op(op):
-        return
-    if pattern.kind is None:
-        yield op
-        return
-    children = op.children
-    if len(pattern.children) != len(children):
-        return
+    kind = pattern.kind
+    if kind is None:
+        return _bind_any
+    join_kinds = pattern.join_kinds
+    restricted = _KIND_ATTRIBUTE[kind] if join_kinds is not None else None
+    arity = len(pattern.children)
+    structured = tuple(
+        (position, sub.kind, compile_pattern(sub))
+        for position, sub in enumerate(pattern.children)
+        if sub.kind is not None
+    )
 
-    options: List[object] = []
-    structured = False
-    for child, sub_pattern in zip(children, pattern.children):
-        kind = sub_pattern.kind
-        if kind is None:
-            options.append((child,))
-            continue
-        structured = True
-        assert isinstance(child, GroupRef), "memo expressions have GroupRef children"
-        child_bindings = [
-            binding
-            for child_expr in memo.group(child.group_id).logical_exprs
-            if child_expr.op.kind is kind
-            for binding in bindings(child_expr.op, sub_pattern, memo)
+    def match(op: LogicalOp, memo) -> Sequence[LogicalOp]:
+        if op.kind is not kind:
+            return ()
+        if restricted is not None and getattr(op, restricted) not in join_kinds:
+            return ()
+        children = op.children
+        if len(children) != arity:
+            return ()
+        if not structured:
+            return (op,)
+        options = [(child,) for child in children]
+        for position, sub_kind, sub_match in structured:
+            child_bindings = [
+                binding
+                for child_expr in memo.groups[
+                    children[position].group_id
+                ].logical_exprs
+                if child_expr.op.kind is sub_kind
+                for binding in sub_match(child_expr.op, memo)
+            ]
+            if not child_bindings:
+                return ()
+            options[position] = child_bindings
+        return [
+            op.with_children(combination)
+            for combination in itertools.product(*options)
         ]
-        if not child_bindings:
-            return
-        options.append(child_bindings)
 
-    if not structured:
-        yield op
-        return
-    for combination in itertools.product(*options):
-        yield op.with_children(combination)
+    return match
+
+
+def bindings(op: LogicalOp, pattern: PatternNode, memo) -> Sequence[LogicalOp]:
+    """All bindings of ``pattern`` rooted at memo expression ``op``.
+
+    Compiles ``pattern`` and calls its matcher: an entry point for tests
+    and one-off callers.  The optimizer keeps each rule's matcher in its
+    rule index.
+    """
+    return compile_pattern(pattern)(op, memo)

@@ -23,7 +23,9 @@ Both phases find the rules to try through a :class:`_RuleIndex` built once
 per :class:`Optimizer`: the active rules bucketed by the kind of their
 pattern root, registry order kept inside a bucket, so the pairs that can
 bind are visited in the order a scan over all rules would visit them and
-the pairs that cannot are never formed.
+the pairs that cannot are never formed.  The index also holds each rule's
+pattern compiled into a matcher (see :mod:`repro.optimizer.binding`), which
+both phases call for an attempt's bindings.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.logical.operators import GroupRef, LogicalOp, OpKind, SortKey
 from repro.logical.properties import LogicalProps, PropertyDeriver
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.optimizer.binding import bindings
+from repro.optimizer.binding import Matcher, compile_pattern
 from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.optimizer.memo import Group, GroupExpr, Memo, MemoBudgetExceeded
 from repro.optimizer.result import (
@@ -102,8 +104,9 @@ class Winner:
 #: ``[considered, fired, rejected, precondition_failures]``.
 _TallyRow = List[int]
 
-#: The ``(rule, tally slot)`` pairs to try on operators of one kind.
-_Bucket = Tuple[Tuple[Rule, int], ...]
+#: The ``(rule, tally slot, matcher)`` entries to try on operators of one
+#: kind.
+_Bucket = Tuple[Tuple[Rule, int, Matcher], ...]
 
 
 class _RuleIndex:
@@ -113,9 +116,13 @@ class _RuleIndex:
     order, the rules whose pattern root can match an operator of ``kind``:
     a rule with a concrete root is in that kind's bucket only, a rule with
     a generic root in every bucket, a disabled rule in none.  (Join-kind
-    restrictions stay with ``PatternNode.matches_op``.)  Each rule is
+    restrictions stay with the rule's compiled matcher.)  Each rule is
     paired with its slot in :attr:`names`, which is also its row in the
-    per-run tally :meth:`new_tally` returns.
+    per-run tally :meth:`new_tally` returns, and with its matcher.
+
+    Matchers are closures, so they are held here (and in
+    ``compile_pattern``'s per-process cache), never on a pattern: the
+    registry a process pool pickles holds patterns only.
     """
 
     def __init__(self, registry: RuleRegistry, config: OptimizerConfig) -> None:
@@ -132,13 +139,13 @@ class _RuleIndex:
     def _bucket(
         self, rules: Iterable[Rule], config: OptimizerConfig
     ) -> Dict[OpKind, _Bucket]:
-        buckets: Dict[OpKind, List[Tuple[Rule, int]]] = {
+        buckets: Dict[OpKind, List[Tuple[Rule, int, Matcher]]] = {
             kind: [] for kind in OpKind
         }
         for rule in rules:
             if config.is_disabled(rule.name):
                 continue
-            entry = (rule, len(self.names))
+            entry = (rule, len(self.names), compile_pattern(rule.pattern))
             self.names.append(rule.name)
             root = rule.pattern.kind
             for kind in OpKind if root is None else (root,):
@@ -385,7 +392,8 @@ class Optimizer:
         applications = 0
         while queue:
             expr = queue.popleft()
-            for rule, slot in buckets[expr.op.kind]:
+            op = expr.op
+            for rule, slot, match in buckets[op.kind]:
                 if applications >= cap:
                     raise MemoBudgetExceeded("rule application cap")
                 counts = tally[slot]
@@ -398,9 +406,13 @@ class Optimizer:
                         op=type(expr.op).__name__,
                         phase="explore",
                     )
-                new_exprs = self._apply_rule(
-                    rule, expr, memo, ctx, exercised, interactions, counts
-                )
+                found = match(op, memo)
+                new_exprs = None
+                if found:
+                    new_exprs = self._apply_rule(
+                        rule, expr, found, memo, ctx, exercised, interactions,
+                        counts,
+                    )
                 if new_exprs is None:
                     counts[2] += 1
                     if detailed:
@@ -427,15 +439,17 @@ class Optimizer:
         self,
         rule: Rule,
         expr: GroupExpr,
+        found: Sequence[LogicalOp],
         memo: Memo,
         ctx: OptimizerContext,
         exercised: Set[str],
         interactions: Set[tuple],
         counts: _TallyRow,
     ) -> Optional[List[GroupExpr]]:
-        """Try ``rule`` on ``expr``; returns new exprs or None if no match."""
+        """Apply ``rule`` to the bindings ``found`` for ``expr``; returns
+        the new exprs, or None if no substitution produced anything."""
         produced_any = False
-        for binding in bindings(expr.op, rule.pattern, memo):
+        for binding in found:
             if not rule.precondition(binding, ctx):
                 counts[3] += 1
                 if self.tracer.detailed:
@@ -524,11 +538,11 @@ class _Implementer:
 
         for expr in group.logical_exprs:
             op = expr.op
-            for rule, slot in self._buckets[op.kind]:
+            for rule, slot, match in self._buckets[op.kind]:
                 counts = tally[slot]
                 counts[0] += 1
                 produced_any = False
-                for binding in bindings(op, rule.pattern, memo):
+                for binding in match(op, memo):
                     if not rule.precondition(binding, ctx):
                         counts[3] += 1
                         continue

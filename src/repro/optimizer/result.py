@@ -38,8 +38,8 @@ class RuleCounters:
 
     ``considered`` counts (expression, rule) attempts: the pairs whose
     pattern root matches the expression's operator kind, i.e. those the
-    binding iterator ran for -- the engine's rule index never forms the
-    rest.  ``fired`` counts the attempts whose substitution produced at
+    rule's compiled matcher was called for -- the engine's rule index never
+    forms the rest.  ``fired`` counts the attempts whose substitution produced at
     least one alternative (the paper's *exercised* predicate); ``rejected``
     the rest (a join-kind or child-pattern mismatch left no binding, or
     every binding failed the precondition).  Always

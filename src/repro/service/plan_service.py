@@ -563,7 +563,7 @@ class PlanService:
 
         try:
             payload = pickle.dumps((self.catalog, self.stats, self.registry))
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             warnings.warn(f"plan service: environment not picklable ({exc}); "
                           "running batch serially", stacklevel=2)
             return None

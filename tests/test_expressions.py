@@ -1,5 +1,11 @@
 """Unit tests for scalar expressions and three-valued evaluation."""
 
+import copy
+import dataclasses
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.catalog.schema import DataType
@@ -314,3 +320,107 @@ class TestValidationErrors:
         assert str(Literal("o'brien", DataType.STRING)) == "'o''brien'"
         assert str(Literal(True, DataType.BOOL)) == "TRUE"
         assert str(FALSE) == "FALSE"
+
+
+def _every_kind(cols):
+    """One expression of every node class, nested in one predicate."""
+    a, b, s = cols
+    total = Arithmetic(ArithmeticOp.ADD, ColumnRef(a), Literal(1, DataType.INT))
+    return BoolExpr(
+        BoolConnective.OR,
+        (
+            Comparison(ComparisonOp.EQ, ColumnRef(s), Literal("x", DataType.STRING)),
+            Not(IsNull(total)),
+            Comparison(ComparisonOp.LT, total, ColumnRef(b)),
+        ),
+    )
+
+
+class TestMemo:
+    """Expressions keep their hash and their referenced columns on the
+    instance.  Nothing that compares, shows, rebuilds or ships an
+    expression may notice."""
+
+    def test_invisible_to_eq_hash_repr_fields_and_replace(self, cols):
+        expr = _every_kind(cols)
+        nodes = list(expr.walk())
+        twins = [dataclasses.replace(node) for node in nodes]
+        shown = [repr(node) for node in nodes]
+        names = [[f.name for f in dataclasses.fields(node)] for node in nodes]
+        for node in nodes:
+            hash(node)
+            referenced_columns(node)
+            assert {"_hash", "_columns"} <= set(vars(node))
+        for node, twin, text, fields in zip(nodes, twins, shown, names):
+            assert node == twin and twin == node
+            assert hash(node) == hash(twin)
+            assert repr(node) == text == repr(twin)
+            assert [f.name for f in dataclasses.fields(node)] == fields
+            assert not {"_hash", "_columns"} & set(fields)
+            rebuilt = dataclasses.replace(node)
+            assert not {"_hash", "_columns"} & set(vars(rebuilt))
+            for clone in (copy.copy(node), copy.deepcopy(node)):
+                assert clone == node
+                assert not {"_hash", "_columns"} & set(vars(clone))
+
+    def test_kept_hash_is_the_generated_hash(self, cols):
+        for node in _every_kind(cols).walk():
+            fields = tuple(
+                getattr(node, f.name) for f in dataclasses.fields(node)
+            )
+            assert hash(node) == node._hash == hash(fields)
+
+    def test_kept_columns_are_what_a_walk_finds(self, cols):
+        for node in _every_kind(cols).walk():
+            walked = frozenset(
+                n.column for n in node.walk() if isinstance(n, ColumnRef)
+            )
+            kept = referenced_columns(node)
+            assert kept == walked and referenced_columns(node) is kept
+
+    def test_pickled_expression_rehashes_under_another_seed(self, cols):
+        """A kept hash is right only in the process that took it: if it
+        travelled with the pickle, the loaded expression would be looked
+        up under this process's hash and missed in the other one's set."""
+        column = Column("s", DataType.STRING, nullable=False, cid=424242)
+        expr = BoolExpr(
+            BoolConnective.AND,
+            (
+                Comparison(
+                    ComparisonOp.EQ,
+                    ColumnRef(column),
+                    Literal("abc", DataType.STRING),
+                ),
+                Not(IsNull(ColumnRef(column))),
+            ),
+        )
+        hash(expr)
+        assert "_hash" in vars(expr)
+        shipped = pickle.dumps(expr)
+        assert "_hash" not in vars(pickle.loads(shipped))
+        script = (
+            "import pickle, sys\n"
+            "from repro.catalog.schema import DataType\n"
+            "from repro.expr.expressions import (\n"
+            "    BoolConnective, BoolExpr, Column, ColumnRef, Comparison,\n"
+            "    ComparisonOp, IsNull, Literal, Not,\n"
+            ")\n"
+            "column = Column('s', DataType.STRING, nullable=False, cid=424242)\n"
+            "fresh = BoolExpr(BoolConnective.AND, (\n"
+            "    Comparison(ComparisonOp.EQ, ColumnRef(column),\n"
+            "               Literal('abc', DataType.STRING)),\n"
+            "    Not(IsNull(ColumnRef(column))),\n"
+            "))\n"
+            "loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+            "assert loaded == fresh\n"
+            "print(loaded in {fresh}, hash(loaded) == hash(fresh))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            input=shipped.hex(),
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": "src", "PYTHONHASHSEED": "4242"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]

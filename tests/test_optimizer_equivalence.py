@@ -237,8 +237,9 @@ def test_generic_root_rule_is_offered_every_expression(tpch_db, tpch_stats):
 def test_widened_join_kind_mutant_fires_where_the_original_did_not(
     tpch_db, tpch_stats, registry
 ):
-    """Join kinds are ``matches_op``'s business, not the index's: the
-    original is *offered* the outer join (same bucket) and turns it down."""
+    """Join kinds are the compiled matcher's business, not the bucket's:
+    the original is *offered* the outer join (same bucket) and turns it
+    down."""
     tree = _orders_customer(tpch_db, JoinKind.LEFT_OUTER)
     original = Optimizer(tpch_db.catalog, tpch_stats, registry).optimize(tree)
     row = _row(original, "JoinCommutativity")
@@ -261,7 +262,9 @@ def test_disabled_rule_is_in_no_bucket(tpch_db, tpch_stats, registry):
     for buckets in (
         optimizer._index.exploration, optimizer._index.implementation
     ):
-        names = {rule.name for bucket in buckets.values() for rule, _ in bucket}
+        names = {
+            rule.name for bucket in buckets.values() for rule, *_ in bucket
+        }
         assert names.isdisjoint(config.disabled_rules)
     result = optimizer.optimize(_three_way_join(tpch_db))
     assert {c.name for c in result.rule_counters}.isdisjoint(

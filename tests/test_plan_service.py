@@ -3,12 +3,14 @@
 import dataclasses
 import importlib
 import types
+import warnings
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.optimizer.config import DEFAULT_CONFIG
 from repro.optimizer.result import OptimizationError
+from repro.rules.exploration.join_rules import JoinCommutativity
 from repro.service import (
     PlanService,
     ServiceStats,
@@ -278,6 +280,13 @@ class TestGenerationTrials:
         assert service.counters.memory_hits == 1
 
 
+class _UnpicklableJoinCommutativity(JoinCommutativity):
+    """The same rule, carrying an attribute ``pickle`` cannot ship."""
+
+    def __init__(self):
+        self.note = lambda: "not shippable"
+
+
 class TestBatches:
     def test_optimize_many_orders_and_dedupes(self, tpch_db, service):
         requests = [
@@ -301,7 +310,12 @@ class TestBatches:
             _tree(tpch_db, SQL_AGG),
         ]
         expected = [result.cost for result in serial.optimize_many(trees)]
-        results = parallel.optimize_many(trees)
+        # A silent fall-back to serial would pass every comparison below:
+        # its warning must fail the test, and the pool must have run.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="plan service")
+            results = parallel.optimize_many(trees)
+        assert parallel.counters.parallel_tasks == 3
         assert [result.cost for result in results] == expected
         assert [
             sorted(result.rules_exercised) for result in results
@@ -309,6 +323,25 @@ class TestBatches:
             sorted(result.rules_exercised)
             for result in serial.optimize_many(trees)
         ]
+
+    def test_unpicklable_environment_runs_serially(self, tpch_db, registry):
+        patched = registry.with_replaced_rule(_UnpicklableJoinCommutativity())
+        serial = PlanService(tpch_db, registry=registry, workers=1)
+        service = PlanService(tpch_db, registry=patched, workers=2)
+        trees = [
+            _tree(tpch_db, SQL_SIMPLE),
+            _tree(tpch_db, SQL_JOIN),
+            _tree(tpch_db, SQL_AGG),
+        ]
+        expected = [result.cost for result in serial.optimize_many(trees)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = service.optimize_many(trees)
+        (warned,) = [w for w in caught if "plan service" in str(w.message)]
+        assert "environment not picklable" in str(warned.message)
+        assert [result.cost for result in results] == expected
+        assert service.counters.parallel_tasks == 0
+        assert service.counters.computed == 3
 
 
 class TestDiskCache:
