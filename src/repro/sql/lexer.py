@@ -1,10 +1,18 @@
-"""SQL tokenizer for the dialect emitted by :mod:`repro.sql.generate`."""
+"""SQL tokenizer for the dialect emitted by :mod:`repro.sql.generate`.
+
+:func:`scan` is the parser's lexer: one compiled pattern, three parallel
+lists.  A keyword, operator or punctuation token's *kind* is its own
+upper-case text (``"SELECT"``, ``"<="``, ``"("``); every other token's kind
+is one of :data:`IDENT`, :data:`NUMBER`, :data:`STRING` or :data:`EOF`.
+:func:`tokenize` is the same stream as :class:`Token` objects.
+"""
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List, Tuple
 
 
 class TokenType(enum.Enum):
@@ -27,6 +35,25 @@ KEYWORDS = {
 _OPERATORS = ("<>", "<=", ">=", "=", "<", ">", "+", "-", "*", "/")
 _PUNCT = "(),."
 
+#: Kinds of the tokens whose text does not name them; lower case, so no
+#: keyword or symbol kind can equal one.
+IDENT, NUMBER, STRING, EOF = "ident", "number", "string", "eof"
+
+#: Upper-case text -> the one interned kind string the parser compares with.
+_KINDS = {kind: kind for kind in (*KEYWORDS, *_OPERATORS, *_PUNCT)}
+
+# One match is one token and the whitespace before it.  ``\d`` is
+# ``str.isdecimal`` and ``\w`` is ``str.isalnum`` or ``_``; a word must start
+# with a letter or ``_``, which :func:`scan` checks after the match.  A
+# string's closing quote is the first one not doubled, hence ``(?!')``.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<word>[^\W\d]\w*)"
+    r"|(?P<number>\d+(?:\.\d+)?)"
+    r"|(?P<string>'[^']*(?:''[^']*)*'(?!'))"
+    r"|(?P<symbol><>|<=|>=|[-=<>+*/(),.]))"
+)
+_SPACE = re.compile(r"\s*")
+
 
 @dataclass(frozen=True)
 class Token:
@@ -34,83 +61,68 @@ class Token:
     value: str
     position: int
 
-    def is_keyword(self, word: str) -> bool:
-        return self.type is TokenType.KEYWORD and self.value == word
-
 
 class LexError(Exception):
     """Raised on unrecognized input."""
 
 
-def tokenize(text: str) -> List[Token]:
-    """Tokenize ``text``; always ends with an EOF token."""
-    return list(_tokens(text))
+def _gap(text: str, position: int) -> LexError:
+    """The error for the first character at or after ``position`` that no
+    token starts with."""
+    position = _SPACE.match(text, position).end()
+    if text[position] == "'":
+        return LexError(f"unterminated string at {position}")
+    return LexError(f"unexpected character {text[position]!r} at {position}")
 
 
-def _tokens(text: str) -> Iterator[Token]:
+def scan(text: str) -> Tuple[List[str], List[str], List[int]]:
+    """``(kinds, values, positions)`` of ``text``; always ends with EOF."""
+    kinds: List[str] = []
+    values: List[str] = []
+    positions: List[int] = []
     position = 0
-    length = len(text)
-    while position < length:
-        ch = text[position]
-        if ch.isspace():
-            position += 1
-            continue
-        if ch == "'":
-            end = position + 1
-            chunks = []
-            while True:
-                if end >= length:
-                    raise LexError(f"unterminated string at {position}")
-                if text[end] == "'":
-                    if end + 1 < length and text[end + 1] == "'":
-                        chunks.append("'")
-                        end += 2
-                        continue
-                    break
-                chunks.append(text[end])
-                end += 1
-            yield Token(TokenType.STRING, "".join(chunks), position)
-            position = end + 1
-            continue
-        if ch.isdigit():
-            end = position
-            saw_dot = False
-            while end < length and (
-                text[end].isdigit() or (text[end] == "." and not saw_dot)
-            ):
-                if text[end] == ".":
-                    # A dot not followed by a digit is punctuation.
-                    if end + 1 >= length or not text[end + 1].isdigit():
-                        break
-                    saw_dot = True
-                end += 1
-            yield Token(TokenType.NUMBER, text[position:end], position)
-            position = end
-            continue
-        if ch.isalpha() or ch == "_":
-            end = position
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            word = text[position:end]
-            upper = word.upper()
-            if upper in KEYWORDS:
-                yield Token(TokenType.KEYWORD, upper, position)
-            else:
-                yield Token(TokenType.IDENT, word, position)
-            position = end
-            continue
-        matched = False
-        for operator in _OPERATORS:
-            if text.startswith(operator, position):
-                yield Token(TokenType.OPERATOR, operator, position)
-                position += len(operator)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCT:
-            yield Token(TokenType.PUNCT, ch, position)
-            position += 1
-            continue
-        raise LexError(f"unexpected character {ch!r} at {position}")
-    yield Token(TokenType.EOF, "", length)
+    for match in _TOKEN.finditer(text):
+        if match.start() != position:
+            raise _gap(text, position)
+        position = match.end()
+        group = match.lastgroup
+        start = match.start(group)
+        value = match.group(group)
+        if group == "word":
+            kind = _KINDS.get(value.upper())
+            if kind is not None:
+                value = kind
+            elif value[0].isalpha() or value[0] == "_":
+                kind = IDENT
+            else:  # a numeric character such as "½" or "²"
+                raise _gap(text, start)
+        elif group == "symbol":
+            kind = value = _KINDS[value]
+        elif group == "number":
+            kind = NUMBER
+        else:
+            kind = STRING
+            value = value[1:-1].replace("''", "'")
+        kinds.append(kind)
+        values.append(value)
+        positions.append(start)
+    if position != len(text) and not text[position:].isspace():
+        raise _gap(text, position)
+    kinds.append(EOF)
+    values.append("")
+    positions.append(len(text))
+    return kinds, values, positions
+
+
+_TYPES = {IDENT: TokenType.IDENT, NUMBER: TokenType.NUMBER,
+          STRING: TokenType.STRING, EOF: TokenType.EOF,
+          **{op: TokenType.OPERATOR for op in _OPERATORS},
+          **{char: TokenType.PUNCT for char in _PUNCT}}
+
+
+def tokenize(text: str) -> List[Token]:
+    """Tokenize ``text`` into :class:`Token` objects; always ends with EOF."""
+    return [
+        Token(_TYPES.get(kind, TokenType.KEYWORD), value, position)
+        for kind, value, position in zip(*scan(text))
+    ]

@@ -26,10 +26,11 @@ from repro.sql.ast import (
     StringLit,
     TableName,
 )
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.lexer import EOF, IDENT, NUMBER, STRING, scan
 
 _AGG_KEYWORDS = {"COUNT", "SUM", "MIN", "MAX", "AVG"}
 _COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
+_BOOL_LITERALS = {"TRUE": True, "FALSE": False, "NULL": None}
 
 
 class ParseError(Exception):
@@ -37,151 +38,133 @@ class ParseError(Exception):
 
 
 class Parser:
-    """One-statement SQL parser."""
+    """One-statement SQL parser.
+
+    It reads the lexer's parallel lists and decides on ``self._kinds``
+    alone: a keyword or symbol test is one string ``==``.
+    """
 
     def __init__(self, text: str) -> None:
-        self._tokens = tokenize(text)
+        self._kinds, self._values, self._positions = scan(text)
         self._index = 0
 
     # ----------------------------------------------------------- token utils
 
-    def _peek(self) -> Token:
-        return self._tokens[self._index]
+    def _kind(self) -> str:
+        return self._kinds[self._index]
 
-    def _advance(self) -> Token:
-        token = self._tokens[self._index]
+    def _advance(self) -> str:
+        """Consume the current token and return its value."""
         self._index += 1
-        return token
+        return self._values[self._index - 1]
 
-    def _expect_keyword(self, word: str) -> Token:
-        token = self._peek()
-        if not token.is_keyword(word):
-            raise ParseError(
-                f"expected {word} at position {token.position}, got "
-                f"{token.value!r}"
-            )
-        return self._advance()
-
-    def _accept_keyword(self, word: str) -> bool:
-        if self._peek().is_keyword(word):
-            self._advance()
+    def _accept(self, kind: str) -> bool:
+        if self._kinds[self._index] == kind:
+            self._index += 1
             return True
         return False
 
-    def _expect_punct(self, char: str) -> Token:
-        token = self._peek()
-        if token.type is not TokenType.PUNCT or token.value != char:
+    def _expect(self, kind: str) -> str:
+        """Consume a token of ``kind`` and return its value."""
+        index = self._index
+        if self._kinds[index] != kind:
+            if kind == IDENT:
+                wanted = "identifier"
+            else:
+                wanted = kind if kind[0].isalpha() else repr(kind)
             raise ParseError(
-                f"expected {char!r} at position {token.position}, got "
-                f"{token.value!r}"
+                f"expected {wanted} at position {self._positions[index]}, "
+                f"got {self._values[index]!r}"
             )
-        return self._advance()
-
-    def _accept_punct(self, char: str) -> bool:
-        token = self._peek()
-        if token.type is TokenType.PUNCT and token.value == char:
-            self._advance()
-            return True
-        return False
-
-    def _expect_ident(self) -> str:
-        token = self._peek()
-        if token.type is not TokenType.IDENT:
-            raise ParseError(
-                f"expected identifier at position {token.position}, got "
-                f"{token.value!r}"
-            )
-        return self._advance().value
+        self._index = index + 1
+        return self._values[index]
 
     # ------------------------------------------------------------ statements
 
     def parse(self) -> QueryExpr:
         query = self._query_expr()
-        token = self._peek()
-        if token.type is not TokenType.EOF:
+        index = self._index
+        if self._kinds[index] != EOF:
             raise ParseError(
-                f"trailing input at position {token.position}: "
-                f"{token.value!r}"
+                f"trailing input at position {self._positions[index]}: "
+                f"{self._values[index]!r}"
             )
         return query
 
     def _query_expr(self) -> QueryExpr:
         left = self._query_term()
         while True:
-            token = self._peek()
-            if token.is_keyword("UNION"):
-                self._advance()
-                op = "UNION ALL" if self._accept_keyword("ALL") else "UNION"
-                left = SetOpExpr(op, left, self._query_term())
-            elif token.is_keyword("INTERSECT"):
-                self._advance()
-                left = SetOpExpr("INTERSECT", left, self._query_term())
-            elif token.is_keyword("EXCEPT"):
-                self._advance()
-                left = SetOpExpr("EXCEPT", left, self._query_term())
+            kind = self._kind()
+            if kind == "UNION":
+                self._index += 1
+                op = "UNION ALL" if self._accept("ALL") else "UNION"
+            elif kind == "INTERSECT" or kind == "EXCEPT":
+                self._index += 1
+                op = kind
             else:
                 return left
+            left = SetOpExpr(op, left, self._query_term())
 
     def _query_term(self) -> QueryExpr:
-        if self._accept_punct("("):
+        if self._accept("("):
             inner = self._query_expr()
-            self._expect_punct(")")
+            self._expect(")")
             return inner
         return self._select_block()
 
     def _select_block(self) -> SelectBlock:
-        self._expect_keyword("SELECT")
+        self._expect("SELECT")
         block = SelectBlock()
-        block.distinct = self._accept_keyword("DISTINCT")
-        token = self._peek()
-        if token.type is TokenType.OPERATOR and token.value == "*":
-            self._advance()
+        block.distinct = self._accept("DISTINCT")
+        if self._accept("*"):
             block.star = True
         else:
             block.items.append(self._select_item())
-            while self._accept_punct(","):
+            while self._accept(","):
                 block.items.append(self._select_item())
-        self._expect_keyword("FROM")
+        self._expect("FROM")
         block.table = self._table_ref()
-        if self._accept_keyword("WHERE"):
+        if self._accept("WHERE"):
             block.where = self._expr()
-        if self._accept_keyword("GROUP"):
-            self._expect_keyword("BY")
+        if self._accept("GROUP"):
+            self._expect("BY")
             block.group_by.append(self._name_ref())
-            while self._accept_punct(","):
+            while self._accept(","):
                 block.group_by.append(self._name_ref())
-        if self._accept_keyword("ORDER"):
-            self._expect_keyword("BY")
+        if self._accept("ORDER"):
+            self._expect("BY")
             block.order_by.append(self._order_item())
-            while self._accept_punct(","):
+            while self._accept(","):
                 block.order_by.append(self._order_item())
-        if self._accept_keyword("LIMIT"):
-            token = self._peek()
-            if token.type is not TokenType.NUMBER:
-                raise ParseError(f"expected number after LIMIT, got {token.value!r}")
-            block.limit = int(self._advance().value)
+        if self._accept("LIMIT"):
+            if self._kind() != NUMBER:
+                raise ParseError(
+                    f"expected number after LIMIT, got "
+                    f"{self._values[self._index]!r}"
+                )
+            block.limit = int(self._advance())
         return block
 
     def _select_item(self) -> SelectItem:
         expr = self._expr()
         alias: Optional[str] = None
-        if self._accept_keyword("AS"):
-            alias = self._expect_ident()
+        if self._accept("AS"):
+            alias = self._expect(IDENT)
         return SelectItem(expr, alias)
 
     def _order_item(self) -> OrderItem:
         name = self._name_ref()
         ascending = True
-        if self._accept_keyword("DESC"):
+        if self._accept("DESC"):
             ascending = False
         else:
-            self._accept_keyword("ASC")
+            self._accept("ASC")
         return OrderItem(name, ascending)
 
     def _name_ref(self) -> NameRef:
-        first = self._expect_ident()
-        if self._accept_punct("."):
-            return NameRef(first, self._expect_ident())
+        first = self._expect(IDENT)
+        if self._accept("."):
+            return NameRef(first, self._expect(IDENT))
         return NameRef(None, first)
 
     # ------------------------------------------------------------ table refs
@@ -189,40 +172,39 @@ class Parser:
     def _table_ref(self) -> SqlNode:
         left = self._table_primary()
         while True:
-            token = self._peek()
-            if token.is_keyword("CROSS"):
-                self._advance()
-                self._expect_keyword("JOIN")
+            kind = self._kind()
+            if kind == "CROSS":
+                self._index += 1
+                self._expect("JOIN")
                 right = self._table_primary()
                 left = JoinedTable("CROSS", left, right, None)
-            elif token.is_keyword("INNER") or token.is_keyword("JOIN"):
-                if token.is_keyword("INNER"):
-                    self._advance()
-                self._expect_keyword("JOIN")
+            elif kind == "INNER" or kind == "JOIN":
+                self._accept("INNER")
+                self._expect("JOIN")
                 right = self._table_primary()
-                self._expect_keyword("ON")
+                self._expect("ON")
                 left = JoinedTable("INNER", left, right, self._expr())
-            elif token.is_keyword("LEFT"):
-                self._advance()
-                self._accept_keyword("OUTER")
-                self._expect_keyword("JOIN")
+            elif kind == "LEFT":
+                self._index += 1
+                self._accept("OUTER")
+                self._expect("JOIN")
                 right = self._table_primary()
-                self._expect_keyword("ON")
+                self._expect("ON")
                 left = JoinedTable("LEFT", left, right, self._expr())
             else:
                 return left
 
     def _table_primary(self) -> SqlNode:
-        if self._accept_punct("("):
+        if self._accept("("):
             query = self._query_expr()
-            self._expect_punct(")")
-            self._expect_keyword("AS")
-            alias = self._expect_ident()
+            self._expect(")")
+            self._expect("AS")
+            alias = self._expect(IDENT)
             return DerivedTable(query, alias)
-        name = self._expect_ident()
+        name = self._expect(IDENT)
         alias = None
-        if self._accept_keyword("AS"):
-            alias = self._expect_ident()
+        if self._accept("AS"):
+            alias = self._expect(IDENT)
         return TableName(name, alias)
 
     # ----------------------------------------------------------- expressions
@@ -232,7 +214,7 @@ class Parser:
 
     def _or_expr(self) -> SqlNode:
         parts = [self._and_expr()]
-        while self._accept_keyword("OR"):
+        while self._accept("OR"):
             parts.append(self._and_expr())
         if len(parts) == 1:
             return parts[0]
@@ -240,115 +222,104 @@ class Parser:
 
     def _and_expr(self) -> SqlNode:
         parts = [self._not_expr()]
-        while self._accept_keyword("AND"):
+        while self._accept("AND"):
             parts.append(self._not_expr())
         if len(parts) == 1:
             return parts[0]
         return BoolOp("AND", tuple(parts))
 
     def _not_expr(self) -> SqlNode:
-        if self._accept_keyword("NOT"):
-            if self._peek().is_keyword("EXISTS"):
+        if self._accept("NOT"):
+            if self._kind() == "EXISTS":
                 exists = self._exists()
                 return ExistsExpr(exists.query, negated=True)
             return NotOp(self._not_expr())
-        if self._peek().is_keyword("EXISTS"):
+        if self._kind() == "EXISTS":
             return self._exists()
         return self._predicate()
 
     def _exists(self) -> ExistsExpr:
-        self._expect_keyword("EXISTS")
-        self._expect_punct("(")
+        self._expect("EXISTS")
+        self._expect("(")
         query = self._query_expr()
-        self._expect_punct(")")
+        self._expect(")")
         return ExistsExpr(query, negated=False)
 
     def _predicate(self) -> SqlNode:
         left = self._additive()
-        token = self._peek()
-        if token.type is TokenType.OPERATOR and token.value in _COMPARISONS:
-            op = self._advance().value
+        kind = self._kind()
+        if kind in _COMPARISONS:
+            op = self._advance()
             right = self._additive()
             return BinaryOp(op, left, right)
-        if token.is_keyword("IS"):
-            self._advance()
-            negated = self._accept_keyword("NOT")
-            self._expect_keyword("NULL")
+        if kind == "IS":
+            self._index += 1
+            negated = self._accept("NOT")
+            self._expect("NULL")
             return IsNullOp(left, negated)
-        if token.is_keyword("IN"):
-            self._advance()
+        if kind == "IN":
+            self._index += 1
             return self._in_subquery(left, negated=False)
-        if token.is_keyword("NOT"):
-            self._advance()
-            self._expect_keyword("IN")
+        if kind == "NOT":
+            self._index += 1
+            self._expect("IN")
             return self._in_subquery(left, negated=True)
         return left
 
     def _in_subquery(self, operand: SqlNode, negated: bool) -> InExpr:
-        self._expect_punct("(")
+        self._expect("(")
         query = self._query_expr()
-        self._expect_punct(")")
+        self._expect(")")
         return InExpr(operand, query, negated)
 
     def _additive(self) -> SqlNode:
         left = self._multiplicative()
         while True:
-            token = self._peek()
-            if token.type is TokenType.OPERATOR and token.value in ("+", "-"):
-                op = self._advance().value
-                left = BinaryOp(op, left, self._multiplicative())
+            kind = self._kind()
+            if kind == "+" or kind == "-":
+                self._index += 1
+                left = BinaryOp(kind, left, self._multiplicative())
             else:
                 return left
 
     def _multiplicative(self) -> SqlNode:
         left = self._primary()
         while True:
-            token = self._peek()
-            if token.type is TokenType.OPERATOR and token.value in ("*", "/"):
-                op = self._advance().value
-                left = BinaryOp(op, left, self._primary())
+            kind = self._kind()
+            if kind == "*" or kind == "/":
+                self._index += 1
+                left = BinaryOp(kind, left, self._primary())
             else:
                 return left
 
     def _primary(self) -> SqlNode:
-        token = self._peek()
-        if token.type is TokenType.NUMBER:
-            return NumberLit(self._advance().value)
-        if token.type is TokenType.STRING:
-            return StringLit(self._advance().value)
-        if token.is_keyword("TRUE"):
-            self._advance()
-            return BoolLit(True)
-        if token.is_keyword("FALSE"):
-            self._advance()
-            return BoolLit(False)
-        if token.is_keyword("NULL"):
-            self._advance()
-            return BoolLit(None)
-        if token.type is TokenType.KEYWORD and token.value in _AGG_KEYWORDS:
-            name = self._advance().value
-            self._expect_punct("(")
+        kind = self._kind()
+        if kind == IDENT:
+            return self._name_ref()
+        if kind == NUMBER:
+            return NumberLit(self._advance())
+        if kind == STRING:
+            return StringLit(self._advance())
+        if kind in _BOOL_LITERALS:
+            self._index += 1
+            return BoolLit(_BOOL_LITERALS[kind])
+        if kind in _AGG_KEYWORDS:
+            self._index += 1
+            self._expect("(")
             argument: Optional[SqlNode]
-            star = self._peek()
-            if (
-                name == "COUNT"
-                and star.type is TokenType.OPERATOR
-                and star.value == "*"
-            ):
-                self._advance()
+            if kind == "COUNT" and self._accept("*"):
                 argument = None
             else:
                 argument = self._expr()
-            self._expect_punct(")")
-            return FuncCall(name, argument)
-        if token.type is TokenType.IDENT:
-            return self._name_ref()
-        if self._accept_punct("("):
+            self._expect(")")
+            return FuncCall(kind, argument)
+        if self._accept("("):
             inner = self._expr()
-            self._expect_punct(")")
+            self._expect(")")
             return inner
         raise ParseError(
-            f"unexpected token {token.value!r} at position {token.position}"
+            f"unexpected token {self._values[self._index]!r} at position "
+            f"{self._positions[self._index]}"
         )
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.catalog.schema import Catalog, ColumnDef, DataType, ForeignKey, TableDef
 from repro.logical.cardinality import CardinalityEstimator
@@ -11,6 +14,12 @@ from repro.optimizer.engine import Optimizer
 from repro.rules.registry import default_registry
 from repro.storage.database import Database
 from repro.workloads import tpch_database
+
+# Under CI every property draws the same examples, and a failure prints the
+# blob that replays it (``@reproduce_failure``); local runs keep exploring.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session", autouse=True)

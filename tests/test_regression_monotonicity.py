@@ -1,20 +1,20 @@
-"""Deterministic regression pin for ROADMAP item 2's non-monotonicity.
+"""Deterministic regression pins for ROADMAP item 2's non-monotonicity.
 
 Hypothesis (``tests/test_property_based.py::TestRuleCorrectnessProperty::
-test_disabling_rules_never_changes_results``) found a real counterexample
+test_disabling_rules_never_changes_results``) found real counterexamples
 to the well-behavedness property ``Cost(q) <= Cost(q, not R)``: on the
-seed-1 TPC-H database, the ``RandomQueryGenerator(seed=1448)`` tree
-optimized with ``{AvgToSumDivCount, JoinPredicateToSelect}`` disabled is
-*cheaper* (10.319279) than the full-registry plan (10.343600) while the
-result bags stay identical -- the restricted exploration reaches a
-fixpoint the full search misses.
+seed-1 TPC-H database, each ``RandomQueryGenerator(seed)`` tree below,
+optimized with its rule set disabled, is *cheaper* than the full-registry
+plan while the result bags stay identical -- the restricted exploration
+reaches a fixpoint the full search misses.
 
-Hypothesis only rediscovers this when it happens to draw seed 1448; this
-file pins the exact reproduction so the failure is deterministic, and
-marks the monotonicity half ``xfail(strict=True)`` so the root-cause fix
-(likely memo exploration order/dedup, see ROADMAP item 2) is detected
-the moment it lands: the xfail will XPASS and fail the suite, telling
-the fixer to delete the marker and promote the assertion.
+Hypothesis only rediscovers these when it happens to draw one of the
+seeds; this file pins the exact reproductions so the failures are
+deterministic, and marks the monotonicity half ``xfail(strict=True)`` so
+the root-cause fix (likely memo exploration order/dedup, see ROADMAP
+item 2) is detected the moment it lands: the xfail will XPASS and fail
+the suite, telling the fixer to delete the marker and promote the
+assertion.
 """
 
 import pytest
@@ -27,34 +27,41 @@ from repro.rules.registry import default_registry
 from repro.testing.random_gen import RandomQueryGenerator
 from repro.workloads import tpch_database
 
-SEED = 1448
-DISABLED = frozenset({"AvgToSumDivCount", "JoinPredicateToSelect"})
+#: ``(seed, disabled rules, full-registry cost, restricted cost)``.
+WITNESSES = [
+    (1448, ("AvgToSumDivCount", "JoinPredicateToSelect"), 10.343600, 10.319279),
+    (796, ("CrossToInnerJoin", "JoinPredicateToSelect"), 33.473732, 33.039132),
+    (436, ("CrossToInnerJoin", "SelectCommute"), 37.730761, 30.816041),
+]
 
 REGISTRY = default_registry()
 DB = tpch_database(seed=1)
 STATS = DB.stats_repository()
 
 
-@pytest.fixture(scope="module")
-def optimized_pair():
+@pytest.fixture(
+    scope="module", params=WITNESSES, ids=[f"seed{w[0]}" for w in WITNESSES]
+)
+def witness(request):
+    seed, disabled, baseline_cost, restricted_cost = request.param
     generator = RandomQueryGenerator(
-        DB.catalog, seed=SEED, stats=STATS, min_operators=3, max_operators=7
+        DB.catalog, seed=seed, stats=STATS, min_operators=3, max_operators=7
     )
     tree = generator.random_tree()
     validate_tree(tree, DB.catalog)
 
     def optimize(disabled=frozenset()):
-        config = OptimizerConfig(disabled_rules=disabled)
+        config = OptimizerConfig(disabled_rules=frozenset(disabled))
         return Optimizer(DB.catalog, STATS, REGISTRY, config).optimize(tree)
 
-    return optimize(), optimize(DISABLED)
+    return (optimize(), optimize(disabled)), (baseline_cost, restricted_cost)
 
 
-class TestSeed1448Counterexample:
-    def test_results_stay_identical(self, optimized_pair):
-        """The *correctness* half of the property holds: disabling the two
+class TestNonMonotonicityWitnesses:
+    def test_results_stay_identical(self, witness):
+        """The *correctness* half of the property holds: disabling the
         rules changes the plan but never the result bag."""
-        baseline, restricted = optimized_pair
+        (baseline, restricted), _ = witness
         expected = execute_plan(baseline.plan, DB, baseline.output_columns)
         actual = execute_plan(
             restricted.plan, DB, restricted.output_columns
@@ -65,20 +72,20 @@ class TestSeed1448Counterexample:
         strict=True,
         reason=(
             "known optimizer non-monotonicity (ROADMAP item 2): the "
-            "restricted search reaches a cheaper fixpoint (10.319279 < "
-            "10.343600); remove this marker when the root cause is fixed"
+            "restricted search reaches a cheaper fixpoint; remove this "
+            "marker when the root cause is fixed"
         ),
     )
-    def test_cost_monotonicity(self, optimized_pair):
+    def test_cost_monotonicity(self, witness):
         """The *well-behavedness* half -- ``Cost(q) <= Cost(q, not R)`` --
         is the known violation this file exists to pin."""
-        baseline, restricted = optimized_pair
+        (baseline, restricted), _ = witness
         assert baseline.cost <= restricted.cost + 1e-9
 
-    def test_counterexample_magnitude_is_stable(self, optimized_pair):
+    def test_counterexample_magnitude_is_stable(self, witness):
         """Pin the exact costs: if either side moves, the search behavior
         changed and ROADMAP item 2 needs re-triage (the xfail above would
         go stale silently otherwise)."""
-        baseline, restricted = optimized_pair
-        assert baseline.cost == pytest.approx(10.343600, abs=1e-6)
-        assert restricted.cost == pytest.approx(10.319279, abs=1e-6)
+        (baseline, restricted), (baseline_cost, restricted_cost) = witness
+        assert baseline.cost == pytest.approx(baseline_cost, abs=1e-6)
+        assert restricted.cost == pytest.approx(restricted_cost, abs=1e-6)

@@ -1,8 +1,14 @@
 """Unit tests for the SQL tokenizer."""
 
-import pytest
+import re
 
-from repro.sql.lexer import LexError, TokenType, tokenize
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.sql.generate import to_sql
+from repro.sql.lexer import KEYWORDS, LexError, TokenType, tokenize
+from repro.testing.random_gen import RandomQueryGenerator
 
 
 def _types(text):
@@ -68,3 +74,157 @@ class TestTokenization:
     def test_aggregate_names_are_keywords(self):
         tokens = tokenize("COUNT SUM MIN MAX AVG")
         assert all(t.type is TokenType.KEYWORD for t in tokens[:-1])
+
+
+# ------------------------------------------- the character-loop reference
+
+
+def _reference_tokens(text):
+    """The lexer as a loop over characters: the reference the one-pattern
+    scanner must reproduce, as ``(type, value, position)`` triples."""
+    position = 0
+    length = len(text)
+    while position < length:
+        ch = text[position]
+        if ch.isspace():
+            position += 1
+            continue
+        if ch == "'":
+            end = position + 1
+            chunks = []
+            while True:
+                if end >= length:
+                    raise LexError(f"unterminated string at {position}")
+                if text[end] == "'":
+                    if end + 1 < length and text[end + 1] == "'":
+                        chunks.append("'")
+                        end += 2
+                        continue
+                    break
+                chunks.append(text[end])
+                end += 1
+            yield (TokenType.STRING, "".join(chunks), position)
+            position = end + 1
+            continue
+        if ch.isdigit():
+            end = position
+            saw_dot = False
+            while end < length and (
+                text[end].isdigit() or (text[end] == "." and not saw_dot)
+            ):
+                if text[end] == ".":
+                    # A dot not followed by a digit is punctuation.
+                    if end + 1 >= length or not text[end + 1].isdigit():
+                        break
+                    saw_dot = True
+                end += 1
+            yield (TokenType.NUMBER, text[position:end], position)
+            position = end
+            continue
+        if ch.isalpha() or ch == "_":
+            end = position
+            while end < length and (text[end].isalnum() or text[end] == "_"):
+                end += 1
+            word = text[position:end]
+            upper = word.upper()
+            if upper in KEYWORDS:
+                yield (TokenType.KEYWORD, upper, position)
+            else:
+                yield (TokenType.IDENT, word, position)
+            position = end
+            continue
+        for operator in ("<>", "<=", ">=", "=", "<", ">", "+", "-", "*", "/"):
+            if text.startswith(operator, position):
+                yield (TokenType.OPERATOR, operator, position)
+                position += len(operator)
+                break
+        else:
+            if ch in "(),.":
+                yield (TokenType.PUNCT, ch, position)
+                position += 1
+                continue
+            raise LexError(f"unexpected character {ch!r} at {position}")
+    yield (TokenType.EOF, "", length)
+
+
+def _outcome(lex, text):
+    try:
+        return list(lex(text))
+    except LexError as error:
+        return f"LexError: {error}"
+
+
+def _triples(text):
+    return [(t.type, t.value, t.position) for t in tokenize(text)]
+
+
+def _assert_same_as_reference(text):
+    assert _outcome(_triples, text) == _outcome(_reference_tokens, text)
+
+
+def _digit_not_decimal(ch):
+    return ch.isdigit() and not ch.isdecimal()
+
+
+_SQL_ALPHABET = "SELCTFROMWHINAXDUabz_019.,()<>=+-*/' \n\t\u00a0\u3000é"
+
+
+class TestScannerMatchesReference:
+    @given(text=st.text())
+    @settings(max_examples=500, deadline=None)
+    def test_any_text(self, text):
+        assume(not any(map(_digit_not_decimal, text)))
+        _assert_same_as_reference(text)
+
+    @given(text=st.text(alphabet=_SQL_ALPHABET))
+    @settings(max_examples=500, deadline=None)
+    def test_sql_like_text(self, text):
+        assume(not any(map(_digit_not_decimal, text)))
+        _assert_same_as_reference(text)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_generated_statements(self, tpch_db, seed):
+        tree = RandomQueryGenerator(
+            tpch_db.catalog, seed=seed, min_operators=2, max_operators=7
+        ).random_tree()
+        _assert_same_as_reference(to_sql(tree))
+
+    @pytest.mark.parametrize("text", [
+        "", "   ", "'", "''", "'''", "'a''", "'a'''", "'a''''b'", "1.", "1..2",
+        "1.2.3", ".5", "a.b", "ſelect", "x\u3000y", "a²", "½", "a ; b",
+        "t1.c1<>=<=>=", "'it''s' AND x", "٣.٤",
+    ])
+    def test_corner_cases(self, text):
+        _assert_same_as_reference(text)
+
+    def test_a_digit_that_is_not_decimal_starts_no_token(self):
+        """``"²".isdigit()`` is true, so the character loop read ``"²"`` as
+        a NUMBER that ``int``/``float`` then refuse; ``\\d`` is
+        ``str.isdecimal`` and does not match it.  Such a character is
+        rejected where a token would start, like any other stray one, and
+        stays legal inside an identifier, where ``str.isalnum`` admits it."""
+        with pytest.raises(LexError, match=r"unexpected character '²' at 4"):
+            tokenize("a = ²")
+        with pytest.raises(LexError, match=r"unexpected character '³' at 1"):
+            tokenize("1³")
+        assert _values("a²") == ["a²"]
+        assert list(_reference_tokens("²"))[0] == (TokenType.NUMBER, "²", 0)
+
+    def test_regex_classes_are_the_reference_predicates(self):
+        """The pattern's ``\\s``, ``\\d`` and ``\\w`` are exactly
+        ``isspace``, ``isdecimal`` and ``isalnum or _`` over every code
+        point, so the reference and the scanner differ only where the
+        reference called ``isdigit``."""
+        every = "".join(
+            chr(code) for code in range(0x110000)
+            if not 0xD800 <= code < 0xE000
+        )
+        for pattern, predicate in [
+            (r"\s", str.isspace),
+            (r"\d", str.isdecimal),
+            (r"\w", lambda ch: ch.isalnum() or ch == "_"),
+        ]:
+            assert set(re.findall(pattern, every)) == set(
+                filter(predicate, every)
+            ), pattern

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sql import ast
+from repro.sql.lexer import Token
 from repro.sql.parser import ParseError, parse_sql
 
 
@@ -174,3 +175,59 @@ class TestErrors:
     def test_unexpected_token_in_expression(self):
         with pytest.raises(ParseError, match="unexpected token"):
             parse_sql("SELECT * FROM t WHERE )")
+
+
+#: Malformed statements and the exact ``ParseError`` text each must keep:
+#: the position and the ``got ...`` value of the token the parser stopped at.
+MALFORMED = [
+    ('SELECT a FROM', "expected identifier at position 13, got ''"),
+    ('SELECT FROM t', "unexpected token 'FROM' at position 7"),
+    ('SELECT a t', "expected FROM at position 9, got 't'"),
+    ('SELECT a FROM t WHERE', "unexpected token '' at position 21"),
+    ('SELECT a FROM t LIMIT x', "expected number after LIMIT, got 'x'"),
+    ('SELECT a FROM t GROUP a', "expected BY at position 22, got 'a'"),
+    ('SELECT a FROM t JOIN u', "expected ON at position 22, got ''"),
+    ('SELECT a FROM (SELECT b FROM u)', "expected AS at position 31, got ''"),
+    ('SELECT COUNT(* FROM t', "expected ')' at position 15, got 'FROM'"),
+    ('SELECT a AS 1 FROM t', "expected identifier at position 12, got '1'"),
+    ('SELECT a FROM t ORDER BY 1', "expected identifier at position 25, got '1'"),
+    ('SELECT a FROM t WHERE a IS 1', "expected NULL at position 27, got '1'"),
+    ('SELECT a FROM t WHERE a NOT EXISTS (SELECT b FROM u)', "expected IN at position 28, got 'EXISTS'"),
+    ('SELECT a FROM t t2 x', "trailing input at position 16: 't2'"),
+    ('SELECT a FROM t WHERE EXISTS SELECT b FROM u', "expected '(' at position 29, got 'SELECT'"),
+    ('(SELECT a FROM t', "expected ')' at position 16, got ''"),
+    ('SELECT a FROM t UNION', "expected SELECT at position 21, got ''"),
+    ('SELECT t. FROM t', "expected identifier at position 10, got 'FROM'"),
+    ('SELECT a FROM t CROSS u', "expected JOIN at position 22, got 'u'"),
+    ('SELECT a FROM t LEFT OUTER u ON a = b', "expected JOIN at position 27, got 'u'"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED)
+def test_parse_error_text_is_stable(text, message):
+    with pytest.raises(ParseError) as error:
+        parse_sql(text)
+    assert str(error.value) == message
+
+
+def test_parsing_builds_no_token_objects(monkeypatch):
+    """The parser reads the scanner's parallel lists; a ``Token`` per
+    lexeme is what the hot path was rid of and must not come back."""
+    built = []
+    init = Token.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Token, "__init__", counting_init)
+    assert Token(None, "x", 0) and built  # the counter works
+    built.clear()
+    parse_sql(
+        "SELECT n.n_name, COUNT(*) AS c FROM nation AS n "
+        "JOIN region AS r ON n.n_regionkey = r.r_regionkey "
+        "JOIN supplier AS s ON s.s_nationkey = n.n_nationkey "
+        "WHERE r.r_name = 'ASIA' AND s.s_acctbal > 100.5 "
+        "GROUP BY n.n_name ORDER BY n.n_name DESC LIMIT 5"
+    )
+    assert built == []
