@@ -17,6 +17,7 @@ from repro.backends.base import (
     BackendError,
     BackendRun,
     BackendUnavailable,
+    ConnectionBackend,
     PlanShape,
     ResultBag,
     bag_diff_summary,
@@ -45,6 +46,7 @@ __all__ = [
     "BackendError",
     "BackendRun",
     "BackendUnavailable",
+    "ConnectionBackend",
     "ENGINE_PLAN_LANGUAGE",
     "EngineBackend",
     "PlanShape",

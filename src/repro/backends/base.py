@@ -12,12 +12,16 @@ skip-listed.
 The protocol is deliberately small:
 
 * :meth:`Backend.setup` -- create the schema and load the test database;
-* :meth:`Backend.execute` -- run one tree, return raw rows;
-* :meth:`Backend.explain` -- optional: a normalized :class:`PlanShape`;
-* :meth:`Backend.run` -- the template method the runner calls: renders
-  SQL, executes, digests the result bag, captures the plan shape, and
-  converts any failure into an error-carrying :class:`BackendRun` (one
-  backend crashing must not abort the fleet).
+* :meth:`Backend.run_many` -- the one way to run queries: a batch of
+  trees in, one :class:`BackendRun` per tree out (rows, digest, plan
+  shape), any failure converted into an error-carrying run (one backend
+  crashing must not abort the fleet).
+
+:class:`ConnectionBackend` is that protocol for drivers that execute SQL
+text (sqlite, duckdb): one mirror loop (:func:`mirror_tables`), one fetch,
+and a ``run_many`` that renders, fetches, digests and explains each query
+in turn.  The in-process engine batches its own ``run_many``
+(:mod:`repro.backends.engine`).
 
 Result comparison is *bag* comparison over canonicalized rows: floats are
 quantized (:func:`repro.engine.results.canonical_row`) and booleans map to
@@ -35,7 +39,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.digest import BagDigest, digest_rows
 from repro.engine.results import canonical_row
@@ -192,82 +196,134 @@ class Backend(abc.ABC):
     name: str = "backend"
     #: The dialect trees are rendered with before reaching this backend.
     dialect: Dialect
-    #: Plan vocabulary of :meth:`explain`, or ``None`` when unsupported.
+    #: Vocabulary of the plan shapes this backend records, or ``None``.
     plan_language: Optional[str] = None
 
     def __init__(self) -> None:
         self._ready = False
-
-    # ------------------------------------------------------------- protocol
 
     @abc.abstractmethod
     def setup(self, database: Database) -> None:
         """Create the schema and load every table of ``database``."""
 
     @abc.abstractmethod
-    def execute(self, tree: LogicalOp, sql: str) -> Sequence[Tuple]:
-        """Execute one query and return its raw rows.
-
-        ``sql`` is ``tree`` rendered in this backend's dialect; external
-        backends run the text, the in-process engine optimizes the tree.
-        Raise :class:`BackendError` on failure.
-        """
-
-    def explain(self, tree: LogicalOp, sql: str) -> Optional[PlanShape]:
-        """Normalized plan shape for one query (``None``: unsupported)."""
-        return None
+    def run_many(
+        self, requests: Sequence[Tuple[int, LogicalOp]]
+    ) -> List[BackendRun]:
+        """One :class:`BackendRun` per ``(query_id, tree)`` request, in
+        order; never raises -- a failing query is an error-carrying run,
+        so one backend crashing cannot abort the fleet."""
 
     def close(self) -> None:
         """Release any resources (connections)."""
-
-    # ------------------------------------------------------------- template
-
-    @property
-    def capabilities(self) -> Tuple[str, ...]:
-        flags: List[str] = ["execute"]
-        if self.plan_language is not None:
-            flags.append("explain")
-        return tuple(flags)
-
-    def sql_for(self, tree: LogicalOp) -> str:
-        return to_sql(tree, self.dialect)
 
     def ensure_ready(self, database: Database) -> None:
         if not self._ready:
             self.setup(database)
             self._ready = True
 
-    def run(self, query_id: int, tree: LogicalOp) -> BackendRun:
-        """Render, execute and digest one query; never raises."""
+    def _rendered(self, query_id: int, tree: LogicalOp) -> BackendRun:
+        """A run holding ``tree`` rendered in this backend's dialect, or
+        the rendering failure as its error."""
         try:
-            sql = self.sql_for(tree)
+            sql = to_sql(tree, self.dialect)
         except Exception as exc:  # rendering bug: attribute, don't abort
             return BackendRun(
                 backend=self.name, query_id=query_id, sql="",
                 error=f"sql rendering failed: {exc}",
             )
-        run = BackendRun(backend=self.name, query_id=query_id, sql=sql)
+        return BackendRun(backend=self.name, query_id=query_id, sql=sql)
+
+
+def mirror_tables(
+    conn, database: Database, dialect: Dialect, column_types: Dict
+) -> None:
+    """CREATE and fill every table of ``database`` over a DB-API
+    connection, with ``column_types`` mapping catalog types to the
+    driver's column types."""
+    for table in database.tables():
+        definition = table.definition
+        name = dialect.identifier(definition.name)
+        columns = ", ".join(
+            f"{dialect.identifier(column.name)} "
+            f"{column_types[column.data_type]}"
+            for column in definition.columns
+        )
+        conn.execute(f"CREATE TABLE {name} ({columns})")
+        if table.rows:
+            slots = ", ".join("?" * len(definition.columns))
+            conn.executemany(
+                f"INSERT INTO {name} VALUES ({slots})", table.rows
+            )
+
+
+class ConnectionBackend(Backend):
+    """A backend that mirrors the test database over a DB-API connection
+    and runs each query as SQL text.
+
+    Subclasses supply :meth:`mirror` and optionally :meth:`explain`;
+    failures of the driver (``driver_error``) become :class:`BackendError`
+    messages prefixed with the backend's name.
+    """
+
+    #: What the driver raises for a failed statement.
+    driver_error: type = Exception
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._conn = None
+
+    @abc.abstractmethod
+    def mirror(self, database: Database):
+        """A fresh in-memory connection holding every table of
+        ``database`` (see :func:`mirror_tables`)."""
+
+    def explain(self, sql: str) -> Optional[PlanShape]:
+        """Normalized plan shape of one statement (``None``: unsupported)."""
+        return None
+
+    def setup(self, database: Database) -> None:
         try:
-            rows = list(self.execute(tree, sql))
-        except BackendError as exc:
-            run.error = str(exc)
-            return run
-        run.record(rows)
-        if self.plan_language is not None:
-            try:
-                run.plan = self.explain(tree, sql)
-            except BackendError:
-                # A missing plan is informational, not a verdict change.
-                run.plan = None
-        return run
+            self._conn = self.mirror(database)
+        except self.driver_error as exc:
+            raise BackendError(f"{self.name} mirror failed: {exc}") from exc
+
+    def fetch(self, sql: str) -> List[Tuple]:
+        """Every row of one statement; raises :class:`BackendError`."""
+        if self._conn is None:
+            raise BackendError(f"{self.name} backend is not set up")
+        try:
+            return self._conn.execute(sql).fetchall()
+        except self.driver_error as exc:
+            raise BackendError(f"{self.name} error: {exc}") from exc
 
     def run_many(
         self, requests: Sequence[Tuple[int, LogicalOp]]
     ) -> List[BackendRun]:
-        """Batch form of :meth:`run`; one :class:`BackendRun` per request.
+        runs = []
+        for query_id, tree in requests:
+            run = self._rendered(query_id, tree)
+            runs.append(run)
+            if run.error is not None:
+                continue
+            try:
+                run.record(self.fetch(run.sql))
+            except BackendError as exc:
+                run.error = str(exc)
+                continue
+            try:
+                run.plan = self.explain(run.sql)
+            except BackendError:
+                pass  # a missing plan is informational, not a verdict change
+        return runs
 
-        The default runs serially; backends with a batched execution
-        path (the in-process engine) override it to share scans and
-        coalesce identical plans while producing byte-identical runs.
-        """
-        return [self.run(query_id, tree) for query_id, tree in requests]
+    def run(self, query_id: int, tree: LogicalOp) -> BackendRun:
+        """:meth:`run_many` of one request (the benchmark probe times
+        sqlite one query at a time)."""
+        (run,) = self.run_many([(query_id, tree)])
+        return run
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None

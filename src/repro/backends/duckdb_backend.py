@@ -15,16 +15,13 @@ dialect only differs from the engine's in identifier quoting (see
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
-
 from repro.backends.base import (
-    Backend,
-    BackendError,
     BackendUnavailable,
+    ConnectionBackend,
     PlanShape,
+    mirror_tables,
 )
 from repro.catalog.schema import DataType
-from repro.logical.operators import LogicalOp
 from repro.sql.dialect import DUCKDB_DIALECT
 from repro.storage.database import Database
 
@@ -48,7 +45,7 @@ def _import_duckdb():
     return duckdb
 
 
-class DuckDBBackend(Backend):
+class DuckDBBackend(ConnectionBackend):
     """Optional third opinion; construction fails cleanly when missing."""
 
     name = "duckdb"
@@ -58,66 +55,23 @@ class DuckDBBackend(Backend):
     def __init__(self) -> None:
         super().__init__()
         self._duckdb = _import_duckdb()
-        self._conn = None
 
-    def setup(self, database: Database) -> None:
-        dialect = self.dialect
-        try:
-            conn = self._duckdb.connect(":memory:")
-            for table in database.tables():
-                definition = table.definition
-                columns = ", ".join(
-                    f"{dialect.identifier(column.name)} "
-                    f"{DUCKDB_TYPES[column.data_type]}"
-                    for column in definition.columns
-                )
-                conn.execute(
-                    f"CREATE TABLE {dialect.identifier(definition.name)} "
-                    f"({columns})"
-                )
-                if table.rows:
-                    slots = ", ".join("?" * len(definition.columns))
-                    conn.executemany(
-                        f"INSERT INTO "
-                        f"{dialect.identifier(definition.name)} "
-                        f"VALUES ({slots})",
-                        [list(row) for row in table.rows],
-                    )
-        except Exception as exc:
-            raise BackendError(f"duckdb mirror failed: {exc}") from exc
-        self._conn = conn
+    def mirror(self, database: Database):
+        conn = self._duckdb.connect(":memory:")
+        mirror_tables(conn, database, self.dialect, DUCKDB_TYPES)
+        return conn
 
-    def _connection(self):
-        if self._conn is None:
-            raise BackendError("duckdb backend is not set up")
-        return self._conn
-
-    def execute(self, tree: LogicalOp, sql: str) -> Sequence[Tuple]:
-        try:
-            return self._connection().execute(sql).fetchall()
-        except Exception as exc:
-            raise BackendError(f"duckdb error: {exc}") from exc
-
-    def explain(self, tree: LogicalOp, sql: str) -> Optional[PlanShape]:
-        try:
-            rows = self._connection().execute(f"EXPLAIN {sql}").fetchall()
-        except Exception as exc:
-            raise BackendError(f"duckdb explain error: {exc}") from exc
+    def explain(self, sql: str) -> PlanShape:
         # EXPLAIN renders an ASCII tree; extract the boxed operator names
         # (upper-case tokens on their own line) in document order.  Depth
         # information is not recoverable portably across duckdb versions,
         # so every node is recorded at depth 0 -- the *sequence* of
         # operators is still a usable shape within one duckdb version.
         nodes = []
-        for row in rows:
+        for row in self.fetch(f"EXPLAIN {sql}"):
             text = row[-1] if row else ""
             for line in str(text).splitlines():
                 label = line.strip().strip("│|").strip()
                 if label and label.replace("_", "").isupper():
                     nodes.append((0, label))
         return PlanShape(language=self.plan_language, nodes=tuple(nodes))
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None

@@ -1,7 +1,7 @@
 """The in-process engine as a fleet backend.
 
-Wraps the optimize-then-execute pipeline (``PlanService`` +
-:func:`repro.engine.executor.execute_plan`) behind the
+Wraps the optimize-then-execute pipeline (``PlanService.optimize`` +
+``PlanService.execute_many``) behind the
 :class:`~repro.backends.base.Backend` protocol.  This is the *system under
 test*: its optimizer applies the transformation rules whose correctness
 the fleet checks, while the external backends execute the rendered SQL
@@ -17,10 +17,9 @@ engine configs is a rule bug caught without any external backend.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.backends.base import Backend, BackendError, BackendRun, PlanShape
-from repro.engine.executor import ExecutionError, execute_plan
 from repro.logical.operators import LogicalOp
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.result import OptimizationError
@@ -92,74 +91,38 @@ class EngineBackend(Backend):
                 "than the fleet is running against"
             )
 
-    def _optimize(self, tree: LogicalOp):
-        try:
-            return self.service.optimize(tree, self.config)
-        except OptimizationError as exc:
-            raise BackendError(f"optimization failed: {exc}") from exc
+    def run_many(
+        self, requests: Sequence[Tuple[int, LogicalOp]]
+    ) -> List[BackendRun]:
+        """Optimize each query, then execute them all as one batch.
 
-    def execute(self, tree: LogicalOp, sql: str) -> Sequence[Tuple]:
-        result = self._optimize(tree)
-        try:
-            output = execute_plan(
-                result.plan, self.database, result.output_columns
-            )
-        except ExecutionError as exc:
-            raise BackendError(f"execution failed: {exc}") from exc
-        return output.rows
-
-    def explain(self, tree: LogicalOp, sql: str) -> PlanShape:
-        return physical_plan_shape(self._optimize(tree).plan)
-
-    def run_many(self, requests):
-        """Batched :meth:`run`: optimize per query, execute as one batch.
-
-        Runs the whole request list through
-        :meth:`PlanService.execute_many`, which shares table scans and
-        coalesces identical plans; error strings and plan shapes match
-        the serial path byte-for-byte, so campaign artifacts are
-        unchanged.
+        :meth:`PlanService.execute_many` shares table scans and coalesces
+        identical plans, so a plan the correctness runner already
+        executed comes back out of the execution cache, digest included.
         """
         runs = []
-        optimized = []  # OptimizeResult per run slot, None on early error
-        exec_slots = []
-        exec_requests = []
+        planned = []  # (run, OptimizeResult) of every query that optimized
         for query_id, tree in requests:
-            try:
-                sql = self.sql_for(tree)
-            except Exception as exc:
-                runs.append(
-                    BackendRun(
-                        backend=self.name, query_id=query_id, sql="",
-                        error=f"sql rendering failed: {exc}",
-                    )
-                )
-                optimized.append(None)
-                continue
-            run = BackendRun(backend=self.name, query_id=query_id, sql=sql)
+            run = self._rendered(query_id, tree)
             runs.append(run)
-            try:
-                result = self._optimize(tree)
-            except BackendError as exc:
-                run.error = str(exc)
-                optimized.append(None)
+            if run.error is not None:
                 continue
-            optimized.append(result)
-            exec_slots.append(len(runs) - 1)
-            exec_requests.append((result.plan, result.output_columns))
-
+            try:
+                planned.append((run, self.service.optimize(tree, self.config)))
+            except OptimizationError as exc:
+                run.error = f"optimization failed: {exc}"
+        exec_requests = [
+            (result.plan, result.output_columns) for _, result in planned
+        ]
         items = (
             self.service.execute_many(exec_requests, database=self.database)
             if exec_requests
             else []
         )
-        for slot, item in zip(exec_slots, items):
-            run = runs[slot]
+        for (run, result), item in zip(planned, items):
             if item.error is not None:
                 run.error = f"execution failed: {item.error}"
                 continue
-            # The result comes out of the service's execution cache, so
-            # its digest is shared with whoever compared this plan before.
             run.record(item.result.rows, item.result.bag_digest())
-            run.plan = physical_plan_shape(optimized[slot].plan)
+            run.plan = physical_plan_shape(result.plan)
         return runs

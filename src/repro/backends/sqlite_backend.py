@@ -13,19 +13,16 @@ language; they are recorded in collect artifacts but never diffed against
 the engine's ``"repro"`` shapes (different vocabulary, legitimately
 different trees).
 
-The connection is created with ``check_same_thread=False`` because the
-differential runner drives each backend from a worker thread; each
-backend instance is only ever used by one thread at a time.
+The differential runner drives every backend on its calling thread, so
+the connection keeps sqlite3's default same-thread check.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Optional, Sequence, Tuple
 
-from repro.backends.base import Backend, BackendError, PlanShape
+from repro.backends.base import ConnectionBackend, PlanShape, mirror_tables
 from repro.catalog.schema import DataType
-from repro.logical.operators import LogicalOp
 from repro.sql.dialect import SQLITE_DIALECT
 from repro.storage.database import Database
 
@@ -43,77 +40,33 @@ SQLITE_TYPES = {
 
 def sqlite_mirror(database: Database) -> sqlite3.Connection:
     """Materialize ``database`` as an in-memory SQLite database."""
-    conn = sqlite3.connect(":memory:", check_same_thread=False)
-    dialect = SQLITE_DIALECT
-    for table in database.tables():
-        definition = table.definition
-        columns = ", ".join(
-            f"{dialect.identifier(column.name)} "
-            f"{SQLITE_TYPES[column.data_type]}"
-            for column in definition.columns
-        )
-        conn.execute(
-            f"CREATE TABLE {dialect.identifier(definition.name)} "
-            f"({columns})"
-        )
-        if table.rows:
-            slots = ", ".join("?" * len(definition.columns))
-            conn.executemany(
-                f"INSERT INTO {dialect.identifier(definition.name)} "
-                f"VALUES ({slots})",
-                table.rows,
-            )
+    conn = sqlite3.connect(":memory:")
+    mirror_tables(conn, database, SQLITE_DIALECT, SQLITE_TYPES)
     conn.commit()
     return conn
 
 
-class SqliteBackend(Backend):
+class SqliteBackend(ConnectionBackend):
     """The battle-tested independent executor every environment has."""
 
     name = "sqlite"
     dialect = SQLITE_DIALECT
     plan_language = "sqlite-eqp"
+    driver_error = sqlite3.Error
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._conn: Optional[sqlite3.Connection] = None
+    def mirror(self, database: Database) -> sqlite3.Connection:
+        return sqlite_mirror(database)
 
-    def setup(self, database: Database) -> None:
-        try:
-            self._conn = sqlite_mirror(database)
-        except sqlite3.Error as exc:
-            raise BackendError(f"sqlite mirror failed: {exc}") from exc
-
-    def _connection(self) -> sqlite3.Connection:
-        if self._conn is None:
-            raise BackendError("sqlite backend is not set up")
-        return self._conn
-
-    def execute(self, tree: LogicalOp, sql: str) -> Sequence[Tuple]:
-        try:
-            return self._connection().execute(sql).fetchall()
-        except sqlite3.Error as exc:
-            raise BackendError(f"sqlite error: {exc}") from exc
-
-    def explain(self, tree: LogicalOp, sql: str) -> PlanShape:
-        try:
-            rows = self._connection().execute(
-                f"EXPLAIN QUERY PLAN {sql}"
-            ).fetchall()
-        except sqlite3.Error as exc:
-            raise BackendError(f"sqlite explain error: {exc}") from exc
+    def explain(self, sql: str) -> PlanShape:
         # EXPLAIN QUERY PLAN rows are (id, parent, notused, detail);
         # depths are reconstructed from the parent chain and the detail
         # text is whitespace-normalized.
         depths = {0: -1}
         nodes = []
-        for node_id, parent, _unused, detail in rows:
+        for node_id, parent, _unused, detail in self.fetch(
+            f"EXPLAIN QUERY PLAN {sql}"
+        ):
             depth = depths.get(parent, -1) + 1
             depths[node_id] = depth
             nodes.append((depth, " ".join(str(detail).split())))
         return PlanShape(language=self.plan_language, nodes=tuple(nodes))
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None

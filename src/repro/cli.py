@@ -197,8 +197,7 @@ class _Session:
         )
 
     def memory_service(self, **hooks) -> PlanService:
-        """A fresh memory-only service, for runs whose registry may be
-        mutated (it must never share the name-keyed disk cache) or whose
+        """A fresh memory-only service, for runs whose counts, verdicts or
         event sequence must not depend on what an earlier run cached."""
         return PlanService(
             self.database, registry=self.registry,
@@ -263,7 +262,8 @@ def _fails_under(args, rate: Optional[float], what: str) -> int:
 
 def _mutation_campaign(args, env, metrics, backends=None) -> MutationCampaign:
     """The fresh campaign ``mutate`` and ``compress`` run.  Per-mutant plan
-    services are memory-only, so ``--no-cache`` is irrelevant here;
+    services are memory-only (a campaign must not depend on what an
+    earlier run cached), so ``--no-cache`` is irrelevant here;
     ``--workers`` is honoured per mutant."""
     return MutationCampaign(
         env.database,

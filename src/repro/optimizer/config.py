@@ -38,12 +38,8 @@ class OptimizerConfig:
 
     def with_disabled(self, names: Iterable[str]) -> "OptimizerConfig":
         """This config with additional rules disabled."""
-        return OptimizerConfig(
-            disabled_rules=self.disabled_rules | frozenset(names),
-            max_groups=self.max_groups,
-            max_exprs_per_group=self.max_exprs_per_group,
-            max_rule_applications=self.max_rule_applications,
-            sanitize_plans=self.sanitize_plans,
+        return dataclasses.replace(
+            self, disabled_rules=self.disabled_rules | frozenset(names)
         )
 
     def replaced(self, **changes: object) -> "OptimizerConfig":

@@ -46,7 +46,12 @@ def environment_fingerprint(
     digest = hashlib.sha256()
     digest.update(catalog.ddl().encode("utf-8"))
     for rule in registry.all_rules:
-        digest.update(f"|{rule.name}:{type(rule).__name__}".encode("utf-8"))
+        # Module and qualified name: a candidate class from elsewhere may
+        # share a registry class's bare name.
+        cls = type(rule)
+        digest.update(
+            f"|{rule.name}:{cls.__module__}.{cls.__qualname__}".encode("utf-8")
+        )
     for table_name in sorted(stats.table_names()):
         table_stats = stats.get(table_name)
         digest.update(f"|{table_name}={table_stats.row_count}".encode("utf-8"))

@@ -17,10 +17,6 @@ other backend's bag is diffed against it:
 * ``skip``     -- the reference itself failed, so there is nothing to
   compare against.
 
-Outcomes unify into the same vocabulary the correctness runner emits
-(:class:`~repro.testing.correctness.ComparisonRecord`), so kill-matrix
-style consumers can fold both oracles' records together.
-
 Plan shapes are diffed *within* a plan language only: two engine-config
 variants both speak ``"repro"`` and should usually produce different
 shapes exactly when a rule was disabled (the plan-guidance signal); the
@@ -28,9 +24,8 @@ engine's shapes are never compared to SQLite's ``EXPLAIN QUERY PLAN``
 rows.  Shape divergence between same-language backends is informational
 (``plan_divergences``), never a verdict by itself.
 
-Backends execute concurrently on a thread pool with one worker thread
-per backend (each backend's queries run serially on its own thread --
-connections are single-threaded; backends are mutually independent).
+Backends run one after another on the calling thread, each handed the
+whole suite as one :meth:`~repro.backends.base.Backend.run_many` batch.
 
 Everything the campaign observed lands in a deterministic JSON *collect
 artifact* (`to_json`): same seed, same fleet, byte-identical output
@@ -40,7 +35,6 @@ across fresh processes.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -48,7 +42,6 @@ from repro.backends.base import Backend, BackendRun, bag_diff_summary
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.storage.database import Database
-from repro.testing.correctness import ComparisonRecord
 from repro.testing.suite import SuiteQuery, TestSuite
 
 #: Unified per-(query, backend) verdicts.
@@ -58,14 +51,6 @@ ERROR = "error"
 SKIP = "skip"
 
 OUTCOMES = (AGREE, DISAGREE, ERROR, SKIP)
-
-#: Differential outcome -> correctness-runner record outcome.
-_TO_COMPARISON = {
-    AGREE: "equal",
-    DISAGREE: "mismatch",
-    ERROR: "error",
-    SKIP: "error",
-}
 
 
 @dataclass(frozen=True)
@@ -80,16 +65,6 @@ class DiffOutcome:
     #: two backends speak different plan languages (or a plan is
     #: missing), otherwise whether the normalized shapes matched.
     plan_match: Optional[bool] = None
-
-    def to_comparison_record(self) -> ComparisonRecord:
-        """The correctness runner's record vocabulary (kill-matrix
-        consumers fold differential and self-comparison records alike)."""
-        return ComparisonRecord(
-            rule_node=(f"backend:{self.backend}",),
-            query_id=self.query_id,
-            outcome=_TO_COMPARISON[self.outcome],
-            detail=self.detail,
-        )
 
 
 @dataclass
@@ -148,9 +123,6 @@ class DiffReport:
             run.error for runs in self.runs.values()
             for run in runs.values()
         )
-
-    def comparison_records(self) -> List[ComparisonRecord]:
-        return [outcome.to_comparison_record() for outcome in self.outcomes]
 
     # -------------------------------------------------------- attribution
 
@@ -354,17 +326,17 @@ class DifferentialRunner:
     def _run_backend(
         self, backend: Backend, queries: Sequence[SuiteQuery]
     ) -> List[BackendRun]:
-        """One backend's serial pass over the suite (its own thread)."""
-        # No metrics here: this runs on a worker thread and the registry
-        # is not thread-safe; execution counts are bumped in run().
+        """One backend's pass over the suite, as one batch."""
         with self.tracer.span(
             "diff.backend", cat="testing",
             backend=backend.name, queries=len(queries),
         ):
             backend.ensure_ready(self.database)
-            return backend.run_many(
+            runs = backend.run_many(
                 [(query.query_id, query.tree) for query in queries]
             )
+        self._count("diff.executions", len(queries), backend=backend.name)
+        return runs
 
     # -------------------------------------------------------------- public
 
@@ -382,23 +354,15 @@ class DifferentialRunner:
             "diff.run", cat="testing",
             backends=",".join(report.backends), queries=len(queries),
         ):
-            with ThreadPoolExecutor(
-                max_workers=len(self.backends)
-            ) as pool:
-                futures = [
-                    pool.submit(self._run_backend, backend, queries)
-                    for backend in self.backends
-                ]
-                per_backend = [future.result() for future in futures]
+            per_backend = [
+                self._run_backend(backend, queries)
+                for backend in self.backends
+            ]
         for query, *runs in zip(queries, *per_backend):
             report.runs[query.query_id] = {
                 run.backend: run for run in runs
             }
         self._count("diff.queries", len(queries))
-        for backend in self.backends:
-            self._count(
-                "diff.executions", len(queries), backend=backend.name
-            )
         self._unify(report)
         return report
 

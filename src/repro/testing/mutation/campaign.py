@@ -5,8 +5,8 @@ simulates one buggy optimizer build, exactly the way the paper's framework
 would test it:
 
 1. swap the mutant into the registry (``with_replaced_rule``) and stand up
-   a memory-only :class:`PlanService` for the mutated build (mutated
-   registries must never share the name-keyed on-disk plan cache);
+   a memory-only :class:`PlanService` for the mutated build (a campaign's
+   counts and verdicts must not depend on what an earlier run cached);
 2. regenerate the rule's pattern-based suite *against the mutated
    registry* -- queries are drawn from the mutant's own pattern and
    ``RuleSet``, which is what makes dropped preconditions and widened
@@ -268,7 +268,7 @@ class MutationCampaign:
         self.config = config
         self.metrics = metrics
         #: Receives the campaign's own events only; the per-mutant
-        #: services stay untraced (the fleet drives them from threads).
+        #: services are built without it.
         self.tracer = tracer
         #: Optional second scoring oracle: fan each mutant's pool across
         #: this backend fleet (first member is the reference and must be
@@ -353,9 +353,8 @@ class MutationCampaign:
     # ------------------------------------------------------------ internals
 
     def _service(self, registry: RuleRegistry) -> PlanService:
-        # Memory-only on purpose: the persistent cache keys environments
-        # by rule *names*, which a mutated registry shares with the clean
-        # one -- a disk hit would silently answer with clean-build plans.
+        # Memory-only on purpose: what a mutant costs and how it is judged
+        # must not depend on what an earlier run left in the disk cache.
         return PlanService(
             self.database,
             registry=registry,
@@ -479,16 +478,10 @@ class MutationCampaign:
         for outcome in diff_report.outcomes:
             if outcome.outcome != DISAGREE:
                 continue
-            detail = (
-                f"backend {outcome.backend} disagreed: {outcome.detail}"
+            _raise_verdict(
+                verdicts, outcome.query_id, "mismatch",
+                f"backend {outcome.backend} disagreed: {outcome.detail}",
             )
-            current = verdicts.get(outcome.query_id)
-            if (
-                current is None
-                or _VERDICT_RANK["mismatch"]
-                > _VERDICT_RANK[current[0]]
-            ):
-                verdicts[outcome.query_id] = ("mismatch", detail)
 
     def _build_pool(self, node, registry, service):
         """Union the per-seed pools into one renumbered query list.
@@ -617,13 +610,9 @@ class MutationCampaign:
                     verdicts[query_id] = ("error", detail)
                 return verdicts
         for record in report.records:
-            current = verdicts.get(record.query_id)
-            if (
-                current is None
-                or _VERDICT_RANK[record.outcome]
-                > _VERDICT_RANK[current[0]]
-            ):
-                verdicts[record.query_id] = (record.outcome, record.detail)
+            _raise_verdict(
+                verdicts, record.query_id, record.outcome, record.detail
+            )
         return verdicts
 
     @staticmethod
@@ -684,6 +673,19 @@ class MutationCampaign:
         self.metrics.counter("mutation.pool_queries").inc(
             outcome.pool_size
         )
+
+
+def _raise_verdict(
+    verdicts: Dict[int, Tuple[str, str]],
+    query_id: int,
+    outcome: str,
+    detail: str,
+) -> None:
+    """Record ``(outcome, detail)`` for ``query_id`` unless the query
+    already holds a verdict ``_VERDICT_RANK`` ranks as high or higher."""
+    current = verdicts.get(query_id)
+    if current is None or _VERDICT_RANK[outcome] > _VERDICT_RANK[current[0]]:
+        verdicts[query_id] = (outcome, detail)
 
 
 def _classify(

@@ -164,8 +164,8 @@ def run_campaign(
     earlier ones already paid for.  With ``mutation_sample > 0`` the
     campaign additionally scores fault detection over (at most) that many
     auto-generated rule mutants; mutant evaluation uses its own
-    memory-only services (mutated registries must not share the
-    name-keyed persistent cache).
+    memory-only services (its counts and verdicts must not depend on what
+    an earlier run left in the persistent cache).
     """
     start = time.perf_counter()
     if rule_names is None:

@@ -28,8 +28,9 @@ def _isolated_plan_cache(tmp_path_factory):
 
     Every ``repro.cli.main([...])`` call that optimizes goes through the
     persistent plan cache; without this the suite would write the user's
-    ``~/.cache/repro`` and -- the cache is keyed by rule *name* -- read
-    back costs an earlier run, possibly of an edited rule, left there.
+    ``~/.cache/repro`` and read back costs an earlier run left there --
+    possibly of an edited rule, since the cache keys a rule by its class,
+    not its code.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import (
-    Backend,
     BackendError,
     EngineBackend,
     PlanShape,
@@ -18,8 +17,8 @@ from repro.backends import (
     physical_plan_shape,
     sqlite_mirror,
 )
+from repro.optimizer.result import OptimizationError
 from repro.sql.binder import sql_to_tree
-from repro.sql.dialect import ENGINE_DIALECT
 from repro.workloads import tpch_database
 
 
@@ -95,7 +94,7 @@ class TestSqliteBackend:
             "SELECT n_regionkey, COUNT(*) FROM nation GROUP BY n_regionkey",
             tpch_db.catalog,
         )
-        run = backend.run(7, tree)
+        (run,) = backend.run_many([(7, tree)])
         backend.close()
         assert run.succeeded
         assert run.query_id == 7
@@ -103,10 +102,21 @@ class TestSqliteBackend:
         assert run.plan.language == "sqlite-eqp"
         assert run.plan.nodes  # at least the scan row
 
+    def test_run_is_run_many_of_one_request(self, tpch_db):
+        backend = SqliteBackend()
+        backend.ensure_ready(tpch_db)
+        tree = sql_to_tree("SELECT r_name FROM region", tpch_db.catalog)
+        single = backend.run(3, tree)
+        (batched,) = backend.run_many([(3, tree)])
+        backend.close()
+        assert single.query_id == 3
+        assert single.to_json_dict() == batched.to_json_dict()
+
     def test_execute_before_setup_is_an_error_run(self, tpch_db):
         backend = SqliteBackend()
         tree = sql_to_tree("SELECT r_name FROM region", tpch_db.catalog)
-        run = backend.run(0, tree)  # run() does not call ensure_ready
+        # run_many() does not call ensure_ready
+        (run,) = backend.run_many([(0, tree)])
         assert not run.succeeded
         assert "not set up" in run.error
 
@@ -116,7 +126,7 @@ class TestEngineBackend:
         backend = EngineBackend(tpch_db, registry=registry)
         tree = sql_to_tree("SELECT r_name FROM region", tpch_db.catalog)
         backend.ensure_ready(tpch_db)
-        run = backend.run(0, tree)
+        (run,) = backend.run_many([(0, tree)])
         assert run.succeeded
         assert run.row_count == len(tpch_db.table("region").rows)
         assert run.plan.language == "repro"
@@ -145,15 +155,23 @@ class TestEngineBackend:
         with pytest.raises(ValueError):
             EngineBackend()
 
-    def test_run_never_raises_on_failing_sql(self, tpch_db, registry):
-        class Exploding(EngineBackend):
-            def execute(self, tree, sql):
-                raise BackendError("boom")
+    def test_run_many_never_raises_on_a_failing_query(
+        self, tpch_db, registry, monkeypatch
+    ):
+        backend = EngineBackend(tpch_db, registry=registry)
+        region = sql_to_tree("SELECT r_name FROM region", tpch_db.catalog)
+        nation = sql_to_tree("SELECT n_name FROM nation", tpch_db.catalog)
+        optimize = backend.service.optimize
 
-        backend = Exploding(tpch_db, registry=registry)
-        tree = sql_to_tree("SELECT r_name FROM region", tpch_db.catalog)
-        run = backend.run(0, tree)
-        assert not run.succeeded and run.error == "boom"
+        def exploding(tree, config=None):
+            if tree is region:
+                raise OptimizationError("boom")
+            return optimize(tree, config)
+
+        monkeypatch.setattr(backend.service, "optimize", exploding)
+        failed, served = backend.run_many([(0, region), (1, nation)])
+        assert failed.error == "optimization failed: boom"
+        assert served.succeeded and served.query_id == 1
 
 
 class TestRegistry:
@@ -187,23 +205,8 @@ class TestRegistry:
         duck = backends[1]
         duck.ensure_ready(tpch_db)
         tree = sql_to_tree("SELECT r_name FROM region", tpch_db.catalog)
-        run = duck.run(0, tree)
+        (run,) = duck.run_many([(0, tree)])
         duck.close()
         assert run.succeeded
         assert run.row_count == len(tpch_db.table("region").rows)
 
-
-class TestProtocolDefaults:
-    def test_capabilities_reflect_plan_language(self, tpch_db):
-        class NoExplain(Backend):
-            name = "bare"
-            dialect = ENGINE_DIALECT
-
-            def setup(self, database):
-                pass
-
-            def execute(self, tree, sql):
-                return []
-
-        assert NoExplain().capabilities == ("execute",)
-        assert "explain" in SqliteBackend().capabilities

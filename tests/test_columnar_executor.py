@@ -3,8 +3,7 @@
 Covers the pieces the differential suites exercise only indirectly: the
 NULLS-FIRST ordering contract, bag digests, the table column-snapshot
 cache, ``PlanService.execute_many`` (coalescing, result cache, per-item
-error capture), ``EngineBackend.run_many``, and the
-``REPRO_EXEC_SELF_CHECK`` self-check mode.
+error capture), and the ``REPRO_EXEC_SELF_CHECK`` self-check mode.
 """
 
 from __future__ import annotations
@@ -406,29 +405,6 @@ class TestPlanServiceExecuteMany:
         )
         with pytest.raises(ValueError, match="needs a database"):
             service.execute_many([])
-
-
-# -------------------------------------------------------------- backend
-
-
-class TestBatchedRunners:
-    def test_run_many_matches_serial_run(self, tpch_db, registry):
-        from repro.backends.engine import EngineBackend
-
-        backend = EngineBackend(tpch_db, registry=registry)
-        sqls = [
-            "SELECT c_custkey FROM customer WHERE c_acctbal > 500",
-            "SELECT n_name FROM nation ORDER BY n_name",
-            "SELECT o_custkey, COUNT(*) FROM orders GROUP BY o_custkey",
-        ]
-        trees = [sql_to_tree(sql, tpch_db.catalog) for sql in sqls]
-        serial = [backend.run(i, tree) for i, tree in enumerate(trees)]
-        batched = backend.run_many(list(enumerate(trees)))
-        assert len(serial) == len(batched)
-        for a, b in zip(serial, batched):
-            assert (a.error, a.digest, a.bag, a.row_count, a.plan) == (
-                b.error, b.digest, b.bag, b.row_count, b.plan
-            )
 
 
 # ------------------------------------------------------------ self-check

@@ -97,8 +97,8 @@ _ROUND_TRIP_SQL = [
 def test_engine_and_sqlite_agree_per_construct(backend_pair, tpch_db, sql):
     engine, sqlite = backend_pair
     tree = sql_to_tree(sql, tpch_db.catalog)
-    engine_run = engine.run(0, tree)
-    sqlite_run = sqlite.run(0, tree)
+    (engine_run,) = engine.run_many([(0, tree)])
+    (sqlite_run,) = sqlite.run_many([(0, tree)])
     assert engine_run.succeeded, engine_run.error
     assert sqlite_run.succeeded, sqlite_run.error
     assert engine_run.bag == sqlite_run.bag, (
@@ -111,7 +111,8 @@ def test_engine_and_sqlite_agree_per_construct(backend_pair, tpch_db, sql):
 def test_division_by_zero_is_null_on_both_sides(backend_pair, tpch_db):
     engine, sqlite = backend_pair
     tree = sql_to_tree("SELECT n_nationkey / 0 FROM nation", tpch_db.catalog)
-    run = sqlite.run(0, tree)
+    (run,) = sqlite.run_many([(0, tree)])
     values = {row[0] for row in run.bag}
     assert values == {None}
-    assert engine.run(0, tree).bag == run.bag
+    (engine_run,) = engine.run_many([(0, tree)])
+    assert engine_run.bag == run.bag

@@ -1,16 +1,17 @@
 """The differential fleet runner (`repro.testing.differential`).
 
-Three layers: outcome unification over stub backends (every verdict and
-its `ComparisonRecord` mapping), agreement of the real engine/sqlite
-fleet on seed-registry suites (plus plan diffing between two engine
-variants), and the oracle's kill power -- each of the four handwritten
-rule faults must surface as a backend disagreement.
+Three layers: outcome unification over stub backends (every verdict, and
+the fleet running on the caller's thread), agreement of the real
+engine/sqlite fleet on seed-registry suites (plus plan diffing between two
+engine variants), and the oracle's kill power -- each of the four
+handwritten rule faults must surface as a backend disagreement.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
 
 import pytest
 
@@ -18,8 +19,8 @@ import repro.backends.base as backends_base
 import repro.engine.digest as engine_digest
 
 from repro.backends import (
-    Backend,
     BackendError,
+    ConnectionBackend,
     EngineBackend,
     create_backends,
 )
@@ -36,15 +37,14 @@ from repro.testing.differential import (
     ERROR,
     SKIP,
     DifferentialRunner,
-    DiffOutcome,
 )
 from repro.testing.suite import SuiteQuery, TestSuite, singleton_nodes
 from repro.testing.suite import TestSuiteBuilder, rule_suite, select_rules
 from repro.workloads import tpch_database
 
 
-class _StubBackend(Backend):
-    """Executes nothing: returns canned rows (or raises)."""
+class _StubBackend(ConnectionBackend):
+    """Executes nothing: fetches canned rows (or raises)."""
 
     dialect = ENGINE_DIALECT
 
@@ -54,10 +54,10 @@ class _StubBackend(Backend):
         self._rows = rows if rows is not None else [(1,), (2,)]
         self._fail = fail
 
-    def setup(self, database):
-        pass
+    def mirror(self, database):
+        return None  # fetch() answers without a connection
 
-    def execute(self, tree, sql):
+    def fetch(self, sql):
         if self._fail:
             raise BackendError(f"{self.name} exploded")
         return self._rows
@@ -76,7 +76,7 @@ def _tiny_suite(tpch_db):
 
 
 class TestUnification:
-    def test_each_verdict_and_its_record(self, tpch_db):
+    def test_each_verdict(self, tpch_db):
         reference = _StubBackend("ref")
         runner = DifferentialRunner(
             tpch_db,
@@ -91,15 +91,6 @@ class TestUnification:
         verdicts = {o.backend: o.outcome for o in report.outcomes}
         assert verdicts == {
             "same": AGREE, "wrong": DISAGREE, "broken": ERROR,
-        }
-        records = {
-            record.rule_node: record.outcome
-            for record in report.comparison_records()
-        }
-        assert records == {
-            ("backend:same",): "equal",
-            ("backend:wrong",): "mismatch",
-            ("backend:broken",): "error",
         }
         assert not report.passed
 
@@ -133,9 +124,19 @@ class TestUnification:
                 tpch_db, [_StubBackend("twin"), _StubBackend("twin")]
             )
 
-    def test_unknown_outcome_name_is_impossible(self):
-        with pytest.raises(KeyError):
-            DiffOutcome(0, "x", "bogus").to_comparison_record()
+    def test_fleet_runs_on_the_calling_thread(self, tpch_db):
+        threads = []
+
+        class Recording(_StubBackend):
+            def run_many(self, requests):
+                threads.append(threading.get_ident())
+                return super().run_many(requests)
+
+        report = DifferentialRunner(
+            tpch_db, [Recording("ref"), Recording("other")]
+        ).run(_tiny_suite(tpch_db))
+        assert report.passed
+        assert threads == [threading.get_ident()] * 2
 
 
 @pytest.fixture(scope="module")

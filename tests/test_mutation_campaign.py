@@ -487,7 +487,7 @@ def test_sample_pools_are_within_the_result_bound(sample, estimated_cells):
 def test_a_fleet_that_raised_is_counted_not_folded(
     tpch_db, registry, monkeypatch
 ):
-    """A fleet member that raises (not a ``BackendError`` its ``run``
+    """A fleet member that raises (not a ``BackendError`` its ``run_many``
     would record) takes the whole second oracle down: the verdicts are
     the correctness runner's alone -- here the recorded ones, the fleet
     adds nothing to this mutant -- and the failure is visible."""

@@ -1,5 +1,6 @@
 """Unit tests for the memo and the optimizer engine."""
 
+import dataclasses
 import random
 import re
 
@@ -281,6 +282,30 @@ class TestOptimizerConfig:
         merged = config.with_disabled(["B"])
         assert merged.disabled_rules == frozenset(["A", "B"])
         assert merged.is_disabled("A") and merged.is_disabled("B")
+
+    def test_with_disabled_keeps_every_other_field(self):
+        """A ``Plan(q, ¬R)`` request differs from its ``Plan(q)`` only in
+        the disabled set -- also for a field added after this test."""
+        bumped = {bool: lambda value: not value, int: lambda value: value + 1}
+        values = {}
+        for field in dataclasses.fields(OptimizerConfig):
+            if field.name == "disabled_rules":
+                values[field.name] = frozenset(["A"])
+            else:
+                values[field.name] = bumped[type(field.default)](field.default)
+        config = OptimizerConfig(**values)
+        merged = config.with_disabled(["B"])
+        assert merged == OptimizerConfig(
+            **{**values, "disabled_rules": frozenset(["A", "B"])}
+        )
+        assert merged.cache_token() == config.cache_token().replace(
+            "disabled=[A]", "disabled=[A,B]"
+        )
+        default = OptimizerConfig()
+        for name in values:
+            # The plan cache keys on the token: every field must reach it.
+            reset = merged.replaced(**{name: getattr(default, name)})
+            assert merged.cache_token() != reset.cache_token(), name
 
     def test_budget_cap_stops_exploration_cleanly(self, tiny_db, registry):
         emp = make_get(tiny_db.catalog.table("emp"))

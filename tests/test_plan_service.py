@@ -344,16 +344,35 @@ class TestBatches:
         assert service.counters.computed == 3
 
 
+#: A candidate class from outside the rule modules whose bare ``__name__``
+#: is a registry class's: only its module tells the two apart.
+_ForeignJoinCommutativity = type(
+    "JoinCommutativity", (JoinCommutativity,), {}
+)
+
+
 class TestDiskCache:
     def test_registry_change_invalidates(self, tpch_db, registry):
-        from repro.rules.faults import ALL_FAULTS
+        """Every mutant (the handwritten faults among them) and a
+        same-named foreign class gets an environment of its own, none of
+        them the clean build's."""
+        from repro.testing.mutation.operators import generate_mutants
 
         stats = tpch_db.stats_repository()
-        full = environment_fingerprint(tpch_db.catalog, stats, registry)
-        fault = next(iter(sorted(ALL_FAULTS)))
-        patched = registry.with_replaced_rule(ALL_FAULTS[fault]())
-        changed = environment_fingerprint(tpch_db.catalog, stats, patched)
-        assert full != changed
+
+        def fingerprint(rules):
+            return environment_fingerprint(tpch_db.catalog, stats, rules)
+
+        mutants = generate_mutants(registry, registry.exploration_rule_names)
+        assert len(mutants) == 111
+        assert sum(mutant.operator == "handwritten" for mutant in mutants) == 4
+        builds = [mutant.build() for mutant in mutants]
+        builds.append(_ForeignJoinCommutativity())
+        environments = {
+            fingerprint(registry.with_replaced_rule(rule)) for rule in builds
+        }
+        assert len(environments) == len(builds)
+        assert fingerprint(registry) not in environments
 
     def test_stats_and_clear(self, tpch_db, registry, tmp_path):
         service = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)

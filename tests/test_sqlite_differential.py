@@ -94,8 +94,8 @@ def backend_pair(tpch_db, registry):
 def test_hand_written_sql_matches_sqlite(tpch_db, backend_pair, sql):
     engine, sqlite = backend_pair
     tree = sql_to_tree(sql, tpch_db.catalog)
-    engine_run = engine.run(0, tree)
-    sqlite_run = sqlite.run(0, tree)
+    (engine_run,) = engine.run_many([(0, tree)])
+    (sqlite_run,) = sqlite.run_many([(0, tree)])
     assert engine_run.succeeded, engine_run.error
     assert sqlite_run.succeeded, sqlite_run.error
     assert engine_run.bag == sqlite_run.bag, (

@@ -93,8 +93,8 @@ def test_hand_written_subqueries_match_sqlite(tpch_db, backend_pair, sql):
     assert any(op.kind is OpKind.APPLY for op in tree.walk()), (
         "binder did not produce an Apply for:\n" + sql
     )
-    engine_run = engine.run(0, tree)
-    sqlite_run = sqlite.run(0, tree)
+    (engine_run,) = engine.run_many([(0, tree)])
+    (sqlite_run,) = sqlite.run_many([(0, tree)])
     assert engine_run.succeeded, engine_run.error
     assert sqlite_run.succeeded, sqlite_run.error
     assert engine_run.bag == sqlite_run.bag, (
