@@ -39,10 +39,10 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.digest import BagDigest, digest_rows
-from repro.engine.results import canonical_row
+from repro.engine.results import QueryResult, canonical_row
 from repro.logical.operators import LogicalOp
 from repro.sql.dialect import Dialect
 from repro.sql.generate import to_sql
@@ -146,8 +146,12 @@ class BackendRun:
     backend: str
     query_id: int
     sql: str
-    #: The backend's raw rows; ``None`` when the run errored.
-    rows: Optional[Sequence[Tuple]] = field(default=None, repr=False)
+    #: What the rows are read from: the fetched row list, or the engine's
+    #: :class:`QueryResult`, whose rows are built from its columns only
+    #: when :attr:`bag` needs them; ``None`` when the run errored.
+    source: Union[Sequence[Tuple], QueryResult, None] = field(
+        default=None, repr=False
+    )
     #: What the runner compares (process-local, never written out).
     digest: Optional[BagDigest] = None
     row_count: int = 0
@@ -159,21 +163,32 @@ class BackendRun:
     def succeeded(self) -> bool:
         return self.error is None
 
-    def record(
-        self, rows: Sequence[Tuple], digest: Optional[BagDigest] = None
-    ) -> None:
-        """Attach a successful execution's rows (and digest, if the
-        caller already has one for exactly these rows)."""
-        self.rows = rows
-        self.digest = digest if digest is not None else digest_rows(rows)
+    def record(self, rows: Sequence[Tuple]) -> None:
+        """Attach a successful execution's fetched rows."""
+        self.source = rows
+        self.digest = digest_rows(rows)
         self.row_count = len(rows)
         self.column_count = len(rows[0]) if rows else 0
+
+    def record_result(self, result: QueryResult) -> None:
+        """Attach an engine result: its cached digest, and its rows only
+        if :attr:`bag` is ever read."""
+        self.source = result
+        self.digest = result.bag_digest()
+        self.row_count = result.row_count
+        self.column_count = len(result.columns) if result.row_count else 0
+
+    @property
+    def rows(self) -> Optional[Sequence[Tuple]]:
+        """The raw rows; ``None`` when the run errored."""
+        source = self.source
+        return source.rows if isinstance(source, QueryResult) else source
 
     @cached_property
     def bag(self) -> Optional[ResultBag]:
         """The exact bag, built on first read: explains a disagreement,
         fingerprints a collect artifact -- never decides a verdict."""
-        return None if self.rows is None else normalized_bag(self.rows)
+        return None if self.source is None else normalized_bag(self.rows)
 
     def to_json_dict(self) -> dict:
         payload = {

@@ -99,6 +99,8 @@ class EngineBackend(Backend):
         :meth:`PlanService.execute_many` shares table scans and coalesces
         identical plans, so a plan the correctness runner already
         executed comes back out of the execution cache, digest included.
+        A run keeps the result itself: its rows are built only if the
+        run's exact bag is read.
         """
         runs = []
         planned = []  # (run, OptimizeResult) of every query that optimized
@@ -123,6 +125,6 @@ class EngineBackend(Backend):
             if item.error is not None:
                 run.error = f"execution failed: {item.error}"
                 continue
-            run.record(item.result.rows, item.result.bag_digest())
+            run.record_result(item.result)
             run.plan = physical_plan_shape(result.plan)
         return runs

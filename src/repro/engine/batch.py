@@ -11,8 +11,8 @@ the cached bag digest, making the follow-up comparisons O(1).
 
 Table scans are shared across executions for free: the columnar
 executor reads the per-table column snapshot cached on
-:class:`~repro.storage.table.StoredTable`, which stays valid for as long
-as the database is not mutated.
+:class:`~repro.storage.table.StoredTable`, which an insert extends with
+the new rows into new lists, never mutating those a result holds.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ executors on canonical bags, and keeping the order identical makes the
 columnar path a drop-in replacement everywhere, byte-for-byte.
 
 Table scans read :meth:`StoredTable.column_data`, a per-table columnar
-snapshot cached until the next insert — so every plan executed against a
-database shares one scan materialization per table.
+snapshot that an insert extends rather than drops — so every plan
+executed against a database shares one scan materialization per table.
 
 Materialisation is late.  An operator that keeps, reorders or pairs rows
 (filter, sort, distinct, top, every join, the set operations, aggregate
@@ -26,11 +26,20 @@ an operator indexes it, and kept for later reads.  A join that outputs
 three of its inputs' twenty-two columns gathers three.  A gather of a
 gather reads, and so builds, the inner column it needs; index lists are
 not composed.  Nothing lazy leaves :func:`execute_columnar`: a
-:class:`QueryResult` holds plain row tuples.
+:class:`QueryResult` holds the built output column lists themselves, and
+no row tuple is made unless a caller reads ``rows``.
+
+Distinct rows and group ids come from C-level dict builds over the key
+columns, in first-occurrence order.  A ``Sort`` under a ``Top`` sorts
+only the rows that can make the cut (:func:`_exec_sort`).
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
+from functools import partial
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.results import QueryResult
@@ -204,14 +213,13 @@ def execute_columnar(
             # Same error type/message as QueryResult.projected on the
             # iterator path.
             raise ValueError(f"column not in result: {exc}") from None
-        batch = Batch(
-            tuple(output_columns),
-            [batch.data[p] for p in positions],
-            batch.length,
-        )
-    # Plain row tuples: nothing lazy leaves this function, so the counters
-    # are final once the rows exist.
-    rows = batch.row_views()
+        columns = tuple(output_columns)
+    else:
+        columns = batch.columns
+        positions = range(len(columns))
+    # Built column lists: nothing lazy leaves this function, so the
+    # counters are final once the output columns exist.
+    data = [batch.data[p] for p in positions]
     if ctx.gathers:
         built = sum(
             len(gather.built) - gather.built.count(None)
@@ -220,16 +228,24 @@ def execute_columnar(
         total = sum(len(gather.built) for gather in ctx.gathers)
         metrics.counter("exec.columns_gathered").inc(built)
         metrics.counter("exec.columns_skipped").inc(total - built)
-    return QueryResult(columns=batch.columns, rows=rows)
+    return QueryResult(columns, data, batch.length)
 
 
-def _execute_batch(op: PhysicalOp, ctx: _Context) -> Batch:
+def _execute_batch(
+    op: PhysicalOp, ctx: _Context, limit: Optional[int] = None
+) -> Batch:
+    """``op``'s output.  ``limit``, from a ``Top`` parent, says that only
+    the first ``limit`` rows of it are read: a ``Sort`` then sorts only
+    the rows that can be among them (:func:`_exec_sort`)."""
     from repro.engine.executor import ExecutionError
 
     handler = _HANDLERS.get(op.kind)
     if handler is None:
         raise ExecutionError(f"no columnar executor for {op.kind}")
-    inputs = [_execute_batch(child, ctx) for child in op.children]
+    child_limit = op.count if op.kind is PhysOpKind.TOP else None
+    inputs = [_execute_batch(child, ctx, child_limit) for child in op.children]
+    if limit is not None and op.kind is PhysOpKind.SORT:
+        handler = partial(_exec_sort, limit=limit)
     tracer = ctx.tracer
     if not tracer.enabled:
         return handler(op, inputs, ctx)
@@ -277,19 +293,48 @@ def _exec_compute_scalar(op: ComputeScalar, inputs, ctx) -> Batch:
     return Batch(op.output_columns, data, child.length)
 
 
-def _exec_sort(op: Sort, inputs, ctx) -> Batch:
+def _ranks(values) -> list:
+    """Sort ranks: NULL below every value."""
+    return [(0, 0) if v is None else (1, v) for v in values]
+
+
+def _exec_sort(op: Sort, inputs, ctx, limit: Optional[int] = None) -> Batch:
+    """Rows in key order; with ``limit``, only the rows that can be among
+    the first ``limit``, in key order.
+
+    Those candidates are the rows whose first-key rank is at least as good
+    as the ``limit``-th best one (ties included): any other row has
+    ``limit`` rows ahead of it.  Sorting them, in input order, by the same
+    stable passes orders them exactly as the full sort does.
+    """
     (child,) = inputs
     layout = layout_of(child.columns)
-    order = list(range(child.length))
+    candidates: Optional[List[int]] = None
+    if limit is not None and limit < child.length and op.keys:
+        first = op.keys[0]
+        ranks = _ranks(child.data[layout[first.column.cid]])
+        if not limit:
+            candidates = []
+        elif first.ascending:
+            cut = heapq.nsmallest(limit, ranks)[-1]
+            candidates = [i for i, rank in enumerate(ranks) if rank <= cut]
+        else:
+            cut = heapq.nlargest(limit, ranks)[-1]
+            candidates = [i for i, rank in enumerate(ranks) if rank >= cut]
     # Same stable multi-pass scheme as the iterator, applied to an index
     # permutation: keys last-to-first, NULLs first ascending.  The sort
     # key per pass is a precomputed list of rank tuples, so key
     # construction runs once per row instead of once per comparison
     # closure call.
+    order = list(range(child.length if candidates is None else len(candidates)))
     for key in reversed(op.keys):
         column = child.data[layout[key.column.cid]]
-        ranks = [(0, 0) if v is None else (1, v) for v in column]
+        if candidates is not None:
+            column = _take(column, candidates)
+        ranks = _ranks(column)
         order.sort(key=ranks.__getitem__, reverse=not key.ascending)
+    if candidates is not None:
+        order = _take(candidates, order)
     return ctx.take(child, order)
 
 
@@ -298,16 +343,29 @@ def _exec_hash_distinct(op: HashDistinct, inputs, ctx) -> Batch:
     return _distinct(child, ctx)
 
 
+def _row_keys(columns: List[list], length: int):
+    """Per-row keys over ``columns`` (lists or iterators): a single
+    column's values are its keys, several are zipped into tuples."""
+    if len(columns) == 1:
+        return columns[0]
+    if not columns:
+        return repeat((), length)
+    return zip(*columns)
+
+
 def _distinct(batch: Batch, ctx) -> Batch:
-    seen = set()
-    keep: List[int] = []
-    for i, row in enumerate(batch.row_views()):
-        if row not in seen:
-            seen.add(row)
-            keep.append(i)
-    if len(keep) == batch.length:
+    """The first occurrence of each distinct row, in row order.
+
+    One C-level dict build over the rows walked backwards: a key's last
+    assignment is its first row.  NULLs are equal to each other here, as
+    in the iterator's set.
+    """
+    length = batch.length
+    backwards = [reversed(batch.data[p]) for p in range(len(batch.columns))]
+    first = dict(zip(_row_keys(backwards, length), range(length - 1, -1, -1)))
+    if len(first) == length:
         return batch
-    return ctx.take(batch, keep)
+    return ctx.take(batch, sorted(first.values()))
 
 
 def _exec_top(op: Top, inputs, ctx) -> Batch:
@@ -600,14 +658,15 @@ def _vector_aggregate(
     function: AggregateFunction,
     group_ids: List[int],
     values: Optional[list],
-    n_groups: int,
+    group_sizes: List[int],
 ) -> list:
-    """Per-group results of one aggregate, matching :class:`Accumulator`."""
+    """Per-group results of one aggregate, matching :class:`Accumulator`.
+
+    ``group_sizes`` holds each group's row count, which is ``COUNT(*)``.
+    """
+    n_groups = len(group_sizes)
     if function is AggregateFunction.COUNT_STAR:
-        counts = [0] * n_groups
-        for g in group_ids:
-            counts[g] += 1
-        return counts
+        return group_sizes
     if function is AggregateFunction.COUNT:
         counts = [0] * n_groups
         for g, v in zip(group_ids, values):
@@ -638,7 +697,7 @@ def _vector_aggregate(
 
 
 def _aggregate_outputs(
-    op, child: Batch, group_ids: List[int], n_groups: int
+    op, child: Batch, group_ids: List[int], group_sizes: List[int]
 ) -> List[list]:
     """Aggregate columns for either aggregate flavour."""
     layout = layout_of(child.columns)
@@ -651,7 +710,7 @@ def _aggregate_outputs(
                 child.data, child.length
             )
         out.append(
-            _vector_aggregate(call.function, group_ids, values, n_groups)
+            _vector_aggregate(call.function, group_ids, values, group_sizes)
         )
     return out
 
@@ -669,31 +728,30 @@ def _exec_hash_aggregate(op: HashAggregate, inputs, ctx) -> Batch:
     layout = layout_of(child.columns)
     group_positions = [layout[c.cid] for c in op.group_by]
 
-    group_ids: List[int] = []
-    first_rows: List[int] = []
-    if group_positions:
-        key_data = [child.data[p] for p in group_positions]
-        index_of: Dict[Tuple, int] = {}
-        for i, key in enumerate(zip(*key_data)):
-            gid = index_of.get(key)
-            if gid is None:
-                gid = len(index_of)
-                index_of[key] = gid
-                first_rows.append(i)
-            group_ids.append(gid)
-        n_groups = len(index_of)
-    else:
-        n_groups = 1 if child.length else 0
+    if not group_positions:
+        if not child.length:
+            return _empty_scalar_aggregate(op)
         group_ids = [0] * child.length
-        first_rows = [0] if child.length else []
+        agg_data = _aggregate_outputs(op, child, group_ids, [child.length])
+        return Batch(op.output_columns, agg_data, 1)
 
-    if not op.group_by and not n_groups:
-        return _empty_scalar_aggregate(op)
-
-    firsts = ctx.take(child, first_rows)
-    group_data = [firsts.data[p] for p in group_positions]
-    agg_data = _aggregate_outputs(op, child, group_ids, n_groups)
-    return Batch(op.output_columns, group_data + agg_data, n_groups)
+    # One C-level count: the counter's keys are the groups in
+    # first-occurrence order (each the first row's key object), its
+    # values their row counts.  Groups are numbered in that order.
+    key_data = [child.data[p] for p in group_positions]
+    groups = Counter(_row_keys(key_data, child.length))
+    gid_of = dict(zip(groups, range(len(groups))))
+    group_ids = list(map(gid_of.__getitem__, _row_keys(key_data, child.length)))
+    if len(key_data) == 1:
+        group_data = [list(groups)]
+    else:
+        group_data = [list(column) for column in zip(*groups)] or [
+            [] for _ in key_data
+        ]
+    agg_data = _aggregate_outputs(
+        op, child, group_ids, list(groups.values())
+    )
+    return Batch(op.output_columns, group_data + agg_data, len(groups))
 
 
 def _exec_stream_aggregate(op: StreamAggregate, inputs, ctx) -> Batch:
@@ -727,7 +785,11 @@ def _exec_stream_aggregate(op: StreamAggregate, inputs, ctx) -> Batch:
 
     firsts = ctx.take(child, first_rows)
     group_data = [firsts.data[p] for p in declared_positions]
-    agg_data = _aggregate_outputs(op, child, group_ids, n_groups)
+    counts = [
+        end - start
+        for start, end in zip(first_rows, first_rows[1:] + [child.length])
+    ]
+    agg_data = _aggregate_outputs(op, child, group_ids, counts)
     return Batch(op.output_columns, group_data + agg_data, n_groups)
 
 

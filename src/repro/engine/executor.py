@@ -153,7 +153,7 @@ def execute_plan_iterator(
 ) -> QueryResult:
     """Execute ``plan`` on the row-at-a-time reference interpreter."""
     rows, columns = _execute(plan, database)
-    result = QueryResult(columns=columns, rows=rows)
+    result = QueryResult.from_rows(columns, rows)
     if output_columns is not None:
         result = result.projected(tuple(output_columns))
     return result

@@ -11,7 +11,6 @@ orders.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.expr.expressions import Column
@@ -35,18 +34,58 @@ def canonical_row(row: Tuple) -> Tuple:
     return tuple(canonical_value(value) for value in row)
 
 
-@dataclass
 class QueryResult:
-    """Rows plus the columns they are laid out on."""
+    """A result as its columns: one list per column plus the row count.
 
-    columns: Tuple[Column, ...]
-    rows: List[Tuple]
-    #: Lazily computed bag digest (process-local; see repro.engine.digest).
-    _digest: object = field(default=None, repr=False, compare=False)
+    ``data[p]`` holds column ``p``'s values, row by row; the columnar
+    executor hands over the lists it built, and they are immutable by
+    convention (a scan's may be a table snapshot's lists).  ``rows`` is
+    built from them on first read and kept.  :meth:`from_rows` transposes
+    a row list once (the reference interpreter, tests).
+    """
+
+    def __init__(
+        self, columns: Tuple[Column, ...], data: List[list], row_count: int
+    ) -> None:
+        self.columns = columns
+        self.data = data
+        self.row_count = row_count
+        self._rows: Optional[List[Tuple]] = None
+        #: Lazily computed bag digest (process-local; see repro.engine.digest).
+        self._digest = None
+
+    @classmethod
+    def from_rows(
+        cls, columns: Tuple[Column, ...], rows: List[Tuple]
+    ) -> "QueryResult":
+        data = (
+            [list(column) for column in zip(*rows)] if rows
+            else [[] for _ in columns]
+        )
+        result = cls(columns, data, len(rows))
+        result._rows = rows
+        return result
 
     @property
-    def row_count(self) -> int:
-        return len(self.rows)
+    def rows(self) -> List[Tuple]:
+        if self._rows is None:
+            self._rows = (
+                list(zip(*self.data)) if self.data
+                else [()] * self.row_count
+            )
+        return self._rows
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QueryResult):
+            return NotImplemented
+        return (
+            self.columns == other.columns
+            and self.row_count == other.row_count
+            and self.data == other.data
+        )
+
+    def __repr__(self) -> str:
+        return f"QueryResult(columns={self.columns!r}, rows={self.rows!r})"
 
     def multiset(self) -> Counter:
         return Counter(canonical_row(row) for row in self.rows)
@@ -54,13 +93,14 @@ class QueryResult:
     def bag_digest(self):
         """Order-insensitive digest of the canonical row bag, cached.
 
-        One O(n) pass on first use; comparisons against other digests are
-        then O(1).  Process-local — never persist it into artifacts.
+        One O(n) pass over the columns on first use; comparisons against
+        other digests are then O(1).  Process-local — never persist it
+        into artifacts.
         """
         if self._digest is None:
-            from repro.engine.digest import digest_rows
+            from repro.engine.digest import digest_columns
 
-            self._digest = digest_rows(self.rows)
+            self._digest = digest_columns(self.data, self.row_count)
         return self._digest
 
     def same_rows(self, other: "QueryResult") -> bool:
@@ -74,8 +114,9 @@ class QueryResult:
             indices = [positions[column.cid] for column in columns]
         except KeyError as exc:
             raise ValueError(f"column not in result: {exc}") from None
-        rows = [tuple(row[i] for i in indices) for row in self.rows]
-        return QueryResult(columns=tuple(columns), rows=rows)
+        return QueryResult(
+            tuple(columns), [self.data[i] for i in indices], self.row_count
+        )
 
     def to_text(self, limit: Optional[int] = 20) -> str:
         """Human-readable rendering (for examples and debugging)."""
@@ -87,8 +128,8 @@ class QueryResult:
             lines.append(
                 " | ".join("NULL" if v is None else str(v) for v in row)
             )
-        if limit is not None and len(self.rows) > limit:
-            lines.append(f"... ({len(self.rows)} rows total)")
+        if limit is not None and self.row_count > limit:
+            lines.append(f"... ({self.row_count} rows total)")
         return "\n".join(lines)
 
 

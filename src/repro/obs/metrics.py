@@ -248,7 +248,8 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     "exec.scan_cache_hits": (
         "counter", (),
         "Columnar table scans served from the per-table column "
-        "snapshot cache (shared scans).",
+        "snapshot cache (shared scans), including a snapshot extended by "
+        "the rows inserted since it was built.",
     ),
     "exec.columns_gathered": (
         "counter", (),

@@ -51,9 +51,11 @@ class StoredTable:
         self._rows: List[Tuple] = []
         self._stats: TableStats | None = None
         #: Data version: bumped on every insert.  Execution-result caches
-        #: and the columnar scan cache key on it to stay consistent.
+        #: key on it to stay consistent.
         self._version = 0
         self._column_cache: List[list] | None = None
+        #: Rows of ``_rows`` the column snapshot holds: the first this many.
+        self._cached_rows = 0
 
     @property
     def name(self) -> str:
@@ -70,24 +72,30 @@ class StoredTable:
 
     @property
     def has_column_cache(self) -> bool:
-        """Is the columnar snapshot already materialized and current?"""
+        """Has a columnar snapshot been built?  A scan then reads it,
+        extended by any rows inserted since, instead of transposing the
+        whole table."""
         return self._column_cache is not None
 
     def column_data(self) -> List[list]:
         """Struct-of-arrays snapshot: one Python list per column.
 
-        The snapshot is cached until the next :meth:`insert`, so every
-        columnar scan of this table -- across plans, batches and whole
-        campaigns -- shares one materialization.  Callers must treat the
-        returned column lists as immutable.
+        Built on the first read, then shared by every columnar scan of
+        this table -- across plans, batches and whole campaigns.  A read
+        after inserts extends it with only the rows inserted since, into
+        new lists (``column + added``): results and cached executions may
+        hold the old lists, so a snapshot list is never mutated, and
+        callers must treat the returned lists as immutable too.
         """
         if self._column_cache is None:
-            if self._rows:
-                self._column_cache = [list(col) for col in zip(*self._rows)]
-            else:
-                self._column_cache = [
-                    [] for _ in self.definition.columns
-                ]
+            self._column_cache = [[] for _ in self.definition.columns]
+        if self._cached_rows < len(self._rows):
+            added = zip(*self._rows[self._cached_rows:])
+            self._column_cache = [
+                column + list(values)
+                for column, values in zip(self._column_cache, added)
+            ]
+            self._cached_rows = len(self._rows)
         return self._column_cache
 
     def insert(self, row: Sequence[object]) -> None:
@@ -106,7 +114,6 @@ class StoredTable:
         self._rows.append(tuple(row))
         self._stats = None
         self._version += 1
-        self._column_cache = None
 
     def insert_many(self, rows: Iterable[Sequence[object]]) -> None:
         for row in rows:

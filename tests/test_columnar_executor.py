@@ -14,6 +14,7 @@ from repro.catalog.schema import Catalog, ColumnDef, DataType, TableDef
 from repro.engine import (
     BagDigest,
     ExecutionError,
+    QueryResult,
     digest_rows,
     execute_plan,
     execute_plan_iterator,
@@ -28,10 +29,19 @@ from repro.expr.expressions import (
     ComparisonOp,
     Literal,
 )
-from repro.logical.operators import JoinKind, make_get
-from repro.obs import MetricsRegistry
+from repro.expr.aggregates import AggregateCall, AggregateFunction
+from repro.logical.operators import JoinKind, SortKey, make_get
+from repro.obs import MetricsRegistry, RecordingTracer
 from repro.optimizer.engine import Optimizer
-from repro.physical.operators import ComputeScalar, HashJoin, TableScan
+from repro.physical.operators import (
+    ComputeScalar,
+    HashAggregate,
+    HashDistinct,
+    HashJoin,
+    Sort,
+    TableScan,
+    Top,
+)
 from repro.rules.registry import default_registry
 from repro.sql.binder import sql_to_tree
 from repro.storage.database import Database
@@ -128,6 +138,16 @@ class TestBagDigest:
         assert digest_rows([(-1,)]) == digest_rows([(-1.0,)])
         assert digest_rows([(3, -1, None)]) == digest_rows([(3.0, -1.0, None)])
 
+    def test_empty_string_is_not_zero(self):
+        # hash("") == hash(0) == hash(False) == hash(0.0), so these collide.
+        assert hash(("", 1)) == hash((0, 1)) == hash((False, 1))
+        for zero in (0, False, 0.0, -0.0):
+            assert digest_rows([("", 1)]) != digest_rows([(zero, 1)])
+        assert digest_rows([("", -1)]) != digest_rows([(0, -2)])
+        assert digest_rows([("", -1), (0, "")]) == digest_rows(
+            [(0, ""), ("", -1.0)]
+        )
+
     def test_minus_one_fold_applies_after_rounding(self):
         assert digest_rows([(-0.9999999, "a")]) == digest_rows([(-1, "a")])
         assert digest_rows([(-0.9999999, "a")]) != digest_rows([(-2, "a")])
@@ -162,17 +182,39 @@ class TestBagDigest:
 
 
 class TestTableSnapshots:
-    def test_column_cache_invalidation(self, sort_db):
+    def test_insert_extends_the_snapshot_into_new_lists(self, sort_db):
         table = sort_db.table("t")
         version = table.version
         assert not table.has_column_cache
         columns = table.column_data()
         assert table.has_column_cache
-        assert columns[0] == [1, 2, 3, 4, 5]
+        assert columns == [[1, 2, 3, 4, 5], [3, None, 1, None, 2]]
+        plan, outputs = _plan_for("SELECT a, b FROM t", sort_db)
+        before = execute_plan(plan, sort_db, outputs)
+        # A bare scan's result holds the snapshot's own lists.
+        assert before.data == columns and before.data[0] is columns[0]
         sort_db.insert("t", [(6, 7)])
-        assert table.version == version + 1
-        assert not table.has_column_cache
-        assert table.column_data()[0][-1] == 6
+        sort_db.insert("t", [(7, None)])
+        assert table.version == version + 2
+        assert table.has_column_cache
+        assert table.column_data() == [list(c) for c in zip(*table.rows)]
+        # Extended into new lists: what was read before the inserts is
+        # unchanged, so an in-place extend fails here.
+        assert columns == [[1, 2, 3, 4, 5], [3, None, 1, None, 2]]
+        assert before == QueryResult.from_rows(
+            outputs, [(1, 3), (2, None), (3, 1), (4, None), (5, 2)]
+        )
+        assert execute_plan(plan, sort_db, outputs).row_count == 7
+
+    def test_the_scan_after_an_insert_is_a_hit(self, sort_db):
+        plan, outputs = _plan_for("SELECT a FROM t WHERE b > 1", sort_db)
+        metrics = MetricsRegistry()
+        execute_plan(plan, sort_db, outputs, metrics=metrics)
+        assert metrics.counter_value("exec.scan_cache_hits") == 0
+        sort_db.insert("t", [(6, 7)])
+        result = execute_plan(plan, sort_db, outputs, metrics=metrics)
+        assert metrics.counter_value("exec.scan_cache_hits") == 1
+        assert result.rows == [(1,), (5,), (6,)]
 
     def test_data_fingerprint_tracks_mutation(self, sort_db):
         before = sort_db.data_fingerprint()
@@ -256,6 +298,113 @@ class TestLateMaterialisation:
         assert empty.beside(empty).take([1, -1], padded=True).row_views() == [
             (), (),
         ]
+
+
+#: ``(lk, la)`` rows with ties on both keys, NULL first keys, and ties that
+#: straddle a cut at any count: rows 1 and 4, 2 and 6, 0, 3 and 7 share lk.
+_ORDERED = [
+    (2, 1), (1, None), (None, 3), (2, 0), (1, 2), (None, None), (None, 1),
+    (2, 1), (3, 0),
+]
+
+
+def _ordered_scan():
+    database, left, _ = _join_tables(
+        [(k, a, i, 0) for i, (k, a) in enumerate(_ORDERED)], []
+    )
+    return database, left
+
+
+def _same_rows_as_the_iterator(plan, database):
+    rows = execute_plan(plan, database).rows
+    assert rows == execute_plan_iterator(plan, database).rows
+    return rows
+
+
+class TestTopOverSort:
+    """A ``Top`` over a ``Sort`` sorts only the rows that can make the cut,
+    and returns exactly the full sort's first rows, in its order."""
+
+    # 2, 4 and 6 cut through a run of ties in one direction or the other.
+    @pytest.mark.parametrize("count", [0, 1, 2, 4, 6, 9, 12])
+    @pytest.mark.parametrize("first_ascending", [True, False])
+    @pytest.mark.parametrize("second_ascending", [True, False])
+    def test_rows_and_order_are_the_iterators(
+        self, count, first_ascending, second_ascending
+    ):
+        database, scan = _ordered_scan()
+        lk, la, lb, _ = scan.columns
+        keys = (SortKey(lk, first_ascending), SortKey(la, second_ascending))
+        rows = _same_rows_as_the_iterator(
+            Top(Sort(scan, keys), count), database
+        )
+        full = _same_rows_as_the_iterator(Sort(scan, keys), database)
+        assert rows == full[:count]
+
+    def test_ties_straddling_the_cut_keep_input_order(self):
+        database, scan = _ordered_scan()
+        lk, _, lb, _ = scan.columns
+        plan = Top(Sort(scan, (SortKey(lk),)), 4)
+        # Three NULL keys first; row 1 and row 4 tie on lk = 1 across the
+        # cut, and the earlier one is kept.
+        assert [row[2] for row in _same_rows_as_the_iterator(plan, database)] == [
+            2, 5, 6, 1,
+        ]
+
+    def test_the_sort_below_sees_only_the_candidates(self):
+        database, scan = _ordered_scan()
+        lk = scan.columns[0]
+        tracer = RecordingTracer()
+        plan = Top(Sort(scan, (SortKey(lk, ascending=False),)), 2)
+        execute_plan(plan, database, tracer=tracer)
+        rows_out = {
+            dict(event.args)["op"]: dict(event.args)["rows_out"]
+            for event in tracer.events if event.name == "exec.operator"
+        }
+        # lk = 3, then the three rows with lk = 2 tied for second place.
+        assert rows_out == {"TABLE_SCAN": 9, "SORT": 4, "TOP": 2}
+
+
+class TestFirstOccurrenceOrder:
+    """Groups and distinct rows come out in first-occurrence order, NULL
+    keys grouped together, as on the iterator."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_group_by(self, width):
+        database, scan = _ordered_scan()
+        lk, la, lb, _ = scan.columns
+        count = Column("n", DataType.INT)
+        total = Column("s", DataType.INT)
+        counted = Column("c", DataType.INT)
+        plan = HashAggregate(scan, (lk, la)[:width], (
+            (count, AggregateCall(AggregateFunction.COUNT_STAR)),
+            (total, AggregateCall(AggregateFunction.SUM, ColumnRef(lb))),
+            (counted, AggregateCall(AggregateFunction.COUNT, ColumnRef(la))),
+        ))
+        rows = _same_rows_as_the_iterator(plan, database)
+        if width == 1:
+            assert rows == [
+                (2, 3, 10, 3), (1, 2, 5, 1), (None, 3, 13, 2), (3, 1, 8, 1),
+            ]
+        else:
+            assert [row[:2] for row in rows] == [
+                (2, 1), (1, None), (None, 3), (2, 0), (1, 2), (None, None),
+                (None, 1), (3, 0),
+            ]
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_distinct(self, width):
+        database, scan = _ordered_scan()
+        shown = scan.columns[:width]
+        plan = HashDistinct(ComputeScalar(scan, tuple(
+            (Column(f"k{p}", DataType.INT), ColumnRef(column))
+            for p, column in enumerate(shown)
+        )))
+        rows = _same_rows_as_the_iterator(plan, database)
+        if width == 1:
+            assert rows == [(2,), (1,), (None,), (3,)]
+        else:
+            assert len(rows) == 8 and rows[-1] == (3, 0)
 
 
 class TestHashJoinPairOrder:
@@ -428,8 +577,8 @@ class TestSelfCheck:
 
         def broken(*args, **kwargs):
             result = real(*args, **kwargs)
-            result.rows.pop()  # lose one row: bags now differ
-            return result
+            # Lose one row: bags now differ.
+            return QueryResult.from_rows(result.columns, result.rows[:-1])
 
         monkeypatch.setattr(
             executor_module, "execute_plan_iterator", broken

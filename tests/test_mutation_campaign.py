@@ -516,17 +516,23 @@ def test_fleet_reuses_the_digest_the_correctness_runner_computed(
 ):
     """A pool query whose ``Plan(q)`` the correctness runner executed and
     compared reaches the fleet's engine member out of the execution cache,
-    digest included: the fleet digests only sqlite's rows for it."""
+    digest included: the fleet digests only sqlite's rows for it, and
+    never builds the engine result's rows."""
     import repro.backends.base as backends_base
     import repro.engine.digest as engine_digest
     from repro.testing.differential import DifferentialRunner
 
-    digest_rows, fleet_run = engine_digest.digest_rows, DifferentialRunner.run
-    digested = []  # (inside the fleet?, rows) per digest_rows call
+    digest_columns = engine_digest.digest_columns
+    digest_rows, fleet_run = backends_base.digest_rows, DifferentialRunner.run
+    digested = []  # (inside the fleet?, columns or rows) per digest
     in_fleet = []
     fleet_reports = []
 
-    def spy(rows):
+    def spy_columns(data, length):
+        digested.append((bool(in_fleet), data))
+        return digest_columns(data, length)
+
+    def spy_rows(rows):
         digested.append((bool(in_fleet), rows))
         return digest_rows(rows)
 
@@ -540,8 +546,8 @@ def test_fleet_reuses_the_digest_the_correctness_runner_computed(
 
     # QueryResult.bag_digest looks the function up in its module at call
     # time; BackendRun.record uses the name base.py imported.
-    monkeypatch.setattr(engine_digest, "digest_rows", spy)
-    monkeypatch.setattr(backends_base, "digest_rows", spy)
+    monkeypatch.setattr(engine_digest, "digest_columns", spy_columns)
+    monkeypatch.setattr(backends_base, "digest_rows", spy_rows)
     monkeypatch.setattr(DifferentialRunner, "run", run)
 
     metrics = MetricsRegistry()
@@ -557,17 +563,19 @@ def test_fleet_reuses_the_digest_the_correctness_runner_computed(
     assert compared == [0, 1]
     assert metrics.counter_value("exec.cache_hits") >= len(compared)
 
-    def digests_of(rows, in_fleet):
+    def digests_of(seen_data, in_fleet):
         return sum(
             1 for inside, seen in digested
-            if seen is rows and inside == in_fleet
+            if seen is seen_data and inside == in_fleet
         )
 
     for query_id in compared:
         runs = fleet_report.runs[query_id]
-        assert digests_of(runs["engine"].rows, in_fleet=False) == 1
-        assert digests_of(runs["engine"].rows, in_fleet=True) == 0
-        assert digests_of(runs["sqlite"].rows, in_fleet=True) == 1
+        engine_result = runs["engine"].source
+        assert digests_of(engine_result.data, in_fleet=False) == 1
+        assert digests_of(engine_result.data, in_fleet=True) == 0
+        assert engine_result._rows is None
+        assert digests_of(runs["sqlite"].source, in_fleet=True) == 1
         assert runs["engine"].digest == runs["sqlite"].digest
 
 

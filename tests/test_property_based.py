@@ -21,6 +21,7 @@ from collections import Counter
 from repro.engine import digest as digest_module
 from repro.engine import (
     BagDigest,
+    QueryResult,
     canonical_row,
     digest_rows,
     execute_plan,
@@ -342,10 +343,15 @@ _NUMBERS = st.one_of(
         st.floats(-1e-6, 1e-6),
     ),
 )
-#: Cells of a text column.  A result column has one SQL type on both
-#: sides of a comparison, which is why ``hash("") == hash(0)`` -- equal
-#: hashes of unequal cells of *different* types -- is out of scope here.
+#: Cells of a text column.
 _TEXTS = st.one_of(st.text("ab", max_size=2), st.none())
+#: Cells whose hashes meet across types: ``hash("") == hash(0) ==
+#: hash(False) == hash(0.0)``, ``hash(-1) == hash(-2)``, ``hash(1) ==
+#: hash(1.0)``.  A column of these has no one type.
+_MIXED = st.one_of(
+    st.sampled_from(["", 0, 0.0, -0.0, False, 1, 1.0, -1, None]),
+    st.text("ab", max_size=2),
+)
 
 
 def _is_number(value):
@@ -383,8 +389,10 @@ def _reference_digest(rows):
     count = acc1 = acc2 = 0
     for row in rows:
         row = canonical_row(row)
-        minus_ones = tuple(i for i, cell in enumerate(row) if cell == -1)
-        token = hash((row, minus_ones) if minus_ones else row) & mask
+        marked = tuple(
+            i for i, cell in enumerate(row) if cell == -1 or cell == ""
+        )
+        token = hash((row, marked) if marked else row) & mask
         count, acc1 = count + 1, acc1 + token
         acc2 += token * token + salt
     return BagDigest(count, acc1 & mask, acc2 & mask)
@@ -410,6 +418,53 @@ class TestDigestEqualsTheRowAtATimeReference:
             assert digest_rows(rows) == expected
             assert digest_rows(tuple(rows)) == expected
             assert digest_rows(row for row in rows) == expected
+
+
+def _transposed(rows, width):
+    return [[row[p] for row in rows] for p in range(width)]
+
+
+#: Cells of a generated result column: NULLs, the three zeros, floats on
+#: and off the rounding grid, -1 in both types, the empty string.
+_RESULT_CELLS = st.one_of(
+    st.none(),
+    st.sampled_from([0, -0.0, 0.0, -1, -1.0, -0.9999999, -2, 1, 2.5, 0.1 + 0.2]),
+    st.floats(-3, 3, allow_nan=False),
+    st.integers(-3, 3),
+    st.text("ab", max_size=2),
+)
+
+
+class TestColumnDigestIsTheRowDigest:
+    """``digest_columns`` over a result's column lists is ``digest_rows``
+    over its rows, and a result built either way is the same result."""
+
+    @given(
+        data=st.data(),
+        width=st.integers(0, 4),
+        repeat=st.sampled_from([1, 2, 700]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_columns_digest_as_their_rows(self, data, width, repeat):
+        base = data.draw(st.lists(
+            st.tuples(*[_RESULT_CELLS] * width), max_size=7
+        ))
+        # Up to 4,900 rows: a repeat of 700 crosses a 4,096-row chunk.
+        rows = base * repeat
+        columns = _transposed(rows, width)
+        assert digest_module.digest_columns(columns, len(rows)) == digest_rows(
+            rows
+        )
+        names = tuple(Column(f"c{p}", DataType.INT) for p in range(width))
+        by_rows = QueryResult.from_rows(names, rows)
+        by_columns = QueryResult(names, columns, len(rows))
+        assert by_rows == by_columns
+        assert by_rows.rows == by_columns.rows == rows
+        assert by_rows.row_count == by_columns.row_count == len(rows)
+        assert by_rows.bag_digest() == by_columns.bag_digest()
+        assert by_rows.projected(names[::-1]) == by_columns.projected(
+            names[::-1]
+        )
 
 
 class TestDigestIsTheExactBagTest:
@@ -445,6 +500,35 @@ class TestDigestIsTheExactBagTest:
         assert (digest_rows(first) == digest_rows(second)) == (
             normalized_bag(first) == normalized_bag(second)
         ), (first, second)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_empty_string_is_not_zero(self, data):
+        """Over cells whose hashes meet across types, digest equality is
+        exact-bag equality, for row-built and column-built results alike."""
+        width = data.draw(st.integers(1, 3))
+        row = st.tuples(*[_MIXED] * width)
+        first = data.draw(st.lists(row, max_size=5))
+        second = list(data.draw(st.permutations(first)))
+        if second and data.draw(st.booleans()):
+            index = data.draw(st.integers(0, len(second) - 1))
+            column = data.draw(st.integers(0, width - 1))
+            cell = data.draw(_MIXED)
+            second[index] = (
+                second[index][:column] + (cell,) + second[index][column + 1:]
+            )
+        exact = normalized_bag(first) == normalized_bag(second)
+        assert (digest_rows(first) == digest_rows(second)) == exact
+        columns = tuple(Column(f"c{p}", DataType.INT) for p in range(width))
+        built = [
+            (
+                QueryResult.from_rows(columns, rows),
+                QueryResult(columns, _transposed(rows, width), len(rows)),
+            )
+            for rows in (first, second)
+        ]
+        for left, right in itertools.product(*built):
+            assert left.same_rows(right) == exact, (first, second)
 
     def test_backend_run_bag_is_lazy_and_cached(self):
         errored = BackendRun(backend="b", query_id=0, sql="", error="boom")

@@ -2,7 +2,9 @@
 
 Hash join, merge join and nested loops implement the same logical operator;
 on any input (including NULL join keys, duplicates, empty sides) they must
-produce identical bags.  Likewise hash vs stream aggregation.
+produce identical bags.  Likewise hash vs stream aggregation.  The
+columnar operators whose row order a ``Top`` can observe (top over sort,
+group-by, distinct) return the iterator's rows in the iterator's order.
 """
 
 from collections import Counter
@@ -13,18 +15,20 @@ from hypothesis import strategies as st
 
 from repro.catalog.schema import Catalog, ColumnDef, DataType, TableDef
 from repro.engine.columnar import Batch
-from repro.engine.executor import execute_plan
+from repro.engine.executor import execute_plan, execute_plan_iterator
 from repro.expr.aggregates import AggregateCall, AggregateFunction
 from repro.expr.expressions import Column, ColumnRef
 from repro.logical.operators import JoinKind, SortKey, make_get
 from repro.physical.operators import (
     HashAggregate,
+    HashDistinct,
     HashJoin,
     MergeJoin,
     NestedLoopsJoin,
     Sort,
     StreamAggregate,
     TableScan,
+    Top,
 )
 from repro.storage.database import Database
 
@@ -239,3 +243,58 @@ class TestLateMaterialisation:
         assert joined.take(keep).row_views() == _eager_take(
             expected, keep, len(joined.columns)
         )
+
+
+# ------------------------------------------- row order against the iterator
+
+_keys = st.one_of(st.none(), st.integers(0, 2))
+_keyed_rows = st.lists(st.tuples(_keys, _keys), max_size=12)
+
+
+def _iterator_rows(plan, database):
+    """The columnar rows, which must be the iterator's, in its order."""
+    rows = execute_plan(plan, database).rows
+    assert rows == execute_plan_iterator(plan, database).rows
+    return rows
+
+
+class TestOrderAgainstTheIterator:
+    """Operators whose row order a ``Top`` can observe: few key values,
+    so ties and NULL keys are the common case."""
+
+    @given(
+        rows=_keyed_rows,
+        directions=st.lists(st.booleans(), min_size=1, max_size=2),
+        count=st.one_of(st.integers(0, 14), st.sampled_from(["all", "more"])),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_top_over_sort(self, rows, directions, count):
+        database = _database(rows, [])
+        left, _ = _scans(database)
+        keys = tuple(
+            SortKey(column, ascending)
+            for column, ascending in zip(left.columns, directions)
+        )
+        if count == "all":
+            count = len(rows)
+        elif count == "more":
+            count = len(rows) + 1
+        full = _iterator_rows(Sort(left, keys), database)
+        assert _iterator_rows(Top(Sort(left, keys), count), database) == (
+            full[:count]
+        )
+
+    @given(rows=_keyed_rows, width=st.integers(1, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_group_by_and_distinct(self, rows, width):
+        database = _database(rows, [])
+        left, _ = _scans(database)
+        group_by = left.columns[:width]
+        aggregates = (
+            (Column("n", DataType.INT),
+             AggregateCall(AggregateFunction.COUNT_STAR)),
+            (Column("c", DataType.INT),
+             AggregateCall(AggregateFunction.COUNT, ColumnRef(left.columns[1]))),
+        )
+        _iterator_rows(HashAggregate(left, group_by, aggregates), database)
+        _iterator_rows(HashDistinct(left), database)
