@@ -46,6 +46,10 @@ from repro.analysis.passes import STATIC_PASSES
 from repro.analysis.verify import default_workloads
 from repro.rules.framework import Rule
 from repro.rules.registry import RuleRegistry
+from repro.testing.mutation.campaign import (
+    DETECTED_STATUSES,
+    MutationCampaign,
+)
 
 #: Calibrated dynamic-check configuration -- the smallest setup at which
 #: the kill-matrix campaign detects all four handwritten faults (the
@@ -153,11 +157,7 @@ class RuleGate:
             dynamic_status, dynamic_detail = self._dynamic_check(
                 rule, candidate_registry
             )
-            if dynamic_status is not None and dynamic_status in (
-                "KILLED",
-                "CRASHED",
-                "NO_FIRE",
-            ):
+            if dynamic_status in DETECTED_STATUSES:
                 detail = (
                     dynamic_detail
                     or "the differential oracle detected the candidate build"
@@ -198,8 +198,6 @@ class RuleGate:
         return RuleRegistry(exploration, implementation)
 
     def _dynamic_check(self, rule: Rule, candidate_registry: RuleRegistry):
-        from repro.testing.mutation.campaign import MutationCampaign
-
         campaign = MutationCampaign(
             self._get_database(),
             candidate_registry,

@@ -94,7 +94,7 @@ class EngineBackend(Backend):
     def run_many(
         self, requests: Sequence[Tuple[int, LogicalOp]]
     ) -> List[BackendRun]:
-        """Optimize each query, then execute them all as one batch.
+        """Optimize the queries as one batch, then execute them as one.
 
         :meth:`PlanService.execute_many` shares table scans and coalesces
         identical plans, so a plan the correctness runner already
@@ -102,17 +102,21 @@ class EngineBackend(Backend):
         A run keeps the result itself: its rows are built only if the
         run's exact bag is read.
         """
-        runs = []
+        runs = [self._rendered(query_id, tree) for query_id, tree in requests]
+        rendered = [
+            (run, tree)
+            for run, (_, tree) in zip(runs, requests)
+            if run.error is None
+        ]
+        optimized = self.service.optimize_many(
+            [(tree, self.config) for _, tree in rendered], return_errors=True
+        )
         planned = []  # (run, OptimizeResult) of every query that optimized
-        for query_id, tree in requests:
-            run = self._rendered(query_id, tree)
-            runs.append(run)
-            if run.error is not None:
-                continue
-            try:
-                planned.append((run, self.service.optimize(tree, self.config)))
-            except OptimizationError as exc:
-                run.error = f"optimization failed: {exc}"
+        for (run, _), result in zip(rendered, optimized):
+            if isinstance(result, OptimizationError):
+                run.error = f"optimization failed: {result}"
+            else:
+                planned.append((run, result))
         exec_requests = [
             (result.plan, result.output_columns) for _, result in planned
         ]

@@ -1,12 +1,8 @@
 """Plan execution and result comparison."""
 
 from repro.engine.batch import BatchItem, execute_item
+from repro.engine.columnar import ExecutionError, execute_plan
 from repro.engine.digest import BagDigest, digest_rows
-from repro.engine.executor import (
-    ExecutionError,
-    execute_plan,
-    execute_plan_iterator,
-)
 from repro.engine.explain import explain, explain_analyze, plan_summary
 from repro.engine.results import (
     QueryResult,
@@ -27,7 +23,6 @@ __all__ = [
     "digest_rows",
     "execute_item",
     "execute_plan",
-    "execute_plan_iterator",
     "explain",
     "explain_analyze",
     "plan_summary",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.engine.executor import ExecutionError, execute_plan
+from repro.engine.columnar import ExecutionError, execute_plan
 from repro.engine.results import QueryResult
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.physical.operators import PhysicalOp

@@ -1,18 +1,23 @@
-"""The columnar (vectorized) executor for physical plans.
+"""Plan execution: the columnar (vectorized) executor every plan runs on.
 
-Intermediate results are :class:`Batch`es — struct-of-arrays with one
-Python list per column — instead of lists of row tuples.  Expressions are
-compiled once per operator into column-wise evaluators
-(:mod:`repro.expr.vector`), so the per-row interpreter dispatch of the
-iterator executor collapses into list comprehensions and bulk list ops.
+:func:`execute_plan` materializes the result of a physical operator tree
+against a :class:`~repro.storage.database.Database`.  Intermediate
+results are :class:`Batch`es — struct-of-arrays with one Python list per
+column — instead of lists of row tuples.  Expressions are compiled once
+per operator into column-wise evaluators (:mod:`repro.expr.vector`), so
+per-row interpreter dispatch collapses into list comprehensions and bulk
+list ops.  Layouts are computed from each operator's *actual* children
+(two equivalent plans may order join outputs differently).
 
-Semantics contract: every handler reproduces the iterator executor's
-result *exactly*, including row order.  Order matters even though SQL
-results are bags because ``Top`` above an unsorted child makes the
-child's physical order observable in the final result; the executor
-differential suite (and the optional self-check mode) compares the two
-executors on canonical bags, and keeping the order identical makes the
-columnar path a drop-in replacement everywhere, byte-for-byte.
+Semantics contract: every handler reproduces the row-at-a-time reference
+interpreter (:mod:`repro.testing.reference_executor`) *exactly*,
+including row order.  Order matters even though SQL results are bags
+because ``Top`` above an unsorted child makes the child's physical order
+observable in the final result; the executor differential tests compare
+the two on rows and on canonical bags.  NULL semantics follow SQL:
+predicates keep rows only when TRUE; outer joins NULL-extend; grouping,
+DISTINCT and set operations treat NULLs as equal; aggregates skip NULLs
+(except COUNT(*)).
 
 Table scans read :meth:`StoredTable.column_data`, a per-table columnar
 snapshot that an insert extends rather than drops — so every plan
@@ -25,7 +30,7 @@ which copies nothing: a column of the result is gathered the first time
 an operator indexes it, and kept for later reads.  A join that outputs
 three of its inputs' twenty-two columns gathers three.  A gather of a
 gather reads, and so builds, the inner column it needs; index lists are
-not composed.  Nothing lazy leaves :func:`execute_columnar`: a
+not composed.  Nothing lazy leaves :func:`execute_plan`: a
 :class:`QueryResult` holds the built output column lists themselves, and
 no row tuple is made unless a caller reads ``rows``.
 
@@ -73,6 +78,13 @@ from repro.storage.database import Database
 
 Columns = Tuple[Column, ...]
 
+#: Value of the ``executor`` span arg and ``exec.executions`` label.
+_EXECUTOR = "columnar"
+
+
+class ExecutionError(Exception):
+    """Raised when a plan cannot be executed."""
+
 
 class Batch:
     """A struct-of-arrays result chunk: one Python list per column.
@@ -112,12 +124,6 @@ class Batch:
             _Beside(self.data, right.data),
             self.length,
         )
-
-    def row_views(self) -> List[Tuple]:
-        """Materialize row tuples (used by hash-based row operators)."""
-        if not self.data:
-            return [()] * self.length
-        return list(zip(*self.data))
 
 
 def _take(column: list, indices: Sequence[int]) -> list:
@@ -194,7 +200,7 @@ class _Context:
         return taken
 
 
-def execute_columnar(
+def execute_plan(
     plan: PhysicalOp,
     database: Database,
     output_columns: Optional[Columns] = None,
@@ -202,32 +208,44 @@ def execute_columnar(
     tracer: Tracer = NULL_TRACER,
     metrics=None,
 ) -> QueryResult:
-    """Execute ``plan`` on the columnar path; mirrors ``execute_plan``."""
-    ctx = _Context(database, tracer, metrics)
-    batch = _execute_batch(plan, ctx)
-    if output_columns is not None:
-        layout = layout_of(batch.columns)
-        try:
-            positions = [layout[c.cid] for c in output_columns]
-        except KeyError as exc:
-            # Same error type/message as QueryResult.projected on the
-            # iterator path.
-            raise ValueError(f"column not in result: {exc}") from None
-        columns = tuple(output_columns)
-    else:
-        columns = batch.columns
-        positions = range(len(columns))
-    # Built column lists: nothing lazy leaves this function, so the
-    # counters are final once the output columns exist.
-    data = [batch.data[p] for p in positions]
-    if ctx.gathers:
-        built = sum(
-            len(gather.built) - gather.built.count(None)
-            for gather in ctx.gathers
-        )
-        total = sum(len(gather.built) for gather in ctx.gathers)
-        metrics.counter("exec.columns_gathered").inc(built)
-        metrics.counter("exec.columns_skipped").inc(total - built)
+    """Execute ``plan``; optionally project to ``output_columns`` order."""
+    # Note: no plan signature in the span args — signatures embed column
+    # ids, which differ across re-parses of the same SQL, and trace JSON
+    # must stay byte-identical across runs.
+    with tracer.span(
+        "exec.plan",
+        cat="exec",
+        executor=_EXECUTOR,
+        operators=sum(1 for _ in plan.walk()) if tracer.enabled else 0,
+    ) as span:
+        ctx = _Context(database, tracer, metrics)
+        batch = _execute_batch(plan, ctx)
+        if output_columns is not None:
+            layout = layout_of(batch.columns)
+            try:
+                positions = [layout[c.cid] for c in output_columns]
+            except KeyError as exc:
+                # Same error type/message as QueryResult.projected.
+                raise ValueError(f"column not in result: {exc}") from None
+            columns = tuple(output_columns)
+        else:
+            columns = batch.columns
+            positions = range(len(columns))
+        # Built column lists: nothing lazy leaves this function, so the
+        # counters are final once the output columns exist.
+        data = [batch.data[p] for p in positions]
+        if ctx.gathers:
+            built = sum(
+                len(gather.built) - gather.built.count(None)
+                for gather in ctx.gathers
+            )
+            total = sum(len(gather.built) for gather in ctx.gathers)
+            metrics.counter("exec.columns_gathered").inc(built)
+            metrics.counter("exec.columns_skipped").inc(total - built)
+        span.annotate(rows_out=batch.length)
+    if metrics is not None:
+        metrics.counter("exec.executions", executor=_EXECUTOR).inc()
+        metrics.counter("exec.rows").inc(batch.length)
     return QueryResult(columns, data, batch.length)
 
 
@@ -237,8 +255,6 @@ def _execute_batch(
     """``op``'s output.  ``limit``, from a ``Top`` parent, says that only
     the first ``limit`` rows of it are read: a ``Sort`` then sorts only
     the rows that can be among them (:func:`_exec_sort`)."""
-    from repro.engine.executor import ExecutionError
-
     handler = _HANDLERS.get(op.kind)
     if handler is None:
         raise ExecutionError(f"no columnar executor for {op.kind}")
@@ -321,7 +337,7 @@ def _exec_sort(op: Sort, inputs, ctx, limit: Optional[int] = None) -> Batch:
         else:
             cut = heapq.nlargest(limit, ranks)[-1]
             candidates = [i for i, rank in enumerate(ranks) if rank >= cut]
-    # Same stable multi-pass scheme as the iterator, applied to an index
+    # Same stable multi-pass scheme as the reference interpreter, on an index
     # permutation: keys last-to-first, NULLs first ascending.  The sort
     # key per pass is a precomputed list of rank tuples, so key
     # construction runs once per row instead of once per comparison
@@ -353,16 +369,23 @@ def _row_keys(columns: List[list], length: int):
     return zip(*columns)
 
 
-def _distinct(batch: Batch, ctx) -> Batch:
-    """The first occurrence of each distinct row, in row order.
+def _first_rows(columns: List[list], length: int) -> Dict[object, int]:
+    """Each distinct row's key (see :func:`_row_keys`) to its first index.
 
     One C-level dict build over the rows walked backwards: a key's last
     assignment is its first row.  NULLs are equal to each other here, as
-    in the iterator's set.
+    in a set of row tuples.
     """
+    backwards = [reversed(column) for column in columns]
+    return dict(zip(_row_keys(backwards, length), range(length - 1, -1, -1)))
+
+
+def _distinct(batch: Batch, ctx) -> Batch:
+    """The first occurrence of each distinct row, in row order."""
     length = batch.length
-    backwards = [reversed(batch.data[p]) for p in range(len(batch.columns))]
-    first = dict(zip(_row_keys(backwards, length), range(length - 1, -1, -1)))
+    first = _first_rows(
+        [batch.data[p] for p in range(len(batch.columns))], length
+    )
     if len(first) == length:
         return batch
     return ctx.take(batch, sorted(first.values()))
@@ -499,8 +522,6 @@ def _exec_nested_loops(op: NestedLoopsJoin, inputs, ctx) -> Batch:
             if bool(match_indices(i)) == want_match
         ]
         return ctx.take(left, keep)
-    from repro.engine.executor import ExecutionError
-
     raise ExecutionError(f"unsupported join kind {kind}")
 
 
@@ -551,8 +572,6 @@ def _exec_hash_join(op: HashJoin, inputs, ctx) -> Batch:
     if kind not in (
         JoinKind.INNER, JoinKind.LEFT_OUTER, JoinKind.SEMI, JoinKind.ANTI
     ):
-        from repro.engine.executor import ExecutionError
-
         raise ExecutionError(f"hash join does not support {kind}")
 
     left_keys = _join_keys(left, op.left_keys)
@@ -759,8 +778,8 @@ def _exec_stream_aggregate(op: StreamAggregate, inputs, ctx) -> Batch:
     layout = layout_of(child.columns)
     # Run detection uses the canonical (sorted-by-cid) requirement order;
     # output emits group columns in declared order — same split as the
-    # iterator.  Runs get fresh group ids even if a key value recurs
-    # later (stream aggregation groups by runs, not globally).
+    # reference interpreter.  Runs get fresh group ids even if a key value
+    # recurs later (stream aggregation groups by runs, not globally).
     ordered_group = sorted(op.group_by, key=lambda c: c.cid)
     group_positions = [layout[c.cid] for c in ordered_group]
     declared_positions = [layout[c.cid] for c in op.group_by]
@@ -800,7 +819,7 @@ def _aligned_data(op, side: str, batch: Batch) -> List[list]:
     """Realign one branch's columns to the operator's output order.
 
     A pure column permutation — no row materialization, unlike the
-    iterator's per-row tuple rebuild.
+    reference interpreter's per-row tuple rebuild.
     """
     branch_columns = op.left_columns if side == "left" else op.right_columns
     layout = layout_of(batch.columns)
@@ -819,44 +838,28 @@ def _exec_hash_union(op: HashUnion, inputs, ctx) -> Batch:
     return _distinct(_exec_concat(op, inputs, ctx), ctx)
 
 
-def _exec_hash_intersect(op: HashIntersect, inputs, ctx) -> Batch:
+def _filter_distinct(op, inputs, ctx, in_right: bool) -> Batch:
+    """The first occurrence of each distinct left row that is (INTERSECT)
+    or is not (EXCEPT) among the right rows, in row order."""
     left, right = inputs
     left_data = _aligned_data(op, "left", left)
-    aligned_left = Batch(op.output_columns, left_data, left.length)
-    right_rows = set(
-        Batch(
-            op.output_columns,
-            _aligned_data(op, "right", right),
-            right.length,
-        ).row_views()
+    right_keys = set(
+        _row_keys(_aligned_data(op, "right", right), right.length)
     )
-    seen = set()
-    keep: List[int] = []
-    for i, row in enumerate(aligned_left.row_views()):
-        if row in right_rows and row not in seen:
-            seen.add(row)
-            keep.append(i)
-    return ctx.take(aligned_left, keep)
+    keep = sorted(
+        i
+        for key, i in _first_rows(left_data, left.length).items()
+        if (key in right_keys) == in_right
+    )
+    return ctx.take(Batch(op.output_columns, left_data, left.length), keep)
+
+
+def _exec_hash_intersect(op: HashIntersect, inputs, ctx) -> Batch:
+    return _filter_distinct(op, inputs, ctx, in_right=True)
 
 
 def _exec_hash_except(op: HashExcept, inputs, ctx) -> Batch:
-    left, right = inputs
-    left_data = _aligned_data(op, "left", left)
-    aligned_left = Batch(op.output_columns, left_data, left.length)
-    right_rows = set(
-        Batch(
-            op.output_columns,
-            _aligned_data(op, "right", right),
-            right.length,
-        ).row_views()
-    )
-    seen = set()
-    keep: List[int] = []
-    for i, row in enumerate(aligned_left.row_views()):
-        if row not in right_rows and row not in seen:
-            seen.add(row)
-            keep.append(i)
-    return ctx.take(aligned_left, keep)
+    return _filter_distinct(op, inputs, ctx, in_right=False)
 
 
 _HANDLERS = {

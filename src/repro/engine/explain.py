@@ -6,17 +6,19 @@ annotates each operator with the *actual* number of rows it produced --
 invaluable when diagnosing a correctness-test mismatch ("which operator's
 output diverged?").
 
-``explain_analyze`` re-executes each subtree once per ancestor, which is
-O(depth) redundant work; plans here are small trees over small test
-databases, and a diagnostics utility favours zero intrusion into the
-executor's hot path over speed.
+``explain_analyze`` executes each subtree on its own with
+:func:`~repro.engine.columnar.execute_plan`, which is O(depth) redundant
+work; plans here are small trees over small test databases, and a
+diagnostics utility favours zero intrusion into the executor's hot path
+over speed.  A subtree run on its own has no ``Top`` above it, so a
+``Sort`` reports every row it orders.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.engine.executor import _execute
+from repro.engine.columnar import execute_plan
 from repro.physical.operators import PhysicalOp
 from repro.storage.database import Database
 
@@ -36,9 +38,9 @@ def explain_analyze(plan: PhysicalOp, database: Database) -> str:
 def _analyze(
     op: PhysicalOp, database: Database, depth: int, lines: List[str]
 ) -> None:
-    rows, _columns = _execute(op, database)
+    rows = execute_plan(op, database).row_count
     pad = "  " * depth
-    lines.append(f"{pad}{op.describe()}  (actual rows={len(rows)})")
+    lines.append(f"{pad}{op.describe()}  (actual rows={rows})")
     for child in op.children:
         _analyze(child, database, depth + 1, lines)
 

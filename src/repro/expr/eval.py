@@ -2,7 +2,8 @@
 
 :func:`evaluate` interprets an expression against one row given a column
 layout (column id -> tuple position).  It is the reference semantics: the
-iterator interpreter (:mod:`repro.engine.executor`) evaluates with it, and
+row-at-a-time test oracle (:mod:`repro.testing.reference_executor`)
+evaluates with it, and
 property-based tests pin the column-wise compiler of the columnar hot path
 (:mod:`repro.expr.vector`) to it value for value.
 

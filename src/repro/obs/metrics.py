@@ -262,16 +262,6 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "Columns of those gathers that no operator read, so they were "
         "never built.",
     ),
-    "exec.self_checks": (
-        "counter", (),
-        "Executions differentially verified by running both the "
-        "columnar and iterator executors.",
-    ),
-    "exec.self_check_mismatches": (
-        "counter", (),
-        "Self-checked executions whose executors disagreed on the "
-        "canonical result bag (each one raises `ExecutionError`).",
-    ),
     # ---------------------------------------------------------------- trace
     "trace.dropped_events": (
         "gauge", (),

@@ -61,6 +61,7 @@ from repro.testing.compression import (
     top_k_independent_plan,
 )
 from repro.testing.correctness import CorrectnessRunner
+from repro.testing.detection import KILLING_VERDICTS
 from repro.testing.mutation.operators import Mutant, generate_mutants
 from repro.testing.suite import CostOracle, RuleNode, TestSuite, TestSuiteBuilder
 
@@ -130,7 +131,7 @@ class MutantOutcome:
         return tuple(
             query_id
             for query_id, outcome in self.query_verdicts
-            if outcome in ("mismatch", "error")
+            if outcome in KILLING_VERDICTS
         )
 
 

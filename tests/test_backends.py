@@ -17,6 +17,7 @@ from repro.backends import (
     physical_plan_shape,
     sqlite_mirror,
 )
+from repro.optimizer.engine import Optimizer
 from repro.optimizer.result import OptimizationError
 from repro.sql.binder import sql_to_tree
 from repro.workloads import tpch_database
@@ -161,17 +162,20 @@ class TestEngineBackend:
         backend = EngineBackend(tpch_db, registry=registry)
         region = sql_to_tree("SELECT r_name FROM region", tpch_db.catalog)
         nation = sql_to_tree("SELECT n_name FROM nation", tpch_db.catalog)
-        optimize = backend.service.optimize
+        optimize = Optimizer.optimize_exercising
 
-        def exploding(tree, config=None):
+        def exploding(optimizer, tree, targets):
             if tree is region:
                 raise OptimizationError("boom")
-            return optimize(tree, config)
+            return optimize(optimizer, tree, targets)
 
-        monkeypatch.setattr(backend.service, "optimize", exploding)
+        monkeypatch.setattr(Optimizer, "optimize_exercising", exploding)
         failed, served = backend.run_many([(0, region), (1, nation)])
         assert failed.error == "optimization failed: boom"
         assert served.succeeded and served.query_id == 1
+        # Both queries were asked for in one batch.
+        counters = backend.service.counters
+        assert (counters.requests, counters.batches) == (2, 1)
 
 
 class TestRegistry:

@@ -2,8 +2,8 @@
 
 Covers the pieces the differential suites exercise only indirectly: the
 NULLS-FIRST ordering contract, bag digests, the table column-snapshot
-cache, ``PlanService.execute_many`` (coalescing, result cache, per-item
-error capture), and the ``REPRO_EXEC_SELF_CHECK`` self-check mode.
+cache, and ``PlanService.execute_many`` (coalescing, result cache,
+per-item error capture).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.engine import (
     QueryResult,
     digest_rows,
     execute_plan,
-    execute_plan_iterator,
 )
 from repro.engine import digest as digest_module
 from repro.engine.columnar import Batch
@@ -37,6 +36,8 @@ from repro.physical.operators import (
     ComputeScalar,
     HashAggregate,
     HashDistinct,
+    HashExcept,
+    HashIntersect,
     HashJoin,
     Sort,
     TableScan,
@@ -45,6 +46,7 @@ from repro.physical.operators import (
 from repro.rules.registry import default_registry
 from repro.sql.binder import sql_to_tree
 from repro.storage.database import Database
+from repro.testing.reference_executor import execute_plan_iterator
 
 EXECUTORS = [execute_plan, execute_plan_iterator]
 
@@ -293,11 +295,9 @@ class TestLateMaterialisation:
 
     def test_zero_column_batch_keeps_its_rows(self):
         empty = Batch((), [], 3)
-        assert empty.row_views() == [(), (), ()]
-        assert empty.take([2, 0]).row_views() == [(), ()]
-        assert empty.beside(empty).take([1, -1], padded=True).row_views() == [
-            (), (),
-        ]
+        assert empty.take([2, 0]).length == 2
+        padded = empty.beside(empty).take([1, -1], padded=True)
+        assert padded.length == 2 and len(padded.data) == 0
 
 
 #: ``(lk, la)`` rows with ties on both keys, NULL first keys, and ties that
@@ -405,6 +405,28 @@ class TestFirstOccurrenceOrder:
             assert rows == [(2,), (1,), (None,), (3,)]
         else:
             assert len(rows) == 8 and rows[-1] == (3, 0)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("operator", [HashIntersect, HashExcept])
+    def test_intersect_and_except(self, width, operator):
+        database, left, right = _join_tables(
+            [(k, a, i, 0) for i, (k, a) in enumerate(_ORDERED)],
+            [(1, None, 0), (None, 3, 0), (3, 0, 0), (None, 3, 0)],
+        )
+        outputs = tuple(Column(f"k{p}", DataType.INT) for p in range(width))
+        plan = operator(
+            left, right, outputs, left.columns[:width], right.columns[:width]
+        )
+        rows = _same_rows_as_the_iterator(plan, database)
+        expected = {
+            (HashIntersect, 1): [(1,), (None,), (3,)],
+            (HashExcept, 1): [(2,)],
+            (HashIntersect, 2): [(1, None), (None, 3), (3, 0)],
+            (HashExcept, 2): [
+                (2, 1), (2, 0), (1, 2), (None, None), (None, 1),
+            ],
+        }
+        assert rows == expected[operator, width]
 
 
 class TestHashJoinPairOrder:
@@ -554,64 +576,3 @@ class TestPlanServiceExecuteMany:
         )
         with pytest.raises(ValueError, match="needs a database"):
             service.execute_many([])
-
-
-# ------------------------------------------------------------ self-check
-
-
-class TestSelfCheck:
-    def test_self_check_passes_and_counts(self, sort_db, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_SELF_CHECK", "1")
-        plan, outputs = _plan_for("SELECT a, b FROM t WHERE b > 1", sort_db)
-        metrics = MetricsRegistry()
-        result = execute_plan(plan, sort_db, outputs, metrics=metrics)
-        assert result.rows == [(1, 3), (5, 2)]
-        assert metrics.counter_value("exec.self_checks") == 1
-        assert metrics.counter_value("exec.self_check_mismatches") == 0
-
-    def test_self_check_mismatch_raises(self, sort_db, monkeypatch):
-        import repro.engine.executor as executor_module
-
-        plan, outputs = _plan_for("SELECT a, b FROM t", sort_db)
-        real = executor_module.execute_plan_iterator
-
-        def broken(*args, **kwargs):
-            result = real(*args, **kwargs)
-            # Lose one row: bags now differ.
-            return QueryResult.from_rows(result.columns, result.rows[:-1])
-
-        monkeypatch.setattr(
-            executor_module, "execute_plan_iterator", broken
-        )
-        monkeypatch.setenv("REPRO_EXEC_SELF_CHECK", "1")
-        metrics = MetricsRegistry()
-        with pytest.raises(ExecutionError, match="self-check failed"):
-            execute_plan(plan, sort_db, outputs, metrics=metrics)
-        assert metrics.counter_value("exec.self_checks") == 1
-        assert metrics.counter_value("exec.self_check_mismatches") == 1
-
-    @pytest.mark.parametrize(
-        "value, checks",
-        [
-            ("1", 1), ("true", 1), ("Yes", 1), (" ON ", 1),
-            ("0", 0), ("false", 0), ("no", 0), ("off", 0), ("", 0),
-            (None, 0),  # unset
-        ],
-    )
-    def test_env_values(self, sort_db, monkeypatch, value, checks):
-        if value is None:
-            monkeypatch.delenv("REPRO_EXEC_SELF_CHECK", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_EXEC_SELF_CHECK", value)
-        plan, outputs = _plan_for("SELECT a FROM t", sort_db)
-        metrics = MetricsRegistry()
-        execute_plan(plan, sort_db, outputs, metrics=metrics)
-        assert metrics.counter_value("exec.self_checks") == checks
-
-    @pytest.mark.parametrize("value", ["maybe", "ture", "0.25", "2"])
-    def test_unrecognised_env_value_raises(self, sort_db, monkeypatch, value):
-        """A typo must not silently switch the fault detector off."""
-        monkeypatch.setenv("REPRO_EXEC_SELF_CHECK", value)
-        plan, outputs = _plan_for("SELECT a FROM t", sort_db)
-        with pytest.raises(ValueError, match="REPRO_EXEC_SELF_CHECK"):
-            execute_plan(plan, sort_db, outputs)

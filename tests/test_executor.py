@@ -8,7 +8,7 @@ place naive executors go wrong).
 import pytest
 
 from repro.catalog.schema import DataType
-from repro.engine.executor import ExecutionError, execute_plan
+from repro.engine import ExecutionError, execute_plan
 from repro.expr.aggregates import AggregateCall, AggregateFunction
 from repro.expr.expressions import (
     TRUE,
@@ -186,6 +186,13 @@ class TestJoins:
         )
         rows = _rows(join, tiny_db)
         assert {row[0] for row in rows} == {1, 3, 6}
+
+    def test_hash_join_rejects_a_cross_join(
+        self, tiny_db, emp_scan, dept_scan
+    ):
+        join = self._hash_join(JoinKind.CROSS, emp_scan, dept_scan)
+        with pytest.raises(ExecutionError, match="does not support"):
+            execute_plan(join, tiny_db)
 
     def test_merge_join_matches_hash_join(self, tiny_db, emp_scan, dept_scan):
         sorted_emp = Sort(emp_scan, (SortKey(emp_scan.columns[1]),))

@@ -2,12 +2,14 @@
 
 The columnar executor (docs/EXECUTION.md) must be observationally
 identical to the row-at-a-time iterator interpreter kept as its
-reference: same rows, same order, for every plan the optimizer can emit.
+reference (:mod:`repro.testing.reference_executor`): same rows, same
+order, for every plan the optimizer can emit.
 This module drives the pair across three fronts:
 
 * **Generated suites**: pattern-generated queries for every exploration
-  rule in the registry, so each rule's characteristic plan shapes (and
-  their single-rule-disabled variants' shapes) cross both executors.
+  rule in the registry, each as ``Plan(q)`` and as ``Plan(q, ¬{r})`` for
+  every rule r in its ``RuleSet``, so each rule's characteristic plan
+  shapes (and the shapes the winners never show) cross both executors.
 * **Hand-written subquery SQL**: the EXISTS / IN / NOT IN statements the
   subquery tentpole pinned against sqlite, which exercise semi/anti
   joins and the NestedApply fallback.
@@ -24,15 +26,15 @@ from collections import Counter
 import pytest
 
 from repro.catalog.schema import Catalog, ColumnDef, DataType, TableDef
-from repro.engine import (
-    execute_plan,
-    execute_plan_iterator,
-    results_identical,
-)
+from repro.engine import execute_plan, results_identical
 from repro.engine.results import canonical_row
+from repro.optimizer.config import DEFAULT_CONFIG
 from repro.optimizer.engine import Optimizer
+from repro.optimizer.result import OptimizationError
+from repro.physical.operators import plan_signature
 from repro.sql.binder import sql_to_tree
 from repro.storage.database import Database
+from repro.testing.reference_executor import execute_plan_iterator
 from repro.testing.suite import TestSuiteBuilder, singleton_nodes
 
 
@@ -63,21 +65,44 @@ def test_generated_suites_agree_across_executors(
     tpch_db, tpch_stats, registry
 ):
     """Every exploration rule's generated queries execute identically,
-    both fully optimized and with the rule itself disabled (the disabled
-    variants reach plan shapes the winner never shows)."""
+    as ``Plan(q)`` and as ``Plan(q, ¬{r})`` for each rule r in
+    ``RuleSet(q)`` (the disabled variants reach plan shapes the winner
+    never shows)."""
     suite = TestSuiteBuilder(
         tpch_db, registry, seed=0, extra_operators=2
     ).build(singleton_nodes(registry.exploration_rule_names), k=1)
     assert suite.queries, "suite generation produced no queries"
-    optimizer = Optimizer(tpch_db.catalog, tpch_stats, registry)
-    checked = 0
+    optimizers = {}
+
+    def optimizer(disabled):
+        if disabled not in optimizers:
+            optimizers[disabled] = Optimizer(
+                tpch_db.catalog, tpch_stats, registry,
+                DEFAULT_CONFIG.with_disabled(disabled),
+            )
+        return optimizers[disabled]
+
+    checked = set()  # (plan signature, output cids): each plan runs once
     for query in suite.queries:
-        result = optimizer.optimize(query.tree)
-        assert_executors_agree(
-            result.plan, tpch_db, result.output_columns
-        )
-        checked += 1
-    assert checked == len(suite.queries)
+        result = optimizer(()).optimize(query.tree)
+        results = [result]
+        for rule in sorted(result.rules_exercised):
+            try:
+                results.append(optimizer((rule,)).optimize(query.tree))
+            except OptimizationError:
+                pass  # no plan without the rule: nothing to execute
+        for each in results:
+            key = (
+                plan_signature(each.plan),
+                tuple(c.cid for c in each.output_columns),
+            )
+            if key not in checked:
+                checked.add(key)
+                assert_executors_agree(
+                    each.plan, tpch_db, each.output_columns
+                )
+    # The disabled variants add plans the winners never show.
+    assert len(checked) > 2 * len(suite.queries)
 
 
 # --------------------------------------------- hand-written subqueries

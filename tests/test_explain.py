@@ -1,11 +1,34 @@
 """Tests for the plan-explanation utilities."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.engine import execute_plan, explain, explain_analyze, plan_summary
 from repro.expr.expressions import ColumnRef, Comparison, ComparisonOp
 from repro.logical.operators import Join, JoinKind, make_get
 from repro.optimizer.engine import Optimizer
+from repro.sql.binder import sql_to_tree
+from repro.testing import reference_executor
+
+#: The curated statements the engine benchmark executes, one a file.
+CURATED_SQL = sorted((Path(__file__).parent.parent / "bench" / "sql").glob("*.sql"))
+
+
+def _statement(path):
+    return " ".join(
+        line.strip() for line in path.read_text().splitlines()
+        if line.strip() and not line.startswith("--")
+    )
+
+
+def _reference_lines(op, db, depth=0):
+    """``explain_analyze``'s lines, each subtree counted on the reference
+    interpreter."""
+    rows = reference_executor.execute_plan_iterator(op, db).row_count
+    yield f"{'  ' * depth}{op.describe()}  (actual rows={rows})"
+    for child in op.children:
+        yield from _reference_lines(child, db, depth + 1)
 
 
 @pytest.fixture()
@@ -51,3 +74,41 @@ class TestExplain:
         lines = explain_analyze(plan, db).splitlines()
         assert not lines[0].startswith(" ")
         assert lines[1].startswith("  ")
+
+    def test_explain_analyze_runs_on_the_production_executor(
+        self, plan_and_db, tpch_db, monkeypatch
+    ):
+        """Each line's count is its subtree's row count on the reference
+        interpreter, and the text is the same with the interpreter broken:
+        ``explain_analyze`` executes on the columnar executor.  The Sort
+        under a LIMIT reports every row it orders."""
+        sql = (
+            "SELECT o_orderkey, o_totalprice FROM orders "
+            "WHERE o_totalprice > 100.0 "
+            "ORDER BY o_totalprice DESC, o_orderkey LIMIT 5"
+        )
+        top_over_sort = Optimizer(
+            tpch_db.catalog, tpch_db.stats_repository()
+        ).optimize(sql_to_tree(sql, tpch_db.catalog)).plan
+        cases = [plan_and_db, (top_over_sort, tpch_db)]
+
+        expected = ["\n".join(_reference_lines(*case)) for case in cases]
+        assert "Sort" in expected[1] and "Top(5)" in expected[1]
+
+        def broken(op, database):
+            raise AssertionError("the reference interpreter ran")
+
+        monkeypatch.setattr(reference_executor, "_execute", broken)
+        assert [explain_analyze(*case) for case in cases] == expected
+
+    @pytest.mark.parametrize("path", CURATED_SQL, ids=lambda path: path.stem)
+    def test_explain_analyze_agrees_with_the_reference_on_curated_sql(
+        self, path, tpch_db, tpch_stats
+    ):
+        """Every subtree of every curated statement's plan counts the same
+        rows on the columnar executor as on the reference interpreter."""
+        tree = sql_to_tree(_statement(path), tpch_db.catalog)
+        plan = Optimizer(tpch_db.catalog, tpch_stats).optimize(tree).plan
+        assert explain_analyze(plan, tpch_db) == "\n".join(
+            _reference_lines(plan, tpch_db)
+        )

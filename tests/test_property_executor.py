@@ -4,7 +4,8 @@ Hash join, merge join and nested loops implement the same logical operator;
 on any input (including NULL join keys, duplicates, empty sides) they must
 produce identical bags.  Likewise hash vs stream aggregation.  The
 columnar operators whose row order a ``Top`` can observe (top over sort,
-group-by, distinct) return the iterator's rows in the iterator's order.
+group-by, distinct, the set operations) return the iterator's rows in the
+iterator's order.
 """
 
 from collections import Counter
@@ -14,15 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.schema import Catalog, ColumnDef, DataType, TableDef
+from repro.engine import execute_plan
 from repro.engine.columnar import Batch
-from repro.engine.executor import execute_plan, execute_plan_iterator
 from repro.expr.aggregates import AggregateCall, AggregateFunction
 from repro.expr.expressions import Column, ColumnRef
 from repro.logical.operators import JoinKind, SortKey, make_get
 from repro.physical.operators import (
     HashAggregate,
     HashDistinct,
+    HashExcept,
+    HashIntersect,
     HashJoin,
+    HashUnion,
     MergeJoin,
     NestedLoopsJoin,
     Sort,
@@ -31,6 +35,7 @@ from repro.physical.operators import (
     Top,
 )
 from repro.storage.database import Database
+from repro.testing.reference_executor import execute_plan_iterator
 
 _LEFT = TableDef(
     name="l",
@@ -180,6 +185,13 @@ def _indices(draw, length, padded, max_size=8):
     ))
 
 
+def _read_rows(batch):
+    """A batch read row by row: no columns means ``length`` empty rows."""
+    if not batch.columns:
+        return [()] * batch.length
+    return list(zip(*batch.data))
+
+
 def _eager_take(rows, indices, width):
     """The reference gather, by row: -1 is a NULL-extended row."""
     return [(None,) * width if i < 0 else rows[i] for i in indices]
@@ -195,15 +207,15 @@ class TestLateMaterialisation:
         width = len(batch.columns)
         indices = _indices(data.draw, batch.length, padded)
         taken = batch.take(indices, padded)
-        expected = _eager_take(batch.row_views(), indices, width)
+        expected = _eager_take(_read_rows(batch), indices, width)
         assert taken.length == len(indices)
-        assert taken.row_views() == expected
+        assert _read_rows(taken) == expected
         # A second read finds the columns the first one built.
-        assert taken.row_views() == expected
+        assert _read_rows(taken) == expected
 
         again = _indices(data.draw, taken.length, again_padded)
         retaken = taken.take(again, again_padded)
-        assert retaken.row_views() == _eager_take(expected, again, width)
+        assert _read_rows(retaken) == _eager_take(expected, again, width)
 
     @given(data=st.data(), left=_batches(), right=_batches(),
            reread=st.booleans())
@@ -225,8 +237,8 @@ class TestLateMaterialisation:
         expected = [
             l_row + r_row
             for l_row, r_row in zip(
-                _eager_take(left.row_views(), pairs_l, len(left.columns)),
-                _eager_take(right.row_views(), pairs_r, len(right.columns)),
+                _eager_take(_read_rows(left), pairs_l, len(left.columns)),
+                _eager_take(_read_rows(right), pairs_r, len(right.columns)),
             )
         ]
         assert joined.columns == left.columns + right.columns
@@ -237,10 +249,10 @@ class TestLateMaterialisation:
                 assert joined.data[position] == [
                     row[position] for row in expected
                 ]
-        assert joined.row_views() == expected
+        assert _read_rows(joined) == expected
 
         keep = _indices(data.draw, joined.length, False)
-        assert joined.take(keep).row_views() == _eager_take(
+        assert _read_rows(joined.take(keep)) == _eager_take(
             expected, keep, len(joined.columns)
         )
 
@@ -298,3 +310,16 @@ class TestOrderAgainstTheIterator:
         )
         _iterator_rows(HashAggregate(left, group_by, aggregates), database)
         _iterator_rows(HashDistinct(left), database)
+
+    @given(left_rows=_keyed_rows, right_rows=_keyed_rows,
+           width=st.integers(1, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_set_operations(self, left_rows, right_rows, width):
+        database = _database(left_rows, right_rows)
+        left, right = _scans(database)
+        outputs = tuple(Column(f"k{p}", DataType.INT) for p in range(width))
+        for operator in (HashUnion, HashIntersect, HashExcept):
+            _iterator_rows(operator(
+                left, right, outputs, left.columns[:width],
+                right.columns[:width],
+            ), database)
