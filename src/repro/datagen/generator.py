@@ -9,6 +9,20 @@ buggy variants on data containing NULLs).
 
 Generation is topologically ordered over foreign-key dependencies so that
 referenced tables are populated first.
+
+**The order of RNG calls is the data.**  One ``random.Random`` stream
+feeds every table: first the string pool, then per table the foreign-key
+pools, then the rows, row by row and column by column -- a NULL draw before
+a nullable value, one draw per value, a rejected duplicate-key row's draws
+included.  Every test database, golden result and pinned benchmark count is
+a function of that order, so a change to it (one more call, a different
+method, a reordered column) is a new database, not an optimisation.  The
+golden digests in ``tests/test_datagen.py`` pin it.
+
+Each table is generated from a *draw plan*: one zero-argument draw per
+column, bound once from the public ``random.Random`` methods, and the
+positions of each declared key that can collide, so a row costs one call
+per column and one set lookup per checked key.
 """
 
 from __future__ import annotations
@@ -16,10 +30,15 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.catalog.schema import Catalog, ColumnDef, DataType, SchemaError, TableDef
+from repro.catalog.schema import Catalog, DataType, SchemaError, TableDef
 from repro.storage.database import Database
+
+#: A zero-argument draw of one column's next value.
+Draw = Callable[[], object]
 
 
 @dataclass
@@ -60,26 +79,61 @@ class DataGenerator:
             for _ in range(self.profile.string_pool_size)
         ]
 
-    # ------------------------------------------------------------------ values
+    # -------------------------------------------------------------- draw plan
 
-    def _scalar(self, column: ColumnDef) -> object:
-        profile = self.profile
-        if column.data_type is DataType.INT:
-            return self._rng.randint(*profile.int_range)
-        if column.data_type is DataType.FLOAT:
-            return round(self._rng.uniform(*profile.float_range), 2)
-        if column.data_type is DataType.STRING:
-            return self._rng.choice(self._string_pool)
-        if column.data_type is DataType.DATE:
-            return self._rng.randint(*profile.date_range)
-        if column.data_type is DataType.BOOL:
-            return self._rng.random() < 0.5
-        raise SchemaError(f"unsupported data type {column.data_type}")
+    def _scalar(self, data_type: DataType) -> Draw:
+        """A draw of one non-NULL value of ``data_type``."""
+        rng, profile = self._rng, self.profile
+        # ``randint(a, b)`` is documented as ``randrange(a, b + 1)``: the
+        # same stream, one Python call fewer.
+        if data_type is DataType.INT:
+            low, high = profile.int_range
+            return partial(rng.randrange, low, high + 1)
+        if data_type is DataType.FLOAT:
+            uniform = rng.uniform
+            low, high = profile.float_range
+            return lambda: round(uniform(low, high), 2)
+        if data_type is DataType.STRING:
+            return partial(rng.choice, self._string_pool)
+        if data_type is DataType.DATE:
+            low, high = profile.date_range
+            return partial(rng.randrange, low, high + 1)
+        if data_type is DataType.BOOL:
+            coin = rng.random
+            return lambda: coin() < 0.5
+        raise SchemaError(f"unsupported data type {data_type}")
 
-    def _value(self, column: ColumnDef) -> object:
-        if column.nullable and self._rng.random() < self.profile.null_rate:
-            return None
-        return self._scalar(column)
+    def _nullable(self, draw: Draw) -> Draw:
+        """``draw`` behind a NULL draw at the profile's rate."""
+        coin, rate = self._rng.random, self.profile.null_rate
+        return lambda: None if coin() < rate else draw()
+
+    def _draw_plan(
+        self,
+        table: TableDef,
+        fk_sources: Dict[str, List[object]],
+        surrogate: Optional[str],
+        next_key: Draw,
+    ) -> List[Draw]:
+        """One draw per column of ``table``, in column order.
+
+        A foreign-key column draws from its pool, the dense surrogate key
+        is ``next_key``, any other key column draws a value that is never
+        NULL, and every other column draws a NULL or a value.
+        """
+        key_columns = {name for key in table.all_keys() for name in key}
+        draws: List[Draw] = []
+        for column in table.columns:
+            if column.name in fk_sources:
+                draw = partial(self._rng.choice, fk_sources[column.name])
+                nullable = column.nullable
+            elif column.name == surrogate:
+                draw, nullable = next_key, False
+            else:
+                draw = self._scalar(column.data_type)
+                nullable = column.nullable and column.name not in key_columns
+            draws.append(self._nullable(draw) if nullable else draw)
+        return draws
 
     # ------------------------------------------------------------------- rows
 
@@ -94,21 +148,38 @@ class DataGenerator:
         ``referenced`` maps already-populated table names to their rows, used
         to draw valid foreign-key values.
         """
-        referenced = referenced or {}
-        key_columns = {name for key in table.all_keys() for name in key}
-        fk_sources = self._foreign_key_sources(table, referenced)
-        seen_keys: Dict[Tuple[str, ...], set] = {
-            key: set() for key in table.all_keys()
-        }
-
+        fk_sources = self._foreign_key_sources(table, referenced or {})
+        # Dense surrogate keys keep join fan-outs realistic, and are unique
+        # by construction: a key holding one is never checked.
+        surrogate = None
+        if len(table.primary_key) == 1:
+            name = table.primary_key[0]
+            if (
+                name not in fk_sources
+                and table.column(name).data_type is DataType.INT
+            ):
+                surrogate = name
         rows: List[Tuple] = []
+        draws = self._draw_plan(
+            table, fk_sources, surrogate, lambda: len(rows) + 1
+        )
+        names = table.column_names
+        checks = [
+            (itemgetter(*map(names.index, key)), set())
+            for key in table.all_keys()
+            if surrogate not in key
+        ]
+
         attempts_budget = max(100, row_count * 50)
         while len(rows) < row_count and attempts_budget > 0:
             attempts_budget -= 1
-            row = self._generate_row(table, key_columns, fk_sources, len(rows))
-            if self._violates_key(table, row, seen_keys):
-                continue
-            self._record_keys(table, row, seen_keys)
+            row = tuple([draw() for draw in draws])
+            if checks:
+                keys = [(key(row), seen) for key, seen in checks]
+                if any(value in seen for value, seen in keys):
+                    continue
+                for value, seen in keys:
+                    seen.add(value)
             rows.append(row)
         if len(rows) < row_count:
             raise SchemaError(
@@ -116,34 +187,6 @@ class DataGenerator:
                 f"{table.name!r}; key domains too small"
             )
         return rows
-
-    def _generate_row(
-        self,
-        table: TableDef,
-        key_columns: set,
-        fk_sources: Dict[str, List[object]],
-        ordinal: int,
-    ) -> Tuple:
-        values: List[object] = []
-        for column in table.columns:
-            if column.name in fk_sources:
-                pool = fk_sources[column.name]
-                if column.nullable and self._rng.random() < self.profile.null_rate:
-                    values.append(None)
-                else:
-                    values.append(self._rng.choice(pool))
-            elif (
-                len(table.primary_key) == 1
-                and column.name == table.primary_key[0]
-                and column.data_type is DataType.INT
-            ):
-                # Dense surrogate keys keep join fan-outs realistic.
-                values.append(ordinal + 1)
-            elif column.name in key_columns:
-                values.append(self._scalar(column))
-            else:
-                values.append(self._value(column))
-        return tuple(values)
 
     def _foreign_key_sources(
         self, table: TableDef, referenced: Dict[str, List[Tuple]]
@@ -165,25 +208,6 @@ class DataGenerator:
                     pool = self._rng.sample(pool, keep)
                 sources[local] = pool
         return sources
-
-    @staticmethod
-    def _violates_key(
-        table: TableDef, row: Tuple, seen_keys: Dict[Tuple[str, ...], set]
-    ) -> bool:
-        names = table.column_names
-        for key, seen in seen_keys.items():
-            value = tuple(row[names.index(name)] for name in key)
-            if value in seen:
-                return True
-        return False
-
-    @staticmethod
-    def _record_keys(
-        table: TableDef, row: Tuple, seen_keys: Dict[Tuple[str, ...], set]
-    ) -> None:
-        names = table.column_names
-        for key, seen in seen_keys.items():
-            seen.add(tuple(row[names.index(name)] for name in key))
 
     # --------------------------------------------------------------- database
 

@@ -2,15 +2,17 @@
 
 Rows are plain Python tuples, positionally aligned with the table's column
 definitions; ``None`` represents SQL NULL.  The storage layer validates types
-on insert so that executor bugs cannot be masked by dirty data.
+on insert -- a batch at a time, column by column -- so that executor bugs
+cannot be masked by dirty data.
 """
 
 from __future__ import annotations
 
 import datetime
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from repro.catalog.schema import DataType, TableDef
+from repro.catalog.schema import ColumnDef, DataType, TableDef
 from repro.catalog.stats import TableStats
 
 
@@ -27,20 +29,18 @@ _PYTHON_TYPES = {
 }
 
 
-def _check_value(table: str, column_name: str, data_type: DataType, value: object):
-    if value is None:
-        return
-    allowed = _PYTHON_TYPES[data_type]
+def _accepts(column: ColumnDef, kind: type) -> bool:
+    """Does ``column`` accept a value of Python type ``kind``?
+
+    Validity depends on a value's type alone (NULL is ``NoneType``), so a
+    batch is validated by the set of types each column holds.
+    """
+    if kind is type(None):
+        return column.nullable
     # bool is a subclass of int; keep INT columns free of booleans.
-    if data_type is DataType.INT and isinstance(value, bool):
-        raise StorageError(
-            f"{table}.{column_name}: got bool for INT column"
-        )
-    if not isinstance(value, allowed):
-        raise StorageError(
-            f"{table}.{column_name}: {value!r} is not a valid "
-            f"{data_type.value}"
-        )
+    if column.data_type is DataType.INT and issubclass(kind, bool):
+        return False
+    return issubclass(kind, _PYTHON_TYPES[column.data_type])
 
 
 class StoredTable:
@@ -50,8 +50,8 @@ class StoredTable:
         self.definition = definition
         self._rows: List[Tuple] = []
         self._stats: TableStats | None = None
-        #: Data version: bumped on every insert.  Execution-result caches
-        #: key on it to stay consistent.
+        #: Data version: advanced by the row count of every insert.
+        #: Execution-result caches key on it to stay consistent.
         self._version = 0
         self._column_cache: List[list] | None = None
         #: Rows of ``_rows`` the column snapshot holds: the first this many.
@@ -67,7 +67,7 @@ class StoredTable:
 
     @property
     def version(self) -> int:
-        """Monotonic data version (number of mutations so far)."""
+        """Monotonic data version (number of rows inserted so far)."""
         return self._version
 
     @property
@@ -99,25 +99,55 @@ class StoredTable:
         return self._column_cache
 
     def insert(self, row: Sequence[object]) -> None:
-        """Insert one row after validating arity, types and NOT NULL."""
-        columns = self.definition.columns
-        if len(row) != len(columns):
-            raise StorageError(
-                f"{self.name}: expected {len(columns)} values, got {len(row)}"
-            )
-        for col, value in zip(columns, row):
-            if value is None and not col.nullable:
-                raise StorageError(
-                    f"{self.name}.{col.name}: NULL in NOT NULL column"
-                )
-            _check_value(self.name, col.name, col.data_type, value)
-        self._rows.append(tuple(row))
-        self._stats = None
-        self._version += 1
+        """Insert one row: a batch of one."""
+        self.insert_many((row,))
 
     def insert_many(self, rows: Iterable[Sequence[object]]) -> None:
-        for row in rows:
-            self.insert(row)
+        """Insert a batch after validating arity, types and NOT NULL.
+
+        Validation runs column by column over the whole batch: a column
+        passes when every Python type it holds is one it accepts.  The
+        batch is atomic -- one invalid value stores nothing (rows,
+        ``version`` and cached stats stay as they were) and raises the
+        error of the first invalid value in row-major order.  A valid
+        batch advances ``version`` by its length.
+        """
+        batch = [tuple(row) for row in rows]
+        if not batch:
+            return
+        columns = self.definition.columns
+        if set(map(len, batch)) != {len(columns)} or not all(
+            _accepts(column, kind)
+            for position, column in enumerate(columns)
+            for kind in set(map(type, map(itemgetter(position), batch)))
+        ):
+            raise StorageError(self._first_rejection(batch))
+        self._rows.extend(batch)
+        self._stats = None
+        self._version += len(batch)
+
+    def _first_rejection(self, batch: List[Tuple]) -> str:
+        """The error of ``batch``'s first invalid value, row by row."""
+        columns = self.definition.columns
+        for row in batch:
+            if len(row) != len(columns):
+                return (
+                    f"{self.name}: expected {len(columns)} values, "
+                    f"got {len(row)}"
+                )
+            for column, value in zip(columns, row):
+                if _accepts(column, type(value)):
+                    continue
+                where = f"{self.name}.{column.name}"
+                if value is None:
+                    return f"{where}: NULL in NOT NULL column"
+                if column.data_type is DataType.INT and isinstance(value, bool):
+                    return f"{where}: got bool for INT column"
+                return (
+                    f"{where}: {value!r} is not a valid "
+                    f"{column.data_type.value}"
+                )
+        raise AssertionError("no invalid value in a rejected batch")
 
     def stats(self) -> TableStats:
         """Statistics over the current contents (computed lazily, cached)."""
