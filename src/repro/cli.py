@@ -887,6 +887,7 @@ def _trace(args, env) -> int:
     tracer = RecordingTracer(detail=args.detail)
     metrics = MetricsRegistry()
     service = env.memory_service(tracer=tracer, metrics=metrics)
+    result = None
     if args.campaign:
         names = env.rule_names()
         run_campaign(
@@ -932,6 +933,10 @@ def _trace(args, env) -> int:
         output = tracer.to_chrome_json()
     else:
         output = tracer.to_text(subject, metrics, args.top)
+        if result is not None:
+            # Section 7's relevance: the rules the chosen plan's cost
+            # rests on.
+            output += "\nplan support: " + ", ".join(sorted(result.plan_support))
     _emit(output, args.out, "trace")
     return 0
 

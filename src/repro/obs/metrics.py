@@ -107,6 +107,12 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "counter", (),
         "Cost requests answered from the persistent disk cache.",
     ),
+    "service.lineage_hits": (
+        "counter", (),
+        "Cost requests with rules disabled answered with `Cost(q)` from "
+        "the lineage of the uncut undisabled result in memory (its "
+        "`plan_support` avoids every disabled rule); not counted as hits.",
+    ),
     "service.computed": (
         "counter", (),
         "Requests that ran the optimizer (cache misses).",

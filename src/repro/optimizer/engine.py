@@ -13,7 +13,10 @@ Optimization proceeds in the classic two phases:
 2. **Implementation**: top-down dynamic programming over (group, required
    ordering).  Implementation rules produce physical alternatives; a Sort
    enforcer satisfies ordering requirements nothing provides natively; the
-   cheapest alternative per (group, ordering) wins.
+   cheapest alternative per (group, ordering) wins.  The rules the winning
+   plan was built from -- its physical alternatives' implementation rules
+   and the memo support of its logical expressions -- and the memo's
+   ``landed_support`` are the result's ``plan_support``.
 
 Rules listed in ``config.disabled_rules`` are skipped entirely, yielding
 ``Plan(q, ¬R)`` / ``Cost(q, ¬R)`` exactly as the paper's optimizer
@@ -97,6 +100,9 @@ class Winner:
     op: Optional[PhysicalOp]  # memo form; None marks a Sort enforcer
     child_orderings: Tuple[Ordering, ...]
     provided: Ordering
+    #: ``(implementation rule, logical expression, binding)`` that
+    #: produced :attr:`op`; None for a Sort enforcer.
+    source: Optional[Tuple[str, GroupExpr, LogicalOp]] = None
 
 
 #: One rule's attempt outcomes for one optimization run, as an indexed list
@@ -230,7 +236,7 @@ class Optimizer:
         interactions: Set[tuple] = set()
         index = self._index
         tally = index.new_tally()
-        budget_exhausted = False
+        cut = None
 
         try:
             root_id = memo.intern_tree(tree)
@@ -250,17 +256,24 @@ class Optimizer:
                     queue, index.exploration, memo, ctx, exercised,
                     interactions, tally, tracer,
                 )
-            except MemoBudgetExceeded:
-                budget_exhausted = True
-                if tracer.enabled:
-                    tracer.event("optimize.budget_exhausted", cat="optimizer")
+            except MemoBudgetExceeded as exc:
+                cut = (exc.cap, exc.group)
+        # A truncated absorb dropped alternatives without stopping the
+        # search: the search ran on, but it is cut all the same.
+        cap, cut_group = cut or memo.truncated or (None, None)
+        if cap is not None and tracer.enabled:
+            tracer.event(
+                "optimize.budget_exhausted", cat="optimizer",
+                cap=cap, group=cut_group,
+            )
         # Implementation rows are still zero here: exploration firings only.
         applications = sum(counts[1] for counts in tally)
         stats = MemoStats(
             group_count=len(memo.groups),
             expr_count=memo.total_exprs,
             rule_applications=applications,
-            budget_exhausted=budget_exhausted,
+            cut=cap,
+            cut_group=cut_group,
         )
         unexercised = [
             name
@@ -302,6 +315,7 @@ class Optimizer:
             plan = implementer.extract(root_id, ())
         if self._sanitizer is not None:
             self._sanitizer.check_plan(plan, output_columns)
+        plan_support = frozenset(implementer.plan_support) | memo.landed_support
 
         if tracer.enabled:
             tracer.event(
@@ -312,6 +326,7 @@ class Optimizer:
                 applications=applications,
                 costings=implementer.costings,
                 fired=",".join(sorted(exercised)),
+                support=",".join(sorted(plan_support)),
             )
         rule_counters = tuple(
             RuleCounters(
@@ -334,6 +349,7 @@ class Optimizer:
             stats=stats,
             rule_interactions=frozenset(interactions),
             rule_counters=rule_counters,
+            plan_support=plan_support,
         )
 
     def _record_metrics(
@@ -395,7 +411,9 @@ class Optimizer:
             op = expr.op
             for rule, slot, match in buckets[op.kind]:
                 if applications >= cap:
-                    raise MemoBudgetExceeded("rule application cap")
+                    raise MemoBudgetExceeded(
+                        "rule application cap", "applications", expr.group_id
+                    )
                 counts = tally[slot]
                 counts[0] += 1
                 if detailed:
@@ -460,12 +478,16 @@ class Optimizer:
                         phase="explore",
                     )
                 continue
+            # What the memo reads the new expressions' support off.
+            derivation = (expr, rule.name, binding)
             for substitute in rule.substitute(binding, ctx):
                 produced_any = True
                 if isinstance(substitute, GroupRef):
-                    memo.absorb_group(expr.group_id, substitute.group_id)
+                    memo.absorb_group(
+                        expr.group_id, substitute.group_id, derivation
+                    )
                 else:
-                    memo.add_to_group(expr.group_id, substitute)
+                    memo.add_to_group(expr.group_id, substitute, derivation)
         if not produced_any:
             return None  # nothing was added to the memo: nothing is fresh
         # Everything the substitutions created -- including expressions of
@@ -510,6 +532,8 @@ class _Implementer:
         self.enforcers = 0
         self._winners: Dict[Tuple[int, Ordering], Optional[Winner]] = {}
         self._in_progress: Set[Tuple[int, Ordering]] = set()
+        #: Filled by :meth:`extract`: the rules the extracted plan relies on.
+        self.plan_support: Set[str] = set()
 
     # ------------------------------------------------------------- best plan
 
@@ -556,6 +580,7 @@ class _Implementer:
                             best is None or candidate.cost < best.cost
                         ):
                             best = candidate
+                            best.source = (rule.name, expr, binding)
                 if produced_any:
                     counts[1] += 1
                     if self._detailed:
@@ -625,13 +650,24 @@ class _Implementer:
     # ------------------------------------------------------------ extraction
 
     def extract(self, group_id: int, required: Ordering) -> PhysicalOp:
-        """Materialize the winning plan as a concrete physical tree."""
+        """Materialize the winning plan as a concrete physical tree, and
+        add what it relies on to :attr:`plan_support`: each physical
+        operator's implementation rule and the support of the logical
+        expression (and bound children) it implements, which covers the
+        group's first expression too (see :mod:`repro.optimizer.memo`)."""
         winner = self._winners.get((group_id, required))
         if winner is None:
             raise OptimizationError(
                 f"no winner recorded for group {group_id} ordering {required}"
             )
-        group = self._memo.group(group_id)
+        memo = self._memo
+        group = memo.group(group_id)
+        if winner.source is not None:
+            rule_name, expr, binding = winner.source
+            support = self.plan_support
+            support.add(rule_name)
+            support |= expr.support
+            support |= memo.binding_support(expr.op, binding)
         if winner.op is None:  # Sort enforcer
             child = self.extract(group_id, ())
             keys = _sort_keys_for(required, group.props)

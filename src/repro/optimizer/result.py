@@ -8,7 +8,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.expr.expressions import Column
 from repro.logical.operators import LogicalOp
@@ -27,9 +27,19 @@ class MemoStats:
     expr_count: int
     #: Exploration-rule firings (what ``max_rule_applications`` caps).
     rule_applications: int
-    #: Exploration stopped early: a memo cap was hit, or the application
-    #: cap left a root-matching (expression, rule) pair untried.
-    budget_exhausted: bool
+    #: Which cap cut the search, None when it was not cut: ``groups`` or
+    #: ``exprs`` (a memo cap was hit), ``applications`` (the application
+    #: cap left a root-matching (expression, rule) pair untried) or
+    #: ``absorb`` (a group absorb stopped at the expression cap with
+    #: alternatives left uncopied).
+    cut: Optional[str] = None
+    #: The group whose exploration hit :attr:`cut`, when known.
+    cut_group: Optional[int] = None
+
+    @property
+    def budget_exhausted(self) -> bool:
+        """The search was cut (see :attr:`cut`)."""
+        return self.cut is not None
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,14 @@ class OptimizeResult:
     rule_interactions: FrozenSet[Tuple[str, str]] = frozenset()
     #: Per-rule considered/fired/rejected counts, sorted by rule name.
     rule_counters: Tuple[RuleCounters, ...] = ()
+    #: The rules :attr:`cost` rests on: the implementation rule of each
+    #: physical operator of :attr:`plan`, the memo support of the logical
+    #: expressions it implements, and the memo's ``landed_support`` (see
+    #: :mod:`repro.optimizer.memo`).  When the search was not cut
+    #: and a rule set ``R`` avoids it, the plan service answers
+    #: ``Cost(q, ¬R)`` with ``Cost(q)`` -- the paper's Section 7
+    #: *relevance* of ``R`` to ``q``, read off.
+    plan_support: FrozenSet[str] = frozenset()
 
     def exercised(self, rule_name: str) -> bool:
         return rule_name in self.rules_exercised

@@ -20,8 +20,17 @@ each layer hand-rolling its own :class:`Optimizer`, a single
   ordering, deduplicating identical requests within the batch first.
 
 Every request, scalar or batched, climbs the same ladder: a memory entry,
-then (when no plan object is needed) a cost record from disk, then the
-optimizer -- singly or through the pool.  A generation trial
+then (when no plan object is needed) a cost record from disk, then (for a
+cost request with rules disabled) the lineage of ``Plan(q)``, then the
+optimizer -- singly or through the pool.  The lineage rung answers
+``Cost(q, ¬D)`` with ``Cost(q)`` when memory holds the full result of the
+same tree with nothing disabled, that search was not cut, and no rule of
+``D`` is in its ``plan_support``: the winning plan was built without
+``D``, so the restricted search reaches it too, and no substitution
+leaned on ``D`` only through an expression it landed on, so that search
+forms no group the full one lacked (see :mod:`repro.optimizer.memo`).
+Plan requests never take that rung, so every ``Plan(q, ¬R)`` is still
+the optimizer's.  A generation trial
 (:meth:`PlanService.optimize_exercising`) climbs it too, and lets the
 optimizer stop after exploration when the answer is already *no*.
 :meth:`PlanService._cached` is the one place that counts requests and hits
@@ -73,12 +82,15 @@ class ServiceStats:
 
     ``requests`` counts every optimize/cost request (including batch
     members); ``computed`` counts actual optimizer runs.  The difference is
-    absorbed by the two hit counters and by within-batch deduplication.
+    absorbed by the two hit counters, by the cost requests the lineage
+    rung answered (``lineage_hits``, not counted as hits) and by
+    within-batch deduplication.
     """
 
     requests: int = 0
     memory_hits: int = 0
     disk_hits: int = 0
+    lineage_hits: int = 0
     computed: int = 0
     errors: int = 0
     batches: int = 0
@@ -94,6 +106,7 @@ class ServiceStats:
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
             "hits": self.hits,
+            "lineage_hits": self.lineage_hits,
             "computed": self.computed,
             "errors": self.errors,
             "batches": self.batches,
@@ -104,8 +117,9 @@ class ServiceStats:
 @dataclass
 class _Entry:
     """One memoized outcome: a full result, a remembered failure, a
-    cost-only answer read back from disk (neither ``result`` nor ``error``),
-    which answers ``cost`` but not ``optimize``, or a RuleSet-only answer
+    cost-only answer read back from disk or off ``Plan(q)``'s lineage
+    (neither ``result`` nor ``error``), which answers ``cost`` but not
+    ``optimize``, or a RuleSet-only answer
     (``unexercised``) left by a generation trial that produced no plan,
     which answers neither."""
 
@@ -235,10 +249,11 @@ class PlanService:
             "config": config.cache_token(),
             "error": entry.error,
         }
+        if entry.error is None:
+            record["cost"] = entry.cost
         if entry.result is not None:
             result = entry.result
             record.update(
-                cost=result.cost,
                 rules_exercised=sorted(result.rules_exercised),
                 rule_interactions=[
                     list(pair) for pair in sorted(result.rule_interactions)
@@ -263,25 +278,60 @@ class PlanService:
     ) -> Optional[_Entry]:
         """The cached rungs, climbed by every request of every entry point:
         the memory entry, then -- plans are never persisted, so only when
-        no plan object is needed -- the cost record on disk.  ``None`` is a
-        miss; the caller computes, singly or as part of a batch."""
+        no plan object is needed -- the cost record on disk, then for a
+        cost request with rules disabled the lineage of the undisabled
+        result.  ``None`` is a miss; the caller computes, singly or as part
+        of a batch."""
         self._bump("requests")
         entry = self._entries.get(key)
+        refused = None
         if entry is not None and entry.answers(need_plan, targets):
             outcome = "memory_hit"
             self._bump("memory_hits")
-        elif not need_plan and (entry := self._read_disk(key)) is not None:
+        elif need_plan:
+            entry, outcome = None, "miss"
+        elif (entry := self._read_disk(key)) is not None:
             outcome = "disk_hit"
             self._bump("disk_hits")
             self._remember(key, entry)
+        elif not key[1].disabled_rules:
+            outcome = "miss"
         else:
-            entry, outcome = None, "miss"
+            entry, refused = self._from_lineage(key)
+            outcome = "miss" if entry is None else "lineage_hit"
         if self.tracer.enabled:
+            fields = {"lineage": refused} if refused is not None else {}
             self.tracer.event(
                 "service.cache", cat="service",
-                outcome=outcome, request=request,
+                outcome=outcome, request=request, **fields,
             )
         return entry
+
+    def _from_lineage(
+        self, key: _CacheKey
+    ) -> Tuple[Optional[_Entry], Optional[str]]:
+        """The lineage rung of cost request ``key``: ``Cost(q)`` as
+        ``Cost(q, ¬D)`` (remembered, and persisted like a computed cost),
+        or ``None`` and why not -- ``no_base`` (no full undisabled result
+        in memory), ``base_cut:<cap>`` (that search was cut, so its plan
+        may be beaten by a restricted search) or ``in_support:<rule>`` (the
+        cost rests on a disabled rule)."""
+        fingerprint, config = key
+        disabled = config.disabled_rules
+        base = self._entries.get(
+            (fingerprint, config.replaced(disabled_rules=frozenset()))
+        )
+        result = None if base is None else base.result
+        if result is None:
+            return None, "no_base"
+        if result.stats.budget_exhausted:
+            return None, f"base_cut:{result.stats.cut}"
+        if not disabled.isdisjoint(result.plan_support):
+            return None, f"in_support:{min(disabled & result.plan_support)}"
+        self._bump("lineage_hits")
+        entry = _Entry(cost=result.cost)
+        self._keep(key, entry)
+        return entry, None
 
     def _read_disk(self, key: _CacheKey) -> Optional[_Entry]:
         if self._disk is None:
@@ -344,10 +394,14 @@ class PlanService:
             entry = _Entry(unexercised=targets)
         else:
             entry = _Entry(result=result, cost=result.cost)
+        self._keep(key, entry)
+        return entry
+
+    def _keep(self, key: _CacheKey, entry: _Entry) -> None:
+        """Remember ``entry``, and persist it unless it is RuleSet-only."""
         self._remember(key, entry)
         if self._disk is not None and entry.unexercised is None:
             self._disk.put(self._disk_key(key), self._record_for(key, entry))
-        return entry
 
     def _serve(
         self, requests: Sequence[PlanRequest], need_plan: bool, request: str

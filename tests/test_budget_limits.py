@@ -85,7 +85,28 @@ class TestBudgets:
             tpch_db.catalog, tpch_db.stats_repository(), config=config
         ).optimize(tree)
         assert result.stats.budget_exhausted
+        assert result.stats.cut == "exprs"
+        group = result.stats.cut_group
+        assert group is not None and 0 <= group < result.stats.group_count
         assert result.cost > 0
+
+    def test_group_cap_names_the_group_it_was_exploring(self, tpch_db):
+        tree = _chain_join_query(tpch_db, TABLES)
+        config = OptimizerConfig(max_groups=12)
+        result = Optimizer(
+            tpch_db.catalog, tpch_db.stats_repository(), config=config
+        ).optimize(tree)
+        assert result.stats.budget_exhausted
+        assert result.stats.cut == "groups"
+        assert 0 <= result.stats.cut_group < result.stats.group_count == 12
+
+    def test_uncut_search_names_no_cap(self, tpch_db):
+        tree = _chain_join_query(tpch_db, TABLES[:2])
+        result = Optimizer(
+            tpch_db.catalog, tpch_db.stats_repository()
+        ).optimize(tree)
+        assert not result.stats.budget_exhausted
+        assert (result.stats.cut, result.stats.cut_group) == (None, None)
 
 
 #: cap -> (groups, expressions, cost) of the five-table chain at the commit
@@ -110,6 +131,7 @@ class TestApplicationCap:
         ).optimize(tree)
         stats = result.stats
         assert stats.budget_exhausted and stats.rule_applications == cap
+        assert stats.cut == "applications" and stats.cut_group is not None
         groups, exprs, cost = MEMO_AT_EXHAUSTION[cap]
         assert (stats.group_count, stats.expr_count) == (groups, exprs)
         assert result.cost == pytest.approx(cost, abs=1e-6)

@@ -195,6 +195,11 @@ class TestTrace:
         assert "hot rules (top 3 of" in out
         assert "considered" in out and "fired" in out and "rejected" in out
         assert "JoinCommutativity" in out
+        (support,) = [
+            line for line in out.splitlines()
+            if line.startswith("plan support: ")
+        ]
+        assert "GetToTableScan" in support
 
     def test_requires_exactly_one_subject(self, capsys):
         with pytest.raises(SystemExit):

@@ -11,6 +11,7 @@ from repro.expr.expressions import (
     Literal,
 )
 from repro.logical.operators import Distinct, Join, JoinKind, Project, Select, make_get
+from repro.optimizer.config import DEFAULT_CONFIG
 from repro.rules.faults import (
     ALL_FAULTS,
     BuggyDistinctRemove,
@@ -157,8 +158,9 @@ class TestRunnerAccounting:
 
     def test_each_plan_is_asked_for_once(self, tpch_db, registry):
         """One service request per Plan(q) and per Plan(q, ¬R) edge of the
-        plan -- no pre-warm pass, no re-ask -- and none recomputed on a
-        service that priced the edges already."""
+        plan -- no pre-warm pass, no re-ask -- and, on a service that priced
+        the edges already, only the ¬R plans whose cost the lineage rung
+        answered are computed: a cost answer holds no plan."""
         from repro.service import PlanService
         from repro.testing.compression import (
             baseline_plan,
@@ -173,10 +175,23 @@ class TestRunnerAccounting:
         ).build(singleton_nodes(names), k=2)
         oracle = CostOracle(tpch_db, registry, service=service)
         runner = CorrectnessRunner(tpch_db, registry, service=service)
+        lineage_costed = 0
         for maker in (
             baseline_plan, set_multicover_plan, top_k_independent_plan
         ):
             plan = maker(suite, oracle)
+            cost_only = {
+                key
+                for node, query_ids in plan.assignments.items()
+                for key in (
+                    service._key(
+                        suite.query(q).tree, DEFAULT_CONFIG.with_disabled(node)
+                    )
+                    for q in query_ids
+                )
+                if service._entries[key].result is None
+            }
+            lineage_costed += len(cost_only)
             before = service.counters.as_dict()
             report = runner.run(plan, suite)
             after = service.counters.as_dict()
@@ -185,7 +200,10 @@ class TestRunnerAccounting:
                 len(plan.selected_query_ids)
                 + sum(len(ids) for ids in plan.assignments.values())
             ), plan.method
-            assert after["computed"] == before["computed"], plan.method
+            assert after["computed"] - before["computed"] == len(cost_only), (
+                plan.method
+            )
+        assert 0 < lineage_costed <= service.counters.lineage_hits
 
     def test_issue_rendering(self):
         from repro.testing.correctness import CorrectnessIssue

@@ -223,7 +223,7 @@ class TestDetailLevels:
         assert counts["costing"] > 0
 
     def test_summary_drops_per_attempt_events(self, tpch_db, registry):
-        tracer, _ = _traced_optimize(tpch_db, registry, detail="summary")
+        tracer, result = _traced_optimize(tpch_db, registry, detail="summary")
         counts = tracer.counts_by_name()
         for high_volume in (
             "rule.considered", "rule.rejected", "rule.fired",
@@ -234,6 +234,9 @@ class TestDetailLevels:
         assert counts["optimize.done"] == 1
         done = [e for e in tracer.events if e.name == "optimize.done"][0]
         assert "JoinCommutativity" in done.arg("fired")
+        # ... and the rules the chosen plan was built from.
+        assert done.arg("support") == ",".join(sorted(result.plan_support))
+        assert "GetToTableScan" in done.arg("support")
 
     def test_summary_is_much_smaller(self, tpch_db, registry):
         full, _ = _traced_optimize(tpch_db, registry, detail="full")

@@ -21,6 +21,7 @@ from repro.logical.operators import (
     Distinct,
     Except,
     GbAgg,
+    GroupRef,
     Intersect,
     Join,
     JoinKind,
@@ -115,6 +116,103 @@ class TestMemo:
         gid = memo.intern_tree(emp)
         assert memo.absorb_group(gid, gid) == []
 
+    @staticmethod
+    def _selects(emp, count):
+        """``count`` distinct Selects over ``emp`` (the memo does not check
+        that a group's expressions are equivalent)."""
+        return [
+            Select(emp, Comparison(
+                ComparisonOp.GT, ColumnRef(emp.columns[0]),
+                Literal(value, DataType.INT),
+            ))
+            for value in range(count)
+        ]
+
+    def test_absorb_at_the_cap_is_a_cut(self, tiny_db):
+        """A group at the expression cap absorbing a larger group copies
+        nothing more, and the memo records the dropped alternatives as a
+        cut of that group instead of passing them over silently."""
+        memo = _memo(tiny_db)  # max_exprs_per_group=10
+        emp = make_get(tiny_db.catalog.table("emp"))
+        first, *more = self._selects(emp, 22)
+        target = memo.intern_tree(first)
+        for op in more[:9]:
+            memo.add_to_group(target, op)
+        source = memo.intern_tree(Distinct(emp))
+        emp_ref = GroupRef(memo.intern_tree(emp))
+        for op in more[9:]:  # past the cap: Group.add does not check it
+            memo.group(source).add(op.with_children((emp_ref,)))
+        assert len(memo.groups[target].logical_exprs) == 10
+        assert len(memo.groups[source].logical_exprs) == 13
+        assert memo.truncated is None
+        assert memo.absorb_group(target, source) == []
+        assert memo.truncated == ("absorb", target)
+
+    def test_absorb_at_the_cap_of_duplicates_only_is_no_cut(self, tiny_db):
+        memo = _memo(tiny_db)
+        emp = make_get(tiny_db.catalog.table("emp"))
+        selects = self._selects(emp, 9)
+        target = memo.intern_tree(selects[0])
+        for op in selects[1:]:
+            memo.add_to_group(target, op)
+        source = memo.intern_tree(Distinct(emp))
+        for op in selects[:2]:
+            memo.add_to_group(source, op)
+        # The Distinct fills the last slot; what is left is in the target.
+        assert len(memo.absorb_group(target, source)) == 1
+        assert memo.truncated is None
+
+    def test_initial_tree_has_no_support(self, tiny_db):
+        memo = _memo(tiny_db)
+        emp = make_get(tiny_db.catalog.table("emp"))
+        memo.intern_tree(Select(emp, TRUE))
+        assert all(
+            expr.support == frozenset()
+            for group in memo.groups for expr in group.logical_exprs
+        )
+
+    def test_substitute_support_and_what_it_landed_on(self, tiny_db):
+        """A substitute's new expressions carry its derivation's support:
+        the rule and the support of the expression it fired on.  What an
+        existing expression it landed on relied on beyond that goes to the
+        memo's ``landed_support``; an absorbed copy keeps its original's
+        support too."""
+        memo = _memo(tiny_db)
+        emp = make_get(tiny_db.catalog.table("emp"))
+        dept = make_get(tiny_db.catalog.table("dept"))
+        root = memo.intern_tree(Distinct(emp))
+        (source,) = memo.groups[root].logical_exprs
+        landed = memo.add_to_group(
+            root, Select(emp, TRUE), (source, "A", source.op)
+        )
+        assert landed.support == {"A"}
+        assert memo.landed_support == frozenset()  # Get(emp) has none
+        join = Join(JoinKind.INNER, Select(emp, TRUE), Limit(dept, 1), TRUE)
+        top = memo.add_to_group(root, join, (source, "B", source.op))
+        assert top.support == {"B"}
+        (limit,) = [
+            expr for group in memo.groups for expr in group.logical_exprs
+            if isinstance(expr.op, Limit)
+        ]
+        assert limit.support == {"B"}  # created by the same substitute
+        # Select(emp) landed on A's expression: without A it would found
+        # a group of its own.
+        assert memo.landed_support == {"A"}
+        # Fired on B's expression: its support is inherited.
+        again = memo.add_to_group(root, Limit(emp, 2), (top, "C", top.op))
+        assert again.support == {"B", "C"}
+        # A landing on what the derivation relies on anyway adds nothing.
+        memo.add_to_group(
+            root, Distinct(Select(emp, TRUE)), (landed, "E", landed.op)
+        )
+        assert memo.landed_support == {"A"}
+        other = memo.intern_tree(Sort(emp, ()))
+        (sort,) = memo.groups[other].logical_exprs
+        copies = memo.absorb_group(other, root, (sort, "D", sort.op))
+        assert [sorted(expr.support) for expr in copies] == [
+            ["D"], ["A", "D"], ["B", "D"], ["B", "C", "D"], ["A", "D", "E"],
+        ]
+
 
 class TestOptimizeBasics:
     def test_single_table(self, tiny_db, tiny_optimizer):
@@ -199,6 +297,17 @@ class TestRuleTracking:
         result = tiny_optimizer.optimize(Select(emp, TRUE))
         assert "SelectTrueRemoval" in result.rules_exercised
         assert "JoinCommutativity" not in result.rules_exercised
+
+    def test_plan_support_names_the_rules_the_plan_was_built_from(
+        self, tiny_db, tiny_optimizer
+    ):
+        """SelectTrueRemoval made the bare Get the plan scans; the Filter
+        alternative lost, so SelectToFilter is exercised but no support."""
+        emp = make_get(tiny_db.catalog.table("emp"))
+        result = tiny_optimizer.optimize(Select(emp, TRUE))
+        assert result.plan.kind is PhysOpKind.TABLE_SCAN
+        assert result.plan_support == {"SelectTrueRemoval", "GetToTableScan"}
+        assert "SelectToFilter" in result.rules_exercised
 
     def test_exercised_helpers(self, tiny_db, tiny_optimizer):
         emp = make_get(tiny_db.catalog.table("emp"))
@@ -478,7 +587,7 @@ class TestExplorationWork:
 #: is the caller's own tree).
 RESULT_FIELDS = (
     "plan", "cost", "rules_exercised", "rule_interactions", "stats",
-    "rule_counters", "output_columns",
+    "rule_counters", "output_columns", "plan_support",
 )
 
 

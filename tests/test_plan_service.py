@@ -56,6 +56,10 @@ def _tree(db, sql):
 #: Without GetToTableScan no physical plan can exist.
 NO_PLAN = DEFAULT_CONFIG.with_disabled(["GetToTableScan"])
 INF = float("inf")
+#: SQL_JOIN's winning plan is built with JoinCommutativity; it exercises
+#: CrossToInnerJoin too, but its plan does not rely on it.
+OFF_SUPPORT = DEFAULT_CONFIG.with_disabled(["CrossToInnerJoin"])
+IN_SUPPORT = DEFAULT_CONFIG.with_disabled(["JoinCommutativity"])
 
 
 def _ask(service, entry_point, tree, config=None):
@@ -84,9 +88,11 @@ def test_every_entry_point_climbs_the_same_ladder(
 ):
     """Miss, memory hit, disk record, remembered failure: the four shapes
     give the same answers and move the same counters by the same amounts.
-    The one difference is the one the ladder documents -- plans are never
+    The differences are the ones the ladder documents -- plans are never
     persisted, so a disk record answers the cost shapes and is a miss
-    (recomputed, failures included) for the plan shapes."""
+    (recomputed, failures included) for the plan shapes; and only a cost
+    shape takes the lineage rung, so ``Cost(q, ¬R)`` of a plan built
+    without R is ``Cost(q)`` there and an optimizer run for the others."""
     earlier = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
     on_disk = earlier.cost(_tree(tpch_db, SQL_SIMPLE))
     assert earlier.cost(_tree(tpch_db, SQL_AGG), NO_PLAN) == INF
@@ -97,13 +103,17 @@ def test_every_entry_point_climbs_the_same_ladder(
     service = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
     if entry_point.startswith("cost"):
         from_disk = failure_from_disk = {"disk_hits": 1}
+        from_lineage = {"lineage_hits": 1}
     else:
         from_disk = {"computed": 1}
         failure_from_disk = {"computed": 1, "errors": 1}
+        from_lineage = {"computed": 1}
     steps = [
         # (request, answer, counters that move besides ``requests``)
         ((SQL_JOIN, None), not_on_disk, {"computed": 1}),
         ((SQL_JOIN, None), not_on_disk, {"memory_hits": 1}),
+        ((SQL_JOIN, OFF_SUPPORT), not_on_disk, from_lineage),
+        ((SQL_JOIN, OFF_SUPPORT), not_on_disk, {"memory_hits": 1}),
         ((SQL_SIMPLE, None), on_disk, from_disk),
         ((SQL_SIMPLE, None), on_disk, {"memory_hits": 1}),
         ((SQL_AGG, NO_PLAN), INF, failure_from_disk),
@@ -117,7 +127,8 @@ def test_every_entry_point_climbs_the_same_ladder(
         delta = {
             name: after[name] - before[name]
             for name in (
-                "requests", "memory_hits", "disk_hits", "computed", "errors"
+                "requests", "memory_hits", "disk_hits", "lineage_hits",
+                "computed", "errors",
             )
             if after[name] != before[name]
         }
@@ -177,6 +188,91 @@ class TestMemoization:
         service.optimize(_tree(tpch_db, SQL_SIMPLE))
         assert service.counters.computed == 2
         assert service.counters.memory_hits == 0
+
+
+class TestLineageRung:
+    """``Cost(q, ¬D)`` read off ``Plan(q)``: only for a cost request, only
+    from an uncut undisabled result in memory, only when ``D`` avoids its
+    ``plan_support`` -- and then exactly the optimizer's answer."""
+
+    def _cache_events(self, tracer):
+        return [
+            (event.arg("outcome"), event.arg("lineage"))
+            for event in tracer.events if event.name == "service.cache"
+        ]
+
+    def test_answers_exactly_what_the_optimizer_would(
+        self, tpch_db, registry, tracer_service
+    ):
+        service, tracer = tracer_service
+        tree = _tree(tpch_db, SQL_JOIN)
+        base = service.optimize(tree)
+        assert not base.stats.budget_exhausted
+        assert "CrossToInnerJoin" in base.rules_exercised
+        assert "CrossToInnerJoin" not in base.plan_support
+        assert service.cost(tree, OFF_SUPPORT) == base.cost
+        assert service.counters.lineage_hits == 1
+        assert service.counters.computed == 1
+        fresh = PlanService(tpch_db, registry=registry)
+        assert fresh.cost(_tree(tpch_db, SQL_JOIN), OFF_SUPPORT) == base.cost
+        assert self._cache_events(tracer)[-1] == ("lineage_hit", None)
+
+    def test_plan_requests_never_take_the_rung(self, tpch_db, service):
+        tree = _tree(tpch_db, SQL_JOIN)
+        service.optimize(tree)
+        restricted = service.optimize(tree, OFF_SUPPORT)
+        assert service.counters.computed == 2
+        assert service.counters.lineage_hits == 0
+        # Costed from lineage first, the plan is still computed when asked.
+        other = _tree(tpch_db, SQL_AGG)
+        service.optimize(other)
+        config = DEFAULT_CONFIG.with_disabled(["GbAggSplitGlobalLocal"])
+        cost = service.cost(other, config)
+        assert service.optimize(other, config).cost == cost
+        assert (service.counters.lineage_hits, service.counters.computed) == (
+            1, 4
+        )
+        assert restricted.cost == service.optimize(tree).cost
+
+    def test_refusals_say_why(self, tpch_db, registry, tracer_service):
+        service, tracer = tracer_service
+        tree = _tree(tpch_db, SQL_JOIN)
+        assert service.cost(tree, OFF_SUPPORT) > 0  # before Plan(q)
+        service.optimize(tree)
+        in_support = service.cost(tree, IN_SUPPORT)
+        assert in_support > service.cost(tree)
+        capped = DEFAULT_CONFIG.replaced(max_exprs_per_group=2)
+        base = service.optimize(tree, capped)
+        assert base.stats.cut == "exprs"
+        service.cost(tree, capped.with_disabled(["CrossToInnerJoin"]))
+        assert service.counters.lineage_hits == 0
+        refusals = [
+            reason for outcome, reason in self._cache_events(tracer)
+            if reason is not None
+        ]
+        assert refusals == [
+            "no_base", "in_support:JoinCommutativity", "base_cut:exprs",
+        ]
+
+    def test_answer_is_persisted_as_a_cost_record(
+        self, tpch_db, registry, tmp_path
+    ):
+        earlier = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        tree = _tree(tpch_db, SQL_JOIN)
+        cost = earlier.optimize(tree).cost
+        assert earlier.cost(tree, OFF_SUPPORT) == cost
+        assert earlier.counters.lineage_hits == 1
+        replay = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        assert replay.cost(_tree(tpch_db, SQL_JOIN), OFF_SUPPORT) == cost
+        assert (replay.counters.disk_hits, replay.counters.computed) == (1, 0)
+
+
+@pytest.fixture()
+def tracer_service(tpch_db, registry):
+    from repro.obs.trace import RecordingTracer
+
+    tracer = RecordingTracer(detail="summary")
+    return PlanService(tpch_db, registry=registry, tracer=tracer), tracer
 
 
 class TestGenerationTrials:

@@ -21,9 +21,11 @@ import pytest
 
 from repro.engine import execute_plan, results_identical
 from repro.logical.validate import validate_tree
-from repro.optimizer.config import OptimizerConfig
+from repro.obs.trace import RecordingTracer
+from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.optimizer.engine import Optimizer
 from repro.rules.registry import default_registry
+from repro.service import PlanService
 from repro.testing.random_gen import RandomQueryGenerator
 from repro.workloads import tpch_database
 
@@ -39,16 +41,21 @@ DB = tpch_database(seed=1)
 STATS = DB.stats_repository()
 
 
-@pytest.fixture(
-    scope="module", params=WITNESSES, ids=[f"seed{w[0]}" for w in WITNESSES]
-)
-def witness(request):
-    seed, disabled, baseline_cost, restricted_cost = request.param
+def _witness_tree(seed):
     generator = RandomQueryGenerator(
         DB.catalog, seed=seed, stats=STATS, min_operators=3, max_operators=7
     )
     tree = generator.random_tree()
     validate_tree(tree, DB.catalog)
+    return tree
+
+
+@pytest.fixture(
+    scope="module", params=WITNESSES, ids=[f"seed{w[0]}" for w in WITNESSES]
+)
+def witness(request):
+    seed, disabled, baseline_cost, restricted_cost = request.param
+    tree = _witness_tree(seed)
 
     def optimize(disabled=frozenset()):
         config = OptimizerConfig(disabled_rules=frozenset(disabled))
@@ -89,3 +96,30 @@ class TestNonMonotonicityWitnesses:
         (baseline, restricted), (baseline_cost, restricted_cost) = witness
         assert baseline.cost == pytest.approx(baseline_cost, abs=1e-6)
         assert restricted.cost == pytest.approx(restricted_cost, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "seed, disabled, restricted_cost",
+    [(seed, disabled, restricted) for seed, disabled, _, restricted in WITNESSES],
+    ids=[f"seed{w[0]}" for w in WITNESSES],
+)
+def test_cut_base_sends_the_restricted_cost_to_the_optimizer(
+    seed, disabled, restricted_cost
+):
+    """Every witness's full search is cut, so ``Plan(q)``'s lineage must
+    not answer ``Cost(q, ¬R)``: the service refuses the rung, runs the
+    optimizer and returns the restricted cost, never ``Cost(q)``."""
+    tracer = RecordingTracer(detail="summary")
+    service = PlanService(DB, registry=REGISTRY, tracer=tracer)
+    tree = _witness_tree(seed)
+    base = service.optimize(tree)
+    assert base.stats.budget_exhausted and base.stats.cut == "exprs"
+    cost = service.cost(tree, DEFAULT_CONFIG.with_disabled(disabled))
+    assert cost == pytest.approx(restricted_cost, abs=1e-6)
+    assert cost != base.cost
+    assert service.counters.lineage_hits == 0
+    assert service.counters.computed == 2
+    last = [e for e in tracer.events if e.name == "service.cache"][-1]
+    assert (last.arg("outcome"), last.arg("lineage")) == (
+        "miss", "base_cut:exprs"
+    )
