@@ -3,7 +3,7 @@
 from repro.engine.batch import BatchItem, execute_item
 from repro.engine.columnar import ExecutionError, execute_plan
 from repro.engine.digest import BagDigest, digest_rows
-from repro.engine.explain import explain, explain_analyze, plan_summary
+from repro.engine.explain import explain, explain_analyze
 from repro.engine.results import (
     QueryResult,
     canonical_row,
@@ -25,6 +25,5 @@ __all__ = [
     "execute_plan",
     "explain",
     "explain_analyze",
-    "plan_summary",
     "results_identical",
 ]

@@ -48,10 +48,13 @@ from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.results import QueryResult
-from repro.expr.aggregates import Accumulator, AggregateFunction
-from repro.expr.eval import layout_of
+from repro.expr.aggregates import AggregateFunction
 from repro.expr.expressions import TRUE, Column, referenced_columns
-from repro.expr.vector import compile_expr_vector, compile_selection_vector
+from repro.expr.vector import (
+    compile_expr_vector,
+    compile_selection_vector,
+    layout_of,
+)
 from repro.logical.operators import JoinKind
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.physical.operators import (
@@ -679,9 +682,12 @@ def _vector_aggregate(
     values: Optional[list],
     group_sizes: List[int],
 ) -> list:
-    """Per-group results of one aggregate, matching :class:`Accumulator`.
+    """Per-group results of one aggregate: the engine's one aggregator.
 
     ``group_sizes`` holds each group's row count, which is ``COUNT(*)``.
+    An empty group gives SQL's empty-input value: 0 for the COUNTs, NULL
+    otherwise.  The row-at-a-time ``Accumulator`` in
+    :mod:`repro.testing.reference_executor` is its test oracle.
     """
     n_groups = len(group_sizes)
     if function is AggregateFunction.COUNT_STAR:
@@ -735,9 +741,10 @@ def _aggregate_outputs(
 
 
 def _empty_scalar_aggregate(op) -> Batch:
-    # Scalar aggregate over empty input: one row of defaults.
+    # Scalar aggregate over empty input: one group of 0 rows.
     data = [
-        [Accumulator(call.function).result()] for _, call in op.aggregates
+        _vector_aggregate(call.function, [], [], [0])
+        for _, call in op.aggregates
     ]
     return Batch(op.output_columns, data, 1)
 

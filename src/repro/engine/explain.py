@@ -43,10 +43,3 @@ def _analyze(
     lines.append(f"{pad}{op.describe()}  (actual rows={rows})")
     for child in op.children:
         _analyze(child, database, depth + 1, lines)
-
-
-def plan_summary(plan: PhysicalOp) -> str:
-    """One-line summary: operator count and the operator kinds used."""
-    nodes = list(plan.walk())
-    kinds = sorted({node.kind.value for node in nodes})
-    return f"{len(nodes)} operators: {', '.join(kinds)}"

@@ -1,7 +1,11 @@
-"""Scalar expressions, aggregates, evaluation and simplification."""
+"""Scalar expressions, aggregate calls and the column-wise evaluator.
 
-from repro.expr.aggregates import Accumulator, AggregateCall, AggregateFunction
-from repro.expr.eval import evaluate, layout_of
+The engine evaluates expressions only through :mod:`repro.expr.vector`.
+The row-at-a-time reference semantics (``evaluate``, ``Accumulator``) are
+a test oracle and live in :mod:`repro.testing.reference_executor`.
+"""
+
+from repro.expr.aggregates import AggregateCall, AggregateFunction
 from repro.expr.expressions import (
     FALSE,
     TRUE,
@@ -25,10 +29,9 @@ from repro.expr.expressions import (
     referenced_columns,
     substitute_columns,
 )
-from repro.expr.simplify import fold_constants, is_constant, simplify_predicate
+from repro.expr.vector import layout_of
 
 __all__ = [
-    "Accumulator",
     "AggregateCall",
     "AggregateFunction",
     "Arithmetic",
@@ -47,14 +50,10 @@ __all__ = [
     "TRUE",
     "conjunction",
     "conjuncts",
-    "evaluate",
     "expression_type",
-    "fold_constants",
-    "is_constant",
     "is_null_rejecting",
     "is_nullable",
     "layout_of",
     "referenced_columns",
     "substitute_columns",
-    "simplify_predicate",
 ]

@@ -1,12 +1,12 @@
-"""Aggregate functions and their accumulators.
+"""Aggregate functions and aggregate calls.
 
 Aggregates appear only inside Group-By/Aggregate operators (never nested in
-scalar expressions).  Each function exposes an accumulator protocol used by
-the physical aggregation operators, plus the metadata the eager/lazy
-aggregation transformation rules need: whether the aggregate is
-*decomposable* (can be computed as partial aggregates combined by a second
-aggregation) and what the combining function is -- e.g. partial SUMs combine
-with SUM, partial COUNTs combine with SUM.
+scalar expressions).  The columnar executor computes them
+(``repro.engine.columnar._vector_aggregate``); each function carries the
+metadata the eager/lazy aggregation transformation rules need: whether the
+aggregate is *decomposable* (can be computed as partial aggregates combined
+by a second aggregation) and what the combining function is -- e.g. partial
+SUMs combine with SUM, partial COUNTs combine with SUM.
 """
 
 from __future__ import annotations
@@ -88,51 +88,3 @@ class AggregateCall:
         if self.function is AggregateFunction.COUNT_STAR:
             return "COUNT(*)"
         return f"{self.function.value}({self.argument})"
-
-
-class Accumulator:
-    """Streaming accumulator for one aggregate over one group."""
-
-    __slots__ = ("function", "_count", "_sum", "_min", "_max")
-
-    def __init__(self, function: AggregateFunction) -> None:
-        self.function = function
-        self._count = 0
-        self._sum = 0
-        self._min = None
-        self._max = None
-
-    def add(self, value: object) -> None:
-        """Feed one input value (already-evaluated argument, or a dummy for
-        COUNT(*)).  NULL inputs are ignored except by COUNT(*)."""
-        if self.function is AggregateFunction.COUNT_STAR:
-            self._count += 1
-            return
-        if value is None:
-            return
-        self._count += 1
-        if self.function in (AggregateFunction.SUM, AggregateFunction.AVG):
-            self._sum += value
-        elif self.function is AggregateFunction.MIN:
-            if self._min is None or value < self._min:
-                self._min = value
-        elif self.function is AggregateFunction.MAX:
-            if self._max is None or value > self._max:
-                self._max = value
-
-    def result(self) -> object:
-        """Final value for the group (SQL semantics for empty input)."""
-        if self.function in (
-            AggregateFunction.COUNT,
-            AggregateFunction.COUNT_STAR,
-        ):
-            return self._count
-        if self._count == 0:
-            return None
-        if self.function is AggregateFunction.SUM:
-            return self._sum
-        if self.function is AggregateFunction.AVG:
-            return self._sum / self._count
-        if self.function is AggregateFunction.MIN:
-            return self._min
-        return self._max

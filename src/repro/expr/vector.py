@@ -1,13 +1,14 @@
-"""Column-wise expression evaluation for the columnar executor.
+"""Column-wise expression evaluation: the engine's one scalar evaluator.
 
 :func:`compile_expr_vector` compiles an expression to operate on whole
 columns at once: a compiled expression is a closure
 ``(columns, n) -> column`` where ``columns`` is the operator input as a
 struct-of-arrays (one Python list per column, all of length ``n``) and the
-result is a list of ``n`` values.  Semantics are identical to the row
-interpreter :func:`repro.expr.eval.evaluate` — SQL three-valued logic,
+result is a list of ``n`` values.  Semantics are SQL three-valued logic,
 NULL-propagating comparisons and arithmetic, division by zero yielding
-NULL — and property-based tests plus the executor differential suite
+NULL.  The row interpreter ``evaluate`` in
+:mod:`repro.testing.reference_executor` is the test oracle for these
+semantics: property-based tests plus the executor differential suite
 assert the two agree.
 
 Evaluator outputs are read-only by convention: a ``ColumnRef`` returns the
@@ -17,14 +18,14 @@ returned column.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
-from repro.expr.eval import _COMPARATORS, Layout
 from repro.expr.expressions import (
     Arithmetic,
     ArithmeticOp,
     BoolConnective,
     BoolExpr,
+    Column,
     ColumnRef,
     Comparison,
     ComparisonOp,
@@ -33,6 +34,24 @@ from repro.expr.expressions import (
     Literal,
     Not,
 )
+
+#: Maps a column id to its position inside a row tuple or column list.
+Layout = Dict[int, int]
+
+
+def layout_of(columns: Sequence[Column]) -> Layout:
+    """Build a :data:`Layout` from an ordered column list."""
+    return {column.cid: index for index, column in enumerate(columns)}
+
+
+_COMPARATORS = {
+    ComparisonOp.EQ: lambda a, b: a == b,
+    ComparisonOp.NE: lambda a, b: a != b,
+    ComparisonOp.LT: lambda a, b: a < b,
+    ComparisonOp.LE: lambda a, b: a <= b,
+    ComparisonOp.GT: lambda a, b: a > b,
+    ComparisonOp.GE: lambda a, b: a >= b,
+}
 
 #: A compiled vector expression: ``(columns, n) -> column of n values``.
 VectorCompiled = Callable[[Sequence[list], int], list]

@@ -8,7 +8,7 @@ from repro.sql.dialect import (
     Dialect,
 )
 from repro.sql.generate import SqlGenerator, sql_name, to_sql
-from repro.sql.lexer import LexError, Token, TokenType, tokenize
+from repro.sql.lexer import LexError
 
 __all__ = [
     "DIALECTS",
@@ -18,11 +18,8 @@ __all__ = [
     "LexError",
     "SQLITE_DIALECT",
     "SqlGenerator",
-    "Token",
-    "TokenType",
     "sql_name",
     "to_sql",
-    "tokenize",
 ]
 
 

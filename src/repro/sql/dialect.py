@@ -13,7 +13,9 @@ backends disagree:
 * **Division.**  The in-process engine (and DuckDB) divide exactly:
   ``7 / 2 = 3.5``.  SQLite truncates integer division, so its dialect
   renders ``a / b`` as ``CAST(a AS REAL) / b``.  Division by zero yields
-  NULL in all supported backends, matching :func:`repro.expr.eval._arith`.
+  NULL in all supported backends, matching the engine's evaluator
+  (:mod:`repro.expr.vector`) and its reference, ``_arith`` in
+  :mod:`repro.testing.reference_executor`.
 * **Boolean literals.**  The engine dialect keeps the ``TRUE`` / ``FALSE``
   keywords; SQLite has no boolean type and stores ``1`` / ``0``.
 * **Identifier quoting.**  Generated identifiers (``<name>_<cid>``, table

@@ -4,25 +4,12 @@
 lists.  A keyword, operator or punctuation token's *kind* is its own
 upper-case text (``"SELECT"``, ``"<="``, ``"("``); every other token's kind
 is one of :data:`IDENT`, :data:`NUMBER`, :data:`STRING` or :data:`EOF`.
-:func:`tokenize` is the same stream as :class:`Token` objects.
 """
 
 from __future__ import annotations
 
-import enum
 import re
-from dataclasses import dataclass
 from typing import List, Tuple
-
-
-class TokenType(enum.Enum):
-    KEYWORD = "keyword"
-    IDENT = "ident"
-    NUMBER = "number"
-    STRING = "string"
-    OPERATOR = "operator"
-    PUNCT = "punct"
-    EOF = "eof"
 
 
 KEYWORDS = {
@@ -53,13 +40,6 @@ _TOKEN = re.compile(
     r"|(?P<symbol><>|<=|>=|[-=<>+*/(),.]))"
 )
 _SPACE = re.compile(r"\s*")
-
-
-@dataclass(frozen=True)
-class Token:
-    type: TokenType
-    value: str
-    position: int
 
 
 class LexError(Exception):
@@ -112,17 +92,3 @@ def scan(text: str) -> Tuple[List[str], List[str], List[int]]:
     values.append("")
     positions.append(len(text))
     return kinds, values, positions
-
-
-_TYPES = {IDENT: TokenType.IDENT, NUMBER: TokenType.NUMBER,
-          STRING: TokenType.STRING, EOF: TokenType.EOF,
-          **{op: TokenType.OPERATOR for op in _OPERATORS},
-          **{char: TokenType.PUNCT for char in _PUNCT}}
-
-
-def tokenize(text: str) -> List[Token]:
-    """Tokenize ``text`` into :class:`Token` objects; always ends with EOF."""
-    return [
-        Token(_TYPES.get(kind, TokenType.KEYWORD), value, position)
-        for kind, value, position in zip(*scan(text))
-    ]

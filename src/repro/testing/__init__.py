@@ -13,7 +13,6 @@ from repro.testing.compression import (
     TopKStats,
     baseline_plan,
     matching_plan,
-    selection_plan,
     set_multicover_plan,
     top_k_independent_plan,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "pareto_report",
     "run_campaign",
     "score_selection",
-    "selection_plan",
     "set_multicover_plan",
     "singleton_nodes",
     "substitution_compositions",

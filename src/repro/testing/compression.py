@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -325,46 +325,6 @@ def _top_k_with_monotonicity(
         elif cost < -heap[0][0]:
             heapq.heapreplace(heap, entry)
     return sorted((-negated, query_id) for negated, query_id in heap)
-
-
-# ------------------------------------------------- external selections
-
-
-def selection_plan(
-    suite: TestSuite,
-    oracle: CostOracle,
-    assignments: Dict[RuleNode, Sequence[int]],
-    method: str = "DETECT",
-) -> CompressionPlan:
-    """Materialize an externally chosen assignment as an executable plan.
-
-    The detection-aware objective (:mod:`repro.testing.detection`) selects
-    query ids from the mutant x query kill matrix rather than from this
-    module's cost-only algorithms; this bridge prices the chosen edges
-    through the same :class:`CostOracle` batch path so the result is a
-    first-class :class:`CompressionPlan` the
-    :class:`~repro.testing.correctness.CorrectnessRunner` can execute.
-    """
-    normalized: Dict[RuleNode, List[int]] = {}
-    pairs: List[Tuple[SuiteQuery, RuleNode]] = []
-    for node, query_ids in assignments.items():
-        chosen = sorted(set(query_ids))
-        for query_id in chosen:
-            query = suite.query(query_id)
-            if not query.exercises(node):
-                raise CompressionError(
-                    f"query {query_id} does not exercise rule node {node}"
-                )
-            pairs.append((query, node))
-        normalized[node] = chosen
-    node_costs = {query.query_id: query.cost for query in suite.queries}
-    edge_costs = _batched_edge_costs(oracle, pairs)
-    return _trace_plan(oracle, CompressionPlan(
-        method=method,
-        assignments=normalized,
-        node_costs=node_costs,
-        edge_costs=edge_costs,
-    ))
 
 
 # ----------------------------------------------------- Section 7: matching

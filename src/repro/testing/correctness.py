@@ -91,8 +91,9 @@ class CorrectnessRunner:
             database, registry=registry, config=self.config
         )
         #: Optional :class:`repro.analysis.sanitize.MonotonicityGuard`; when
-        #: set, every baseline/disabled cost pair is asserted against the
-        #: ``Cost(q) <= Cost(q, not R)`` invariant.
+        #: set, every baseline/disabled cost pair where neither search was
+        #: cut is asserted against the ``Cost(q) <= Cost(q, not R)``
+        #: invariant.
         self.monotonicity_guard = monotonicity_guard
 
     def run(self, plan: CompressionPlan, suite: TestSuite) -> CorrectnessReport:
@@ -174,7 +175,12 @@ class CorrectnessRunner:
             if isinstance(disabled, OptimizationError):
                 entries.append((node, query_id, "opt_error", str(disabled)))
                 continue
-            if self.monotonicity_guard is not None:
+            # A cut search's space is truncated, not a superset: the
+            # invariant holds only when neither search was cut.
+            if self.monotonicity_guard is not None and not (
+                baseline_opt[query_id].stats.budget_exhausted
+                or disabled.stats.budget_exhausted
+            ):
                 self.monotonicity_guard.observe(
                     f"query {query_id}",
                     baseline_costs[query_id],

@@ -1,15 +1,21 @@
 """The row-at-a-time reference interpreter: a test oracle for the executor.
 
 :func:`execute_plan_iterator` runs a physical plan one row tuple at a
-time, evaluating expressions with :func:`repro.expr.eval.evaluate`, so it
-shares no expression compiler with the columnar executor
-(:func:`repro.engine.execute_plan`) it is compared against.  It is not an
-execution path: the executor differential tests hold the two to the same
-rows in the same order.
+time, evaluating expressions with :func:`evaluate` and aggregating with
+:class:`Accumulator`, so it shares no expression compiler and no
+aggregator with the columnar executor (:func:`repro.engine.execute_plan`)
+it is compared against.  It is not an execution path: the executor
+differential tests hold the two to the same rows in the same order, and
+property-based tests pin the production evaluator
+(:mod:`repro.expr.vector`) to :func:`evaluate` value for value.
 
 NULL semantics follow SQL throughout: predicates keep rows only when TRUE;
 outer joins NULL-extend; grouping, DISTINCT and set operations treat NULLs
-as equal; aggregates skip NULLs (except COUNT(*)).
+as equal; aggregates skip NULLs (except COUNT(*)).  Any arithmetic or
+comparison with a NULL operand yields NULL (UNKNOWN for booleans); AND/OR
+follow Kleene logic; ``IS NULL`` is always two-valued.  Division by zero
+yields NULL, keeping evaluation total -- this mirrors engines configured
+with ANSI warnings off and keeps randomly generated queries executable.
 """
 
 from __future__ import annotations
@@ -18,9 +24,22 @@ import operator
 from typing import Callable, Dict, List, Tuple
 
 from repro.engine import ExecutionError, QueryResult
-from repro.expr.aggregates import Accumulator
-from repro.expr.eval import Layout, evaluate, layout_of
-from repro.expr.expressions import Column, Expr, TRUE
+from repro.expr.aggregates import AggregateFunction
+from repro.expr.expressions import (
+    TRUE,
+    Arithmetic,
+    ArithmeticOp,
+    BoolConnective,
+    BoolExpr,
+    Column,
+    ColumnRef,
+    Comparison,
+    Expr,
+    IsNull,
+    Literal,
+    Not,
+)
+from repro.expr.vector import _COMPARATORS, Layout, layout_of
 from repro.logical.operators import JoinKind
 from repro.physical.operators import (
     ComputeScalar,
@@ -46,6 +65,118 @@ from repro.storage.database import Database
 
 Rows = List[Tuple]
 Columns = Tuple[Column, ...]
+
+
+# ------------------------------------------------ expressions and aggregates
+
+
+def _arith(op: ArithmeticOp, left, right):
+    if left is None or right is None:
+        return None
+    if op is ArithmeticOp.ADD:
+        return left + right
+    if op is ArithmeticOp.SUB:
+        return left - right
+    if op is ArithmeticOp.MUL:
+        return left * right
+    if right == 0:
+        return None
+    return left / right
+
+
+def evaluate(expr: Expr, row: Tuple, layout: Layout):
+    """Interpret ``expr`` against ``row``; returns a value or ``None``."""
+    if isinstance(expr, ColumnRef):
+        return row[layout[expr.column.cid]]
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Comparison):
+        left = evaluate(expr.left, row, layout)
+        right = evaluate(expr.right, row, layout)
+        if left is None or right is None:
+            return None
+        return _COMPARATORS[expr.op](left, right)
+    if isinstance(expr, BoolExpr):
+        if expr.op is BoolConnective.AND:
+            saw_null = False
+            for arg in expr.args:
+                value = evaluate(arg, row, layout)
+                if value is False:
+                    return False
+                if value is None:
+                    saw_null = True
+            return None if saw_null else True
+        saw_null = False
+        for arg in expr.args:
+            value = evaluate(arg, row, layout)
+            if value is True:
+                return True
+            if value is None:
+                saw_null = True
+        return None if saw_null else False
+    if isinstance(expr, Not):
+        value = evaluate(expr.arg, row, layout)
+        if value is None:
+            return None
+        return not value
+    if isinstance(expr, IsNull):
+        return evaluate(expr.arg, row, layout) is None
+    if isinstance(expr, Arithmetic):
+        left = evaluate(expr.left, row, layout)
+        right = evaluate(expr.right, row, layout)
+        return _arith(expr.op, left, right)
+    raise TypeError(f"unknown expression node {type(expr).__name__}")
+
+
+class Accumulator:
+    """Streaming accumulator for one aggregate over one group."""
+
+    __slots__ = ("function", "_count", "_sum", "_min", "_max")
+
+    def __init__(self, function: AggregateFunction) -> None:
+        self.function = function
+        self._count = 0
+        self._sum = 0
+        self._min = None
+        self._max = None
+
+    def add(self, value: object) -> None:
+        """Feed one input value (already-evaluated argument, or a dummy for
+        COUNT(*)).  NULL inputs are ignored except by COUNT(*)."""
+        if self.function is AggregateFunction.COUNT_STAR:
+            self._count += 1
+            return
+        if value is None:
+            return
+        self._count += 1
+        if self.function in (AggregateFunction.SUM, AggregateFunction.AVG):
+            self._sum += value
+        elif self.function is AggregateFunction.MIN:
+            if self._min is None or value < self._min:
+                self._min = value
+        elif self.function is AggregateFunction.MAX:
+            if self._max is None or value > self._max:
+                self._max = value
+
+    def result(self) -> object:
+        """Final value for the group (SQL semantics for empty input)."""
+        if self.function in (
+            AggregateFunction.COUNT,
+            AggregateFunction.COUNT_STAR,
+        ):
+            return self._count
+        if self._count == 0:
+            return None
+        if self.function is AggregateFunction.SUM:
+            return self._sum
+        if self.function is AggregateFunction.AVG:
+            return self._sum / self._count
+        if self.function is AggregateFunction.MIN:
+            return self._min
+        return self._max
+
+
+# ---------------------------------------------------------------- executor
 
 
 def execute_plan_iterator(

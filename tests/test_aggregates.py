@@ -1,10 +1,11 @@
-"""Unit tests for aggregate functions and accumulators."""
+"""Unit tests for aggregate functions and the reference accumulator."""
 
 import pytest
 
 from repro.catalog.schema import DataType
-from repro.expr.aggregates import Accumulator, AggregateCall, AggregateFunction
+from repro.expr.aggregates import AggregateCall, AggregateFunction
 from repro.expr.expressions import Column, ColumnRef
+from repro.testing.reference_executor import Accumulator
 
 
 def _run(function, values):

@@ -6,8 +6,7 @@ Three layers:
   budget raises, resubstitution vs. leave-one-out scoring, and the
   Pareto frontier -- pure functions, no database;
 * the bridge from real campaign artifacts (``KillMatrix.from_report`` /
-  ``from_report_dict``) plus the :func:`selection_plan` executable
-  bridge in the compression module;
+  ``from_report_dict``);
 * determinism: the Pareto JSON artifact must be byte-identical across
   *fresh interpreter* runs (Column cids are process-global, so this is
   the strongest honest check), and the ``repro compress`` CLI gate.
@@ -22,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.testing.compression import CompressionError, selection_plan
 from repro.testing.detection import (
     DetectionError,
     KillMatrix,
@@ -32,7 +30,6 @@ from repro.testing.detection import (
     pareto_report,
     score_selection,
 )
-from repro.testing.suite import SuiteQuery, TestSuite
 
 _REPO = Path(__file__).resolve().parents[1]
 
@@ -291,39 +288,6 @@ class TestKillMatrixFromReport:
                      for rule in matrix.rules},
         )
         assert score.detected == full.detected
-
-
-class TestSelectionPlanBridge:
-    def _suite(self):
-        r1, r2 = ("r1",), ("r2",)
-        q0 = SuiteQuery(
-            query_id=0, tree=None, sql="q0", cost=100.0,
-            ruleset=frozenset({"r1"}), generated_for=r1,
-        )
-        q1 = SuiteQuery(
-            query_id=1, tree=None, sql="q1", cost=50.0,
-            ruleset=frozenset({"r1", "r2"}), generated_for=r2,
-        )
-        suite = TestSuite(rule_nodes=[r1, r2], queries=[q0, q1], k=1)
-
-        class Oracle:
-            def cost_without_many(self, pairs):
-                return [query.cost + 10.0 for query, _ in pairs]
-
-        return suite, Oracle(), r1, r2
-
-    def test_materializes_an_executable_plan(self):
-        suite, oracle, r1, r2 = self._suite()
-        plan = selection_plan(suite, oracle, {r1: [0, 0], r2: [1]})
-        assert plan.method == "DETECT"
-        assert plan.assignments == {r1: [0], r2: [1]}  # deduplicated
-        assert plan.selected_query_ids == {0, 1}
-        assert plan.total_cost == pytest.approx(100 + 50 + 110 + 60)
-
-    def test_rejects_queries_that_do_not_exercise_the_node(self):
-        suite, oracle, r1, r2 = self._suite()
-        with pytest.raises(CompressionError):
-            selection_plan(suite, oracle, {r2: [0]})  # q0 lacks r2
 
 
 # Fresh interpreter: bound Column ids are process-global, so byte-identity

@@ -265,18 +265,26 @@ class TestAggregation:
             Literal(0, DataType.INT),
         )
         empty = Filter(emp_scan, never)
-        count_out = Column("n", DataType.INT)
-        sum_out = Column("s", DataType.FLOAT)
+        salary = ColumnRef(emp_scan.columns[2])
+        calls = [
+            AggregateCall(function)
+            if function is AggregateFunction.COUNT_STAR
+            else AggregateCall(function, salary)
+            for function in AggregateFunction
+        ]
         agg = HashAggregate(
             empty,
             (),
-            (
-                (count_out, AggregateCall(AggregateFunction.COUNT_STAR)),
-                (sum_out, AggregateCall(
-                    AggregateFunction.SUM, ColumnRef(emp_scan.columns[2]))),
+            tuple(
+                (Column(call.function.name.lower(), call.result_type()), call)
+                for call in calls
             ),
         )
-        assert _rows(agg, tiny_db) == [(0, None)]
+        # SQL's empty-input values: 0 for the COUNTs, NULL otherwise.
+        ((count, count_star, *rest),) = _rows(agg, tiny_db)
+        assert (type(count), count) == (int, 0)
+        assert (type(count_star), count_star) == (int, 0)
+        assert rest == [None] * 4
 
     def test_grouped_aggregate_over_empty_input_returns_nothing(
         self, tiny_db, emp_scan

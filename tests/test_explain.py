@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import execute_plan, explain, explain_analyze, plan_summary
+from repro.engine import execute_plan, explain, explain_analyze
 from repro.expr.expressions import ColumnRef, Comparison, ComparisonOp
 from repro.logical.operators import Join, JoinKind, make_get
 from repro.optimizer.engine import Optimizer
@@ -62,12 +62,6 @@ class TestExplain:
         result = execute_plan(plan, db)
         first_line = explain_analyze(plan, db).splitlines()[0]
         assert f"actual rows={result.row_count}" in first_line
-
-    def test_plan_summary(self, plan_and_db):
-        plan, _ = plan_and_db
-        summary = plan_summary(plan)
-        assert "operators:" in summary
-        assert "TableScan" in summary
 
     def test_indentation_reflects_depth(self, plan_and_db):
         plan, db = plan_and_db

@@ -1,4 +1,9 @@
-"""Unit tests for scalar expressions and three-valued evaluation."""
+"""Unit tests for scalar expressions and three-valued evaluation.
+
+The truth tables run against both evaluators: the engine's column-wise
+compiler (:mod:`repro.expr.vector`) and the row interpreter it is tested
+against (:func:`repro.testing.reference_executor.evaluate`).
+"""
 
 import copy
 import dataclasses
@@ -9,7 +14,6 @@ import sys
 import pytest
 
 from repro.catalog.schema import DataType
-from repro.expr.eval import evaluate, layout_of
 from repro.expr.expressions import (
     FALSE,
     TRUE,
@@ -32,7 +36,12 @@ from repro.expr.expressions import (
     referenced_columns,
     substitute_columns,
 )
-from repro.expr.vector import compile_expr_vector, compile_selection_vector
+from repro.expr.vector import (
+    compile_expr_vector,
+    compile_selection_vector,
+    layout_of,
+)
+from repro.testing.reference_executor import evaluate
 
 
 @pytest.fixture()
@@ -43,8 +52,21 @@ def cols():
     return a, b, s
 
 
-def _eval(expr, row, columns):
+def _reference_row(expr, row, columns):
     return evaluate(expr, row, layout_of(columns))
+
+
+def _vector_row(expr, row, columns):
+    compiled = compile_expr_vector(expr, layout_of(columns))
+    return compiled([[value] for value in row], 1)[0]
+
+
+@pytest.fixture(
+    params=[_reference_row, _vector_row], ids=["reference", "vector"]
+)
+def _eval(request):
+    """One row through one evaluator: ``(expr, row, columns) -> value``."""
+    return request.param
 
 
 class TestColumnIdentity:
@@ -61,7 +83,7 @@ class TestColumnIdentity:
 
 
 class TestEvaluation:
-    def test_column_and_literal(self, cols):
+    def test_column_and_literal(self, cols, _eval):
         a, b, s = cols
         assert _eval(ColumnRef(a), (7, 8, "x"), cols) == 7
         assert _eval(Literal(5, DataType.INT), (7, 8, "x"), cols) == 5
@@ -77,12 +99,12 @@ class TestEvaluation:
             (ComparisonOp.GE, False),
         ],
     )
-    def test_comparisons(self, cols, op, expected):
+    def test_comparisons(self, cols, op, expected, _eval):
         a, b, _ = cols
         expr = Comparison(op, ColumnRef(a), ColumnRef(b))
         assert _eval(expr, (1, 2, "x"), cols) is expected
 
-    def test_comparison_with_null_is_unknown(self, cols):
+    def test_comparison_with_null_is_unknown(self, cols, _eval):
         a, b, _ = cols
         expr = Comparison(ComparisonOp.EQ, ColumnRef(a), ColumnRef(b))
         assert _eval(expr, (None, 2, "x"), cols) is None
@@ -99,12 +121,12 @@ class TestEvaluation:
             (None, None, None),
         ],
     )
-    def test_kleene_and(self, left, right, expected):
+    def test_kleene_and(self, left, right, expected, _eval):
         expr = BoolExpr(
             BoolConnective.AND,
             (Literal(left, DataType.BOOL), Literal(right, DataType.BOOL)),
         )
-        assert evaluate(expr, (), {}) is expected
+        assert _eval(expr, (), ()) is expected
 
     @pytest.mark.parametrize(
         "left,right,expected",
@@ -116,39 +138,39 @@ class TestEvaluation:
             (None, None, None),
         ],
     )
-    def test_kleene_or(self, left, right, expected):
+    def test_kleene_or(self, left, right, expected, _eval):
         expr = BoolExpr(
             BoolConnective.OR,
             (Literal(left, DataType.BOOL), Literal(right, DataType.BOOL)),
         )
-        assert evaluate(expr, (), {}) is expected
+        assert _eval(expr, (), ()) is expected
 
     @pytest.mark.parametrize(
         "value,expected", [(True, False), (False, True), (None, None)]
     )
-    def test_not(self, value, expected):
+    def test_not(self, value, expected, _eval):
         expr = Not(Literal(value, DataType.BOOL))
-        assert evaluate(expr, (), {}) is expected
+        assert _eval(expr, (), ()) is expected
 
-    def test_is_null_is_two_valued(self, cols):
+    def test_is_null_is_two_valued(self, cols, _eval):
         a, _, _ = cols
         expr = IsNull(ColumnRef(a))
         assert _eval(expr, (None, 0, "x"), cols) is True
         assert _eval(expr, (1, 0, "x"), cols) is False
 
-    def test_arithmetic(self, cols):
+    def test_arithmetic(self, cols, _eval):
         a, b, _ = cols
         add = Arithmetic(ArithmeticOp.ADD, ColumnRef(a), ColumnRef(b))
         mul = Arithmetic(ArithmeticOp.MUL, ColumnRef(a), ColumnRef(b))
         assert _eval(add, (2, 3, "x"), cols) == 5
         assert _eval(mul, (2, 3, "x"), cols) == 6
 
-    def test_arithmetic_null_propagates(self, cols):
+    def test_arithmetic_null_propagates(self, cols, _eval):
         a, b, _ = cols
         add = Arithmetic(ArithmeticOp.ADD, ColumnRef(a), ColumnRef(b))
         assert _eval(add, (None, 3, "x"), cols) is None
 
-    def test_division_by_zero_yields_null(self, cols):
+    def test_division_by_zero_yields_null(self, cols, _eval):
         a, b, _ = cols
         div = Arithmetic(ArithmeticOp.DIV, ColumnRef(a), ColumnRef(b))
         assert _eval(div, (1, 0, "x"), cols) is None

@@ -27,7 +27,6 @@ from repro.engine import (
     execute_plan,
     results_identical,
 )
-from repro.expr.eval import evaluate, layout_of
 from repro.expr.expressions import (
     Arithmetic,
     ArithmeticOp,
@@ -41,8 +40,11 @@ from repro.expr.expressions import (
     Literal,
     Not,
 )
-from repro.expr.simplify import fold_constants
-from repro.expr.vector import compile_expr_vector, compile_selection_vector
+from repro.expr.vector import (
+    compile_expr_vector,
+    compile_selection_vector,
+    layout_of,
+)
 from repro.logical.validate import validate_tree
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.engine import Optimizer
@@ -54,6 +56,7 @@ from repro.testing.compression import (
     top_k_independent_plan,
 )
 from repro.testing.random_gen import RandomQueryGenerator
+from repro.testing.reference_executor import evaluate
 from repro.testing.suite import SuiteQuery, TestSuite
 from repro.workloads import tpch_database
 
@@ -178,13 +181,6 @@ class TestExpressionProperties:
         assert selected == [
             i for i, value in enumerate(expected) if value is True
         ]
-
-    @given(expr=_bool_exprs(2), row=_rows)
-    @settings(max_examples=300, deadline=None)
-    def test_fold_constants_preserves_semantics(self, expr, row):
-        layout = layout_of(_COLUMNS)
-        folded = fold_constants(expr)
-        assert evaluate(folded, row, layout) == evaluate(expr, row, layout)
 
     @given(expr=_scalar_exprs(2), rows=_row_batches)
     @settings(max_examples=300, deadline=None)

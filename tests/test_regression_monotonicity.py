@@ -19,6 +19,7 @@ assertion.
 
 import pytest
 
+from repro.analysis.sanitize import MonotonicityGuard
 from repro.engine import execute_plan, results_identical
 from repro.logical.validate import validate_tree
 from repro.obs.trace import RecordingTracer
@@ -26,7 +27,11 @@ from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.optimizer.engine import Optimizer
 from repro.rules.registry import default_registry
 from repro.service import PlanService
+from repro.sql.generate import to_sql
+from repro.testing.compression import CompressionPlan
+from repro.testing.correctness import CorrectnessRunner
 from repro.testing.random_gen import RandomQueryGenerator
+from repro.testing.suite import SuiteQuery, TestSuite
 from repro.workloads import tpch_database
 
 #: ``(seed, disabled rules, full-registry cost, restricted cost)``.
@@ -123,3 +128,33 @@ def test_cut_base_sends_the_restricted_cost_to_the_optimizer(
     assert (last.arg("outcome"), last.arg("lineage")) == (
         "miss", "base_cut:exprs"
     )
+
+
+def test_correctness_runner_feeds_no_cut_pair_to_the_guard():
+    """The guard's invariant holds only between two uncut searches.
+    Witness 1448's full search is cut and its restricted plan is cheaper,
+    so a runner that fed the pair would record a false SA305."""
+    seed, disabled, baseline_cost, _ = WITNESSES[0]
+    tree = _witness_tree(seed)
+    query = SuiteQuery(
+        query_id=0,
+        tree=tree,
+        sql=to_sql(tree),
+        cost=baseline_cost,
+        ruleset=frozenset(disabled),
+        generated_for=disabled,
+    )
+    suite = TestSuite(rule_nodes=[disabled], queries=[query], k=1)
+    plan = CompressionPlan(
+        method="TOPK",
+        assignments={disabled: [0]},
+        node_costs={0: baseline_cost},
+        edge_costs={},
+    )
+    guard = MonotonicityGuard()
+    report = CorrectnessRunner(
+        DB, REGISTRY, monotonicity_guard=guard
+    ).run(plan, suite)
+    assert report.passed and report.comparisons == 1
+    assert guard.observations == 0
+    assert guard.violations == []

@@ -1,4 +1,5 @@
-"""Unit tests for the SQL tokenizer."""
+"""Unit tests for the SQL tokenizer, read through :func:`scan`'s
+``(kinds, values, positions)`` lists."""
 
 import re
 
@@ -7,33 +8,37 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.sql.generate import to_sql
-from repro.sql.lexer import KEYWORDS, LexError, TokenType, tokenize
+from repro.sql.lexer import (
+    EOF,
+    IDENT,
+    KEYWORDS,
+    NUMBER,
+    STRING,
+    LexError,
+    scan,
+)
 from repro.testing.random_gen import RandomQueryGenerator
 
 
-def _types(text):
-    return [token.type for token in tokenize(text)]
-
-
 def _values(text):
-    return [token.value for token in tokenize(text)][:-1]  # drop EOF
+    return scan(text)[1][:-1]  # drop EOF
 
 
 class TestTokenization:
     def test_keywords_uppercased(self):
-        tokens = tokenize("select From WHERE")
-        assert [t.value for t in tokens[:-1]] == ["SELECT", "FROM", "WHERE"]
-        assert all(t.type is TokenType.KEYWORD for t in tokens[:-1])
+        kinds, values, _ = scan("select From WHERE")
+        assert values[:-1] == ["SELECT", "FROM", "WHERE"]
+        assert kinds[:-1] == values[:-1]  # a keyword's kind is its text
 
     def test_identifiers_keep_case(self):
-        tokens = tokenize("MyTable my_col")
-        assert [t.value for t in tokens[:-1]] == ["MyTable", "my_col"]
-        assert tokens[0].type is TokenType.IDENT
+        kinds, values, _ = scan("MyTable my_col")
+        assert values[:-1] == ["MyTable", "my_col"]
+        assert kinds[0] == IDENT
 
     def test_numbers(self):
         assert _values("42 3.14") == ["42", "3.14"]
-        tokens = tokenize("42 3.14")
-        assert tokens[0].type is TokenType.NUMBER
+        kinds, _, _ = scan("42 3.14")
+        assert kinds[0] == NUMBER
 
     def test_qualified_name_dot_is_punct(self):
         values = _values("t.a")
@@ -45,17 +50,16 @@ class TestTokenization:
         assert values == ["q1", ".", "x"]
 
     def test_string_literal(self):
-        tokens = tokenize("'hello'")
-        assert tokens[0].type is TokenType.STRING
-        assert tokens[0].value == "hello"
+        kinds, values, _ = scan("'hello'")
+        assert kinds[0] == STRING
+        assert values[0] == "hello"
 
     def test_string_with_escaped_quote(self):
-        tokens = tokenize("'o''brien'")
-        assert tokens[0].value == "o'brien"
+        assert _values("'o''brien'") == ["o'brien"]
 
     def test_unterminated_string_raises(self):
         with pytest.raises(LexError, match="unterminated"):
-            tokenize("'oops")
+            scan("'oops")
 
     def test_operators_longest_match(self):
         assert _values("a <= b <> c >= d") == ["a", "<=", "b", "<>", "c", ">=", "d"]
@@ -65,15 +69,15 @@ class TestTokenization:
 
     def test_unknown_character_raises(self):
         with pytest.raises(LexError, match="unexpected character"):
-            tokenize("a ; b")
+            scan("a ; b")
 
     def test_eof_token_present(self):
-        tokens = tokenize("a")
-        assert tokens[-1].type is TokenType.EOF
+        kinds, values, positions = scan("a")
+        assert (kinds[-1], values[-1], positions[-1]) == (EOF, "", 1)
 
     def test_aggregate_names_are_keywords(self):
-        tokens = tokenize("COUNT SUM MIN MAX AVG")
-        assert all(t.type is TokenType.KEYWORD for t in tokens[:-1])
+        kinds, _, _ = scan("COUNT SUM MIN MAX AVG")
+        assert all(kind in KEYWORDS for kind in kinds[:-1])
 
 
 # ------------------------------------------- the character-loop reference
@@ -81,7 +85,8 @@ class TestTokenization:
 
 def _reference_tokens(text):
     """The lexer as a loop over characters: the reference the one-pattern
-    scanner must reproduce, as ``(type, value, position)`` triples."""
+    scanner must reproduce, as ``(kind, value, position)`` triples in
+    :func:`scan`'s vocabulary."""
     position = 0
     length = len(text)
     while position < length:
@@ -103,7 +108,7 @@ def _reference_tokens(text):
                     break
                 chunks.append(text[end])
                 end += 1
-            yield (TokenType.STRING, "".join(chunks), position)
+            yield (STRING, "".join(chunks), position)
             position = end + 1
             continue
         if ch.isdigit():
@@ -118,7 +123,7 @@ def _reference_tokens(text):
                         break
                     saw_dot = True
                 end += 1
-            yield (TokenType.NUMBER, text[position:end], position)
+            yield (NUMBER, text[position:end], position)
             position = end
             continue
         if ch.isalpha() or ch == "_":
@@ -128,23 +133,23 @@ def _reference_tokens(text):
             word = text[position:end]
             upper = word.upper()
             if upper in KEYWORDS:
-                yield (TokenType.KEYWORD, upper, position)
+                yield (upper, upper, position)
             else:
-                yield (TokenType.IDENT, word, position)
+                yield (IDENT, word, position)
             position = end
             continue
         for operator in ("<>", "<=", ">=", "=", "<", ">", "+", "-", "*", "/"):
             if text.startswith(operator, position):
-                yield (TokenType.OPERATOR, operator, position)
+                yield (operator, operator, position)
                 position += len(operator)
                 break
         else:
             if ch in "(),.":
-                yield (TokenType.PUNCT, ch, position)
+                yield (ch, ch, position)
                 position += 1
                 continue
             raise LexError(f"unexpected character {ch!r} at {position}")
-    yield (TokenType.EOF, "", length)
+    yield (EOF, "", length)
 
 
 def _outcome(lex, text):
@@ -155,7 +160,7 @@ def _outcome(lex, text):
 
 
 def _triples(text):
-    return [(t.type, t.value, t.position) for t in tokenize(text)]
+    return list(zip(*scan(text)))
 
 
 def _assert_same_as_reference(text):
@@ -205,11 +210,11 @@ class TestScannerMatchesReference:
         rejected where a token would start, like any other stray one, and
         stays legal inside an identifier, where ``str.isalnum`` admits it."""
         with pytest.raises(LexError, match=r"unexpected character '²' at 4"):
-            tokenize("a = ²")
+            scan("a = ²")
         with pytest.raises(LexError, match=r"unexpected character '³' at 1"):
-            tokenize("1³")
+            scan("1³")
         assert _values("a²") == ["a²"]
-        assert list(_reference_tokens("²"))[0] == (TokenType.NUMBER, "²", 0)
+        assert list(_reference_tokens("²"))[0] == (NUMBER, "²", 0)
 
     def test_regex_classes_are_the_reference_predicates(self):
         """The pattern's ``\\s``, ``\\d`` and ``\\w`` are exactly
