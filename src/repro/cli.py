@@ -959,12 +959,16 @@ def _cache(args, env) -> int:
     stats = cache_stats(root)
     print(f"cache directory: {root}")
     print(f"environments: {len(stats['environments'])}")
-    for name, env_stats in stats["environments"].items():
-        print(
-            f"  {name}: {env_stats['entries']} records, "
-            f"{env_stats['bytes']} bytes"
+
+    def summary(row: Dict[str, int]) -> str:
+        return (
+            f"{row['entries']} records in {row['lines']} lines "
+            f"({row['garbled']} garbled), {row['bytes']} bytes"
         )
-    print(f"total: {stats['entries']} records, {stats['bytes']} bytes")
+
+    for name, row in stats["environments"].items():
+        print(f"  {name}: {summary(row)}")
+    print(f"total: {summary(stats)}")
     return 0
 
 

@@ -133,6 +133,11 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "counter", (),
         "Worker metric snapshots merged back into this registry.",
     ),
+    "service.pool_fallbacks": (
+        "counter", (),
+        "Batches whose process pool failed (a worker died, no subprocesses "
+        "allowed) and that ran serially instead.",
+    ),
     # ----------------------------------------------------------- generation
     "generation.oversized": (
         "counter", (),

@@ -12,9 +12,11 @@ each layer hand-rolling its own :class:`Optimizer`, a single
   results under the fingerprint; the fingerprint itself is kept on the
   tree (:meth:`LogicalOp.fingerprint`), so a hit hashes nothing twice.
 * **Persistence.**  With a ``cache_dir``, cost/metadata records survive
-  across runs, keyed by an environment fingerprint over the rule registry,
-  catalog DDL and table statistics (see :mod:`repro.service.cache`).  Plans
-  are recomputed per process; costs and rule sets are served from disk.
+  across runs in one append-only log per environment fingerprint (over the
+  rule registry, catalog DDL and table statistics; see
+  :mod:`repro.service.cache`), read once into an index of
+  ``(fingerprint, config token)``: a disk hit is a dict lookup.  Plans are
+  recomputed per process; costs are served from disk.
 * **Parallelism.**  :meth:`optimize_many` fans a batch over a
   ``ProcessPoolExecutor`` (``workers > 1``) with deterministic result
   ordering, deduplicating identical requests within the batch first.
@@ -43,7 +45,6 @@ this module; no other package should instantiate one directly.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 import warnings
 from dataclasses import dataclass
@@ -95,6 +96,7 @@ class ServiceStats:
     errors: int = 0
     batches: int = 0
     parallel_tasks: int = 0
+    pool_fallbacks: int = 0
 
     @property
     def hits(self) -> int:
@@ -111,6 +113,7 @@ class ServiceStats:
             "errors": self.errors,
             "batches": self.batches,
             "parallel_tasks": self.parallel_tasks,
+            "pool_fallbacks": self.pool_fallbacks,
         }
 
 
@@ -203,10 +206,12 @@ class PlanService:
         if cache_dir is not None:
             env = environment_fingerprint(catalog, stats, self.registry)
             self._disk: Optional[PlanDiskCache] = PlanDiskCache(
-                Path(cache_dir), env
+                Path(cache_dir), env, tracer=tracer
             )
         else:
             self._disk = None
+        #: ``config.cache_token()`` per config, the disk index's key half.
+        self._tokens: Dict[OptimizerConfig, str] = {}
 
     # ------------------------------------------------------------- plumbing
 
@@ -227,10 +232,14 @@ class PlanService:
     def _key(self, tree: LogicalOp, config: OptimizerConfig) -> _CacheKey:
         return (tree.fingerprint(), config)
 
-    def _disk_key(self, key: _CacheKey) -> str:
+    def _log_key(self, key: _CacheKey) -> Tuple[str, str]:
+        """The disk index's key: the fingerprint and the config's token
+        (its text form, which, unlike its ``hash``, outlives the process)."""
         fingerprint, config = key
-        payload = f"{fingerprint}|{config.cache_token()}".encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+        token = self._tokens.get(config)
+        if token is None:
+            token = self._tokens[config] = config.cache_token()
+        return fingerprint, token
 
     def _optimizer(self, config: OptimizerConfig) -> Optimizer:
         optimizer = self._optimizers.get(config)
@@ -243,10 +252,10 @@ class PlanService:
         return optimizer
 
     def _record_for(self, key: _CacheKey, entry: _Entry) -> Dict:
-        fingerprint, config = key
+        fingerprint, token = self._log_key(key)
         record = {
             "fingerprint": fingerprint,
-            "config": config.cache_token(),
+            "config": token,
             "error": entry.error,
         }
         if entry.error is None:
@@ -336,18 +345,12 @@ class PlanService:
     def _read_disk(self, key: _CacheKey) -> Optional[_Entry]:
         if self._disk is None:
             return None
-        record = self._disk.get(self._disk_key(key))
-        # Any other JSON value is a garbled record: a miss, so the request
-        # is recomputed and the record overwritten.
-        if not isinstance(record, dict):
+        answer = self._disk.get(self._log_key(key))
+        if answer is None:
             return None
-        error = record.get("error")
-        if isinstance(error, str):
-            return _Entry(error=error)
-        cost = record.get("cost")
-        if isinstance(cost, (int, float)) and not isinstance(cost, bool):
-            return _Entry(cost=float(cost))
-        return None
+        if isinstance(answer, str):
+            return _Entry(error=answer)
+        return _Entry(cost=answer)
 
     def _remember(self, key: _CacheKey, entry: _Entry) -> None:
         if not self._memory_cache_enabled:
@@ -401,7 +404,7 @@ class PlanService:
         """Remember ``entry``, and persist it unless it is RuleSet-only."""
         self._remember(key, entry)
         if self._disk is not None and entry.unexercised is None:
-            self._disk.put(self._disk_key(key), self._record_for(key, entry))
+            self._disk.put(self._log_key(key), self._record_for(key, entry))
 
     def _serve(
         self, requests: Sequence[PlanRequest], need_plan: bool, request: str
@@ -612,7 +615,8 @@ class PlanService:
         self, pending: Dict[_CacheKey, _Task]
     ) -> Optional[Dict[_CacheKey, _Entry]]:
         """Fan ``pending`` over a process pool; ``None`` falls back to serial
-        (e.g. unpicklable environment or a sandbox without subprocesses)."""
+        (e.g. unpicklable environment, a sandbox without subprocesses or a
+        worker that died, the last two counted as ``pool_fallbacks``)."""
         from concurrent.futures import ProcessPoolExecutor
 
         try:
@@ -642,7 +646,13 @@ class PlanService:
                         self.metrics.counter("service.worker_merges").inc()
                     computed[key] = self._computed(key, result, error)
                 return computed
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
+            self._bump("pool_fallbacks")
+            if self.tracer.enabled:
+                self.tracer.event(
+                    "service.pool_fallback", cat="service",
+                    error=type(exc).__name__,
+                )
             warnings.warn(
                 f"plan service: process pool failed ({exc}); "
                 "running batch serially",

@@ -362,6 +362,7 @@ class MutationCampaign:
             config=self.config,
             workers=self.workers,
             cache_dir=None,
+            tracer=self.tracer,
             metrics=self.metrics,
         )
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.service.cache import LOG_NAME
 
 
 class TestInformational:
@@ -145,14 +146,15 @@ class TestServiceFlags:
              "SELECT o_orderkey FROM orders"]
         ) == 0
         assert "cost:" in capsys.readouterr().out
-        assert not list(tmp_path.glob("*/*.json"))  # nothing persisted
+        assert not list(tmp_path.iterdir())  # nothing persisted
 
     def test_cached_optimize_persists(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(
             ["optimize", "--sql", "SELECT o_orderkey FROM orders"]
         ) == 0
-        assert list(tmp_path.glob("*/*.json"))
+        (log,) = tmp_path.glob(f"*/{LOG_NAME}")
+        assert len(log.read_text().splitlines()) == 1
 
     def test_workers_flag(self, capsys):
         assert main(
@@ -174,6 +176,36 @@ class TestServiceFlags:
         assert "removed 1 cached records" in capsys.readouterr().out
         assert main(["cache", "--stats"]) == 0
         assert "total: 0 records" in capsys.readouterr().out
+
+    def test_cache_stats_and_clear_on_the_log(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """``--stats`` counts a log's records, lines, garbled lines and
+        bytes; ``--clear`` removes the log and any per-record file an older
+        layout left beside it."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        for sql in ("SELECT o_custkey FROM orders",
+                    "SELECT c_name FROM customer"):
+            assert main(["optimize", "--sql", sql]) == 0
+        (log,) = tmp_path.glob(f"*/{LOG_NAME}")
+        with open(log, "a") as handle:
+            handle.write("not a record\n")
+        legacy = log.parent / "0123abcd.json"
+        legacy.write_text('{"cost": 1.0, "error": null}')
+        (log.parent / "0123abcd.tmp").write_text("{")
+        size = log.stat().st_size
+        capsys.readouterr()
+        assert main(["cache", "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "environments: 1" in out
+        assert (
+            f"  {log.parent.name}: 2 records in 3 lines (1 garbled), "
+            f"{size} bytes"
+        ) in out
+        assert f"total: 2 records in 3 lines (1 garbled), {size} bytes" in out
+        assert main(["cache", "--clear"]) == 0
+        assert "removed 4 cached records" in capsys.readouterr().out
+        assert not list(tmp_path.iterdir())
 
     def test_campaign_reports_service_stats(self, capsys):
         assert main(["--no-cache", "campaign", "--rules", "3", "--k", "2"]) == 0

@@ -418,7 +418,7 @@ RECORDED_FLEET_OUTCOMES = {
 RECORDED_SAMPLE_STATS = {
     "requests": 90, "memory_hits": 35, "disk_hits": 0, "hits": 35,
     "lineage_hits": 1, "computed": 54, "errors": 0, "batches": 7,
-    "parallel_tasks": 0,
+    "parallel_tasks": 0, "pool_fallbacks": 0,
 }
 
 
@@ -513,6 +513,22 @@ def test_a_fleet_that_raised_is_counted_not_folded(
         if event.name == "mutation.fleet_error"
     ]
     assert event.args == (("error", "TypeError"),)
+
+
+def test_per_mutant_services_carry_the_campaign_tracer(tpch_db, registry):
+    """A traced campaign sees its mutants' optimizer work: each
+    computation of the per-mutant service leaves a ``service.compute``
+    span.  The clean build is never asked for this mutant, so every span
+    is the mutant's service's."""
+    tracer = RecordingTracer(detail="summary")
+    campaign = _sample_campaign(tpch_db, registry, tracer=tracer)
+    report = campaign.run(
+        rule_names=["JoinCommutativity"], operators=["widen-join-kind"]
+    )
+    assert campaign._clean is None
+    computes = [e for e in tracer.events if e.name == "service.compute"]
+    assert computes
+    assert len(computes) == report.service_stats["computed"]
 
 
 def test_fleet_reuses_the_digest_the_correctness_runner_computed(
@@ -614,7 +630,7 @@ def test_failed_trials_stop_after_exploration(tpch_db, registry):
     assert report.service_stats == {
         "requests": asked, "memory_hits": 0, "disk_hits": 0, "hits": 0,
         "lineage_hits": 0, "computed": asked, "errors": 0, "batches": 0,
-        "parallel_tasks": 0,
+        "parallel_tasks": 0, "pool_fallbacks": 0,
     }
     value = metrics.counter_value
     assert value("optimizer.unexercised") == 25
@@ -703,7 +719,8 @@ def test_clean_rule_not_firing_either_keeps_full_persistence(
     assert metrics.counter_value(
         "mutation.no_fire_witnessed", rule="AvgToSumDivCount"
     ) == 0
-    assert not tracer.events
+    # The services trace their requests; the campaign itself saw nothing.
+    assert not [e for e in tracer.events if e.name.startswith("mutation.")]
 
 
 def test_a_mutant_that_fires_less_is_not_flagged(tpch_db, registry):

@@ -2,16 +2,24 @@
 
 import dataclasses
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import RecordingTracer
 from repro.optimizer.config import DEFAULT_CONFIG
 from repro.optimizer.result import OptimizationError
 from repro.rules.exploration.join_rules import JoinCommutativity
 from repro.service import (
+    PlanDiskCache,
     PlanService,
     ServiceStats,
     cache_stats,
@@ -19,6 +27,7 @@ from repro.service import (
     environment_fingerprint,
     plan_service,
 )
+from repro.service.cache import LOG_NAME
 from repro.sql.binder import sql_to_tree
 from repro.testing.compression import baseline_plan
 from repro.testing.correctness import CorrectnessRunner
@@ -269,8 +278,6 @@ class TestLineageRung:
 
 @pytest.fixture()
 def tracer_service(tpch_db, registry):
-    from repro.obs.trace import RecordingTracer
-
     tracer = RecordingTracer(detail="summary")
     return PlanService(tpch_db, registry=registry, tracer=tracer), tracer
 
@@ -439,6 +446,56 @@ class TestBatches:
         assert service.counters.parallel_tasks == 0
         assert service.counters.computed == 3
 
+    def test_broken_pool_falls_back_to_serial(
+        self, tpch_db, registry, monkeypatch
+    ):
+        """A pool whose worker died mid-batch: the batch runs serially,
+        the same costs as a serial service, counted and traced once."""
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        class DeadPool:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, function, tasks):
+                raise BrokenProcessPool("a worker process died")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadPool)
+        trees = [
+            _tree(tpch_db, SQL_SIMPLE),
+            _tree(tpch_db, SQL_JOIN),
+            _tree(tpch_db, SQL_AGG),
+        ]
+        expected = PlanService(
+            tpch_db, registry=registry
+        ).cost_many(trees)
+        metrics, tracer = MetricsRegistry(), RecordingTracer()
+        service = PlanService(
+            tpch_db, registry=registry, workers=2,
+            metrics=metrics, tracer=tracer,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert service.cost_many(trees) == expected
+        (warned,) = [w for w in caught if "plan service" in str(w.message)]
+        assert "process pool failed" in str(warned.message)
+        assert service.counters.pool_fallbacks == 1
+        assert metrics.counter_value("service.pool_fallbacks") == 1
+        assert (service.counters.parallel_tasks, service.counters.computed) == (
+            0, 3
+        )
+        (event,) = [
+            e for e in tracer.events if e.name == "service.pool_fallback"
+        ]
+        assert event.arg("error") == "BrokenProcessPool"
+
 
 #: A candidate class from outside the rule modules whose bare ``__name__``
 #: is a registry class's: only its module tells the two apart.
@@ -480,14 +537,50 @@ class TestDiskCache:
         assert cache_stats(tmp_path)["entries"] == 0
 
     def test_records_are_sorted_json(self, tpch_db, registry, tmp_path):
-        service = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
-        service.cost(_tree(tpch_db, SQL_JOIN))
-        (record_path,) = list(tmp_path.glob("*/*.json"))
-        text = record_path.read_text()
-        rules_at = text.find('"rules_exercised"')
+        """One line per record, keys sorted, compact separators: the same
+        requests in another process write the same bytes."""
+        for run in ("first", "second"):
+            service = PlanService(
+                tpch_db, registry=registry, cache_dir=tmp_path / run
+            )
+            service.cost(_tree(tpch_db, SQL_JOIN))
+            service.cost(_tree(tpch_db, SQL_AGG), NO_PLAN)
+        (log,) = (tmp_path / "first").glob(f"*/{LOG_NAME}")
+        text = log.read_text()
+        lines = text.splitlines()
+        assert len(lines) == 2 and text.endswith("\n")
+        for line in lines:
+            record = json.loads(line)
+            assert line == json.dumps(
+                record, sort_keys=True, separators=(",", ":")
+            )
+        rules_at = lines[0].find('"rules_exercised"')
         assert rules_at != -1
         # keys are emitted sorted, so "config" precedes "rules_exercised"
-        assert text.find('"config"') < rules_at
+        assert lines[0].find('"config"') < rules_at
+        assert json.loads(lines[1])["error"]  # a failure is a record too
+        (again,) = (tmp_path / "second").glob(f"*/{LOG_NAME}")
+        assert again.read_bytes() == log.read_bytes()
+
+    def test_a_warm_rerun_appends_nothing(self, tpch_db, registry, tmp_path):
+        """A plan is never persisted, so a rerun recomputes it; the log
+        already answers its key the same way and does not grow."""
+        trees = [_tree(tpch_db, sql) for sql in (SQL_SIMPLE, SQL_JOIN)]
+        for run in range(2):
+            service = PlanService(
+                tpch_db, registry=registry, cache_dir=tmp_path
+            )
+            for tree in trees:
+                service.optimize(tree)
+                service.cost(tree, IN_SUPPORT)
+            # The plans, and (first run only) SQL_JOIN's cost without the
+            # rule its plan rests on; the rest comes off disk or lineage.
+            assert service.counters.computed == (3, 2)[run]
+            if run == 0:
+                (log,) = tmp_path.glob(f"*/{LOG_NAME}")
+                written = log.read_bytes()
+        assert written.count(b"\n") == 4
+        assert log.read_bytes() == written
 
     @pytest.mark.parametrize(
         "garbled",
@@ -501,29 +594,178 @@ class TestDiskCache:
             '{"cost": true}',
             '{"cost": null, "error": null}',
             '{"error": 3}',
+            '{"cost": 17',
+            '{"fingerprint": 3}',
+            '{"config": null}',
         ],
     )
     def test_wrong_shaped_record_is_a_miss(
         self, tpch_db, registry, tmp_path, garbled
     ):
-        """Well-formed JSON that is no record must read as a miss --
-        recomputed and overwritten -- exactly as truncated JSON does."""
+        """A line that is not JSON, or is no record, reads as a miss --
+        attributed as garbled, recomputed, and healed by the line the
+        recomputation appends.  A JSON object is laid over the record it
+        replaces, so it still names the request's key unless it overrides
+        ``fingerprint`` or ``config`` itself."""
         tree = _tree(tpch_db, SQL_JOIN)
         cost = PlanService(
             tpch_db, registry=registry, cache_dir=tmp_path
         ).cost(tree)
-        (record_path,) = list(tmp_path.glob("*/*.json"))
-        record_path.write_text(garbled)
+        (log,) = list(tmp_path.glob(f"*/{LOG_NAME}"))
+        record = json.loads(log.read_text())
+        try:
+            overlay = json.loads(garbled)
+        except ValueError:
+            overlay = None
+        if isinstance(overlay, dict):
+            garbled = json.dumps({
+                "fingerprint": record["fingerprint"],
+                "config": record["config"],
+                **overlay,
+            })
+        log.write_text(garbled + "\n")
 
-        service = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        tracer = RecordingTracer()
+        service = PlanService(
+            tpch_db, registry=registry, cache_dir=tmp_path, tracer=tracer
+        )
         assert service.cost(tree) == cost
         assert service.counters.computed == 1
         assert service.counters.disk_hits == 0
+        (event,) = [
+            e for e in tracer.events if e.name == "service.disk_garbled"
+        ]
+        assert event.arg("garbled") == 1
 
         healed = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
         assert healed.cost(tree) == cost
         assert healed.counters.computed == 0
         assert healed.counters.disk_hits == 1
+        summary = cache_stats(tmp_path)
+        assert (summary["entries"], summary["lines"], summary["garbled"]) == (
+            1, 2, 1
+        )
+
+    def test_torn_tail_is_not_consumed_and_swallows_no_record(
+        self, tpch_db, registry, tmp_path
+    ):
+        """A final line without its newline (a writer that died mid-write)
+        is left unread; the next append ends it first, so the torn line is
+        one garbled line and the appended record stays readable."""
+        simple, join = _tree(tpch_db, SQL_SIMPLE), _tree(tpch_db, SQL_JOIN)
+        first = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        simple_cost, join_cost = first.cost(simple), first.cost(join)
+        (log,) = list(tmp_path.glob(f"*/{LOG_NAME}"))
+        simple_line, join_line = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(simple_line + join_line[: len(join_line) // 2])
+
+        service = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        assert service.cost(simple) == simple_cost
+        assert service.counters.disk_hits == 1
+        summary = cache_stats(tmp_path)
+        assert (summary["entries"], summary["lines"], summary["garbled"]) == (
+            1, 1, 0
+        )
+        assert service.cost(join) == join_cost  # the torn record: a miss
+        assert service.counters.computed == 1
+
+        healed = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        assert healed.cost(join) == join_cost
+        assert healed.cost(simple) == simple_cost
+        assert healed.counters.disk_hits == 2
+        summary = cache_stats(tmp_path)
+        assert (summary["entries"], summary["lines"], summary["garbled"]) == (
+            2, 3, 1
+        )
+
+    def test_a_live_cache_reads_what_was_appended_after_its_load(
+        self, tmp_path
+    ):
+        """A miss reads the bytes appended since the last read: a record
+        another writer added after the load is found, and a torn line is
+        read once its newline arrives."""
+        reader = PlanDiskCache(tmp_path, "env")
+        writer = PlanDiskCache(tmp_path, "env")
+        writer.put(("a", "t"), _record("a", 1.0))
+        assert reader.get(("a", "t")) == 1.0
+        assert reader.get(("b", "t")) is None
+        writer.put(("b", "t"), _record("b", 2.0))
+        assert reader.get(("b", "t")) == 2.0
+        line = json.dumps(_record("c", 3.0)).encode("utf-8")
+        with open(reader.path, "ab") as handle:
+            handle.write(line[:9])
+            handle.flush()
+            assert reader.get(("c", "t")) is None
+            handle.write(line[9:] + b"\n")
+        assert reader.get(("c", "t")) == 3.0
+        assert (len(reader), reader.lines, reader.garbled) == (3, 3, 0)
+
+    def test_two_processes_append_to_one_log(self, tmp_path):
+        """Each appended line is one ``write``: 200 records from each of
+        two concurrent processes leave 400 readable lines."""
+        script = (
+            "import sys\n"
+            "from repro.service.cache import PlanDiskCache\n"
+            "root, name = sys.argv[1], sys.argv[2]\n"
+            "cache = PlanDiskCache(root, 'env')\n"
+            "for i in range(200):\n"
+            "    key = f'{name}{i}'\n"
+            "    cache.put((key, 't'), {'fingerprint': key, 'config': 't',\n"
+            "              'cost': float(i), 'error': None,\n"
+            "              'rules_exercised': ['R'] * (i % 40)})\n"
+        )
+        env = {**os.environ, "PYTHONPATH": _SRC}
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(tmp_path), name], env=env
+            )
+            for name in ("a", "b")
+        ]
+        assert [writer.wait(timeout=60) for writer in writers] == [0, 0]
+        cache = PlanDiskCache(tmp_path, "env")
+        cache.refresh()
+        assert (len(cache), cache.lines, cache.garbled) == (400, 400, 0)
+        assert cache.get(("a199", "t")) == cache.get(("b199", "t")) == 199.0
+
+    def test_log_is_byte_identical_across_hash_seeds(self, tmp_path):
+        """Two fresh processes under different string-hash seeds write the
+        same log for the same requests."""
+        script = (
+            "import sys\n"
+            "from repro.optimizer.config import DEFAULT_CONFIG\n"
+            "from repro.service import PlanService\n"
+            "from repro.sql.binder import sql_to_tree\n"
+            "from repro.workloads import tpch_database\n"
+            "db = tpch_database(seed=1)\n"
+            "service = PlanService(db, cache_dir=sys.argv[1])\n"
+            "for sql in sys.argv[2:]:\n"
+            "    tree = sql_to_tree(sql, db.catalog)\n"
+            "    service.cost(tree)\n"
+            "    service.cost(tree, DEFAULT_CONFIG.with_disabled(\n"
+            "        ['JoinCommutativity', 'GetToTableScan']))\n"
+        )
+        logs = []
+        for seed in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / seed),
+                 SQL_SIMPLE, SQL_JOIN, SQL_AGG],
+                env={**os.environ, "PYTHONPATH": _SRC,
+                     "PYTHONHASHSEED": seed},
+                check=True, timeout=120,
+            )
+            (log,) = (tmp_path / seed).glob(f"*/{LOG_NAME}")
+            logs.append(log.read_bytes())
+        assert logs[0] == logs[1]
+        assert logs[0].count(b"\n") == 6
+
+
+def _record(fingerprint, cost):
+    return {"fingerprint": fingerprint, "config": "t", "cost": cost,
+            "error": None}
+
+
+#: The source root, for the subprocesses that import ``repro``.
+_SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
 class TestContentHashesComputedOnce:
