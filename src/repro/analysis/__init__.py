@@ -6,7 +6,7 @@ four that read the registry (1, 2, 4, 5) follow one protocol,
 :data:`STATIC_PASSES` (:mod:`repro.analysis.passes`):
 
 1. registry lint (:mod:`repro.analysis.lint`) -- pattern well-formedness,
-   duplicate/subsumed patterns, dead rules, documentation drift;
+   duplicate/subsumed patterns, dead rules;
 2. symbolic substitution verification (:mod:`repro.analysis.verify`) --
    synthesize bindings from each rule's pattern, apply the substitution,
    and check schema, keys, non-null columns and row bounds statically;

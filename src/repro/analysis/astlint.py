@@ -43,7 +43,7 @@ import ast
 import inspect
 import textwrap
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import (
     AnalysisPass,
@@ -51,57 +51,36 @@ from repro.analysis.diagnostics import (
     Diagnostic,
     Severity,
 )
-from repro.logical.operators import OpKind
+from repro.logical.operators import OPERATOR_CLASSES, LogicalOp, OpKind
 from repro.rules.framework import PatternNode, Rule
 
-#: Attributes defined by every LogicalOp regardless of kind -- safe to
-#: access on generic (unbound) pattern positions.
-UNIVERSAL_ATTRS = frozenset(
-    {
-        "kind",
-        "children",
-        "arity",
-        "walk",
-        "fingerprint",
-        "describe",
-        "pretty",
-        "with_children",
-        "tree_size",
-        "is_tree",
-    }
-)
 
-#: Attributes each operator kind defines (navigation + payload).  A read
-#: outside this set on a variable bound to that kind is pattern drift.
-KIND_ATTRS: Dict[OpKind, frozenset] = {
-    OpKind.GET: frozenset({"table", "columns", "alias"}),
-    OpKind.SELECT: frozenset({"child", "predicate"}),
-    OpKind.PROJECT: frozenset({"child", "outputs", "output_columns"}),
-    OpKind.JOIN: frozenset({"join_kind", "left", "right", "predicate"}),
-    OpKind.APPLY: frozenset({"apply_kind", "left", "right", "predicate"}),
-    OpKind.GB_AGG: frozenset(
-        {"child", "group_by", "aggregates", "phase", "output_columns"}
-    ),
-    OpKind.UNION_ALL: frozenset(
-        {"left", "right", "output_columns", "left_columns", "right_columns"}
-    ),
-    OpKind.UNION: frozenset(
-        {"left", "right", "output_columns", "left_columns", "right_columns"}
-    ),
-    OpKind.INTERSECT: frozenset(
-        {"left", "right", "output_columns", "left_columns", "right_columns"}
-    ),
-    OpKind.EXCEPT: frozenset(
-        {"left", "right", "output_columns", "left_columns", "right_columns"}
-    ),
-    OpKind.DISTINCT: frozenset({"child"}),
-    OpKind.SORT: frozenset({"child", "keys"}),
-    OpKind.LIMIT: frozenset({"child", "count"}),
+def _attributes(cls: type) -> FrozenSet[str]:
+    """The public names an operator class answers to: its fields,
+    properties and methods, its base classes' included."""
+    names = set(dir(cls))
+    for klass in cls.__mro__:
+        names.update(vars(klass).get("__annotations__", ()))
+    return frozenset(name for name in names if not name.startswith("_"))
+
+
+#: Attributes every operator defines, whatever its kind -- safe to read on
+#: generic (unbound) pattern positions.
+GENERIC_ATTRIBUTES = _attributes(LogicalOp)
+
+#: Attributes each operator kind defines.  A read outside this set on a
+#: variable bound to that kind is pattern drift.
+ATTRIBUTES_BY_KIND: Dict[OpKind, FrozenSet[str]] = {
+    kind: _attributes(cls) for kind, cls in OPERATOR_CLASSES.items()
 }
 
 #: Navigation attribute -> child index, used to map variables onto
 #: pattern positions.
-_NAV_INDEX = {"child": 0, "left": 0, "right": 1}
+_NAV_INDEX = {
+    name: index
+    for cls in OPERATOR_CLASSES.values()
+    for index, name in enumerate(cls.child_fields)
+}
 
 #: Method names that mutate their receiver in place.
 _MUTATORS = frozenset(
@@ -391,7 +370,7 @@ class _FunctionChecker(ast.NodeVisitor):
         pattern_node = self._pattern_at(position)
         where = "root" + "".join(f".{i}" for i in position)
         if pattern_node is None or pattern_node.is_generic:
-            if node.attr not in UNIVERSAL_ATTRS:
+            if node.attr not in GENERIC_ATTRIBUTES:
                 self._emit(
                     "AL501",
                     Severity.WARNING,
@@ -401,8 +380,7 @@ class _FunctionChecker(ast.NodeVisitor):
                     node,
                 )
             return
-        allowed = KIND_ATTRS.get(pattern_node.kind, frozenset())
-        if node.attr not in allowed and node.attr not in UNIVERSAL_ATTRS:
+        if node.attr not in ATTRIBUTES_BY_KIND[pattern_node.kind]:
             self._emit(
                 "AL501",
                 Severity.WARNING,

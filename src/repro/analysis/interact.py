@@ -180,8 +180,8 @@ class InteractionGraph:
         """Deterministic JSON export (byte-identical across processes)."""
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
-    def to_dot(self, confirmed_only: bool = True) -> str:
-        """Graphviz DOT export; confirmed edges solid, structural dashed."""
+    def to_dot(self) -> str:
+        """Graphviz DOT export of the confirmed edges."""
         lines = [
             "// Generated by repro.analysis.interact -- do not edit.",
             "digraph rule_interactions {",
@@ -190,12 +190,9 @@ class InteractionGraph:
         ]
         for name in self.rules:
             lines.append(f'  "{name}";')
-        for edge in self.edges:
-            if edge.kind != "confirmed" and confirmed_only:
-                continue
-            style = "solid" if edge.kind == "confirmed" else "dashed"
+        for edge in self.confirmed_edges:
             lines.append(
-                f'  "{edge.producer}" -> "{edge.consumer}" [style={style}];'
+                f'  "{edge.producer}" -> "{edge.consumer}" [style=solid];'
             )
         lines.append("}")
         return "\n".join(lines) + "\n"

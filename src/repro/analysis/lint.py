@@ -17,18 +17,16 @@ Structural checks over the rule registry that need no binding synthesis:
 * **RL120** dead pattern (WARNING): no binding could be synthesized from
   the pattern against any bundled workload schema;
 * **RL121** dead precondition (WARNING): bindings were synthesized but the
-  precondition rejected every one of them;
-* **RL130/131/132** documentation drift (WARNING): ``docs/RULES.md`` is
-  missing a rule, documents a rule the registry no longer has, or shows a
-  stale pattern.
+  precondition rejected every one of them.
+
+Documentation drift is checked by ``tools/generate_rule_docs.py --check``,
+which compares the generated files whole.
 """
 
 from __future__ import annotations
 
 import random
-import re
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.context import TreeContext
 from repro.analysis.diagnostics import (
@@ -37,7 +35,7 @@ from repro.analysis.diagnostics import (
     Diagnostic,
     Severity,
 )
-from repro.logical.operators import LogicalOp, OpKind
+from repro.logical.operators import OPERATOR_CLASSES, LogicalOp
 from repro.logical.validate import ValidationError, validate_tree
 from repro.rules.framework import (
     PatternNode,
@@ -49,25 +47,6 @@ from repro.rules.framework import (
 )
 from repro.testing.builders import GenerationFailure
 from repro.testing.pattern_gen import PatternInstantiator, merge_hints
-
-#: Children each operator kind takes; a non-generic pattern node whose child
-#: count differs can never match (see ``match_structure``).
-OP_ARITY = {
-    OpKind.GET: 0,
-    OpKind.SELECT: 1,
-    OpKind.PROJECT: 1,
-    OpKind.GB_AGG: 1,
-    OpKind.DISTINCT: 1,
-    OpKind.SORT: 1,
-    OpKind.LIMIT: 1,
-    OpKind.JOIN: 2,
-    OpKind.APPLY: 2,
-    OpKind.UNION_ALL: 2,
-    OpKind.UNION: 2,
-    OpKind.INTERSECT: 2,
-    OpKind.EXCEPT: 2,
-}
-
 
 def synthesize_bindings(
     rule: Rule,
@@ -117,12 +96,11 @@ def pattern_subsumes(wider: PatternNode, narrower: PatternNode) -> bool:
         return False
     if wider.kind is not narrower.kind:
         return False
-    if wider.kind in (OpKind.JOIN, OpKind.APPLY):
-        if wider.join_kinds is not None:
-            if narrower.join_kinds is None:
-                return False
-            if not set(narrower.join_kinds) <= set(wider.join_kinds):
-                return False
+    if wider.join_kinds is not None:
+        if narrower.join_kinds is None:
+            return False
+        if not set(narrower.join_kinds) <= set(wider.join_kinds):
+            return False
     if len(wider.children) != len(narrower.children):
         # Arity differences make the narrower pattern match trees the wider
         # one cannot (or vice versa); treat as incomparable.
@@ -136,12 +114,6 @@ def pattern_subsumes(wider: PatternNode, narrower: PatternNode) -> bool:
 class RegistryLinter(AnalysisPass):
     """Structural lint over a rule registry."""
 
-    def __init__(
-        self, *args, docs_path: Optional[Path] = None, **settings
-    ) -> None:
-        super().__init__(*args, **settings)
-        self.docs_path = docs_path
-
     # ------------------------------------------------------------------ run
 
     def run(self) -> AnalysisReport:
@@ -153,16 +125,14 @@ class RegistryLinter(AnalysisPass):
         self._lint_duplicates(report)
         for rule in self.registry.all_rules:
             self._lint_rule_liveness(report, rule)
-        if self.docs_path is not None:
-            self._lint_docs(report)
         return report
 
     def check_rule(self, rule: Rule) -> AnalysisReport:
         """Scoped lint of one rule (the admission gate's entry point).
 
         Runs the structural and liveness checks; the registry-wide
-        duplicate and documentation-drift checks need full-registry
-        context and are left to :meth:`run`.
+        duplicate check needs full-registry context and is left to
+        :meth:`run`.
         """
         report = AnalysisReport()
         self._lint_pattern(report, rule)
@@ -177,8 +147,10 @@ class RegistryLinter(AnalysisPass):
         for node, path in walk_pattern(rule.pattern):
             if node.is_generic:
                 continue
-            expected = OP_ARITY.get(node.kind)
-            if expected is None:
+            # A node whose child count differs from its operator's can
+            # never match (see ``match_structure``).
+            operator = OPERATOR_CLASSES.get(node.kind)
+            if operator is None:
                 report.add(
                     Diagnostic(
                         "RL101",
@@ -188,14 +160,15 @@ class RegistryLinter(AnalysisPass):
                         location=path,
                     )
                 )
-            elif len(node.children) != expected:
+            elif len(node.children) != len(operator.child_fields):
                 report.add(
                     Diagnostic(
                         "RL101",
                         Severity.ERROR,
                         f"pattern node {node.kind.value} has "
                         f"{len(node.children)} children but the operator "
-                        f"takes {expected}; the rule can never match",
+                        f"takes {len(operator.child_fields)}; the rule can "
+                        "never match",
                         rule=rule.name,
                         location=path,
                     )
@@ -314,74 +287,3 @@ class RegistryLinter(AnalysisPass):
                     rule=rule.name,
                 )
             )
-
-    # ----------------------------------------------------------------- docs
-
-    def _lint_docs(self, report: AnalysisReport) -> None:
-        if not self.docs_path.exists():
-            report.add(
-                Diagnostic(
-                    "RL130",
-                    Severity.WARNING,
-                    f"rule catalog {self.docs_path} does not exist "
-                    "(run tools/generate_rule_docs.py)",
-                )
-            )
-            return
-        text = self.docs_path.read_text()
-        documented = _parse_rule_docs(text)
-        registry_names = {rule.name for rule in self.registry.all_rules}
-        for rule in self.registry.all_rules:
-            entry = documented.get(rule.name)
-            if entry is None:
-                report.add(
-                    Diagnostic(
-                        "RL130",
-                        Severity.WARNING,
-                        f"rule is missing from {self.docs_path.name} "
-                        "(run tools/generate_rule_docs.py)",
-                        rule=rule.name,
-                    )
-                )
-                continue
-            if entry != str(rule.pattern):
-                report.add(
-                    Diagnostic(
-                        "RL132",
-                        Severity.WARNING,
-                        f"documented pattern `{entry}` is stale; the "
-                        f"registry has `{rule.pattern}` "
-                        "(run tools/generate_rule_docs.py)",
-                        rule=rule.name,
-                    )
-                )
-        for name in sorted(set(documented) - registry_names):
-            report.add(
-                Diagnostic(
-                    "RL131",
-                    Severity.WARNING,
-                    f"{self.docs_path.name} documents {name!r}, which is "
-                    "not in the registry (run tools/generate_rule_docs.py)",
-                    rule=name,
-                )
-            )
-
-
-_HEADING = re.compile(r"^### (\w+)\s*$")
-_PATTERN_LINE = re.compile(r"^- pattern: `(.+)`\s*$")
-
-
-def _parse_rule_docs(text: str) -> Dict[str, Optional[str]]:
-    """Map documented rule name -> documented pattern string (or None)."""
-    documented: Dict[str, Optional[str]] = {}
-    current: Optional[str] = None
-    for line in text.splitlines():
-        heading = _HEADING.match(line)
-        if heading:
-            current = heading.group(1)
-            documented[current] = None
-            continue
-        pattern = _PATTERN_LINE.match(line)
-        if pattern and current is not None and documented[current] is None:
-            documented[current] = pattern.group(1)
-    return documented

@@ -11,7 +11,6 @@ registry.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from repro.analysis.astlint import AstLinter
@@ -33,20 +32,8 @@ class StaticPass(NamedTuple):
     opt_in: bool = False
 
 
-def _registry_linter(registry, workloads, **settings) -> RegistryLinter:
-    """The lint pass, checking the generated rule catalog for drift when
-    run from a source checkout that has one."""
-    docs = Path(__file__).resolve().parents[3] / "docs" / "RULES.md"
-    return RegistryLinter(
-        registry,
-        workloads,
-        docs_path=docs if docs.exists() else None,
-        **settings,
-    )
-
-
 STATIC_PASSES = (
-    StaticPass("lint", _registry_linter),
+    StaticPass("lint", RegistryLinter),
     StaticPass("verify", SubstitutionVerifier),
     StaticPass("astlint", AstLinter),
     StaticPass("interactions", InteractionAnalyzer, opt_in=True),

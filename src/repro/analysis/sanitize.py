@@ -5,7 +5,9 @@ Invariant checks the optimizer can run on itself, wired into
 (off by default -- zero overhead unless enabled):
 
 * **SA301** every column an inserted memo expression references must be
-  produced by its child groups;
+  produced by the child group(s) it reads it from, as the operator declares
+  in :meth:`~repro.logical.operators.LogicalOp.column_reads` (the
+  declaration ``validate_tree`` checks plain trees against);
 * **SA302** an expression's derived output schema must equal its group's
   (a substitution that lands a different-schema expression in a group
   corrupts every plan extracted through it);
@@ -32,22 +34,12 @@ plan.
 from __future__ import annotations
 
 import math
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.catalog.schema import Catalog
 from repro.expr.expressions import Column, referenced_columns
-from repro.logical.operators import (
-    GbAgg,
-    GroupRef,
-    Join,
-    LogicalOp,
-    OpKind,
-    Project,
-    Select,
-    Sort as LogicalSort,
-    is_set_op,
-)
+from repro.logical.operators import GroupRef
 from repro.logical.properties import PropertyDeriver
 from repro.optimizer.config import DEFAULT_CONFIG
 from repro.optimizer.result import OptimizationError
@@ -73,28 +65,6 @@ class PlanSanityError(OptimizationError):
         self.code = code
 
 
-def _op_referenced_columns(op: LogicalOp) -> Iterable[Column]:
-    """Columns the operator's own arguments reference (children excluded)."""
-    if isinstance(op, (Select, Join)):
-        return referenced_columns(op.predicate)
-    if isinstance(op, Project):
-        refs: List[Column] = []
-        for _, expr in op.outputs:
-            refs.extend(referenced_columns(expr))
-        return refs
-    if isinstance(op, GbAgg):
-        refs = list(op.group_by)
-        for _, call in op.aggregates:
-            if call.argument is not None:
-                refs.extend(referenced_columns(call.argument))
-        return refs
-    if is_set_op(op):
-        return tuple(op.left_columns) + tuple(op.right_columns)
-    if isinstance(op, LogicalSort):
-        return tuple(key.column for key in op.keys)
-    return ()
-
-
 class PlanSanitizer:
     """Invariant checks over memo insertions and extracted physical plans."""
 
@@ -110,14 +80,14 @@ class PlanSanitizer:
     def check_group_expr(self, expr, memo, rule_name: Optional[str] = None) -> None:
         """Validate one memo-form group expression a substitution inserted.
 
-        ``expr.op``'s children are :class:`GroupRef` leaves; the expression
-        must only reference columns its child groups produce (SA301) and
-        must derive the same output schema as its group (SA302).
+        ``expr.op``'s children are :class:`GroupRef` leaves; every column
+        the expression reads must come from the child group(s) its
+        operator declares for that read (SA301), and the expression must
+        derive the same output schema as its group (SA302).
         """
         self.checks += 1
         op = expr.op
         origin = f" (inserted by rule {rule_name})" if rule_name else ""
-        available: Set[int] = set()
         child_props = []
         for child in op.children:
             if not isinstance(child, GroupRef):
@@ -126,17 +96,18 @@ class PlanSanitizer:
                     f"memo expression {op.describe()} has a non-GroupRef "
                     f"child{origin}",
                 )
-            props = memo.group(child.group_id).props
-            child_props.append(props)
-            available.update(props.column_ids)
-        for column in _op_referenced_columns(op):
-            if op.children and column.cid not in available:
-                raise PlanSanityError(
-                    "SA301",
-                    f"{op.describe()} references column "
-                    f"{column.qualified_name}#{column.cid}, which no child "
-                    f"group produces{origin}",
-                )
+            child_props.append(memo.group(child.group_id).props)
+        produced = tuple(props.column_ids for props in child_props)
+        for read in op.column_reads():
+            visible = read.visible(produced)
+            for column in read.columns:
+                if column.cid not in visible:
+                    raise PlanSanityError(
+                        "SA301",
+                        f"{op.describe()} references column "
+                        f"{column.qualified_name}#{column.cid}, which no "
+                        f"child group it reads from produces{origin}",
+                    )
         derived = self._deriver.derive(op, tuple(child_props))
         group_props = memo.group(expr.group_id).props
         if derived.column_ids != group_props.column_ids:

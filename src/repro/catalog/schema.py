@@ -159,9 +159,6 @@ class Catalog:
         except KeyError:
             raise SchemaError(f"no table named {name!r}") from None
 
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
-
     @property
     def table_names(self) -> List[str]:
         return list(self._tables)

@@ -14,16 +14,32 @@ The same node classes serve two roles:
 Nodes are immutable; ``with_children`` rebuilds a node around new children,
 which is how rules construct substitutes and how the memo rewrites trees
 into group references.
+
+Each operator class is the one place its structural facts are written:
+``child_fields`` (its inputs, hence its arity), its dataclass fields and
+properties (the attributes a rule may read), ``join_kind_field`` (what a
+pattern's join-kind restriction reads) and :meth:`LogicalOp.column_reads`
+(which columns its arguments read, and from which input).  Validation, the
+plan sanitizer, the pattern matcher and the static analyses all read these
+declarations; none keeps its own copy.  :data:`OPERATOR_CLASSES` maps each
+:class:`OpKind` to its class.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import (
+    Collection,
+    FrozenSet,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.expr.aggregates import AggregateCall
-from repro.expr.expressions import TRUE, Column, Expr
+from repro.expr.expressions import TRUE, Column, Expr, referenced_columns
 
 
 class OpKind(enum.Enum):
@@ -57,6 +73,40 @@ class JoinKind(enum.Enum):
         return self in (JoinKind.INNER, JoinKind.CROSS, JoinKind.LEFT_OUTER)
 
 
+#: How :meth:`ColumnRead.missing` words a column that is not there.
+_NOT_VISIBLE = (
+    "{label}: column {column.qualified_name}#{column.cid} is not visible "
+    "from the operator's inputs"
+)
+_NOT_IN_INPUT = "{label} {column.qualified_name} not in input"
+_NOT_DRAWN = "{label}"
+
+
+class ColumnRead(NamedTuple):
+    """Columns one argument of an operator reads, and where they come from.
+
+    ``inputs`` are the child positions whose output columns the read may
+    use: ``(0,)`` for the only or the left input, ``(1,)`` for the right
+    one, ``(0, 1)`` for either.  ``label`` and ``wording`` word the error
+    for a column none of those inputs produces (:meth:`missing`).
+    """
+
+    label: str
+    columns: Collection[Column]
+    inputs: Tuple[int, ...]
+    wording: str = _NOT_VISIBLE
+
+    def visible(self, produced: Tuple[FrozenSet[int], ...]) -> FrozenSet[int]:
+        """The column ids the read may use, given those each input
+        produces."""
+        if len(self.inputs) == 1:
+            return produced[self.inputs[0]]
+        return frozenset().union(*(produced[i] for i in self.inputs))
+
+    def missing(self, column: Column) -> str:
+        return self.wording.format(label=self.label, column=column)
+
+
 @dataclass(frozen=True)
 class GroupRef:
     """A placeholder child pointing at a memo group."""
@@ -72,12 +122,24 @@ class LogicalOp:
 
     __slots__ = ()
     kind: OpKind
+    #: The fields holding the operator's inputs, in child order.
+    child_fields: Tuple[str, ...] = ()
+    #: The field a pattern's ``join_kinds`` restriction reads, if any.
+    join_kind_field: Optional[str] = None
 
     @property
     def children(self) -> Tuple:
-        raise NotImplementedError
+        return ()
 
     def with_children(self, children: Tuple) -> "LogicalOp":
+        raise NotImplementedError
+
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        """What the operator's own arguments read (children excluded).
+
+        Every operator class declares it, an empty tuple included, so
+        no operator is left out of validation and the plan sanitizer.
+        """
         raise NotImplementedError
 
     @property
@@ -141,6 +203,28 @@ class LogicalOp:
         return self.kind.value
 
 
+class _Unary(LogicalOp):
+    """An operator over one input, held in ``child``."""
+
+    __slots__ = ()
+    child_fields = ("child",)
+
+    @property
+    def children(self) -> Tuple:
+        return (self.child,)
+
+
+class _Binary(LogicalOp):
+    """An operator over two inputs, held in ``left`` and ``right``."""
+
+    __slots__ = ()
+    child_fields = ("left", "right")
+
+    @property
+    def children(self) -> Tuple:
+        return (self.left, self.right)
+
+
 @dataclass(frozen=True)
 class Get(LogicalOp):
     """Access a base table, binding fresh output columns.
@@ -156,14 +240,13 @@ class Get(LogicalOp):
 
     kind = OpKind.GET
 
-    @property
-    def children(self) -> Tuple:
-        return ()
-
     def with_children(self, children: Tuple) -> "Get":
         if children:
             raise ValueError("Get is a leaf")
         return self
+
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return ()
 
     def describe(self) -> str:
         if self.alias != self.table:
@@ -172,7 +255,7 @@ class Get(LogicalOp):
 
 
 @dataclass(frozen=True)
-class Select(LogicalOp):
+class Select(_Unary):
     """Filter rows by a predicate (relational selection)."""
 
     child: object
@@ -180,20 +263,23 @@ class Select(LogicalOp):
 
     kind = OpKind.SELECT
 
-    @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
     def with_children(self, children: Tuple) -> "Select":
         (child,) = children
         return Select(child, self.predicate)
+
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return (
+            ColumnRead(
+                "Select predicate", referenced_columns(self.predicate), (0,)
+            ),
+        )
 
     def describe(self) -> str:
         return f"Select({self.predicate})"
 
 
 @dataclass(frozen=True)
-class Project(LogicalOp):
+class Project(_Unary):
     """Compute output columns.
 
     ``outputs`` is an ordered tuple of ``(column, expression)`` pairs.  A
@@ -206,13 +292,19 @@ class Project(LogicalOp):
 
     kind = OpKind.PROJECT
 
-    @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
     def with_children(self, children: Tuple) -> "Project":
         (child,) = children
         return Project(child, self.outputs)
+
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return tuple(
+            ColumnRead(
+                f"Project output {column.name}",
+                referenced_columns(expr),
+                (0,),
+            )
+            for column, expr in self.outputs
+        )
 
     @property
     def output_columns(self) -> Tuple[Column, ...]:
@@ -226,7 +318,7 @@ class Project(LogicalOp):
 
 
 @dataclass(frozen=True)
-class Join(LogicalOp):
+class Join(_Binary):
     """Binary join of any :class:`JoinKind`; CROSS joins carry TRUE."""
 
     join_kind: JoinKind
@@ -235,21 +327,25 @@ class Join(LogicalOp):
     predicate: Expr = TRUE
 
     kind = OpKind.JOIN
-
-    @property
-    def children(self) -> Tuple:
-        return (self.left, self.right)
+    join_kind_field = "join_kind"
 
     def with_children(self, children: Tuple) -> "Join":
         left, right = children
         return Join(self.join_kind, left, right, self.predicate)
+
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return (
+            ColumnRead(
+                "Join predicate", referenced_columns(self.predicate), (0, 1)
+            ),
+        )
 
     def describe(self) -> str:
         return f"Join[{self.join_kind.value}]({self.predicate})"
 
 
 @dataclass(frozen=True)
-class Apply(LogicalOp):
+class Apply(_Binary):
     """A not-yet-unnested ``[NOT] EXISTS`` / ``IN`` subquery.
 
     The binder produces Apply for every subquery predicate; the unnesting
@@ -268,6 +364,7 @@ class Apply(LogicalOp):
     predicate: Expr = TRUE
 
     kind = OpKind.APPLY
+    join_kind_field = "apply_kind"
 
     def __post_init__(self) -> None:
         if self.apply_kind not in (JoinKind.SEMI, JoinKind.ANTI):
@@ -275,20 +372,23 @@ class Apply(LogicalOp):
                 f"Apply kind must be SEMI or ANTI, got {self.apply_kind}"
             )
 
-    @property
-    def children(self) -> Tuple:
-        return (self.left, self.right)
-
     def with_children(self, children: Tuple) -> "Apply":
         left, right = children
         return Apply(self.apply_kind, left, right, self.predicate)
+
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return (
+            ColumnRead(
+                "Apply predicate", referenced_columns(self.predicate), (0, 1)
+            ),
+        )
 
     def describe(self) -> str:
         return f"Apply[{self.apply_kind.value}]({self.predicate})"
 
 
 @dataclass(frozen=True)
-class GbAgg(LogicalOp):
+class GbAgg(_Unary):
     """Group-By / Aggregate.
 
     ``group_by`` are the grouping columns (possibly empty: scalar aggregate
@@ -308,13 +408,23 @@ class GbAgg(LogicalOp):
 
     kind = OpKind.GB_AGG
 
-    @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
     def with_children(self, children: Tuple) -> "GbAgg":
         (child,) = children
         return GbAgg(child, self.group_by, self.aggregates, self.phase)
+
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        grouping = ColumnRead(
+            "GbAgg: grouping column", self.group_by, (0,), _NOT_IN_INPUT
+        )
+        return (grouping,) + tuple(
+            ColumnRead(
+                f"aggregate {column.name}",
+                referenced_columns(call.argument),
+                (0,),
+            )
+            for column, call in self.aggregates
+            if call.argument is not None
+        )
 
     @property
     def output_columns(self) -> Tuple[Column, ...]:
@@ -328,19 +438,15 @@ class GbAgg(LogicalOp):
         return f"GbAgg([{groups}] {aggs})"
 
 
-class _SetOp(LogicalOp):
-    """Shared shape for the binary set operators."""
-
-    __slots__ = ()
-
-    def describe(self) -> str:
-        return self.kind.value
-
-
 @dataclass(frozen=True)
-class UnionAll(_SetOp):
-    """Bag union.  Output columns are fresh (``output_columns``), mapped
-    positionally from each input's columns."""
+class _SetOp(_Binary):
+    """Shared shape for the binary set operators.
+
+    Output columns are fresh (``output_columns``), mapped positionally from
+    each input's branch columns (``left_columns``, ``right_columns``): a
+    subset of that input's columns, one per output position, which the
+    executor projects the input onto.
+    """
 
     left: object
     right: object
@@ -348,107 +454,73 @@ class UnionAll(_SetOp):
     left_columns: Tuple[Column, ...]
     right_columns: Tuple[Column, ...]
 
-    kind = OpKind.UNION_ALL
-
-    @property
-    def children(self) -> Tuple:
-        return (self.left, self.right)
-
-    def with_children(self, children: Tuple) -> "UnionAll":
+    def with_children(self, children: Tuple) -> "_SetOp":
         left, right = children
-        return UnionAll(
+        return type(self)(
             left, right, self.output_columns, self.left_columns,
             self.right_columns,
         )
+
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        name = self.kind.value
+        return (
+            ColumnRead(
+                f"{name}: left_columns not drawn from left input",
+                self.left_columns,
+                (0,),
+                _NOT_DRAWN,
+            ),
+            ColumnRead(
+                f"{name}: right_columns not drawn from right input",
+                self.right_columns,
+                (1,),
+                _NOT_DRAWN,
+            ),
+        )
+
+
+@dataclass(frozen=True)
+class UnionAll(_SetOp):
+    """Bag union."""
+
+    kind = OpKind.UNION_ALL
 
 
 @dataclass(frozen=True)
 class Union(_SetOp):
     """Set union (duplicates eliminated)."""
 
-    left: object
-    right: object
-    output_columns: Tuple[Column, ...]
-    left_columns: Tuple[Column, ...]
-    right_columns: Tuple[Column, ...]
-
     kind = OpKind.UNION
-
-    @property
-    def children(self) -> Tuple:
-        return (self.left, self.right)
-
-    def with_children(self, children: Tuple) -> "Union":
-        left, right = children
-        return Union(
-            left, right, self.output_columns, self.left_columns,
-            self.right_columns,
-        )
 
 
 @dataclass(frozen=True)
 class Intersect(_SetOp):
     """Set intersection (SQL INTERSECT: distinct output)."""
 
-    left: object
-    right: object
-    output_columns: Tuple[Column, ...]
-    left_columns: Tuple[Column, ...]
-    right_columns: Tuple[Column, ...]
-
     kind = OpKind.INTERSECT
-
-    @property
-    def children(self) -> Tuple:
-        return (self.left, self.right)
-
-    def with_children(self, children: Tuple) -> "Intersect":
-        left, right = children
-        return Intersect(
-            left, right, self.output_columns, self.left_columns,
-            self.right_columns,
-        )
 
 
 @dataclass(frozen=True)
 class Except(_SetOp):
     """Set difference (SQL EXCEPT: distinct output)."""
 
-    left: object
-    right: object
-    output_columns: Tuple[Column, ...]
-    left_columns: Tuple[Column, ...]
-    right_columns: Tuple[Column, ...]
-
     kind = OpKind.EXCEPT
-
-    @property
-    def children(self) -> Tuple:
-        return (self.left, self.right)
-
-    def with_children(self, children: Tuple) -> "Except":
-        left, right = children
-        return Except(
-            left, right, self.output_columns, self.left_columns,
-            self.right_columns,
-        )
 
 
 @dataclass(frozen=True)
-class Distinct(LogicalOp):
+class Distinct(_Unary):
     """Duplicate elimination over the child's full row."""
 
     child: object
 
     kind = OpKind.DISTINCT
 
-    @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
     def with_children(self, children: Tuple) -> "Distinct":
         (child,) = children
         return Distinct(child)
+
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -462,7 +534,7 @@ class SortKey:
 
 
 @dataclass(frozen=True)
-class Sort(LogicalOp):
+class Sort(_Unary):
     """Logical order-by (presentation order)."""
 
     child: object
@@ -470,20 +542,26 @@ class Sort(LogicalOp):
 
     kind = OpKind.SORT
 
-    @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
     def with_children(self, children: Tuple) -> "Sort":
         (child,) = children
         return Sort(child, self.keys)
+
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return (
+            ColumnRead(
+                "Sort: key column",
+                tuple(key.column for key in self.keys),
+                (0,),
+                _NOT_IN_INPUT,
+            ),
+        )
 
     def describe(self) -> str:
         return f"Sort({', '.join(str(key) for key in self.keys)})"
 
 
 @dataclass(frozen=True)
-class Limit(LogicalOp):
+class Limit(_Unary):
     """Return the first ``count`` rows of the child."""
 
     child: object
@@ -491,17 +569,25 @@ class Limit(LogicalOp):
 
     kind = OpKind.LIMIT
 
-    @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
     def with_children(self, children: Tuple) -> "Limit":
         (child,) = children
         return Limit(child, self.count)
 
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return ()
+
     def describe(self) -> str:
         return f"Limit({self.count})"
 
+
+#: The operator class of every kind.
+OPERATOR_CLASSES = {
+    cls.kind: cls
+    for cls in (
+        Get, Select, Project, Join, Apply, GbAgg, UnionAll, Union,
+        Intersect, Except, Distinct, Sort, Limit,
+    )
+}
 
 SET_OP_KINDS = (OpKind.UNION_ALL, OpKind.UNION, OpKind.INTERSECT, OpKind.EXCEPT)
 

@@ -64,10 +64,6 @@ class LogicalProps:
         """Is some reported key a subset of ``column_ids``?"""
         return any(key <= column_ids for key in self.keys)
 
-    def is_unique_on(self, column_ids: FrozenSet[int]) -> bool:
-        """Alias of :meth:`has_key` -- rows are unique on ``column_ids``."""
-        return self.has_key(column_ids)
-
     @property
     def at_most_one_row(self) -> bool:
         return frozenset() in self.keys

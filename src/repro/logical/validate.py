@@ -9,10 +9,10 @@ before being handed to the optimizer.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from repro.catalog.schema import Catalog
-from repro.expr.expressions import Column, Expr, referenced_columns
+from repro.expr.expressions import Column
 from repro.logical.operators import (
     Apply,
     GbAgg,
@@ -21,8 +21,6 @@ from repro.logical.operators import (
     JoinKind,
     LogicalOp,
     Project,
-    Select,
-    Sort,
     is_set_op,
 )
 
@@ -31,29 +29,55 @@ class ValidationError(Exception):
     """Raised when a logical tree is structurally invalid."""
 
 
-def _check_refs(
-    expr: Expr, visible: FrozenSet[int], where: str
-) -> None:
-    for column in referenced_columns(expr):
-        if column.cid not in visible:
-            raise ValidationError(
-                f"{where}: column {column.qualified_name}#{column.cid} "
-                "is not visible from the operator's inputs"
-            )
-
-
-def _ids(columns: Tuple[Column, ...]) -> FrozenSet[int]:
+def _ids(columns: Iterable[Column]) -> FrozenSet[int]:
     return frozenset(column.cid for column in columns)
+
+
+def _check_fresh(
+    op: LogicalOp, passed: Tuple[Column, ...], defined: Iterable[Column]
+) -> None:
+    """The columns ``op`` defines must not repeat one another, nor the
+    columns it passes through from its input."""
+    seen = {column.cid for column in passed}
+    for column in defined:
+        if column.cid in seen:
+            raise ValidationError(
+                f"{op.kind.value}: duplicate output column id {column.cid}"
+            )
+        seen.add(column.cid)
+
+
+def _compatible(a: Column, b: Column) -> bool:
+    return a.data_type is b.data_type or (
+        a.data_type.is_numeric and b.data_type.is_numeric
+    )
 
 
 def validate_tree(op: LogicalOp, catalog: Catalog) -> Tuple[Column, ...]:
     """Validate ``op`` recursively; returns its output columns.
 
-    Raises :class:`ValidationError` on the first structural problem.
+    Raises :class:`ValidationError` on the first structural problem.  The
+    column references are checked from the operator's own declaration
+    (:meth:`~repro.logical.operators.LogicalOp.column_reads`), the same
+    one the plan sanitizer's SA301 reads.
     """
     child_outputs = tuple(
         validate_tree(child, catalog) for child in op.children
     )
+    child_ids = tuple(_ids(columns) for columns in child_outputs)
+
+    if isinstance(op, (Join, Apply)):
+        overlap = child_ids[0] & child_ids[1]
+        if overlap:
+            raise ValidationError(
+                f"{op.kind.value}: inputs share column ids {sorted(overlap)}"
+            )
+
+    for read in op.column_reads():
+        visible = read.visible(child_ids)
+        for column in read.columns:
+            if column.cid not in visible:
+                raise ValidationError(read.missing(column))
 
     if isinstance(op, Get):
         table = catalog.table(op.table)
@@ -68,85 +92,19 @@ def validate_tree(op: LogicalOp, catalog: Catalog) -> Tuple[Column, ...]:
                     f"Get({op.table}): bound column {bound.name!r} does not "
                     f"match table column {defined.name!r}"
                 )
-        outputs = op.columns
-
-    elif isinstance(op, Select):
-        (child,) = child_outputs
-        _check_refs(op.predicate, _ids(child), "Select predicate")
-        outputs = child
-
-    elif isinstance(op, Project):
-        (child,) = child_outputs
-        visible = _ids(child)
-        seen = set()
-        for column, expr in op.outputs:
-            _check_refs(expr, visible, f"Project output {column.name}")
-            if column.cid in seen:
-                raise ValidationError(
-                    f"Project: duplicate output column id {column.cid}"
-                )
-            seen.add(column.cid)
-        outputs = op.output_columns
-
-    elif isinstance(op, Join):
+        return op.columns
+    if isinstance(op, Project):
+        _check_fresh(op, (), op.output_columns)
+        return op.output_columns
+    if isinstance(op, GbAgg):
+        _check_fresh(op, op.group_by, (column for column, _ in op.aggregates))
+        return op.output_columns
+    if isinstance(op, Join):
         left, right = child_outputs
-        overlap = _ids(left) & _ids(right)
-        if overlap:
-            raise ValidationError(
-                f"Join: inputs share column ids {sorted(overlap)}"
-            )
-        _check_refs(op.predicate, _ids(left) | _ids(right), "Join predicate")
         if op.join_kind in (JoinKind.SEMI, JoinKind.ANTI):
-            outputs = left
-        else:
-            outputs = left + right
-
-    elif isinstance(op, Apply):
-        left, right = child_outputs
-        overlap = _ids(left) & _ids(right)
-        if overlap:
-            raise ValidationError(
-                f"Apply: inputs share column ids {sorted(overlap)}"
-            )
-        _check_refs(
-            op.predicate, _ids(left) | _ids(right), "Apply predicate"
-        )
-        outputs = left
-
-    elif isinstance(op, GbAgg):
-        (child,) = child_outputs
-        visible = _ids(child)
-        for column in op.group_by:
-            if column.cid not in visible:
-                raise ValidationError(
-                    f"GbAgg: grouping column {column.qualified_name} not in "
-                    "input"
-                )
-        seen = {column.cid for column in op.group_by}
-        for column, call in op.aggregates:
-            if call.argument is not None:
-                _check_refs(
-                    call.argument, visible, f"aggregate {column.name}"
-                )
-            if column.cid in seen:
-                raise ValidationError(
-                    f"GbAgg: duplicate output column id {column.cid}"
-                )
-            seen.add(column.cid)
-        outputs = op.output_columns
-
-    elif is_set_op(op):
-        left, right = child_outputs
-        # Branch columns select (a subset of) each input's columns, one per
-        # output position; the executor projects each branch onto them.
-        if not _ids(op.left_columns) <= _ids(left):
-            raise ValidationError(
-                f"{op.kind.value}: left_columns not drawn from left input"
-            )
-        if not _ids(op.right_columns) <= _ids(right):
-            raise ValidationError(
-                f"{op.kind.value}: right_columns not drawn from right input"
-            )
+            return left
+        return left + right
+    if is_set_op(op):
         widths = {
             len(op.output_columns),
             len(op.left_columns),
@@ -157,35 +115,17 @@ def validate_tree(op: LogicalOp, catalog: Catalog) -> Tuple[Column, ...]:
         for out, lcol, rcol in zip(
             op.output_columns, op.left_columns, op.right_columns
         ):
-            if out.data_type is not lcol.data_type and not (
-                out.data_type.is_numeric and lcol.data_type.is_numeric
-            ):
+            if not _compatible(out, lcol):
                 raise ValidationError(
                     f"{op.kind.value}: output {out.name} type mismatch with "
                     "left input"
                 )
-            if lcol.data_type is not rcol.data_type and not (
-                lcol.data_type.is_numeric and rcol.data_type.is_numeric
-            ):
+            if not _compatible(lcol, rcol):
                 raise ValidationError(
                     f"{op.kind.value}: branch types not union-compatible for "
                     f"{out.name}"
                 )
-        outputs = op.output_columns
-
-    elif isinstance(op, Sort):
-        (child,) = child_outputs
-        visible = _ids(child)
-        for key in op.keys:
-            if key.column.cid not in visible:
-                raise ValidationError(
-                    f"Sort: key column {key.column.qualified_name} not in "
-                    "input"
-                )
-        outputs = child
-
-    else:  # Distinct, Limit
-        (child,) = child_outputs
-        outputs = child
-
-    return outputs
+        return op.output_columns
+    # Select, Apply, Sort, Distinct and Limit pass their (left) input's
+    # columns through.
+    return child_outputs[0]

@@ -25,15 +25,12 @@ import functools
 import itertools
 from typing import Callable, Sequence
 
-from repro.logical.operators import LogicalOp, OpKind
+from repro.logical.operators import OPERATOR_CLASSES, LogicalOp
 from repro.rules.framework import PatternNode
 
 #: ``match(op, memo)``: every binding of one compiled pattern rooted at
 #: memo expression ``op``, empty when there is none.
 Matcher = Callable[[LogicalOp, object], Sequence[LogicalOp]]
-
-#: The operator attribute a ``join_kinds`` restriction reads, per root kind.
-_KIND_ATTRIBUTE = {OpKind.JOIN: "join_kind", OpKind.APPLY: "apply_kind"}
 
 
 def _bind_any(op: LogicalOp, memo) -> Sequence[LogicalOp]:
@@ -53,7 +50,11 @@ def compile_pattern(pattern: PatternNode) -> Matcher:
     if kind is None:
         return _bind_any
     join_kinds = pattern.join_kinds
-    restricted = _KIND_ATTRIBUTE[kind] if join_kinds is not None else None
+    restricted = (
+        OPERATOR_CLASSES[kind].join_kind_field
+        if join_kinds is not None
+        else None
+    )
     arity = len(pattern.children)
     structured = tuple(
         (position, sub.kind, compile_pattern(sub))

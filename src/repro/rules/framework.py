@@ -28,7 +28,12 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from repro.logical.operators import JoinKind, LogicalOp, OpKind
+from repro.logical.operators import (
+    OPERATOR_CLASSES,
+    JoinKind,
+    LogicalOp,
+    OpKind,
+)
 
 
 @dataclass(frozen=True)
@@ -47,9 +52,9 @@ class PatternNode:
     def __post_init__(self) -> None:
         if self.kind is None and self.children:
             raise ValueError("generic pattern nodes cannot have children")
-        if self.join_kinds is not None and self.kind not in (
-            OpKind.JOIN,
-            OpKind.APPLY,
+        if self.join_kinds is not None and (
+            self.kind is None
+            or OPERATOR_CLASSES[self.kind].join_kind_field is None
         ):
             raise ValueError(
                 "join_kinds only applies to JOIN and APPLY patterns"
@@ -65,10 +70,8 @@ class PatternNode:
             return True
         if op.kind is not self.kind:
             return False
-        if self.kind is OpKind.JOIN and self.join_kinds is not None:
-            return op.join_kind in self.join_kinds
-        if self.kind is OpKind.APPLY and self.join_kinds is not None:
-            return op.apply_kind in self.join_kinds
+        if self.join_kinds is not None:
+            return getattr(op, op.join_kind_field) in self.join_kinds
         return True
 
     def size(self) -> int:

@@ -203,9 +203,6 @@ class KillMatrix:
     def slot_cost(self, rule: str, slot: int) -> float:
         return self.slot_costs[rule][slot]
 
-    def rows_for(self, rule: str) -> List[MutantRow]:
-        return [row for row in self.rows if row.rule == rule]
-
     def expected_rows(self) -> List[MutantRow]:
         return [row for row in self.rows if row.expected_detectable]
 

@@ -87,10 +87,22 @@ class TestDocsCheckMode:
     def test_stale_docs_fail_check(self, tmp_path):
         docs = REPO_ROOT / "docs" / "RULES.md"
         original = docs.read_text()
+        drifted = {
+            "trailing line": original + "\nstale trailing line\n",
+            "missing rule": original.replace(
+                "### JoinCommutativity", "### SomethingElse"
+            ),
+            "stale pattern": original.replace(
+                "- pattern: `Distinct(?)`", "- pattern: `Distinct(Get)`", 1
+            ),
+            "undocumented rule": original + "\n### NotARegisteredRule\n",
+        }
         try:
-            docs.write_text(original + "\nstale trailing line\n")
-            proc = self._run_check()
-            assert proc.returncode == 1
-            assert "STALE" in proc.stdout
+            for case, text in drifted.items():
+                assert text != original, case
+                docs.write_text(text)
+                proc = self._run_check()
+                assert proc.returncode == 1, case
+                assert "STALE" in proc.stdout, case
         finally:
             docs.write_text(original)

@@ -89,7 +89,7 @@ class TestGraphStructure:
     def test_dot_confirmed_only(self, graph):
         dot = graph.to_dot()
         assert "digraph rule_interactions" in dot
-        # Structural edges are excluded from the default rendering.
+        # Structural edges are excluded from the rendering.
         assert dot.count("->") == len(graph.confirmed_edges)
 
 

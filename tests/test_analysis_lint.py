@@ -1,18 +1,12 @@
 """Tests for the registry lint pass."""
 
-from pathlib import Path
-
 import pytest
 
-from repro.analysis import RegistryLinter, Severity, pattern_subsumes
+from repro.analysis import RegistryLinter, pattern_subsumes
 from repro.analysis.verify import default_workloads
 from repro.logical.operators import JoinKind, OpKind
 from repro.rules.framework import ANY, P, Rule
 from repro.rules.registry import RuleRegistry, default_registry
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DOCS = REPO_ROOT / "docs" / "RULES.md"
-
 
 @pytest.fixture(scope="module")
 def workloads():
@@ -25,7 +19,6 @@ def clean_report(workloads):
         default_registry(),
         workloads,
         samples_per_workload=4,
-        docs_path=DOCS,
     )
     return linter.run()
 
@@ -124,72 +117,3 @@ class TestDefects:
     def test_bad_name_is_error(self, workloads):
         report = self._lint(_BadName(), workloads)
         assert any(d.code == "RL103" for d in report.errors)
-
-
-class TestDocsDrift:
-    def test_current_docs_are_in_sync(self, workloads):
-        report = RegistryLinter(
-            default_registry(),
-            workloads,
-            samples_per_workload=1,
-            docs_path=DOCS,
-        ).run()
-        drift = [
-            d
-            for d in report.diagnostics
-            if d.code in ("RL130", "RL131", "RL132")
-        ]
-        assert drift == []
-
-    def test_missing_rule_reported(self, tmp_path, workloads):
-        stale = tmp_path / "RULES.md"
-        stale.write_text(DOCS.read_text().replace(
-            "### JoinCommutativity", "### SomethingElse"
-        ))
-        report = RegistryLinter(
-            default_registry(),
-            workloads,
-            samples_per_workload=1,
-            docs_path=stale,
-        ).run()
-        assert any(
-            d.code == "RL130" and d.rule == "JoinCommutativity"
-            for d in report.warnings
-        )
-        # ...and the renamed heading is an unknown documented rule.
-        assert any(d.code == "RL131" for d in report.warnings)
-
-    def test_stale_pattern_reported(self, tmp_path, workloads):
-        stale = tmp_path / "RULES.md"
-        stale.write_text(DOCS.read_text().replace(
-            "- pattern: `Distinct(?)`", "- pattern: `Distinct(Get)`"
-        ))
-        report = RegistryLinter(
-            default_registry(),
-            workloads,
-            samples_per_workload=1,
-            docs_path=stale,
-        ).run()
-        assert any(d.code == "RL132" for d in report.warnings)
-
-    def test_missing_file_reported(self, tmp_path, workloads):
-        report = RegistryLinter(
-            default_registry(),
-            workloads,
-            samples_per_workload=1,
-            docs_path=tmp_path / "nope.md",
-        ).run()
-        assert any(d.code == "RL130" for d in report.warnings)
-
-    def test_severity_is_warning_not_error(self, tmp_path, workloads):
-        report = RegistryLinter(
-            default_registry(),
-            workloads,
-            samples_per_workload=1,
-            docs_path=tmp_path / "nope.md",
-        ).run()
-        assert all(
-            d.severity is Severity.WARNING
-            for d in report.diagnostics
-            if d.code.startswith("RL13")
-        )

@@ -1,19 +1,28 @@
 """Tests for the plan sanitizer and its optimizer wiring."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import MonotonicityGuard, PlanSanitizer, PlanSanityError
-from repro.expr.expressions import ColumnRef, Comparison, ComparisonOp
+from repro.analysis.lint import synthesize_bindings
+from repro.catalog.schema import DataType
+from repro.expr.expressions import Column, ColumnRef, Comparison, ComparisonOp
+from repro.logical.cardinality import CardinalityEstimator
 from repro.logical.operators import (
+    Apply,
     Join,
     JoinKind,
     OpKind,
     Project,
     Select,
+    UnionAll,
     make_get,
 )
+from repro.logical.properties import PropertyDeriver
 from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.optimizer.engine import Optimizer
+from repro.optimizer.memo import GroupExpr, Memo
 from repro.physical.operators import MergeJoin, Sort, SortKey, TableScan
 from repro.rules.framework import ANY, P, Rule
 from repro.rules.registry import default_registry
@@ -112,6 +121,102 @@ class TestCorruptedSubstitution:
         with pytest.raises(PlanSanityError) as excinfo:
             optimizer.optimize(tree)
         assert excinfo.value.code in ("SA301", "SA302")
+
+
+class TestMemoColumnReads:
+    """SA301 reads each operator's declared column reads: the same
+    declaration ``validate_tree`` checks plain trees against."""
+
+    @pytest.fixture()
+    def memo(self, tiny_db):
+        return Memo(
+            PropertyDeriver(tiny_db.catalog),
+            CardinalityEstimator(tiny_db.catalog, tiny_db.stats_repository()),
+            max_groups=50,
+            max_exprs_per_group=10,
+        )
+
+    def _check(self, tiny_db, memo, tree, **changes):
+        """Intern the valid ``tree``, then check its root with ``changes``
+        applied as if a rule had inserted it."""
+        root = memo.groups[memo.intern_tree(tree)].logical_exprs[0]
+        corrupted = dataclasses.replace(root.op, **changes)
+        PlanSanitizer(tiny_db.catalog).check_group_expr(
+            GroupExpr(corrupted, root.group_id), memo, "Corrupting"
+        )
+
+    @pytest.mark.parametrize("make", [
+        lambda left, right, pred: Join(JoinKind.SEMI, left, right, pred),
+        lambda left, right, pred: Apply(JoinKind.SEMI, left, right, pred),
+    ], ids=["join", "apply"])
+    def test_dangling_predicate_is_sa301(self, tiny_db, memo, make):
+        emp = make_get(tiny_db.catalog.table("emp"))
+        dept = make_get(tiny_db.catalog.table("dept"))
+        stranger = make_get(tiny_db.catalog.table("dept"), "d2").columns[0]
+
+        def equals(column):
+            return Comparison(
+                ComparisonOp.EQ, ColumnRef(emp.columns[1]), ColumnRef(column)
+            )
+
+        tree = make(emp, dept, equals(dept.columns[0]))
+        self._check(tiny_db, memo, tree)  # the valid tree passes
+        with pytest.raises(PlanSanityError) as excinfo:
+            self._check(tiny_db, memo, tree, predicate=equals(stranger))
+        assert excinfo.value.code == "SA301"
+        assert "Corrupting" in str(excinfo.value)
+
+    def test_set_op_branch_columns_checked_per_side(self, tiny_db, memo):
+        dept = make_get(tiny_db.catalog.table("dept"))
+        other = make_get(tiny_db.catalog.table("dept"), "d2")
+        out = Column("u", DataType.INT)
+        tree = UnionAll(
+            dept, other, (out,), (dept.columns[0],), (other.columns[0],)
+        )
+        self._check(tiny_db, memo, tree)
+        # Both columns exist below the union, but on the wrong sides.
+        with pytest.raises(PlanSanityError) as excinfo:
+            self._check(
+                tiny_db, memo, tree,
+                left_columns=(other.columns[0],),
+                right_columns=(dept.columns[0],),
+            )
+        assert excinfo.value.code == "SA301"
+
+
+#: The subquery rules: their Apply and semi-join predicates read both sides.
+SUBQUERY_RULES = (
+    "ApplyToSemiJoin",
+    "ApplyToAntiJoin",
+    "ApplyDecorrelateSelect",
+    "SelectPushIntoApplyLeft",
+    "SemiJoinToDistinctInnerJoin",
+)
+
+
+@pytest.mark.parametrize("rule_name", SUBQUERY_RULES)
+def test_subquery_rule_queries_optimize_clean(tpch_db, tpch_stats, rule_name):
+    """Queries drawn from each subquery rule's pattern optimise without a
+    sanity error, with the rule enabled and with it disabled."""
+    registry = default_registry()
+    bindings = synthesize_bindings(
+        registry.rule(rule_name),
+        [("tpch", tpch_db.catalog, tpch_stats)],
+        samples=16,
+        stream="sanitize",
+    )
+    trees = [tree for _, _, tree in bindings][:8]
+    assert len(trees) == 8
+    config = OptimizerConfig(sanitize_plans=True)
+    for enabled, checked in (
+        (True, config), (False, config.with_disabled([rule_name]))
+    ):
+        optimizer = Optimizer(
+            tpch_db.catalog, tpch_stats, registry, config=checked
+        )
+        for tree in trees:
+            result = optimizer.optimize(tree)
+            assert (rule_name in result.rules_exercised) is enabled
 
 
 class TestCheckCost:

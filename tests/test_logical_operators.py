@@ -1,7 +1,10 @@
 """Unit tests for logical operator nodes."""
 
+import dataclasses
+
 import pytest
 
+from repro.analysis.astlint import ATTRIBUTES_BY_KIND, GENERIC_ATTRIBUTES
 from repro.catalog.schema import DataType
 from repro.expr.aggregates import AggregateCall, AggregateFunction
 from repro.expr.expressions import (
@@ -13,22 +16,29 @@ from repro.expr.expressions import (
     Literal,
 )
 from repro.logical.operators import (
+    OPERATOR_CLASSES,
+    Apply,
     Distinct,
+    Except,
     GbAgg,
     Get,
     GroupRef,
+    Intersect,
     Join,
     JoinKind,
     Limit,
+    LogicalOp,
     OpKind,
     Project,
     Select,
     Sort,
     SortKey,
+    Union,
     UnionAll,
     is_set_op,
     make_get,
 )
+from repro.logical.validate import validate_tree
 
 
 @pytest.fixture()
@@ -174,3 +184,59 @@ class TestMiscOperators:
     def test_distinct(self, dept_get):
         distinct = Distinct(dept_get)
         assert distinct.kind is OpKind.DISTINCT
+
+
+class TestOperatorDeclarations:
+    """Each kind has one operator class, and every table derived from the
+    classes covers it: a new operator cannot be left out."""
+
+    @pytest.fixture()
+    def samples(self, dept_get, emp_get):
+        dept_id, emp_dept = dept_get.columns[0], emp_get.columns[1]
+        matches = Comparison(
+            ComparisonOp.EQ, ColumnRef(emp_dept), ColumnRef(dept_id)
+        )
+        count = ((Column("n", DataType.INT),
+                  AggregateCall(AggregateFunction.COUNT_STAR)),)
+        branches = ((Column("u", DataType.INT),), (dept_id,), (emp_dept,))
+        return [
+            dept_get,
+            Select(dept_get, Comparison(
+                ComparisonOp.EQ, ColumnRef(dept_id), Literal(1, DataType.INT)
+            )),
+            Project(dept_get, ((dept_id, ColumnRef(dept_id)),)),
+            Join(JoinKind.INNER, emp_get, dept_get, matches),
+            Apply(JoinKind.SEMI, emp_get, dept_get, matches),
+            GbAgg(dept_get, (dept_id,), count),
+            UnionAll(dept_get, emp_get, *branches),
+            Union(dept_get, emp_get, *branches),
+            Intersect(dept_get, emp_get, *branches),
+            Except(dept_get, emp_get, *branches),
+            Distinct(dept_get),
+            Sort(dept_get, (SortKey(dept_id),)),
+            Limit(dept_get, 3),
+        ]
+
+    def test_every_kind_has_a_class(self, samples):
+        assert set(OPERATOR_CLASSES) == set(OpKind)
+        assert {type(op) for op in samples} == set(OPERATOR_CLASSES.values())
+        for kind, cls in OPERATOR_CLASSES.items():
+            assert cls.kind is kind
+
+    def test_declarations_match_instances(self, samples, tiny_catalog):
+        for op in samples:
+            cls = OPERATOR_CLASSES[op.kind]
+            # Arity: the declared child fields are the children.
+            assert op.children == tuple(
+                getattr(op, name) for name in cls.child_fields
+            )
+            # Attributes: every field is readable on a bound pattern node.
+            fields = {field.name for field in dataclasses.fields(cls)}
+            assert fields | GENERIC_ATTRIBUTES <= ATTRIBUTES_BY_KIND[op.kind]
+            # Reads: declared by the class itself, from inputs it has.
+            assert cls.column_reads is not LogicalOp.column_reads
+            for read in op.column_reads():
+                assert set(read.inputs) <= set(range(op.arity))
+            if cls.join_kind_field is not None:
+                assert isinstance(getattr(op, cls.join_kind_field), JoinKind)
+            validate_tree(op, tiny_catalog)
