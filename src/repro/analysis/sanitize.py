@@ -6,8 +6,10 @@ Invariant checks the optimizer can run on itself, wired into
 
 * **SA301** every column an inserted memo expression references must be
   produced by the child group(s) it reads it from, as the operator declares
-  in :meth:`~repro.logical.operators.LogicalOp.column_reads` (the
-  declaration ``validate_tree`` checks plain trees against);
+  in :meth:`~repro.logical.operators.Operator.column_reads` (the
+  declaration ``validate_tree`` checks plain trees against); a final
+  plan's operators are checked against their own ``column_reads()`` the
+  same way, their inputs producing their ``result_columns()``;
 * **SA302** an expression's derived output schema must equal its group's
   (a substitution that lands a different-schema expression in a group
   corrupts every plan extracted through it);
@@ -34,27 +36,16 @@ plan.
 from __future__ import annotations
 
 import math
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.catalog.schema import Catalog
-from repro.expr.expressions import Column, referenced_columns
+from repro.expr.expressions import Column, column_ids
 from repro.logical.operators import GroupRef
 from repro.logical.properties import PropertyDeriver
 from repro.optimizer.config import DEFAULT_CONFIG
 from repro.optimizer.result import OptimizationError
-from repro.physical.operators import (
-    ComputeScalar,
-    Filter,
-    HashJoin,
-    MergeJoin,
-    Ordering,
-    PhysicalOp,
-    PhysOpKind,
-    Sort as PhysicalSort,
-    Top,
-    ordering_satisfies,
-)
+from repro.physical.operators import Ordering, PhysicalOp, ordering_satisfies
 
 
 class PlanSanityError(OptimizationError):
@@ -69,7 +60,6 @@ class PlanSanitizer:
     """Invariant checks over memo insertions and extracted physical plans."""
 
     def __init__(self, catalog: Catalog) -> None:
-        self.catalog = catalog
         self._deriver = PropertyDeriver(catalog)
         #: Number of invariant checks performed (for overhead accounting
         #: and the off-by-default test).
@@ -97,17 +87,17 @@ class PlanSanitizer:
                     f"child{origin}",
                 )
             child_props.append(memo.group(child.group_id).props)
-        produced = tuple(props.column_ids for props in child_props)
-        for read in op.column_reads():
-            visible = read.visible(produced)
-            for column in read.columns:
-                if column.cid not in visible:
-                    raise PlanSanityError(
-                        "SA301",
-                        f"{op.describe()} references column "
-                        f"{column.qualified_name}#{column.cid}, which no "
-                        f"child group it reads from produces{origin}",
-                    )
+        dangling = op.dangling_read(
+            tuple(props.column_ids for props in child_props)
+        )
+        if dangling is not None:
+            _read, column = dangling
+            raise PlanSanityError(
+                "SA301",
+                f"{op.describe()} references column "
+                f"{column.qualified_name}#{column.cid}, which no "
+                f"child group it reads from produces{origin}",
+            )
         derived = self._deriver.derive(op, tuple(child_props))
         group_props = memo.group(expr.group_id).props
         if derived.column_ids != group_props.column_ids:
@@ -141,7 +131,8 @@ class PlanSanitizer:
         (SA303) and output completeness (SA306).
         """
         self.checks += 1
-        available, _provided = self._check_node(plan)
+        columns, _provided = self._check_node(plan)
+        available = column_ids(columns)
         missing = [
             column
             for column in output_columns
@@ -157,7 +148,9 @@ class PlanSanitizer:
 
     def _check_node(
         self, op: PhysicalOp
-    ) -> Tuple[FrozenSet[int], Ordering]:
+    ) -> Tuple[Tuple[Column, ...], Ordering]:
+        """Check ``op``'s subtree; returns its output columns and
+        ordering."""
         child_results = [
             self._check_node(child)
             for child in op.children
@@ -168,7 +161,7 @@ class PlanSanitizer:
                 "SA301",
                 f"{op.describe()} has an unextracted (non-physical) child",
             )
-        child_columns = [columns for columns, _ in child_results]
+        child_columns = tuple(columns for columns, _ in child_results)
         child_orderings = tuple(ordering for _, ordering in child_results)
 
         requirements = op.required_child_orderings()
@@ -182,104 +175,23 @@ class PlanSanitizer:
                     f"{required} but the child provides {provided}",
                 )
 
-        available = self._available_columns(op, child_columns)
-        provided = op.provided_ordering(child_orderings)
-        return available, provided
-
-    def _available_columns(
-        self, op: PhysicalOp, child_columns: List[FrozenSet[int]]
-    ) -> FrozenSet[int]:
-        kind = op.kind
-
-        def require(columns: Iterable[Column], scope: FrozenSet[int], what: str):
-            for column in columns:
-                if column.cid not in scope:
-                    raise PlanSanityError(
-                        "SA301",
-                        f"{op.describe()}: {what} references column "
-                        f"{column.qualified_name}#{column.cid}, which its "
-                        "input does not produce",
-                    )
-
-        if kind is PhysOpKind.TABLE_SCAN:
-            return frozenset(column.cid for column in op.columns)
-        if kind is PhysOpKind.FILTER:
-            assert isinstance(op, Filter)
-            (child,) = child_columns
-            require(referenced_columns(op.predicate), child, "predicate")
-            return child
-        if kind is PhysOpKind.COMPUTE_SCALAR:
-            assert isinstance(op, ComputeScalar)
-            (child,) = child_columns
-            for _, expr in op.outputs:
-                require(referenced_columns(expr), child, "output expression")
-            return frozenset(column.cid for column in op.output_columns)
-        if kind is PhysOpKind.NESTED_LOOPS_JOIN:
-            left, right = child_columns
-            require(
-                referenced_columns(op.predicate), left | right, "predicate"
-            )
-            if not op.join_kind.preserves_right_columns:
-                return left
-            return left | right
-        if kind is PhysOpKind.NESTED_APPLY:
-            left, right = child_columns
-            require(
-                referenced_columns(op.predicate), left | right, "predicate"
-            )
-            return left
-        if kind is PhysOpKind.HASH_JOIN:
-            assert isinstance(op, HashJoin)
-            left, right = child_columns
-            require(op.left_keys, left, "left keys")
-            require(op.right_keys, right, "right keys")
-            require(referenced_columns(op.residual), left | right, "residual")
-            if not op.join_kind.preserves_right_columns:
-                return left
-            return left | right
-        if kind is PhysOpKind.MERGE_JOIN:
-            assert isinstance(op, MergeJoin)
-            left, right = child_columns
-            require(op.left_keys, left, "left keys")
-            require(op.right_keys, right, "right keys")
-            require(referenced_columns(op.residual), left | right, "residual")
-            return left | right
-        if kind in (PhysOpKind.HASH_AGGREGATE, PhysOpKind.STREAM_AGGREGATE):
-            (child,) = child_columns
-            require(op.group_by, child, "grouping")
-            for _, call in op.aggregates:
-                if call.argument is not None:
-                    require(
-                        referenced_columns(call.argument),
-                        child,
-                        "aggregate argument",
-                    )
-            return frozenset(column.cid for column in op.output_columns)
-        if kind is PhysOpKind.SORT:
-            assert isinstance(op, PhysicalSort)
-            (child,) = child_columns
-            require((key.column for key in op.keys), child, "sort key")
-            return child
-        if kind in (
-            PhysOpKind.CONCAT,
-            PhysOpKind.HASH_UNION,
-            PhysOpKind.HASH_INTERSECT,
-            PhysOpKind.HASH_EXCEPT,
-        ):
-            left, right = child_columns
-            require(op.left_columns, left, "left input columns")
-            require(op.right_columns, right, "right input columns")
-            return frozenset(column.cid for column in op.output_columns)
-        if kind is PhysOpKind.HASH_DISTINCT:
-            (child,) = child_columns
-            return child
-        if kind is PhysOpKind.TOP:
-            assert isinstance(op, Top)
-            (child,) = child_columns
-            return child
-        raise PlanSanityError(
-            "SA301", f"unknown physical operator kind {kind}"
+        dangling = op.dangling_read(
+            tuple(column_ids(columns) for columns in child_columns)
         )
+        if dangling is not None:
+            read, column = dangling
+            raise PlanSanityError(
+                "SA301", f"{op.describe()}: {read.missing(column)}"
+            )
+        return (
+            op.result_columns(child_columns),
+            op.provided_ordering(child_orderings),
+        )
+
+
+#: Relative slack :class:`MonotonicityGuard` allows for float
+#: accumulation-order noise.
+_COST_TOLERANCE = 1e-9
 
 
 class MonotonicityGuard:
@@ -296,11 +208,11 @@ class MonotonicityGuard:
     the unrestricted space is truncated rather than a superset, and callers
     must not feed the pair to the guard.
 
-    A small relative tolerance absorbs float accumulation-order noise.
+    A small relative tolerance (``_COST_TOLERANCE``) absorbs float
+    accumulation-order noise.
     """
 
-    def __init__(self, tolerance: float = 1e-9) -> None:
-        self.tolerance = tolerance
+    def __init__(self) -> None:
         self.violations: List[Diagnostic] = []
         self.observations = 0
 
@@ -313,7 +225,7 @@ class MonotonicityGuard:
     ) -> bool:
         """Record one comparison; returns True when the invariant holds."""
         self.observations += 1
-        if base_cost <= restricted_cost * (1.0 + self.tolerance):
+        if base_cost <= restricted_cost * (1.0 + _COST_TOLERANCE):
             return True
         rules = ", ".join(sorted(disabled)) or "-"
         self.violations.append(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from repro.catalog.schema import DataType
 
@@ -295,6 +295,11 @@ def conjuncts(expr: Expr) -> Tuple[Expr, ...]:
             result.extend(conjuncts(arg))
         return tuple(result)
     return (expr,)
+
+
+def column_ids(columns: Iterable[Column]) -> FrozenSet[int]:
+    """The ids of ``columns``."""
+    return frozenset(column.cid for column in columns)
 
 
 def referenced_columns(expr: Expr) -> frozenset:

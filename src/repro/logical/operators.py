@@ -18,11 +18,16 @@ into group references.
 Each operator class is the one place its structural facts are written:
 ``child_fields`` (its inputs, hence its arity), its dataclass fields and
 properties (the attributes a rule may read), ``join_kind_field`` (what a
-pattern's join-kind restriction reads) and :meth:`LogicalOp.column_reads`
-(which columns its arguments read, and from which input).  Validation, the
-plan sanitizer, the pattern matcher and the static analyses all read these
-declarations; none keeps its own copy.  :data:`OPERATOR_CLASSES` maps each
-:class:`OpKind` to its class.
+pattern's join-kind restriction reads), :meth:`Operator.column_reads`
+(which columns its arguments read, and from which input) and
+:meth:`Operator.result_columns` (the columns it outputs).  Validation,
+property derivation, the plan sanitizer, the pattern matcher and the
+static analyses all read these declarations; none keeps its own copy.
+:data:`OPERATOR_CLASSES` maps each :class:`OpKind` to its class.
+
+:class:`Operator`, :class:`Unary` and :class:`Binary` are shared with the
+physical algebra (:mod:`repro.physical.operators`), whose operators make
+the same declarations.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from typing import (
     Iterator,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -71,6 +77,10 @@ class JoinKind(enum.Enum):
     def preserves_right_columns(self) -> bool:
         """Do right-side columns appear in the join output?"""
         return self in (JoinKind.INNER, JoinKind.CROSS, JoinKind.LEFT_OUTER)
+
+    def result_columns(self, left: Tuple, right: Tuple) -> Tuple:
+        """A join's output columns, given its inputs'."""
+        return left + right if self.preserves_right_columns else left
 
 
 #: How :meth:`ColumnRead.missing` words a column that is not there.
@@ -117,22 +127,23 @@ class GroupRef:
         return f"G{self.group_id}"
 
 
-class LogicalOp:
-    """Base class for all logical operators."""
+class Operator:
+    """What the operators of both algebras share: their inputs and the
+    columns they read and produce, declared once per class.
+
+    ``child_fields`` names the fields holding the inputs, in child order;
+    ``children`` and the tree walks read them.  A node's children may be
+    operators (a tree) or :class:`GroupRef` placeholders (a memo
+    expression).
+    """
 
     __slots__ = ()
-    kind: OpKind
     #: The fields holding the operator's inputs, in child order.
     child_fields: Tuple[str, ...] = ()
-    #: The field a pattern's ``join_kinds`` restriction reads, if any.
-    join_kind_field: Optional[str] = None
 
     @property
     def children(self) -> Tuple:
         return ()
-
-    def with_children(self, children: Tuple) -> "LogicalOp":
-        raise NotImplementedError
 
     def column_reads(self) -> Tuple[ColumnRead, ...]:
         """What the operator's own arguments read (children excluded).
@@ -140,6 +151,84 @@ class LogicalOp:
         Every operator class declares it, an empty tuple included, so
         no operator is left out of validation and the plan sanitizer.
         """
+        raise NotImplementedError
+
+    def dangling_read(
+        self, produced: Tuple[FrozenSet[int], ...]
+    ) -> Optional[Tuple[ColumnRead, Column]]:
+        """The first read column its inputs do not produce, with its read;
+        ``produced`` holds the column ids of each input."""
+        for read in self.column_reads():
+            visible = read.visible(produced)
+            for column in read.columns:
+                if column.cid not in visible:
+                    return read, column
+        return None
+
+    def result_columns(
+        self, inputs: Sequence[Tuple[Column, ...]]
+    ) -> Tuple[Column, ...]:
+        """The operator's output columns, given each input's in child order.
+
+        The one place an operator's output schema is written.  By default
+        the only (or left) input's columns pass through.
+        """
+        return inputs[0]
+
+    def walk(self) -> Iterator["Operator"]:
+        """Pre-order traversal (tree mode only)."""
+        yield self
+        for child in self.children:
+            if isinstance(child, Operator):
+                yield from child.walk()
+
+    def pretty(self, indent: int = 0) -> str:
+        """Indented multi-line rendering of the tree."""
+        pad = "  " * indent
+        lines = [pad + self.describe()]
+        for child in self.children:
+            if isinstance(child, Operator):
+                lines.append(child.pretty(indent + 1))
+            else:
+                lines.append("  " * (indent + 1) + repr(child))
+        return "\n".join(lines)
+
+    def describe(self) -> str:
+        """One-line description (operator name plus arguments)."""
+        return self.kind.value
+
+
+class Unary(Operator):
+    """An operator over one input, held in ``child``."""
+
+    __slots__ = ()
+    child_fields = ("child",)
+
+    @property
+    def children(self) -> Tuple:
+        return (self.child,)
+
+
+class Binary(Operator):
+    """An operator over two inputs, held in ``left`` and ``right``."""
+
+    __slots__ = ()
+    child_fields = ("left", "right")
+
+    @property
+    def children(self) -> Tuple:
+        return (self.left, self.right)
+
+
+class LogicalOp(Operator):
+    """Base class for all logical operators."""
+
+    __slots__ = ()
+    kind: OpKind
+    #: The field a pattern's ``join_kinds`` restriction reads, if any.
+    join_kind_field: Optional[str] = None
+
+    def with_children(self, children: Tuple) -> "LogicalOp":
         raise NotImplementedError
 
     @property
@@ -152,13 +241,6 @@ class LogicalOp:
             isinstance(child, LogicalOp) and child.is_tree()
             for child in self.children
         )
-
-    def walk(self) -> Iterator["LogicalOp"]:
-        """Pre-order traversal (tree mode only)."""
-        yield self
-        for child in self.children:
-            if isinstance(child, LogicalOp):
-                yield from child.walk()
 
     def tree_size(self) -> int:
         """Number of operator nodes in this tree."""
@@ -187,43 +269,6 @@ class LogicalOp:
         object.__setattr__(self, "_fingerprint", value)
         return value
 
-    def pretty(self, indent: int = 0) -> str:
-        """Indented multi-line rendering of the tree."""
-        pad = "  " * indent
-        lines = [pad + self.describe()]
-        for child in self.children:
-            if isinstance(child, LogicalOp):
-                lines.append(child.pretty(indent + 1))
-            else:
-                lines.append("  " * (indent + 1) + repr(child))
-        return "\n".join(lines)
-
-    def describe(self) -> str:
-        """One-line description (operator name plus arguments)."""
-        return self.kind.value
-
-
-class _Unary(LogicalOp):
-    """An operator over one input, held in ``child``."""
-
-    __slots__ = ()
-    child_fields = ("child",)
-
-    @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
-
-class _Binary(LogicalOp):
-    """An operator over two inputs, held in ``left`` and ``right``."""
-
-    __slots__ = ()
-    child_fields = ("left", "right")
-
-    @property
-    def children(self) -> Tuple:
-        return (self.left, self.right)
-
 
 @dataclass(frozen=True)
 class Get(LogicalOp):
@@ -248,6 +293,9 @@ class Get(LogicalOp):
     def column_reads(self) -> Tuple[ColumnRead, ...]:
         return ()
 
+    def result_columns(self, inputs) -> Tuple[Column, ...]:
+        return self.columns
+
     def describe(self) -> str:
         if self.alias != self.table:
             return f"Get({self.table} AS {self.alias})"
@@ -255,7 +303,7 @@ class Get(LogicalOp):
 
 
 @dataclass(frozen=True)
-class Select(_Unary):
+class Select(Unary, LogicalOp):
     """Filter rows by a predicate (relational selection)."""
 
     child: object
@@ -279,7 +327,7 @@ class Select(_Unary):
 
 
 @dataclass(frozen=True)
-class Project(_Unary):
+class Project(Unary, LogicalOp):
     """Compute output columns.
 
     ``outputs`` is an ordered tuple of ``(column, expression)`` pairs.  A
@@ -310,6 +358,9 @@ class Project(_Unary):
     def output_columns(self) -> Tuple[Column, ...]:
         return tuple(column for column, _ in self.outputs)
 
+    def result_columns(self, inputs) -> Tuple[Column, ...]:
+        return self.output_columns
+
     def describe(self) -> str:
         items = ", ".join(
             f"{column.name}={expr}" for column, expr in self.outputs
@@ -318,7 +369,7 @@ class Project(_Unary):
 
 
 @dataclass(frozen=True)
-class Join(_Binary):
+class Join(Binary, LogicalOp):
     """Binary join of any :class:`JoinKind`; CROSS joins carry TRUE."""
 
     join_kind: JoinKind
@@ -340,12 +391,15 @@ class Join(_Binary):
             ),
         )
 
+    def result_columns(self, inputs) -> Tuple[Column, ...]:
+        return self.join_kind.result_columns(*inputs)
+
     def describe(self) -> str:
         return f"Join[{self.join_kind.value}]({self.predicate})"
 
 
 @dataclass(frozen=True)
-class Apply(_Binary):
+class Apply(Binary, LogicalOp):
     """A not-yet-unnested ``[NOT] EXISTS`` / ``IN`` subquery.
 
     The binder produces Apply for every subquery predicate; the unnesting
@@ -388,7 +442,7 @@ class Apply(_Binary):
 
 
 @dataclass(frozen=True)
-class GbAgg(_Unary):
+class GbAgg(Unary, LogicalOp):
     """Group-By / Aggregate.
 
     ``group_by`` are the grouping columns (possibly empty: scalar aggregate
@@ -430,6 +484,9 @@ class GbAgg(_Unary):
     def output_columns(self) -> Tuple[Column, ...]:
         return self.group_by + tuple(col for col, _ in self.aggregates)
 
+    def result_columns(self, inputs) -> Tuple[Column, ...]:
+        return self.output_columns
+
     def describe(self) -> str:
         groups = ", ".join(column.name for column in self.group_by)
         aggs = ", ".join(
@@ -439,7 +496,7 @@ class GbAgg(_Unary):
 
 
 @dataclass(frozen=True)
-class _SetOp(_Binary):
+class _SetOp(Binary, LogicalOp):
     """Shared shape for the binary set operators.
 
     Output columns are fresh (``output_columns``), mapped positionally from
@@ -478,6 +535,9 @@ class _SetOp(_Binary):
             ),
         )
 
+    def result_columns(self, inputs) -> Tuple[Column, ...]:
+        return self.output_columns
+
 
 @dataclass(frozen=True)
 class UnionAll(_SetOp):
@@ -508,7 +568,7 @@ class Except(_SetOp):
 
 
 @dataclass(frozen=True)
-class Distinct(_Unary):
+class Distinct(Unary, LogicalOp):
     """Duplicate elimination over the child's full row."""
 
     child: object
@@ -534,7 +594,7 @@ class SortKey:
 
 
 @dataclass(frozen=True)
-class Sort(_Unary):
+class Sort(Unary, LogicalOp):
     """Logical order-by (presentation order)."""
 
     child: object
@@ -561,7 +621,7 @@ class Sort(_Unary):
 
 
 @dataclass(frozen=True)
-class Limit(_Unary):
+class Limit(Unary, LogicalOp):
     """Return the first ``count`` rows of the child."""
 
     child: object

@@ -28,6 +28,7 @@ from repro.expr.expressions import (
     Comparison,
     ComparisonOp,
     Expr,
+    column_ids,
     conjuncts,
     is_nullable,
     referenced_columns,
@@ -58,7 +59,7 @@ class LogicalProps:
     @cached_property
     def column_ids(self) -> FrozenSet[int]:
         # Cached: preconditions ask for it far more often than groups exist.
-        return frozenset(column.cid for column in self.columns)
+        return column_ids(self.columns)
 
     def has_key(self, column_ids: FrozenSet[int]) -> bool:
         """Is some reported key a subset of ``column_ids``?"""
@@ -122,7 +123,9 @@ class PropertyDeriver:
 
     ``derive(op, child_props)`` is the single-step form used inside the
     memo (children's properties already known); :meth:`derive_tree` recurses
-    over a full logical tree.
+    over a full logical tree.  The output columns are the operator's own
+    ``result_columns``; the per-kind handlers derive keys and non-null
+    columns.
     """
 
     def __init__(self, catalog: Catalog) -> None:
@@ -141,12 +144,12 @@ class PropertyDeriver:
     def derive(
         self, op: LogicalOp, child_props: Tuple[LogicalProps, ...]
     ) -> LogicalProps:
-        handler = self._HANDLERS[op.kind]
-        return handler(self, op, child_props)
+        columns = op.result_columns([props.columns for props in child_props])
+        return self._HANDLERS[op.kind](self, op, child_props, columns)
 
     # -------------------------------------------------------------- per-op
 
-    def _derive_get(self, op: Get, child_props) -> LogicalProps:
+    def _derive_get(self, op: Get, child_props, columns) -> LogicalProps:
         table = self.catalog.table(op.table)
         by_name: Dict[str, Column] = {
             column.name: column for column in op.columns
@@ -160,10 +163,10 @@ class PropertyDeriver:
             if not column.nullable
         )
         return LogicalProps(
-            columns=op.columns, keys=_prune_keys(keys), non_null=non_null
+            columns=columns, keys=_prune_keys(keys), non_null=non_null
         )
 
-    def _derive_select(self, op: Select, child_props) -> LogicalProps:
+    def _derive_select(self, op: Select, child_props, columns) -> LogicalProps:
         (child,) = child_props
         # An equality with a constant on a key column caps output at one row.
         keys = set(child.keys)
@@ -173,7 +176,7 @@ class PropertyDeriver:
                 reduced = key - single_valued
                 keys.add(reduced)
         return LogicalProps(
-            columns=child.columns,
+            columns=columns,
             keys=_prune_keys(keys),
             non_null=child.non_null | self._null_rejected(op.predicate, child),
         )
@@ -210,9 +213,8 @@ class PropertyDeriver:
                         rejected.add(by_id[column.cid])
         return frozenset(rejected)
 
-    def _derive_project(self, op: Project, child_props) -> LogicalProps:
+    def _derive_project(self, op: Project, child_props, columns) -> LogicalProps:
         (child,) = child_props
-        out_cols = op.output_columns
         # An output that is a plain column reference -- a pass-through or a
         # rename -- inherits the source column's key membership; computed
         # outputs inherit nothing.
@@ -230,17 +232,17 @@ class PropertyDeriver:
             if not is_nullable(expr, child.non_null)
         )
         return LogicalProps(
-            columns=out_cols, keys=_prune_keys(keys), non_null=non_null
+            columns=columns, keys=_prune_keys(keys), non_null=non_null
         )
 
-    def _derive_join(self, op: Join, child_props) -> LogicalProps:
+    def _derive_join(self, op: Join, child_props, columns) -> LogicalProps:
         left, right = child_props
         kind = op.join_kind
         if kind is JoinKind.SEMI:
             # A surviving left row witnessed a TRUE predicate, so strict
             # comparisons in it guarantee left-side columns are non-NULL.
             return LogicalProps(
-                columns=left.columns,
+                columns=columns,
                 keys=left.keys,
                 non_null=left.non_null
                 | self._null_rejected(op.predicate, left),
@@ -249,9 +251,8 @@ class PropertyDeriver:
             # Anti-joined rows survive because the predicate *failed*; it
             # guarantees nothing about their columns.
             return LogicalProps(
-                columns=left.columns, keys=left.keys, non_null=left.non_null
+                columns=columns, keys=left.keys, non_null=left.non_null
             )
-        columns = left.columns + right.columns
         keys = set()
         pairs = equijoin_pairs(op.predicate)
         left_ids = left.column_ids
@@ -290,25 +291,24 @@ class PropertyDeriver:
             columns=columns, keys=_prune_keys(keys), non_null=non_null
         )
 
-    def _derive_apply(self, op, child_props) -> LogicalProps:
+    def _derive_apply(self, op, child_props, columns) -> LogicalProps:
         """Apply[SEMI/ANTI] derives exactly like the matching semi/anti
         join: output is the left side, and only a SEMI apply's predicate
         null-rejects surviving left columns."""
         left, _right = child_props
         if op.apply_kind is JoinKind.SEMI:
             return LogicalProps(
-                columns=left.columns,
+                columns=columns,
                 keys=left.keys,
                 non_null=left.non_null
                 | self._null_rejected(op.predicate, left),
             )
         return LogicalProps(
-            columns=left.columns, keys=left.keys, non_null=left.non_null
+            columns=columns, keys=left.keys, non_null=left.non_null
         )
 
-    def _derive_gbagg(self, op: GbAgg, child_props) -> LogicalProps:
+    def _derive_gbagg(self, op: GbAgg, child_props, columns) -> LogicalProps:
         (child,) = child_props
-        out_cols = op.output_columns
         keys = {frozenset(column.cid for column in op.group_by)}
         non_null = {
             column
@@ -327,18 +327,17 @@ class PropertyDeriver:
                 # empty.)
                 non_null.add(column)
         return LogicalProps(
-            columns=out_cols,
+            columns=columns,
             keys=_prune_keys(keys),
             non_null=frozenset(non_null),
         )
 
-    def _derive_setop(self, op, child_props) -> LogicalProps:
+    def _derive_setop(self, op, child_props, columns) -> LogicalProps:
         left, right = child_props
-        out_cols = op.output_columns
-        remap_left = dict(zip(op.left_columns, out_cols))
+        remap_left = dict(zip(op.left_columns, columns))
         non_null = set()
         if op.kind in (OpKind.UNION_ALL, OpKind.UNION):
-            remap_right = dict(zip(op.right_columns, out_cols))
+            remap_right = dict(zip(op.right_columns, columns))
             left_nn = {remap_left[c] for c in left.non_null if c in remap_left}
             right_nn = {
                 remap_right[c] for c in right.non_null if c in remap_right
@@ -351,24 +350,26 @@ class PropertyDeriver:
             }
         keys = set()
         if op.kind in (OpKind.UNION, OpKind.INTERSECT, OpKind.EXCEPT):
-            keys.add(frozenset(column.cid for column in out_cols))
+            keys.add(column_ids(columns))
         return LogicalProps(
-            columns=out_cols,
+            columns=columns,
             keys=_prune_keys(keys),
             non_null=frozenset(non_null),
         )
 
-    def _derive_distinct(self, op: Distinct, child_props) -> LogicalProps:
+    def _derive_distinct(
+        self, op: Distinct, child_props, columns
+    ) -> LogicalProps:
         (child,) = child_props
         keys = set(child.keys)
-        keys.add(frozenset(column.cid for column in child.columns))
+        keys.add(child.column_ids)
         return LogicalProps(
-            columns=child.columns,
+            columns=columns,
             keys=_prune_keys(keys),
             non_null=child.non_null,
         )
 
-    def _derive_passthrough(self, op, child_props) -> LogicalProps:
+    def _derive_passthrough(self, op, child_props, columns) -> LogicalProps:
         (child,) = child_props
         return child
 

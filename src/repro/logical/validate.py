@@ -5,46 +5,25 @@ construction bugs early (dangling column references, misaligned set-operation
 inputs, duplicate column ids in a schema) instead of letting them surface as
 confusing optimizer or executor failures.  Every generated query is validated
 before being handed to the optimizer.
+
+What each operator reads and outputs comes from its class's declarations
+(:mod:`repro.logical.operators`); this module adds only the checks no
+declaration states: join inputs that share columns, a ``Get`` bound
+against its catalog table, set-operation branches that do not line up,
+and an output schema that repeats a column id.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Tuple
+from typing import Tuple
 
 from repro.catalog.schema import Catalog
-from repro.expr.expressions import Column
-from repro.logical.operators import (
-    Apply,
-    GbAgg,
-    Get,
-    Join,
-    JoinKind,
-    LogicalOp,
-    Project,
-    is_set_op,
-)
+from repro.expr.expressions import Column, column_ids
+from repro.logical.operators import Apply, Get, Join, LogicalOp, is_set_op
 
 
 class ValidationError(Exception):
     """Raised when a logical tree is structurally invalid."""
-
-
-def _ids(columns: Iterable[Column]) -> FrozenSet[int]:
-    return frozenset(column.cid for column in columns)
-
-
-def _check_fresh(
-    op: LogicalOp, passed: Tuple[Column, ...], defined: Iterable[Column]
-) -> None:
-    """The columns ``op`` defines must not repeat one another, nor the
-    columns it passes through from its input."""
-    seen = {column.cid for column in passed}
-    for column in defined:
-        if column.cid in seen:
-            raise ValidationError(
-                f"{op.kind.value}: duplicate output column id {column.cid}"
-            )
-        seen.add(column.cid)
 
 
 def _compatible(a: Column, b: Column) -> bool:
@@ -58,13 +37,15 @@ def validate_tree(op: LogicalOp, catalog: Catalog) -> Tuple[Column, ...]:
 
     Raises :class:`ValidationError` on the first structural problem.  The
     column references are checked from the operator's own declaration
-    (:meth:`~repro.logical.operators.LogicalOp.column_reads`), the same
-    one the plan sanitizer's SA301 reads.
+    (:meth:`~repro.logical.operators.Operator.column_reads`), the same
+    one the plan sanitizer's SA301 reads, and the output columns are the
+    operator's :meth:`~repro.logical.operators.Operator.result_columns`,
+    which must not repeat a column id.
     """
     child_outputs = tuple(
         validate_tree(child, catalog) for child in op.children
     )
-    child_ids = tuple(_ids(columns) for columns in child_outputs)
+    child_ids = tuple(column_ids(columns) for columns in child_outputs)
 
     if isinstance(op, (Join, Apply)):
         overlap = child_ids[0] & child_ids[1]
@@ -73,11 +54,10 @@ def validate_tree(op: LogicalOp, catalog: Catalog) -> Tuple[Column, ...]:
                 f"{op.kind.value}: inputs share column ids {sorted(overlap)}"
             )
 
-    for read in op.column_reads():
-        visible = read.visible(child_ids)
-        for column in read.columns:
-            if column.cid not in visible:
-                raise ValidationError(read.missing(column))
+    dangling = op.dangling_read(child_ids)
+    if dangling is not None:
+        read, column = dangling
+        raise ValidationError(read.missing(column))
 
     if isinstance(op, Get):
         table = catalog.table(op.table)
@@ -92,19 +72,7 @@ def validate_tree(op: LogicalOp, catalog: Catalog) -> Tuple[Column, ...]:
                     f"Get({op.table}): bound column {bound.name!r} does not "
                     f"match table column {defined.name!r}"
                 )
-        return op.columns
-    if isinstance(op, Project):
-        _check_fresh(op, (), op.output_columns)
-        return op.output_columns
-    if isinstance(op, GbAgg):
-        _check_fresh(op, op.group_by, (column for column, _ in op.aggregates))
-        return op.output_columns
-    if isinstance(op, Join):
-        left, right = child_outputs
-        if op.join_kind in (JoinKind.SEMI, JoinKind.ANTI):
-            return left
-        return left + right
-    if is_set_op(op):
+    elif is_set_op(op):
         widths = {
             len(op.output_columns),
             len(op.left_columns),
@@ -125,7 +93,13 @@ def validate_tree(op: LogicalOp, catalog: Catalog) -> Tuple[Column, ...]:
                     f"{op.kind.value}: branch types not union-compatible for "
                     f"{out.name}"
                 )
-        return op.output_columns
-    # Select, Apply, Sort, Distinct and Limit pass their (left) input's
-    # columns through.
-    return child_outputs[0]
+
+    columns = op.result_columns(child_outputs)
+    seen = set()
+    for column in columns:
+        if column.cid in seen:
+            raise ValidationError(
+                f"{op.kind.value}: duplicate output column id {column.cid}"
+            )
+        seen.add(column.cid)
+    return columns

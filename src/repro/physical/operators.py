@@ -5,6 +5,13 @@ Like logical operators they are immutable and may hold either concrete
 children (an executable plan tree) or :class:`GroupRef` placeholders (inside
 the memo during cost-based implementation).
 
+They make the logical operators' declarations (:class:`Operator`):
+``child_fields`` names the inputs, from which ``children`` and
+``with_children`` follow; ``column_reads()`` says which columns each
+argument reads from which input; ``result_columns(inputs)`` gives the
+columns the operator outputs.  The plan sanitizer checks extracted plans
+against these declarations alone.
+
 Each operator documents the *ordering* it provides/preserves -- the physical
 property the optimizer tracks (with ``Sort`` as the enforcer), which is what
 makes merge joins and stream aggregates competitive exactly when an order is
@@ -15,12 +22,19 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from dataclasses import dataclass, replace
+from typing import Tuple
 
 from repro.expr.aggregates import AggregateCall
-from repro.expr.expressions import TRUE, Column, Expr
-from repro.logical.operators import JoinKind, SortKey
+from repro.expr.expressions import TRUE, Column, Expr, referenced_columns
+from repro.logical.operators import (
+    Binary,
+    ColumnRead,
+    JoinKind,
+    Operator,
+    SortKey,
+    Unary,
+)
 
 
 class PhysOpKind(enum.Enum):
@@ -57,37 +71,34 @@ def ordering_of_keys(keys: Tuple[SortKey, ...]) -> Ordering:
     return tuple((key.column.cid, key.ascending) for key in keys)
 
 
-class PhysicalOp:
+#: How :meth:`ColumnRead.missing` words a column a plan node's input does
+#: not produce.
+_NOT_PRODUCED = (
+    "{label} references column {column.qualified_name}#{column.cid}, which "
+    "its input does not produce"
+)
+
+
+def _read(label: str, columns, inputs: Tuple[int, ...]) -> ColumnRead:
+    return ColumnRead(label, columns, inputs, _NOT_PRODUCED)
+
+
+class PhysicalOp(Operator):
     """Base class for physical operators."""
 
     __slots__ = ()
     kind: PhysOpKind
 
-    @property
-    def children(self) -> Tuple:
-        raise NotImplementedError
-
     def with_children(self, children: Tuple) -> "PhysicalOp":
-        raise NotImplementedError
-
-    def walk(self) -> Iterator["PhysicalOp"]:
-        yield self
-        for child in self.children:
-            if isinstance(child, PhysicalOp):
-                yield from child.walk()
-
-    def pretty(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        lines = [pad + self.describe()]
-        for child in self.children:
-            if isinstance(child, PhysicalOp):
-                lines.append(child.pretty(indent + 1))
-            else:
-                lines.append("  " * (indent + 1) + repr(child))
-        return "\n".join(lines)
-
-    def describe(self) -> str:
-        return self.kind.value
+        """The operator over new inputs, one per ``child_fields`` entry."""
+        if len(children) != len(self.child_fields):
+            raise ValueError(
+                f"{self.kind.value} takes {len(self.child_fields)} "
+                f"input(s), got {len(children)}"
+            )
+        if not children:
+            return self
+        return replace(self, **dict(zip(self.child_fields, children)))
 
     def required_child_orderings(self) -> Tuple[Ordering, ...]:
         """Ordering this operator requires from each child."""
@@ -106,33 +117,25 @@ class TableScan(PhysicalOp):
 
     kind = PhysOpKind.TABLE_SCAN
 
-    @property
-    def children(self) -> Tuple:
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
         return ()
 
-    def with_children(self, children: Tuple) -> "TableScan":
-        if children:
-            raise ValueError("TableScan is a leaf")
-        return self
+    def result_columns(self, inputs) -> Tuple[Column, ...]:
+        return self.columns
 
     def describe(self) -> str:
         return f"TableScan({self.table})"
 
 
 @dataclass(frozen=True)
-class Filter(PhysicalOp):
+class Filter(Unary, PhysicalOp):
     child: object
     predicate: Expr
 
     kind = PhysOpKind.FILTER
 
-    @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
-    def with_children(self, children: Tuple) -> "Filter":
-        (child,) = children
-        return Filter(child, self.predicate)
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return (_read("predicate", referenced_columns(self.predicate), (0,)),)
 
     def provided_ordering(self, child_orderings):
         return child_orderings[0]
@@ -142,23 +145,24 @@ class Filter(PhysicalOp):
 
 
 @dataclass(frozen=True)
-class ComputeScalar(PhysicalOp):
+class ComputeScalar(Unary, PhysicalOp):
     child: object
     outputs: Tuple[Tuple[Column, Expr], ...]
 
     kind = PhysOpKind.COMPUTE_SCALAR
 
     @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
-    def with_children(self, children: Tuple) -> "ComputeScalar":
-        (child,) = children
-        return ComputeScalar(child, self.outputs)
-
-    @property
     def output_columns(self) -> Tuple[Column, ...]:
         return tuple(column for column, _ in self.outputs)
+
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return tuple(
+            _read("output expression", referenced_columns(expr), (0,))
+            for _, expr in self.outputs
+        )
+
+    def result_columns(self, inputs) -> Tuple[Column, ...]:
+        return self.output_columns
 
     def provided_ordering(self, child_orderings):
         # Ordering survives if the ordering columns pass through unchanged.
@@ -181,7 +185,7 @@ class ComputeScalar(PhysicalOp):
 
 
 @dataclass(frozen=True)
-class NestedLoopsJoin(PhysicalOp):
+class NestedLoopsJoin(Binary, PhysicalOp):
     """Tuple-at-a-time join; handles any predicate and every join kind."""
 
     join_kind: JoinKind
@@ -191,13 +195,11 @@ class NestedLoopsJoin(PhysicalOp):
 
     kind = PhysOpKind.NESTED_LOOPS_JOIN
 
-    @property
-    def children(self) -> Tuple:
-        return (self.left, self.right)
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return (_read("predicate", referenced_columns(self.predicate), (0, 1)),)
 
-    def with_children(self, children: Tuple) -> "NestedLoopsJoin":
-        left, right = children
-        return NestedLoopsJoin(self.join_kind, left, right, self.predicate)
+    def result_columns(self, inputs) -> Tuple[Column, ...]:
+        return self.join_kind.result_columns(*inputs)
 
     def provided_ordering(self, child_orderings):
         return child_orderings[0]  # preserves outer order
@@ -207,7 +209,7 @@ class NestedLoopsJoin(PhysicalOp):
 
 
 @dataclass(frozen=True)
-class NestedApply(PhysicalOp):
+class NestedApply(Binary, PhysicalOp):
     """Naive correlated-subquery execution: re-run the inner side per outer
     row, emitting the outer row when a match exists (SEMI) or when none
     does (ANTI).  Deliberately priced above an equivalent nested-loops
@@ -220,13 +222,8 @@ class NestedApply(PhysicalOp):
 
     kind = PhysOpKind.NESTED_APPLY
 
-    @property
-    def children(self) -> Tuple:
-        return (self.left, self.right)
-
-    def with_children(self, children: Tuple) -> "NestedApply":
-        left, right = children
-        return NestedApply(self.apply_kind, left, right, self.predicate)
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return (_read("predicate", referenced_columns(self.predicate), (0, 1)),)
 
     def provided_ordering(self, child_orderings):
         return child_orderings[0]  # preserves outer order
@@ -235,13 +232,29 @@ class NestedApply(PhysicalOp):
         return f"NestedApply[{self.apply_kind.value}]({self.predicate})"
 
 
-@dataclass(frozen=True)
-class HashJoin(PhysicalOp):
-    """Equi-join by hashing the right (build) side.
+class _EquiJoin(Binary, PhysicalOp):
+    """What the equi-joins share: ``left_keys`` / ``right_keys`` are the
+    equi-join columns of each input; ``residual`` is the non-equality
+    remainder of the predicate (applied to joined rows)."""
 
-    ``left_keys``/``right_keys`` are the equi-join columns; ``residual`` is
-    the non-equality remainder of the predicate (applied to joined rows).
-    """
+    __slots__ = ()
+
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return (
+            _read("left keys", self.left_keys, (0,)),
+            _read("right keys", self.right_keys, (1,)),
+            _read("residual", referenced_columns(self.residual), (0, 1)),
+        )
+
+    def _key_pairs(self) -> str:
+        return ", ".join(
+            f"{l.name}={r.name}" for l, r in zip(self.left_keys, self.right_keys)
+        )
+
+
+@dataclass(frozen=True)
+class HashJoin(_EquiJoin):
+    """Equi-join by hashing the right (build) side."""
 
     join_kind: JoinKind
     left: object
@@ -252,24 +265,12 @@ class HashJoin(PhysicalOp):
 
     kind = PhysOpKind.HASH_JOIN
 
-    @property
-    def children(self) -> Tuple:
-        return (self.left, self.right)
-
-    def with_children(self, children: Tuple) -> "HashJoin":
-        left, right = children
-        return HashJoin(
-            self.join_kind, left, right, self.left_keys, self.right_keys,
-            self.residual,
-        )
+    def result_columns(self, inputs) -> Tuple[Column, ...]:
+        return self.join_kind.result_columns(*inputs)
 
     def describe(self) -> str:
-        keys = ", ".join(
-            f"{l.name}={r.name}" for l, r in zip(self.left_keys, self.right_keys)
-        )
-        from repro.expr.expressions import TRUE as _TRUE
-
-        if self.residual != _TRUE:
+        keys = self._key_pairs()
+        if self.residual != TRUE:
             return (
                 f"HashJoin[{self.join_kind.value}]({keys}; "
                 f"residual: {self.residual})"
@@ -278,7 +279,7 @@ class HashJoin(PhysicalOp):
 
 
 @dataclass(frozen=True)
-class MergeJoin(PhysicalOp):
+class MergeJoin(_EquiJoin):
     """Inner equi-join over inputs sorted on the join keys."""
 
     left: object
@@ -289,15 +290,9 @@ class MergeJoin(PhysicalOp):
 
     kind = PhysOpKind.MERGE_JOIN
 
-    @property
-    def children(self) -> Tuple:
-        return (self.left, self.right)
-
-    def with_children(self, children: Tuple) -> "MergeJoin":
-        left, right = children
-        return MergeJoin(
-            left, right, self.left_keys, self.right_keys, self.residual
-        )
+    def result_columns(self, inputs) -> Tuple[Column, ...]:
+        left, right = inputs
+        return left + right
 
     def required_child_orderings(self) -> Tuple[Ordering, ...]:
         left = tuple((column.cid, True) for column in self.left_keys)
@@ -308,58 +303,44 @@ class MergeJoin(PhysicalOp):
         return tuple((column.cid, True) for column in self.left_keys)
 
     def describe(self) -> str:
-        keys = ", ".join(
-            f"{l.name}={r.name}" for l, r in zip(self.left_keys, self.right_keys)
-        )
-        return f"MergeJoin({keys})"
+        return f"MergeJoin({self._key_pairs()})"
 
 
 @dataclass(frozen=True)
-class HashAggregate(PhysicalOp):
+class _Aggregate(Unary, PhysicalOp):
     child: object
     group_by: Tuple[Column, ...]
     aggregates: Tuple[Tuple[Column, AggregateCall], ...]
 
-    kind = PhysOpKind.HASH_AGGREGATE
-
-    @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
-    def with_children(self, children: Tuple) -> "HashAggregate":
-        (child,) = children
-        return HashAggregate(child, self.group_by, self.aggregates)
-
     @property
     def output_columns(self) -> Tuple[Column, ...]:
         return self.group_by + tuple(col for col, _ in self.aggregates)
+
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return (_read("grouping", self.group_by, (0,)),) + tuple(
+            _read("aggregate argument", referenced_columns(call.argument), (0,))
+            for _, call in self.aggregates
+            if call.argument is not None
+        )
+
+    def result_columns(self, inputs) -> Tuple[Column, ...]:
+        return self.output_columns
 
     def describe(self) -> str:
         groups = ", ".join(column.name for column in self.group_by)
-        return f"HashAggregate([{groups}])"
+        return f"{self.kind.value}([{groups}])"
 
 
 @dataclass(frozen=True)
-class StreamAggregate(PhysicalOp):
+class HashAggregate(_Aggregate):
+    kind = PhysOpKind.HASH_AGGREGATE
+
+
+@dataclass(frozen=True)
+class StreamAggregate(_Aggregate):
     """Aggregate over input sorted by the grouping columns."""
 
-    child: object
-    group_by: Tuple[Column, ...]
-    aggregates: Tuple[Tuple[Column, AggregateCall], ...]
-
     kind = PhysOpKind.STREAM_AGGREGATE
-
-    @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
-    def with_children(self, children: Tuple) -> "StreamAggregate":
-        (child,) = children
-        return StreamAggregate(child, self.group_by, self.aggregates)
-
-    @property
-    def output_columns(self) -> Tuple[Column, ...]:
-        return self.group_by + tuple(col for col, _ in self.aggregates)
 
     def required_child_orderings(self) -> Tuple[Ordering, ...]:
         ordering = tuple(
@@ -371,13 +352,9 @@ class StreamAggregate(PhysicalOp):
     def provided_ordering(self, child_orderings):
         return self.required_child_orderings()[0]
 
-    def describe(self) -> str:
-        groups = ", ".join(column.name for column in self.group_by)
-        return f"StreamAggregate([{groups}])"
-
 
 @dataclass(frozen=True)
-class Sort(PhysicalOp):
+class Sort(Unary, PhysicalOp):
     """The ordering enforcer (also implements logical Sort)."""
 
     child: object
@@ -385,13 +362,8 @@ class Sort(PhysicalOp):
 
     kind = PhysOpKind.SORT
 
-    @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
-    def with_children(self, children: Tuple) -> "Sort":
-        (child,) = children
-        return Sort(child, self.keys)
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return (_read("sort key", tuple(key.column for key in self.keys), (0,)),)
 
     def provided_ordering(self, child_orderings):
         return ordering_of_keys(self.keys)
@@ -401,23 +373,21 @@ class Sort(PhysicalOp):
 
 
 @dataclass(frozen=True)
-class _SetOpPhysical(PhysicalOp):
+class _SetOpPhysical(Binary, PhysicalOp):
     left: object
     right: object
     output_columns: Tuple[Column, ...]
     left_columns: Tuple[Column, ...]
     right_columns: Tuple[Column, ...]
 
-    @property
-    def children(self) -> Tuple:
-        return (self.left, self.right)
-
-    def with_children(self, children: Tuple):
-        left, right = children
-        return type(self)(
-            left, right, self.output_columns, self.left_columns,
-            self.right_columns,
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return (
+            _read("left input columns", self.left_columns, (0,)),
+            _read("right input columns", self.right_columns, (1,)),
         )
+
+    def result_columns(self, inputs) -> Tuple[Column, ...]:
+        return self.output_columns
 
 
 @dataclass(frozen=True)
@@ -445,22 +415,17 @@ class HashExcept(_SetOpPhysical):
 
 
 @dataclass(frozen=True)
-class HashDistinct(PhysicalOp):
+class HashDistinct(Unary, PhysicalOp):
     child: object
 
     kind = PhysOpKind.HASH_DISTINCT
 
-    @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
-    def with_children(self, children: Tuple) -> "HashDistinct":
-        (child,) = children
-        return HashDistinct(child)
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return ()
 
 
 @dataclass(frozen=True)
-class Top(PhysicalOp):
+class Top(Unary, PhysicalOp):
     """Return the first ``count`` rows of the child."""
 
     child: object
@@ -468,13 +433,8 @@ class Top(PhysicalOp):
 
     kind = PhysOpKind.TOP
 
-    @property
-    def children(self) -> Tuple:
-        return (self.child,)
-
-    def with_children(self, children: Tuple) -> "Top":
-        (child,) = children
-        return Top(child, self.count)
+    def column_reads(self) -> Tuple[ColumnRead, ...]:
+        return ()
 
     def provided_ordering(self, child_orderings):
         return child_orderings[0]

@@ -7,7 +7,13 @@ import pytest
 from repro.analysis import MonotonicityGuard, PlanSanitizer, PlanSanityError
 from repro.analysis.lint import synthesize_bindings
 from repro.catalog.schema import DataType
-from repro.expr.expressions import Column, ColumnRef, Comparison, ComparisonOp
+from repro.expr.expressions import (
+    Column,
+    ColumnRef,
+    Comparison,
+    ComparisonOp,
+    Literal,
+)
 from repro.logical.cardinality import CardinalityEstimator
 from repro.logical.operators import (
     Apply,
@@ -23,7 +29,19 @@ from repro.logical.properties import PropertyDeriver
 from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.memo import GroupExpr, Memo
-from repro.physical.operators import MergeJoin, Sort, SortKey, TableScan
+from repro.physical.operators import (
+    ComputeScalar,
+    Concat,
+    Filter,
+    HashAggregate,
+    HashJoin,
+    MergeJoin,
+    NestedApply,
+    NestedLoopsJoin,
+    Sort,
+    SortKey,
+    TableScan,
+)
 from repro.rules.framework import ANY, P, Rule
 from repro.rules.registry import default_registry
 from repro.testing.random_gen import RandomQueryGenerator
@@ -358,3 +376,112 @@ class TestCorrectnessIntegration:
         assert report.passed
         assert guard.observations > 0
         assert guard.violations == []
+
+
+def _nation_region(db):
+    nation, nation_scan = _scan(db, "nation")
+    region, region_scan = _scan(db, "region")
+    return nation, nation_scan, region, region_scan
+
+
+def _dangling_plans(db):
+    """One plan per physical column-read family, each reading
+    ``nation.n_nationkey`` from an input that does not produce it; with
+    the message SA301 words it in."""
+    nation, nation_scan, region, region_scan = _nation_region(db)
+    key = nation.columns[0]
+    ref = f"nation.n_nationkey#{key.cid}"
+    equals_one = Comparison(
+        ComparisonOp.EQ, ColumnRef(key), Literal(1, DataType.INT)
+    )
+    out = Column("o", DataType.INT)
+    return {
+        "filter": (
+            Filter(region_scan, equals_one),
+            f"Filter(nation.n_nationkey = 1): predicate references column "
+            f"{ref}, which its input does not produce",
+        ),
+        "compute_scalar": (
+            ComputeScalar(region_scan, ((out, ColumnRef(key)),)),
+            f"ComputeScalar(o): output expression references column {ref}, "
+            "which its input does not produce",
+        ),
+        "nested_loops_join": (
+            NestedLoopsJoin(
+                JoinKind.INNER, region_scan, region_scan, equals_one
+            ),
+            f"NestedLoopsJoin[INNER](nation.n_nationkey = 1): predicate "
+            f"references column {ref}, which its input does not produce",
+        ),
+        "hash_join_right_key_from_left": (
+            HashJoin(JoinKind.INNER, nation_scan, region_scan, (key,), (key,)),
+            f"HashJoin[INNER](n_nationkey=n_nationkey): right keys "
+            f"references column {ref}, which its input does not produce",
+        ),
+        "aggregate_grouping": (
+            HashAggregate(region_scan, (key,), ()),
+            f"HashAggregate([n_nationkey]): grouping references column "
+            f"{ref}, which its input does not produce",
+        ),
+        "sort_key": (
+            Sort(region_scan, (SortKey(key),)),
+            f"Sort(n_nationkey ASC): sort key references column {ref}, "
+            "which its input does not produce",
+        ),
+        "concat_right_columns": (
+            Concat(nation_scan, region_scan, (out,), (key,), (key,)),
+            f"Concat: right input columns references column {ref}, which "
+            "its input does not produce",
+        ),
+    }
+
+
+DANGLING_FAMILIES = (
+    "filter",
+    "compute_scalar",
+    "nested_loops_join",
+    "hash_join_right_key_from_left",
+    "aggregate_grouping",
+    "sort_key",
+    "concat_right_columns",
+)
+
+
+class TestPhysicalColumnReads:
+    """SA301/SA306 on extracted plans read each physical operator's
+    declared column reads and result columns."""
+
+    @pytest.mark.parametrize("family", DANGLING_FAMILIES)
+    def test_dangling_reference_is_sa301(self, tpch_db, family):
+        plan, message = _dangling_plans(tpch_db)[family]
+        with pytest.raises(PlanSanityError) as excinfo:
+            PlanSanitizer(tpch_db.catalog).check_plan(plan, ())
+        assert excinfo.value.code == "SA301"
+        assert str(excinfo.value) == f"SA301: {message}"
+
+    @pytest.mark.parametrize("operator", ["semi_join", "apply"])
+    def test_right_columns_of_a_semi_join_are_not_output(
+        self, tpch_db, operator
+    ):
+        nation, nation_scan, region, region_scan = _nation_region(tpch_db)
+        matches = Comparison(
+            ComparisonOp.EQ,
+            ColumnRef(nation.columns[2]),
+            ColumnRef(region.columns[0]),
+        )
+        if operator == "semi_join":
+            plan = NestedLoopsJoin(
+                JoinKind.SEMI, nation_scan, region_scan, matches
+            )
+        else:
+            plan = NestedApply(
+                JoinKind.SEMI, nation_scan, region_scan, matches
+            )
+        sanitizer = PlanSanitizer(tpch_db.catalog)
+        sanitizer.check_plan(plan, nation.columns)
+        with pytest.raises(PlanSanityError) as excinfo:
+            sanitizer.check_plan(plan, nation.columns + region.columns)
+        assert str(excinfo.value) == (
+            "SA306: final plan does not produce required output column(s) "
+            "region.r_regionkey, region.r_name, region.r_comment"
+        )

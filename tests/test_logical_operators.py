@@ -38,6 +38,7 @@ from repro.logical.operators import (
     is_set_op,
     make_get,
 )
+from repro.logical.properties import PropertyDeriver
 from repro.logical.validate import validate_tree
 
 
@@ -240,3 +241,33 @@ class TestOperatorDeclarations:
             if cls.join_kind_field is not None:
                 assert isinstance(getattr(op, cls.join_kind_field), JoinKind)
             validate_tree(op, tiny_catalog)
+
+    def test_result_columns_cover_every_kind(
+        self, samples, dept_get, emp_get, tiny_catalog
+    ):
+        dept, emp = dept_get.columns, emp_get.columns
+        union = (samples[6].output_columns[0],)
+        expected = {
+            OpKind.GET: dept,
+            OpKind.SELECT: dept,
+            OpKind.PROJECT: (dept[0],),
+            OpKind.JOIN: emp + dept,
+            OpKind.APPLY: emp,
+            OpKind.GB_AGG: (dept[0], samples[5].aggregates[0][0]),
+            OpKind.UNION_ALL: union,
+            OpKind.UNION: union,
+            OpKind.INTERSECT: union,
+            OpKind.EXCEPT: union,
+            OpKind.DISTINCT: dept,
+            OpKind.SORT: dept,
+            OpKind.LIMIT: dept,
+        }
+        assert set(expected) == set(OpKind)
+        deriver = PropertyDeriver(tiny_catalog)
+        for op in samples:
+            inputs = tuple(
+                deriver.derive_tree(child).columns for child in op.children
+            )
+            assert op.result_columns(inputs) == expected[op.kind]
+            assert validate_tree(op, tiny_catalog) == expected[op.kind]
+            assert deriver.derive_tree(op).columns == expected[op.kind]

@@ -145,3 +145,47 @@ class TestInvalidTrees:
             dept, emp, (out,), (dept.columns[0],), (emp.columns[0],)
         )
         assert validate_tree(union, tiny_catalog) == (out,)
+
+
+class TestDuplicateOutputs:
+    """No schema may repeat a column id, whichever operator writes it."""
+
+    def test_gbagg_repeated_grouping_column(self, tiny_catalog, dept):
+        key = dept.columns[0]
+        agg = GbAgg(dept, (key, key), ())
+        with pytest.raises(ValidationError) as excinfo:
+            validate_tree(agg, tiny_catalog)
+        assert str(excinfo.value) == (
+            f"GbAgg: duplicate output column id {key.cid}"
+        )
+
+    def test_setop_repeated_output_column(self, tiny_catalog, dept, emp):
+        out = Column("o", DataType.INT)
+        union = UnionAll(
+            dept,
+            emp,
+            (out, out),
+            (dept.columns[0], dept.columns[0]),
+            (emp.columns[0], emp.columns[0]),
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            validate_tree(union, tiny_catalog)
+        assert str(excinfo.value) == (
+            f"UnionAll: duplicate output column id {out.cid}"
+        )
+
+    def test_project_repeated_output_column(self, tiny_catalog, dept):
+        col = dept.columns[0]
+        project = Project(
+            dept, ((col, ColumnRef(col)), (col, ColumnRef(col)))
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            validate_tree(project, tiny_catalog)
+        assert str(excinfo.value) == (
+            f"Project: duplicate output column id {col.cid}"
+        )
+
+    def test_join_input_overlap_is_reported_first(self, tiny_catalog, dept):
+        join = Join(JoinKind.INNER, dept, dept)
+        with pytest.raises(ValidationError, match="inputs share column ids"):
+            validate_tree(join, tiny_catalog)
