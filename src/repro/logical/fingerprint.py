@@ -21,8 +21,9 @@ group expressions contain :class:`GroupRef` placeholders and are rejected.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
+from repro.catalog.schema import DataType
 from repro.expr.aggregates import AggregateCall
 from repro.expr.expressions import (
     Arithmetic,
@@ -56,6 +57,13 @@ from repro.logical.operators import (
 #: free-form text (names, literal reprs) is length-prefixed.
 _SEP = "\x1f"
 
+#: The ``|type|nullable`` suffix of a column token, per column type facts.
+_COLUMN_FACTS = {
+    (data_type, nullable): f"|{data_type.value}|{int(nullable)}"
+    for data_type in DataType
+    for nullable in (False, True)
+}
+
 
 class FingerprintError(ValueError):
     """Raised when a fingerprint is requested for a non-tree (memo) node."""
@@ -76,15 +84,19 @@ class _Writer:
         """Free-form text, length-prefixed so adjacent tokens cannot merge."""
         self.tokens.append(f"{len(value)}:{value}")
 
-    def column(self, column: Column) -> None:
+    def column_token(self, column: Column) -> str:
         """A column by canonical first-encounter index plus its type facts."""
-        index = self._canonical.get(column.cid)
+        canonical = self._canonical
+        index = canonical.get(column.cid)
         if index is None:
-            index = len(self._canonical)
-            self._canonical[column.cid] = index
-        self.tokens.append(
-            f"c{index}|{column.data_type.value}|{int(column.nullable)}"
-        )
+            index = canonical[column.cid] = len(canonical)
+        return f"c{index}{_COLUMN_FACTS[column.data_type, column.nullable]}"
+
+    def column(self, column: Column) -> None:
+        self.tokens.append(self.column_token(column))
+
+    def columns(self, columns: Iterable[Column]) -> None:
+        self.tokens.extend(map(self.column_token, columns))
 
     def digest(self) -> str:
         payload = _SEP.join(self.tokens).encode("utf-8")
@@ -152,8 +164,7 @@ def _emit_op(op: LogicalOp, writer: _Writer) -> None:
     if isinstance(op, Get):
         writer.text(op.table)
         writer.text(op.alias)
-        for column in op.columns:
-            writer.column(column)
+        writer.columns(op.columns)
     elif isinstance(op, Select):
         _emit_expr(op.predicate, writer)
     elif isinstance(op, Project):
@@ -170,21 +181,17 @@ def _emit_op(op: LogicalOp, writer: _Writer) -> None:
     elif isinstance(op, GbAgg):
         writer.text(op.phase)
         writer.tag(str(len(op.group_by)))
-        for column in op.group_by:
-            writer.column(column)
+        writer.columns(op.group_by)
         writer.tag(str(len(op.aggregates)))
         for column, call in op.aggregates:
             writer.column(column)
             _emit_aggregate(call, writer)
     elif isinstance(op, (UnionAll, Union, Intersect, Except)):
-        for column in op.output_columns:
-            writer.column(column)
+        writer.columns(op.output_columns)
         writer.tag("/")
-        for column in op.left_columns:
-            writer.column(column)
+        writer.columns(op.left_columns)
         writer.tag("/")
-        for column in op.right_columns:
-            writer.column(column)
+        writer.columns(op.right_columns)
     elif isinstance(op, Sort):
         writer.tag(str(len(op.keys)))
         for key in op.keys:

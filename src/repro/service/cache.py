@@ -1,22 +1,24 @@
 """Persistent cross-run cache for plan-service results.
 
 The disk cache stores one small JSON record per ``(tree fingerprint,
-config)`` request: the plan cost, the exercised rule set, the derived rule
-interactions and the memo search counters -- everything the framework's
-*cost* traffic (``Cost(q, ¬R)``) needs.  Physical plans themselves are
-deliberately **not** persisted: plans embed :class:`Column` objects whose
-``cid`` values are process-local, so rehydrating a plan in a later run could
-alias freshly bound columns.  Cost/metadata records carry no such identity.
+config)`` request, holding only what is read back: ``{config, cost |
+error, fingerprint}`` -- the key, and the plan cost or the error the
+optimization raised, which is all the framework's *cost* traffic
+(``Cost(q, ¬R)``) needs.  Physical plans themselves are deliberately **not**
+persisted: plans embed :class:`Column` objects whose ``cid`` values are
+process-local, so rehydrating a plan in a later run could alias freshly
+bound columns.  A record carries no such identity.  Records were once
+written with the exercised rule set, the derived rule interactions and the
+memo search counters beside the cost; a log written so is read as it is
+(those fields are ignored) and slims only through ``repro cache --clear``.
 
 Each environment is one append-only log,
 ``<root>/<environment fingerprint>/records.jsonl``, one record per line,
 where the environment fingerprint hashes the rule registry, the catalog DDL
 and the table statistics -- any change to rules, schema or data invalidates
-the cache by construction (the key simply never matches again).  A line
-carries the tree fingerprint and the config token beside the record's
-fields; lines are written with sorted keys and compact separators, and
-set-valued fields (``rules_exercised``, ``rule_interactions``) are sorted,
-so a log is byte-stable run to run.
+the cache by construction (the key simply never matches again).  Lines
+are written with sorted keys and compact separators, so a log is
+byte-stable run to run.
 
 A :class:`PlanDiskCache` reads its log once, into an index of what a
 request needs back (the cost, or the error), and on a miss reads only the

@@ -252,28 +252,13 @@ class PlanService:
         return optimizer
 
     def _record_for(self, key: _CacheKey, entry: _Entry) -> Dict:
+        """What a later run reads back: the key and the cost or error."""
         fingerprint, token = self._log_key(key)
-        record = {
-            "fingerprint": fingerprint,
-            "config": token,
-            "error": entry.error,
-        }
+        record = {"fingerprint": fingerprint, "config": token}
         if entry.error is None:
             record["cost"] = entry.cost
-        if entry.result is not None:
-            result = entry.result
-            record.update(
-                rules_exercised=sorted(result.rules_exercised),
-                rule_interactions=[
-                    list(pair) for pair in sorted(result.rule_interactions)
-                ],
-                memo_stats={
-                    "group_count": result.stats.group_count,
-                    "expr_count": result.stats.expr_count,
-                    "rule_applications": result.stats.rule_applications,
-                    "budget_exhausted": result.stats.budget_exhausted,
-                },
-            )
+        else:
+            record["error"] = entry.error
         return record
 
     # ----------------------------------------------------- the request ladder

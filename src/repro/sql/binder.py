@@ -8,7 +8,7 @@ by executing both against the same database.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.catalog.schema import Catalog, DataType
 from repro.expr.aggregates import AggregateCall, AggregateFunction
@@ -56,11 +56,38 @@ class BindError(Exception):
 
 
 class NameScope:
-    """Maps SQL identifiers (bare and qualified) to bound columns."""
+    """Maps SQL identifiers (bare and qualified) to bound columns.
 
-    def __init__(self) -> None:
+    A select list's output scope holds bare names only, and keeps the
+    scope of the FROM clause it came from: a qualified name that clause
+    holds is looked up bare (``ORDER BY n.n_name`` after ``SELECT n_name
+    FROM nation AS n``).  Any other qualified name must be held as it is
+    written.
+    """
+
+    def __init__(self, source: Optional["NameScope"] = None) -> None:
         self._names: Dict[str, Column] = {}
         self._ambiguous: Set[str] = set()
+        self._source = source
+
+    @classmethod
+    def of_relation(
+        cls, alias: str, columns: Tuple[Column, ...]
+    ) -> "NameScope":
+        """The scope of one FROM-clause relation: each column by its bare
+        and its ``alias.``-qualified name, in one pass that marks a name
+        ambiguous when it is already bound to a different column."""
+        scope = cls()
+        names, ambiguous = scope._names, scope._ambiguous
+        for column in columns:
+            bare = column.name
+            qualified = f"{alias}.{bare}"
+            if bare in names and names[bare] != column:
+                ambiguous.add(bare)
+            if qualified in names and names[qualified] != column:
+                ambiguous.add(qualified)
+            names[bare] = names[qualified] = column
+        return scope
 
     def add(self, name: str, column: Column) -> None:
         if name in self._names and self._names[name] != column:
@@ -68,18 +95,17 @@ class NameScope:
         self._names[name] = column
 
     def lookup(self, ref: ast.NameRef) -> Column:
-        key = f"{ref.qualifier}.{ref.name}" if ref.qualifier else ref.name
-        if key in self._ambiguous:
-            raise BindError(f"ambiguous column reference {key!r}")
-        if key not in self._names:
-            # Fall back to the bare name for qualified refs (derived-table
-            # qualifiers are erased by our scope construction).
-            if ref.qualifier and ref.name in self._names:
-                if ref.name in self._ambiguous:
-                    raise BindError(f"ambiguous column reference {ref.name!r}")
-                return self._names[ref.name]
+        key = name = ref.name
+        if ref.qualifier:
+            key = f"{ref.qualifier}.{name}"
+            if self._source is None or key not in self._source._names:
+                name = key
+        if name in self._ambiguous:
+            raise BindError(f"ambiguous column reference {name!r}")
+        column = self._names.get(name)
+        if column is None:
             raise BindError(f"unknown column {key!r}")
-        return self._names[key]
+        return column
 
     def merged(self, other: "NameScope") -> "NameScope":
         result = NameScope()
@@ -295,7 +321,7 @@ class Binder:
         group_set = set(group_columns)
         aggregates: List[Tuple[Column, AggregateCall]] = []
         ordered: List[Column] = []
-        scope = NameScope()
+        scope = NameScope(source=source.scope)
         for item in block.items:
             if isinstance(item.expr, ast.FuncCall):
                 call = self._bind_aggregate(item.expr, source.scope)
@@ -345,7 +371,7 @@ class Binder:
     ):
         outputs: List[Tuple[Column, Expr]] = []
         ordered: List[Column] = []
-        scope = NameScope()
+        scope = NameScope(source=source.scope)
         for item in block.items:
             expr = self._bind_expr(item.expr, source.scope)
             if isinstance(expr, ColumnRef) and (
@@ -371,17 +397,11 @@ class Binder:
             table = self.catalog.table(node.name)
             alias = node.alias or node.name
             get = make_get(table, alias)
-            scope = NameScope()
-            for column in get.columns:
-                scope.add(column.name, column)
-                scope.add(f"{alias}.{column.name}", column)
+            scope = NameScope.of_relation(alias, get.columns)
             return BoundRelation(op=get, columns=get.columns, scope=scope)
         if isinstance(node, ast.DerivedTable):
             inner = self.bind(node.query)
-            scope = NameScope()
-            for column in inner.columns:
-                scope.add(column.name, column)
-                scope.add(f"{node.alias}.{column.name}", column)
+            scope = NameScope.of_relation(node.alias, inner.columns)
             return BoundRelation(
                 op=inner.op, columns=inner.columns, scope=scope
             )

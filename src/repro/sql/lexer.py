@@ -1,9 +1,12 @@
 """SQL tokenizer for the dialect emitted by :mod:`repro.sql.generate`.
 
-:func:`scan` is the parser's lexer: one compiled pattern, three parallel
-lists.  A keyword, operator or punctuation token's *kind* is its own
-upper-case text (``"SELECT"``, ``"<="``, ``"("``); every other token's kind
-is one of :data:`IDENT`, :data:`NUMBER`, :data:`STRING` or :data:`EOF`.
+:func:`scan` is the parser's lexer: one ``findall`` over one compiled
+pattern, two parallel lists.  A keyword, operator or punctuation token's
+*kind* is its own upper-case text (``"SELECT"``, ``"<="``, ``"("``); every
+other token's kind is one of :data:`IDENT`, :data:`NUMBER`, :data:`STRING`
+or :data:`EOF`.  Token positions are needed only for an error message, so
+:func:`scan` builds none; :func:`token_positions` works them out from the
+same pattern when one is.
 """
 
 from __future__ import annotations
@@ -29,66 +32,62 @@ IDENT, NUMBER, STRING, EOF = "ident", "number", "string", "eof"
 #: Upper-case text -> the one interned kind string the parser compares with.
 _KINDS = {kind: kind for kind in (*KEYWORDS, *_OPERATORS, *_PUNCT)}
 
-# One match is one token and the whitespace before it.  ``\d`` is
-# ``str.isdecimal`` and ``\w`` is ``str.isalnum`` or ``_``; a word must start
-# with a letter or ``_``, which :func:`scan` checks after the match.  A
-# string's closing quote is the first one not doubled, hence ``(?!')``.
+# One match is one token and the whitespace before it; the one group is the
+# token's text.  ``\d`` is ``str.isdecimal`` and ``\w`` is ``str.isalnum`` or
+# ``_``.  A string's closing quote is the first one not doubled, hence
+# ``(?!')``.  The last alternative takes any other character, so the matches
+# cover every non-space character and a character no token starts with comes
+# back as a token of its own, which :func:`scan` rejects: a stray character,
+# the quote of an unterminated string, or a word whose first character is
+# numeric but not decimal (``"½"``).
 _TOKEN = re.compile(
-    r"\s*(?:(?P<word>[^\W\d]\w*)"
-    r"|(?P<number>\d+(?:\.\d+)?)"
-    r"|(?P<string>'[^']*(?:''[^']*)*'(?!'))"
-    r"|(?P<symbol><>|<=|>=|[-=<>+*/(),.]))"
+    r"\s*([^\W\d]\w*"
+    r"|\d+(?:\.\d+)?"
+    r"|'[^']*(?:''[^']*)*'(?!')"
+    r"|<>|<=|>=|[-=<>+*/(),.]"
+    r"|\S)"
 )
-_SPACE = re.compile(r"\s*")
 
 
 class LexError(Exception):
     """Raised on unrecognized input."""
 
 
-def _gap(text: str, position: int) -> LexError:
-    """The error for the first character at or after ``position`` that no
-    token starts with."""
-    position = _SPACE.match(text, position).end()
-    if text[position] == "'":
-        return LexError(f"unterminated string at {position}")
-    return LexError(f"unexpected character {text[position]!r} at {position}")
+def token_positions(text: str) -> List[int]:
+    """The start of each token of ``text`` as :func:`scan` splits it, then
+    EOF's (``len(text)``): an error message's positions, which the hot
+    path never builds."""
+    positions = [match.start(1) for match in _TOKEN.finditer(text)]
+    positions.append(len(text))
+    return positions
 
 
-def scan(text: str) -> Tuple[List[str], List[str], List[int]]:
-    """``(kinds, values, positions)`` of ``text``; always ends with EOF."""
+def scan(text: str) -> Tuple[List[str], List[str]]:
+    """``(kinds, values)`` of ``text``; always ends with EOF."""
     kinds: List[str] = []
     values: List[str] = []
-    positions: List[int] = []
-    position = 0
-    for match in _TOKEN.finditer(text):
-        if match.start() != position:
-            raise _gap(text, position)
-        position = match.end()
-        group = match.lastgroup
-        start = match.start(group)
-        value = match.group(group)
-        if group == "word":
-            kind = _KINDS.get(value.upper())
-            if kind is not None:
-                value = kind
-            elif value[0].isalpha() or value[0] == "_":
-                kind = IDENT
-            else:  # a numeric character such as "½" or "²"
-                raise _gap(text, start)
-        elif group == "symbol":
-            kind = value = _KINDS[value]
-        elif group == "number":
-            kind = NUMBER
+    for value in _TOKEN.findall(text):
+        kind = _KINDS.get(value.upper())
+        if kind is not None:
+            value = kind
         else:
-            kind = STRING
-            value = value[1:-1].replace("''", "'")
+            first = value[0]
+            if first.isalpha() or first == "_":
+                kind = IDENT
+            elif first.isdecimal():
+                kind = NUMBER
+            elif first == "'" and len(value) > 1:
+                kind = STRING
+                value = value[1:-1].replace("''", "'")
+            else:
+                position = token_positions(text)[len(kinds)]
+                if first == "'":
+                    raise LexError(f"unterminated string at {position}")
+                raise LexError(
+                    f"unexpected character {first!r} at {position}"
+                )
         kinds.append(kind)
         values.append(value)
-        positions.append(start)
-    if position != len(text) and not text[position:].isspace():
-        raise _gap(text, position)
     kinds.append(EOF)
     values.append("")
-    positions.append(len(text))
-    return kinds, values, positions
+    return kinds, values

@@ -26,7 +26,7 @@ from repro.sql.ast import (
     StringLit,
     TableName,
 )
-from repro.sql.lexer import EOF, IDENT, NUMBER, STRING, scan
+from repro.sql.lexer import EOF, IDENT, NUMBER, STRING, scan, token_positions
 
 _AGG_KEYWORDS = {"COUNT", "SUM", "MIN", "MAX", "AVG"}
 _COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
@@ -41,12 +41,17 @@ class Parser:
     """One-statement SQL parser.
 
     It reads the lexer's parallel lists and decides on ``self._kinds``
-    alone: a keyword or symbol test is one string ``==``.
+    alone: a keyword or symbol test is one string ``==``.  A token's
+    position is worked out only for an error message.
     """
 
     def __init__(self, text: str) -> None:
-        self._kinds, self._values, self._positions = scan(text)
+        self._text = text
+        self._kinds, self._values = scan(text)
         self._index = 0
+
+    def _position(self, index: int) -> int:
+        return token_positions(self._text)[index]
 
     # ----------------------------------------------------------- token utils
 
@@ -73,7 +78,7 @@ class Parser:
             else:
                 wanted = kind if kind[0].isalpha() else repr(kind)
             raise ParseError(
-                f"expected {wanted} at position {self._positions[index]}, "
+                f"expected {wanted} at position {self._position(index)}, "
                 f"got {self._values[index]!r}"
             )
         self._index = index + 1
@@ -86,7 +91,7 @@ class Parser:
         index = self._index
         if self._kinds[index] != EOF:
             raise ParseError(
-                f"trailing input at position {self._positions[index]}: "
+                f"trailing input at position {self._position(index)}: "
                 f"{self._values[index]!r}"
             )
         return query
@@ -137,10 +142,14 @@ class Parser:
             while self._accept(","):
                 block.order_by.append(self._order_item())
         if self._accept("LIMIT"):
-            if self._kind() != NUMBER:
+            index = self._index
+            value = self._values[index]
+            if self._kinds[index] != NUMBER:
+                raise ParseError(f"expected number after LIMIT, got {value!r}")
+            if "." in value:
                 raise ParseError(
-                    f"expected number after LIMIT, got "
-                    f"{self._values[self._index]!r}"
+                    f"expected an integer after LIMIT at position "
+                    f"{self._position(index)}, got {value!r}"
                 )
             block.limit = int(self._advance())
         return block
@@ -319,7 +328,7 @@ class Parser:
             return inner
         raise ParseError(
             f"unexpected token {self._values[self._index]!r} at position "
-            f"{self._positions[self._index]}"
+            f"{self._position(self._index)}"
         )
 
 

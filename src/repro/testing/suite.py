@@ -83,6 +83,8 @@ class CostOracle:
         #: Repeated requests answered from the oracle's own cache.
         self.cache_hits = 0
         self._cache: Dict[Tuple[int, RuleNode], float] = {}
+        #: Each rule node's config: ``self.config`` with the node disabled.
+        self._configs: Dict[RuleNode, OptimizerConfig] = {}
 
     def cost_without(self, query: SuiteQuery, rules_off: RuleNode) -> float:
         """``Cost(q, ¬R)`` -- one logical invocation per distinct request."""
@@ -110,9 +112,13 @@ class CostOracle:
             if slots is None:
                 self.invocations += 1
                 request_indices[key] = [index]
-                requests.append(
-                    (query.tree, self.config.with_disabled(rules_off))
-                )
+                node = key[1]
+                config = self._configs.get(node)
+                if config is None:
+                    config = self._configs[node] = (
+                        self.config.with_disabled(node)
+                    )
+                requests.append((query.tree, config))
             else:
                 self.cache_hits += 1
                 slots.append(index)

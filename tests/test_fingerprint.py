@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import json
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -110,6 +112,49 @@ class TestStability:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == local
+
+
+GOLDEN = Path(__file__).parent / "data" / "fingerprints.json"
+BENCH_SQL = sorted((Path(__file__).parent.parent / "bench" / "sql").glob("*.sql"))
+
+
+def _statement(path):
+    """A curated file's statement: its lines that are not ``--`` comments."""
+    return " ".join(
+        line.strip() for line in path.read_text().splitlines()
+        if line.strip() and not line.startswith("--")
+    )
+
+
+def golden_fingerprints(catalog):
+    """The fingerprints ``GOLDEN`` pins: every curated ``bench/sql`` tree,
+    and four trees from a fresh generator for each of seeds 0-49.
+
+    Re-record only for a deliberate format change, which orphans every
+    persisted cache record: write ``golden_fingerprints`` of
+    ``tpch_database(seed=1).catalog`` to ``GOLDEN`` as sorted, indented JSON.
+    """
+    pool = {}
+    for seed in range(50):
+        generator = RandomQueryGenerator(catalog, seed=seed)
+        pool[str(seed)] = [generator.random_tree().fingerprint() for _ in range(4)]
+    return {
+        "bench_sql": {
+            path.name: sql_to_tree(_statement(path), catalog).fingerprint()
+            for path in BENCH_SQL
+        },
+        "random_pool": pool,
+    }
+
+
+class TestGolden:
+    def test_fingerprints_are_the_recorded_ones(self, tpch_db):
+        """A fingerprint is the persistent cache key, so it must hold
+        across commits, not only within a process: a changed byte of the
+        token stream turns every record on disk into a miss."""
+        recorded = json.loads(GOLDEN.read_text())
+        assert len(recorded["bench_sql"]) == len(BENCH_SQL) == 16
+        assert golden_fingerprints(tpch_db.catalog) == recorded
 
 
 class TestErrors:

@@ -554,13 +554,80 @@ class TestDiskCache:
             assert line == json.dumps(
                 record, sort_keys=True, separators=(",", ":")
             )
-        rules_at = lines[0].find('"rules_exercised"')
-        assert rules_at != -1
-        # keys are emitted sorted, so "config" precedes "rules_exercised"
-        assert lines[0].find('"config"') < rules_at
-        assert json.loads(lines[1])["error"]  # a failure is a record too
+        # A record holds what is read back: the key and the cost or error.
+        cost, error = map(json.loads, lines)
+        assert list(cost) == ["config", "cost", "fingerprint"]
+        assert list(error) == ["config", "error", "fingerprint"]
+        assert error["error"]  # a failure is a record too
         (again,) = (tmp_path / "second").glob(f"*/{LOG_NAME}")
         assert again.read_bytes() == log.read_bytes()
+
+    def test_a_log_in_the_older_format_reads_as_it_is(
+        self, tpch_db, registry, tmp_path
+    ):
+        """Records were once written with ``"error": null`` and the
+        exercised rules, rule interactions and memo counters beside a
+        cost.  A log written so answers every key with the same cost or
+        error, and a warm rerun over it appends nothing."""
+        requests = [
+            (_tree(tpch_db, sql), config)
+            for sql in (SQL_SIMPLE, SQL_JOIN, SQL_AGG)
+            for config in (DEFAULT_CONFIG, IN_SUPPORT, NO_PLAN)
+        ]
+        writer = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        costs = [writer.cost(tree, config) for tree, config in requests]
+        results = {}
+        for tree, config in requests:
+            try:
+                result = writer.optimize(tree, config)
+            except OptimizationError:
+                continue
+            results[tree.fingerprint(), config.cache_token()] = result
+        (log,) = tmp_path.glob(f"*/{LOG_NAME}")
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        lines = []
+        for record in records:
+            older = dict(record)
+            if "cost" in record:
+                result = results[record["fingerprint"], record["config"]]
+                stats = result.stats
+                older.update(
+                    error=None,
+                    rules_exercised=sorted(result.rules_exercised),
+                    rule_interactions=[
+                        list(pair) for pair in sorted(result.rule_interactions)
+                    ],
+                    memo_stats={
+                        "group_count": stats.group_count,
+                        "expr_count": stats.expr_count,
+                        "rule_applications": stats.rule_applications,
+                        "budget_exhausted": stats.budget_exhausted,
+                    },
+                )
+            lines.append(
+                json.dumps(older, sort_keys=True, separators=(",", ":"))
+            )
+        log.write_text("\n".join(lines) + "\n")
+        written = log.read_bytes()
+        assert {"cost" in record for record in records} == {True, False}
+
+        disk = PlanDiskCache(tmp_path, log.parent.name)
+        for record in records:
+            key = (record["fingerprint"], record["config"])
+            assert disk.get(key) == record.get("error", record.get("cost"))
+        assert (len(disk), disk.lines, disk.garbled) == (
+            len(records), len(records), 0
+        )
+        reader = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        assert [reader.cost(tree, config) for tree, config in requests] == costs
+        assert reader.counters.computed == 0
+        for tree, config in requests:  # plans are recomputed, not appended
+            try:
+                reader.optimize(tree, config)
+            except OptimizationError:
+                pass
+        assert reader.counters.computed == len(results)
+        assert log.read_bytes() == written
 
     def test_a_warm_rerun_appends_nothing(self, tpch_db, registry, tmp_path):
         """A plan is never persisted, so a rerun recomputes it; the log

@@ -237,3 +237,47 @@ class TestBinderErrors:
         sql = "SELECT dept_id FROM dept WHERE SUM(budget) > 1"
         with pytest.raises(BindError, match="only allowed in the select"):
             sql_to_tree(sql, tiny_db.catalog)
+
+    def test_unknown_qualifier_rejected(self, tpch_db):
+        """A qualified name that no relation of the FROM clause holds is
+        an error, not a bare-name lookup."""
+        with pytest.raises(BindError) as error:
+            sql_to_tree("SELECT n.n_name FROM nation AS m", tpch_db.catalog)
+        assert str(error.value) == "unknown column 'n.n_name'"
+        with pytest.raises(BindError) as error:
+            sql_to_tree(
+                "SELECT n_name FROM nation AS n ORDER BY m.n_name",
+                tpch_db.catalog,
+            )
+        assert str(error.value) == "unknown column 'm.n_name'"
+        with pytest.raises(BindError) as error:  # r names no n_name
+            sql_to_tree(
+                "SELECT n_name FROM nation AS n JOIN region AS r "
+                "ON n.n_regionkey = r.r_regionkey ORDER BY r.n_name",
+                tpch_db.catalog,
+            )
+        assert str(error.value) == "unknown column 'r.n_name'"
+
+    @pytest.mark.parametrize("select", ["n_name", "*"])
+    def test_order_by_qualified_by_the_from_alias(self, tpch_db, select):
+        """ORDER BY reads the select list's scope, which holds bare names;
+        a FROM alias still qualifies them."""
+        tree = sql_to_tree(
+            f"SELECT {select} FROM nation AS n ORDER BY n.n_name",
+            tpch_db.catalog,
+        )
+        validate_tree(tree, tpch_db.catalog)
+        assert isinstance(tree, Sort)
+        (key,) = tree.keys
+        assert key.column.name == "n_name"
+
+    def test_duplicate_names_in_a_derived_table_are_ambiguous(self, tiny_db):
+        sql = (
+            "SELECT dept_id FROM (SELECT * FROM dept AS d1 "
+            "CROSS JOIN dept AS d2) AS x"
+        )
+        with pytest.raises(BindError, match="ambiguous column reference 'dept_id'"):
+            sql_to_tree(sql, tiny_db.catalog)
+        with pytest.raises(BindError, match="ambiguous column reference 'x.dept_id'"):
+            sql_to_tree(sql.replace("SELECT dept_id", "SELECT x.dept_id"),
+                        tiny_db.catalog)
