@@ -18,22 +18,13 @@ from repro.backends.base import (
     BackendRun,
     BackendUnavailable,
     ConnectionBackend,
-    PlanShape,
     ResultBag,
     bag_diff_summary,
     bag_fingerprint,
     normalized_bag,
 )
-from repro.backends.engine import (
-    ENGINE_PLAN_LANGUAGE,
-    EngineBackend,
-    physical_plan_shape,
-)
-from repro.backends.registry import (
-    BACKEND_NAMES,
-    create_backend,
-    create_backends,
-)
+from repro.backends.engine import EngineBackend
+from repro.backends.registry import BACKEND_NAMES, create_backends
 from repro.backends.sqlite_backend import (
     SQLITE_TYPES,
     SqliteBackend,
@@ -47,17 +38,13 @@ __all__ = [
     "BackendRun",
     "BackendUnavailable",
     "ConnectionBackend",
-    "ENGINE_PLAN_LANGUAGE",
     "EngineBackend",
-    "PlanShape",
     "ResultBag",
     "SQLITE_TYPES",
     "SqliteBackend",
     "bag_diff_summary",
     "bag_fingerprint",
-    "create_backend",
     "create_backends",
     "normalized_bag",
-    "physical_plan_shape",
     "sqlite_mirror",
 ]

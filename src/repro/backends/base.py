@@ -13,15 +13,15 @@ The protocol is deliberately small:
 
 * :meth:`Backend.setup` -- create the schema and load the test database;
 * :meth:`Backend.run_many` -- the one way to run queries: a batch of
-  trees in, one :class:`BackendRun` per tree out (rows, digest, plan
-  shape), any failure converted into an error-carrying run (one backend
-  crashing must not abort the fleet).
+  trees in, one :class:`BackendRun` per tree out (rows and digest), any
+  failure converted into an error-carrying run (one backend crashing
+  must not abort the fleet).
 
 :class:`ConnectionBackend` is that protocol for drivers that execute SQL
 text (sqlite, duckdb): one mirror loop (:func:`mirror_tables`), one fetch,
-and a ``run_many`` that renders, fetches, digests and explains each query
-in turn.  The in-process engine batches its own ``run_many``
-(:mod:`repro.backends.engine`).
+and a ``run_many`` that renders, fetches and digests each query in turn:
+one statement per query.  The in-process engine batches its own
+``run_many`` (:mod:`repro.backends.engine`).
 
 Result comparison is *bag* comparison over canonicalized rows: floats are
 quantized (:func:`repro.engine.results.canonical_row`) and booleans map to
@@ -55,41 +55,6 @@ class BackendError(Exception):
 
 class BackendUnavailable(BackendError):
     """The backend's driver is not installed in this environment."""
-
-
-@dataclass(frozen=True)
-class PlanShape:
-    """A normalized query plan: operator labels with tree depths.
-
-    ``language`` names the plan vocabulary (``"repro"`` for the in-process
-    engine's physical operators, ``"sqlite-eqp"`` for SQLite's EXPLAIN
-    QUERY PLAN rows, ...).  Shapes are only comparable within one
-    language: two backends speaking different plan languages legitimately
-    disagree on shape, so the differential runner diffs shapes only
-    between same-language backends (the plan-guidance oracle of Ba &
-    Rigger, applied across differently-configured instances of one
-    engine).
-    """
-
-    language: str
-    #: Pre-order ``(depth, operator label)`` pairs.
-    nodes: Tuple[Tuple[int, str], ...]
-
-    def fingerprint(self) -> str:
-        payload = repr((self.language, self.nodes)).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()[:16]
-
-    def to_text(self) -> str:
-        return "\n".join(
-            f"{'  ' * depth}{label}" for depth, label in self.nodes
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "language": self.language,
-            "nodes": [[depth, label] for depth, label in self.nodes],
-            "fingerprint": self.fingerprint(),
-        }
 
 
 #: A normalized result bag: canonical row -> multiplicity.
@@ -156,7 +121,6 @@ class BackendRun:
     digest: Optional[BagDigest] = None
     row_count: int = 0
     column_count: int = 0
-    plan: Optional[PlanShape] = None
     error: Optional[str] = None
 
     @property
@@ -191,7 +155,7 @@ class BackendRun:
         return None if self.source is None else normalized_bag(self.rows)
 
     def to_json_dict(self) -> dict:
-        payload = {
+        return {
             "sql": self.sql,
             "error": self.error,
             "rows": self.row_count,
@@ -199,9 +163,7 @@ class BackendRun:
             "bag_fingerprint": (
                 bag_fingerprint(self.bag) if self.bag is not None else None
             ),
-            "plan": self.plan.to_json_dict() if self.plan else None,
         }
-        return payload
 
 
 class Backend(abc.ABC):
@@ -211,8 +173,6 @@ class Backend(abc.ABC):
     name: str = "backend"
     #: The dialect trees are rendered with before reaching this backend.
     dialect: Dialect
-    #: Vocabulary of the plan shapes this backend records, or ``None``.
-    plan_language: Optional[str] = None
 
     def __init__(self) -> None:
         self._ready = False
@@ -276,9 +236,9 @@ class ConnectionBackend(Backend):
     """A backend that mirrors the test database over a DB-API connection
     and runs each query as SQL text.
 
-    Subclasses supply :meth:`mirror` and optionally :meth:`explain`;
-    failures of the driver (``driver_error``) become :class:`BackendError`
-    messages prefixed with the backend's name.
+    Subclasses supply :meth:`mirror`; failures of the driver
+    (``driver_error``) become :class:`BackendError` messages prefixed with
+    the backend's name.
     """
 
     #: What the driver raises for a failed statement.
@@ -292,10 +252,6 @@ class ConnectionBackend(Backend):
     def mirror(self, database: Database):
         """A fresh in-memory connection holding every table of
         ``database`` (see :func:`mirror_tables`)."""
-
-    def explain(self, sql: str) -> Optional[PlanShape]:
-        """Normalized plan shape of one statement (``None``: unsupported)."""
-        return None
 
     def setup(self, database: Database) -> None:
         try:
@@ -325,11 +281,6 @@ class ConnectionBackend(Backend):
                 run.record(self.fetch(run.sql))
             except BackendError as exc:
                 run.error = str(exc)
-                continue
-            try:
-                run.plan = self.explain(run.sql)
-            except BackendError:
-                pass  # a missing plan is informational, not a verdict change
         return runs
 
     def run(self, query_id: int, tree: LogicalOp) -> BackendRun:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from repro.backends.base import (
     BackendUnavailable,
     ConnectionBackend,
-    PlanShape,
     mirror_tables,
 )
 from repro.catalog.schema import DataType
@@ -50,7 +49,6 @@ class DuckDBBackend(ConnectionBackend):
 
     name = "duckdb"
     dialect = DUCKDB_DIALECT
-    plan_language = "duckdb"
 
     def __init__(self) -> None:
         super().__init__()
@@ -60,18 +58,3 @@ class DuckDBBackend(ConnectionBackend):
         conn = self._duckdb.connect(":memory:")
         mirror_tables(conn, database, self.dialect, DUCKDB_TYPES)
         return conn
-
-    def explain(self, sql: str) -> PlanShape:
-        # EXPLAIN renders an ASCII tree; extract the boxed operator names
-        # (upper-case tokens on their own line) in document order.  Depth
-        # information is not recoverable portably across duckdb versions,
-        # so every node is recorded at depth 0 -- the *sequence* of
-        # operators is still a usable shape within one duckdb version.
-        nodes = []
-        for row in self.fetch(f"EXPLAIN {sql}"):
-            text = row[-1] if row else ""
-            for line in str(text).splitlines():
-                label = line.strip().strip("│|").strip()
-                if label and label.replace("_", "").isupper():
-                    nodes.append((0, label))
-        return PlanShape(language=self.plan_language, nodes=tuple(nodes))

@@ -9,80 +9,49 @@ degrade to a recorded skip, never abort the campaign.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.backends.base import Backend, BackendUnavailable
 from repro.backends.engine import EngineBackend
 from repro.backends.sqlite_backend import SqliteBackend
-from repro.optimizer.config import OptimizerConfig
-from repro.rules.registry import RuleRegistry
 from repro.service import PlanService
-from repro.storage.database import Database
 
-#: Names accepted by :func:`create_backend`, in reference-priority order:
+#: Names accepted by :func:`create_backends`, in reference-priority order:
 #: the first requested name becomes the fleet's reference backend.
 BACKEND_NAMES: Tuple[str, ...] = ("engine", "sqlite", "duckdb")
 
 
-def create_backend(
-    name: str,
-    database: Database,
-    *,
-    registry: Optional[RuleRegistry] = None,
-    config: Optional[OptimizerConfig] = None,
-    service: Optional[PlanService] = None,
-) -> Backend:
-    """Instantiate one backend by name.
-
-    Raises :class:`BackendUnavailable` when the backing driver is not
-    installed and ``ValueError`` for unknown names.  ``registry``,
-    ``config`` and ``service`` only apply to the engine backend (external
-    backends execute SQL text; there is nothing to configure).
-    """
-    if name == "engine":
-        return EngineBackend(
-            database, registry=registry, config=config, service=service
-        )
-    if name == "sqlite":
-        return SqliteBackend()
-    if name == "duckdb":
-        from repro.backends.duckdb_backend import DuckDBBackend
-
-        return DuckDBBackend()
-    raise ValueError(
-        f"unknown backend {name!r} (expected one of "
-        f"{', '.join(BACKEND_NAMES)})"
-    )
-
-
 def create_backends(
-    names: Sequence[str],
-    database: Database,
-    *,
-    registry: Optional[RuleRegistry] = None,
-    config: Optional[OptimizerConfig] = None,
-    service: Optional[PlanService] = None,
+    names: Sequence[str], service: PlanService
 ) -> Tuple[List[Backend], Dict[str, str]]:
     """Instantiate a fleet; returns ``(backends, skipped)``.
 
-    ``skipped`` maps each unavailable backend name to the reason it was
-    skipped.  Unknown names still raise -- a typo must not silently
-    shrink the fleet.
+    ``service`` is the build under test: the engine member plans and
+    executes through it (external backends execute SQL text; there is
+    nothing to configure).  ``skipped`` maps each unavailable backend
+    name -- a driver that is not installed -- to the reason it was
+    skipped.  Unknown and repeated names raise ``ValueError``: a typo
+    must not silently shrink the fleet.
     """
     backends: List[Backend] = []
     skipped: Dict[str, str] = {}
-    seen = set()
-    for name in names:
-        if name in seen:
+    for index, name in enumerate(names):
+        if name in names[:index]:
             raise ValueError(f"backend {name!r} requested twice")
-        seen.add(name)
-        try:
-            backends.append(
-                create_backend(
-                    name, database,
-                    registry=registry, config=config, service=service,
-                )
+        if name == "engine":
+            backends.append(EngineBackend(service))
+        elif name == "sqlite":
+            backends.append(SqliteBackend())
+        elif name == "duckdb":
+            from repro.backends.duckdb_backend import DuckDBBackend
+
+            try:
+                backends.append(DuckDBBackend())
+            except BackendUnavailable as exc:
+                skipped[name] = str(exc)
+        else:
+            raise ValueError(
+                f"unknown backend {name!r} (expected one of "
+                f"{', '.join(BACKEND_NAMES)})"
             )
-        except BackendUnavailable as exc:
-            skipped[name] = str(exc)
     return backends, skipped

@@ -8,11 +8,6 @@ compensated with a REAL cast, booleans render as ``1``/``0`` (see
 :data:`repro.sql.dialect.SQLITE_DIALECT`), so no query needs to be
 skip-listed anymore.
 
-Plan shapes come from ``EXPLAIN QUERY PLAN`` under the ``"sqlite-eqp"``
-language; they are recorded in collect artifacts but never diffed against
-the engine's ``"repro"`` shapes (different vocabulary, legitimately
-different trees).
-
 The differential runner drives every backend on its calling thread, so
 the connection keeps sqlite3's default same-thread check.
 """
@@ -21,7 +16,7 @@ from __future__ import annotations
 
 import sqlite3
 
-from repro.backends.base import ConnectionBackend, PlanShape, mirror_tables
+from repro.backends.base import ConnectionBackend, mirror_tables
 from repro.catalog.schema import DataType
 from repro.sql.dialect import SQLITE_DIALECT
 from repro.storage.database import Database
@@ -51,22 +46,7 @@ class SqliteBackend(ConnectionBackend):
 
     name = "sqlite"
     dialect = SQLITE_DIALECT
-    plan_language = "sqlite-eqp"
     driver_error = sqlite3.Error
 
     def mirror(self, database: Database) -> sqlite3.Connection:
         return sqlite_mirror(database)
-
-    def explain(self, sql: str) -> PlanShape:
-        # EXPLAIN QUERY PLAN rows are (id, parent, notused, detail);
-        # depths are reconstructed from the parent chain and the detail
-        # text is whitespace-normalized.
-        depths = {0: -1}
-        nodes = []
-        for node_id, parent, _unused, detail in self.fetch(
-            f"EXPLAIN QUERY PLAN {sql}"
-        ):
-            depth = depths.get(parent, -1) + 1
-            depths[node_id] = depth
-            nodes.append((depth, " ".join(str(detail).split())))
-        return PlanShape(language=self.plan_language, nodes=tuple(nodes))

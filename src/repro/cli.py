@@ -442,10 +442,7 @@ def _diff(args, env) -> int:
         extra_operators=args.extra_operators, service=service,
     )
     try:
-        backends, skipped = create_backends(
-            _names(args.backends), database, registry=registry,
-            service=service,
-        )
+        backends, skipped = create_backends(_names(args.backends), service)
         for name, reason in sorted(skipped.items()):
             print(f"skipping backend {name}: {reason}", file=sys.stderr)
         runner = DifferentialRunner(

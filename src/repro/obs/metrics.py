@@ -215,16 +215,6 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "Unified per-(query, backend) verdicts against the reference "
         "backend: agree, disagree, error, or skip.",
     ),
-    "diff.plan_comparisons": (
-        "counter", (),
-        "Plan-shape comparisons between backends sharing a plan "
-        "language.",
-    ),
-    "diff.plan_divergences": (
-        "counter", (),
-        "Plan-shape comparisons whose normalized shapes differed "
-        "(informational; never a verdict by itself).",
-    ),
     "diff.exact_bags": (
         "counter", (),
         "Exact result bags materialized to explain a disagreement "

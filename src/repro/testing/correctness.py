@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.engine.results import QueryResult, diff_summary, results_identical
-from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.optimizer.result import OptimizationError
 from repro.rules.registry import RuleRegistry
 from repro.service import PlanService
@@ -80,16 +79,12 @@ class CorrectnessRunner:
         self,
         database: Database,
         registry: RuleRegistry,
-        config: Optional[OptimizerConfig] = None,
         monotonicity_guard=None,
         service: Optional[PlanService] = None,
     ) -> None:
         self.database = database
         self.registry = registry
-        self.config = config or DEFAULT_CONFIG
-        self.service = service or PlanService(
-            database, registry=registry, config=self.config
-        )
+        self.service = service or PlanService(database, registry=registry)
         #: Optional :class:`repro.analysis.sanitize.MonotonicityGuard`; when
         #: set, every baseline/disabled cost pair where neither search was
         #: cut is asserted against the ``Cost(q) <= Cost(q, not R)``
@@ -123,11 +118,12 @@ class CorrectnessRunner:
             for node, query_ids in plan.assignments.items()
             for query_id in query_ids
         ]
-        base_config = self.config.with_disabled(())
+        config = self.service.config
+        base_config = config.with_disabled(())
         optimized = self.service.optimize_many(
             [(suite.query(q).tree, base_config) for q in baseline_ids]
             + [
-                (suite.query(q).tree, self.config.with_disabled(node))
+                (suite.query(q).tree, config.with_disabled(node))
                 for node, q in edges
             ],
             return_errors=True,

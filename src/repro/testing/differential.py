@@ -17,13 +17,6 @@ other backend's bag is diffed against it:
 * ``skip``     -- the reference itself failed, so there is nothing to
   compare against.
 
-Plan shapes are diffed *within* a plan language only: two engine-config
-variants both speak ``"repro"`` and should usually produce different
-shapes exactly when a rule was disabled (the plan-guidance signal); the
-engine's shapes are never compared to SQLite's ``EXPLAIN QUERY PLAN``
-rows.  Shape divergence between same-language backends is informational
-(``plan_divergences``), never a verdict by itself.
-
 Backends run one after another on the calling thread, each handed the
 whole suite as one :meth:`~repro.backends.base.Backend.run_many` batch.
 
@@ -61,10 +54,6 @@ class DiffOutcome:
     backend: str
     outcome: str  # one of OUTCOMES
     detail: str = ""
-    #: Shape comparison against the reference backend: ``None`` when the
-    #: two backends speak different plan languages (or a plan is
-    #: missing), otherwise whether the normalized shapes matched.
-    plan_match: Optional[bool] = None
 
 
 @dataclass
@@ -75,8 +64,6 @@ class BackendTally:
     disagree: int = 0
     error: int = 0
     skip: int = 0
-    plan_comparisons: int = 0
-    plan_divergences: int = 0
 
     def bump(self, outcome: str) -> None:
         setattr(self, outcome, getattr(self, outcome) + 1)
@@ -87,8 +74,6 @@ class BackendTally:
             "disagree": self.disagree,
             "error": self.error,
             "skip": self.skip,
-            "plan_comparisons": self.plan_comparisons,
-            "plan_divergences": self.plan_divergences,
         }
 
 
@@ -174,7 +159,6 @@ class DiffReport:
                     outcome.backend: {
                         "outcome": outcome.outcome,
                         "detail": outcome.detail,
-                        "plan_match": outcome.plan_match,
                     }
                     for outcome in self.outcomes
                     if outcome.query_id == query.query_id
@@ -217,16 +201,10 @@ class DiffReport:
             lines.append(f"skipped backend {name}: {reason}")
         lines.append(f"queries: {len(self.queries)}")
         for name, tally in sorted(self.tallies.items()):
-            plan = ""
-            if tally.plan_comparisons:
-                plan = (
-                    f", plans: {tally.plan_comparisons} compared / "
-                    f"{tally.plan_divergences} diverged"
-                )
             lines.append(
                 f"  vs {name:<10} agree={tally.agree} "
                 f"disagree={tally.disagree} error={tally.error} "
-                f"skip={tally.skip}{plan}"
+                f"skip={tally.skip}"
             )
         for outcome in self.disagreements:
             lines.append(
@@ -262,15 +240,13 @@ class DiffReport:
                 lines.append(f"- skipped `{name}`: {reason}")
         lines += [
             "",
-            "| backend | agree | disagree | error | skip "
-            "| plans compared | plans diverged |",
-            "|---|---:|---:|---:|---:|---:|---:|",
+            "| backend | agree | disagree | error | skip |",
+            "|---|---:|---:|---:|---:|",
         ]
         for name, tally in sorted(self.tallies.items()):
             lines.append(
                 f"| `{name}` | {tally.agree} | {tally.disagree} "
-                f"| {tally.error} | {tally.skip} "
-                f"| {tally.plan_comparisons} | {tally.plan_divergences} |"
+                f"| {tally.error} | {tally.skip} |"
             )
         if self.disagreements or self.errors:
             lines += ["", "## Findings", ""]
@@ -369,34 +345,23 @@ class DifferentialRunner:
     # --------------------------------------------------------- unification
 
     def _unify(self, report: DiffReport) -> None:
-        reference = self.backends[0]
-        others = self.backends[1:]
-        for name in report.backends[1:]:
+        reference, *others = report.backends
+        for name in others:
             report.tallies[name] = BackendTally()
         for query in report.queries:
             runs = report.runs[query.query_id]
-            ref_run = runs[reference.name]
-            for backend in others:
-                run = runs[backend.name]
-                outcome = self._judge(ref_run, run)
-                outcome = self._attach_plan_verdict(
-                    reference, backend, ref_run, run, outcome
-                )
+            ref_run = runs[reference]
+            for name in others:
+                outcome = self._judge(ref_run, runs[name])
                 report.outcomes.append(outcome)
-                tally = report.tallies[backend.name]
-                tally.bump(outcome.outcome)
-                if outcome.plan_match is not None:
-                    tally.plan_comparisons += 1
-                    if not outcome.plan_match:
-                        tally.plan_divergences += 1
+                report.tallies[name].bump(outcome.outcome)
                 self._count(
-                    "diff.outcomes",
-                    backend=backend.name, outcome=outcome.outcome,
+                    "diff.outcomes", backend=name, outcome=outcome.outcome,
                 )
                 if outcome.outcome == DISAGREE and self.tracer.enabled:
                     self.tracer.event(
                         "diff.disagreement", cat="testing",
-                        query=outcome.query_id, backend=backend.name,
+                        query=outcome.query_id, backend=name,
                     )
 
     def _judge(self, ref_run: BackendRun, run: BackendRun) -> DiffOutcome:
@@ -427,31 +392,3 @@ class DifferentialRunner:
                 bag_diff_summary(ref_run.bag, run.bag),
             )
         return DiffOutcome(query_id, run.backend, AGREE)
-
-    def _attach_plan_verdict(
-        self,
-        reference: Backend,
-        backend: Backend,
-        ref_run: BackendRun,
-        run: BackendRun,
-        outcome: DiffOutcome,
-    ) -> DiffOutcome:
-        if (
-            reference.plan_language is None
-            or reference.plan_language != backend.plan_language
-            or ref_run.plan is None
-            or run.plan is None
-        ):
-            return outcome
-        matched = ref_run.plan.nodes == run.plan.nodes
-        self._count("diff.plan_comparisons")
-        if not matched:
-            self._count("diff.plan_divergences")
-        # DiffOutcome is frozen; rebuild with the plan verdict attached.
-        return DiffOutcome(
-            query_id=outcome.query_id,
-            backend=outcome.backend,
-            outcome=outcome.outcome,
-            detail=outcome.detail,
-            plan_match=matched,
-        )

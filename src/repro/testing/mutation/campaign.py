@@ -398,7 +398,7 @@ class MutationCampaign:
             )
             verdicts = self._verdicts(suite, node, registry, service)
             if self.differential_backends:
-                self._fold_differential(suite, registry, service, verdicts)
+                self._fold_differential(suite, service, verdicts)
         finally:
             for key, value in service.counters.as_dict().items():
                 self._stats[key] = self._stats.get(key, 0) + value
@@ -435,7 +435,7 @@ class MutationCampaign:
             ),
         )
 
-    def _fold_differential(self, suite, registry, service, verdicts) -> None:
+    def _fold_differential(self, suite, service, verdicts) -> None:
         """Second scoring oracle: fan the pool across the backend fleet.
 
         A backend *disagreement* upgrades the query's verdict to
@@ -455,8 +455,7 @@ class MutationCampaign:
         backends = []
         try:
             backends, skipped = create_backends(
-                self.differential_backends, self.database,
-                registry=registry, service=service,
+                self.differential_backends, service
             )
             if len(backends) < 2:
                 return
@@ -563,9 +562,7 @@ class MutationCampaign:
 
     def _select(self, suite, node, registry, service):
         """FULL plus the SMC/TOPK selections within the mutant's pool."""
-        oracle = CostOracle(
-            self.database, registry, config=self.config, service=service
-        )
+        oracle = CostOracle(self.database, registry, service=service)
         selections: Dict[str, Optional[Tuple[int, ...]]] = {
             "FULL": tuple(query.query_id for query in suite.queries)
         }
@@ -592,9 +589,7 @@ class MutationCampaign:
         """
         verdicts: Dict[int, Tuple[str, str]] = {}
         healthy = [query.query_id for query in suite.queries]
-        runner = CorrectnessRunner(
-            self.database, registry, config=self.config, service=service
-        )
+        runner = CorrectnessRunner(self.database, registry, service=service)
         try:
             report = runner.run(self._pool_plan(suite, node, healthy), suite)
         except Exception:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.logical.operators import LogicalOp
-from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
+from repro.optimizer.config import OptimizerConfig
 from repro.rules.registry import RuleRegistry
 from repro.service import PlanService
 from repro.storage.database import Database
@@ -68,22 +68,18 @@ class CostOracle:
         self,
         database: Database,
         registry: RuleRegistry,
-        config: Optional[OptimizerConfig] = None,
         service: Optional[PlanService] = None,
     ) -> None:
         self.database = database
         self.registry = registry
-        self.config = config or DEFAULT_CONFIG
-        self.service = service or PlanService(
-            database, registry=registry, config=self.config
-        )
+        self.service = service or PlanService(database, registry=registry)
         #: Logical ``Cost(q, ¬R)`` computations this oracle was asked for
         #: (one per distinct request; the paper's Figure 14 measurement).
         self.invocations = 0
         #: Repeated requests answered from the oracle's own cache.
         self.cache_hits = 0
         self._cache: Dict[Tuple[int, RuleNode], float] = {}
-        #: Each rule node's config: ``self.config`` with the node disabled.
+        #: Each rule node's config: the service's with the node disabled.
         self._configs: Dict[RuleNode, OptimizerConfig] = {}
 
     def cost_without(self, query: SuiteQuery, rules_off: RuleNode) -> float:
@@ -116,7 +112,7 @@ class CostOracle:
                 config = self._configs.get(node)
                 if config is None:
                     config = self._configs[node] = (
-                        self.config.with_disabled(node)
+                        self.service.config.with_disabled(node)
                     )
                 requests.append((query.tree, config))
             else:

@@ -7,20 +7,23 @@ import pytest
 from repro.backends import (
     BackendError,
     EngineBackend,
-    PlanShape,
     SqliteBackend,
     bag_diff_summary,
     bag_fingerprint,
-    create_backend,
     create_backends,
     normalized_bag,
-    physical_plan_shape,
     sqlite_mirror,
 )
+from repro.optimizer.config import DEFAULT_CONFIG
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.result import OptimizationError
+from repro.service import PlanService
 from repro.sql.binder import sql_to_tree
 from repro.workloads import tpch_database
+
+
+def _service(database, registry=None):
+    return PlanService(database, registry=registry, cache_dir=None)
 
 
 def _has_duckdb() -> bool:
@@ -55,26 +58,6 @@ class TestNormalization:
         assert "only here" in summary
 
 
-class TestPlanShape:
-    def test_text_indents_by_depth(self):
-        shape = PlanShape("repro", ((0, "HashJoin"), (1, "TableScan")))
-        assert shape.to_text() == "HashJoin\n  TableScan"
-
-    def test_fingerprint_depends_on_language(self):
-        nodes = ((0, "SCAN"),)
-        assert (
-            PlanShape("a", nodes).fingerprint()
-            != PlanShape("b", nodes).fingerprint()
-        )
-
-    def test_json_dict_round_trips_nodes(self):
-        shape = PlanShape("repro", ((0, "TableScan"),))
-        payload = shape.to_json_dict()
-        assert payload["language"] == "repro"
-        assert payload["nodes"] == [[0, "TableScan"]]
-        assert payload["fingerprint"] == shape.fingerprint()
-
-
 class TestSqliteBackend:
     def test_mirror_preserves_row_counts(self, tpch_db):
         conn = sqlite_mirror(tpch_db)
@@ -88,7 +71,7 @@ class TestSqliteBackend:
         finally:
             conn.close()
 
-    def test_run_captures_eqp_plan(self, tpch_db):
+    def test_run_many_answers_each_request(self, tpch_db):
         backend = SqliteBackend()
         backend.ensure_ready(tpch_db)
         tree = sql_to_tree(
@@ -99,9 +82,10 @@ class TestSqliteBackend:
         backend.close()
         assert run.succeeded
         assert run.query_id == 7
-        assert run.plan is not None
-        assert run.plan.language == "sqlite-eqp"
-        assert run.plan.nodes  # at least the scan row
+        nation = tpch_db.table("nation")
+        names = [column.name for column in nation.definition.columns]
+        keys = {row[names.index("n_regionkey")] for row in nation.rows}
+        assert (run.row_count, run.column_count) == (len(keys), 2)
 
     def test_run_is_run_many_of_one_request(self, tpch_db):
         backend = SqliteBackend()
@@ -123,43 +107,45 @@ class TestSqliteBackend:
 
 
 class TestEngineBackend:
-    def test_run_speaks_the_repro_plan_language(self, tpch_db, registry):
-        backend = EngineBackend(tpch_db, registry=registry)
+    def test_run_executes_through_its_service(self, tpch_db, registry):
+        backend = EngineBackend(_service(tpch_db, registry))
         tree = sql_to_tree("SELECT r_name FROM region", tpch_db.catalog)
         backend.ensure_ready(tpch_db)
         (run,) = backend.run_many([(0, tree)])
         assert run.succeeded
         assert run.row_count == len(tpch_db.table("region").rows)
-        assert run.plan.language == "repro"
-        assert run.plan.nodes[0][0] == 0
+        assert backend.service.counters.requests == 1
 
-    def test_physical_plan_shape_has_depths(self, tpch_db, registry):
-        backend = EngineBackend(tpch_db, registry=registry)
-        tree = sql_to_tree(
-            "SELECT n_name, r_name FROM nation "
-            "JOIN region ON n_regionkey = r_regionkey",
-            tpch_db.catalog,
+    def test_run_plans_under_its_service_config(self, tpch_db, registry):
+        config = DEFAULT_CONFIG.replaced(sanitize_plans=True)
+        service = PlanService(
+            tpch_db, registry=registry, config=config, cache_dir=None
         )
-        shape = physical_plan_shape(
-            backend.service.optimize(tree).plan
-        )
-        depths = [depth for depth, _ in shape.nodes]
-        assert depths[0] == 0 and max(depths) >= 1
+        tree = sql_to_tree("SELECT r_name FROM region", tpch_db.catalog)
+        (run,) = EngineBackend(service).run_many([(0, tree)])
+        assert run.succeeded
+        computed = service.counters.computed
+        service.optimize(tree, config)  # the member's own plan
+        assert service.counters.computed == computed
 
     def test_setup_rejects_a_foreign_database(self, tpch_db):
-        backend = EngineBackend(tpch_db)
+        backend = EngineBackend(_service(tpch_db))
         other = tpch_database(seed=2)
         with pytest.raises(BackendError):
             backend.setup(other)
 
-    def test_needs_a_database_or_service(self):
+    def test_needs_a_service_over_a_database(self, tpch_db):
         with pytest.raises(ValueError):
-            EngineBackend()
+            EngineBackend(PlanService(
+                catalog=tpch_db.catalog,
+                stats=tpch_db.stats_repository(),
+                cache_dir=None,
+            ))
 
     def test_run_many_never_raises_on_a_failing_query(
         self, tpch_db, registry, monkeypatch
     ):
-        backend = EngineBackend(tpch_db, registry=registry)
+        backend = EngineBackend(_service(tpch_db, registry))
         region = sql_to_tree("SELECT r_name FROM region", tpch_db.catalog)
         nation = sql_to_tree("SELECT n_name FROM nation", tpch_db.catalog)
         optimize = Optimizer.optimize_exercising
@@ -180,31 +166,35 @@ class TestEngineBackend:
 
 class TestRegistry:
     def test_engine_and_sqlite_are_always_available(self, tpch_db):
-        backends, skipped = create_backends(
-            ["engine", "sqlite"], tpch_db
-        )
+        service = _service(tpch_db)
+        backends, skipped = create_backends(["engine", "sqlite"], service)
         assert [backend.name for backend in backends] == ["engine", "sqlite"]
+        assert backends[0].service is service
         assert skipped == {}
 
     def test_unknown_backend_raises(self, tpch_db):
         with pytest.raises(ValueError, match="unknown backend"):
-            create_backend("postgres", tpch_db)
+            create_backends(["postgres"], _service(tpch_db))
 
-    def test_duplicate_request_raises(self, tpch_db):
+    # duckdb: a repeated name raises whether or not its driver is here.
+    @pytest.mark.parametrize("name", ["engine", "duckdb"])
+    def test_duplicate_request_raises(self, tpch_db, name):
         with pytest.raises(ValueError, match="twice"):
-            create_backends(["engine", "engine"], tpch_db)
+            create_backends([name, name], _service(tpch_db))
 
     @pytest.mark.skipif(_has_duckdb(), reason="duckdb is installed")
     def test_missing_duckdb_becomes_a_recorded_skip(self, tpch_db):
         backends, skipped = create_backends(
-            ["engine", "sqlite", "duckdb"], tpch_db
+            ["engine", "sqlite", "duckdb"], _service(tpch_db)
         )
         assert [backend.name for backend in backends] == ["engine", "sqlite"]
         assert "duckdb" in skipped and "not installed" in skipped["duckdb"]
 
     @pytest.mark.skipif(not _has_duckdb(), reason="duckdb not installed")
     def test_duckdb_joins_the_fleet_when_installed(self, tpch_db):
-        backends, skipped = create_backends(["engine", "duckdb"], tpch_db)
+        backends, skipped = create_backends(
+            ["engine", "duckdb"], _service(tpch_db)
+        )
         assert skipped == {}
         duck = backends[1]
         duck.ensure_ready(tpch_db)

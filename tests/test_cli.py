@@ -327,7 +327,9 @@ class TestDiff:
             ["diff", "--rules", "2", "--k", "1", "--format", "markdown",
              "--output", str(target)]
         ) == 0
-        assert "| `sqlite` |" in target.read_text()
+        text = target.read_text()
+        assert "| `sqlite` |" in text
+        assert "| backend | agree | disagree | error | skip |\n" in text
 
     def test_fault_injection_fails_the_fleet(self, capsys):
         # Two queries drawn from the faulted rule's own pattern; at this
@@ -339,6 +341,12 @@ class TestDiff:
         out = capsys.readouterr().out
         assert "DISAGREE" in out
         assert "FAILED" in out
+
+    def test_documented_oracle_self_test_fails_the_fleet(self, capsys):
+        # docs/BACKENDS.md and CI's diff-smoke job: at the default seed
+        # the suite reaches this fault, so the fleet must exit 1.
+        assert main(["diff", "--fault", "DistinctRemoveOnKey"]) == 1
+        assert "DISAGREE" in capsys.readouterr().out
 
     def test_unknown_rule_name_exits_with_a_message(self):
         with pytest.raises(SystemExit, match="unknown exploration rules: Nope"):

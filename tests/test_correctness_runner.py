@@ -205,6 +205,45 @@ class TestRunnerAccounting:
             )
         assert 0 < lineage_costed <= service.counters.lineage_hits
 
+    def test_oracle_and_runner_ask_under_their_service_config(
+        self, tpch_db, registry, monkeypatch
+    ):
+        """A sanitize-on service sanitizes every plan a campaign asks for:
+        the oracle's edge costs and the runner's plans, not only the
+        generator's trials."""
+        from repro.service import PlanService
+        from repro.testing.suite import TestSuiteBuilder
+
+        service = PlanService(
+            tpch_db, registry=registry, cache_dir=None,
+            config=DEFAULT_CONFIG.replaced(sanitize_plans=True),
+        )
+        suite = TestSuiteBuilder(
+            tpch_db, registry, seed=3, extra_operators=2, service=service
+        ).build(singleton_nodes(registry.exploration_rule_names[:3]), k=2)
+        asked = {"cost_many": [], "optimize_many": []}
+        for method, configs in asked.items():
+            def spy(
+                requests, *args,
+                _original=getattr(service, method), _configs=configs,
+                **kwargs,
+            ):
+                _configs.extend(
+                    config or service.config for _, config in requests
+                )
+                return _original(requests, *args, **kwargs)
+
+            monkeypatch.setattr(service, method, spy)
+        plan = top_k_independent_plan(
+            suite, CostOracle(tpch_db, registry, service=service)
+        )
+        CorrectnessRunner(tpch_db, registry, service=service).run(plan, suite)
+        assert all(asked.values())
+        assert all(
+            config.sanitize_plans
+            for configs in asked.values() for config in configs
+        )
+
     def test_issue_rendering(self):
         from repro.testing.correctness import CorrectnessIssue
 

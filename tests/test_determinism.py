@@ -89,6 +89,7 @@ def _generation_artifact() -> str:
 _DIFF_SCRIPT = """
 from repro.backends import create_backends
 from repro.rules.registry import default_registry
+from repro.service import PlanService
 from repro.testing.differential import DifferentialRunner
 from repro.testing.suite import TestSuiteBuilder, singleton_nodes
 from repro.workloads import tpch_database
@@ -99,7 +100,8 @@ suite = TestSuiteBuilder(
     database, registry, seed=7, extra_operators=2
 ).build(singleton_nodes(["JoinCommutativity", "DistinctToGbAgg"]), k=2)
 backends, skipped = create_backends(
-    ["engine", "sqlite"], database, registry=registry
+    ["engine", "sqlite"],
+    PlanService(database, registry=registry, cache_dir=None),
 )
 report = DifferentialRunner(
     database, backends, skipped_backends=skipped

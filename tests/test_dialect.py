@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import EngineBackend, SqliteBackend
+from repro.service import PlanService
 from repro.sql import (
     DIALECTS,
     DUCKDB_DIALECT,
@@ -70,7 +71,9 @@ class TestDialectSqlText:
 
 @pytest.fixture(scope="module")
 def backend_pair(tpch_db, registry):
-    engine = EngineBackend(tpch_db, registry=registry)
+    engine = EngineBackend(
+        PlanService(tpch_db, registry=registry, cache_dir=None)
+    )
     sqlite = SqliteBackend()
     for backend in (engine, sqlite):
         backend.ensure_ready(tpch_db)

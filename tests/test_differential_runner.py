@@ -2,9 +2,9 @@
 
 Three layers: outcome unification over stub backends (every verdict, and
 the fleet running on the caller's thread), agreement of the real
-engine/sqlite fleet on seed-registry suites (plus plan diffing between two
-engine variants), and the oracle's kill power -- each of the four
-handwritten rule faults must surface as a backend disagreement.
+engine/sqlite fleet on seed-registry suites, and the oracle's kill power
+-- each of the four handwritten rule faults must surface as a backend
+disagreement.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ import repro.engine.digest as engine_digest
 from repro.backends import (
     BackendError,
     ConnectionBackend,
-    EngineBackend,
     create_backends,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.optimizer.config import DEFAULT_CONFIG
 from repro.rules.faults import ALL_FAULTS
 from repro.rules.registry import default_registry
 from repro.service import PlanService
@@ -148,12 +146,17 @@ def small_suite(tpch_db, registry):
     return builder.build(singleton_nodes(names), k=2)
 
 
+def _service(database, registry):
+    """A memory-only service: the engine member's build under test."""
+    return PlanService(database, registry=registry, cache_dir=None)
+
+
 class TestSeedFleet:
     def test_engine_and_sqlite_agree_on_generated_suites(
         self, tpch_db, registry, small_suite
     ):
         backends, skipped = create_backends(
-            ["engine", "sqlite"], tpch_db, registry=registry
+            ["engine", "sqlite"], _service(tpch_db, registry)
         )
         metrics = MetricsRegistry()
         report = DifferentialRunner(
@@ -163,8 +166,6 @@ class TestSeedFleet:
         tally = report.tallies["sqlite"]
         assert tally.agree == len(small_suite.queries)
         assert tally.disagree == tally.error == tally.skip == 0
-        # Different plan languages: shapes recorded but never compared.
-        assert tally.plan_comparisons == 0
         assert metrics.counter_value("diff.queries") == len(
             small_suite.queries
         )
@@ -172,29 +173,28 @@ class TestSeedFleet:
             "diff.outcomes", backend="sqlite", outcome="agree"
         ) == len(small_suite.queries)
 
-    def test_engine_variants_diff_plan_shapes(
-        self, tpch_db, registry, small_suite
+    def test_an_external_member_runs_one_statement_per_query(
+        self, tpch_db, registry, small_suite, monkeypatch
     ):
-        variant_config = DEFAULT_CONFIG.with_disabled(
-            ["JoinCommutativity"]
+        fetched = []
+        fetch = ConnectionBackend.fetch
+
+        def spy(backend, sql):
+            fetched.append(sql)
+            return fetch(backend, sql)
+
+        monkeypatch.setattr(ConnectionBackend, "fetch", spy)
+        backends, _ = create_backends(
+            ["engine", "sqlite"], _service(tpch_db, registry)
         )
-        backends = [
-            EngineBackend(tpch_db, registry=registry),
-            EngineBackend(
-                tpch_db, registry=registry, config=variant_config,
-                name="engine-nojc",
-            ),
-        ]
         report = DifferentialRunner(tpch_db, backends).run(small_suite)
-        assert report.passed  # same results, possibly different plans
-        tally = report.tallies["engine-nojc"]
-        assert tally.plan_comparisons == len(small_suite.queries)
-        # Disabling a rule the suite exercises must change some plan.
-        assert tally.plan_divergences > 0
+        backends[1].close()
+        assert report.passed
+        assert len(fetched) == len(small_suite.queries)
 
     def test_collect_artifact_shape(self, tpch_db, registry, small_suite):
         backends, skipped = create_backends(
-            ["engine", "sqlite"], tpch_db, registry=registry
+            ["engine", "sqlite"], _service(tpch_db, registry)
         )
         report = DifferentialRunner(
             tpch_db, backends, skipped_backends=skipped
@@ -208,45 +208,48 @@ class TestSeedFleet:
         assert set(first["runs"]) == {"engine", "sqlite"}
         engine_run = first["runs"]["engine"]
         assert engine_run["bag_fingerprint"]
-        assert engine_run["plan"]["language"] == "repro"
+        assert set(engine_run) == {
+            "sql", "error", "rows", "columns", "bag_fingerprint",
+        }
         assert report.to_text().endswith("PASSED")
         assert "| `sqlite` |" in report.to_markdown()
 
 
 # What `repro --seed 2 diff ... --collect-out` wrote at d6887f1, when a
-# verdict was an exact ``Counter`` comparison: per run (query, backend,
-# bag_fingerprint, rows, columns, plan), and the sha256 of the artifact
-# without its ``sql`` strings (their column aliases carry ids drawn from a
-# process-wide counter, so only a fresh process reproduces those bytes).
+# verdict was an exact ``Counter`` comparison, less the plan shapes the
+# fleet no longer records: per run (query, backend, bag_fingerprint, rows,
+# columns), and the sha256 of the artifact without its ``sql`` strings
+# (their column aliases carry ids drawn from a process-wide counter, so
+# only a fresh process reproduces those bytes).
 CLEAN_COLLECT_SHA256 = (
-    "8be2a60ea32c453f0d2384fa20bd7d95c95297cf71f94308aad5729605e633ef"
+    "f2eaba642994993e1a3ab45f30cf03e621658f61e9a2eccd192f961bf4f35ef6"
 )
 CLEAN_COLLECT_RUNS = [
-    (0, "engine", "4e138e4568e5aaee", 750, 10, "846eea1cdd884e1d"),
-    (0, "sqlite", "4e138e4568e5aaee", 750, 10, "8fa7cb782155b38f"),
-    (1, "engine", "b89b7643d835d4e7", 1800, 17, "b5800a297fb9d0f1"),
-    (1, "sqlite", "b89b7643d835d4e7", 1800, 17, "2aa030267079ced1"),
-    (2, "engine", "4f53cda18c2baa0c", 0, 0, "5c78de8336d3f99c"),
-    (2, "sqlite", "4f53cda18c2baa0c", 0, 0, "885762693f9d62c0"),
-    (3, "engine", "675a8ff08903710b", 5, 6, "5c78de8336d3f99c"),
-    (3, "sqlite", "675a8ff08903710b", 5, 6, "48b0899e115ce519"),
-    (4, "engine", "4f53cda18c2baa0c", 0, 0, "699c2cc72077968e"),
-    (4, "sqlite", "4f53cda18c2baa0c", 0, 0, "50d56405a0436a33"),
-    (5, "engine", "54f49471bed9e212", 600, 9, "2844bbe94e880d33"),
-    (5, "sqlite", "54f49471bed9e212", 600, 9, "3f37f65fc053d6ec"),
-    (6, "engine", "4f53cda18c2baa0c", 0, 0, "e909bfa2918b7977"),
-    (6, "sqlite", "4f53cda18c2baa0c", 0, 0, "282f0552f0ded8bd"),
-    (7, "engine", "4f53cda18c2baa0c", 0, 0, "270eae9bc02f5184"),
-    (7, "sqlite", "4f53cda18c2baa0c", 0, 0, "43e2df279eae419c"),
+    (0, "engine", "4e138e4568e5aaee", 750, 10),
+    (0, "sqlite", "4e138e4568e5aaee", 750, 10),
+    (1, "engine", "b89b7643d835d4e7", 1800, 17),
+    (1, "sqlite", "b89b7643d835d4e7", 1800, 17),
+    (2, "engine", "4f53cda18c2baa0c", 0, 0),
+    (2, "sqlite", "4f53cda18c2baa0c", 0, 0),
+    (3, "engine", "675a8ff08903710b", 5, 6),
+    (3, "sqlite", "675a8ff08903710b", 5, 6),
+    (4, "engine", "4f53cda18c2baa0c", 0, 0),
+    (4, "sqlite", "4f53cda18c2baa0c", 0, 0),
+    (5, "engine", "54f49471bed9e212", 600, 9),
+    (5, "sqlite", "54f49471bed9e212", 600, 9),
+    (6, "engine", "4f53cda18c2baa0c", 0, 0),
+    (6, "sqlite", "4f53cda18c2baa0c", 0, 0),
+    (7, "engine", "4f53cda18c2baa0c", 0, 0),
+    (7, "sqlite", "4f53cda18c2baa0c", 0, 0),
 ]
 FAULT_COLLECT_SHA256 = (
-    "feff8b3cc4f952884c4679c4fd76b12ed9e74574c135fad0dc53d5a1c8eef67c"
+    "a4d600828fd570671d5678929fd124316828b48e8e78601037420f9eb3adb690"
 )
 FAULT_COLLECT_RUNS = [
-    (0, "engine", "2c4e6d63ad8ada4b", 8, 10, "0b73a772dba96873"),
-    (0, "sqlite", "2c4e6d63ad8ada4b", 8, 10, "65be67f836d6976b"),
-    (1, "engine", "2e907319957f9fef", 5, 12, "93d43d6bdfbfd313"),
-    (1, "sqlite", "3ed65a400455103b", 51, 12, "e2df155094ba82d4"),
+    (0, "engine", "2c4e6d63ad8ada4b", 8, 10),
+    (0, "sqlite", "2c4e6d63ad8ada4b", 8, 10),
+    (1, "engine", "2e907319957f9fef", 5, 12),
+    (1, "sqlite", "3ed65a400455103b", 51, 12),
 ]
 FAULT_DISAGREE_DETAIL = (
     "rows: 5 vs 51; 46 rows only here, e.g. "
@@ -274,10 +277,7 @@ class TestDigestDecides:
             database, registry, names, 2, seed=2, extra_operators=2,
             service=service,
         )
-        backends, skipped = create_backends(
-            ["engine", "sqlite"], database, registry=registry,
-            service=service,
-        )
+        backends, skipped = create_backends(["engine", "sqlite"], service)
         exact_bag = backends_base.normalized_bag
         bags_built = []
 
@@ -306,7 +306,7 @@ class TestDigestDecides:
                 del run["sql"]
                 runs.append((
                     query["id"], name, run["bag_fingerprint"], run["rows"],
-                    run["columns"], run["plan"]["fingerprint"],
+                    run["columns"],
                 ))
         artifact = json.dumps(payload, indent=2, sort_keys=True)
         return hashlib.sha256(artifact.encode("utf-8")).hexdigest(), runs
@@ -397,7 +397,7 @@ class TestFaultKills:
                 tpch_db, registry, seed=seed, extra_operators=2
             ).build(singleton_nodes([rule_name]), k=8)
             backends, _ = create_backends(
-                ["engine", "sqlite"], tpch_db, registry=registry
+                ["engine", "sqlite"], _service(tpch_db, registry)
             )
             report = DifferentialRunner(tpch_db, backends).run(suite)
             assert not report.errors, [o.detail for o in report.errors]

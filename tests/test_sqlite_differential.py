@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import SqliteBackend, create_backends
+from repro.service import PlanService
 from repro.sql.binder import sql_to_tree
 from repro.testing.differential import DifferentialRunner
 from repro.testing.suite import TestSuiteBuilder, singleton_nodes
@@ -35,7 +36,8 @@ def _run_suite_diff(tpch_db, registry, rule_names, k):
         tpch_db, registry, seed=0, extra_operators=2
     ).build(singleton_nodes(rule_names), k=k)
     backends, skipped = create_backends(
-        ["engine", "sqlite"], tpch_db, registry=registry
+        ["engine", "sqlite"],
+        PlanService(tpch_db, registry=registry, cache_dir=None),
     )
     assert skipped == {}
     report = DifferentialRunner(tpch_db, backends).run(suite)
@@ -82,7 +84,8 @@ _HAND_SQL = [
 @pytest.fixture(scope="module")
 def backend_pair(tpch_db, registry):
     backends, _ = create_backends(
-        ["engine", "sqlite"], tpch_db, registry=registry
+        ["engine", "sqlite"],
+        PlanService(tpch_db, registry=registry, cache_dir=None),
     )
     for backend in backends:
         backend.ensure_ready(tpch_db)
@@ -107,4 +110,4 @@ def test_hand_written_sql_matches_sqlite(tpch_db, backend_pair, sql):
 
 def test_sqlite_backend_is_importable_from_tests():
     """The lifted helpers stay public: other suites build on them."""
-    assert SqliteBackend.plan_language == "sqlite-eqp"
+    assert SqliteBackend.name == "sqlite"

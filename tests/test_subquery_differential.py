@@ -22,6 +22,7 @@ from repro.backends import create_backends
 from repro.engine import execute_plan, results_identical
 from repro.logical.operators import Apply, OpKind
 from repro.optimizer.engine import Optimizer
+from repro.service import PlanService
 from repro.sql.binder import sql_to_tree
 from repro.sql.dialect import ENGINE_DIALECT, SQLITE_DIALECT
 from repro.sql.generate import to_sql
@@ -45,7 +46,8 @@ def test_subquery_rule_suite_matches_sqlite(tpch_db, registry):
     ).build(singleton_nodes(SUBQUERY_RULES), k=2)
     assert suite.queries, "generator produced no subquery-rule queries"
     backends, skipped = create_backends(
-        ["engine", "sqlite"], tpch_db, registry=registry
+        ["engine", "sqlite"],
+        PlanService(tpch_db, registry=registry, cache_dir=None),
     )
     assert skipped == {}
     report = DifferentialRunner(tpch_db, backends).run(suite)
@@ -78,7 +80,8 @@ _HAND_SQL = [
 @pytest.fixture(scope="module")
 def backend_pair(tpch_db, registry):
     backends, _ = create_backends(
-        ["engine", "sqlite"], tpch_db, registry=registry
+        ["engine", "sqlite"],
+        PlanService(tpch_db, registry=registry, cache_dir=None),
     )
     for backend in backends:
         backend.ensure_ready(tpch_db)
