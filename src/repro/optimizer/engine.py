@@ -141,6 +141,15 @@ class _RuleIndex:
         #: The only rules that can still join ``RuleSet(q)`` once
         #: exploration is over.
         self.implementation_names = frozenset(self.names[explored:])
+        #: ``(name, slot, all-zero row)`` sorted by name, the order of
+        #: :attr:`OptimizeResult.rule_counters`; the zero row is shared by
+        #: every run in which the rule was never considered.
+        self._by_name = tuple(
+            (name, slot, RuleCounters(name, 0, 0, 0))
+            for name, slot in sorted(
+                (name, slot) for slot, name in enumerate(self.names)
+            )
+        )
 
     def _bucket(
         self, rules: Iterable[Rule], config: OptimizerConfig
@@ -162,6 +171,18 @@ class _RuleIndex:
         """One all-zero row per active rule, so every result reports the
         same rules whether or not an expression of their kind turned up."""
         return [[0, 0, 0, 0] for _ in self.names]
+
+    def counters(self, tally: List[_TallyRow]) -> Tuple[RuleCounters, ...]:
+        """``tally`` as :attr:`OptimizeResult.rule_counters`."""
+        rows = []
+        for name, slot, zero in self._by_name:
+            counts = tally[slot]
+            rows.append(
+                RuleCounters(name, counts[0], counts[1], counts[2])
+                if counts[0]
+                else zero
+            )
+        return tuple(rows)
 
 
 class Optimizer:
@@ -328,15 +349,7 @@ class Optimizer:
                 fired=",".join(sorted(exercised)),
                 support=",".join(sorted(plan_support)),
             )
-        rule_counters = tuple(
-            RuleCounters(
-                name=name,
-                considered=counts[0],
-                fired=counts[1],
-                rejected=counts[2],
-            )
-            for name, counts in sorted(zip(index.names, tally))
-        )
+        rule_counters = index.counters(tally)
         self._record_metrics(tally, stats, implementer)
         if not exercised.issuperset(targets):
             return None  # an implementation-rule target did not fire

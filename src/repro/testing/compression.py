@@ -22,9 +22,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from repro.testing.suite import CostOracle, RuleNode, SuiteQuery, TestSuite
 
 
@@ -348,13 +345,27 @@ def matching_plan(
             f"matching needs at least {len(slots)} queries, suite has "
             f"{len(queries)}"
         )
+    # The only NumPy/SciPy user in the package: imported here so that no
+    # other code path loads the numerical stack.
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
+    graph = _batched_edge_costs(
+        oracle,
+        [
+            (query, node)
+            for node in suite.rule_nodes
+            for query in queries
+            if query.exercises(node)
+        ],
+    )
     big_m = 1e15
     matrix = np.full((len(slots), len(queries)), big_m)
     for row, node in enumerate(slots):
         for query in queries:
-            if query.exercises(node):
-                cost = query.cost + oracle.cost_without(query, node)
-                matrix[row, query.query_id] = cost
+            edge = graph.get((node, query.query_id))
+            if edge is not None:
+                matrix[row, query.query_id] = query.cost + edge
     rows, cols = linear_sum_assignment(matrix)
     assignments: Dict[RuleNode, List[int]] = {
         node: [] for node in suite.rule_nodes
@@ -366,9 +377,9 @@ def matching_plan(
                 "matching infeasible: a rule slot has no unshared query"
             )
         node = slots[row]
-        query = suite.query(int(col))
-        assignments[node].append(query.query_id)
-        edge_costs[(node, query.query_id)] = oracle.cost_without(query, node)
+        query_id = suite.query(int(col)).query_id
+        assignments[node].append(query_id)
+        edge_costs[(node, query_id)] = graph[(node, query_id)]
     node_costs = {query.query_id: query.cost for query in queries}
     return _trace_plan(oracle, CompressionPlan(
         method="MATCHING",

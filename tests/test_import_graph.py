@@ -1,16 +1,25 @@
-"""Production loads one evaluator.
+"""Production loads one evaluator and no numerical stack.
 
 The engine evaluates expressions only through :mod:`repro.expr.vector`
 and aggregates only through the columnar executor.  The row interpreter
 and its ``Accumulator`` are a test oracle in
 :mod:`repro.testing.reference_executor`; importing the CLI must not pull
 them (or any other row evaluator) in.
+
+NumPy and SciPy are imported inside the function that solves with them
+(Section 7's Hungarian matching, ``matching_plan``), never at module
+level: loading them costs every process about 56 MB of resident memory
+and half a second of start-up.  The package, the CLI and the pool
+worker's module -- what every command, benchmark pass and spawned worker
+imports -- must each leave both out of ``sys.modules``.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro.expr
 
@@ -23,12 +32,17 @@ _TEST_ONLY = (
     "repro.expr.simplify",
 )
 
+#: Top-level packages only the function that calls them may import.
+_NUMERICAL = ("numpy", "scipy")
 
-def test_cli_import_loads_no_row_evaluator():
+
+def _loaded_after_import(module, candidates):
+    """The ``candidates`` in ``sys.modules`` after a fresh interpreter
+    imports ``module``."""
     script = (
         "import json, sys\n"
-        "import repro.cli\n"
-        f"print(json.dumps([m for m in {list(_TEST_ONLY)!r} "
+        f"import {module}\n"
+        f"print(json.dumps([m for m in {list(candidates)!r} "
         "if m in sys.modules]))\n"
     )
     completed = subprocess.run(
@@ -39,7 +53,18 @@ def test_cli_import_loads_no_row_evaluator():
         env={"PYTHONPATH": str(_REPO / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert completed.returncode == 0, completed.stderr
-    assert json.loads(completed.stdout) == []
+    return json.loads(completed.stdout)
+
+
+def test_cli_import_loads_no_row_evaluator():
+    assert _loaded_after_import("repro.cli", _TEST_ONLY) == []
+
+
+@pytest.mark.parametrize(
+    "module", ["repro", "repro.cli", "repro.service.worker"]
+)
+def test_production_import_loads_no_numerical_stack(module):
+    assert _loaded_after_import(module, _NUMERICAL) == []
 
 
 def test_expr_package_exports_no_row_evaluator():

@@ -241,6 +241,48 @@ class TestMatchingVariant:
         assert plan.assignments[("r1",)] == [1]
         assert plan.assignments[("r2",)] == [0]
 
+    def test_prices_each_edge_once_in_one_batch(self):
+        r1, r2 = ("r1",), ("r2",)
+        queries = [
+            _query(0, 10.0, {"r1", "r2"}, r1),
+            _query(1, 10.0, {"r1"}, r1),
+            _query(2, 10.0, {"r1", "r2"}, r2),
+            _query(3, 10.0, {"r2"}, r2),
+        ]
+        suite = TestSuite(rule_nodes=[r1, r2], queries=queries, k=2)
+        oracle = FakeOracle(
+            {
+                (0, ("r1",)): 11.0,
+                (0, ("r2",)): 12.0,
+                (1, ("r1",)): 13.0,
+                (2, ("r1",)): 14.0,
+                (2, ("r2",)): 15.0,
+                (3, ("r2",)): 16.0,
+            }
+        )
+        price = oracle.cost_without
+        batches = []
+
+        def batch(pairs):
+            batches.append([(query.query_id, node) for query, node in pairs])
+            return [price(query, node) for query, node in pairs]
+
+        def lone(query, node):
+            raise AssertionError("an edge was priced outside the batch")
+
+        oracle.cost_without_many = batch
+        oracle.cost_without = lone
+        plan = matching_plan(suite, oracle)
+        assert len(batches) == 1
+        assert sorted(batches[0]) == sorted(
+            (query_id, node) for query_id, node in oracle._edges
+        )
+        assert plan.edge_costs == {
+            (node, query_id): oracle._edges[(query_id, node)]
+            for node, ids in plan.assignments.items()
+            for query_id in ids
+        }
+
     def test_infeasible_matching_raises(self):
         r1, r2 = ("r1",), ("r2",)
         queries = [
