@@ -92,8 +92,9 @@ GLOBAL_OPTIONS = (
         help="which built-in test database to run against",
     ),
     _Option(
-        "--workers", type=int, default=1,
-        help="worker processes for batched plan/cost requests (default 1)",
+        "--workers", type=int, default=None,
+        help="worker processes for batched plan/cost requests (default: "
+        "the usable CPUs; 1 computes in-process)",
     ),
     _Option(
         "--no-cache", action="store_true",
@@ -168,6 +169,15 @@ class _Session:
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
+        #: Every plan service handed out, closed with the session.
+        self._services: List[PlanService] = []
+
+    def __enter__(self) -> "_Session":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for service in self._services:
+            service.close()
 
     @cached_property
     def database(self):
@@ -188,21 +198,25 @@ class _Session:
     def service(self) -> PlanService:
         """The persistent service: cached on disk under
         ``$REPRO_CACHE_DIR`` and in memory unless ``--no-cache``."""
-        return PlanService(
+        return self._keep(PlanService(
             self.database,
             registry=self.registry,
             workers=self.args.workers,
             cache_dir=None if self.args.no_cache else default_cache_dir(),
             memory_cache=not self.args.no_cache,
-        )
+        ))
 
     def memory_service(self, **hooks) -> PlanService:
         """A fresh memory-only service, for runs whose counts, verdicts or
         event sequence must not depend on what an earlier run cached."""
-        return PlanService(
+        return self._keep(PlanService(
             self.database, registry=self.registry,
             workers=self.args.workers, cache_dir=None, **hooks,
-        )
+        ))
+
+    def _keep(self, service: PlanService) -> PlanService:
+        self._services.append(service)
+        return service
 
     def rule_names(self) -> List[str]:
         """``--rule-names`` when the command has it and it was given, else
@@ -263,8 +277,9 @@ def _fails_under(args, rate: Optional[float], what: str) -> int:
 def _mutation_campaign(args, env, metrics, backends=None) -> MutationCampaign:
     """The fresh campaign ``mutate`` and ``compress`` run.  Per-mutant plan
     services are memory-only (a campaign must not depend on what an
-    earlier run cached), so ``--no-cache`` is irrelevant here;
-    ``--workers`` is honoured per mutant."""
+    earlier run cached), so ``--no-cache`` is irrelevant here.  They are
+    short-lived, so they compute in-process unless ``--workers`` is
+    given."""
     return MutationCampaign(
         env.database,
         env.registry,
@@ -272,7 +287,7 @@ def _mutation_campaign(args, env, metrics, backends=None) -> MutationCampaign:
         k=args.k,
         seeds=args.pool_seeds or (args.seed,),
         extra_operators=args.extra_operators,
-        workers=args.workers,
+        workers=args.workers or 1,
         metrics=metrics,
         differential_backends=backends,
     )
@@ -987,7 +1002,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command].handler(args, _Session(args))
+    with _Session(args) as env:
+        return COMMANDS[args.command].handler(args, env)
 
 
 if __name__ == "__main__":

@@ -127,7 +127,7 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     ),
     "service.parallel_tasks": (
         "counter", (),
-        "Computations executed on the worker process pool.",
+        "Computations executed by the service's forked worker pool.",
     ),
     "service.worker_merges": (
         "counter", (),
@@ -135,8 +135,8 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     ),
     "service.pool_fallbacks": (
         "counter", (),
-        "Batches whose process pool failed (a worker died, no subprocesses "
-        "allowed) and that ran serially instead.",
+        "Batches whose worker pool failed (a worker died, the process "
+        "could not fork) and that ran serially instead.",
     ),
     # ----------------------------------------------------------- generation
     "generation.oversized": (

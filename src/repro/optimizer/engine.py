@@ -127,8 +127,8 @@ class _RuleIndex:
     per-run tally :meth:`new_tally` returns, and with its matcher.
 
     Matchers are closures, so they are held here (and in
-    ``compile_pattern``'s per-process cache), never on a pattern: the
-    registry a process pool pickles holds patterns only.
+    ``compile_pattern``'s per-process cache), never on a pattern: a
+    registry holds patterns only, and pickles.
     """
 
     def __init__(self, registry: RuleRegistry, config: OptimizerConfig) -> None:
@@ -201,7 +201,7 @@ class Optimizer:
         self.stats = stats
         self.registry = registry or default_registry()
         self.config = config
-        #: Observability hooks.  Plain mutable attributes: the pool worker
+        #: Observability hooks.  Plain mutable attributes: a pool worker
         #: reuses one Optimizer per config and swaps in a fresh registry
         #: per task so each result ships its own metric delta.
         self.tracer = tracer

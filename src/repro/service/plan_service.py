@@ -17,9 +17,15 @@ each layer hand-rolling its own :class:`Optimizer`, a single
   :mod:`repro.service.cache`), read once into an index of
   ``(fingerprint, config token)``: a disk hit is a dict lookup.  Plans are
   recomputed per process; costs are served from disk.
-* **Parallelism.**  :meth:`optimize_many` fans a batch over a
-  ``ProcessPoolExecutor`` (``workers > 1``) with deterministic result
-  ordering, deduplicating identical requests within the batch first.
+* **Parallelism.**  A batch (:meth:`optimize_many`, :meth:`cost_many`)
+  deduplicates identical requests, then fans its distinct misses over
+  forked workers (``workers`` of them at most; by default the usable
+  CPUs) that the service keeps for its life (see
+  :mod:`repro.service.worker`); results come back in request order.  A
+  traced service computes in its own process, so its trace holds every
+  optimization.  :meth:`PlanService.close` (or leaving a ``with`` block)
+  stops the workers; a service dropped without it stops them when it is
+  collected.
 
 Every request, scalar or batched, climbs the same ladder: a memory entry,
 then (when no plan object is needed) a cost record from disk, then (for a
@@ -45,9 +51,9 @@ this module; no other package should instantiate one directly.
 
 from __future__ import annotations
 
-import pickle
 import warnings
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -161,7 +167,7 @@ class PlanService:
         stats: Optional[StatsRepository] = None,
         registry: Optional[RuleRegistry] = None,
         config: OptimizerConfig = DEFAULT_CONFIG,
-        workers: int = 1,
+        workers: Optional[int] = None,
         cache_dir: Optional[Path] = None,
         memory_cache: bool = True,
         tracer: Tracer = NULL_TRACER,
@@ -183,7 +189,13 @@ class PlanService:
         self.stats = stats
         self.registry = registry or default_registry()
         self.config = config
-        self.workers = max(1, int(workers))
+        #: Worker processes a batch may fan over; ``None`` means the usable
+        #: CPUs, and 1 computes every batch in this process.
+        self.workers = (
+            _worker.usable_cpus() if workers is None else max(1, int(workers))
+        )
+        self._pool: Optional[_worker.WorkerPool] = None
+        self._reaper: Optional[weakref.finalize] = None
         self.counters = ServiceStats()
         #: Observability hooks (see :mod:`repro.obs`): the tracer records
         #: cache/compute events and is handed to every Optimizer this
@@ -212,6 +224,21 @@ class PlanService:
             self._disk = None
         #: ``config.cache_token()`` per config, the disk index's key half.
         self._tokens: Dict[OptimizerConfig, str] = {}
+
+    # ------------------------------------------------------------- lifetime
+
+    def close(self) -> None:
+        """Stop the worker pool, if one was started.  The service stays
+        usable: a later batch starts a new pool."""
+        if self._reaper is not None:
+            self._reaper()  # runs pool.close once, and detaches
+        self._pool = self._reaper = None
+
+    def __enter__(self) -> "PlanService":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------- plumbing
 
@@ -397,8 +424,8 @@ class PlanService:
         """The ladder over a batch: one entry per request, in order.
 
         Identical ``(fingerprint, config)`` misses are computed once; with
-        ``workers > 1`` the distinct computations fan out over a process
-        pool."""
+        ``workers > 1`` the distinct computations of an untraced service
+        fan out over its worker pool."""
         entries: List[Optional[_Entry]] = [None] * len(requests)
         pending: Dict[_CacheKey, _Task] = {}  # distinct misses
         waiting: Dict[_CacheKey, List[int]] = {}  # the requests behind each
@@ -587,7 +614,7 @@ class PlanService:
     def _compute_batch(
         self, pending: Dict[_CacheKey, _Task]
     ) -> Dict[_CacheKey, _Entry]:
-        if self.workers > 1 and len(pending) > 1:
+        if self.workers > 1 and len(pending) > 1 and not self.tracer.enabled:
             parallel = self._compute_parallel(pending)
             if parallel is not None:
                 return parallel
@@ -599,48 +626,39 @@ class PlanService:
     def _compute_parallel(
         self, pending: Dict[_CacheKey, _Task]
     ) -> Optional[Dict[_CacheKey, _Entry]]:
-        """Fan ``pending`` over a process pool; ``None`` falls back to serial
-        (e.g. unpicklable environment, a sandbox without subprocesses or a
-        worker that died, the last two counted as ``pool_fallbacks``)."""
-        from concurrent.futures import ProcessPoolExecutor
-
+        """Fan ``pending`` over the worker pool, started or grown to what
+        the batch can use; ``None`` falls back to serial (a worker died, or
+        this process cannot fork), counted as ``pool_fallbacks``."""
+        tasks = list(pending.values())
         try:
-            payload = pickle.dumps((self.catalog, self.stats, self.registry))
-        except Exception as exc:
-            warnings.warn(f"plan service: environment not picklable ({exc}); "
-                          "running batch serially", stacklevel=2)
-            return None
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending)),
-                initializer=_worker.init_worker,
-                initargs=(payload, self.metrics is not None),
-            ) as pool:
-                outcomes = pool.map(  # in task order
-                    _worker.optimize_task, list(pending.values())
+            if self._pool is None:
+                self._pool = _worker.WorkerPool(
+                    (self.catalog, self.stats, self.registry),
+                    self.metrics is not None,
                 )
-                computed: Dict[_CacheKey, _Entry] = {}
-                for key, (result, error, metric_delta) in zip(
-                    pending, outcomes
-                ):
-                    self._bump("parallel_tasks")
-                    if metric_delta is not None and self.metrics is not None:
-                        # Fold this task's optimizer counters (measured in
-                        # the worker process) into the parent registry.
-                        self.metrics.merge(metric_delta)
-                        self.metrics.counter("service.worker_merges").inc()
-                    computed[key] = self._computed(key, result, error)
-                return computed
+                self._reaper = weakref.finalize(self, self._pool.close)
+            self._pool.grow(min(self.workers, len(tasks)))
+            outcomes = self._pool.map(tasks)
         except Exception as exc:
+            self.close()
             self._bump("pool_fallbacks")
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "service.pool_fallback", cat="service",
-                    error=type(exc).__name__,
-                )
             warnings.warn(
-                f"plan service: process pool failed ({exc}); "
+                f"plan service: worker pool failed ({exc!r}); "
                 "running batch serially",
                 stacklevel=2,
             )
             return None
+        computed: Dict[_CacheKey, _Entry] = {}
+        for key, (tree, _), (result, error, metric_delta) in zip(
+            pending, tasks, outcomes
+        ):
+            self._bump("parallel_tasks")
+            if metric_delta is not None and self.metrics is not None:
+                # Fold this task's optimizer counters (measured in the
+                # worker process) into the parent registry.
+                self.metrics.merge(metric_delta)
+                self.metrics.counter("service.worker_merges").inc()
+            if result is not None:
+                result = replace(result, logical_tree=tree)
+            computed[key] = self._computed(key, result, error)
+        return computed

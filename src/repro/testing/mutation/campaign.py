@@ -246,6 +246,8 @@ class MutationCampaign:
         seeds: Sequence[int] = (0,),
         extra_operators: int = 2,
         max_trials: int = 30,
+        # In-process by default, unlike PlanService: each mutant's service
+        # lives for one mutant, too short to repay forking a pool.
         workers: int = 1,
         config: OptimizerConfig = DEFAULT_CONFIG,
         metrics=None,
@@ -400,6 +402,7 @@ class MutationCampaign:
             if self.differential_backends:
                 self._fold_differential(suite, service, verdicts)
         finally:
+            service.close()
             for key, value in service.counters.as_dict().items():
                 self._stats[key] = self._stats.get(key, 0) + value
         variants = {}

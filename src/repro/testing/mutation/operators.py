@@ -197,8 +197,8 @@ def _mutant_class(rule: Rule, mutant_id: str, namespace: dict):
     """A dynamic subclass of ``type(rule)`` carrying the fault.
 
     The class keeps the original ``name`` (so ``with_replaced_rule``
-    swaps it in) and pickles by mutant id, which keeps mutated registries
-    usable with the plan service's worker pool.
+    swaps it in) and pickles by mutant id, so a mutated registry pickles
+    like the clean one.
     """
     suffix = mutant_id.split(":", 1)[1].replace(":", "_").replace(
         "-", "_"

@@ -149,9 +149,11 @@ class TestEngineBackend:
         region = sql_to_tree("SELECT r_name FROM region", tpch_db.catalog)
         nation = sql_to_tree("SELECT n_name FROM nation", tpch_db.catalog)
         optimize = Optimizer.optimize_exercising
+        doomed = region.fingerprint()
 
+        # By fingerprint, not identity: a pool worker holds a copy.
         def exploding(optimizer, tree, targets):
-            if tree is region:
+            if tree.fingerprint() == doomed:
                 raise OptimizationError("boom")
             return optimize(optimizer, tree, targets)
 

@@ -1,9 +1,13 @@
 """Tests for the PlanService: caching, batching, parallelism, accounting."""
 
 import dataclasses
+import gc
 import importlib
 import json
 import os
+import pickle
+import re
+import signal
 import subprocess
 import sys
 import types
@@ -16,6 +20,7 @@ import repro
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import RecordingTracer
 from repro.optimizer.config import DEFAULT_CONFIG
+from repro.optimizer.engine import Optimizer
 from repro.optimizer.result import OptimizationError
 from repro.rules.exploration.join_rules import JoinCommutativity
 from repro.service import (
@@ -50,6 +55,17 @@ SQL_JOIN = (
 )
 SQL_AGG = (
     "SELECT o_custkey, COUNT(*) FROM orders GROUP BY o_custkey"
+)
+SQL_OTHER = "SELECT n_name FROM nation JOIN region ON n_regionkey = r_regionkey"
+#: Plans of these two mint columns: AvgToSumDivCount's SUM and COUNT under
+#: an eager aggregation, and UnionAllAssociativity's middle union.
+SQL_MINTS_AVG = (
+    "SELECT c_name, AVG(o_totalprice) FROM customer "
+    "JOIN orders ON c_custkey = o_custkey GROUP BY c_name"
+)
+SQL_MINTS_UNION = (
+    "SELECT o_orderkey FROM orders UNION ALL SELECT l_orderkey FROM lineitem "
+    "UNION ALL SELECT c_custkey FROM customer"
 )
 
 
@@ -427,74 +443,192 @@ class TestBatches:
             for result in serial.optimize_many(trees)
         ]
 
-    def test_unpicklable_environment_runs_serially(self, tpch_db, registry):
+    def test_unpicklable_registry_still_fans_out(self, tpch_db, registry):
+        """Workers inherit the registry through ``fork``: one that would
+        not pickle fans out like any other, to the serial answers."""
         patched = registry.with_replaced_rule(_UnpicklableJoinCommutativity())
+        with pytest.raises(Exception):
+            pickle.dumps(patched)
         serial = PlanService(tpch_db, registry=registry, workers=1)
-        service = PlanService(tpch_db, registry=patched, workers=2)
         trees = [
             _tree(tpch_db, SQL_SIMPLE),
             _tree(tpch_db, SQL_JOIN),
             _tree(tpch_db, SQL_AGG),
         ]
         expected = [result.cost for result in serial.optimize_many(trees)]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results = service.optimize_many(trees)
-        (warned,) = [w for w in caught if "plan service" in str(w.message)]
-        assert "environment not picklable" in str(warned.message)
+        with PlanService(tpch_db, registry=patched, workers=2) as service:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("error", message="plan service")
+                results = service.optimize_many(trees)
         assert [result.cost for result in results] == expected
-        assert service.counters.parallel_tasks == 0
-        assert service.counters.computed == 3
+        assert service.counters.parallel_tasks == 3
+        assert [result.logical_tree for result in results] == trees
 
     def test_broken_pool_falls_back_to_serial(
         self, tpch_db, registry, monkeypatch
     ):
-        """A pool whose worker died mid-batch: the batch runs serially,
-        the same costs as a serial service, counted and traced once."""
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
+        """A worker killed mid-batch: the batch runs serially, to the same
+        costs as a serial service, counted once; the dead pool is reaped
+        and the next batch starts a new one."""
+        optimize = Optimizer.optimize_exercising
+        parent = os.getpid()
 
-        class DeadPool:
-            def __init__(self, *args, **kwargs):
-                pass
+        def dying(optimizer, tree, targets):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return optimize(optimizer, tree, targets)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, function, tasks):
-                raise BrokenProcessPool("a worker process died")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadPool)
         trees = [
             _tree(tpch_db, SQL_SIMPLE),
             _tree(tpch_db, SQL_JOIN),
             _tree(tpch_db, SQL_AGG),
         ]
         expected = PlanService(
-            tpch_db, registry=registry
+            tpch_db, registry=registry, workers=1
         ).cost_many(trees)
-        metrics, tracer = MetricsRegistry(), RecordingTracer()
+        metrics = MetricsRegistry()
         service = PlanService(
-            tpch_db, registry=registry, workers=2,
-            metrics=metrics, tracer=tracer,
+            tpch_db, registry=registry, workers=2, metrics=metrics,
         )
+        monkeypatch.setattr(Optimizer, "optimize_exercising", dying)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert service.cost_many(trees) == expected
         (warned,) = [w for w in caught if "plan service" in str(w.message)]
-        assert "process pool failed" in str(warned.message)
+        assert "worker pool failed" in str(warned.message)
         assert service.counters.pool_fallbacks == 1
         assert metrics.counter_value("service.pool_fallbacks") == 1
         assert (service.counters.parallel_tasks, service.counters.computed) == (
             0, 3
         )
-        (event,) = [
-            e for e in tracer.events if e.name == "service.pool_fallback"
+        assert service._pool is None
+
+        monkeypatch.undo()
+        more = [_tree(tpch_db, SQL_OTHER), _tree(tpch_db, SQL_MINTS_UNION)]
+        assert service.cost_many(more) == PlanService(
+            tpch_db, registry=registry, workers=1
+        ).cost_many(more)
+        assert service.counters.parallel_tasks == 2
+        service.close()
+
+    def test_pool_never_outgrows_its_batches_or_workers(
+        self, tpch_db, registry
+    ):
+        service = PlanService(tpch_db, registry=registry, workers=3)
+        service.cost_many([_tree(tpch_db, SQL_SIMPLE)])
+        assert service._pool is None  # one miss computes in-process
+        service.cost_many([_tree(tpch_db, SQL_JOIN), _tree(tpch_db, SQL_AGG)])
+        assert len(service._pool.children) == 2
+        service.cost_many([
+            _tree(tpch_db, sql)
+            for sql in (SQL_OTHER, SQL_MINTS_AVG, SQL_MINTS_UNION)
+        ])
+        assert len(service._pool.children) == 3
+        tree = _tree(tpch_db, SQL_JOIN)
+        service.optimize_many([  # plans: four misses, no lineage rung
+            (tree, DEFAULT_CONFIG.with_disabled([rule]))
+            for rule in ("JoinCommutativity", "JoinAssociativity",
+                         "GetToTableScan", "CrossToInnerJoin")
+        ], return_errors=True)
+        assert len(service._pool.children) == 3
+        assert service.counters.parallel_tasks == 2 + 3 + 4
+        service.close()
+
+    def test_close_leaves_no_child(self, tpch_db, registry):
+        service = PlanService(tpch_db, registry=registry, workers=2)
+        service.cost_many([_tree(tpch_db, SQL_JOIN), _tree(tpch_db, SQL_AGG)])
+        pids = _worker_pids(service)
+        assert len(pids) == 2
+        service.close()
+        _assert_reaped(pids)
+        service.close()  # a second close is a no-op
+
+    def test_a_dropped_service_reaps_its_children(self, tpch_db, registry):
+        service = PlanService(tpch_db, registry=registry, workers=2)
+        service.cost_many([_tree(tpch_db, SQL_JOIN), _tree(tpch_db, SQL_AGG)])
+        pids = _worker_pids(service)
+        del service
+        gc.collect()
+        _assert_reaped(pids)
+
+    def test_a_traced_batch_computes_in_process(self, tpch_db, registry):
+        """Workers have no tracer: a traced service keeps every
+        optimization in its own process, so its trace does not depend on
+        ``workers``."""
+        trees = [
+            _tree(tpch_db, SQL_SIMPLE),
+            _tree(tpch_db, SQL_JOIN),
+            _tree(tpch_db, SQL_AGG),
         ]
-        assert event.arg("error") == "BrokenProcessPool"
+
+        def events(workers):
+            tracer = RecordingTracer()
+            service = PlanService(
+                tpch_db, registry=registry, workers=workers, tracer=tracer
+            )
+            service.cost_many(trees)
+            return [event.name for event in tracer.events]
+
+        serial = events(1)
+        assert serial.count("optimize.done") == len(trees)
+        assert events(2) == serial
+
+
+def _worker_pids(service):
+    return [child.pid for child in service._pool.children]
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _cids(obj):
+    """The column ids in ``repr(obj)``."""
+    return {int(cid) for cid in re.findall(r"#(\d+)", repr(obj))}
+
+
+class TestWorkerColumnIds:
+    """``Column`` equality is by id, so an id a worker mints must be new
+    to the parent and to every other worker."""
+
+    def test_a_tree_bound_after_the_fork_runs_to_the_serial_bag(
+        self, tpch_db, registry
+    ):
+        service = PlanService(tpch_db, registry=registry, workers=2)
+        service.cost_many([_tree(tpch_db, SQL_SIMPLE), _tree(tpch_db, SQL_JOIN)])
+        assert service._pool is not None
+        # Bound now, after the workers forked: its ids are ones a worker
+        # would mint next if it counted on from the parent's counter.
+        trees = [_tree(tpch_db, SQL_MINTS_AVG), _tree(tpch_db, SQL_MINTS_UNION)]
+        results = service.optimize_many(trees)
+        assert service.counters.parallel_tasks == 4
+        serial = PlanService(tpch_db, registry=registry, workers=1)
+        for tree, result in zip(trees, results):
+            assert _cids(result.plan) - _cids(tree)  # a minted column
+            expected = serial.optimize(tree)
+            ours, theirs = service.execute_many([
+                (result.plan, result.output_columns),
+                (expected.plan, expected.output_columns),
+            ])
+            assert ours.ok, ours.error
+            assert ours.result.multiset() == theirs.result.multiset()
+        service.close()
+
+    def test_two_workers_mint_disjoint_ids(self, tpch_db, registry):
+        trees = [_tree(tpch_db, SQL_MINTS_AVG), _tree(tpch_db, SQL_MINTS_UNION)]
+        with PlanService(tpch_db, registry=registry, workers=2) as service:
+            first, second = service.optimize_many(trees)
+        assert service.counters.parallel_tasks == 2
+        minted = [
+            _cids(result.plan) - _cids(tree)
+            for tree, result in zip(trees, (first, second))
+        ]
+        assert all(minted)
+        assert not minted[0] & minted[1]
+        assert not minted[0] & _cids(trees[1])
+        assert not minted[1] & _cids(trees[0])
 
 
 #: A candidate class from outside the rule modules whose bare ``__name__``
