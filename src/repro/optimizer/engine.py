@@ -128,7 +128,7 @@ class _RuleIndex:
 
     Matchers are closures, so they are held here (and in
     ``compile_pattern``'s per-process cache), never on a pattern: a
-    registry holds patterns only, and pickles.
+    registry holds patterns only.
     """
 
     def __init__(self, registry: RuleRegistry, config: OptimizerConfig) -> None:

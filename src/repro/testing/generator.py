@@ -24,7 +24,6 @@ from typing import Optional, Sequence, Tuple
 from repro.logical.cardinality import CardinalityEstimator
 from repro.logical.operators import LogicalOp
 from repro.logical.validate import ValidationError, validate_tree
-from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.optimizer.result import OptimizationError, OptimizeResult
 from repro.rules.registry import RuleRegistry, default_registry
 from repro.service import PlanService
@@ -79,17 +78,13 @@ class QueryGenerator:
         database: Database,
         registry: Optional[RuleRegistry] = None,
         seed: int = 0,
-        config: Optional[OptimizerConfig] = None,
         service: Optional[PlanService] = None,
     ) -> None:
         self.database = database
         self.registry = registry or default_registry()
-        self.service = service or PlanService(
-            database, registry=self.registry, config=config or DEFAULT_CONFIG
-        )
-        #: A given service's own config unless told otherwise, so that what
-        #: its owner set (e.g. ``sanitize_plans``) holds for trials too.
-        self.config = config or self.service.config
+        #: Trials are asked under the service's own config, so that what
+        #: its owner set (e.g. ``sanitize_plans``) holds for them too.
+        self.service = service or PlanService(database, registry=self.registry)
         self.stats = self.service.stats
         self._estimator = CardinalityEstimator(database.catalog, self.stats)
         self.rng = random.Random(seed)
@@ -108,9 +103,7 @@ class QueryGenerator:
         """One trial's question to the optimizer: is every target in
         ``RuleSet(tree)``?  The result if so, else ``None``."""
         try:
-            return self.service.optimize_exercising(
-                tree, targets, self.config
-            )
+            return self.service.optimize_exercising(tree, targets)
         except OptimizationError:
             return None
 
@@ -318,7 +311,7 @@ class QueryGenerator:
         the rule off changes the optimizer's chosen plan (Section 7)."""
         rule = self.registry.rule(rule_name)
         hints = merge_hints([rule])
-        disabled_config = self.config.with_disabled([rule_name])
+        disabled_config = self.service.config.with_disabled([rule_name])
         reoptimized = 0
 
         def make_tree(_trial: int) -> LogicalOp:

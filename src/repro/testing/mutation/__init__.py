@@ -30,7 +30,6 @@ from repro.testing.mutation.operators import (
     Mutant,
     MutationOperator,
     generate_mutants,
-    rebuild_mutant_rule,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "VARIANTS",
     "VariantOutcome",
     "generate_mutants",
-    "rebuild_mutant_rule",
 ]

@@ -196,27 +196,13 @@ def _transformed_substitute(rule_cls, transform):
 def _mutant_class(rule: Rule, mutant_id: str, namespace: dict):
     """A dynamic subclass of ``type(rule)`` carrying the fault.
 
-    The class keeps the original ``name`` (so ``with_replaced_rule``
-    swaps it in) and pickles by mutant id, so a mutated registry pickles
-    like the clean one.
+    The class keeps the original ``name``, so ``with_replaced_rule``
+    swaps it in.
     """
     suffix = mutant_id.split(":", 1)[1].replace(":", "_").replace(
         "-", "_"
     ).replace("+", "_")
-    namespace = dict(namespace)
-    namespace["__reduce__"] = lambda self: (rebuild_mutant_rule, (mutant_id,))
     return type(f"{type(rule).__name__}__{suffix}", (type(rule),), namespace)
-
-
-def rebuild_mutant_rule(mutant_id: str) -> Rule:
-    """Recreate a mutant rule instance from its stable id (pickle hook)."""
-    from repro.rules.registry import default_registry
-
-    rule_name = mutant_id.split(":", 1)[0]
-    for mutant in generate_mutants(default_registry(), [rule_name]):
-        if mutant.mutant_id == mutant_id:
-            return mutant.build()
-    raise LookupError(f"unknown mutant id {mutant_id!r}")
 
 
 class MutationOperator:

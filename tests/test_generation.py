@@ -17,7 +17,6 @@ from repro.logical.validate import ValidationError, validate_tree
 from repro.rules.framework import match_structure, tree_contains_pattern
 from repro.obs import MetricsRegistry, RecordingTracer
 from repro.optimizer.config import DEFAULT_CONFIG
-from repro.rules.registry import default_registry
 from repro.service import PlanService
 from repro.testing import TestSuiteBuilder, pair_nodes, singleton_nodes
 from repro.testing.builders import TreeBuilder, column_origins
@@ -183,21 +182,20 @@ class TestSingletonGeneration:
         assert generator.service.counters.computed == 2
 
     def test_a_given_service_brings_its_own_config(self, tpch_db, registry):
-        """``QueryGenerator(service=...)`` without ``config`` asks its
-        trials under the service's config, not ``DEFAULT_CONFIG`` -- so a
-        campaign's ``sanitize_plans`` reaches pool generation."""
+        """A generator asks its trials under its service's config, not
+        ``DEFAULT_CONFIG`` -- so a campaign's ``sanitize_plans`` reaches
+        pool generation."""
         config = DEFAULT_CONFIG.replaced(sanitize_plans=True)
         service = PlanService(
             tpch_db, registry=registry, config=config, cache_dir=None
         )
-        assert QueryGenerator(tpch_db, registry, service=service).config is config
         builder = TestSuiteBuilder(tpch_db, registry, service=service)
-        assert builder.generator.config is config
-        # An explicit config still wins; no service, no change.
-        assert QueryGenerator(
-            tpch_db, registry, service=service, config=DEFAULT_CONFIG
-        ).config is DEFAULT_CONFIG
-        assert QueryGenerator(tpch_db, registry).config is DEFAULT_CONFIG
+        assert builder.generator.service is service
+        outcome = builder.generator.pattern_query_for_rule("JoinCommutativity")
+        assert outcome.succeeded
+        # Every optimizer the trials needed was built under ``config``.
+        assert list(service._optimizers) == [config]
+        assert QueryGenerator(tpch_db, registry).service.config is DEFAULT_CONFIG
 
 
 class TestResultBound:

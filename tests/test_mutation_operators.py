@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.catalog.schema import DataType
@@ -28,13 +26,11 @@ from repro.logical.operators import (
     make_get,
 )
 from repro.rules.framework import Rule
-from repro.rules.registry import default_registry
 from repro.testing.mutation import (
     EXPECTATION_OVERRIDES,
     EXPECTED_DESPITE_OPERATOR,
     OPERATOR_NAMES,
     generate_mutants,
-    rebuild_mutant_rule,
 )
 from repro.testing.mutation.operators import (
     _drop_distinct,
@@ -156,22 +152,6 @@ def test_skip_substitute_drops_first_alternative(registry):
     rule = mutant.build()
     assert list(rule.substitute(None, None)) == ["second"]
     assert mutants  # the registry rule gets one too
-
-
-def test_mutant_rules_pickle_by_id(mutants):
-    mutant = _lookup(mutants, "DistinctRemoveOnKey:drop-precondition")
-    rule = mutant.build()
-    clone = pickle.loads(pickle.dumps(rule))
-    assert type(clone).__name__ == type(rule).__name__
-    assert clone.name == rule.name
-    assert clone.precondition(None, None) is True
-
-
-def test_rebuild_mutant_rule_round_trip(mutants):
-    rule = rebuild_mutant_rule("DistinctRemoveOnKey:drop-precondition")
-    assert rule.name == "DistinctRemoveOnKey"
-    with pytest.raises(LookupError):
-        rebuild_mutant_rule("DistinctRemoveOnKey:no-such-op")
 
 
 # ---------------------------------------------------------- tree transforms

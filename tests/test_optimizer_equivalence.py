@@ -29,7 +29,7 @@ from repro.rules.exploration.join_rules import JoinCommutativity
 from repro.rules.framework import ANY, Rule
 from repro.rules.registry import RuleRegistry
 from repro.sql.binder import sql_to_tree
-from repro.testing.mutation.operators import rebuild_mutant_rule
+from repro.testing.mutation import generate_mutants
 from repro.testing.random_gen import RandomQueryGenerator
 
 #: The EXISTS / IN shapes of tests/test_subquery_differential.py.
@@ -244,9 +244,13 @@ def test_widened_join_kind_mutant_fires_where_the_original_did_not(
     original = Optimizer(tpch_db.catalog, tpch_stats, registry).optimize(tree)
     row = _row(original, "JoinCommutativity")
     assert (row.considered, row.fired, row.rejected) == (1, 0, 1)
-    mutant = rebuild_mutant_rule(
-        "JoinCommutativity:widen-join-kind:j0+left-outer"
-    )
+    (mutant,) = [
+        mutant.build()
+        for mutant in generate_mutants(
+            registry, ["JoinCommutativity"], ["widen-join-kind"]
+        )
+        if mutant.mutant_id == "JoinCommutativity:widen-join-kind:j0+left-outer"
+    ]
     mutated = Optimizer(
         tpch_db.catalog, tpch_stats, registry.with_replaced_rule(mutant)
     ).optimize(tree)
