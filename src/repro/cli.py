@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -111,12 +111,6 @@ K = _Option("--k", type=int)
 EXTRA_OPERATORS = _Option(
     "--extra-operators", type=int,
     help="extra random operators wrapped around generated queries",
-)
-# -- the mutant population of a fresh mutation campaign
-POOL = _Option("--pool", type=int, default=8)
-SAMPLE = _Option("--sample", type=int, default=None, metavar="N")
-POOL_SEEDS = _Option(
-    "--pool-seeds", type=int, nargs="+", default=None, metavar="SEED"
 )
 # -- report rendering
 FORMAT = _Option(
@@ -247,20 +241,13 @@ def _emit(text: str, path: Optional[str] = None, label: str = "report",
     print(f"{label} written to {path}")
 
 
-def _emit_report(args, render, echo_text: bool) -> None:
-    """``render(args.format)`` to stdout or ``--output``; with
-    ``echo_text`` a json/markdown file still leaves the text form on
-    stdout."""
-    _emit(render(args.format), args.output)
-    if args.output and echo_text and args.format != "text":
-        print(render("text"))
-
-
-def _by_format(report) -> Callable[[str], str]:
-    """``fmt -> str`` over a report's ``to_json`` / ``to_markdown`` /
-    ``to_text``."""
+def _emit_report(args, report) -> None:
+    """``report`` as ``--format`` to stdout or ``--output``; a json or
+    markdown file still leaves the text form on stdout."""
     renderers = {"json": report.to_json, "markdown": report.to_markdown}
-    return lambda fmt: renderers.get(fmt, report.to_text)()
+    _emit(renderers.get(args.format, report.to_text)(), args.output)
+    if args.output and args.format != "text":
+        print(report.to_text())
 
 
 def _fails_under(args, rate: Optional[float], what: str) -> int:
@@ -272,25 +259,6 @@ def _fails_under(args, rate: Optional[float], what: str) -> int:
     shown = "n/a" if rate is None else f"{rate:.0%}"
     print(f"FAILED: {what} {shown} below --fail-under {args.fail_under:.0%}")
     return 1
-
-
-def _mutation_campaign(args, env, metrics, backends=None) -> MutationCampaign:
-    """The fresh campaign ``mutate`` and ``compress`` run.  Per-mutant plan
-    services are memory-only (a campaign must not depend on what an
-    earlier run cached), so ``--no-cache`` is irrelevant here.  They are
-    short-lived, so they compute in-process unless ``--workers`` is
-    given."""
-    return MutationCampaign(
-        env.database,
-        env.registry,
-        pool=args.pool,
-        k=args.k,
-        seeds=args.pool_seeds or (args.seed,),
-        extra_operators=args.extra_operators,
-        workers=args.workers or 1,
-        metrics=metrics,
-        differential_backends=backends,
-    )
 
 
 def _generation_failed(outcome) -> int:
@@ -478,7 +446,7 @@ def _diff(args, env) -> int:
             "fault": args.fault,
         },
     )
-    _emit_report(args, _by_format(report), echo_text=True)
+    _emit_report(args, report)
     if args.collect_out:
         _emit(report.to_json(), args.collect_out, "collect artifact")
     return 0 if report.passed else 1
@@ -529,16 +497,11 @@ def _interaction(args, env) -> int:
     RULES(default=10),
     K(default=3),
     OUTPUT(help="write the markdown report to this file"),
-    _Option(
-        "--mutants", type=int, default=0, metavar="N",
-        help="additionally run a mutation campaign sampled to at most N "
-        "mutants and append its kill matrix to the report",
-    ),
 )
 def _campaign(args, env) -> int:
     result = run_campaign(
         env.database, env.registry, rule_names=env.rule_names(), k=args.k,
-        seed=args.seed, service=env.service, mutation_sample=args.mutants,
+        seed=args.seed, service=env.service,
     )
     _emit(result.to_markdown(), args.output, end="")
     return 0 if result.passed else 1
@@ -563,21 +526,29 @@ def _campaign(args, env) -> int:
         "--list-operators", action="store_true",
         help="list available mutation operators and exit",
     ),
-    POOL(
-        help="queries regenerated per mutant -- the FULL suite (default 8)"
+    _Option(
+        "--pool", type=int, default=8,
+        help="queries regenerated per mutant -- the FULL suite (default 8)",
     ),
     K(
         default=2,
         help="queries the compressed suites (SMC/TOPK) select (default 2)",
     ),
-    SAMPLE(
+    _Option(
+        "--sample", type=int, default=None, metavar="N",
         help="stride-sample the mutant set down to at most N mutants "
         "(CI smoke mode)",
     ),
     EXTRA_OPERATORS(default=4),
-    POOL_SEEDS(
+    _Option(
+        "--pool-seeds", type=int, nargs="+", default=None, metavar="SEED",
         help="generation seeds whose per-mutant pools are unioned "
         "(default: the global --seed; more seeds = more detection power)",
+    ),
+    _Option(
+        "--differential", metavar="BACKENDS", default=None,
+        help="comma-separated backend fleet folded in as a second kill "
+        "oracle (first must be 'engine', e.g. engine,sqlite)",
     ),
     FORMAT,
     OUTPUT,
@@ -591,11 +562,29 @@ def _mutate(args, env) -> int:
         for operator in DEFAULT_OPERATORS:
             print(f"{operator.name:<20} {operator.description}")
         return 0
-    campaign = _mutation_campaign(args, env, MetricsRegistry())
+    # Per-mutant plan services are memory-only (a campaign must not
+    # depend on what an earlier run cached), so --no-cache is irrelevant
+    # here.  They are short-lived, so they compute in-process unless
+    # --workers is given.
+    try:
+        campaign = MutationCampaign(
+            env.database,
+            env.registry,
+            pool=args.pool,
+            k=args.k,
+            seeds=args.pool_seeds or (args.seed,),
+            extra_operators=args.extra_operators,
+            workers=args.workers or 1,
+            metrics=MetricsRegistry(),
+            differential_backends=_names(args.differential or ""),
+        )
+    except ValueError as exc:  # k above the pool, or a fleet not led by engine
+        print(str(exc), file=sys.stderr)
+        return 2
     report = campaign.run(
         env.rule_names(), operators=args.operators, sample=args.sample
     )
-    _emit_report(args, _by_format(report), echo_text=True)
+    _emit_report(args, report)
     return _fails_under(
         args, report.detection_score("FULL"), "FULL detection score"
     )
@@ -606,29 +595,17 @@ def _mutate(args, env) -> int:
     "detection-aware suite compression over a mutation kill "
     "matrix (see docs/COMPRESSION.md)",
     _Option(
-        "--matrix", metavar="PATH",
-        help="reuse a `repro mutate --format json` artifact instead of "
-        "running a fresh campaign",
-    ),
-    _Option(
-        "--objective", choices=["coverage", "detection", "pareto"],
-        default="detection",
-        help="coverage: score the campaign's k-coverage variants; "
-        "detection: greedy kill-per-cost selection; pareto: sweep "
-        "budgets into a cost-vs-detection frontier (default detection)",
+        "--matrix", metavar="PATH", required=True,
+        help="the kill matrix: a `repro mutate --format json` artifact",
     ),
     _Option(
         "--base-k", type=int, default=2, metavar="K",
-        help="per-rule budget of the detection objective (default 2; "
-        "matches the campaign's k for a like-for-like comparison)",
+        help="per-rule budget of the adaptive plan (default 2; matches "
+        "the campaign's k for a like-for-like comparison)",
     ),
     _Option(
         "--ks", type=int, nargs="+", default=None, metavar="K",
-        help="budgets swept by --objective pareto (default 1 2 3 4 6)",
-    ),
-    _Option(
-        "--no-adaptive", action="store_true",
-        help="disable the adaptive per-rule budget raises",
+        help="fixed budgets swept into the frontier (default 1 2 3 4 6)",
     ),
     _Option(
         "--max-k", type=int, default=None, metavar="K",
@@ -639,119 +616,36 @@ def _mutate(args, env) -> int:
         help="skip the leave-one-out generalization score (faster on "
         "large matrices)",
     ),
-    RULES(
-        default=10, help="exploration rules mutated when no --matrix is given"
-    ),
-    POOL(help="queries regenerated per mutant for a fresh campaign"),
-    K(
-        default=2,
-        help="k of the campaign's coverage variants (fresh campaign)",
-    ),
-    SAMPLE(
-        help="stride-sample the fresh campaign's mutants (CI smoke mode)"
-    ),
-    EXTRA_OPERATORS(default=4),
-    POOL_SEEDS(help="generation seeds whose per-mutant pools are unioned"),
-    _Option(
-        "--differential", metavar="BACKENDS", default=None,
-        help="comma-separated backend fleet folded in as a second kill "
-        "oracle during the fresh campaign (first must be 'engine', "
-        "e.g. engine,sqlite)",
-    ),
     FORMAT,
     OUTPUT,
-    _Option(
-        "--pareto-out", metavar="PATH",
-        help="also write the deterministic Pareto JSON artifact to PATH "
-        "(implies computing the pareto sweep)",
-    ),
-    _Option(
-        "--matrix-out", metavar="PATH",
-        help="also write the distilled kill matrix as JSON to PATH",
-    ),
     FAIL_UNDER(
-        help="exit non-zero when the selected objective's detection rate "
-        "over expected-detectable mutants is below this fraction",
+        help="exit non-zero when the adaptive plan's detection rate over "
+        "expected-detectable mutants is below this fraction",
     ),
 )
 def _compress(args, env) -> int:
-    """Consumes a kill matrix -- a saved ``repro mutate --format json``
-    artifact (``--matrix``) or a fresh campaign run here; all outputs are
-    deterministic functions of the matrix (see docs/COMPRESSION.md)."""
-    metrics = MetricsRegistry()
-    if args.matrix:
-        try:
-            matrix, payload = detection.load_kill_matrix(args.matrix)
-        except (OSError, ValueError, KeyError, detection.DetectionError) as exc:
-            print(f"cannot load kill matrix: {exc}", file=sys.stderr)
-            return 2
-        if args.objective == "coverage" and payload is None:
-            print(
-                "the coverage objective rescores the campaign's own "
-                "SMC/TOPK variants and needs the full `repro mutate "
-                "--format json` artifact, not a distilled --matrix-out "
-                "file",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        campaign = _mutation_campaign(
-            args, env, metrics,
-            _names(args.differential) if args.differential else None,
-        )
-        report = campaign.run(env.rule_names(), sample=args.sample)
-        payload = report.to_dict()
-        matrix = detection.KillMatrix.from_report_dict(payload)
-
-    if args.matrix_out:
-        _emit(
-            json.dumps(matrix.to_json_dict(), indent=2, sort_keys=True),
-            args.matrix_out, "kill matrix",
-        )
-
-    adaptive = not args.no_adaptive
-    pareto = None
-    if args.objective == "pareto" or args.pareto_out:
-        pareto = detection.pareto_report(
-            matrix,
+    """Every output is a deterministic function of the kill matrix (see
+    docs/COMPRESSION.md)."""
+    try:
+        with open(args.matrix) as handle:
+            payload = json.load(handle)
+        report = detection.pareto_report(
+            detection.KillMatrix.from_report_dict(payload),
             report=payload,
-            ks=tuple(args.ks) if args.ks else (1, 2, 3, 4, 6),
+            ks=args.ks,
             base_k=args.base_k,
             max_k=args.max_k,
             cross_validate=not args.no_cross_validate,
-            metrics=metrics,
         )
-        if args.pareto_out:
-            _emit(pareto.to_json(), args.pareto_out, "pareto artifact")
-
-    if args.objective == "pareto":
-        # --fail-under gates the adaptive detection point: the suite the
-        # objective recommends
-        point = pareto.point(f"detection-adaptive-k{args.base_k}")
-        gate_rate = None if point is None else point.detection_rate
-        render = _by_format(pareto)
-    elif args.objective == "detection":
-        plan = detection.detection_plan(
-            matrix, base_k=args.base_k, adaptive=adaptive,
-            max_k=args.max_k, metrics=metrics,
-        )
-        score = detection.score_selection(matrix, plan.selected, metrics=metrics)
-        cross = None
-        if not args.no_cross_validate:
-            cross = detection.cross_validated_scores(
-                matrix, base_k=args.base_k, adaptive=adaptive,
-                max_k=args.max_k,
-            )
-        gate_rate = score.rate
-        render = partial(detection.render_detection, matrix, plan, score, cross)
-    else:  # coverage: the campaign's own k-coverage variants, rescored
-        smc = payload.get("summary", {}).get("SMC", {})
-        gate_rate = smc.get("detection_score")
-        render = partial(detection.render_coverage, matrix, payload)
-
-    _emit_report(args, render, echo_text=False)
+    except (
+        OSError, ValueError, KeyError, TypeError, AttributeError,
+        detection.DetectionError,
+    ) as exc:  # unreadable, not JSON, or not shaped like the artifact
+        print(f"cannot load kill matrix: {exc!r}", file=sys.stderr)
+        return 2
+    _emit_report(args, report)
     return _fails_under(
-        args, gate_rate, f"{args.objective} objective detection rate"
+        args, report.score.rate, "adaptive plan detection rate"
     )
 
 

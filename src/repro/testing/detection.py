@@ -11,9 +11,10 @@ FULL 0.92 vs compressed 0.27 detection).
 This module makes compression a detection-preserving optimization by
 treating the campaign's kill matrix as ground truth the paper never had:
 
-* :class:`KillMatrix` distills a
-  :class:`~repro.testing.mutation.campaign.MutationReport` into mutant
-  rows over per-rule query *slots*.  A slot is a generation recipe --
+* :class:`KillMatrix` distills the campaign's one kill-matrix file, the
+  ``repro mutate --format json`` artifact (a
+  :class:`~repro.testing.mutation.campaign.MutationReport` as a dict),
+  into mutant rows over per-rule query *slots*.  A slot is a generation recipe --
   position ``i`` of the pool regenerated from the campaign's seeds --
   so a selection of slots is executable against any future build by
   regenerating the same pools;
@@ -31,8 +32,10 @@ treating the campaign's kill matrix as ground truth the paper never had:
   score -- each mutant scored by a selection computed *without* its own
   row -- is reported alongside it;
 * :func:`pareto_report` sweeps budgets into a cost-vs-detection Pareto
-  frontier (suite cost = the summed ``Cost(q)`` of selected slots) and
-  renders it as deterministic JSON and markdown.
+  frontier (suite cost = the summed ``Cost(q)`` of selected slots),
+  carries the adaptive plan it recommends, and renders both as text,
+  markdown and deterministic JSON -- the one report ``repro compress``
+  prints.
 
 Everything here is a pure function of the kill matrix: no query
 execution, byte-identical artifacts across fresh processes.
@@ -99,11 +102,6 @@ class KillMatrix:
     # -------------------------------------------------------- construction
 
     @classmethod
-    def from_report(cls, report) -> "KillMatrix":
-        """Distill a :class:`MutationReport` (needs ``query_verdicts``)."""
-        return cls.from_report_dict(report.to_dict())
-
-    @classmethod
     def from_report_dict(cls, payload: Mapping) -> "KillMatrix":
         """Build from the ``repro mutate --format json`` artifact."""
         mutants = payload.get("mutants")
@@ -156,45 +154,6 @@ class KillMatrix:
             rules=rules, slot_costs=slot_costs, rows=rows, config=config
         )
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "KillMatrix":
-        """Load the distilled form written by :meth:`to_json_dict`.
-
-        ``repro compress --matrix-out`` writes this form; ``--matrix``
-        accepts it interchangeably with the raw campaign artifact.
-        """
-        try:
-            rules = [str(rule) for rule in payload["rules"]]
-            slot_costs = {
-                str(rule): [float(cost) for cost in costs]
-                for rule, costs in payload["slot_costs"].items()
-            }
-            rows = [
-                MutantRow(
-                    mutant_id=str(mutant["id"]),
-                    rule=str(mutant["rule"]),
-                    operator=str(mutant["operator"]),
-                    expected_detectable=bool(mutant["expected_detectable"]),
-                    uniform_detected=bool(mutant["uniform_detected"]),
-                    killing_slots=frozenset(
-                        int(slot) for slot in mutant["killing_slots"]
-                    ),
-                )
-                for mutant in payload["mutants"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DetectionError(
-                f"malformed kill-matrix payload: {exc!r}"
-            ) from exc
-        if not rows:
-            raise DetectionError("kill-matrix payload has no mutants")
-        return cls(
-            rules=rules,
-            slot_costs=slot_costs,
-            rows=rows,
-            config=dict(payload.get("config", {})),
-        )
-
     # ------------------------------------------------------------- queries
 
     def slot_count(self, rule: str) -> int:
@@ -215,29 +174,6 @@ class KillMatrix:
             config=self.config,
         )
 
-    # ------------------------------------------------------------- exports
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": dict(sorted(self.config.items())),
-            "rules": list(self.rules),
-            "slot_costs": {
-                rule: list(costs)
-                for rule, costs in sorted(self.slot_costs.items())
-            },
-            "mutants": [
-                {
-                    "id": row.mutant_id,
-                    "rule": row.rule,
-                    "operator": row.operator,
-                    "expected_detectable": row.expected_detectable,
-                    "uniform_detected": row.uniform_detected,
-                    "killing_slots": sorted(row.killing_slots),
-                }
-                for row in self.rows
-            ],
-        }
-
 
 # ----------------------------------------------------- greedy multicover
 
@@ -246,7 +182,6 @@ class KillMatrix:
 class DetectionPlan:
     """A detection-objective selection: per rule, the chosen slots."""
 
-    objective: str
     base_k: int
     adaptive: bool
     budgets: Dict[str, int]
@@ -265,9 +200,8 @@ class DetectionPlan:
             for slot in slots
         ), 6)
 
-    def to_json_dict(self, matrix: Optional[KillMatrix] = None) -> dict:
-        payload = {
-            "objective": self.objective,
+    def to_json_dict(self) -> dict:
+        return {
             "base_k": self.base_k,
             "adaptive": self.adaptive,
             "budgets": dict(sorted(self.budgets.items())),
@@ -278,14 +212,6 @@ class DetectionPlan:
             "raises": dict(sorted(self.raises.items())),
             "total_queries": self.total_queries,
         }
-        if matrix is not None:
-            payload["cost"] = self.cost(matrix)
-        return payload
-
-    def to_json(self, matrix: Optional[KillMatrix] = None) -> str:
-        return json.dumps(
-            self.to_json_dict(matrix), indent=2, sort_keys=True
-        )
 
 
 def _count(metrics, name: str, amount: int = 1, **labels) -> None:
@@ -402,7 +328,6 @@ def detection_plan(
                 take(rule, slot)
 
     plan = DetectionPlan(
-        objective="detection",
         base_k=base_k,
         adaptive=adaptive,
         budgets=budgets,
@@ -543,17 +468,29 @@ class ParetoPoint:
         }
 
 
+def _percent(rate: Optional[float]) -> str:
+    return "n/a" if rate is None else f"{rate:.0%}"
+
+
 @dataclass
 class ParetoReport:
-    """The cost-vs-detection sweep, frontier marked."""
+    """The cost-vs-detection sweep, frontier marked, and the adaptive plan
+    it recommends."""
 
     points: List[ParetoPoint]
+    #: The adaptive point's selection and its resubstitution score.
+    plan: DetectionPlan
+    score: DetectionScore
     cross_validated: Optional[DetectionScore] = None
     config: Dict[str, object] = field(default_factory=dict)
 
     @property
     def frontier(self) -> List[ParetoPoint]:
         return [point for point in self.points if point.frontier]
+
+    @property
+    def plan_label(self) -> str:
+        return f"detection-adaptive-k{self.plan.base_k}"
 
     def point(self, label: str) -> Optional[ParetoPoint]:
         for candidate in self.points:
@@ -565,6 +502,9 @@ class ParetoReport:
         return {
             "config": dict(sorted(self.config.items())),
             "points": [point.to_json_dict() for point in self.points],
+            "plan": {
+                **self.plan.to_json_dict(), "score": self.score.to_json_dict()
+            },
             "cross_validated": (
                 None if self.cross_validated is None
                 else self.cross_validated.to_json_dict()
@@ -573,6 +513,16 @@ class ParetoReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+
+    def _raises(self) -> str:
+        return ", ".join(
+            f"{rule}+{count}" for rule, count in sorted(self.plan.raises.items())
+        ) or "none"
+
+    def _slots(self, rule: str) -> str:
+        return ", ".join(
+            str(slot) for slot in self.plan.selected.get(rule, ())
+        ) or "-"
 
     def to_text(self) -> str:
         lines = ["cost vs. detection sweep (* = Pareto frontier):"]
@@ -586,12 +536,22 @@ class ParetoReport:
                 f"  {marker} {point.label:<24} {point.queries:>3} queries  "
                 f"cost {point.cost:>9.1f}  detection {rate}"
             )
+        score = self.score
+        lines.append(
+            f"adaptive plan {self.plan_label}: detection "
+            f"{_percent(score.rate)} ({score.detected}/{score.expected}), "
+            f"budget raises: {self._raises()}"
+        )
+        for rule, budget in self.plan.budgets.items():
+            lines.append(
+                f"  {rule:<28} budget {budget:>2}  slots {self._slots(rule)}"
+            )
+        lines += [f"  SURVIVOR: {mutant_id}" for mutant_id in score.survivors]
         cross = self.cross_validated
         if cross is not None:
-            shown = "n/a" if cross.rate is None else f"{cross.rate:.0%}"
             lines.append(
-                f"  leave-one-out detection of the adaptive plan: {shown} "
-                f"({cross.detected}/{cross.expected})"
+                f"  leave-one-out detection of the adaptive plan: "
+                f"{_percent(cross.rate)} ({cross.detected}/{cross.expected})"
             )
         return "\n".join(lines)
 
@@ -608,24 +568,37 @@ class ParetoReport:
             "|---|---|---:|---:|---:|:---:|",
         ]
         for point in self.points:
-            rate = (
-                "n/a" if point.detection_rate is None
-                else f"{point.detection_rate:.0%}"
-            )
             lines.append(
                 f"| {point.label} | {point.objective} | {point.queries} "
-                f"| {point.cost:.1f} | {rate} "
+                f"| {point.cost:.1f} | {_percent(point.detection_rate)} "
                 f"| {'*' if point.frontier else ''} |"
             )
+        score = self.score
+        lines += [
+            "",
+            f"## Adaptive plan `{self.plan_label}`",
+            "",
+            f"Detection {_percent(score.rate)} "
+            f"({score.detected}/{score.expected}); budget raises: "
+            f"{self._raises()}.",
+            "",
+            "| rule | budget | selected slots |",
+            "|---|---:|---|",
+        ]
+        lines += [
+            f"| {rule} | {budget} | {self._slots(rule)} |"
+            for rule, budget in self.plan.budgets.items()
+        ]
+        if score.survivors:
+            lines += ["", "Survivors of the adaptive plan:", ""]
+            lines += [f"- `{mutant_id}`" for mutant_id in score.survivors]
         if self.cross_validated is not None:
-            rate = self.cross_validated.rate
-            shown = "n/a" if rate is None else f"{rate:.0%}"
+            cross = self.cross_validated
             lines += [
                 "",
                 f"Leave-one-out detection of the adaptive plan: "
-                f"**{shown}** "
-                f"({self.cross_validated.detected}/"
-                f"{self.cross_validated.expected}; each mutant scored by "
+                f"**{_percent(cross.rate)}** "
+                f"({cross.detected}/{cross.expected}; each mutant scored by "
                 "a selection computed without its own row).",
             ]
         survivors = sorted({
@@ -669,9 +642,7 @@ def _mark_frontier(points: List[ParetoPoint]) -> List[ParetoPoint]:
     return marked
 
 
-def _coverage_points(
-    matrix: KillMatrix, payload: Mapping
-) -> List[ParetoPoint]:
+def _coverage_points(payload: Mapping) -> List[ParetoPoint]:
     """SMC/TOPK of the campaign as (cost, detection) reference points.
 
     Each mutant's coverage selection lives in its own pool, so the
@@ -720,8 +691,8 @@ def _coverage_points(
 def pareto_report(
     matrix: KillMatrix,
     *,
-    report=None,
-    ks: Sequence[int] = (1, 2, 3, 4, 6),
+    report: Optional[Mapping] = None,
+    ks: Optional[Sequence[int]] = None,
     base_k: int = 2,
     max_k: Optional[int] = None,
     cross_validate: bool = True,
@@ -729,18 +700,18 @@ def pareto_report(
 ) -> ParetoReport:
     """Sweep detection budgets into a cost-vs-detection Pareto report.
 
-    One non-adaptive detection point per ``k`` in ``ks``, one adaptive
-    point at ``base_k``, the FULL pool as the detection ceiling, and --
-    when the originating campaign is supplied via ``report`` (either a
-    :class:`MutationReport` or its JSON payload dict) -- the campaign's
-    coverage-objective SMC/TOPK variants as the contrast this objective
-    closes.
+    One non-adaptive detection point per ``k`` in ``ks`` (default 1, 2,
+    3, 4 and 6), one adaptive point at ``base_k`` -- whose plan and score
+    the report carries --, the FULL pool as the detection ceiling, and --
+    when the originating ``repro mutate --format json`` artifact is
+    supplied as ``report`` -- the campaign's coverage-objective SMC/TOPK
+    variants as the contrast this objective closes.
     """
     max_slots = max(
         (matrix.slot_count(rule) for rule in matrix.rules), default=0
     )
     points: List[ParetoPoint] = []
-    for k in ks:
+    for k in (1, 2, 3, 4, 6) if ks is None else ks:
         if k > max_slots:
             continue
         plan = detection_plan(
@@ -791,8 +762,7 @@ def pareto_report(
         survivors=full_score.survivors,
     ))
     if report is not None:
-        payload = report if isinstance(report, Mapping) else report.to_dict()
-        points.extend(_coverage_points(matrix, payload))
+        points.extend(_coverage_points(report))
     points = _mark_frontier(points)
     _count(metrics, "compress.pareto_points", len(points))
     cross = None
@@ -802,118 +772,8 @@ def pareto_report(
         )
     return ParetoReport(
         points=points,
+        plan=adaptive,
+        score=adaptive_score,
         cross_validated=cross,
         config=dict(matrix.config),
     )
-
-
-def load_kill_matrix(path) -> Tuple[KillMatrix, Optional[dict]]:
-    """Read a ``repro compress --matrix`` artifact, in either form.
-
-    The raw ``repro mutate --format json`` campaign report comes back
-    alongside its matrix (the coverage objective and the Pareto contrast
-    points rescore its SMC/TOPK variants); the distilled ``--matrix-out``
-    form carries no campaign summary, so its report is ``None``.
-    """
-    with open(path) as handle:
-        payload = json.load(handle)
-    if isinstance(payload, dict) and "slot_costs" in payload:
-        return KillMatrix.from_json_dict(payload), None
-    return KillMatrix.from_report_dict(payload), payload
-
-
-def render_detection(matrix, plan, score, cross, fmt: str) -> str:
-    """The detection objective's plan and scores as ``json``, ``markdown``
-    or (anything else) text."""
-    if fmt == "json":
-        return json.dumps(
-            {
-                "config": dict(sorted(matrix.config.items())),
-                "plan": plan.to_json_dict(matrix),
-                "score": score.to_json_dict(),
-                "cross_validated": (
-                    None if cross is None else cross.to_json_dict()
-                ),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    rate = "n/a" if score.rate is None else f"{score.rate:.0%}"
-    mode = "adaptive" if plan.adaptive else "fixed"
-    lines = [
-        f"detection objective (base_k={plan.base_k}, {mode}): "
-        f"{plan.total_queries} queries, cost {plan.cost(matrix):.1f}, "
-        f"detection {rate} ({score.detected}/{score.expected})",
-    ]
-    if plan.raises:
-        raised = ", ".join(
-            f"{rule}+{count}" for rule, count in sorted(plan.raises.items())
-        )
-        lines.append(f"adaptive budget raises: {raised}")
-    for mutant_id in score.survivors:
-        lines.append(f"SURVIVOR: {mutant_id}")
-    if cross is not None:
-        shown = "n/a" if cross.rate is None else f"{cross.rate:.0%}"
-        lines.append(
-            f"leave-one-out detection: {shown} "
-            f"({cross.detected}/{cross.expected})"
-        )
-    if fmt == "markdown":
-        header = [
-            "# Detection-objective compression", "",
-            "| rule | budget | selected slots |", "|---|---:|---|",
-        ]
-        for rule in matrix.rules:
-            slots = ", ".join(
-                str(slot) for slot in plan.selected.get(rule, ())
-            )
-            header.append(
-                f"| {rule} | {plan.budgets.get(rule, 0)} | {slots} |"
-            )
-        header.append("")
-        return "\n".join(header + lines)
-    return "\n".join(lines)
-
-
-def render_coverage(matrix, payload, fmt: str) -> str:
-    """The campaign's own SMC/TOPK variants, rescored, as ``json``,
-    ``markdown`` or (anything else) text."""
-    points = _coverage_points(matrix, payload)
-    if fmt == "json":
-        return json.dumps(
-            {
-                "config": dict(sorted(matrix.config.items())),
-                "points": [point.to_json_dict() for point in points],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    lines = ["coverage-objective variants of the campaign, rescored:"]
-    for point in points:
-        rate = (
-            "n/a" if point.detection_rate is None
-            else f"{point.detection_rate:.0%}"
-        )
-        lines.append(
-            f"  {point.label:<24} {point.queries:>3} queries  "
-            f"cost {point.cost:>9.1f}  detection {rate}"
-        )
-        for mutant_id in point.survivors:
-            lines.append(f"    SURVIVOR: {mutant_id}")
-    if fmt == "markdown":
-        header = [
-            "# Coverage-objective scores", "",
-            "| point | queries | cost | detection |", "|---|---:|---:|---:|",
-        ]
-        for point in points:
-            rate = (
-                "n/a" if point.detection_rate is None
-                else f"{point.detection_rate:.0%}"
-            )
-            header.append(
-                f"| {point.label} | {point.queries} | {point.cost:.1f} "
-                f"| {rate} |"
-            )
-        header.append("")
-        return "\n".join(header)
-    return "\n".join(lines)

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.testing.mutation import MutationReport
+from typing import Dict, List, Optional, Sequence
 
 from repro.rules.registry import RuleRegistry
 from repro.service import PlanService
@@ -37,9 +34,6 @@ class CampaignResult:
     correctness: CorrectnessReport
     elapsed_seconds: float
     service_stats: Optional[Dict[str, int]] = None
-    #: Optional mutation-campaign kill matrix (``run_campaign`` with
-    #: ``mutation_sample > 0``); ``None`` when mutation scoring was off.
-    mutation: Optional["MutationReport"] = None
     #: ``(rule, considered, fired, rejected)`` rows aggregated over every
     #: optimization the campaign ran (worker processes included), from the
     #: service's :class:`~repro.obs.metrics.MetricsRegistry` when one is
@@ -141,9 +135,6 @@ class CampaignResult:
         for error in report.errors:
             lines.append(f"- ERROR: {error}")
         lines.append("")
-
-        if self.mutation is not None:
-            lines.append(self.mutation.to_markdown())
         return "\n".join(lines)
 
 
@@ -155,17 +146,12 @@ def run_campaign(
     seed: int = 0,
     extra_operators: int = 2,
     service: Optional[PlanService] = None,
-    mutation_sample: int = 0,
 ) -> CampaignResult:
     """Run the full pipeline and collect a :class:`CampaignResult`.
 
     All Plan/Cost traffic of every stage flows through one shared
     :class:`PlanService`, so later stages reuse the optimizations the
-    earlier ones already paid for.  With ``mutation_sample > 0`` the
-    campaign additionally scores fault detection over (at most) that many
-    auto-generated rule mutants; mutant evaluation uses its own
-    memory-only services (its counts and verdicts must not depend on what
-    an earlier run left in the persistent cache).
+    earlier ones already paid for.
     """
     start = time.perf_counter()
     if rule_names is None:
@@ -192,16 +178,6 @@ def run_campaign(
         database, registry, service=service
     ).run(cheapest, suite)
 
-    mutation = None
-    if mutation_sample > 0:
-        from repro.testing.mutation import MutationCampaign
-
-        mutation = MutationCampaign(
-            database, registry, pool=max(k, 2), k=max(k - 1, 1),
-            seeds=(seed,), extra_operators=extra_operators,
-            metrics=service.metrics,
-        ).run(rule_names, sample=mutation_sample)
-
     return CampaignResult(
         rule_names=rule_names,
         coverage=coverage,
@@ -209,7 +185,6 @@ def run_campaign(
         plans=plans,
         executed_method=cheapest.method,
         correctness=correctness,
-        mutation=mutation,
         elapsed_seconds=time.perf_counter() - start,
         service_stats=service.counters.as_dict(),
         rule_metrics=(

@@ -6,8 +6,6 @@ on unbound pattern positions, unordered-set iteration, in-place mutation
 of matched nodes, and bare ``except`` clauses.
 """
 
-import pytest
-
 from repro.analysis import AstLinter, Severity
 from repro.logical.operators import OpKind
 from repro.rules.framework import ANY, P, Rule

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import InteractionAnalyzer, Severity, interaction_markdown
+from repro.analysis import InteractionAnalyzer, interaction_markdown
 from repro.logical.operators import OpKind
 from repro.optimizer.engine import Optimizer
 from repro.rules.framework import ANY, P, Rule

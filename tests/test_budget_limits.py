@@ -9,7 +9,7 @@ import pytest
 
 from repro.engine import execute_plan, results_identical
 from repro.expr.expressions import ColumnRef, Comparison, ComparisonOp
-from repro.logical.operators import Join, JoinKind, Select, make_get
+from repro.logical.operators import Join, JoinKind, make_get
 from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.optimizer.engine import Optimizer
 

@@ -4,17 +4,8 @@ import random
 
 import pytest
 
-from repro.catalog.schema import DataType
 from repro.expr.expressions import TRUE, Comparison
-from repro.logical.operators import (
-    Distinct,
-    GbAgg,
-    Join,
-    JoinKind,
-    Project,
-    Select,
-    UnionAll,
-)
+from repro.logical.operators import Join, JoinKind, Project, Select, UnionAll
 from repro.logical.validate import validate_tree
 from repro.testing.builders import GenerationFailure, TreeBuilder
 

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.catalog.schema import DataType
-from repro.expr.expressions import (
-    ColumnRef,
-    Comparison,
-    ComparisonOp,
-    IsNull,
-    Literal,
-)
+from repro.expr.expressions import ColumnRef, Comparison, ComparisonOp, IsNull
 from repro.logical.operators import Distinct, Join, JoinKind, Project, Select, make_get
 from repro.optimizer.config import DEFAULT_CONFIG
 from repro.rules.faults import (

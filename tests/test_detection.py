@@ -5,11 +5,14 @@ Three layers:
 * synthetic kill matrices exercising the greedy multicover, the adaptive
   budget raises, resubstitution vs. leave-one-out scoring, and the
   Pareto frontier -- pure functions, no database;
-* the bridge from real campaign artifacts (``KillMatrix.from_report`` /
-  ``from_report_dict``);
+* the bridge from real campaign artifacts: ``KillMatrix.from_report_dict``
+  over the ``repro mutate --format json`` artifact, the one kill-matrix
+  file;
 * determinism: the Pareto JSON artifact must be byte-identical across
   *fresh interpreter* runs (Column cids are process-global, so this is
-  the strongest honest check), and the ``repro compress`` CLI gate.
+  the strongest honest check), and the ``repro mutate`` -> ``repro
+  compress`` CLI flow: the one report, its ``--fail-under`` gate over
+  the adaptive plan, and its exit code on a matrix it cannot load.
 """
 
 from __future__ import annotations
@@ -191,14 +194,33 @@ class TestParetoReport:
             point.detection_rate for point in report.points
         )
 
+    def test_default_budgets_stop_at_the_widest_rule(self):
+        # ks=None sweeps 1, 2, 3, 4 and 6; R1 has four slots, so k=6
+        # selects nothing k=4 does not and is left out.
+        report = pareto_report(_matrix(), cross_validate=False)
+        assert [
+            point.label for point in report.points if not point.adaptive
+            and point.objective == "detection"
+        ] == ["detection-k1", "detection-k2", "detection-k3", "detection-k4"]
+
     def test_markdown_and_json_render(self):
         report = pareto_report(_matrix(), ks=(1, 2), cross_validate=True)
         markdown = report.to_markdown()
         assert "| detection-adaptive-k2 |" in markdown
         assert "Leave-one-out" in markdown
+        assert "| R1 | 3 | 0, 1, 3 |" in markdown
         payload = json.loads(report.to_json())
         assert payload["cross_validated"]["expected"] == 5
         assert len(payload["points"]) == 4
+        # the adaptive plan the report recommends: budgets, slots, raises
+        plan = payload["plan"]
+        assert plan["budgets"] == {"R1": 3, "R2": 2}
+        assert plan["selected"] == {"R1": [0, 1, 3], "R2": [0, 1]}
+        assert plan["raises"] == {"R1": 1}
+        assert plan["score"]["survivors"] == ["m4"]
+        text = report.to_text()
+        assert "(4/5), budget raises: R1+1" in text
+        assert "SURVIVOR: m4" in text
 
 
 def _payload():
@@ -260,11 +282,6 @@ class TestKillMatrixFromReport:
         with pytest.raises(DetectionError):
             KillMatrix.from_report_dict(stale)
 
-    def test_json_dict_round_trips_through_serialization(self):
-        matrix = KillMatrix.from_report_dict(_payload())
-        rendered = json.dumps(matrix.to_json_dict(), sort_keys=True)
-        assert json.loads(rendered) == matrix.to_json_dict()
-
     def test_from_live_report(self, tpch_db, registry):
         from repro.testing.mutation import MutationCampaign
 
@@ -275,7 +292,7 @@ class TestKillMatrixFromReport:
         report = campaign.run(
             rule_names=["DistinctRemoveOnKey"], operators=["handwritten"]
         )
-        matrix = KillMatrix.from_report(report)
+        matrix = KillMatrix.from_report_dict(report.to_dict())
         assert matrix.rules == ["DistinctRemoveOnKey"]
         (outcome,) = report.outcomes
         (row,) = matrix.rows
@@ -341,66 +358,85 @@ class TestCompressCli:
         path.write_text(json.dumps(_payload()))
         return str(path)
 
-    def test_fail_under_gates_the_exit_code(self, tmp_path, capsys):
+    def test_fail_under_gates_the_adaptive_point(self, tmp_path, capsys):
         from repro.cli import main
 
         matrix = self._write_matrix(tmp_path)
-        passing = main([
-            "compress", "--matrix", matrix, "--objective", "detection",
-            "--no-cross-validate", "--fail-under", "0.5",
-        ])
-        assert passing == 0
-        failing = main([
-            "compress", "--matrix", matrix, "--objective", "detection",
-            "--no-cross-validate", "--fail-under", "0.99",
-        ])
-        assert failing == 1
+        report = pareto_report(
+            KillMatrix.from_report_dict(_payload()), report=_payload(),
+            cross_validate=False,
+        )
+        rate = report.point("detection-adaptive-k2").detection_rate
+        assert rate == report.score.rate == pytest.approx(2 / 3)
+        for threshold, code in ((rate - 0.01, 0), (rate + 0.01, 1)):
+            assert main([
+                "compress", "--matrix", matrix, "--no-cross-validate",
+                "--fail-under", str(threshold),
+            ]) == code
         assert "below --fail-under" in capsys.readouterr().out
 
-    def test_pareto_objective_writes_the_artifact(self, tmp_path, capsys):
+    def test_json_output_is_the_pareto_report(self, tmp_path, capsys):
         from repro.cli import main
 
         matrix = self._write_matrix(tmp_path)
         out = tmp_path / "pareto.json"
-        code = main([
-            "compress", "--matrix", matrix, "--objective", "pareto",
-            "--no-cross-validate", "--pareto-out", str(out),
-        ])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        labels = [point["label"] for point in payload["points"]]
-        assert "coverage-smc-k1" in labels
-        assert "detection-adaptive-k2" in labels
-        assert "frontier" in capsys.readouterr().out
+        assert main([
+            "compress", "--matrix", matrix, "--format", "json",
+            "--output", str(out),
+        ]) == 0
+        expected = pareto_report(
+            KillMatrix.from_report_dict(_payload()), report=_payload()
+        )
+        assert out.read_text() == expected.to_json() + "\n"
+        # the text table is still echoed
+        assert expected.to_text() in capsys.readouterr().out
 
-    def test_unreadable_matrix_is_a_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "{}", "[]", '{"mutants": [1]}',
+        json.dumps({k: v for k, v in _payload().items() if k != "summary"}),
+    ], ids=["empty", "list", "bad-mutant", "no-summary"])
+    def test_unreadable_matrix_is_a_usage_error(self, tmp_path, text):
         from repro.cli import main
 
         bogus = tmp_path / "bogus.json"
-        bogus.write_text("{}")
+        bogus.write_text(text)
         assert main([
             "compress", "--matrix", str(bogus),
         ]) == 2
 
-    def test_matrix_out_round_trips_through_matrix(self, tmp_path, capsys):
+    @pytest.mark.parametrize("options, message", [
+        (["--pool", "2", "--k", "3"], "cannot exceed pool=2"),
+        (["--differential", "sqlite,engine"], "reference backend must be"),
+    ], ids=["k-above-pool", "fleet-not-led-by-engine"])
+    def test_mutate_refuses_a_campaign_it_cannot_build(
+        self, capsys, options, message
+    ):
         from repro.cli import main
 
-        matrix = self._write_matrix(tmp_path)
-        distilled = tmp_path / "distilled.json"
         assert main([
-            "compress", "--matrix", matrix, "--objective", "detection",
-            "--no-cross-validate", "--matrix-out", str(distilled),
-        ]) == 0
-        first = capsys.readouterr().out
-        # the distilled form loads back and scores identically
-        assert main([
-            "compress", "--matrix", str(distilled),
-            "--objective", "detection", "--no-cross-validate",
-        ]) == 0
-        second = capsys.readouterr().out
-        assert first.splitlines()[-1] == second.splitlines()[-1]
-        # ...but cannot serve the coverage objective (no campaign summary)
-        assert main([
-            "compress", "--matrix", str(distilled),
-            "--objective", "coverage",
+            "--seed", "1", "--workers", "1", "mutate",
+            "--rule-names", "DistinctRemoveOnKey", *options,
         ]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_mutate_writes_the_matrix_compress_reads(self, tmp_path):
+        from repro.cli import main
+
+        kill = tmp_path / "kill.json"
+        assert main([
+            "--seed", "1", "--workers", "1", "mutate",
+            "--rule-names", "DistinctRemoveOnKey",
+            "--operators", "handwritten", "--pool", "2", "--k", "1",
+            "--extra-operators", "2", "--differential", "engine,sqlite",
+            "--format", "json", "--output", str(kill),
+        ]) == 0
+        payload = json.loads(kill.read_text())
+        assert payload["config"]["differential_backends"] == [
+            "engine", "sqlite"
+        ]
+        assert main([
+            "compress", "--matrix", str(kill), "--base-k", "1",
+            "--no-cross-validate",
+        ]) == 0

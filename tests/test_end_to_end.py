@@ -8,7 +8,6 @@ campaign wrapper and the public package surface.
 import pytest
 
 import repro
-from repro.rules.registry import default_registry
 from repro.testing import (
     CorrectnessRunner,
     CostOracle,

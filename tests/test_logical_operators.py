@@ -21,7 +21,6 @@ from repro.logical.operators import (
     Distinct,
     Except,
     GbAgg,
-    Get,
     GroupRef,
     Intersect,
     Join,

@@ -264,7 +264,7 @@ def test_handwritten_fault_is_killed(tpch_db, registry, rule_name):
     assert outcome.status("FULL") == KILLED, (
         f"{rule_name} fault not killed: {outcome.variants['FULL']}"
     )
-    matrix = KillMatrix.from_report(report)
+    matrix = KillMatrix.from_report_dict(report.to_dict())
     selection = detection_plan(matrix, base_k=2, adaptive=True)
     assert score_selection(matrix, selection.selected).survivors == ()
 

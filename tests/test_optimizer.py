@@ -42,7 +42,6 @@ from repro.optimizer.engine import Optimizer
 from repro.optimizer.memo import Memo, MemoBudgetExceeded
 from repro.optimizer.result import OptimizationError
 from repro.physical.operators import PhysOpKind
-from repro.rules.registry import default_registry
 from repro.testing.builders import GenerationFailure
 from repro.testing.pattern_gen import PatternInstantiator, merge_hints
 from repro.testing.random_gen import RandomQueryGenerator

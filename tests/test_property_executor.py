@@ -10,7 +10,6 @@ iterator's order.
 
 from collections import Counter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,7 +1,5 @@
 """Corner-case tests for the SQL layer: escaping, literals, deep nesting."""
 
-import pytest
-
 from repro.catalog.schema import DataType
 from repro.engine import execute_plan, results_identical
 from repro.expr.expressions import (

@@ -6,7 +6,6 @@ databases with different schemas and sizes, and the results are similar."
 
 import pytest
 
-from repro.rules.registry import default_registry
 from repro.testing import (
     CorrectnessRunner,
     CostOracle,

@@ -17,21 +17,13 @@ Two universal properties over *random correlated predicates*:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import AstLinter
 from repro.analysis.context import TreeContext
 from repro.engine import diff_summary, execute_plan, results_identical
-from repro.expr.expressions import (
-    BoolConnective,
-    BoolExpr,
-    ColumnRef,
-    Comparison,
-    ComparisonOp,
-    Literal,
-)
+from repro.expr.expressions import ColumnRef, Comparison, ComparisonOp, Literal
 from repro.catalog.schema import DataType
 from repro.logical.operators import Apply, JoinKind, Select, make_get
 from repro.logical.validate import validate_tree

@@ -7,7 +7,6 @@ that beats the 500-cost BASELINE.
 
 import pytest
 
-from repro.rules.registry import default_registry
 from repro.testing.compression import (
     CompressionError,
     TopKStats,
@@ -18,7 +17,6 @@ from repro.testing.compression import (
 )
 from repro.testing.suite import (
     CostOracle,
-    RuleNode,
     SuiteQuery,
     TestSuite,
     TestSuiteBuilder,
