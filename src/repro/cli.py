@@ -429,8 +429,7 @@ def _diff(args, env) -> int:
         for name, reason in sorted(skipped.items()):
             print(f"skipping backend {name}: {reason}", file=sys.stderr)
         runner = DifferentialRunner(
-            database, backends,
-            skipped_backends=skipped, metrics=MetricsRegistry(),
+            database, backends, skipped_backends=skipped,
         )
     except ValueError as exc:  # unknown name, or a fleet of fewer than two
         print(str(exc), file=sys.stderr)
@@ -575,7 +574,6 @@ def _mutate(args, env) -> int:
             seeds=args.pool_seeds or (args.seed,),
             extra_operators=args.extra_operators,
             workers=args.workers or 1,
-            metrics=MetricsRegistry(),
             differential_backends=_names(args.differential or ""),
         )
     except ValueError as exc:  # k above the pool, or a fleet not led by engine

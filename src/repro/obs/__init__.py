@@ -10,9 +10,9 @@ runs:
   buffer, deterministic JSON export and Chrome trace-event export.  The
   default :data:`NULL_TRACER` makes every hook a no-op.
 * :class:`MetricsRegistry` (:mod:`repro.obs.metrics`): declared
-  counters/gauges/histograms -- per-rule firing and rejection counts,
-  memo sizes, service cache traffic -- mergeable across
-  ``optimize_many()`` worker processes.
+  counters and histograms -- per-rule firing and rejection counts, memo
+  sizes, service cache traffic.  A plan service with either observer
+  computes in its own process, so both see every optimization it runs.
 
 See ``docs/OBSERVABILITY.md`` for usage and the generated metric
 reference in ``docs/METRICS.md``.
@@ -21,7 +21,6 @@ reference in ``docs/METRICS.md``.
 from repro.obs.metrics import (
     METRIC_DOCS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     documented_metrics,
@@ -34,13 +33,11 @@ from repro.obs.trace import (
     RecordingTracer,
     TraceEvent,
     Tracer,
-    merge_chrome_traces,
 )
 
 __all__ = [
     "Counter",
     "DEFAULT_CAPACITY",
-    "Gauge",
     "Histogram",
     "METRIC_DOCS",
     "MetricsRegistry",
@@ -49,7 +46,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "documented_metrics",
-    "merge_chrome_traces",
     "parse_name",
     "render_name",
 ]

@@ -1,16 +1,14 @@
-"""The metrics registry: named counters, gauges, and histograms.
+"""The metrics registry: named counters and histograms.
 
 Every metric the framework emits is declared up front in
 :data:`METRIC_DOCS` with its kind and a one-line description; a
-:class:`MetricsRegistry` refuses undeclared names by default, which is
-what lets ``tools/generate_metrics_docs.py`` render a reference table
+:class:`MetricsRegistry` refuses undeclared names, which is what lets
+``tools/generate_metrics_docs.py`` render a reference table
 (``docs/METRICS.md``) that can never drift from the code.
 
-Per-rule metrics carry a ``rule`` label (one time series per rule name);
-:meth:`MetricsRegistry.merge` folds a :meth:`snapshot` from another
-process into this registry, which is how ``optimize_many()`` worker
-metrics reach the parent's campaign report: counters and histograms add,
-gauges keep the maximum observed value.
+Per-rule metrics carry a ``rule`` label (one time series per rule name).
+A registry only ever sees its own process: a plan service that has one
+computes every batch in-process (see :mod:`repro.service.worker`).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 Labels = Tuple[Tuple[str, str], ...]
 
 #: Declared metrics: name -> (kind, label keys, description).  The docs
-#: generator and the registry's strict mode both read this table.
+#: generator and the registry's validation both read this table.
 METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     # ------------------------------------------------------------ optimizer
     "optimizer.optimizations": (
@@ -125,19 +123,6 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "counter", (),
         "`optimize_many()` batches that had at least one cache miss.",
     ),
-    "service.parallel_tasks": (
-        "counter", (),
-        "Computations executed by the service's forked worker pool.",
-    ),
-    "service.worker_merges": (
-        "counter", (),
-        "Worker metric snapshots merged back into this registry.",
-    ),
-    "service.pool_fallbacks": (
-        "counter", (),
-        "Batches whose worker pool failed (a worker died, the process "
-        "could not fork) and that ran serially instead.",
-    ),
     # ----------------------------------------------------------- generation
     "generation.oversized": (
         "counter", (),
@@ -175,50 +160,6 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "clean build, per rule: one attempt's trials all failed on the "
         "mutated build while the clean rule fired on `pool` of the same "
         "trees.",
-    ),
-    # ------------------------------------------------------------- compress
-    "compress.selections": (
-        "counter", ("objective",),
-        "Detection-aware suite selections computed over a kill matrix, "
-        "per objective.",
-    ),
-    "compress.selected_queries": (
-        "counter", ("objective",),
-        "Query slots chosen into detection-aware selections, per "
-        "objective.",
-    ),
-    "compress.covered_mutants": (
-        "counter", ("objective",),
-        "Expected-detectable mutants detected by a scored selection, "
-        "per objective.",
-    ),
-    "compress.adaptive_raises": (
-        "counter", (),
-        "Per-rule budget raises performed by the adaptive-k stage of "
-        "the detection objective.",
-    ),
-    "compress.pareto_points": (
-        "counter", (),
-        "Points emitted into cost-vs-detection Pareto reports.",
-    ),
-    # --------------------------------------------------------- differential
-    "diff.queries": (
-        "counter", (),
-        "Suite queries fanned out across the differential backend fleet.",
-    ),
-    "diff.executions": (
-        "counter", ("backend",),
-        "Query executions attempted per fleet backend (errors included).",
-    ),
-    "diff.outcomes": (
-        "counter", ("backend", "outcome"),
-        "Unified per-(query, backend) verdicts against the reference "
-        "backend: agree, disagree, error, or skip.",
-    ),
-    "diff.exact_bags": (
-        "counter", (),
-        "Exact result bags materialized to explain a disagreement "
-        "(verdicts compare digests; an all-agree run leaves this at 0).",
     ),
     # ------------------------------------------------------------ execution
     "exec.executions": (
@@ -263,11 +204,6 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "Columns of those gathers that no operator read, so they were "
         "never built.",
     ),
-    # ---------------------------------------------------------------- trace
-    "trace.dropped_events": (
-        "gauge", (),
-        "Events evicted from the recording tracer's ring buffer.",
-    ),
 }
 
 
@@ -281,18 +217,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time value; cross-process merge keeps the maximum."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def set(self, value) -> None:
-        self.value = value
 
 
 class Histogram:
@@ -336,7 +260,8 @@ def render_name(name: str, labels: Labels) -> str:
 
 
 def parse_name(rendered: str) -> Tuple[str, Labels]:
-    """Inverse of :func:`render_name` (used by :meth:`MetricsRegistry.merge`)."""
+    """Inverse of :func:`render_name` (``tools/generate_rule_docs.py
+    --trace`` reads per-rule counters out of a snapshot with it)."""
     if not rendered.endswith("}"):
         return rendered, ()
     name, _, inner = rendered[:-1].partition("{")
@@ -348,19 +273,17 @@ def parse_name(rendered: str) -> Tuple[str, Labels]:
 
 
 class MetricsRegistry:
-    """All metrics of one process (or one worker task).
+    """All metrics of one process.
 
-    ``strict`` (the default) rejects metric names absent from
-    :data:`METRIC_DOCS` and label keys that do not match the declaration,
-    so every emitted series is guaranteed to be documented.
+    Rejects metric names absent from :data:`METRIC_DOCS` and label keys
+    that do not match the declaration, so every emitted series is
+    guaranteed to be documented.
     """
 
-    def __init__(self, strict: bool = True) -> None:
-        self.strict = strict
+    def __init__(self) -> None:
         self._counters: Dict[Tuple[str, Labels], Counter] = {}
-        self._gauges: Dict[Tuple[str, Labels], Gauge] = {}
         self._histograms: Dict[Tuple[str, Labels], Histogram] = {}
-        #: ``(kind, name, label keys)`` triples that already passed strict
+        #: ``(kind, name, label keys)`` triples that already passed
         #: validation -- metric resolution is on the optimizer's
         #: per-optimization path, so repeats must not re-validate.
         self._validated: set = set()
@@ -373,11 +296,10 @@ class MetricsRegistry:
     # ------------------------------------------------------------ creation
 
     def _key(self, kind: str, name: str, labels: Mapping[str, str]) -> Tuple[str, Labels]:
-        if self.strict:
-            shape = (kind, name, tuple(labels))
-            if shape not in self._validated:
-                self._validate(kind, name, labels)
-                self._validated.add(shape)
+        shape = (kind, name, tuple(labels))
+        if shape not in self._validated:
+            self._validate(kind, name, labels)
+            self._validated.add(shape)
         if not labels:
             return name, ()
         if len(labels) == 1:
@@ -410,13 +332,6 @@ class MetricsRegistry:
         metric = self._counters.get(key)
         if metric is None:
             metric = self._counters[key] = Counter()
-        return metric
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        key = self._key("gauge", name, labels)
-        metric = self._gauges.get(key)
-        if metric is None:
-            metric = self._gauges[key] = Gauge()
         return metric
 
     def histogram(self, name: str, **labels: str) -> Histogram:
@@ -468,44 +383,11 @@ class MetricsRegistry:
                 render_name(name, labels): metric.value
                 for (name, labels), metric in sorted(self._counters.items())
             },
-            "gauges": {
-                render_name(name, labels): metric.value
-                for (name, labels), metric in sorted(self._gauges.items())
-            },
             "histograms": {
                 render_name(name, labels): metric.as_dict()
                 for (name, labels), metric in sorted(self._histograms.items())
             },
         }
-
-    def merge(self, snapshot: Mapping[str, Mapping[str, object]]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters and histogram components add; gauges keep the maximum.
-        Used to aggregate per-task worker metrics from ``optimize_many``.
-        """
-        for rendered, value in snapshot.get("counters", {}).items():
-            name, labels = parse_name(rendered)
-            self.counter(name, **dict(labels)).value += int(value)
-        for rendered, value in snapshot.get("gauges", {}).items():
-            name, labels = parse_name(rendered)
-            gauge = self.gauge(name, **dict(labels))
-            gauge.value = max(gauge.value, value)
-        for rendered, parts in snapshot.get("histograms", {}).items():
-            name, labels = parse_name(rendered)
-            histogram = self.histogram(name, **dict(labels))
-            histogram.count += int(parts["count"])
-            histogram.total += float(parts["total"])
-            for bound, pick in (("min", min), ("max", max)):
-                incoming = parts.get(bound)
-                if incoming is None:
-                    continue
-                current = getattr(histogram, bound)
-                setattr(
-                    histogram,
-                    bound,
-                    incoming if current is None else pick(current, incoming),
-                )
 
     # ------------------------------------------------------------- queries
 

@@ -25,7 +25,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Event argument values: kept to JSON scalars so exports never need custom
 #: encoders.
@@ -309,18 +309,3 @@ class RecordingTracer(Tracer):
             )
         return "\n".join(lines)
 
-
-def merge_chrome_traces(payloads: Iterable[str]) -> str:
-    """Concatenate several chrome-trace JSON strings into one document,
-    remapping ``pid`` so each input renders as its own process row."""
-    merged: List[dict] = []
-    for pid, payload in enumerate(payloads):
-        for record in json.loads(payload).get("traceEvents", []):
-            record = dict(record)
-            record["pid"] = pid
-            merged.append(record)
-    return json.dumps(
-        {"traceEvents": merged, "displayTimeUnit": "ms"},
-        indent=2,
-        sort_keys=True,
-    )

@@ -201,9 +201,7 @@ class Optimizer:
         self.stats = stats
         self.registry = registry or default_registry()
         self.config = config
-        #: Observability hooks.  Plain mutable attributes: a pool worker
-        #: reuses one Optimizer per config and swaps in a fresh registry
-        #: per task so each result ships its own metric delta.
+        #: Observability hooks (see :mod:`repro.obs`).
         self.tracer = tracer
         self.metrics = metrics
         self._deriver = PropertyDeriver(catalog)

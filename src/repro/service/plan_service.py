@@ -21,11 +21,11 @@ each layer hand-rolling its own :class:`Optimizer`, a single
   deduplicates identical requests, then fans its distinct misses over
   forked workers (``workers`` of them at most; by default the usable
   CPUs) that the service keeps for its life (see
-  :mod:`repro.service.worker`); results come back in request order.  A
-  traced service computes in its own process, so its trace holds every
-  optimization.  :meth:`PlanService.close` (or leaving a ``with`` block)
-  stops the workers; a service dropped without it stops them when it is
-  collected.
+  :mod:`repro.service.worker`); results come back in request order.  An
+  observed service (an enabled tracer or a metrics registry) computes in
+  its own process, so its trace and metrics hold every optimization.
+  :meth:`PlanService.close` (or leaving a ``with`` block) stops the
+  workers; a service dropped without it stops them when it is collected.
 
 Every request, scalar or batched, climbs the same ladder: a memory entry,
 then (when no plan object is needed) a cost record from disk, then (for a
@@ -201,7 +201,8 @@ class PlanService:
         #: cache/compute events and is handed to every Optimizer this
         #: service constructs; the metrics registry mirrors
         #: :class:`ServiceStats` as ``service.*`` counters and aggregates
-        #: per-rule optimizer counters, including worker-process merges.
+        #: per-rule optimizer counters.  A service with either observer
+        #: computes every batch in this process (see ``_compute_batch``).
         self.tracer = tracer
         self.metrics = metrics
         #: Resolved Counter handles, so the per-request path validates
@@ -424,7 +425,7 @@ class PlanService:
         """The ladder over a batch: one entry per request, in order.
 
         Identical ``(fingerprint, config)`` misses are computed once; with
-        ``workers > 1`` the distinct computations of an untraced service
+        ``workers > 1`` the distinct computations of an unobserved service
         fan out over its worker pool."""
         entries: List[Optional[_Entry]] = [None] * len(requests)
         pending: Dict[_CacheKey, _Task] = {}  # distinct misses
@@ -614,7 +615,10 @@ class PlanService:
     def _compute_batch(
         self, pending: Dict[_CacheKey, _Task]
     ) -> Dict[_CacheKey, _Entry]:
-        if self.workers > 1 and len(pending) > 1 and not self.tracer.enabled:
+        # Pool workers carry no observer: an observed service computes in
+        # its own process, so what it records is everything it computed.
+        observed = self.tracer.enabled or self.metrics is not None
+        if self.workers > 1 and len(pending) > 1 and not observed:
             parallel = self._compute_parallel(pending)
             if parallel is not None:
                 return parallel
@@ -633,15 +637,14 @@ class PlanService:
         try:
             if self._pool is None:
                 self._pool = _worker.WorkerPool(
-                    (self.catalog, self.stats, self.registry),
-                    self.metrics is not None,
+                    (self.catalog, self.stats, self.registry)
                 )
                 self._reaper = weakref.finalize(self, self._pool.close)
             self._pool.grow(min(self.workers, len(tasks)))
             outcomes = self._pool.map(tasks)
         except Exception as exc:
             self.close()
-            self._bump("pool_fallbacks")
+            self.counters.pool_fallbacks += 1
             warnings.warn(
                 f"plan service: worker pool failed ({exc!r}); "
                 "running batch serially",
@@ -649,16 +652,9 @@ class PlanService:
             )
             return None
         computed: Dict[_CacheKey, _Entry] = {}
-        for key, (tree, _), (result, error, metric_delta) in zip(
-            pending, tasks, outcomes
-        ):
-            self._bump("parallel_tasks")
-            if metric_delta is not None and self.metrics is not None:
-                # Fold this task's optimizer counters (measured in the
-                # worker process) into the parent registry.
-                self.metrics.merge(metric_delta)
-                self.metrics.counter("service.worker_merges").inc()
+        for key, (tree, _), (result, error) in zip(pending, tasks, outcomes):
             if result is not None:
                 result = replace(result, logical_tree=tree)
             computed[key] = self._computed(key, result, error)
+        self.counters.parallel_tasks += len(tasks)
         return computed

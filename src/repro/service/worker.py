@@ -4,7 +4,7 @@ A service with ``workers > 1`` starts a :class:`WorkerPool` at its first
 batch with two or more distinct misses and keeps it for its whole life.
 Each worker is a plain ``os.fork`` of the service's process joined to it
 by two pipes: it reads one pickled ``(index, tree, config)`` task at a
-time and writes back ``(index, result, error, metric delta)``.  Catalog,
+time and writes back ``(index, result, error)``.  Catalog,
 statistics and registry are inherited through the fork, so nothing about
 the environment is pickled -- a registry that would not pickle (a
 mutant's, say) fans out like any other.  A worker builds one
@@ -19,11 +19,9 @@ their own -- the worker's slot shifted left by 40 bits -- so they collide
 neither with another worker's nor with a column the parent binds after
 the fork.
 
-When the parent service carries a :class:`~repro.obs.metrics.MetricsRegistry`
-each task also measures its optimizer counters into a fresh per-task
-registry and ships the snapshot back with the result; the parent merges
-the deltas so campaign reports see one coherent set of per-rule firing
-counts no matter how many processes did the work.
+Workers carry no tracer and no metrics registry: an observed service
+(enabled tracer or a registry) computes every batch in its own process,
+so the pool only ever serves services that nothing observes.
 """
 
 from __future__ import annotations
@@ -43,17 +41,14 @@ from repro.catalog.schema import Catalog
 from repro.catalog.stats import StatsRepository
 from repro.expr import expressions
 from repro.logical.operators import LogicalOp
-from repro.obs.metrics import MetricsRegistry
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.result import OptimizationError, OptimizeResult
 from repro.rules.registry import RuleRegistry
 
-#: Snapshot type shipped back to the parent (``MetricsRegistry.snapshot()``).
-MetricDelta = Optional[Dict[str, Dict[str, object]]]
 #: One request, and what a worker answers for it.
 Task = Tuple[LogicalOp, OptimizerConfig]
-Outcome = Tuple[Optional[OptimizeResult], Optional[str], MetricDelta]
+Outcome = Tuple[Optional[OptimizeResult], Optional[str]]
 Environment = Tuple[Catalog, StatsRepository, RuleRegistry]
 
 #: Column-id ranges: worker ``slot`` mints from ``slot << _ID_SHIFT``.
@@ -84,9 +79,8 @@ class _Child(NamedTuple):
 class WorkerPool:
     """Forked workers, each serving tasks until its task pipe closes."""
 
-    def __init__(self, environment: Environment, want_metrics: bool) -> None:
+    def __init__(self, environment: Environment) -> None:
         self._environment = environment
-        self._want_metrics = want_metrics
         self._owner = os.getpid()
         self.children: List[_Child] = []
 
@@ -105,8 +99,7 @@ class WorkerPool:
                 for fd in (task_write, result_read, *_parent_fds):
                     os.close(fd)
                 _pin(index)
-                _serve(slot, task_read, result_write,
-                       self._environment, self._want_metrics)
+                _serve(slot, task_read, result_write, self._environment)
                 status = 0
             finally:
                 os._exit(status)
@@ -188,7 +181,6 @@ def _serve(
     tasks_fd: int,
     results_fd: int,
     environment: Environment,
-    want_metrics: bool,
 ) -> None:
     """A worker's life: answer tasks until the parent closes the pipe."""
     # What the parent left in memory is never collected here: no finalizer
@@ -209,12 +201,6 @@ def _serve(
             optimizer = optimizers[config] = Optimizer(
                 catalog, stats, registry, config
             )
-        metrics = None
-        if want_metrics:
-            # A fresh registry per task: the snapshot shipped back is
-            # exactly this task's contribution, so the parent-side merge
-            # never double counts however tasks are scheduled.
-            metrics = optimizer.metrics = MetricsRegistry()
         try:
             result, error = optimizer.optimize(tree), None
         except OptimizationError as exc:
@@ -222,8 +208,6 @@ def _serve(
         if result is not None:
             # The parent holds the tree; sending it back is waste.
             result = replace(result, logical_tree=None)
-        delta = None if metrics is None else metrics.snapshot()
-        pickle.dump((index, result, error, delta), results,
-                    pickle.HIGHEST_PROTOCOL)
+        pickle.dump((index, result, error), results, pickle.HIGHEST_PROTOCOL)
         results.flush()
 

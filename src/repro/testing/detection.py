@@ -214,18 +214,12 @@ class DetectionPlan:
         }
 
 
-def _count(metrics, name: str, amount: int = 1, **labels) -> None:
-    if metrics is not None:
-        metrics.counter(name, **labels).inc(amount)
-
-
 def detection_plan(
     matrix: KillMatrix,
     *,
     base_k: int = 2,
     adaptive: bool = True,
     max_k: Optional[int] = None,
-    metrics=None,
 ) -> DetectionPlan:
     """Greedy weighted set-multicover over the kill matrix.
 
@@ -323,11 +317,10 @@ def detection_plan(
                     break  # marginal detection flattened
                 budgets[rule] += 1
                 raises[rule] = raises.get(rule, 0) + 1
-                _count(metrics, "compress.adaptive_raises")
                 _, _, slot, _ = found
                 take(rule, slot)
 
-    plan = DetectionPlan(
+    return DetectionPlan(
         base_k=base_k,
         adaptive=adaptive,
         budgets=budgets,
@@ -337,12 +330,6 @@ def detection_plan(
         },
         raises=raises,
     )
-    _count(metrics, "compress.selections", objective="detection")
-    _count(
-        metrics, "compress.selected_queries",
-        plan.total_queries, objective="detection",
-    )
-    return plan
 
 
 # ------------------------------------------------------------- scoring
@@ -381,8 +368,6 @@ def _row_detected(row: MutantRow, slots: Sequence[int]) -> bool:
 def score_selection(
     matrix: KillMatrix,
     selected: Mapping[str, Sequence[int]],
-    metrics=None,
-    objective: str = "detection",
 ) -> DetectionScore:
     """Score a per-rule slot selection over the expected-detectable rows.
 
@@ -395,12 +380,8 @@ def score_selection(
         row.mutant_id for row in expected
         if not _row_detected(row, selected.get(row.rule, ()))
     )
-    detected = len(expected) - len(survivors)
-    _count(
-        metrics, "compress.covered_mutants", detected, objective=objective
-    )
     return DetectionScore(
-        detected=detected,
+        detected=len(expected) - len(survivors),
         expected=len(expected),
         survivors=survivors,
     )
@@ -696,7 +677,6 @@ def pareto_report(
     base_k: int = 2,
     max_k: Optional[int] = None,
     cross_validate: bool = True,
-    metrics=None,
 ) -> ParetoReport:
     """Sweep detection budgets into a cost-vs-detection Pareto report.
 
@@ -714,9 +694,7 @@ def pareto_report(
     for k in (1, 2, 3, 4, 6) if ks is None else ks:
         if k > max_slots:
             continue
-        plan = detection_plan(
-            matrix, base_k=k, adaptive=False, metrics=metrics
-        )
+        plan = detection_plan(matrix, base_k=k, adaptive=False)
         score = score_selection(matrix, plan.selected)
         points.append(ParetoPoint(
             label=f"detection-k{k}",
@@ -729,7 +707,7 @@ def pareto_report(
             survivors=score.survivors,
         ))
     adaptive = detection_plan(
-        matrix, base_k=base_k, adaptive=True, max_k=max_k, metrics=metrics
+        matrix, base_k=base_k, adaptive=True, max_k=max_k
     )
     adaptive_score = score_selection(matrix, adaptive.selected)
     points.append(ParetoPoint(
@@ -764,7 +742,6 @@ def pareto_report(
     if report is not None:
         points.extend(_coverage_points(report))
     points = _mark_frontier(points)
-    _count(metrics, "compress.pareto_points", len(points))
     cross = None
     if cross_validate:
         cross = cross_validated_scores(

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.backends.base import Backend, BackendRun, bag_diff_summary
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.storage.database import Database
 from repro.testing.suite import SuiteQuery, TestSuite
@@ -277,7 +276,6 @@ class DifferentialRunner:
         *,
         skipped_backends: Optional[Dict[str, str]] = None,
         tracer: Tracer = NULL_TRACER,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if len(backends) < 2:
             raise ValueError(
@@ -291,13 +289,8 @@ class DifferentialRunner:
         self.backends = list(backends)
         self.skipped_backends = dict(skipped_backends or {})
         self.tracer = tracer
-        self.metrics = metrics
 
     # ------------------------------------------------------------- helpers
-
-    def _count(self, name: str, amount: int = 1, **labels: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name, **labels).inc(amount)
 
     def _run_backend(
         self, backend: Backend, queries: Sequence[SuiteQuery]
@@ -308,11 +301,9 @@ class DifferentialRunner:
             backend=backend.name, queries=len(queries),
         ):
             backend.ensure_ready(self.database)
-            runs = backend.run_many(
+            return backend.run_many(
                 [(query.query_id, query.tree) for query in queries]
             )
-        self._count("diff.executions", len(queries), backend=backend.name)
-        return runs
 
     # -------------------------------------------------------------- public
 
@@ -338,7 +329,6 @@ class DifferentialRunner:
             report.runs[query.query_id] = {
                 run.backend: run for run in runs
             }
-        self._count("diff.queries", len(queries))
         self._unify(report)
         return report
 
@@ -355,9 +345,6 @@ class DifferentialRunner:
                 outcome = self._judge(ref_run, runs[name])
                 report.outcomes.append(outcome)
                 report.tallies[name].bump(outcome.outcome)
-                self._count(
-                    "diff.outcomes", backend=name, outcome=outcome.outcome,
-                )
                 if outcome.outcome == DISAGREE and self.tracer.enabled:
                     self.tracer.event(
                         "diff.disagreement", cat="testing",
@@ -383,10 +370,6 @@ class DifferentialRunner:
             )
         if ref_run.digest != run.digest:
             # Only a disagreement pays for exact bags, to explain itself.
-            self._count(
-                "diff.exact_bags",
-                sum("bag" not in vars(r) for r in (ref_run, run)),
-            )
             return DiffOutcome(
                 query_id, run.backend, DISAGREE,
                 bag_diff_summary(ref_run.bag, run.bag),

@@ -440,3 +440,34 @@ class TestCompressCli:
             "compress", "--matrix", str(kill), "--base-k", "1",
             "--no-cross-validate",
         ]) == 0
+
+    def test_mutate_matrix_does_not_depend_on_workers(
+        self, tmp_path, monkeypatch
+    ):
+        """Per-mutant services fan their batches over forked workers at
+        ``--workers 2``; the kill matrix is the in-process one, byte for
+        byte."""
+        from repro.cli import main
+        from repro.service import worker
+
+        mapped = []
+        pool_map = worker.WorkerPool.map
+
+        def spy(pool, tasks):
+            mapped.append(len(tasks))
+            return pool_map(pool, tasks)
+
+        monkeypatch.setattr(worker.WorkerPool, "map", spy)
+        matrices = []
+        for workers in ("1", "2"):
+            kill = tmp_path / f"kill-{workers}.json"
+            assert main([
+                "--seed", "1", "--workers", workers, "--no-cache", "mutate",
+                "--rules", "8", "--sample", "4", "--pool", "4", "--k", "2",
+                "--format", "json", "--output", str(kill),
+            ]) == 0
+            matrices.append(kill.read_bytes())
+            if workers == "1":
+                assert mapped == []
+        assert mapped  # the second campaign went through the pool
+        assert matrices[0] == matrices[1]

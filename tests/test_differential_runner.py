@@ -23,7 +23,6 @@ from repro.backends import (
     ConnectionBackend,
     create_backends,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.rules.faults import ALL_FAULTS
 from repro.rules.registry import default_registry
 from repro.service import PlanService
@@ -158,20 +157,14 @@ class TestSeedFleet:
         backends, skipped = create_backends(
             ["engine", "sqlite"], _service(tpch_db, registry)
         )
-        metrics = MetricsRegistry()
         report = DifferentialRunner(
-            tpch_db, backends, skipped_backends=skipped, metrics=metrics,
+            tpch_db, backends, skipped_backends=skipped,
         ).run(small_suite)
         assert report.passed
+        assert len(report.queries) == len(small_suite.queries)
         tally = report.tallies["sqlite"]
         assert tally.agree == len(small_suite.queries)
         assert tally.disagree == tally.error == tally.skip == 0
-        assert metrics.counter_value("diff.queries") == len(
-            small_suite.queries
-        )
-        assert metrics.counter_value(
-            "diff.outcomes", backend="sqlite", outcome="agree"
-        ) == len(small_suite.queries)
 
     def test_an_external_member_runs_one_statement_per_query(
         self, tpch_db, registry, small_suite, monkeypatch
@@ -286,14 +279,13 @@ class TestDigestDecides:
             return exact_bag(rows)
 
         monkeypatch.setattr(backends_base, "normalized_bag", spy)
-        metrics = MetricsRegistry()
         report = DifferentialRunner(
-            database, backends, skipped_backends=skipped, metrics=metrics,
+            database, backends, skipped_backends=skipped,
         ).run(suite, suite_info={
             "seed": 2, "database": "tpch", "rules": list(names), "k": 2,
             "extra_operators": 2, "fault": fault,
         })
-        return report, metrics, bags_built
+        return report, bags_built
 
     @staticmethod
     def _collected(report):
@@ -312,9 +304,8 @@ class TestDigestDecides:
         return hashlib.sha256(artifact.encode("utf-8")).hexdigest(), runs
 
     def test_agreeing_fleet_builds_no_exact_bag(self, seed2_db, monkeypatch):
-        report, metrics, bags_built = self._cli_diff(seed2_db, monkeypatch)
+        report, bags_built = self._cli_diff(seed2_db, monkeypatch)
         assert report.passed and len(report.queries) == 8
-        assert metrics.counter_value("diff.exact_bags") == 0
         assert bags_built == []
         assert all(
             run.digest is not None and "bag" not in vars(run)
@@ -330,20 +321,30 @@ class TestDigestDecides:
         self, seed2_db, monkeypatch
     ):
         fault = "LojToJoinOnNullReject"
-        report, metrics, bags_built = self._cli_diff(
+        report, bags_built = self._cli_diff(
             seed2_db, monkeypatch, rule_names=[fault], fault=fault
         )
         (outcome,) = report.disagreements
         assert outcome.detail == FAULT_DISAGREE_DETAIL
         # Two runs disagreed, so two bags -- the agreeing query built none.
-        assert metrics.counter_value("diff.exact_bags") == 2
         assert sorted(bags_built) == [5, 51]
         sha, runs = self._collected(report)
         assert runs == FAULT_COLLECT_RUNS
         assert sha == FAULT_COLLECT_SHA256
 
-    def test_shared_reference_bag_is_counted_once(self, tpch_db):
-        metrics = MetricsRegistry()
+    def test_shared_reference_bag_is_counted_once(self, tpch_db, monkeypatch):
+        """Two members disagree with the reference: three bags, not four
+        -- the reference's is built once -- and none for the member that
+        agrees."""
+        exact_bag = backends_base.normalized_bag
+        bags_built = []
+
+        def spy(rows):
+            rows = list(rows)
+            bags_built.append(rows)
+            return exact_bag(rows)
+
+        monkeypatch.setattr(backends_base, "normalized_bag", spy)
         DifferentialRunner(
             tpch_db,
             [
@@ -352,9 +353,10 @@ class TestDigestDecides:
                 _StubBackend("also-wrong", rows=[(-2,), (2,)]),
                 _StubBackend("same", rows=[(2,), (1.0,)]),
             ],
-            metrics=metrics,
         ).run(_tiny_suite(tpch_db))
-        assert metrics.counter_value("diff.exact_bags") == 3
+        assert sorted(bags_built) == [
+            [(-2,), (2,)], [(1,), (2,)], [(1,), (3,)],
+        ]
 
     @pytest.mark.parametrize("chunk", [2, 4096])
     def test_verdicts_do_not_depend_on_where_a_chunk_ends(

@@ -1,7 +1,14 @@
-"""Tests for the metrics registry: strict declarations, snapshots,
-cross-process merge semantics, and the optimizer/service integration."""
+"""Tests for the metrics registry: strict declarations, snapshots, and
+the optimizer/service integration."""
+
+import ast
+import dataclasses
+from collections import Counter
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.obs import (
     METRIC_DOCS,
@@ -11,7 +18,7 @@ from repro.obs import (
     render_name,
 )
 from repro.optimizer.config import DEFAULT_CONFIG
-from repro.service import PlanService
+from repro.service import PlanService, ServiceStats
 from repro.sql.binder import sql_to_tree
 
 SQL = (
@@ -28,7 +35,7 @@ class TestStrictDeclarations:
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(TypeError, match="declared as a counter"):
-            MetricsRegistry().gauge("optimizer.optimizations")
+            MetricsRegistry().histogram("optimizer.optimizations")
 
     def test_wrong_labels_rejected(self):
         registry = MetricsRegistry()
@@ -36,11 +43,6 @@ class TestStrictDeclarations:
             registry.counter("optimizer.rule.fired")  # missing rule=
         with pytest.raises(KeyError, match="expects labels"):
             registry.counter("optimizer.optimizations", rule="X")
-
-    def test_non_strict_accepts_anything(self):
-        registry = MetricsRegistry(strict=False)
-        registry.counter("totally.adhoc", shard="3").inc(7)
-        assert registry.counter_value("totally.adhoc", shard="3") == 7
 
     def test_validation_is_memoized_not_skipped(self):
         registry = MetricsRegistry()
@@ -55,11 +57,19 @@ class TestStrictDeclarations:
         rows = list(documented_metrics())
         assert [row[0] for row in rows] == sorted(METRIC_DOCS)
         for name, kind, labels, description in rows:
-            assert kind in ("counter", "gauge", "histogram")
+            assert kind in ("counter", "histogram")
             assert description.strip()
             registry = MetricsRegistry()
             handle = getattr(registry, kind)
             handle(name, **{key: "x" for key in labels})  # must validate
+        # ...and has a writer: its name is a string literal somewhere in
+        # the package besides the table, or it is the metric twin of a
+        # ServiceStats field (``PlanService._bump`` builds those names).
+        written = _package_literals() | {
+            f"service.{field.name}"
+            for field in dataclasses.fields(ServiceStats)
+        }
+        assert sorted(set(METRIC_DOCS) - written) == []
 
 
 class TestNames:
@@ -73,45 +83,25 @@ class TestNames:
             assert parse_name(render_name(name, labels)) == (name, labels)
 
 
-class TestMergeSemantics:
-    def test_counters_add(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.counter("optimizer.optimizations").inc(2)
-        second.counter("optimizer.optimizations").inc(3)
-        second.counter("optimizer.rule.fired", rule="R").inc()
-        first.merge(second.snapshot())
-        assert first.counter_value("optimizer.optimizations") == 5
-        assert first.counter_value("optimizer.rule.fired", rule="R") == 1
+class TestSnapshots:
+    def test_histogram_summarises_observations(self):
+        registry = MetricsRegistry()
+        for value in (10, 2, 30):
+            registry.histogram("optimizer.memo.groups").observe(value)
+        assert registry.snapshot()["histograms"] == {
+            "optimizer.memo.groups": {
+                "count": 3, "total": 42, "min": 2, "max": 30,
+            },
+        }
+        assert registry.histogram("optimizer.memo.groups").mean == 14
 
-    def test_gauges_keep_maximum(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.gauge("trace.dropped_events").set(10)
-        second.gauge("trace.dropped_events").set(4)
-        first.merge(second.snapshot())
-        assert first.gauge("trace.dropped_events").value == 10
-        second.gauge("trace.dropped_events").set(25)
-        first.merge(second.snapshot())
-        assert first.gauge("trace.dropped_events").value == 25
-
-    def test_histograms_combine_components(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.histogram("optimizer.memo.groups").observe(10)
-        second.histogram("optimizer.memo.groups").observe(2)
-        second.histogram("optimizer.memo.groups").observe(30)
-        first.merge(second.snapshot())
-        merged = first.histogram("optimizer.memo.groups")
-        assert merged.count == 3
-        assert merged.total == 42
-        assert (merged.min, merged.max) == (2, 30)
-        assert merged.mean == 14
-
-    def test_merge_into_empty_registry(self):
-        source = MetricsRegistry()
-        source.counter("service.requests").inc(9)
-        source.histogram("optimizer.memo.exprs").observe(5)
-        target = MetricsRegistry()
-        target.merge(source.snapshot())
-        assert target.snapshot() == source.snapshot()
+    def test_snapshot_holds_counters_and_histograms(self):
+        registry = MetricsRegistry()
+        registry.counter("service.requests").inc(9)
+        registry.histogram("optimizer.memo.exprs").observe(5)
+        snapshot = registry.snapshot()
+        assert list(snapshot) == ["counters", "histograms"]
+        assert snapshot["counters"] == {"service.requests": 9}
 
     def test_snapshot_is_deterministic(self):
         registry = MetricsRegistry()
@@ -161,12 +151,14 @@ class TestOptimizerIntegration:
         assert metrics.counter_value("service.computed") == 1
 
 
-class TestCrossProcessMerge:
-    def test_optimize_many_with_workers_merges_deltas(self, tpch_db, registry):
-        metrics = MetricsRegistry()
-        parallel = PlanService(
-            tpch_db, registry=registry, workers=2, metrics=metrics
-        )
+class TestOneSourceOfTruth:
+    def test_pool_results_carry_what_a_registry_counts(
+        self, tpch_db, registry
+    ):
+        """An unobserved service fans its batch over the pool; the
+        per-rule counters its results carry are what a registry counts
+        when an observed service (which computes in-process) runs the
+        same batch."""
         trees = [
             sql_to_tree(SQL, tpch_db.catalog),
             sql_to_tree(SQL_AGG, tpch_db.catalog),
@@ -175,24 +167,49 @@ class TestCrossProcessMerge:
                 tpch_db.catalog,
             ),
         ]
-        results = parallel.optimize_many(
-            [(tree, DEFAULT_CONFIG) for tree in trees]
-        )
-        assert all(result is not None for result in results)
-        assert metrics.counter_value("service.worker_merges") == len(trees)
-        assert metrics.counter_value("optimizer.optimizations") == len(trees)
+        requests = [(tree, DEFAULT_CONFIG) for tree in trees]
+        with PlanService(tpch_db, registry=registry, workers=2) as pooled:
+            results = pooled.optimize_many(requests)
+        assert pooled.counters.parallel_tasks == len(trees)
+        carried = Counter()
+        for result in results:
+            for row in result.rule_counters:
+                carried[row.name, "considered"] += row.considered
+                carried[row.name, "fired"] += row.fired
+                carried[row.name, "rejected"] += row.rejected
 
-        # The merged totals equal a serial run's totals: no double
-        # counting, nothing lost in the worker snapshots.
-        serial_metrics = MetricsRegistry()
-        serial = PlanService(
-            tpch_db, registry=registry, metrics=serial_metrics
+        metrics = MetricsRegistry()
+        observed = PlanService(
+            tpch_db, registry=registry, workers=2, metrics=metrics
         )
-        for tree in trees:
-            serial.optimize(tree)
-        assert (
-            metrics.rule_table() == serial_metrics.rule_table()
+        observed.optimize_many(requests)
+        assert observed.counters.parallel_tasks == 0
+        assert metrics.counter_value("optimizer.optimizations") == len(trees)
+        counted = Counter()
+        for rule, considered, fired, rejected in metrics.rule_table():
+            counted[rule, "considered"] += considered
+            counted[rule, "fired"] += fired
+            counted[rule, "rejected"] += rejected
+        assert +carried == +counted
+
+
+def _package_literals():
+    """Every string constant in ``src/repro``, bar the keys of
+    ``METRIC_DOCS`` itself."""
+    literals = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        table = set()
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.AnnAssign)
+                and getattr(node.target, "id", None) == "METRIC_DOCS"
+            ):
+                table = {id(key) for key in node.value.keys}
+        literals.update(
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in table
         )
-        assert metrics.counter_value(
-            "optimizer.costings"
-        ) == serial_metrics.counter_value("optimizer.costings")
+    return literals

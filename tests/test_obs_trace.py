@@ -10,7 +10,6 @@ from repro.obs import (
     RecordingTracer,
     TraceEvent,
     Tracer,
-    merge_chrome_traces,
 )
 from repro.optimizer.config import DEFAULT_CONFIG
 from repro.service import PlanService
@@ -257,17 +256,6 @@ class TestExports:
                 assert "dur" in event
             else:
                 assert event["s"] == "t"
-
-    def test_merge_chrome_traces_remaps_pids(self):
-        tracers = []
-        for label in ("a", "b"):
-            tracer = RecordingTracer()
-            tracer.event(label)
-            tracers.append(tracer)
-        merged = json.loads(
-            merge_chrome_traces(t.to_chrome_json() for t in tracers)
-        )
-        assert {e["pid"] for e in merged["traceEvents"]} == {0, 1}
 
     def test_deterministic_dict_roundtrip(self):
         event = TraceEvent(

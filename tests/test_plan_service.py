@@ -32,6 +32,7 @@ from repro.service import (
     environment_fingerprint,
     plan_service,
 )
+from repro.service import worker as _worker
 from repro.service.cache import LOG_NAME
 from repro.sql.binder import sql_to_tree
 from repro.testing.compression import baseline_plan
@@ -486,10 +487,7 @@ class TestBatches:
         expected = PlanService(
             tpch_db, registry=registry, workers=1
         ).cost_many(trees)
-        metrics = MetricsRegistry()
-        service = PlanService(
-            tpch_db, registry=registry, workers=2, metrics=metrics,
-        )
+        service = PlanService(tpch_db, registry=registry, workers=2)
         monkeypatch.setattr(Optimizer, "optimize_exercising", dying)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -497,7 +495,6 @@ class TestBatches:
         (warned,) = [w for w in caught if "plan service" in str(w.message)]
         assert "worker pool failed" in str(warned.message)
         assert service.counters.pool_fallbacks == 1
-        assert metrics.counter_value("service.pool_fallbacks") == 1
         assert (service.counters.parallel_tasks, service.counters.computed) == (
             0, 3
         )
@@ -551,9 +548,64 @@ class TestBatches:
         gc.collect()
         _assert_reaped(pids)
 
-    def test_a_traced_batch_computes_in_process(self, tpch_db, registry):
-        """Workers have no tracer: a traced service keeps every
-        optimization in its own process, so its trace does not depend on
+    def test_a_worker_answers_index_result_error(self, tpch_db, registry):
+        """On the wire a worker's answer is three fields: the task's
+        index, a result without its tree or ``None``, and an error
+        message or ``None``."""
+        pool = _worker.WorkerPool(
+            (tpch_db.catalog, tpch_db.stats_repository(), registry)
+        )
+        pool.grow(1)
+        (child,) = pool.children
+        try:
+            answers = []
+            for index, config in enumerate((DEFAULT_CONFIG, NO_PLAN)):
+                pickle.dump((index, _tree(tpch_db, SQL_SIMPLE), config),
+                            child.tasks)
+                child.tasks.flush()
+                answers.append(pickle.load(child.results))
+        finally:
+            pool.close()
+        (first, result, error), (second, missing, message) = answers
+        assert (first, second) == (0, 1)
+        assert error is None and result.logical_tree is None
+        assert result.cost == PlanService(
+            tpch_db, registry=registry
+        ).cost(_tree(tpch_db, SQL_SIMPLE))
+        assert missing is None and message
+
+    def test_pool_errors_equal_serial(self, tpch_db, registry):
+        """Requests that fail in a worker come back as the errors a
+        serial service raises for them, each in its request's place."""
+        requests = [
+            (_tree(tpch_db, SQL_SIMPLE), NO_PLAN),
+            (_tree(tpch_db, SQL_JOIN), DEFAULT_CONFIG),
+            (_tree(tpch_db, SQL_AGG), NO_PLAN),
+        ]
+
+        def outcomes(service):
+            return [
+                str(answer) if isinstance(answer, OptimizationError)
+                else answer.cost
+                for answer in service.optimize_many(
+                    requests, return_errors=True
+                )
+            ]
+
+        expected = outcomes(PlanService(tpch_db, registry=registry))
+        with PlanService(tpch_db, registry=registry, workers=2) as service:
+            assert outcomes(service) == expected
+        assert service.counters.parallel_tasks == 3
+        assert service.counters.errors == 2
+        assert [type(answer) for answer in expected] == [str, float, str]
+
+    @pytest.mark.parametrize("observer", ["tracer", "metrics"])
+    def test_an_observed_batch_computes_in_process(
+        self, tpch_db, registry, observer
+    ):
+        """Workers have no observer: a service with an enabled tracer or
+        a metrics registry starts no pool and keeps every optimization in
+        its own process, so what it records does not depend on
         ``workers``."""
         trees = [
             _tree(tpch_db, SQL_SIMPLE),
@@ -561,17 +613,28 @@ class TestBatches:
             _tree(tpch_db, SQL_AGG),
         ]
 
-        def events(workers):
-            tracer = RecordingTracer()
+        def record(workers):
+            observers = {
+                "tracer": RecordingTracer(), "metrics": MetricsRegistry(),
+            }
             service = PlanService(
-                tpch_db, registry=registry, workers=workers, tracer=tracer
+                tpch_db, registry=registry, workers=workers,
+                **{observer: observers[observer]},
             )
             service.cost_many(trees)
-            return [event.name for event in tracer.events]
+            assert service._pool is None
+            assert service.counters.parallel_tasks == 0
+            if observer == "tracer":
+                return [event.name for event in observers["tracer"].events]
+            return observers["metrics"].snapshot()
 
-        serial = events(1)
-        assert serial.count("optimize.done") == len(trees)
-        assert events(2) == serial
+        serial = record(1)
+        if observer == "tracer":
+            assert serial.count("optimize.done") == len(trees)
+        else:
+            optimizations = serial["counters"]["optimizer.optimizations"]
+            assert optimizations == len(trees)
+        assert record(2) == serial
 
 
 def _worker_pids(service):
