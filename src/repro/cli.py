@@ -27,6 +27,7 @@ from repro.backends import create_backends
 from repro.engine import execute_plan, explain_analyze
 from repro.obs import MetricsRegistry, RecordingTracer
 from repro.optimizer.config import DEFAULT_CONFIG
+from repro.optimizer.result import OptimizationError
 from repro.rules.faults import ALL_FAULTS
 from repro.rules.registry import default_registry
 from repro.service import (
@@ -35,7 +36,9 @@ from repro.service import (
     clear_cache,
     default_cache_dir,
 )
-from repro.sql.binder import sql_to_tree
+from repro.sql.binder import BindError, sql_to_tree
+from repro.sql.lexer import LexError
+from repro.sql.parser import ParseError
 from repro.testing import detection
 from repro.testing.compression import COMPRESSION_METHODS
 from repro.testing.correctness import CorrectnessRunner
@@ -134,6 +137,10 @@ DISABLE = _Option(
     help="rule name to disable (repeatable)",
 )
 
+#: What a query named on the command line can fail with: SQL that does
+#: not lex, parse or bind, or a query with no plan (under ``--disable``).
+QUERY_ERRORS = (LexError, ParseError, BindError, OptimizationError)
+
 # ----------------------------------------------------------------- commands
 
 
@@ -212,6 +219,21 @@ class _Session:
         self._services.append(service)
         return service
 
+    def unknown_rule(self) -> Optional[str]:
+        """The first rule an option names (``--rule``, ``--pair``,
+        ``--producer``, ``--consumer``, ``--gate``, ``--disable``) that the
+        registry lacks."""
+        args = self.args
+        named = [
+            getattr(args, option, None)
+            for option in ("rule", "pair", "producer", "consumer", "gate")
+        ]
+        named += getattr(args, "disable", ())
+        return next(
+            (name for name in named if name and name not in self.registry),
+            None,
+        )
+
     def rule_names(self) -> List[str]:
         """``--rule-names`` when the command has it and it was given, else
         the first ``--rules`` exploration rules."""
@@ -228,6 +250,13 @@ class _Session:
             self.database, self.registry, seed=self.args.seed,
             service=self.service,
         )
+
+
+def _refuse(message: object) -> int:
+    """Exit code 2, with ``message`` on stderr: the command could not run
+    on what it was given."""
+    print(message, file=sys.stderr)
+    return 2
 
 
 def _emit(text: str, path: Optional[str] = None, label: str = "report",
@@ -336,10 +365,13 @@ def _generate(args, env) -> int:
 )
 def _optimize(args, env) -> int:
     database = env.database
-    tree = sql_to_tree(args.sql, database.catalog)
-    result = env.service.optimize(
-        tree, DEFAULT_CONFIG.with_disabled(args.disable)
-    )
+    try:
+        result = env.service.optimize(
+            sql_to_tree(args.sql, database.catalog),
+            DEFAULT_CONFIG.with_disabled(args.disable),
+        )
+    except QUERY_ERRORS as exc:
+        return _refuse(f"{type(exc).__name__}: {exc}")
     print(f"cost: {result.cost:.3f}")
     exploration = set(env.registry.exploration_rule_names)
     print("RuleSet(q):", ", ".join(sorted(result.rules_exercised & exploration)))
@@ -432,8 +464,7 @@ def _diff(args, env) -> int:
             database, backends, skipped_backends=skipped,
         )
     except ValueError as exc:  # unknown name, or a fleet of fewer than two
-        print(str(exc), file=sys.stderr)
-        return 2
+        return _refuse(exc)
     report = runner.run(
         suite,
         suite_info={
@@ -577,8 +608,7 @@ def _mutate(args, env) -> int:
             differential_backends=_names(args.differential or ""),
         )
     except ValueError as exc:  # k above the pool, or a fleet not led by engine
-        print(str(exc), file=sys.stderr)
-        return 2
+        return _refuse(exc)
     report = campaign.run(
         env.rule_names(), operators=args.operators, sample=args.sample
     )
@@ -639,8 +669,7 @@ def _compress(args, env) -> int:
         OSError, ValueError, KeyError, TypeError, AttributeError,
         detection.DetectionError,
     ) as exc:  # unreadable, not JSON, or not shaped like the artifact
-        print(f"cannot load kill matrix: {exc!r}", file=sys.stderr)
-        return 2
+        return _refuse(f"cannot load kill matrix: {exc!r}")
     _emit_report(args, report)
     return _fails_under(
         args, report.score.rate, "adaptive plan detection rate"
@@ -812,11 +841,15 @@ def _trace(args, env) -> int:
                 return _generation_failed(outcome)
             tree, subject = outcome.tree, f"rule {args.rule}: {outcome.sql}"
         else:
-            tree = sql_to_tree(args.sql, database.catalog)
-            subject = args.sql
-        result = service.optimize(
-            tree, DEFAULT_CONFIG.with_disabled(args.disable)
-        )
+            tree, subject = None, args.sql
+        try:
+            if tree is None:
+                tree = sql_to_tree(args.sql, database.catalog)
+            result = service.optimize(
+                tree, DEFAULT_CONFIG.with_disabled(args.disable)
+            )
+        except QUERY_ERRORS as exc:
+            return _refuse(f"{type(exc).__name__}: {exc}")
         # Execute the optimized plan under the same tracer/metrics so the
         # archive carries per-operator exec spans (rows in/out, batch
         # counts) and the exec.* counters next to the optimizer series.
@@ -895,6 +928,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     with _Session(args) as env:
+        unknown = env.unknown_rule()
+        if unknown is not None:
+            return _refuse(f"no rule named {unknown!r}")
         return COMMANDS[args.command].handler(args, env)
 
 

@@ -7,8 +7,10 @@ Every metric the framework emits is declared up front in
 (``docs/METRICS.md``) that can never drift from the code.
 
 Per-rule metrics carry a ``rule`` label (one time series per rule name).
-A registry only ever sees its own process: a plan service that has one
-computes every batch in-process (see :mod:`repro.service.worker`).
+A registry only ever sees its own process.  The ``optimizer.*`` series are
+a fold over the records optimizer runs return, done by the plan service
+that asked for them (``PlanService._computed``), so a registry counts the
+runs its service's pool workers computed too.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "exercised: no implementation, no plan.  Each is counted in "
         "`optimizer.optimizations` too, and records its per-rule counters "
         "and memo sizes like any other run.",
-    ),
-    "optimizer.optimization_errors": (
-        "counter", (),
-        "`Optimizer.optimize()` runs that raised `OptimizationError`.",
     ),
     "optimizer.rule.considered": (
         "counter", ("rule",),
@@ -164,8 +162,9 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     # ------------------------------------------------------------ execution
     "exec.executions": (
         "counter", ("executor",),
-        "Completed plan executions, labelled by executor "
-        "(columnar or iterator).",
+        "Completed plan executions, labelled by executor (always "
+        "`columnar`: the row-at-a-time reference interpreter under "
+        "`repro.testing` writes no metrics).",
     ),
     "exec.rows": (
         "counter", (),
@@ -284,14 +283,9 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, Labels], Counter] = {}
         self._histograms: Dict[Tuple[str, Labels], Histogram] = {}
         #: ``(kind, name, label keys)`` triples that already passed
-        #: validation -- metric resolution is on the optimizer's
-        #: per-optimization path, so repeats must not re-validate.
+        #: validation -- metric resolution is on per-request and
+        #: per-execution paths, so repeats must not re-validate.
         self._validated: set = set()
-        #: Pre-resolved handles for the optimizer's bookkeeping path (one
-        #: registry serves many Optimizer instances -- one per distinct
-        #: config -- so the cache must live here, not on the engine).
-        self._rule_counter_cache: Dict[str, Tuple[Counter, ...]] = {}
-        self._optimizer_handles: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------ creation
 
@@ -341,39 +335,6 @@ class MetricsRegistry:
             metric = self._histograms[key] = Histogram()
         return metric
 
-    # ------------------------------------------------------- cached handles
-
-    def rule_counters(self, rule: str) -> Tuple[Counter, ...]:
-        """``(considered, fired, rejected, precondition_failures)`` counter
-        handles for one rule, resolved and validated exactly once."""
-        cached = self._rule_counter_cache.get(rule)
-        if cached is None:
-            cached = self._rule_counter_cache[rule] = (
-                self.counter("optimizer.rule.considered", rule=rule),
-                self.counter("optimizer.rule.fired", rule=rule),
-                self.counter("optimizer.rule.rejected", rule=rule),
-                self.counter(
-                    "optimizer.rule.precondition_failures", rule=rule
-                ),
-            )
-        return cached
-
-    def optimizer_handles(self) -> Dict[str, object]:
-        """The label-free optimizer metric handles, resolved once."""
-        handles = self._optimizer_handles
-        if handles is None:
-            handles = self._optimizer_handles = {
-                "optimizations": self.counter("optimizer.optimizations"),
-                "unexercised": self.counter("optimizer.unexercised"),
-                "applications": self.counter("optimizer.rule_applications"),
-                "costings": self.counter("optimizer.costings"),
-                "enforcers": self.counter("optimizer.enforcers"),
-                "budget": self.counter("optimizer.budget_exhausted"),
-                "groups": self.histogram("optimizer.memo.groups"),
-                "exprs": self.histogram("optimizer.memo.exprs"),
-            }
-        return handles
-
     # ----------------------------------------------------------- snapshots
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
@@ -398,16 +359,14 @@ class MetricsRegistry:
 
     def rule_table(self) -> List[Tuple[str, int, int, int]]:
         """``(rule, considered, fired, rejected)`` rows, sorted by fired
-        count descending then name -- the `repro trace` hot-rule table."""
-        rules = set()
-        for metric_name in (
-            "optimizer.rule.considered",
-            "optimizer.rule.fired",
-            "optimizer.rule.rejected",
-        ):
-            for (name, labels) in self._counters:
-                if name == metric_name:
-                    rules.add(dict(labels)["rule"])
+        count descending then name -- the `repro trace` hot-rule table.
+        A plan service resolves a rule's series together, so the rules
+        are those with an ``optimizer.rule.considered`` series."""
+        rules = [
+            labels[0][1]
+            for name, labels in self._counters
+            if name == "optimizer.rule.considered"
+        ]
         rows = [
             (
                 rule,

@@ -8,7 +8,8 @@ Optimization proceeds in the classic two phases:
    which are themselves explored, until a fixpoint (or a budget cap) is
    reached.  The engine records which rules were exercised -- the paper's
    ``RuleSet(q)`` tracking extension.  A generation trial
-   (:meth:`Optimizer.optimize_exercising`) ends here when exploration
+   (:meth:`Optimizer.optimize_exercising`) ends here, with an
+   :class:`~repro.optimizer.result.Unexercised` record, when exploration
    already shows one of its target rules is not in ``RuleSet(q)``.
 2. **Implementation**: top-down dynamic programming over (group, required
    ordering).  Implementation rules produce physical alternatives; a Sort
@@ -17,6 +18,9 @@ Optimization proceeds in the classic two phases:
    plan was built from -- its physical alternatives' implementation rules
    and the memo support of its logical expressions -- and the memo's
    ``landed_support`` are the result's ``plan_support``.
+
+Every count a run makes travels on the record it returns (``stats`` and
+``rule_counters``); the plan service folds those into a registry.
 
 Rules listed in ``config.disabled_rules`` are skipped entirely, yielding
 ``Plan(q, ¬R)`` / ``Cost(q, ¬R)`` exactly as the paper's optimizer
@@ -34,15 +38,16 @@ both phases call for an attempt's bindings.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import (
+    Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.catalog.schema import Catalog
 from repro.catalog.stats import StatsRepository
 from repro.logical.cardinality import CardinalityEstimator, RelEstimate
 from repro.logical.operators import GroupRef, LogicalOp, OpKind, SortKey
 from repro.logical.properties import LogicalProps, PropertyDeriver
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.optimizer.binding import Matcher, compile_pattern
 from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
@@ -52,6 +57,7 @@ from repro.optimizer.result import (
     OptimizationError,
     OptimizeResult,
     RuleCounters,
+    Unexercised,
 )
 from repro.physical.cost import INFINITE_COST, local_cost, sort_cost
 from repro.physical.operators import (
@@ -177,11 +183,7 @@ class _RuleIndex:
         rows = []
         for name, slot, zero in self._by_name:
             counts = tally[slot]
-            rows.append(
-                RuleCounters(name, counts[0], counts[1], counts[2])
-                if counts[0]
-                else zero
-            )
+            rows.append(RuleCounters(name, *counts) if counts[0] else zero)
         return tuple(rows)
 
 
@@ -195,15 +197,13 @@ class Optimizer:
         registry: Optional[RuleRegistry] = None,
         config: OptimizerConfig = DEFAULT_CONFIG,
         tracer: Tracer = NULL_TRACER,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.catalog = catalog
         self.stats = stats
         self.registry = registry or default_registry()
         self.config = config
-        #: Observability hooks (see :mod:`repro.obs`).
+        #: Observability hook (see :mod:`repro.obs`).
         self.tracer = tracer
-        self.metrics = metrics
         self._deriver = PropertyDeriver(catalog)
         self._estimator = CardinalityEstimator(catalog, stats)
         #: Registry and config are fixed for this optimizer's lifetime.
@@ -223,25 +223,16 @@ class Optimizer:
 
     def optimize_exercising(
         self, tree: LogicalOp, targets: Sequence[str]
-    ) -> Optional[OptimizeResult]:
-        """One generation trial: the result of :meth:`optimize` when every
-        rule in ``targets`` is in ``RuleSet(tree)``, else ``None``.
+    ) -> Union[OptimizeResult, Unexercised]:
+        """One generation trial: is every rule in ``targets`` in
+        ``RuleSet(tree)``?
 
-        The search is the one :meth:`optimize` runs.  When exploration
-        ends without a target that only exploration could have exercised,
-        the answer is already *no* and the run stops there: no
-        implementation, no plan.
+        The search is the one :meth:`optimize` runs, and its result
+        answers through ``exercised_all``.  When exploration ends without
+        a target that only exploration could have exercised, the answer is
+        already *no* and the run stops there -- no implementation, no plan
+        -- with an :class:`Unexercised` record of the exploration's counts.
         """
-        try:
-            return self._optimize(tree, targets)
-        except OptimizationError:
-            if self.metrics is not None:
-                self.metrics.counter("optimizer.optimization_errors").inc()
-            raise
-
-    def _optimize(
-        self, tree: LogicalOp, targets: Sequence[str]
-    ) -> Optional[OptimizeResult]:
         tracer = self.tracer
         memo = Memo(
             self._deriver,
@@ -305,13 +296,12 @@ class Optimizer:
                 tracer.event(
                     "optimize.unexercised",
                     cat="optimizer",
-                    missing=",".join(unexercised),
+                    missing=",".join(sorted(unexercised)),
                     groups=stats.group_count,
                     exprs=stats.expr_count,
                     applications=applications,
                 )
-            self._record_metrics(tally, stats, None)
-            return None
+            return Unexercised(stats, index.counters(tally))
 
         # -------------------------------------------------------- implement
         output_columns = self._deriver.derive_tree(tree).columns
@@ -347,54 +337,21 @@ class Optimizer:
                 fired=",".join(sorted(exercised)),
                 support=",".join(sorted(plan_support)),
             )
-        rule_counters = index.counters(tally)
-        self._record_metrics(tally, stats, implementer)
-        if not exercised.issuperset(targets):
-            return None  # an implementation-rule target did not fire
         return OptimizeResult(
             plan=plan,
             cost=winner.cost,
             rules_exercised=frozenset(exercised),
             output_columns=output_columns,
             logical_tree=tree,
-            stats=stats,
+            stats=replace(
+                stats,
+                costings=implementer.costings,
+                enforcers=implementer.enforcers,
+            ),
             rule_interactions=frozenset(interactions),
-            rule_counters=rule_counters,
+            rule_counters=index.counters(tally),
             plan_support=plan_support,
         )
-
-    def _record_metrics(
-        self,
-        tally: List[_TallyRow],
-        stats: MemoStats,
-        implementer: Optional["_Implementer"],
-    ) -> None:
-        """Fold one run into the registry; ``implementer`` is ``None`` for
-        a run that stopped after exploration."""
-        metrics = self.metrics
-        if metrics is None:
-            return
-        handles = metrics.optimizer_handles()
-        handles["optimizations"].inc()
-        for name, counts in zip(self._index.names, tally):
-            considered, fired, rejected, precondition = metrics.rule_counters(
-                name
-            )
-            considered.inc(counts[0])
-            fired.inc(counts[1])
-            rejected.inc(counts[2])
-            if counts[3]:
-                precondition.inc(counts[3])
-        handles["applications"].inc(stats.rule_applications)
-        if implementer is None:
-            handles["unexercised"].inc()
-        else:
-            handles["costings"].inc(implementer.costings)
-            handles["enforcers"].inc(implementer.enforcers)
-        if stats.budget_exhausted:
-            handles["budget"].inc()
-        handles["groups"].observe(stats.group_count)
-        handles["exprs"].observe(stats.expr_count)
 
     # ---------------------------------------------------------------- private
 

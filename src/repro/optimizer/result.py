@@ -35,6 +35,11 @@ class MemoStats:
     cut: Optional[str] = None
     #: The group whose exploration hit :attr:`cut`, when known.
     cut_group: Optional[int] = None
+    #: Physical alternatives costed during implementation (``local_cost``
+    #: calls); 0 for a run that stopped after exploration.
+    costings: int = 0
+    #: Sort enforcers considered to satisfy a required ordering.
+    enforcers: int = 0
 
     @property
     def budget_exhausted(self) -> bool:
@@ -53,14 +58,31 @@ class RuleCounters:
     least one alternative (the paper's *exercised* predicate); ``rejected``
     the rest (a join-kind or child-pattern mismatch left no binding, or
     every binding failed the precondition).  Always
-    ``considered == fired + rejected``.  Every active rule has a row, all
-    zero when no expression of its kind turned up.
+    ``considered == fired + rejected``.  ``precondition_failures`` counts
+    the single bindings the precondition discarded, so one attempt can add
+    several.  Every active rule has a row, all zero when no expression of
+    its kind turned up.
     """
 
     name: str
     considered: int
     fired: int
     rejected: int
+    precondition_failures: int = 0
+
+
+@dataclass(frozen=True)
+class Unexercised:
+    """A generation trial's *no*, known once exploration ended: a target
+    rule that only exploration could exercise is not in ``RuleSet(q)``, so
+    the optimizer stopped there, without implementation or plan.  The run
+    reports its counts all the same, as a result does."""
+
+    #: Search-effort counters of the exploration (no costings, no
+    #: enforcers).
+    stats: MemoStats
+    #: Per-rule counts of the exploration, sorted by rule name.
+    rule_counters: Tuple[RuleCounters, ...]
 
 
 @dataclass(frozen=True)
@@ -83,7 +105,8 @@ class OptimizeResult:
     #: where ``consumer`` was exercised on an expression created by
     #: ``producer``'s substitution.
     rule_interactions: FrozenSet[Tuple[str, str]] = frozenset()
-    #: Per-rule considered/fired/rejected counts, sorted by rule name.
+    #: Per-rule attempt outcomes (see :class:`RuleCounters`), sorted by
+    #: rule name.
     rule_counters: Tuple[RuleCounters, ...] = ()
     #: The rules :attr:`cost` rests on: the implementation rule of each
     #: physical operator of :attr:`plan`, the memo support of the logical

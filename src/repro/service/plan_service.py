@@ -21,9 +21,9 @@ each layer hand-rolling its own :class:`Optimizer`, a single
   deduplicates identical requests, then fans its distinct misses over
   forked workers (``workers`` of them at most; by default the usable
   CPUs) that the service keeps for its life (see
-  :mod:`repro.service.worker`); results come back in request order.  An
-  observed service (an enabled tracer or a metrics registry) computes in
-  its own process, so its trace and metrics hold every optimization.
+  :mod:`repro.service.worker`); results come back in request order.  A
+  traced service computes in its own process, so its trace holds every
+  optimization.
   :meth:`PlanService.close` (or leaving a ``with`` block) stops the
   workers; a service dropped without it stops them when it is collected.
 
@@ -43,7 +43,10 @@ the optimizer's.  A generation trial
 optimizer stop after exploration when the answer is already *no*.
 :meth:`PlanService._cached` is the one place that counts requests and hits
 and emits ``service.cache``; :meth:`PlanService._computed` the one place
-that counts, stores and evicts a computed outcome.
+that counts, stores and evicts a computed outcome.  It is also the one
+place an optimizer run reaches a metrics registry: the run's record
+(``stats`` and ``rule_counters``) is folded into the ``optimizer.*``
+series there, whether this process or a pool worker computed it.
 
 Construction of :class:`Optimizer` instances is an implementation detail of
 this module; no other package should instantiate one directly.
@@ -60,11 +63,15 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 from repro.catalog.schema import Catalog
 from repro.catalog.stats import StatsRepository
 from repro.logical.operators import LogicalOp
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.optimizer.config import DEFAULT_CONFIG, OptimizerConfig
 from repro.optimizer.engine import Optimizer
-from repro.optimizer.result import OptimizationError, OptimizeResult
+from repro.optimizer.result import (
+    OptimizationError,
+    OptimizeResult,
+    Unexercised,
+)
 from repro.rules.registry import RuleRegistry, default_registry
 from repro.service import worker as _worker
 from repro.service.cache import PlanDiskCache, environment_fingerprint
@@ -75,6 +82,8 @@ PlanRequest = Union[LogicalOp, Tuple[LogicalOp, Optional[OptimizerConfig]]]
 
 _CacheKey = Tuple[str, OptimizerConfig]
 _Task = Tuple[LogicalOp, OptimizerConfig]
+#: What one optimizer run returns (see ``Optimizer.optimize_exercising``).
+_Run = Union[OptimizeResult, Unexercised]
 
 #: FIFO bounds on the two in-process stores (plan/cost entries, execution
 #: results): one-shot trees and plans from generation campaigns age out
@@ -121,6 +130,15 @@ class ServiceStats:
             "parallel_tasks": self.parallel_tasks,
             "pool_fallbacks": self.pool_fallbacks,
         }
+
+
+#: The per-rule ``optimizer.*`` series, in ``RuleCounters`` field order.
+_RULE_SERIES = (
+    "optimizer.rule.considered",
+    "optimizer.rule.fired",
+    "optimizer.rule.rejected",
+    "optimizer.rule.precondition_failures",
+)
 
 
 @dataclass
@@ -199,15 +217,17 @@ class PlanService:
         self.counters = ServiceStats()
         #: Observability hooks (see :mod:`repro.obs`): the tracer records
         #: cache/compute events and is handed to every Optimizer this
-        #: service constructs; the metrics registry mirrors
-        #: :class:`ServiceStats` as ``service.*`` counters and aggregates
-        #: per-rule optimizer counters.  A service with either observer
-        #: computes every batch in this process (see ``_compute_batch``).
+        #: service constructs, and a traced service computes every batch
+        #: in this process (see ``_compute_batch``); the metrics registry
+        #: mirrors :class:`ServiceStats` as ``service.*`` counters and
+        #: folds in each optimizer run's record (see ``_computed``).
         self.tracer = tracer
         self.metrics = metrics
         #: Resolved Counter handles, so the per-request path validates
         #: each ``service.*`` series name once (see ``_bump``).
         self._metric_counters: Dict[str, object] = {}
+        #: The per-rule Counter handles of ``_fold``, resolved once a rule.
+        self._rule_series: Dict[str, Tuple[Counter, ...]] = {}
         self._memory_cache_enabled = memory_cache
         #: Plan/cost answers, FIFO-bounded by ``MEMORY_LIMIT``.
         self._entries: Dict[_CacheKey, _Entry] = {}
@@ -274,7 +294,7 @@ class PlanService:
         if optimizer is None:
             optimizer = Optimizer(
                 self.catalog, self.stats, self.registry, config,
-                tracer=self.tracer, metrics=self.metrics,
+                tracer=self.tracer,
             )
             self._optimizers[config] = optimizer
         return optimizer
@@ -382,36 +402,68 @@ class PlanService:
         """The last rung, in this process: run the optimizer."""
         with self.tracer.span("service.compute", cat="service"):
             try:
-                result = self._optimizer(config).optimize_exercising(
+                run = self._optimizer(config).optimize_exercising(
                     tree, targets
                 )
                 error = None
             except OptimizationError as exc:
-                result, error = None, str(exc)
-        return self._computed(key, result, error, targets)
+                run, error = None, str(exc)
+        return self._computed(key, run, error, targets)
 
     def _computed(
         self,
         key: _CacheKey,
-        result: Optional[OptimizeResult],
+        run: Optional[_Run],
         error: Optional[str],
         targets: FrozenSet[str] = frozenset(),
     ) -> _Entry:
         """Count and store one optimizer outcome, computed here or by a
         pool worker; failures are remembered too, so repeated requests do
-        not re-search.  A trial that ended without a plan (neither result
-        nor error) is one optimizer invocation like any other, remembered
-        in memory only: there is no cost to persist."""
+        not re-search.  A run's record is folded into the registry here
+        and nowhere else.  A trial the optimizer stopped after exploration
+        is one optimizer invocation like any other, remembered in memory
+        only: there is no cost to persist.  A trial that ran in full keeps
+        its result, whatever the answer, so a later request for the plan
+        or the cost is a hit."""
         self._bump("computed")
+        if run is not None and self.metrics is not None:
+            self._fold(run)
         if error is not None:
             self._bump("errors")
             entry = _Entry(error=error)
-        elif result is None:
+        elif isinstance(run, Unexercised):
             entry = _Entry(unexercised=targets)
         else:
-            entry = _Entry(result=result, cost=result.cost)
+            entry = _Entry(result=run, cost=run.cost)
         self._keep(key, entry)
         return entry
+
+    def _fold(self, run: _Run) -> None:
+        """Count one optimizer run into the ``optimizer.*`` series."""
+        metrics, stats = self.metrics, run.stats
+        for name, amount in (
+            ("optimizer.optimizations", 1),
+            ("optimizer.unexercised", int(isinstance(run, Unexercised))),
+            ("optimizer.rule_applications", stats.rule_applications),
+            ("optimizer.costings", stats.costings),
+            ("optimizer.enforcers", stats.enforcers),
+            ("optimizer.budget_exhausted", int(stats.budget_exhausted)),
+        ):
+            metrics.counter(name).inc(amount)
+        metrics.histogram("optimizer.memo.groups").observe(stats.group_count)
+        metrics.histogram("optimizer.memo.exprs").observe(stats.expr_count)
+        for row in run.rule_counters:
+            handles = self._rule_series.get(row.name)
+            if handles is None:
+                handles = self._rule_series[row.name] = tuple(
+                    metrics.counter(series, rule=row.name)
+                    for series in _RULE_SERIES
+                )
+            considered, fired, rejected, failures = handles
+            considered.inc(row.considered)
+            fired.inc(row.fired)
+            rejected.inc(row.rejected)
+            failures.inc(row.precondition_failures)
 
     def _keep(self, key: _CacheKey, entry: _Entry) -> None:
         """Remember ``entry``, and persist it unless it is RuleSet-only."""
@@ -425,7 +477,7 @@ class PlanService:
         """The ladder over a batch: one entry per request, in order.
 
         Identical ``(fingerprint, config)`` misses are computed once; with
-        ``workers > 1`` the distinct computations of an unobserved service
+        ``workers > 1`` the distinct computations of an untraced service
         fan out over its worker pool."""
         entries: List[Optional[_Entry]] = [None] * len(requests)
         pending: Dict[_CacheKey, _Task] = {}  # distinct misses
@@ -615,10 +667,12 @@ class PlanService:
     def _compute_batch(
         self, pending: Dict[_CacheKey, _Task]
     ) -> Dict[_CacheKey, _Entry]:
-        # Pool workers carry no observer: an observed service computes in
-        # its own process, so what it records is everything it computed.
-        observed = self.tracer.enabled or self.metrics is not None
-        if self.workers > 1 and len(pending) > 1 and not observed:
+        # Pool workers carry no tracer: a traced service computes in its
+        # own process, so its trace holds everything it computed.  A
+        # registry needs no such rule: every count crosses the pool on the
+        # result, and ``_computed`` folds it in here.
+        traced = self.tracer.enabled
+        if self.workers > 1 and len(pending) > 1 and not traced:
             parallel = self._compute_parallel(pending)
             if parallel is not None:
                 return parallel

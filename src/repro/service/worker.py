@@ -19,9 +19,10 @@ their own -- the worker's slot shifted left by 40 bits -- so they collide
 neither with another worker's nor with a column the parent binds after
 the fork.
 
-Workers carry no tracer and no metrics registry: an observed service
-(enabled tracer or a registry) computes every batch in its own process,
-so the pool only ever serves services that nothing observes.
+Workers carry no tracer and no metrics registry.  A traced service
+computes every batch in its own process.  A registry needs no such rule:
+a result carries every count its run made (``stats``, ``rule_counters``),
+and the parent folds it into the service's registry as it stores it.
 """
 
 from __future__ import annotations

@@ -61,9 +61,48 @@ class TestGenerate:
         if code == 1:
             assert "FAILED" in out
 
-    def test_unknown_rule_raises(self):
-        with pytest.raises(KeyError):
-            main(["generate", "--rule", "NoSuchRule"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--rule", "NoSuchRule"],
+            ["generate", "--rule", "JoinCommutativity", "--pair", "NoSuchRule"],
+            ["trace", "--rule", "NoSuchRule"],
+            ["interaction", "--producer", "NoSuchRule",
+             "--consumer", "JoinCommutativity"],
+            ["analyze", "--gate", "NoSuchRule"],
+            ["optimize", "--sql", "SELECT n_name FROM nation",
+             "--disable", "NoSuchRule"],
+            ["trace", "--sql", "SELECT n_name FROM nation",
+             "--disable", "NoSuchRule"],
+        ],
+        ids=["generate-rule", "generate-pair", "trace-rule",
+             "interaction-producer", "analyze-gate", "optimize-disable",
+             "trace-disable"],
+    )
+    def test_unknown_rule_is_refused(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "no rule named 'NoSuchRule'\n"
+        assert captured.out == ""
+
+
+class TestQueryErrors:
+    @pytest.mark.parametrize("command", ["optimize", "trace"])
+    @pytest.mark.parametrize(
+        "sql, disable, error",
+        [
+            ("SELEC x", [], "ParseError"),
+            ("SELECT nope FROM nation", [], "BindError"),
+            ("SELECT n_name FROM nation", ["--disable", "GetToTableScan"],
+             "OptimizationError"),
+        ],
+        ids=["parse", "bind", "no-plan"],
+    )
+    def test_bad_query_exits_two(self, command, sql, disable, error, capsys):
+        assert main([command, "--sql", sql, *disable]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{error}: ")
+        assert captured.out == ""
 
 
 class TestOptimize:

@@ -3,7 +3,6 @@ the optimizer/service integration."""
 
 import ast
 import dataclasses
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -152,13 +151,11 @@ class TestOptimizerIntegration:
 
 
 class TestOneSourceOfTruth:
-    def test_pool_results_carry_what_a_registry_counts(
-        self, tpch_db, registry
-    ):
-        """An unobserved service fans its batch over the pool; the
-        per-rule counters its results carry are what a registry counts
-        when an observed service (which computes in-process) runs the
-        same batch."""
+    def test_a_metered_batch_runs_on_the_pool(self, tpch_db, registry):
+        """A registry does not keep a service off its pool: each result
+        carries every count its run made, and the service folds it in as
+        it stores it, so the registry reads the same at any ``workers``."""
+        no_plan = DEFAULT_CONFIG.with_disabled(["GetToTableScan"])
         trees = [
             sql_to_tree(SQL, tpch_db.catalog),
             sql_to_tree(SQL_AGG, tpch_db.catalog),
@@ -168,29 +165,23 @@ class TestOneSourceOfTruth:
             ),
         ]
         requests = [(tree, DEFAULT_CONFIG) for tree in trees]
-        with PlanService(tpch_db, registry=registry, workers=2) as pooled:
-            results = pooled.optimize_many(requests)
-        assert pooled.counters.parallel_tasks == len(trees)
-        carried = Counter()
-        for result in results:
-            for row in result.rule_counters:
-                carried[row.name, "considered"] += row.considered
-                carried[row.name, "fired"] += row.fired
-                carried[row.name, "rejected"] += row.rejected
+        requests += [requests[0], (trees[1], no_plan)]  # a repeat, an error
 
-        metrics = MetricsRegistry()
-        observed = PlanService(
-            tpch_db, registry=registry, workers=2, metrics=metrics
-        )
-        observed.optimize_many(requests)
-        assert observed.counters.parallel_tasks == 0
-        assert metrics.counter_value("optimizer.optimizations") == len(trees)
-        counted = Counter()
-        for rule, considered, fired, rejected in metrics.rule_table():
-            counted[rule, "considered"] += considered
-            counted[rule, "fired"] += fired
-            counted[rule, "rejected"] += rejected
-        assert +carried == +counted
+        def snapshot(workers):
+            metrics = MetricsRegistry()
+            with PlanService(
+                tpch_db, registry=registry, workers=workers, metrics=metrics
+            ) as service:
+                service.optimize_many(requests, return_errors=True)
+            return service.counters.parallel_tasks, metrics.snapshot()
+
+        pooled, counted = snapshot(2)
+        assert pooled == len(trees) + 1  # every distinct miss
+        assert snapshot(1) == (0, counted)
+        counters = counted["counters"]
+        assert counters["optimizer.optimizations"] == len(trees)
+        assert counters["service.errors"] == 1
+        assert counters["optimizer.costings"] > 0
 
 
 def _package_literals():

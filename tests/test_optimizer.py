@@ -40,8 +40,13 @@ from repro.obs.trace import RecordingTracer
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.memo import Memo, MemoBudgetExceeded
-from repro.optimizer.result import OptimizationError
+from repro.optimizer.result import (
+    OptimizationError,
+    OptimizeResult,
+    Unexercised,
+)
 from repro.physical.operators import PhysOpKind
+from repro.service import PlanService
 from repro.testing.builders import GenerationFailure
 from repro.testing.pattern_gen import PatternInstantiator, merge_hints
 from repro.testing.random_gen import RandomQueryGenerator
@@ -642,14 +647,28 @@ def _renumbered(plan) -> str:
 
 
 def assert_same_answer(trial, full, targets):
+    """``trial`` -- an optimizer's record, or a service's answer (``None``
+    for *no*) -- answers as ``full`` does."""
     if not full.exercised_all(targets):
-        assert trial is None, targets
+        assert trial is None or isinstance(trial, Unexercised) or (
+            not trial.exercised_all(targets)
+        ), targets
         return
     for name in RESULT_FIELDS:
         ours, theirs = getattr(trial, name), getattr(full, name)
         if name == "plan":
             ours, theirs = _renumbered(ours), _renumbered(theirs)
         assert ours == theirs, (name, targets)
+
+
+def _trial_service(database, stats, registry, metrics, **options):
+    """A one-process service that computes every request: nothing is
+    remembered, so each request is one optimizer run folded into
+    ``metrics``."""
+    return PlanService(
+        catalog=database.catalog, stats=stats, registry=registry,
+        workers=1, memory_cache=False, metrics=metrics, **options,
+    )
 
 
 class TestOptimizeExercising:
@@ -666,7 +685,7 @@ class TestOptimizeExercising:
             for targets in trial_targets(full, registry):
                 trial = optimizer.optimize_exercising(tree, targets)
                 assert_same_answer(trial, full, targets)
-                stopped += trial is None
+                stopped += isinstance(trial, Unexercised)
         assert stopped >= 2 * len(trees)
 
     def test_budget_capped_tree_gives_the_same_answer(
@@ -692,10 +711,7 @@ class TestOptimizeExercising:
     def test_implementation_rule_target_is_judged_after_implementation(
         self, tpch_db, tpch_stats, registry
     ):
-        metrics = MetricsRegistry()
-        optimizer = Optimizer(
-            tpch_db.catalog, tpch_stats, registry, metrics=metrics
-        )
+        optimizer = Optimizer(tpch_db.catalog, tpch_stats, registry)
         tree = make_get(tpch_db.catalog.table("nation"))
         full = optimizer.optimize(tree)
         assert "GetToTableScan" in full.rules_exercised
@@ -705,41 +721,54 @@ class TestOptimizeExercising:
             full, ["GetToTableScan"],
         )
         # Not exercised, but only implementation could tell: a full run.
-        assert optimizer.optimize_exercising(tree, ["JoinToHashJoin"]) is None
+        trial = optimizer.optimize_exercising(tree, ["JoinToHashJoin"])
+        assert isinstance(trial, OptimizeResult)
+        assert not trial.exercised_all(["JoinToHashJoin"])
+        assert trial.stats == full.stats and trial.stats.costings > 0
+
+        metrics = MetricsRegistry()
+        service = _trial_service(tpch_db, tpch_stats, registry, metrics)
+        service.optimize(tree)
+        assert service.optimize_exercising(tree, ["GetToTableScan"])
+        assert service.optimize_exercising(tree, ["JoinToHashJoin"]) is None
         assert metrics.counter_value("optimizer.unexercised") == 0
         assert metrics.counter_value("optimizer.optimizations") == 3
 
     def test_unknown_or_disabled_target_stops_after_exploration(
         self, tpch_db, tpch_stats, registry
     ):
-        metrics = MetricsRegistry()
-        optimizer = Optimizer(
-            tpch_db.catalog, tpch_stats, registry,
-            OptimizerConfig(disabled_rules=frozenset(["GetToTableScan"])),
-            metrics=metrics,
-        )
+        config = OptimizerConfig(disabled_rules=frozenset(["GetToTableScan"]))
+        optimizer = Optimizer(tpch_db.catalog, tpch_stats, registry, config)
         tree = make_get(tpch_db.catalog.table("nation"))
-        assert optimizer.optimize_exercising(tree, ["NoSuchRule"]) is None
         # Disabled, so it cannot fire -- and without it no plan exists, yet
         # the trial's answer is *no*, not an error.
-        assert optimizer.optimize_exercising(tree, ["GetToTableScan"]) is None
+        for targets in (["NoSuchRule"], ["GetToTableScan"]):
+            trial = optimizer.optimize_exercising(tree, targets)
+            assert isinstance(trial, Unexercised)
+            assert trial.stats.costings == trial.stats.enforcers == 0
+
+        metrics = MetricsRegistry()
+        service = _trial_service(
+            tpch_db, tpch_stats, registry, metrics, config=config
+        )
+        assert service.optimize_exercising(tree, ["NoSuchRule"]) is None
+        assert service.optimize_exercising(tree, ["GetToTableScan"]) is None
         assert metrics.counter_value("optimizer.unexercised") == 2
-        assert metrics.counter_value("optimizer.optimization_errors") == 0
+        assert metrics.counter_value("service.errors") == 0
 
     def test_stopped_run_records_its_exploration(
         self, tpch_db, tpch_stats, registry
     ):
         tree = _customer_orders_lineitem(tpch_db)
+        missing = ("GbAggPullAboveJoin", "UnionAllCommutativity")
         full_metrics, trial_metrics = MetricsRegistry(), MetricsRegistry()
-        full = Optimizer(
-            tpch_db.catalog, tpch_stats, registry, metrics=full_metrics
+        full = _trial_service(
+            tpch_db, tpch_stats, registry, full_metrics
         ).optimize(tree)
         tracer = RecordingTracer(detail="summary")
-        trial = Optimizer(
-            tpch_db.catalog, tpch_stats, registry,
-            tracer=tracer, metrics=trial_metrics,
+        trial = _trial_service(
+            tpch_db, tpch_stats, registry, trial_metrics, tracer=tracer
         )
-        missing = ("GbAggPullAboveJoin", "UnionAllCommutativity")
         assert trial.optimize_exercising(tree, missing) is None
 
         events = {event.name: dict(event.args) for event in tracer.events}
@@ -752,6 +781,19 @@ class TestOptimizeExercising:
         assert "optimize.implement" not in events
         assert "optimize.done" not in events
 
+        # The record the trial returned: the exploration's counts.
+        record = Optimizer(
+            tpch_db.catalog, tpch_stats, registry
+        ).optimize_exercising(tree, missing)
+        assert record.stats == dataclasses.replace(
+            full.stats, costings=0, enforcers=0
+        )
+        exploration = set(registry.exploration_rule_names)
+        assert [c for c in record.rule_counters if c.name in exploration] == [
+            c for c in full.rule_counters if c.name in exploration
+        ]
+
+        # The same counts, folded into the trial service's registry.
         value = trial_metrics.counter_value
         assert value("optimizer.optimizations") == 1
         assert value("optimizer.unexercised") == 1

@@ -362,6 +362,17 @@ class TestGenerationTrials:
         assert service.counters.computed == 2
         assert service.counters.errors == 0
 
+    def test_a_no_from_a_full_run_keeps_its_plan(self, tpch_db, service):
+        """Only implementation can tell that an implementation rule did
+        not fire, so that *no* comes from a full run, whose result is
+        kept and answers the plan request that follows."""
+        tree = _tree(tpch_db, SQL_SIMPLE)
+        assert service.optimize_exercising(tree, ["JoinToHashJoin"]) is None
+        assert not service.optimize(tree).exercised("JoinToHashJoin")
+        assert service.counters == ServiceStats(
+            requests=2, memory_hits=1, computed=1
+        )
+
     def test_ruleset_only_entry_does_not_answer_other_targets(
         self, tpch_db, service
     ):
@@ -599,14 +610,10 @@ class TestBatches:
         assert service.counters.errors == 2
         assert [type(answer) for answer in expected] == [str, float, str]
 
-    @pytest.mark.parametrize("observer", ["tracer", "metrics"])
-    def test_an_observed_batch_computes_in_process(
-        self, tpch_db, registry, observer
-    ):
-        """Workers have no observer: a service with an enabled tracer or
-        a metrics registry starts no pool and keeps every optimization in
-        its own process, so what it records does not depend on
-        ``workers``."""
+    def test_a_traced_batch_computes_in_process(self, tpch_db, registry):
+        """Workers have no tracer: a traced service starts no pool and
+        keeps every optimization in its own process, so its trace does not
+        depend on ``workers``."""
         trees = [
             _tree(tpch_db, SQL_SIMPLE),
             _tree(tpch_db, SQL_JOIN),
@@ -614,26 +621,17 @@ class TestBatches:
         ]
 
         def record(workers):
-            observers = {
-                "tracer": RecordingTracer(), "metrics": MetricsRegistry(),
-            }
+            tracer = RecordingTracer()
             service = PlanService(
-                tpch_db, registry=registry, workers=workers,
-                **{observer: observers[observer]},
+                tpch_db, registry=registry, workers=workers, tracer=tracer,
             )
             service.cost_many(trees)
             assert service._pool is None
             assert service.counters.parallel_tasks == 0
-            if observer == "tracer":
-                return [event.name for event in observers["tracer"].events]
-            return observers["metrics"].snapshot()
+            return [event.name for event in tracer.events]
 
         serial = record(1)
-        if observer == "tracer":
-            assert serial.count("optimize.done") == len(trees)
-        else:
-            optimizations = serial["counters"]["optimizer.optimizations"]
-            assert optimizations == len(trees)
+        assert serial.count("optimize.done") == len(trees)
         assert record(2) == serial
 
 
