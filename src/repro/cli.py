@@ -862,6 +862,7 @@ def _trace(args, env) -> int:
             {
                 "trace": json.loads(tracer.to_json()),
                 "metrics": metrics.snapshot(),
+                "service": service.counters.as_dict(),
             },
             indent=2,
             sort_keys=True,
@@ -869,7 +870,7 @@ def _trace(args, env) -> int:
     elif args.format == "chrome":
         output = tracer.to_chrome_json()
     else:
-        output = tracer.to_text(subject, metrics, args.top)
+        output = tracer.to_text(subject, metrics, service.counters, args.top)
         if result is not None:
             # Section 7's relevance: the rules the chosen plan's cost
             # rests on.

@@ -11,10 +11,11 @@ runs:
   default :data:`NULL_TRACER` makes every hook a no-op.
 * :class:`MetricsRegistry` (:mod:`repro.obs.metrics`): declared
   counters and histograms -- per-rule firing and rejection counts, memo
-  sizes, service cache traffic.  A traced plan service computes in its
+  sizes, plan executions.  A traced plan service computes in its
   own process, so its trace sees every optimization it runs; a registry
   sees them all at any worker count, because the service folds each
-  run's record into it.
+  run's record into it.  A service's cache traffic is not a metric: it
+  is the service's own ``ServiceStats`` (``PlanService.counters``).
 
 See ``docs/OBSERVABILITY.md`` for usage and the generated metric
 reference in ``docs/METRICS.md``.

@@ -11,6 +11,11 @@ A registry only ever sees its own process.  The ``optimizer.*`` series are
 a fold over the records optimizer runs return, done by the plan service
 that asked for them (``PlanService._computed``), so a registry counts the
 runs its service's pool workers computed too.
+
+A count that a record already holds is not declared here a second time:
+a plan service's traffic is its ``ServiceStats`` (``PlanService.counters``),
+a generation campaign's redraws are ``GenerationOutcome.oversized``, and a
+mutation campaign's verdicts are its ``MutationReport``.
 """
 
 from __future__ import annotations
@@ -88,76 +93,6 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     "optimizer.memo.exprs": (
         "histogram", (),
         "Final memo expression count, one observation per optimization.",
-    ),
-    # -------------------------------------------------------------- service
-    "service.requests": (
-        "counter", (),
-        "Plan/Cost requests received by the `PlanService` (batch members "
-        "included).",
-    ),
-    "service.memory_hits": (
-        "counter", (),
-        "Requests answered from the in-process fingerprint cache.",
-    ),
-    "service.disk_hits": (
-        "counter", (),
-        "Cost requests answered from the persistent disk cache.",
-    ),
-    "service.lineage_hits": (
-        "counter", (),
-        "Cost requests with rules disabled answered with `Cost(q)` from "
-        "the lineage of the uncut undisabled result in memory (its "
-        "`plan_support` avoids every disabled rule); not counted as hits.",
-    ),
-    "service.computed": (
-        "counter", (),
-        "Requests that ran the optimizer (cache misses).",
-    ),
-    "service.errors": (
-        "counter", (),
-        "Computations that ended in `OptimizationError` (memoized too).",
-    ),
-    "service.batches": (
-        "counter", (),
-        "`optimize_many()` batches that had at least one cache miss.",
-    ),
-    # ----------------------------------------------------------- generation
-    "generation.oversized": (
-        "counter", (),
-        "Generation draws skipped because the tree's estimated result "
-        "(root rows x output columns) exceeded "
-        "`repro.testing.generator.MAX_RESULT_CELLS`: each spent a trial, "
-        "none reached the optimizer, and the campaign drew again.  One "
-        "`generation.oversized` trace event each names the tree.",
-    ),
-    # ------------------------------------------------------------- mutation
-    "mutation.mutants": (
-        "counter", ("operator",),
-        "Mutants evaluated by the mutation campaign, per mutation "
-        "operator.",
-    ),
-    "mutation.outcomes": (
-        "counter", ("variant", "status"),
-        "Kill-matrix cells: one increment per (suite variant, outcome "
-        "status) pair of every evaluated mutant.",
-    ),
-    "mutation.pool_queries": (
-        "counter", (),
-        "Pattern-based queries generated into mutant evaluation pools "
-        "(regenerated against each mutated registry).",
-    ),
-    "mutation.fleet_errors": (
-        "counter", (),
-        "Mutants whose differential fleet raised instead of reporting: "
-        "nothing folds into their verdicts, so a non-zero count means "
-        "the second oracle did not judge those pools.",
-    ),
-    "mutation.no_fire_witnessed": (
-        "counter", ("rule",),
-        "Generation seeds stopped with a NO_FIRE verdict against the "
-        "clean build, per rule: one attempt's trials all failed on the "
-        "mutated build while the clean rule fired on `pool` of the same "
-        "trees.",
     ),
     # ------------------------------------------------------------ execution
     "exec.executions": (

@@ -99,7 +99,7 @@ class Tracer:
     memo insert, every costing) are guarded behind ``tracer.detailed``
     instead: a ``summary``-detail recording tracer skips them, keeping
     recording overhead low on full campaign runs while per-rule *counts*
-    stay exact through the metrics tally the engine maintains anyway.
+    stay exact on the records the optimizer returns anyway.
     """
 
     enabled: bool = False
@@ -273,11 +273,14 @@ class RecordingTracer(Tracer):
             counts[e.name] = counts.get(e.name, 0) + 1
         return counts
 
-    def to_text(self, subject: str, metrics, top: int = 10) -> str:
+    def to_text(
+        self, subject: str, metrics, service_stats, top: int = 10
+    ) -> str:
         """The ``repro trace`` text report: event totals plus the ``top``
         hottest rows of ``metrics``' per-rule firing table (``metrics`` is
         the :class:`~repro.obs.metrics.MetricsRegistry` that observed the
-        same run)."""
+        same run, ``service_stats`` the ``ServiceStats`` of the plan service
+        that served it)."""
         summary = ", ".join(
             f"{name}={count}"
             for name, count in sorted(self.counts_by_name().items())
@@ -297,9 +300,8 @@ class RecordingTracer(Tracer):
         lines.append(
             f"optimizations: {metrics.counter_value('optimizer.optimizations')}, "
             f"costings: {metrics.counter_value('optimizer.costings')}, "
-            f"service requests: "
-            f"{metrics.counter_value('service.requests')} "
-            f"({metrics.counter_value('service.memory_hits')} memory hits)"
+            f"service requests: {service_stats.requests} "
+            f"({service_stats.memory_hits} memory hits)"
         )
         executions = metrics.counter_value("exec.executions", executor="columnar")
         if executions:

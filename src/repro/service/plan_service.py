@@ -43,10 +43,12 @@ the optimizer's.  A generation trial
 optimizer stop after exploration when the answer is already *no*.
 :meth:`PlanService._cached` is the one place that counts requests and hits
 and emits ``service.cache``; :meth:`PlanService._computed` the one place
-that counts, stores and evicts a computed outcome.  It is also the one
-place an optimizer run reaches a metrics registry: the run's record
-(``stats`` and ``rule_counters``) is folded into the ``optimizer.*``
-series there, whether this process or a pool worker computed it.
+that counts, stores and evicts a computed outcome.  Those counts live in
+:class:`ServiceStats` (``PlanService.counters``) and nowhere else.
+``_computed`` is also the one place an optimizer run reaches a metrics
+registry: the run's record (``stats`` and ``rule_counters``) is folded
+into the ``optimizer.*`` series there, whether this process or a pool
+worker computed it.
 
 Construction of :class:`Optimizer` instances is an implementation detail of
 this module; no other package should instantiate one directly.
@@ -94,23 +96,37 @@ EXEC_CACHE_LIMIT = 10_000
 
 @dataclass
 class ServiceStats:
-    """Cache/traffic counters for one :class:`PlanService`.
+    """Cache/traffic counters for one :class:`PlanService`, its one ledger
+    of them (no metrics registry mirrors these).
 
-    ``requests`` counts every optimize/cost request (including batch
-    members); ``computed`` counts actual optimizer runs.  The difference is
-    absorbed by the two hit counters, by the cost requests the lineage
-    rung answered (``lineage_hits``, not counted as hits) and by
-    within-batch deduplication.
+    ``requests`` minus ``computed`` is absorbed by the two hit counters,
+    by the cost requests the lineage rung answered and by within-batch
+    deduplication.
     """
 
+    #: Plan/Cost requests received, batch members and generation trials
+    #: included.
     requests: int = 0
+    #: Requests answered from the in-process fingerprint cache.
     memory_hits: int = 0
+    #: Cost requests answered from the persistent disk cache.
     disk_hits: int = 0
+    #: Cost requests with rules disabled answered with ``Cost(q)`` from
+    #: the lineage of the uncut undisabled result in memory (its
+    #: ``plan_support`` avoids every disabled rule); not counted as hits.
     lineage_hits: int = 0
+    #: Requests that ran the optimizer (cache misses), a trial stopped
+    #: after exploration included: each is one optimizer invocation.
     computed: int = 0
+    #: Computations that ended in ``OptimizationError``; memoized too, so
+    #: a repeated request is a hit, not another error.
     errors: int = 0
+    #: ``optimize_many()`` / ``cost_many()`` batches that had at least one
+    #: cache miss; an all-hit batch is not counted.
     batches: int = 0
+    #: Batch computations a pool worker ran.
     parallel_tasks: int = 0
+    #: Batches that fell back to this process because the pool failed.
     pool_fallbacks: int = 0
 
     @property
@@ -219,13 +235,11 @@ class PlanService:
         #: cache/compute events and is handed to every Optimizer this
         #: service constructs, and a traced service computes every batch
         #: in this process (see ``_compute_batch``); the metrics registry
-        #: mirrors :class:`ServiceStats` as ``service.*`` counters and
-        #: folds in each optimizer run's record (see ``_computed``).
+        #: receives each optimizer run's record as ``optimizer.*`` series
+        #: (see ``_computed``) and each execution's ``exec.*`` counts.
+        #: The service's own traffic is ``counters``, and only there.
         self.tracer = tracer
         self.metrics = metrics
-        #: Resolved Counter handles, so the per-request path validates
-        #: each ``service.*`` series name once (see ``_bump``).
-        self._metric_counters: Dict[str, object] = {}
         #: The per-rule Counter handles of ``_fold``, resolved once a rule.
         self._rule_series: Dict[str, Tuple[Counter, ...]] = {}
         self._memory_cache_enabled = memory_cache
@@ -262,17 +276,6 @@ class PlanService:
         self.close()
 
     # ------------------------------------------------------------- plumbing
-
-    def _bump(self, name: str) -> None:
-        """Increment one :class:`ServiceStats` field and its metric twin."""
-        setattr(self.counters, name, getattr(self.counters, name) + 1)
-        if self.metrics is not None:
-            counter = self._metric_counters.get(name)
-            if counter is None:
-                counter = self._metric_counters[name] = self.metrics.counter(
-                    f"service.{name}"
-                )
-            counter.inc()
 
     def _resolve_config(self, config: Optional[OptimizerConfig]) -> OptimizerConfig:
         return self.config if config is None else config
@@ -324,17 +327,17 @@ class PlanService:
         cost request with rules disabled the lineage of the undisabled
         result.  ``None`` is a miss; the caller computes, singly or as part
         of a batch."""
-        self._bump("requests")
+        self.counters.requests += 1
         entry = self._entries.get(key)
         refused = None
         if entry is not None and entry.answers(need_plan, targets):
             outcome = "memory_hit"
-            self._bump("memory_hits")
+            self.counters.memory_hits += 1
         elif need_plan:
             entry, outcome = None, "miss"
         elif (entry := self._read_disk(key)) is not None:
             outcome = "disk_hit"
-            self._bump("disk_hits")
+            self.counters.disk_hits += 1
             self._remember(key, entry)
         elif not key[1].disabled_rules:
             outcome = "miss"
@@ -370,7 +373,7 @@ class PlanService:
             return None, f"base_cut:{result.stats.cut}"
         if not disabled.isdisjoint(result.plan_support):
             return None, f"in_support:{min(disabled & result.plan_support)}"
-        self._bump("lineage_hits")
+        self.counters.lineage_hits += 1
         entry = _Entry(cost=result.cost)
         self._keep(key, entry)
         return entry, None
@@ -425,11 +428,11 @@ class PlanService:
         only: there is no cost to persist.  A trial that ran in full keeps
         its result, whatever the answer, so a later request for the plan
         or the cost is a hit."""
-        self._bump("computed")
+        self.counters.computed += 1
         if run is not None and self.metrics is not None:
             self._fold(run)
         if error is not None:
-            self._bump("errors")
+            self.counters.errors += 1
             entry = _Entry(error=error)
         elif isinstance(run, Unexercised):
             entry = _Entry(unexercised=targets)
@@ -495,7 +498,7 @@ class PlanService:
             entries[index] = entry
 
         if pending:
-            self._bump("batches")
+            self.counters.batches += 1
             if self.tracer.enabled:
                 self.tracer.event(
                     "service.batch", cat="service",

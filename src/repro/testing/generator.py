@@ -111,9 +111,8 @@ class QueryGenerator:
         self, tree: LogicalOp, targets: Sequence[str], rows: float,
         columns: int,
     ) -> None:
-        """Make one redraw visible: a counter and a trace event."""
-        if self.service.metrics is not None:
-            self.service.metrics.counter("generation.oversized").inc()
+        """Make one redraw visible as a trace event (the count is
+        ``GenerationOutcome.oversized``)."""
         self.service.tracer.event(
             "generation.oversized", cat="testing",
             targets=",".join(targets), rows=round(rows),

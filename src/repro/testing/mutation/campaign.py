@@ -119,6 +119,10 @@ class MutantOutcome:
     #: ``(query_id, Cost(q))`` for every pool query, under the mutated
     #: build's own cost model (rounded; feeds the kill matrix slot costs).
     query_costs: Tuple[Tuple[int, float], ...] = ()
+    #: Why the differential fleet raised instead of reporting (empty when
+    #: it reported, or no fleet ran): nothing of it folded into
+    #: ``query_verdicts``, so the second oracle did not judge this pool.
+    fleet_error: str = ""
 
     def status(self, variant: str) -> str:
         return self.variants[variant].status
@@ -269,9 +273,11 @@ class MutationCampaign:
         self.max_trials = max_trials
         self.workers = workers
         self.config = config
+        #: Handed to the per-mutant and clean services (the campaign
+        #: itself counts nothing: its counts are folds over the report).
         self.metrics = metrics
-        #: Receives the campaign's own events only; the per-mutant
-        #: services are built without it.
+        #: Receives the campaign's own events and, through the services
+        #: it builds, the per-mutant and clean builds' optimizer work.
         self.tracer = tracer
         #: Optional second scoring oracle: fan each mutant's pool across
         #: this backend fleet (first member is the reference and must be
@@ -325,9 +331,7 @@ class MutationCampaign:
             differential_backends=self.differential_backends,
         )
         for mutant in mutants:
-            outcome = self._evaluate(mutant)
-            report.outcomes.append(outcome)
-            self._count_outcome(outcome)
+            report.outcomes.append(self._evaluate(mutant))
         report.service_stats = self._service_stats()
         return report
 
@@ -384,6 +388,7 @@ class MutationCampaign:
         except Exception as exc:  # defensive: a mutant that cannot build
             return self._uniform(mutant, CRASHED, _describe(exc), 0)
         service = self._service(registry)
+        fleet_error = ""
         try:
             queries, no_fire, crash = self._build_pool(
                 node, registry, service
@@ -400,7 +405,9 @@ class MutationCampaign:
             )
             verdicts = self._verdicts(suite, node, registry, service)
             if self.differential_backends:
-                self._fold_differential(suite, service, verdicts)
+                fleet_error = self._fold_differential(
+                    suite, service, verdicts
+                )
         finally:
             service.close()
             for key, value in service.counters.as_dict().items():
@@ -436,9 +443,10 @@ class MutationCampaign:
                 (query.query_id, round(query.cost, 6))
                 for query in suite.queries
             ),
+            fleet_error=fleet_error,
         )
 
-    def _fold_differential(self, suite, service, verdicts) -> None:
+    def _fold_differential(self, suite, service, verdicts) -> str:
         """Second scoring oracle: fan the pool across the backend fleet.
 
         A backend *disagreement* upgrades the query's verdict to
@@ -448,9 +456,9 @@ class MutationCampaign:
         both plans contain the same wrong transformation).  Backend
         errors and skips are deliberately NOT folded: an unavailable
         driver or an environment failure must never fake a detection;
-        a fleet that *raised* folds nothing either, but is counted
-        (``mutation.fleet_errors``) and traced, so it cannot read as
-        "no backend disagreed".
+        a fleet that *raised* folds nothing either, but its error is
+        returned (the mutant's ``fleet_error``) and traced, so it cannot
+        read as "no backend disagreed".  Returns ``""`` otherwise.
         """
         from repro.backends import create_backends
         from repro.testing.differential import DISAGREE, DifferentialRunner
@@ -461,19 +469,17 @@ class MutationCampaign:
                 self.differential_backends, service
             )
             if len(backends) < 2:
-                return
+                return ""
             runner = DifferentialRunner(
                 self.database, backends, skipped_backends=skipped,
             )
             diff_report = runner.run(suite)
         except Exception as exc:  # the second oracle is best-effort by design
-            if self.metrics is not None:
-                self.metrics.counter("mutation.fleet_errors").inc()
             self.tracer.event(
                 "mutation.fleet_error", cat="testing",
                 error=type(exc).__name__,
             )
-            return
+            return _describe(exc)
         finally:
             # One fleet per mutant (a sqlite member is a full in-memory
             # mirror of the database): release it with the mutant.
@@ -486,6 +492,7 @@ class MutationCampaign:
                 verdicts, outcome.query_id, "mismatch",
                 f"backend {outcome.backend} disagreed: {outcome.detail}",
             )
+        return ""
 
     def _build_pool(self, node, registry, service):
         """Union the per-seed pools into one renumbered query list.
@@ -548,10 +555,6 @@ class MutationCampaign:
                     break
         else:
             return None
-        if self.metrics is not None:
-            self.metrics.counter(
-                "mutation.no_fire_witnessed", rule=node[0]
-            ).inc()
         self.tracer.event(
             "mutation.no_fire", cat="testing", seed=seed, trials=len(trees),
             witnesses=len(witnesses), fingerprints=",".join(witnesses),
@@ -658,20 +661,6 @@ class MutationCampaign:
                 variant: VariantOutcome(variant, status, (), detail)
                 for variant in VARIANTS
             },
-        )
-
-    def _count_outcome(self, outcome: MutantOutcome) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.counter(
-            "mutation.mutants", operator=outcome.operator
-        ).inc()
-        for variant, result in outcome.variants.items():
-            self.metrics.counter(
-                "mutation.outcomes", variant=variant, status=result.status
-            ).inc()
-        self.metrics.counter("mutation.pool_queries").inc(
-            outcome.pool_size
         )
 
 

@@ -81,6 +81,12 @@ def report_to_dict(report) -> dict:
                         outcome.variants.items()
                     )
                 },
+                # Only where the fleet raised, so a run whose fleet
+                # reported (or that had none) serializes as it did before.
+                **(
+                    {"fleet_error": outcome.fleet_error}
+                    if outcome.fleet_error else {}
+                ),
             }
             for outcome in report.outcomes
         ],
@@ -144,6 +150,14 @@ def report_to_markdown(report) -> str:
         )
         lines.append(f"| {outcome.mutant_id} | {expected} | {cells} |")
     lines.append("")
+    unjudged = [o for o in report.outcomes if o.fleet_error]
+    for outcome in unjudged:
+        lines.append(
+            f"- fleet error on `{outcome.mutant_id}` (not judged by the "
+            f"differential oracle): {outcome.fleet_error}"
+        )
+    if unjudged:
+        lines.append("")
 
     for variant in VARIANTS:
         survivors = report.surviving_ids(variant)
@@ -199,6 +213,11 @@ def report_to_text(report) -> str:
     for variant in VARIANTS:
         for mutant_id in report.surviving_ids(variant):
             lines.append(f"  SURVIVOR[{variant}]: {mutant_id}")
+    for outcome in report.outcomes:
+        if outcome.fleet_error:
+            lines.append(
+                f"  FLEET ERROR: {outcome.mutant_id}: {outcome.fleet_error}"
+            )
     unexpected = report.unexpected_detections("FULL")
     for mutant_id in unexpected:
         lines.append(f"  UNEXPECTED DETECTION[FULL]: {mutant_id}")

@@ -340,6 +340,36 @@ class TestTrace:
         assert "campaign over 2 rules" in out
         assert "service requests:" in out
 
+    def test_campaign_reports_the_service_counters(self, capsys, monkeypatch):
+        """The traced service's traffic is its ``ServiceStats``: the JSON
+        carries them beside the registry's series, which holds no twin of
+        them, and the text line reads them (38 and 9 when the registry
+        still mirrored them)."""
+        import repro.cli as cli
+
+        services = []
+
+        class Kept(cli.PlanService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                services.append(self)
+
+        monkeypatch.setattr(cli, "PlanService", Kept)
+        argv = ["trace", "--campaign", "--rules", "4", "--k", "2",
+                "--detail", "summary"]
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        (traced,) = [s for s in services if s.tracer.enabled]
+        assert payload["service"] == traced.counters.as_dict()
+        assert not [
+            name for name in payload["metrics"]["counters"]
+            if name.startswith("service.")
+        ]
+        assert main(argv) == 0
+        assert "service requests: 38 (9 memory hits)" in (
+            capsys.readouterr().out
+        )
+
 
 class TestDiff:
     def test_fleet_passes_on_the_seed_registry(self, capsys):

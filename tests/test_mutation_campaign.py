@@ -31,21 +31,18 @@ ALL_STATUSES = {
 @pytest.fixture(scope="module")
 def smoke_report(tpch_db, registry):
     """One tiny two-mutant campaign shared by the structural tests."""
-    metrics = MetricsRegistry()
     campaign = MutationCampaign(
         tpch_db, registry, pool=4, k=1, seeds=(3,), extra_operators=2,
-        metrics=metrics,
     )
-    report = campaign.run(
+    return campaign.run(
         rule_names=["DistinctRemoveOnKey"],
         operators=["handwritten", "drop-precondition"],
     )
-    return report, metrics
 
 
 class TestCampaignSmoke:
     def test_every_mutant_scored_on_every_variant(self, smoke_report):
-        report, _ = smoke_report
+        report = smoke_report
         assert len(report.outcomes) == 2
         for outcome in report.outcomes:
             assert set(outcome.variants) == set(VARIANTS)
@@ -53,14 +50,14 @@ class TestCampaignSmoke:
                 assert outcome.status(variant) in ALL_STATUSES
 
     def test_json_round_trips(self, smoke_report):
-        report, _ = smoke_report
+        report = smoke_report
         data = json.loads(report.to_json())
         assert len(data["mutants"]) == 2
         assert set(data["summary"]) == set(VARIANTS)
         assert data["config"]["seeds"] == [3]
 
     def test_renderings_cover_the_matrix(self, smoke_report):
-        report, _ = smoke_report
+        report = smoke_report
         markdown = report.to_markdown()
         assert "## Kill matrix" in markdown
         assert "## Detection scores" in markdown
@@ -70,7 +67,7 @@ class TestCampaignSmoke:
             assert outcome.mutant_id in markdown
 
     def test_survivors_are_reported_never_dropped(self, smoke_report):
-        report, _ = smoke_report
+        report = smoke_report
         for outcome in report.outcomes:
             for variant in VARIANTS:
                 if outcome.expected_detectable and not outcome.detected(
@@ -81,24 +78,8 @@ class TestCampaignSmoke:
                     )
                     assert outcome.mutant_id in report.to_text()
 
-    def test_metrics_flow_into_the_registry(self, smoke_report):
-        report, metrics = smoke_report
-        counters = metrics.snapshot()["counters"]
-        mutant_total = sum(
-            value
-            for name, value in counters.items()
-            if name.startswith("mutation.mutants")
-        )
-        assert mutant_total == len(report.outcomes)
-        outcome_total = sum(
-            value
-            for name, value in counters.items()
-            if name.startswith("mutation.outcomes")
-        )
-        assert outcome_total == len(report.outcomes) * len(VARIANTS)
-
     def test_service_stats_aggregated(self, smoke_report):
-        report, _ = smoke_report
+        report = smoke_report
         assert report.service_stats
         assert report.service_stats.get("requests", 0) > 0
 
@@ -124,7 +105,7 @@ class TestCampaignSmoke:
     def test_outcomes_carry_the_kill_matrix_row(self, smoke_report):
         """Every pool query's verdict and cost are recorded: the
         detection objective (repro.testing.detection) needs them."""
-        report, _ = smoke_report
+        report = smoke_report
         for outcome in report.outcomes:
             if outcome.pool_size == 0:
                 assert outcome.query_verdicts == ()
@@ -142,7 +123,7 @@ class TestCampaignSmoke:
                 )
 
     def test_verdict_rows_serialize(self, smoke_report):
-        report, _ = smoke_report
+        report = smoke_report
         data = json.loads(report.to_json())
         assert data["config"]["differential_backends"] == []
         for mutant in data["mutants"]:
@@ -488,26 +469,32 @@ def test_sample_pools_are_within_the_result_bound(sample, estimated_cells):
     assert max(map(estimated_cells, pool_trees)) <= MAX_RESULT_CELLS
 
 
-def test_a_fleet_that_raised_is_counted_not_folded(
+def test_a_fleet_that_raised_is_recorded_not_folded(
     tpch_db, registry, monkeypatch
 ):
     """A fleet member that raises (not a ``BackendError`` its ``run_many``
     would record) takes the whole second oracle down: the verdicts are
     the correctness runner's alone -- here the recorded ones, the fleet
-    adds nothing to this mutant -- and the failure is visible."""
+    adds nothing to this mutant -- and the failure is visible on the
+    mutant, in its artifact row and in both reports."""
     from repro.backends.sqlite_backend import SqliteBackend
 
     def run_many(self, requests):
         raise TypeError("unhashable type: 'list'")
 
     monkeypatch.setattr(SqliteBackend, "run_many", run_many)
-    metrics, tracer = MetricsRegistry(), RecordingTracer()
-    report = _sample_campaign(
-        tpch_db, registry, metrics=metrics, tracer=tracer
-    ).run(rule_names=["JoinCommutativity"], operators=["widen-join-kind"])
+    tracer = RecordingTracer()
+    report = _sample_campaign(tpch_db, registry, tracer=tracer).run(
+        rule_names=["JoinCommutativity"], operators=["widen-join-kind"]
+    )
     mutant_id, row = _outcome_row(report)
     assert row == RECORDED_FLEET_OUTCOMES[mutant_id]
-    assert metrics.counter_value("mutation.fleet_errors") == 1
+    error = "TypeError: unhashable type: 'list'"
+    assert report.outcomes[0].fleet_error == error
+    (artifact_row,) = report.to_dict()["mutants"]
+    assert artifact_row["fleet_error"] == error
+    assert f"FLEET ERROR: {mutant_id}: {error}" in report.to_text()
+    assert f"- fleet error on `{mutant_id}`" in report.to_markdown()
     (event,) = [
         event for event in tracer.events
         if event.name == "mutation.fleet_error"
@@ -668,9 +655,6 @@ def test_no_fire_names_witnesses_that_replay_on_both_builds(
         ).run(rule_names=["AvgToSumDivCount"], operators=["skip-substitute"])
     detail = report.outcomes[0].variants["FULL"].detail
     assert detail == _NO_FIRE_DETAIL
-    assert metrics.counter_value(
-        "mutation.no_fire_witnessed", rule="AvgToSumDivCount"
-    ) == 1
     (event,) = [e for e in tracer.events if e.name == "mutation.no_fire"]
     assert dict(event.args) == {
         "seed": 11, "trials": 25, "witnesses": 4,
@@ -716,9 +700,6 @@ def test_clean_rule_not_firing_either_keeps_full_persistence(
     # service, each a *no*.
     assert metrics.counter_value("optimizer.unexercised") == 2 * 3 * 25
     assert campaign._clean.counters.computed == 3 * 25
-    assert metrics.counter_value(
-        "mutation.no_fire_witnessed", rule="AvgToSumDivCount"
-    ) == 0
     # The services trace their requests; the campaign itself saw nothing.
     assert not [e for e in tracer.events if e.name.startswith("mutation.")]
 
@@ -739,10 +720,11 @@ def test_a_mutant_that_fires_less_is_not_flagged(tpch_db, registry):
                 if len(conjuncts(binding.predicate)) >= 2:
                     yield alternative
 
-    metrics = MetricsRegistry()
+    metrics, tracer = MetricsRegistry(), RecordingTracer(detail="summary")
     campaign = MutationCampaign(
         tpch_db, registry.with_replaced_rule(RepeatOnConjunction()),
         pool=4, k=2, seeds=(11,), extra_operators=2, metrics=metrics,
+        tracer=tracer,
     )
     report = campaign.run(
         rule_names=["JoinCommutativity"], operators=["skip-substitute"]
@@ -765,7 +747,9 @@ def test_a_mutant_that_fires_less_is_not_flagged(tpch_db, registry):
         },
     )
     assert metrics.counter_value("optimizer.unexercised") == 19
-    assert metrics.counter_value("generation.oversized") == 2
+    assert sum(
+        e.name == "generation.oversized" for e in tracer.events
+    ) == 2
     assert campaign._clean is None
     assert report.service_stats["computed"] == 27  # the two fewer trials
 
@@ -814,21 +798,27 @@ def test_every_fleet_backend_is_closed_with_its_mutant(
             raise TypeError("unhashable type: 'list'")
 
         monkeypatch.setattr(DifferentialRunner, "run", run)
-    metrics = MetricsRegistry()
-    campaign = _sample_campaign(tpch_db, registry, metrics=metrics)
-    for rule_name, operator in (
-        ("JoinCommutativity", "widen-join-kind"),
-        ("LojPushSelectLeft", "drop-precondition"),
-    ):
+    campaign = _sample_campaign(tpch_db, registry)
+    reports = [
         campaign.run(rule_names=[rule_name], operators=[operator])
+        for rule_name, operator in (
+            ("JoinCommutativity", "widen-join-kind"),
+            ("LojPushSelectLeft", "drop-precondition"),
+        )
+    ]
     assert [type(backend) for backend in closed] == [
         EngineBackend, SqliteBackend
     ] * 2
     assert len(set(map(id, closed))) == 4
     assert all(backend._conn is None for backend in closed[1::2])
-    assert metrics.counter_value("mutation.fleet_errors") == (
-        2 if fleet_raises else 0
-    )
+    error = "TypeError: unhashable type: 'list'" if fleet_raises else ""
+    for report in reports:
+        (outcome,) = report.outcomes
+        assert outcome.fleet_error == error
+        (row,) = report.to_dict()["mutants"]
+        assert row.get("fleet_error", "") == error
+        # A mutant whose fleet ran has no such key.
+        assert ("fleet_error" in row) is fleet_raises
 
 
 def test_stopped_trials_are_still_sanitized(tpch_db, registry, monkeypatch):

@@ -2,7 +2,6 @@
 the optimizer/service integration."""
 
 import ast
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,7 @@ from repro.obs import (
     render_name,
 )
 from repro.optimizer.config import DEFAULT_CONFIG
-from repro.service import PlanService, ServiceStats
+from repro.service import PlanService
 from repro.sql.binder import sql_to_tree
 
 SQL = (
@@ -62,13 +61,8 @@ class TestStrictDeclarations:
             handle = getattr(registry, kind)
             handle(name, **{key: "x" for key in labels})  # must validate
         # ...and has a writer: its name is a string literal somewhere in
-        # the package besides the table, or it is the metric twin of a
-        # ServiceStats field (``PlanService._bump`` builds those names).
-        written = _package_literals() | {
-            f"service.{field.name}"
-            for field in dataclasses.fields(ServiceStats)
-        }
-        assert sorted(set(METRIC_DOCS) - written) == []
+        # the package besides the table.
+        assert sorted(set(METRIC_DOCS) - _package_literals()) == []
 
 
 class TestNames:
@@ -96,11 +90,11 @@ class TestSnapshots:
 
     def test_snapshot_holds_counters_and_histograms(self):
         registry = MetricsRegistry()
-        registry.counter("service.requests").inc(9)
+        registry.counter("exec.rows").inc(9)
         registry.histogram("optimizer.memo.exprs").observe(5)
         snapshot = registry.snapshot()
         assert list(snapshot) == ["counters", "histograms"]
-        assert snapshot["counters"] == {"service.requests": 9}
+        assert snapshot["counters"] == {"exec.rows": 9}
 
     def test_snapshot_is_deterministic(self):
         registry = MetricsRegistry()
@@ -139,15 +133,22 @@ class TestOptimizerIntegration:
         considered, fired, rejected = result.rule_firing_summary()
         assert considered == fired + rejected
 
-    def test_service_counters_have_metric_twins(self, tpch_db, registry):
+    def test_service_traffic_is_counted_once(self, tpch_db, registry):
+        """A service's requests and hits are its ``counters``; a registry
+        holds the optimizer runs it folded in, and no twin of those."""
         metrics = MetricsRegistry()
         service = PlanService(tpch_db, registry=registry, metrics=metrics)
         tree = sql_to_tree(SQL, tpch_db.catalog)
         service.optimize(tree)
         service.optimize(tree)
-        assert metrics.counter_value("service.requests") == 2
-        assert metrics.counter_value("service.memory_hits") == 1
-        assert metrics.counter_value("service.computed") == 1
+        counters = service.counters
+        assert (counters.requests, counters.memory_hits) == (2, 1)
+        assert counters.computed == 1
+        assert metrics.counter_value("optimizer.optimizations") == 1
+        assert not [
+            name for name in metrics.snapshot()["counters"]
+            if name.startswith("service.")
+        ]
 
 
 class TestOneSourceOfTruth:
@@ -173,14 +174,15 @@ class TestOneSourceOfTruth:
                 tpch_db, registry=registry, workers=workers, metrics=metrics
             ) as service:
                 service.optimize_many(requests, return_errors=True)
-            return service.counters.parallel_tasks, metrics.snapshot()
+            stats = service.counters
+            return stats.parallel_tasks, stats.errors, metrics.snapshot()
 
-        pooled, counted = snapshot(2)
+        pooled, errors, counted = snapshot(2)
         assert pooled == len(trees) + 1  # every distinct miss
-        assert snapshot(1) == (0, counted)
+        assert errors == 1
+        assert snapshot(1) == (0, errors, counted)
         counters = counted["counters"]
         assert counters["optimizer.optimizations"] == len(trees)
-        assert counters["service.errors"] == 1
         assert counters["optimizer.costings"] > 0
 
 

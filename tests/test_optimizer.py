@@ -754,7 +754,7 @@ class TestOptimizeExercising:
         assert service.optimize_exercising(tree, ["NoSuchRule"]) is None
         assert service.optimize_exercising(tree, ["GetToTableScan"]) is None
         assert metrics.counter_value("optimizer.unexercised") == 2
-        assert metrics.counter_value("service.errors") == 0
+        assert service.counters.errors == 0
 
     def test_stopped_run_records_its_exploration(
         self, tpch_db, tpch_stats, registry
