@@ -342,7 +342,6 @@ class Optimizer:
             cost=winner.cost,
             rules_exercised=frozenset(exercised),
             output_columns=output_columns,
-            logical_tree=tree,
             stats=replace(
                 stats,
                 costings=implementer.costings,

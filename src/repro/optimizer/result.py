@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from repro.expr.expressions import Column
-from repro.logical.operators import LogicalOp
 from repro.physical.operators import PhysicalOp
 
 
@@ -97,8 +96,6 @@ class OptimizeResult:
     rules_exercised: FrozenSet[str]
     #: Output columns of the original query, in presentation order.
     output_columns: Tuple[Column, ...]
-    #: The logical tree the optimizer was initialized with.
-    logical_tree: LogicalOp
     #: Search-effort counters.
     stats: MemoStats
     #: Derived rule interactions (Section 7): ``(producer, consumer)`` pairs

@@ -14,7 +14,9 @@ from typing import Iterable
 
 from repro.expr.aggregates import AggregateCall, AggregateFunction
 from repro.expr.expressions import ColumnRef
-from repro.logical.operators import GbAgg, Join, JoinKind, LogicalOp, Select
+from repro.logical.operators import (
+    GbAgg, Join, JoinKind, LogicalOp, OpKind, Select,
+)
 from repro.rules.exploration.distinct_rules import DistinctRemoveOnKey
 from repro.rules.exploration.groupby_rules import (
     GbAggEagerBelowJoin,
@@ -22,9 +24,6 @@ from repro.rules.exploration.groupby_rules import (
 )
 from repro.rules.exploration.outerjoin_rules import LojToJoinOnNullReject
 from repro.rules.exploration.select_rules import SelectPushBelowJoinRight
-from repro.expr.expressions import conjunction
-from repro.logical.operators import OpKind
-from repro.rules.common import maybe_select, split_conjuncts_by_side
 from repro.rules.framework import ANY, P, RuleContext
 
 
@@ -53,17 +52,6 @@ class BuggySelectPushBelowJoinRight(SelectPushBelowJoinRight):
             join_kinds=(JoinKind.INNER, JoinKind.LEFT_OUTER),
         ),
     )
-
-    def substitute(self, binding: Select, ctx: RuleContext) -> Iterable[LogicalOp]:
-        join: Join = binding.child
-        left_ids = ctx.column_ids(join.left)
-        right_ids = ctx.column_ids(join.right)
-        left_only, right_only, rest = split_conjuncts_by_side(
-            binding.predicate, left_ids, right_ids
-        )
-        new_right = Select(join.right, conjunction(right_only))
-        new_join = join.with_children((join.left, new_right))
-        yield maybe_select(new_join, left_only + rest)
 
 
 class BuggyDistinctRemove(DistinctRemoveOnKey):

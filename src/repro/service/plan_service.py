@@ -50,15 +50,19 @@ registry: the run's record (``stats`` and ``rule_counters``) is folded
 into the ``optimizer.*`` series there, whether this process or a pool
 worker computed it.
 
-Construction of :class:`Optimizer` instances is an implementation detail of
-this module; no other package should instantiate one directly.
+One callable runs the optimizer: :class:`_Runner` answers ``(run,
+error)`` for ``(tree, config, targets)`` and keeps one :class:`Optimizer`
+per config.  ``_compute`` calls it in this process, and the worker pool is
+built over the same runner, so a worker runs exactly what this process
+would and its answer is stored as it arrives.  No other module of the
+package constructs an :class:`Optimizer`.
 """
 
 from __future__ import annotations
 
 import warnings
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -190,6 +194,47 @@ class _Entry:
         return OptimizationError(self.error or "optimization failed")
 
 
+class _Runner:
+    """Runs the optimizer: ``(run, error)`` for ``(tree, config,
+    targets)``, the error being an :class:`OptimizationError`'s message.
+
+    It holds what a run needs and one :class:`Optimizer` per config, built
+    on first use.  It holds no reference to the service: the service's
+    pool holds the runner, so a dropped service is still collected (and
+    its pool reaped) while workers are alive.
+    """
+
+    def __init__(
+        self,
+        catalog: Catalog,
+        stats: StatsRepository,
+        registry: RuleRegistry,
+        tracer: Tracer,
+    ) -> None:
+        self.catalog = catalog
+        self.stats = stats
+        self.registry = registry
+        self.tracer = tracer
+        self.optimizers: Dict[OptimizerConfig, Optimizer] = {}
+
+    def __call__(
+        self,
+        tree: LogicalOp,
+        config: OptimizerConfig,
+        targets: FrozenSet[str] = frozenset(),
+    ) -> Tuple[Optional[_Run], Optional[str]]:
+        optimizer = self.optimizers.get(config)
+        if optimizer is None:
+            optimizer = self.optimizers[config] = Optimizer(
+                self.catalog, self.stats, self.registry, config,
+                tracer=self.tracer,
+            )
+        try:
+            return optimizer.optimize_exercising(tree, targets), None
+        except OptimizationError as exc:
+            return None, str(exc)
+
+
 class PlanService:
     """Fingerprint-cached, optionally parallel Plan/Cost server."""
 
@@ -245,7 +290,8 @@ class PlanService:
         self._memory_cache_enabled = memory_cache
         #: Plan/cost answers, FIFO-bounded by ``MEMORY_LIMIT``.
         self._entries: Dict[_CacheKey, _Entry] = {}
-        self._optimizers: Dict[OptimizerConfig, Optimizer] = {}
+        #: The optimizer runs of this service, in-process or in its pool.
+        self._runner = _Runner(catalog, stats, self.registry, tracer)
         #: Execution results, keyed by (plan signature, projection cids,
         #: database fingerprint) and FIFO-bounded by ``EXEC_CACHE_LIMIT``;
         #: see execute_many.
@@ -291,16 +337,6 @@ class PlanService:
         if token is None:
             token = self._tokens[config] = config.cache_token()
         return fingerprint, token
-
-    def _optimizer(self, config: OptimizerConfig) -> Optimizer:
-        optimizer = self._optimizers.get(config)
-        if optimizer is None:
-            optimizer = Optimizer(
-                self.catalog, self.stats, self.registry, config,
-                tracer=self.tracer,
-            )
-            self._optimizers[config] = optimizer
-        return optimizer
 
     def _record_for(self, key: _CacheKey, entry: _Entry) -> Dict:
         """What a later run reads back: the key and the cost or error."""
@@ -404,13 +440,7 @@ class PlanService:
     ) -> _Entry:
         """The last rung, in this process: run the optimizer."""
         with self.tracer.span("service.compute", cat="service"):
-            try:
-                run = self._optimizer(config).optimize_exercising(
-                    tree, targets
-                )
-                error = None
-            except OptimizationError as exc:
-                run, error = None, str(exc)
+            run, error = self._runner(tree, config, targets)
         return self._computed(key, run, error, targets)
 
     def _computed(
@@ -616,10 +646,11 @@ class PlanService:
         executes, every later occurrence is served the same
         :class:`~repro.engine.results.QueryResult` (and its cached bag
         digest) -- counted as ``exec.coalesced`` within the call and as
-        ``exec.cache_hits`` in a later one, so campaign loops that
-        re-execute the same baseline plan per mutant pay for it once.  The
-        database fingerprint in the key invalidates stale entries the
-        moment any table is mutated.
+        ``exec.cache_hits`` in a later call to this service.  The cache
+        lives and dies with the service: a mutation campaign gives each
+        mutant a service of its own, so no execution is shared across
+        mutants.  The database fingerprint in the key invalidates stale
+        entries the moment any table is mutated.
         """
         from repro.engine.batch import BatchItem, execute_item
         from repro.physical.operators import plan_signature
@@ -693,9 +724,7 @@ class PlanService:
         tasks = list(pending.values())
         try:
             if self._pool is None:
-                self._pool = _worker.WorkerPool(
-                    (self.catalog, self.stats, self.registry)
-                )
+                self._pool = _worker.WorkerPool(self._runner)
                 self._reaper = weakref.finalize(self, self._pool.close)
             self._pool.grow(min(self.workers, len(tasks)))
             outcomes = self._pool.map(tasks)
@@ -708,10 +737,9 @@ class PlanService:
                 stacklevel=2,
             )
             return None
-        computed: Dict[_CacheKey, _Entry] = {}
-        for key, (tree, _), (result, error) in zip(pending, tasks, outcomes):
-            if result is not None:
-                result = replace(result, logical_tree=tree)
-            computed[key] = self._computed(key, result, error)
+        computed = {
+            key: self._computed(key, run, error)
+            for key, (run, error) in zip(pending, outcomes, strict=True)
+        }
         self.counters.parallel_tasks += len(tasks)
         return computed

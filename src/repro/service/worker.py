@@ -1,28 +1,21 @@
-"""The forked worker pool behind :class:`repro.service.PlanService`.
+"""A pool of forked workers that run one function.
 
-A service with ``workers > 1`` starts a :class:`WorkerPool` at its first
-batch with two or more distinct misses and keeps it for its whole life.
-Each worker is a plain ``os.fork`` of the service's process joined to it
-by two pipes: it reads one pickled ``(index, tree, config)`` task at a
-time and writes back ``(index, result, error)``.  Catalog,
-statistics and registry are inherited through the fork, so nothing about
-the environment is pickled -- a registry that would not pickle (a
-mutant's, say) fans out like any other.  A worker builds one
-:class:`Optimizer` per distinct config on demand and keeps it for the
-life of the pool, and worker ``i`` runs on the ``i``-th CPU the process
-may use.
+A :class:`WorkerPool` is built over one task function and forks its
+workers only when :meth:`WorkerPool.grow` asks for them, so each worker
+inherits the function -- and everything it holds -- through the fork:
+nothing of it is pickled.  Each worker is a plain ``os.fork`` joined to
+its parent by two pipes: it reads one pickled ``(index, arguments)`` task
+at a time, calls ``task(*arguments)`` and writes back ``(index,
+answer)``.  Worker ``i`` runs on the ``i``-th CPU the process may use.
 
-Results travel without their ``logical_tree``: the parent re-attaches the
-tree it asked about.  Columns a rule mints in a worker (set-op rules,
-``AvgToSumDivCount``, the group-by split) take their ids from a range of
-their own -- the worker's slot shifted left by 40 bits -- so they collide
-neither with another worker's nor with a column the parent binds after
-the fork.
-
-Workers carry no tracer and no metrics registry.  A traced service
-computes every batch in its own process.  A registry needs no such rule:
-a result carries every count its run made (``stats``, ``rule_counters``),
-and the parent folds it into the service's registry as it stores it.
+The function's one client is :class:`repro.service.PlanService`, whose
+pool runs the same optimizer-running callable its own process calls (see
+:mod:`repro.service.plan_service`): a registry that would not pickle (a
+mutant's, say) fans out like any other.  Columns a rule mints in a worker
+(set-op rules, ``AvgToSumDivCount``, the group-by split) take their ids
+from a range of their own -- the worker's slot shifted left by 40 bits --
+so they collide neither with another worker's nor with a column the
+parent binds after the fork.
 """
 
 from __future__ import annotations
@@ -33,24 +26,14 @@ import os
 import pickle
 import select
 import signal
-from dataclasses import replace
 from typing import (
-    BinaryIO, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Any, BinaryIO, Callable, Dict, List, NamedTuple, Sequence, Set, Tuple,
 )
 
-from repro.catalog.schema import Catalog
-from repro.catalog.stats import StatsRepository
 from repro.expr import expressions
-from repro.logical.operators import LogicalOp
-from repro.optimizer.config import OptimizerConfig
-from repro.optimizer.engine import Optimizer
-from repro.optimizer.result import OptimizationError, OptimizeResult
-from repro.rules.registry import RuleRegistry
 
-#: One request, and what a worker answers for it.
-Task = Tuple[LogicalOp, OptimizerConfig]
-Outcome = Tuple[Optional[OptimizeResult], Optional[str]]
-Environment = Tuple[Catalog, StatsRepository, RuleRegistry]
+#: What a pool runs: called in a worker as ``task(*arguments)``.
+Task = Callable[..., Any]
 
 #: Column-id ranges: worker ``slot`` mints from ``slot << _ID_SHIFT``.
 _ID_SHIFT = 40
@@ -78,10 +61,10 @@ class _Child(NamedTuple):
 
 
 class WorkerPool:
-    """Forked workers, each serving tasks until its task pipe closes."""
+    """Forked workers, each calling ``task`` until its task pipe closes."""
 
-    def __init__(self, environment: Environment) -> None:
-        self._environment = environment
+    def __init__(self, task: Task) -> None:
+        self._task = task
         self._owner = os.getpid()
         self.children: List[_Child] = []
 
@@ -100,7 +83,7 @@ class WorkerPool:
                 for fd in (task_write, result_read, *_parent_fds):
                     os.close(fd)
                 _pin(index)
-                _serve(slot, task_read, result_write, self._environment)
+                _serve(slot, task_read, result_write, self._task)
                 status = 0
             finally:
                 os._exit(status)
@@ -111,12 +94,13 @@ class WorkerPool:
             pid, os.fdopen(task_write, "wb"), os.fdopen(result_read, "rb")
         )
 
-    def map(self, tasks: Sequence[Task]) -> List[Outcome]:
-        """Every task's outcome, by task index.  Tasks go out in order, each
-        to whichever worker is idle; a dead worker raises ``EOFError``.  A
-        map that raises (or is interrupted) closes the pool first, so no
-        answer of it is left in a pipe for the next map to read."""
-        outcomes: List[Optional[Outcome]] = [None] * len(tasks)
+    def map(self, tasks: Sequence[Tuple]) -> List[Any]:
+        """``task(*arguments)`` for every ``arguments`` of ``tasks``, in
+        task order.  Tasks go out in order, each to whichever worker is
+        idle; a dead worker raises ``EOFError``.  A map that raises (or is
+        interrupted) closes the pool first, so no answer of it is left in a
+        pipe for the next map to read."""
+        answers: List[Any] = [None] * len(tasks)
         queue = iter(enumerate(tasks))
         busy: Dict[int, _Child] = {}
         poller = select.poll()
@@ -124,9 +108,7 @@ class WorkerPool:
         def dispatch(child: _Child) -> None:
             task = next(queue, None)
             if task is not None:
-                index, (tree, config) = task
-                pickle.dump((index, tree, config), child.tasks,
-                            pickle.HIGHEST_PROTOCOL)
+                pickle.dump(task, child.tasks, pickle.HIGHEST_PROTOCOL)
                 child.tasks.flush()
                 busy[child.results.fileno()] = child
 
@@ -139,13 +121,13 @@ class WorkerPool:
                     child = busy.pop(fd, None)
                     if child is None:  # an idle worker's pipe closed
                         raise EOFError("a pool worker exited")
-                    index, *outcome = pickle.load(child.results)
-                    outcomes[index] = tuple(outcome)
+                    index, answer = pickle.load(child.results)
+                    answers[index] = answer
                     dispatch(child)
         except BaseException:
             self.close()
             raise
-        return outcomes
+        return answers
 
     def close(self) -> None:
         """Stop and reap every worker.  A no-op in any process but the one
@@ -177,38 +159,22 @@ def _pin(index: int) -> None:
         os.sched_setaffinity(0, {cpus[index % len(cpus)]})
 
 
-def _serve(
-    slot: int,
-    tasks_fd: int,
-    results_fd: int,
-    environment: Environment,
-) -> None:
-    """A worker's life: answer tasks until the parent closes the pipe."""
+def _serve(slot: int, tasks_fd: int, results_fd: int, task: Task) -> None:
+    """A worker's life: answer tasks until the parent closes the pipe.  An
+    exception out of ``task`` ends the worker, and the parent's ``map``
+    sees its pipe close."""
     # What the parent left in memory is never collected here: no finalizer
     # of the parent's runs in a worker, and no page is copied to scan it.
     gc.freeze()
     expressions._column_ids = itertools.count(slot << _ID_SHIFT)
-    catalog, stats, registry = environment
-    optimizers: Dict[OptimizerConfig, Optimizer] = {}
     tasks = os.fdopen(tasks_fd, "rb")
     results = os.fdopen(results_fd, "wb")
     while True:
         try:
-            index, tree, config = pickle.load(tasks)
+            index, arguments = pickle.load(tasks)
         except EOFError:
             return
-        optimizer = optimizers.get(config)
-        if optimizer is None:
-            optimizer = optimizers[config] = Optimizer(
-                catalog, stats, registry, config
-            )
-        try:
-            result, error = optimizer.optimize(tree), None
-        except OptimizationError as exc:
-            result, error = None, str(exc)
-        if result is not None:
-            # The parent holds the tree; sending it back is waste.
-            result = replace(result, logical_tree=None)
-        pickle.dump((index, result, error), results, pickle.HIGHEST_PROTOCOL)
+        answer = task(*arguments)
+        pickle.dump((index, answer), results, pickle.HIGHEST_PROTOCOL)
         results.flush()
 

@@ -14,7 +14,9 @@ would test it:
    are unioned, because whether one generated query makes the optimizer
    *choose* the buggy alternative is strongly seed-dependent; an attempt
    whose trials all fail before the seed produced anything is offered to
-   the clean build (:meth:`MutationCampaign._clean_witnesses`);
+   the clean build (:meth:`MutationCampaign._clean_witnesses`), except
+   for an admission candidate (:meth:`MutationCampaign.evaluate_rule`),
+   whose build is the clean one;
 3. compress that pool with SMC and TOPK (each selects ``k`` of the
    ``pool`` generated queries, using the mutated build's own costs);
 4. run the :class:`CorrectnessRunner` once over the whole pool -- its
@@ -345,6 +347,11 @@ class MutationCampaign:
         extends the registry first for genuinely new rules); a detected
         status on the FULL variant means the candidate changed plans
         incorrectly, crashed, or could not be exercised at all.
+
+        The candidate build *is* the campaign's registry with ``rule`` in
+        place -- the gate's registry already holds it -- so generation
+        does not ask the clean build where trials fail: that build is the
+        candidate's own and can never witness a NO_FIRE.
         """
         candidate = Mutant(
             mutant_id=f"candidate:{rule.name}",
@@ -355,7 +362,7 @@ class MutationCampaign:
             expectation_note="candidate rule under gate evaluation",
             _factory=lambda: rule,
         )
-        return self._evaluate(candidate)
+        return self._evaluate(candidate, probe=False)
 
     # ------------------------------------------------------------ internals
 
@@ -381,7 +388,7 @@ class MutationCampaign:
                 stats[key] = stats.get(key, 0) + value
         return stats or None
 
-    def _evaluate(self, mutant: Mutant) -> MutantOutcome:
+    def _evaluate(self, mutant: Mutant, probe: bool = True) -> MutantOutcome:
         node: RuleNode = (mutant.rule_name,)
         try:
             registry = self.registry.with_replaced_rule(mutant.build())
@@ -391,7 +398,7 @@ class MutationCampaign:
         fleet_error = ""
         try:
             queries, no_fire, crash = self._build_pool(
-                node, registry, service
+                node, registry, service, probe
             )
             if crash is not None:
                 return self._uniform(mutant, CRASHED, crash, 0)
@@ -494,13 +501,14 @@ class MutationCampaign:
             )
         return ""
 
-    def _build_pool(self, node, registry, service):
+    def _build_pool(self, node, registry, service, probe):
         """Union the per-seed pools into one renumbered query list.
 
         Returns ``(queries, no_fire_detail, crash_detail)``: generation
         failing under *every* seed -- stopped by :meth:`_clean_witnesses`
-        or out of attempts -- is a NO_FIRE verdict, any non-RuntimeError
-        during a build is a crash attributable to the mutant.
+        (asked only with ``probe``) or out of attempts -- is a NO_FIRE
+        verdict, any non-RuntimeError during a build is a crash
+        attributable to the mutant.
         """
         queries = []
         no_fire = ""
@@ -512,7 +520,9 @@ class MutationCampaign:
                 extra_operators=self.extra_operators,
                 max_trials=self.max_trials,
                 service=service,
-                witness_check=partial(self._clean_witnesses, seed),
+                witness_check=(
+                    partial(self._clean_witnesses, seed) if probe else None
+                ),
             )
             try:
                 generated = builder.build([node], k=self.pool)

@@ -194,7 +194,7 @@ class TestSingletonGeneration:
         outcome = builder.generator.pattern_query_for_rule("JoinCommutativity")
         assert outcome.succeeded
         # Every optimizer the trials needed was built under ``config``.
-        assert list(service._optimizers) == [config]
+        assert list(service._runner.optimizers) == [config]
         assert QueryGenerator(tpch_db, registry).service.config is DEFAULT_CONFIG
 
 

@@ -434,8 +434,8 @@ def sample(tpch_db, registry):
     build_pool = campaign._build_pool
     pool_trees = []
 
-    def keep_trees(node, registry, service):
-        built = build_pool(node, registry, service)
+    def keep_trees(*arguments):
+        built = build_pool(*arguments)
         pool_trees.extend(query.tree for query in built[0])
         return built
 
@@ -674,12 +674,19 @@ def test_no_fire_names_witnesses_that_replay_on_both_builds(
         assert node[0] not in mutated.optimize(tree).rules_exercised
 
 
+#: The NO_FIRE detail of a rule that fired in none of 3 attempts.
+_EXHAUSTED_3 = (
+    "could not generate 4 distinct queries for ('AvgToSumDivCount',) "
+    "within 3 attempts"
+)
+
+
 def test_clean_rule_not_firing_either_keeps_full_persistence(
     tpch_db, registry
 ):
-    """The admission gate's shape: the candidate *is* the registry's rule,
-    so where it does not fire the clean build yields no witness, every
-    attempt is made and the detail is the exhaustion one."""
+    """A mutant whose clean rule does not fire either: the clean build
+    yields no witness, every attempt is made and the detail is the
+    exhaustion one."""
     never_fires = _mutated_registry(
         registry, "AvgToSumDivCount", "skip-substitute"
     )
@@ -688,20 +695,39 @@ def test_clean_rule_not_firing_either_keeps_full_persistence(
         tpch_db, never_fires, pool=4, k=2, seeds=(11,), extra_operators=2,
         max_trials=3, metrics=metrics, tracer=tracer,
     )
-    outcome = campaign.evaluate_rule(never_fires.rule("AvgToSumDivCount"))
+    report = campaign.run(
+        rule_names=["AvgToSumDivCount"], operators=["skip-substitute"]
+    )
     assert {
-        (cell.status, cell.detail) for cell in outcome.variants.values()
-    } == {(
-        NO_FIRE,
-        "could not generate 4 distinct queries for ('AvgToSumDivCount',) "
-        "within 3 attempts",
-    )}
+        (cell.status, cell.detail)
+        for cell in report.outcomes[0].variants.values()
+    } == {(NO_FIRE, _EXHAUSTED_3)}
     # 3 attempts x 25 trials, and the same trees once more on the clean
     # service, each a *no*.
     assert metrics.counter_value("optimizer.unexercised") == 2 * 3 * 25
     assert campaign._clean.counters.computed == 3 * 25
     # The services trace their requests; the campaign itself saw nothing.
     assert not [e for e in tracer.events if e.name.startswith("mutation.")]
+
+
+def test_an_admission_candidate_asks_no_clean_build(tpch_db, registry):
+    """The admission gate's shape: the candidate *is* the registry's
+    rule, so the clean build is the candidate's own and is never asked;
+    where the candidate does not fire, each failed trial runs once."""
+    never_fires = _mutated_registry(
+        registry, "AvgToSumDivCount", "skip-substitute"
+    )
+    metrics = MetricsRegistry()
+    campaign = MutationCampaign(
+        tpch_db, never_fires, pool=4, k=2, seeds=(11,), extra_operators=2,
+        max_trials=3, metrics=metrics,
+    )
+    outcome = campaign.evaluate_rule(never_fires.rule("AvgToSumDivCount"))
+    assert {
+        (cell.status, cell.detail) for cell in outcome.variants.values()
+    } == {(NO_FIRE, _EXHAUSTED_3)}
+    assert metrics.counter_value("optimizer.unexercised") == 3 * 25
+    assert campaign._clean is None
 
 
 def test_a_mutant_that_fires_less_is_not_flagged(tpch_db, registry):

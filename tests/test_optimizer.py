@@ -587,8 +587,7 @@ class TestExplorationWork:
 
 # ------------------------------------------------------- generation trials
 
-#: The fields a trial's result shares with ``optimize``'s (``logical_tree``
-#: is the caller's own tree).
+#: The fields a trial's result shares with ``optimize``'s.
 RESULT_FIELDS = (
     "plan", "cost", "rules_exercised", "rule_interactions", "stats",
     "rule_counters", "output_columns", "plan_support",

@@ -474,7 +474,6 @@ class TestBatches:
                 results = service.optimize_many(trees)
         assert [result.cost for result in results] == expected
         assert service.counters.parallel_tasks == 3
-        assert [result.logical_tree for result in results] == trees
 
     def test_broken_pool_falls_back_to_serial(
         self, tpch_db, registry, monkeypatch
@@ -559,31 +558,29 @@ class TestBatches:
         gc.collect()
         _assert_reaped(pids)
 
-    def test_a_worker_answers_index_result_error(self, tpch_db, registry):
-        """On the wire a worker's answer is three fields: the task's
-        index, a result without its tree or ``None``, and an error
-        message or ``None``."""
-        pool = _worker.WorkerPool(
-            (tpch_db.catalog, tpch_db.stats_repository(), registry)
-        )
-        pool.grow(1)
-        (child,) = pool.children
+    def test_a_worker_answers_index_and_answer(self):
+        """A pool runs one plain function and knows nothing of plans: a
+        worker reads ``(index, arguments)`` and writes ``(index,
+        task(*arguments))``, and ``map`` puts each answer in its task's
+        place, whichever worker computed it."""
+        def task(number, word):
+            return number, word * 2, os.getpid()
+
+        pool = _worker.WorkerPool(task)
+        pool.grow(2)
         try:
-            answers = []
-            for index, config in enumerate((DEFAULT_CONFIG, NO_PLAN)):
-                pickle.dump((index, _tree(tpch_db, SQL_SIMPLE), config),
-                            child.tasks)
-                child.tasks.flush()
-                answers.append(pickle.load(child.results))
+            child = pool.children[0]
+            pickle.dump((7, (3, "ab")), child.tasks)
+            child.tasks.flush()
+            assert pickle.load(child.results) == (7, (3, "abab", child.pid))
+            answers = pool.map([(number, str(number)) for number in range(6)])
+            pids = {child.pid for child in pool.children}
         finally:
             pool.close()
-        (first, result, error), (second, missing, message) = answers
-        assert (first, second) == (0, 1)
-        assert error is None and result.logical_tree is None
-        assert result.cost == PlanService(
-            tpch_db, registry=registry
-        ).cost(_tree(tpch_db, SQL_SIMPLE))
-        assert missing is None and message
+        assert [answer[:2] for answer in answers] == [
+            (number, str(number) * 2) for number in range(6)
+        ]
+        assert {answer[2] for answer in answers} <= pids
 
     def test_pool_errors_equal_serial(self, tpch_db, registry):
         """Requests that fail in a worker come back as the errors a
