@@ -9,6 +9,10 @@ once through :func:`execute_item` and hands every requester the same
 :class:`~repro.engine.results.QueryResult` object — which also shares
 the cached bag digest, making the follow-up comparisons O(1).
 
+A plan that fails is its own item's verdict: whatever it raises while
+executing is captured as that item's :class:`ExecutionError`, so a batch
+never raises for a plan and its other items still execute.
+
 Table scans are shared across executions for free: the columnar
 executor reads the per-table column snapshot cached on
 :class:`~repro.storage.table.StoredTable`, which an insert extends with
@@ -50,12 +54,18 @@ def execute_item(
     metrics=None,
 ) -> BatchItem:
     """Execute one plan; a plan that fails to execute yields an item
-    carrying the :class:`ExecutionError` instead of raising, so one bad
+    carrying an :class:`ExecutionError` instead of raising, so one bad
     plan does not abort its batch (mirroring how campaign runners handle
-    per-query errors)."""
+    per-query errors).  Any other exception -- a mutated rule's plan
+    reading a column its input lacks raises ``KeyError`` -- becomes an
+    ``ExecutionError`` reading ``"<Type>: <message>"``, chained from it."""
     try:
         return BatchItem(result=execute_plan(
             plan, database, output_columns, tracer=tracer, metrics=metrics
         ))
     except ExecutionError as exc:
         return BatchItem(error=exc)
+    except Exception as exc:
+        error = ExecutionError(f"{type(exc).__name__}: {exc}")
+        error.__cause__ = exc
+        return BatchItem(error=error)

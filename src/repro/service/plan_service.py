@@ -641,7 +641,10 @@ class PlanService:
 
         ``requests`` is a sequence of ``(physical plan, output columns)``
         pairs; returns one :class:`repro.engine.batch.BatchItem` per
-        request, in order.  Results are cached under ``(plan signature,
+        request, in order.  It never raises for a plan: whatever a plan
+        raises while executing is that item's
+        :class:`~repro.engine.columnar.ExecutionError`, and a failed item
+        is cached like a result.  Results are cached under ``(plan signature,
         projection, database fingerprint)``: a key first seen in this call
         executes, every later occurrence is served the same
         :class:`~repro.engine.results.QueryResult` (and its cached bag

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.backends.base import Backend, BackendRun, bag_diff_summary
-from repro.obs.trace import NULL_TRACER, Tracer
 from repro.storage.database import Database
 from repro.testing.suite import SuiteQuery, TestSuite
 
@@ -275,7 +274,6 @@ class DifferentialRunner:
         backends: Sequence[Backend],
         *,
         skipped_backends: Optional[Dict[str, str]] = None,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         if len(backends) < 2:
             raise ValueError(
@@ -288,7 +286,6 @@ class DifferentialRunner:
         self.database = database
         self.backends = list(backends)
         self.skipped_backends = dict(skipped_backends or {})
-        self.tracer = tracer
 
     # ------------------------------------------------------------- helpers
 
@@ -296,14 +293,10 @@ class DifferentialRunner:
         self, backend: Backend, queries: Sequence[SuiteQuery]
     ) -> List[BackendRun]:
         """One backend's pass over the suite, as one batch."""
-        with self.tracer.span(
-            "diff.backend", cat="testing",
-            backend=backend.name, queries=len(queries),
-        ):
-            backend.ensure_ready(self.database)
-            return backend.run_many(
-                [(query.query_id, query.tree) for query in queries]
-            )
+        backend.ensure_ready(self.database)
+        return backend.run_many(
+            [(query.query_id, query.tree) for query in queries]
+        )
 
     # -------------------------------------------------------------- public
 
@@ -317,14 +310,9 @@ class DifferentialRunner:
             suite_info=dict(suite_info or {}),
             queries=queries,
         )
-        with self.tracer.span(
-            "diff.run", cat="testing",
-            backends=",".join(report.backends), queries=len(queries),
-        ):
-            per_backend = [
-                self._run_backend(backend, queries)
-                for backend in self.backends
-            ]
+        per_backend = [
+            self._run_backend(backend, queries) for backend in self.backends
+        ]
         for query, *runs in zip(queries, *per_backend):
             report.runs[query.query_id] = {
                 run.backend: run for run in runs
@@ -345,11 +333,6 @@ class DifferentialRunner:
                 outcome = self._judge(ref_run, runs[name])
                 report.outcomes.append(outcome)
                 report.tallies[name].bump(outcome.outcome)
-                if outcome.outcome == DISAGREE and self.tracer.enabled:
-                    self.tracer.event(
-                        "diff.disagreement", cat="testing",
-                        query=outcome.query_id, backend=name,
-                    )
 
     def _judge(self, ref_run: BackendRun, run: BackendRun) -> DiffOutcome:
         query_id = run.query_id

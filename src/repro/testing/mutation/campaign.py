@@ -23,13 +23,17 @@ would test it:
    plans asked for in one ``optimize_many`` batch -- and derive the verdict
    of every suite variant (FULL / SMC / TOPK) from the per-edge
    :class:`ComparisonRecord` list, so compressed variants never pay a
-   second execution pass.
+   second execution pass.  A plan that fails to optimize or execute is
+   its own query's ``error`` record: a variant reads it only if it
+   selected that query.
 
 Per mutant and variant the kill matrix records one status:
 
 ============  ==============================================================
 ``KILLED``    a ``Plan(q)`` vs ``Plan(q, ¬R)`` bag mismatch (detected)
-``CRASHED``   the mutant made optimization or execution fail (detected)
+``CRASHED``   the mutant could not be built, crashed pool generation, or
+              made a selected query's plan fail to optimize or execute
+              (detected)
 ``NO_FIRE``   under every seed the mutated rule is out of ``RuleSet(q)``
               where the generation module expects it: either one attempt's
               trials all failed on trees of which the clean build's rule
@@ -598,39 +602,14 @@ class MutationCampaign:
     def _verdicts(self, suite, node, registry, service):
         """Per-query verdict for the whole pool, in one runner pass.
 
-        The runner asks for the pool's plans once.  Only when that raises
-        -- a buggy substitute crashing the optimizer with something other
-        than ``OptimizationError`` -- are the queries probed one by one to
-        attribute the crash, and the runner re-run over the healthy rest.
+        A plan that fails to optimize or execute is its own query's
+        ``error`` record, so each verdict names only the queries whose
+        plans failed.  Only an optimizer crash other than
+        ``OptimizationError`` escapes the runner; it cannot be attributed
+        to a query, and every pool query reads ``error``.
         """
-        verdicts: Dict[int, Tuple[str, str]] = {}
-        healthy = [query.query_id for query in suite.queries]
-        runner = CorrectnessRunner(self.database, registry, service=service)
-        try:
-            report = runner.run(self._pool_plan(suite, node, healthy), suite)
-        except Exception:
-            verdicts = self._probe_crashes(suite, node, service)
-            healthy = [q for q in healthy if q not in verdicts]
-            try:
-                report = runner.run(
-                    self._pool_plan(suite, node, healthy), suite
-                )
-            except Exception as exc:
-                # An unattributable crash inside execution: blame every
-                # query we could not clear individually.
-                detail = _describe(exc)
-                for query_id in healthy:
-                    verdicts[query_id] = ("error", detail)
-                return verdicts
-        for record in report.records:
-            _raise_verdict(
-                verdicts, record.query_id, record.outcome, record.detail
-            )
-        return verdicts
-
-    @staticmethod
-    def _pool_plan(suite, node, query_ids) -> CompressionPlan:
-        return CompressionPlan(
+        query_ids = [query.query_id for query in suite.queries]
+        plan = CompressionPlan(
             method="MUTATION",
             assignments={node: query_ids},
             node_costs={
@@ -638,23 +617,18 @@ class MutationCampaign:
             },
             edge_costs={(node, query_id): 0.0 for query_id in query_ids},
         )
-
-    def _probe_crashes(self, suite, node, service):
-        """``error`` verdicts for the queries whose ``Plan(q)`` or
-        ``Plan(q, ¬R)`` crashes the optimizer of the mutated build."""
-        crashed: Dict[int, Tuple[str, str]] = {}
-        for query in suite.queries:
-            for rules_off in ((), node):
-                try:
-                    service.optimize(
-                        query.tree, self.config.with_disabled(rules_off)
-                    )
-                except OptimizationError:
-                    pass  # the runner records these as error verdicts
-                except Exception as exc:
-                    crashed[query.query_id] = ("error", _describe(exc))
-                    break
-        return crashed
+        runner = CorrectnessRunner(self.database, registry, service=service)
+        try:
+            report = runner.run(plan, suite)
+        except Exception as exc:
+            detail = _describe(exc)
+            return {query_id: ("error", detail) for query_id in query_ids}
+        verdicts: Dict[int, Tuple[str, str]] = {}
+        for record in report.records:
+            _raise_verdict(
+                verdicts, record.query_id, record.outcome, record.detail
+            )
+        return verdicts
 
     def _uniform(
         self, mutant: Mutant, status: str, detail: str, pool_size: int

@@ -144,7 +144,6 @@ def run_campaign(
     rule_names: Optional[Sequence[str]] = None,
     k: int = 3,
     seed: int = 0,
-    extra_operators: int = 2,
     service: Optional[PlanService] = None,
 ) -> CampaignResult:
     """Run the full pipeline and collect a :class:`CampaignResult`.
@@ -165,8 +164,7 @@ def run_campaign(
     )
 
     suite = rule_suite(
-        database, registry, rule_names, k, seed=seed,
-        extra_operators=extra_operators, service=service,
+        database, registry, rule_names, k, seed=seed, service=service
     )
     oracle = CostOracle(database, registry, service=service)
     plans = {

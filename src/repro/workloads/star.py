@@ -10,10 +10,10 @@ semi-join simplification; and the star-join discussion of Section 7).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.catalog.schema import Catalog, ColumnDef, DataType, ForeignKey, TableDef
-from repro.datagen.generator import DataGenerator, GenerationProfile
+from repro.datagen.generator import DataGenerator
 from repro.storage.database import Database
 
 
@@ -97,12 +97,11 @@ BASE_ROW_COUNTS: Dict[str, int] = {
 def star_database(
     seed: int = 0,
     scale: float = 1.0,
-    profile: Optional[GenerationProfile] = None,
 ) -> Database:
     """Build and populate the star-schema database deterministically."""
     catalog = star_catalog()
     database = Database(catalog)
-    generator = DataGenerator(catalog, seed=seed, profile=profile)
+    generator = DataGenerator(catalog, seed=seed)
     counts = {
         name: max(1, int(count * scale))
         for name, count in BASE_ROW_COUNTS.items()

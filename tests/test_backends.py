@@ -165,6 +165,29 @@ class TestEngineBackend:
         counters = backend.service.counters
         assert (counters.requests, counters.batches) == (2, 1)
 
+    def test_run_many_never_raises_on_a_failing_execution(
+        self, tpch_db, registry, monkeypatch
+    ):
+        """A plan that raises while executing -- a mutated rule's plan
+        reading a column its input lacks -- is its own run's error."""
+        import repro.engine.batch as batch_module
+
+        backend = EngineBackend(_service(tpch_db, registry))
+        region = sql_to_tree("SELECT r_name FROM region", tpch_db.catalog)
+        nation = sql_to_tree("SELECT n_name FROM nation", tpch_db.catalog)
+        doomed = backend.service.optimize(region).plan
+        execute = batch_module.execute_plan
+
+        def exploding(plan, *args, **kwargs):
+            if plan == doomed:
+                raise KeyError(158)
+            return execute(plan, *args, **kwargs)
+
+        monkeypatch.setattr(batch_module, "execute_plan", exploding)
+        failed, served = backend.run_many([(0, region), (1, nation)])
+        assert failed.error == "execution failed: KeyError: 158"
+        assert served.succeeded and served.query_id == 1
+
 
 class TestRegistry:
     def test_engine_and_sqlite_are_always_available(self, tpch_db):

@@ -522,7 +522,19 @@ class TestPlanServiceExecuteMany:
         assert service.metrics.counter_value("exec.coalesced") == 2
         assert service.metrics.counter_value("exec.cache_hits") == 0
 
-    def test_error_does_not_abort_batch(self, sort_db, monkeypatch):
+    @pytest.mark.parametrize(
+        "raised, message",
+        [
+            (ExecutionError("injected"), "injected"),
+            (KeyError(158), "KeyError: 158"),
+        ],
+        ids=["execution-error", "key-error"],
+    )
+    def test_error_does_not_abort_batch(
+        self, sort_db, monkeypatch, raised, message
+    ):
+        """Whatever one plan raises is that item's ``ExecutionError``;
+        the other items still execute."""
         plan, outputs = _plan_for("SELECT a FROM t", sort_db)
         bad_plan, bad_outputs = _plan_for("SELECT b FROM t", sort_db)
         import repro.engine.batch as batch_module
@@ -531,7 +543,7 @@ class TestPlanServiceExecuteMany:
 
         def flaky(target, *args, **kwargs):
             if target is bad_plan:
-                raise ExecutionError("injected")
+                raise raised
             return real(target, *args, **kwargs)
 
         monkeypatch.setattr(batch_module, "execute_plan", flaky)
@@ -540,7 +552,10 @@ class TestPlanServiceExecuteMany:
         )
         assert items[0].ok and items[2].ok
         assert not items[1].ok
-        assert "injected" in str(items[1].error)
+        assert isinstance(items[1].error, ExecutionError)
+        assert str(items[1].error) == message
+        if not isinstance(raised, ExecutionError):
+            assert items[1].error.__cause__ is raised
 
     def test_cross_call_result_cache(self, sort_db):
         service = self._service(sort_db)

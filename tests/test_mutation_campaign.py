@@ -250,6 +250,32 @@ def test_handwritten_fault_is_killed(tpch_db, registry, rule_name):
     assert score_selection(matrix, selection.selected).survivors == ()
 
 
+def test_a_plan_that_fails_to_execute_is_its_own_verdict(tpch_db, registry):
+    """Under the dropped precondition, four of the 32 pool queries get a
+    plan that raises ``KeyError`` while executing.  Those four rows read
+    ``error`` and no other does.  FULL selects them and is CRASHED, while
+    SMC and TOPK select none of them and survive.  The column id in the
+    ``KeyError`` text depends on process history, so it is not pinned."""
+    campaign = MutationCampaign(
+        tpch_db, registry, pool=8, k=2, seeds=_KILL_SEEDS,
+        extra_operators=2,
+    )
+    report = campaign.run(
+        rule_names=["LojPushSelectLeft"], operators=["drop-precondition"]
+    )
+    (outcome,) = report.outcomes
+    assert outcome.mutant_id == "LojPushSelectLeft:drop-precondition"
+    assert outcome.pool_size == 32
+    errors = [q for q, verdict in outcome.query_verdicts if verdict == "error"]
+    assert errors == [16, 19, 21, 28]
+    full = outcome.variants["FULL"]
+    assert full.status == CRASHED
+    assert full.detail.startswith("query 16: KeyError: ")
+    for variant in ("SMC", "TOPK"):
+        assert outcome.status(variant) == SURVIVED
+        assert not set(outcome.variants[variant].query_ids) & set(errors)
+
+
 # ------------------------------------------------------- full-size scoring
 
 #: The 111 FULL statuses of the full campaign, by mutant id: RECORDED by
@@ -266,9 +292,9 @@ def test_full_campaign_meets_detection_bar(
 ):
     """The acceptance bar: the FULL suite detects >= 90% of the
     expected-detectable mutants, and the compressed suites' scores are
-    reported relative to it (long-running; CI mutation job).  Every
-    mutant's FULL status is the recorded one: a change that moves some
-    names them, and says so in EXPERIMENTS.md when it re-records."""
+    reported relative to it and pinned (long-running; CI mutation job).
+    Every mutant's FULL status is the recorded one: a change that moves
+    some names them, and says so in EXPERIMENTS.md when it re-records."""
     campaign = MutationCampaign(
         tpch_db, registry, pool=8, k=2, seeds=_KILL_SEEDS,
         extra_operators=2,
@@ -288,6 +314,16 @@ def test_full_campaign_meets_detection_bar(
     for variant in ("SMC", "TOPK"):
         relative = report.relative_score(variant)
         assert relative is not None and relative <= 1.0 + 1e-9
+    # The compressed suites' detections, which EXPERIMENTS.md cites: a
+    # crash counts for a variant only if it selected the failing query.
+    expected = report.expected()
+    detected = {
+        variant: sum(1 for o in expected if o.detected(variant))
+        for variant in VARIANTS
+    }
+    assert (len(expected), detected) == (
+        42, {"FULL": 38, "SMC": 7, "TOPK": 6}
+    )
     # curation honesty: the oracle should not catch mutants we declared
     # undetectable -- those notes would be stale.
     assert report.unexpected_detections("FULL") == []
