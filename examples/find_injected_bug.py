@@ -43,7 +43,7 @@ def main() -> None:
             for issue in report.issues:
                 print(f"  rule(s): {' + '.join(issue.rule_node)}")
                 print(f"  mismatch: {issue.detail}")
-                print(f"  failing SQL:\n    {issue.sql}")
+                print(f"  failing SQL:\n    {suite.query(issue.query_id).sql}")
             caught = True
             break
         print(f"  suite seed {seed}: no mismatch yet, regenerating ...")

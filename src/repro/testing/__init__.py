@@ -17,7 +17,7 @@ from repro.testing.compression import (
     top_k_independent_plan,
 )
 from repro.testing.correctness import (
-    CorrectnessIssue,
+    ComparisonRecord,
     CorrectnessReport,
     CorrectnessRunner,
 )
@@ -55,9 +55,9 @@ from repro.testing.suite import (
 
 __all__ = [
     "CampaignResult",
+    "ComparisonRecord",
     "CompressionError",
     "CompressionPlan",
-    "CorrectnessIssue",
     "CorrectnessReport",
     "CorrectnessRunner",
     "CostOracle",

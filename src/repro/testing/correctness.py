@@ -12,7 +12,7 @@ execution/comparison is skipped -- the results are guaranteed equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.results import QueryResult, diff_summary, results_identical
 from repro.optimizer.result import OptimizationError
@@ -21,20 +21,6 @@ from repro.service import PlanService
 from repro.storage.database import Database
 from repro.testing.compression import CompressionPlan
 from repro.testing.suite import RuleNode, TestSuite
-
-
-@dataclass
-class CorrectnessIssue:
-    """One detected correctness bug."""
-
-    rule_node: RuleNode
-    query_id: int
-    sql: str
-    detail: str
-
-    def __str__(self) -> str:
-        rules = " + ".join(self.rule_node)
-        return f"[{rules}] query {self.query_id}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -54,22 +40,49 @@ class ComparisonRecord:
     outcome: str
     detail: str = ""
 
+    def __str__(self) -> str:
+        rules = " + ".join(self.rule_node)
+        return f"[{rules}] query {self.query_id}: {self.detail}"
+
 
 @dataclass
 class CorrectnessReport:
-    """Outcome of executing one compression plan."""
+    """Outcome of executing one compression plan: one record per failed
+    baseline and per edge, baselines first.  Every count is a fold over
+    ``records`` except ``queries_executed``: a baseline that executes
+    leaves no record."""
 
-    issues: List[CorrectnessIssue] = field(default_factory=list)
-    queries_executed: int = 0
-    disabled_plans_executed: int = 0
-    comparisons: int = 0
-    skipped_identical_plans: int = 0
-    errors: List[str] = field(default_factory=list)
     records: List[ComparisonRecord] = field(default_factory=list)
+    queries_executed: int = 0
+
+    def _outcomes(self, *outcomes: str) -> List[ComparisonRecord]:
+        return [r for r in self.records if r.outcome in outcomes]
+
+    @property
+    def issues(self) -> List[ComparisonRecord]:
+        """The correctness bugs: every ``mismatch`` record."""
+        return self._outcomes("mismatch")
+
+    @property
+    def errors(self) -> List[str]:
+        return [
+            f"query {r.query_id}"
+            + (f" ¬{r.rule_node}" if r.rule_node else "")
+            + f": {r.detail}"
+            for r in self._outcomes("error")
+        ]
+
+    @property
+    def disabled_plans_executed(self) -> int:
+        return len(self._outcomes("equal", "mismatch"))
+
+    @property
+    def skipped_identical_plans(self) -> int:
+        return len(self._outcomes("identical"))
 
     @property
     def passed(self) -> bool:
-        return not self.issues and not self.errors
+        return not self._outcomes("mismatch", "error")
 
 
 class CorrectnessRunner:
@@ -104,13 +117,10 @@ class CorrectnessRunner:
         ``optimize_many`` batch (distinct plans compute in parallel when
         the service has workers), classify, execute in bulk through
         ``PlanService.execute_many`` (scan sharing, coalescing, the result
-        cache), then emit records in iteration order: baselines by query
-        id, then edges in assignment order."""
+        cache), and record in iteration order: baselines by query id, then
+        edges in assignment order."""
         tracer = self.service.tracer
         report = CorrectnessReport()
-        baseline_results: Dict[int, QueryResult] = {}
-        baseline_plans: Dict[int, object] = {}
-        baseline_costs: Dict[int, float] = {}
 
         baseline_ids = sorted(plan.selected_query_ids)
         edges = [
@@ -131,7 +141,7 @@ class CorrectnessRunner:
         baseline_opt = dict(zip(baseline_ids, optimized))
         disabled_opt = optimized[len(baseline_ids):]
 
-        # Baseline pass A: execute every selected query that has a plan.
+        # Baselines: execute every selected query that has a plan.
         pending = [
             q for q in baseline_ids
             if not isinstance(baseline_opt[q], OptimizationError)
@@ -144,103 +154,77 @@ class CorrectnessRunner:
             database=self.database,
         )
         exec_items = dict(zip(pending, executed))
-
-        # Baseline pass B: emit errors/results in sorted-query order.
+        baseline_results: Dict[int, QueryResult] = {}
         for query_id in baseline_ids:
-            result = baseline_opt[query_id]
             item = exec_items.get(query_id)
-            failure = result if item is None else item.error
+            failure = baseline_opt[query_id] if item is None else item.error
             if failure is not None:
-                message = str(failure)
-                report.errors.append(f"query {query_id}: {message}")
                 report.records.append(
-                    ComparisonRecord((), query_id, "error", message)
+                    ComparisonRecord((), query_id, "error", str(failure))
                 )
                 continue
-            baseline_plans[query_id] = result.plan
-            baseline_costs[query_id] = result.cost
             baseline_results[query_id] = item.result
-            report.queries_executed += 1
+        report.queries_executed = len(baseline_results)
 
-        # Disabled pass A: classify every (node, query) edge.
-        entries: List[tuple] = []  # (node, query_id, kind, error message)
+        # Edges: an edge that needs no execution is recorded at once; one
+        # that does keeps its slot, filled when the batch returns.
+        slots: List[Tuple[int, RuleNode, int]] = []
         requests: List[tuple] = []
         for (node, query_id), disabled in zip(edges, disabled_opt):
             if query_id not in baseline_results:
                 continue
             if isinstance(disabled, OptimizationError):
-                entries.append((node, query_id, "opt_error", str(disabled)))
+                report.records.append(
+                    ComparisonRecord(node, query_id, "error", str(disabled))
+                )
                 continue
+            baseline = baseline_opt[query_id]
             # A cut search's space is truncated, not a superset: the
             # invariant holds only when neither search was cut.
             if self.monotonicity_guard is not None and not (
-                baseline_opt[query_id].stats.budget_exhausted
+                baseline.stats.budget_exhausted
                 or disabled.stats.budget_exhausted
             ):
                 self.monotonicity_guard.observe(
-                    f"query {query_id}",
-                    baseline_costs[query_id],
-                    disabled.cost,
-                    node,
+                    f"query {query_id}", baseline.cost, disabled.cost, node,
                 )
-            if disabled.plan == baseline_plans[query_id]:
+            if disabled.plan == baseline.plan:
                 # Identical plans guarantee identical results (paper,
                 # footnote 1): skip execution.
-                entries.append((node, query_id, "identical", None))
+                report.records.append(
+                    ComparisonRecord(node, query_id, "identical")
+                )
                 if tracer.enabled:
                     tracer.event(
                         "correctness.identical_plan", cat="testing",
                         query=query_id, rules=",".join(node),
                     )
                 continue
-            entries.append((node, query_id, "execute", None))
+            slots.append((len(report.records), node, query_id))
+            report.records.append(None)
             requests.append((disabled.plan, disabled.output_columns))
-        disabled_items = iter(
-            self.service.execute_many(requests, database=self.database)
+        disabled_items = self.service.execute_many(
+            requests, database=self.database
         )
-
-        # Disabled pass B: compare and emit in assignment order.
-        for node, query_id, kind, message in entries:
-            if kind == "identical":
-                report.skipped_identical_plans += 1
-                report.records.append(
-                    ComparisonRecord(node, query_id, "identical")
+        for (slot, node, query_id), item in zip(slots, disabled_items):
+            if item.error is not None:
+                report.records[slot] = ComparisonRecord(
+                    node, query_id, "error", str(item.error)
                 )
                 continue
-            if kind == "execute":
-                item = next(disabled_items)
-                if item.error is not None:
-                    message = str(item.error)
-            if message is not None:  # optimization or execution failed
-                report.errors.append(f"query {query_id} ¬{node}: {message}")
-                report.records.append(
-                    ComparisonRecord(node, query_id, "error", message)
-                )
-                continue
-            report.disabled_plans_executed += 1
-            report.comparisons += 1
             if tracer.enabled:
                 tracer.event(
                     "correctness.comparison", cat="testing",
                     query=query_id, rules=",".join(node),
                 )
             expected = baseline_results[query_id]
-            alternative = item.result
-            if not results_identical(expected, alternative):
-                detail = diff_summary(expected, alternative)
-                report.issues.append(
-                    CorrectnessIssue(
-                        rule_node=node,
-                        query_id=query_id,
-                        sql=suite.query(query_id).sql,
-                        detail=detail,
-                    )
-                )
-                report.records.append(
-                    ComparisonRecord(node, query_id, "mismatch", detail)
+            if results_identical(expected, item.result):
+                report.records[slot] = ComparisonRecord(
+                    node, query_id, "equal"
                 )
             else:
-                report.records.append(
-                    ComparisonRecord(node, query_id, "equal")
+                report.records[slot] = ComparisonRecord(
+                    node, query_id, "mismatch",
+                    diff_summary(expected, item.result),
                 )
         return report

@@ -55,27 +55,6 @@ class DiffOutcome:
 
 
 @dataclass
-class BackendTally:
-    """Per-backend outcome counts."""
-
-    agree: int = 0
-    disagree: int = 0
-    error: int = 0
-    skip: int = 0
-
-    def bump(self, outcome: str) -> None:
-        setattr(self, outcome, getattr(self, outcome) + 1)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "agree": self.agree,
-            "disagree": self.disagree,
-            "error": self.error,
-            "skip": self.skip,
-        }
-
-
-@dataclass
 class DiffReport:
     """Everything one differential campaign observed."""
 
@@ -87,9 +66,19 @@ class DiffReport:
     #: ``runs[query_id][backend]``.
     runs: Dict[int, Dict[str, BackendRun]] = field(default_factory=dict)
     outcomes: List[DiffOutcome] = field(default_factory=list)
-    tallies: Dict[str, BackendTally] = field(default_factory=dict)
 
     # ------------------------------------------------------------ verdicts
+
+    @property
+    def tallies(self) -> Dict[str, Dict[str, int]]:
+        """Outcome counts per non-reference backend, one count per
+        verdict of ``OUTCOMES``: a backend without outcomes reads zeros."""
+        tallies = {
+            name: dict.fromkeys(OUTCOMES, 0) for name in self.backends[1:]
+        }
+        for outcome in self.outcomes:
+            tallies[outcome.backend][outcome.outcome] += 1
+        return tallies
 
     @property
     def disagreements(self) -> List[DiffOutcome]:
@@ -174,10 +163,7 @@ class DiffReport:
             },
             "queries": query_payload,
             "summary": {
-                "per_backend": {
-                    name: tally.as_dict()
-                    for name, tally in sorted(self.tallies.items())
-                },
+                "per_backend": self.tallies,
                 "disagreements": len(self.disagreements),
                 "errors": len(self.errors),
                 "rule_attribution": self.rule_attribution(),
@@ -200,9 +186,9 @@ class DiffReport:
         lines.append(f"queries: {len(self.queries)}")
         for name, tally in sorted(self.tallies.items()):
             lines.append(
-                f"  vs {name:<10} agree={tally.agree} "
-                f"disagree={tally.disagree} error={tally.error} "
-                f"skip={tally.skip}"
+                f"  vs {name:<10} agree={tally[AGREE]} "
+                f"disagree={tally[DISAGREE]} error={tally[ERROR]} "
+                f"skip={tally[SKIP]}"
             )
         for outcome in self.disagreements:
             lines.append(
@@ -243,8 +229,8 @@ class DiffReport:
         ]
         for name, tally in sorted(self.tallies.items()):
             lines.append(
-                f"| `{name}` | {tally.agree} | {tally.disagree} "
-                f"| {tally.error} | {tally.skip} |"
+                f"| `{name}` | {tally[AGREE]} | {tally[DISAGREE]} "
+                f"| {tally[ERROR]} | {tally[SKIP]} |"
             )
         if self.disagreements or self.errors:
             lines += ["", "## Findings", ""]
@@ -324,15 +310,11 @@ class DifferentialRunner:
 
     def _unify(self, report: DiffReport) -> None:
         reference, *others = report.backends
-        for name in others:
-            report.tallies[name] = BackendTally()
         for query in report.queries:
             runs = report.runs[query.query_id]
-            ref_run = runs[reference]
-            for name in others:
-                outcome = self._judge(ref_run, runs[name])
-                report.outcomes.append(outcome)
-                report.tallies[name].bump(outcome.outcome)
+            report.outcomes.extend(
+                self._judge(runs[reference], runs[name]) for name in others
+            )
 
     def _judge(self, ref_run: BackendRun, run: BackendRun) -> DiffOutcome:
         query_id = run.query_id

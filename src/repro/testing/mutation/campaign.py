@@ -16,7 +16,9 @@ would test it:
    whose trials all fail before the seed produced anything is offered to
    the clean build (:meth:`MutationCampaign._clean_witnesses`), except
    for an admission candidate (:meth:`MutationCampaign.evaluate_rule`),
-   whose build is the clean one;
+   whose build is the clean one; only generation giving up
+   (``GenerationExhausted``) ends a seed without a pool -- a rule that
+   raises anything else while generating has crashed;
 3. compress that pool with SMC and TOPK (each selects ``k`` of the
    ``pool`` generated queries, using the mutated build's own costs);
 4. run the :class:`CorrectnessRunner` once over the whole pool -- its
@@ -31,8 +33,9 @@ Per mutant and variant the kill matrix records one status:
 
 ============  ==============================================================
 ``KILLED``    a ``Plan(q)`` vs ``Plan(q, ¬R)`` bag mismatch (detected)
-``CRASHED``   the mutant could not be built, crashed pool generation, or
-              made a selected query's plan fail to optimize or execute
+``CRASHED``   the mutant could not be built, raised while its pool was
+              generated (any exception but generation giving up), or made
+              a selected query's plan fail to optimize or execute
               (detected)
 ``NO_FIRE``   under every seed the mutated rule is out of ``RuleSet(q)``
               where the generation module expects it: either one attempt's
@@ -69,7 +72,13 @@ from repro.testing.compression import (
 from repro.testing.correctness import CorrectnessRunner
 from repro.testing.detection import KILLING_VERDICTS
 from repro.testing.mutation.operators import Mutant, generate_mutants
-from repro.testing.suite import CostOracle, RuleNode, TestSuite, TestSuiteBuilder
+from repro.testing.suite import (
+    CostOracle,
+    GenerationExhausted,
+    RuleNode,
+    TestSuite,
+    TestSuiteBuilder,
+)
 
 KILLED = "KILLED"
 CRASHED = "CRASHED"
@@ -91,9 +100,9 @@ _VERDICT_RANK = {"identical": 0, "equal": 1, "error": 2, "mismatch": 3}
 
 @dataclass(frozen=True)
 class VariantOutcome:
-    """One cell of the kill matrix."""
+    """One cell of the kill matrix (its variant is its key in
+    :attr:`MutantOutcome.variants`)."""
 
-    variant: str
     status: str
     query_ids: Tuple[int, ...]
     detail: str = ""
@@ -113,7 +122,6 @@ class MutantOutcome:
     description: str
     expected_detectable: bool
     expectation_note: str
-    pool_size: int
     variants: Dict[str, VariantOutcome]
     #: Per-pool-query verdict ``(query_id, outcome)`` pairs, ``outcome``
     #: being the correctness runner's vocabulary (``identical`` / ``equal``
@@ -129,6 +137,12 @@ class MutantOutcome:
     #: it reported, or no fleet ran): nothing of it folded into
     #: ``query_verdicts``, so the second oracle did not judge this pool.
     fleet_error: str = ""
+
+    @property
+    def pool_size(self) -> int:
+        """Queries in the mutant's pool: one verdict each (0 when no pool
+        was generated)."""
+        return len(self.query_verdicts)
 
     def status(self, variant: str) -> str:
         return self.variants[variant].status
@@ -153,15 +167,19 @@ class MutationReport:
     operators: List[str]
     pool: int
     k: int
-    seed: int
     extra_operators: int
-    #: Every generation seed whose pool was unioned (first == ``seed``).
-    seeds: Tuple[int, ...] = ()
+    #: Every generation seed whose pool was unioned.
+    seeds: Tuple[int, ...]
     #: Backend fleet of the optional second scoring oracle (empty when
     #: the campaign ran with the self-comparison oracle only).
     differential_backends: Tuple[str, ...] = ()
     outcomes: List[MutantOutcome] = field(default_factory=list)
     service_stats: Optional[Dict[str, int]] = None
+
+    @property
+    def seed(self) -> int:
+        """The first generation seed."""
+        return self.seeds[0]
 
     # ------------------------------------------------------------- scoring
 
@@ -331,7 +349,6 @@ class MutationCampaign:
             operators=sorted({mutant.operator for mutant in mutants}),
             pool=self.pool,
             k=self.k,
-            seed=self.seeds[0],
             extra_operators=self.extra_operators,
             seeds=self.seeds,
             differential_backends=self.differential_backends,
@@ -397,7 +414,7 @@ class MutationCampaign:
         try:
             registry = self.registry.with_replaced_rule(mutant.build())
         except Exception as exc:  # defensive: a mutant that cannot build
-            return self._uniform(mutant, CRASHED, _describe(exc), 0)
+            return self._uniform(mutant, CRASHED, _describe(exc))
         service = self._service(registry)
         fleet_error = ""
         try:
@@ -405,11 +422,11 @@ class MutationCampaign:
                 node, registry, service, probe
             )
             if crash is not None:
-                return self._uniform(mutant, CRASHED, crash, 0)
+                return self._uniform(mutant, CRASHED, crash)
             if not queries:
                 # No seed could exercise the mutated rule: the generation
                 # module itself flags this build.
-                return self._uniform(mutant, NO_FIRE, no_fire, 0)
+                return self._uniform(mutant, NO_FIRE, no_fire)
             suite = TestSuite(rule_nodes=[node], queries=queries, k=self.k)
             selections, selection_details = self._select(
                 suite, node, registry, service
@@ -428,14 +445,12 @@ class MutationCampaign:
             subset = selections[variant]
             if subset is None:
                 variants[variant] = VariantOutcome(
-                    variant, NOT_COVERED, (),
+                    NOT_COVERED, (),
                     selection_details.get(variant, ""),
                 )
                 continue
             status, detail = _classify(verdicts, subset)
-            variants[variant] = VariantOutcome(
-                variant, status, tuple(subset), detail
-            )
+            variants[variant] = VariantOutcome(status, tuple(subset), detail)
         return MutantOutcome(
             mutant_id=mutant.mutant_id,
             rule_name=mutant.rule_name,
@@ -443,7 +458,6 @@ class MutationCampaign:
             description=mutant.description,
             expected_detectable=mutant.expected_detectable,
             expectation_note=mutant.expectation_note,
-            pool_size=suite.size,
             variants=variants,
             query_verdicts=tuple(
                 (query.query_id,
@@ -509,10 +523,11 @@ class MutationCampaign:
         """Union the per-seed pools into one renumbered query list.
 
         Returns ``(queries, no_fire_detail, crash_detail)``: generation
-        failing under *every* seed -- stopped by :meth:`_clean_witnesses`
-        (asked only with ``probe``) or out of attempts -- is a NO_FIRE
-        verdict, any non-RuntimeError during a build is a crash
-        attributable to the mutant.
+        giving up (:class:`GenerationExhausted`) under *every* seed --
+        stopped by :meth:`_clean_witnesses` (asked only with ``probe``) or
+        out of attempts -- is a NO_FIRE verdict; any other exception during
+        a build, ``NotImplementedError`` and ``RecursionError`` included,
+        is a crash attributable to the mutant.
         """
         queries = []
         no_fire = ""
@@ -530,7 +545,7 @@ class MutationCampaign:
             )
             try:
                 generated = builder.build([node], k=self.pool)
-            except RuntimeError as exc:
+            except GenerationExhausted as exc:
                 no_fire = str(exc)
                 continue
             except Exception as exc:
@@ -631,7 +646,7 @@ class MutationCampaign:
         return verdicts
 
     def _uniform(
-        self, mutant: Mutant, status: str, detail: str, pool_size: int
+        self, mutant: Mutant, status: str, detail: str
     ) -> MutantOutcome:
         return MutantOutcome(
             mutant_id=mutant.mutant_id,
@@ -640,9 +655,8 @@ class MutationCampaign:
             description=mutant.description,
             expected_detectable=mutant.expected_detectable,
             expectation_note=mutant.expectation_note,
-            pool_size=pool_size,
             variants={
-                variant: VariantOutcome(variant, status, (), detail)
+                variant: VariantOutcome(status, (), detail)
                 for variant in VARIANTS
             },
         )

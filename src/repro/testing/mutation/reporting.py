@@ -31,11 +31,9 @@ def report_to_dict(report) -> dict:
             "pool": report.pool,
             "k": report.k,
             "seed": report.seed,
-            "seeds": list(report.seeds or (report.seed,)),
+            "seeds": list(report.seeds),
             "extra_operators": report.extra_operators,
-            "differential_backends": list(
-                getattr(report, "differential_backends", ()) or ()
-            ),
+            "differential_backends": list(report.differential_backends),
         },
         "summary": {
             variant: {
@@ -109,7 +107,7 @@ def report_to_markdown(report) -> str:
         f"- rules under test: **{len(report.rule_names)}**, operators: "
         f"{', '.join(report.operators)}"
     )
-    seeds = ", ".join(str(seed) for seed in report.seeds or (report.seed,))
+    seeds = ", ".join(str(seed) for seed in report.seeds)
     lines.append(
         f"- suite: pool of {report.pool} regenerated queries per mutant "
         f"and seed, compressed suites select k={report.k} "
@@ -198,7 +196,7 @@ def report_to_text(report) -> str:
         f"mutation campaign: {len(report.outcomes)} mutants over "
         f"{len(report.rule_names)} rules "
         f"(pool={report.pool}, k={report.k}, "
-        f"seeds={','.join(str(s) for s in report.seeds or (report.seed,))})"
+        f"seeds={','.join(str(s) for s in report.seeds)})"
     )
     for variant in VARIANTS:
         counts = report.status_counts(variant)

@@ -130,7 +130,7 @@ class CampaignResult:
             lines.append(f"- mismatch: {issue.detail}")
             lines.append("- failing SQL:")
             lines.append("```sql")
-            lines.append(issue.sql)
+            lines.append(self.suite.query(issue.query_id).sql)
             lines.append("```")
         for error in report.errors:
             lines.append(f"- ERROR: {error}")

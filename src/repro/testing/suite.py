@@ -36,6 +36,12 @@ RuleNode = Tuple[str, ...]
 WitnessCheck = Callable[[RuleNode, Sequence[LogicalOp]], Optional[str]]
 
 
+class GenerationExhausted(RuntimeError):
+    """Suite generation gave up on a rule node (see
+    :meth:`TestSuiteBuilder.build`); any other exception escaping a build
+    is a fault, not a verdict."""
+
+
 @dataclass
 class SuiteQuery:
     """One test query with its optimization metadata."""
@@ -73,14 +79,17 @@ class CostOracle:
         self.database = database
         self.registry = registry
         self.service = service or PlanService(database, registry=registry)
-        #: Logical ``Cost(q, ¬R)`` computations this oracle was asked for
-        #: (one per distinct request; the paper's Figure 14 measurement).
-        self.invocations = 0
         #: Repeated requests answered from the oracle's own cache.
         self.cache_hits = 0
         self._cache: Dict[Tuple[int, RuleNode], float] = {}
         #: Each rule node's config: the service's with the node disabled.
         self._configs: Dict[RuleNode, OptimizerConfig] = {}
+
+    @property
+    def invocations(self) -> int:
+        """Logical ``Cost(q, ¬R)`` computations this oracle was asked for
+        (one per distinct request; the paper's Figure 14 measurement)."""
+        return len(self._cache)
 
     def cost_without(self, query: SuiteQuery, rules_off: RuleNode) -> float:
         """``Cost(q, ¬R)`` -- one logical invocation per distinct request."""
@@ -106,7 +115,6 @@ class CostOracle:
                 continue
             slots = request_indices.get(key)
             if slots is None:
-                self.invocations += 1
                 request_indices[key] = [index]
                 node = key[1]
                 config = self._configs.get(node)
@@ -209,8 +217,8 @@ class TestSuiteBuilder:
     ) -> TestSuite:
         """Generate the overall suite: k distinct queries per rule node.
 
-        Raises ``RuntimeError`` when a node cannot be given its ``k``
-        queries: after ``max_trials`` attempts, or -- with a
+        Raises :class:`GenerationExhausted` when a node cannot be given
+        its ``k`` queries: after ``max_trials`` attempts, or -- with a
         ``witness_check`` -- as soon as the check gives a reason to stop
         after an attempt whose trials all failed with nothing yet produced
         for the node (an attempt none of whose draws reached the optimizer
@@ -232,7 +240,7 @@ class TestSuiteBuilder:
                     ):
                         verdict = self.witness_check(node, outcome.tried)
                         if verdict is not None:
-                            raise RuntimeError(verdict)
+                            raise GenerationExhausted(verdict)
                     continue
                 if outcome.sql in seen_sql:
                     continue
@@ -250,7 +258,7 @@ class TestSuiteBuilder:
                 seen_sql[outcome.sql] = query
                 produced += 1
             if produced < k:
-                raise RuntimeError(
+                raise GenerationExhausted(
                     f"could not generate {k} distinct queries for {node} "
                     f"within {self.max_trials} attempts"
                 )

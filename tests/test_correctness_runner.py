@@ -14,7 +14,11 @@ from repro.rules.faults import (
 from repro.rules.registry import default_registry
 from repro.sql.generate import to_sql
 from repro.testing.compression import top_k_independent_plan
-from repro.testing.correctness import CorrectnessRunner
+from repro.testing.correctness import (
+    ComparisonRecord,
+    CorrectnessReport,
+    CorrectnessRunner,
+)
 from repro.testing.suite import CostOracle, SuiteQuery, TestSuite, singleton_nodes
 
 
@@ -238,9 +242,29 @@ class TestRunnerAccounting:
         )
 
     def test_issue_rendering(self):
-        from repro.testing.correctness import CorrectnessIssue
-
-        issue = CorrectnessIssue(
-            rule_node=("a", "b"), query_id=3, sql="SELECT 1", detail="boom"
-        )
+        issue = ComparisonRecord(("a", "b"), 3, "mismatch", "boom")
         assert "[a + b] query 3: boom" == str(issue)
+
+
+def test_report_counts_are_folds_over_its_records():
+    report = CorrectnessReport(
+        records=[
+            ComparisonRecord((), 0, "error", "no plan"),
+            ComparisonRecord(("R",), 1, "identical"),
+            ComparisonRecord(("R",), 2, "equal"),
+            ComparisonRecord(("R", "S"), 3, "mismatch", "rows: 1 vs 2"),
+            ComparisonRecord(("R",), 4, "error", "boom"),
+        ],
+        queries_executed=4,
+    )
+    assert [str(issue) for issue in report.issues] == [
+        "[R + S] query 3: rows: 1 vs 2"
+    ]
+    assert report.errors == ["query 0: no plan", "query 4 ¬('R',): boom"]
+    assert report.queries_executed == 4
+    assert report.disabled_plans_executed == 2
+    assert report.skipped_identical_plans == 1
+    assert not report.passed
+    assert CorrectnessReport(
+        records=[ComparisonRecord(("R",), 1, "equal")]
+    ).passed

@@ -33,6 +33,8 @@ from repro.testing.differential import (
     DISAGREE,
     ERROR,
     SKIP,
+    DiffOutcome,
+    DiffReport,
     DifferentialRunner,
 )
 from repro.testing.suite import SuiteQuery, TestSuite, singleton_nodes
@@ -90,6 +92,20 @@ class TestUnification:
             "same": AGREE, "wrong": DISAGREE, "broken": ERROR,
         }
         assert not report.passed
+
+    def test_a_backend_without_outcomes_tallies_zero(self):
+        report = DiffReport(
+            backends=["engine", "sqlite", "duckdb"],
+            reference="engine",
+            outcomes=[
+                DiffOutcome(0, "sqlite", AGREE),
+                DiffOutcome(1, "sqlite", DISAGREE, "rows differ"),
+            ],
+        )
+        assert report.tallies == {
+            "sqlite": {"agree": 1, "disagree": 1, "error": 0, "skip": 0},
+            "duckdb": {"agree": 0, "disagree": 0, "error": 0, "skip": 0},
+        }
 
     def test_reference_failure_skips_the_comparison(self, tpch_db):
         runner = DifferentialRunner(
@@ -163,8 +179,10 @@ class TestSeedFleet:
         assert report.passed
         assert len(report.queries) == len(small_suite.queries)
         tally = report.tallies["sqlite"]
-        assert tally.agree == len(small_suite.queries)
-        assert tally.disagree == tally.error == tally.skip == 0
+        assert tally == {
+            "agree": len(small_suite.queries),
+            "disagree": 0, "error": 0, "skip": 0,
+        }
 
     def test_an_external_member_runs_one_statement_per_query(
         self, tpch_db, registry, small_suite, monkeypatch

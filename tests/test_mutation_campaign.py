@@ -9,6 +9,7 @@ import pytest
 
 from repro.obs import MetricsRegistry, RecordingTracer
 from repro.optimizer.config import DEFAULT_CONFIG
+from repro.rules.exploration.join_rules import JoinCommutativity
 from repro.rules.faults import ALL_FAULTS
 from repro.service import PlanService
 from repro.testing.generator import MAX_RESULT_CELLS
@@ -322,7 +323,7 @@ def test_full_campaign_meets_detection_bar(
         for variant in VARIANTS
     }
     assert (len(expected), detected) == (
-        42, {"FULL": 38, "SMC": 7, "TOPK": 6}
+        42, {"FULL": 39, "SMC": 8, "TOPK": 7}
     )
     # curation honesty: the oracle should not catch mutants we declared
     # undetectable -- those notes would be stale.
@@ -764,6 +765,37 @@ def test_an_admission_candidate_asks_no_clean_build(tpch_db, registry):
     } == {(NO_FIRE, _EXHAUSTED_3)}
     assert metrics.counter_value("optimizer.unexercised") == 3 * 25
     assert campaign._clean is None
+
+
+class _Unwritten(JoinCommutativity):
+    def substitute(self, binding, ctx):
+        raise NotImplementedError("substitute not written")
+
+
+class _Bottomless(JoinCommutativity):
+    def substitute(self, binding, ctx):
+        return self.substitute(binding, ctx)
+
+
+@pytest.mark.parametrize("rule, detail", [
+    (_Unwritten, "NotImplementedError: substitute not written"),
+    (_Bottomless, "RecursionError: maximum recursion depth exceeded"),
+])
+def test_a_rule_that_raises_while_generating_crashed(
+    tpch_db, registry, rule, detail
+):
+    """Only generation giving up is NO_FIRE: a rule whose ``substitute``
+    raises (a ``RuntimeError`` subclass included) has crashed."""
+    candidate = rule()
+    campaign = MutationCampaign(
+        tpch_db, registry.with_replaced_rule(candidate), pool=2, k=1,
+        seeds=(11,), extra_operators=2,
+    )
+    outcome = campaign.evaluate_rule(candidate)
+    assert {cell.status for cell in outcome.variants.values()} == {CRASHED}
+    assert outcome.status("FULL") == CRASHED
+    assert outcome.variants["FULL"].detail.startswith(detail)
+    assert outcome.pool_size == 0
 
 
 def test_a_mutant_that_fires_less_is_not_flagged(tpch_db, registry):

@@ -42,7 +42,7 @@ def _run_suite_diff(tpch_db, registry, rule_names, k):
     assert skipped == {}
     report = DifferentialRunner(tpch_db, backends).run(suite)
     # every query is compared -- no expressibility skip list anymore
-    assert report.tallies["sqlite"].agree == len(suite.queries), (
+    assert report.tallies["sqlite"]["agree"] == len(suite.queries), (
         report.to_text()
     )
     assert report.passed, report.to_text()

@@ -51,7 +51,7 @@ def test_subquery_rule_suite_matches_sqlite(tpch_db, registry):
     )
     assert skipped == {}
     report = DifferentialRunner(tpch_db, backends).run(suite)
-    assert report.tallies["sqlite"].agree == len(suite.queries), (
+    assert report.tallies["sqlite"]["agree"] == len(suite.queries), (
         report.to_text()
     )
     assert report.passed, report.to_text()
